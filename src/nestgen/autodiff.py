@@ -9,6 +9,8 @@ same forward code without paying for gradient bookkeeping.
 
 from __future__ import annotations
 
+import contextvars
+
 import numpy as np
 
 # Most negative finite float64. Used as the pre-softmax fill for masked
@@ -16,7 +18,9 @@ import numpy as np
 # masked positions get bitwise-zero attention weight and bitwise-zero gradient.
 MASK_FILL = -np.finfo(np.float64).max
 
-_ACTIVE_TAPE = None
+# Each thread (and asyncio task) sees its own active tape, so a tape open in
+# one thread never records the ops another thread runs.
+_ACTIVE_TAPE = contextvars.ContextVar("nestgen_active_tape", default=None)
 
 
 class Tensor:
@@ -76,15 +80,13 @@ class Tape:
         self._ops = []
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise RuntimeError("a tape is already active")
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     def record(self, out, backward):
@@ -103,8 +105,9 @@ class Tape:
 
 
 def _record(out, backward):
-    if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.record(out, backward)
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None:
+        tape.record(out, backward)
     return out
 
 

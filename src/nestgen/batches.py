@@ -83,33 +83,20 @@ def concat_trees(trees):
     return StructBatch({k: concat_trees([t.fields[k] for t in trees]) for k in first.fields})
 
 
-def stack_positions(trees, capacity: int):
-    """Stack per-position batches into one list-values subtree.
-
-    trees[i] holds position i for every row; the result gains a capacity axis
-    of size `capacity` right after the batch axis, zero padded past len(trees).
-    """
-    if not trees:
-        raise ValueError("need at least one position to stack")
-    first = trees[0]
-    if isinstance(first, LeafBatch):
-        stacked = np.stack([t.codes for t in trees], axis=1)
-        return LeafBatch(_pad_axis1(stacked, capacity))
-    if isinstance(first, ListBatch):
-        lengths = _pad_axis1(np.stack([t.lengths for t in trees], axis=1), capacity)
-        return ListBatch(lengths, stack_positions([t.values for t in trees], capacity))
-    return StructBatch({k: stack_positions([t.fields[k] for t in trees], capacity)
-                        for k in first.fields})
-
-
-def _pad_axis1(arr, capacity):
-    if arr.shape[1] > capacity:
-        raise ValueError(f"{arr.shape[1]} positions exceed capacity {capacity}")
-    if arr.shape[1] == capacity:
-        return arr
-    pad = [(0, 0)] * arr.ndim
-    pad[1] = (0, capacity - arr.shape[1])
-    return np.pad(arr, pad)
+def put_rows(tree, idx, part):
+    """Write the rows of `part` into `tree` at batch rows idx. Arrays are
+    written in place unless part's values need a wider dtype (sampled
+    numeric values into integer zeros), in which case they are copied."""
+    if isinstance(tree, LeafBatch):
+        codes = tree.codes
+        if not np.can_cast(part.codes.dtype, codes.dtype):
+            codes = codes.astype(np.result_type(codes, part.codes))
+        codes[idx] = part.codes
+        return LeafBatch(codes)
+    if isinstance(tree, ListBatch):
+        tree.lengths[idx] = part.lengths
+        return ListBatch(tree.lengths, put_rows(tree.values, idx, part.values))
+    return StructBatch({k: put_rows(v, idx, part.fields[k]) for k, v in tree.fields.items()})
 
 
 def split_leading(tree, b: int, p: int):

@@ -177,11 +177,8 @@ def cmd_sample(args) -> int:
         raise CliError("sample", "CSV output requires a flat record schema; "
                                  "choose jsonl")
     rng = stream(args.seed, SAMPLE)
-    if args.count > 0:
-        tree = sample_rows(codec, store, args.count, rng)
-        records = data.records_from_batch(tree, tf, rng)
-    else:
-        records = []
+    tree = sample_rows(codec, store, args.count, rng)
+    records = data.records_from_batch(tree, tf, rng)
     try:
         data.write_records(records, tf.schema, args.out, fmt)
     except OSError as e:

@@ -3,7 +3,8 @@
 A codec turns an observation into a fixed-width embedding plus a context, and
 turns a conditioning vector plus that context into a distribution
 representation whose negative log likelihood against the observation is the
-training loss. Sampling inverts the decoder autoregressively. Composite
+training loss. Sampling draws each child from its decoder conditioning and
+feeds the draw back through the encoder, one position at a time. Composite
 codecs own child codecs and wire them together with causal attention; the
 root codec is decoded from a fixed initial conditioning vector, and the
 embedding it produces is simply unused there.
@@ -49,8 +50,11 @@ class Codec:
         raise NotImplementedError
 
     def sample(self, cond, rng):
-        """Draw observations given conditioning rows; returns (batch tree,
-        embedding of the sampled values)."""
+        """Draw observations given conditioning rows (B, d); returns (batch
+        tree, embedding of the sampled values). The embedding is what encode
+        returns for the sampled tree (numeric values read as their bins), so
+        a parent appends it to its own encoder sequence. Composites decode
+        with cached attention steps, never a stack over a whole prefix."""
         raise NotImplementedError
 
     def reshuffle(self, ctx, rng, perms=None):
@@ -161,6 +165,8 @@ def unflatten_gradients(store: ParamStore, flat: np.ndarray) -> dict[str, np.nda
 def sample_rows(codec: Codec, store: ParamStore, count: int, rng,
                 chunk: int = 32768):
     """Draw `count` observations from the root codec in bounded chunks."""
+    if count == 0:
+        return codec.zero_batch(0)
     parts = []
     left = count
     while left > 0:

@@ -14,6 +14,16 @@ conditions field k. For a list, encoder position 0 is the length embedding
 and position 1+i is element i; decoder output slot 0 conditions the length
 and slot 1+i conditions element i. Padded positions are masked out of
 attention and contribute exactly zero loss and gradient.
+
+Sampling walks the same order one slot at a time with cached attention
+(`AttentionStack.step`): a decoder step on the conditioning gives slot 0;
+then each slot samples its child, an encoder step on the child's embedding
+gives the next digest, and a decoder step on that digest conditions the next
+slot. Shuffled nodes sample in identity order. A list samples the lengths
+first; element step i then runs only the rows whose length exceeds i, and a
+row's embedding is the digest at its own length. Sampled elements are
+written into `value_codec.zero_batch(B*max_len)`, so padded slots are
+exactly that batch's zeros.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..batches import (LeafBatch, ListBatch, StructBatch, merge_leading,
-                       split_leading, stack_positions, take_positions)
-from ..transformer import AttentionStack, TransformerConfig
+from ..batches import (LeafBatch, ListBatch, StructBatch, merge_leading, put_rows,
+                       split_leading, take_positions)
+from ..transformer import AttentionStack, KVCache, TransformerConfig
 from .base import Codec, TRIVIAL
 from .primitives import CategoricalCodec, LogitsRep
 
@@ -98,6 +108,34 @@ class ListRep:
         self.lengths = lengths
         self.mask = mask
         self.perm = perm
+
+
+class _Decoding:
+    """Sampling state of one composite node: the K/V caches of its encoder
+    and decoder stacks, and the latest encoder digest (the node's
+    conditioning before the first draw), which is the decoder's next input."""
+
+    def __init__(self, codec, cond, pos=None):
+        self.enc, self.dec, self.pos = codec.enc, codec.dec, pos
+        self.enc_kv, self.dec_kv = KVCache(), KVCache()
+        self.digest = ad.as_tensor(cond)
+        self.t = 0
+
+    def draw(self, child, rng):
+        """Sample `child` in the next slot and append its embedding to the
+        encoder sequence; returns the sampled batch."""
+        x, e = child.sample(self.dec.step(self.digest, self.dec_kv), rng)
+        if self.pos is not None:
+            e = ad.add(e, ad.gather_rows(self.pos, np.full(e.shape[0], self.t)))
+        self.digest = self.enc.step(e, self.enc_kv)
+        self.t += 1
+        return x
+
+    def take(self, rows):
+        """Keep only the given batch rows."""
+        self.enc_kv = self.enc_kv.take(rows)
+        self.dec_kv = self.dec_kv.take(rows)
+        self.digest = ad.take_rows(self.digest, rows)
 
 
 class StructCodec(Codec):
@@ -186,23 +224,9 @@ class StructCodec(Codec):
         return emb, ctx2, True
 
     def sample(self, cond, rng):
-        cond = cond if isinstance(cond, Tensor) else Tensor(cond)
-        B = cond.data.shape[0]
-        c_col = ad.reshape(cond, (B, 1, self.width))
-        embs, out = [], {}
-        for k, (name, child) in enumerate(zip(self.names, self._children)):
-            if k == 0:
-                dec_in = c_col
-            else:
-                dec_in = ad.concat([c_col, self.enc(ad.stack_columns(embs))], axis=1)
-            h = self.dec(dec_in)
-            cond_k = ad.reshape(ad.narrow(h, 1, k, 1), (B, self.width))
-            xk, ek = child.sample(cond_k, rng)
-            out[name] = xk
-            embs.append(ek)
-        digests = self.enc(ad.stack_columns(embs))
-        emb = ad.reshape(ad.narrow(digests, 1, len(embs) - 1, 1), (B, self.width))
-        return StructBatch(out), emb
+        dec = _Decoding(self, cond)
+        out = {name: dec.draw(child, rng) for name, child in zip(self.names, self._children)}
+        return StructBatch(out), dec.digest
 
     def zero_batch(self, n):
         return StructBatch({name: c.zero_batch(n)
@@ -324,36 +348,22 @@ class ListCodec(Codec):
                 True)
 
     def sample(self, cond, rng):
-        cond = cond if isinstance(cond, Tensor) else Tensor(cond)
-        B = cond.data.shape[0]
+        B = cond.shape[0]
         P = self.max_len
-        c_col = ad.reshape(cond, (B, 1, self.width))
-        h0 = self.dec(c_col)
-        m_batch, e_len = self.len_codec.sample(
-            ad.reshape(ad.narrow(h0, 1, 0, 1), (B, self.width)), rng)
-        m = m_batch.codes
-        steps = int(m.max(initial=0))
-        embs, pieces = [e_len], []
-        for i in range(steps):
-            dec_in = ad.concat([c_col, self._enc_prefix(embs)], axis=1)
-            h = self.dec(dec_in)
-            cond_i = ad.reshape(ad.narrow(h, 1, i + 1, 1), (B, self.width))
-            xi, ei = self.value_codec.sample(cond_i, rng)
-            pieces.append(xi)
-            embs.append(ei)
-        if pieces:
-            values = stack_positions(pieces, P)
-        else:
-            values = split_leading(self.value_codec.zero_batch(B * P), B, P)
-        digests = self._enc_prefix(embs)
-        emb = ad.reshape(ad.gather_positions(digests, m[:, None]), (B, self.width))
-        return ListBatch(m, values), emb
-
-    def _enc_prefix(self, embs):
-        seq = ad.stack_columns(embs)
-        if self.pos is not None:
-            seq = ad.add_seq(seq, ad.narrow(self.pos, 0, 0, len(embs)))
-        return self.enc(seq)
+        dec = _Decoding(self, cond, self.pos)
+        m = dec.draw(self.len_codec, rng).codes
+        emb = dec.digest.data.copy()
+        values = self.value_codec.zero_batch(B * P)
+        rows = np.arange(B)
+        for i in range(int(m.max(initial=0))):
+            live = np.flatnonzero(m[rows] > i)
+            if live.size < rows.size:
+                rows = rows[live]
+                dec.take(live)
+            values = put_rows(values, rows * P + i, dec.draw(self.value_codec, rng))
+            # a row's last write is at its own length, the digest it keeps
+            emb[rows] = dec.digest.data
+        return ListBatch(m, split_leading(values, B, P)), Tensor(emb)
 
     def zero_batch(self, n):
         return ListBatch(np.zeros(n, dtype=np.int64),

@@ -8,6 +8,14 @@ residual stream (position k's output always contains its own input embedding).
 `full_block=True` switches every block to the conventional pre-norm layout
 with a dense layer for comparison runs.
 
+Training runs `__call__` over whole sequences. Sampling grows a sequence one
+position at a time with `step`, which keeps every block's keys and values in
+a `KVCache` and computes only the new position. Both run the same `_block`.
+The cached step is exact because a position's output depends only on its
+prefix, in either block layout: attention is causal, and layer norm and the
+dense layer act on each position alone. `KVCache.take` drops batch rows that
+need no further steps.
+
 Masked score entries are filled with the most negative finite float before the
 softmax, so exp() underflows to exactly 0.0: causality and padding are bitwise
 guarantees, not approximations.
@@ -73,38 +81,82 @@ class AttentionStack:
         if x.data.ndim != 3 or x.data.shape[2] != self.cfg.width:
             raise ValueError(
                 f"input of shape {x.data.shape} does not match model width {self.cfg.width}")
-        B, L, d = x.data.shape
+        L = x.data.shape[1]
         if L == 0:
             raise ValueError("attention needs at least one position")
-        H = self.cfg.heads
-        dh = d // H
         causal = np.tril(np.ones((L, L), dtype=bool))
         if valid is None:
             blocked = ~causal[None, None, :, :]
         else:
             allowed = causal[None, :, :] & valid[:, None, :].astype(bool)
             blocked = ~allowed[:, None, :, :]
-
         for blk in self.blocks:
-            if self.cfg.full_block:
-                xin = ad.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-            else:
-                xin = x
-            q = _heads(ad.matmul(xin, blk["wq"]), H, dh)
-            k = _heads(ad.matmul(xin, blk["wk"]), H, dh)
-            v = _heads(ad.matmul(xin, blk["wv"]), H, dh)
-            scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-            scores = ad.masked_fill(scores, blocked, MASK_FILL)
-            w = ad.softmax(scores)
-            ctx = ad.matmul(w, v)                      # (B, H, L, dh)
-            ctx = ad.transpose(ctx, (0, 2, 1, 3))      # (B, L, H, dh)
-            ctx = ad.reshape(ctx, (B, L, d))
-            y = ad.matmul(ctx, blk["wo"])
-            x = ad.add(y, x)
-            if self.cfg.full_block:
-                z = ad.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-                x = ad.add(ad.add_bias(ad.matmul(z, blk["wd"]), blk["bd"]), z)
+            # keep no reference to this block's keys and values: outside a
+            # tape they are freed before the next block allocates its own
+            x = self._block(blk, x, blocked)[0]
         return x
+
+    def step(self, x_new: Tensor, cache: KVCache) -> Tensor:
+        """Output at the next position of a causal sequence, shape (B, d).
+
+        x_new (B, d) is the input at that position; cache holds the keys and
+        values of every earlier position and gains this one's. Every earlier
+        position is attended, so this equals the last row of __call__ on the
+        whole prefix with no valid mask.
+        """
+        B, d = x_new.data.shape
+        x = ad.reshape(x_new, (B, 1, d))
+        kv = []
+        for i, blk in enumerate(self.blocks):
+            x, kv_i = self._block(blk, x, None, cache.kv[i] if cache.kv else None)
+            kv.append(kv_i)
+        cache.kv = kv
+        return ad.reshape(x, (B, d))
+
+    def _block(self, blk, x: Tensor, blocked, past=None):
+        """One block on x (B, L, d). The L positions attend to the cached
+        (keys, values) in past, then to each other, except where blocked is
+        True. Returns the block output and the extended (keys, values)."""
+        B, L, d = x.data.shape
+        H = self.cfg.heads
+        dh = d // H
+        if self.cfg.full_block:
+            xin = ad.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
+        else:
+            xin = x
+        q = _heads(ad.matmul(xin, blk["wq"]), H, dh)
+        k = _heads(ad.matmul(xin, blk["wk"]), H, dh)
+        v = _heads(ad.matmul(xin, blk["wv"]), H, dh)
+        if past is not None:
+            k = ad.concat([past[0], k], axis=2)
+            v = ad.concat([past[1], v], axis=2)
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+        if blocked is not None:
+            scores = ad.masked_fill(scores, blocked, MASK_FILL)
+        w = ad.softmax(scores)
+        ctx = ad.matmul(w, v)                      # (B, H, L, dh)
+        ctx = ad.transpose(ctx, (0, 2, 1, 3))      # (B, L, H, dh)
+        ctx = ad.reshape(ctx, (B, L, d))
+        y = ad.matmul(ctx, blk["wo"])
+        x = ad.add(y, x)
+        if self.cfg.full_block:
+            z = ad.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
+            x = ad.add(ad.add_bias(ad.matmul(z, blk["wd"]), blk["bd"]), z)
+        return x, (k, v)
+
+
+class KVCache:
+    """Keys and values of the positions an AttentionStack has stepped over:
+    one (keys, values) pair of (B, H, t, dh) tensors per block, empty before
+    the first step."""
+
+    def __init__(self, kv=None):
+        self.kv = kv if kv is not None else []
+
+    def take(self, rows) -> "KVCache":
+        """The cache restricted to (or reordered by) the given batch rows."""
+        return KVCache([(ad.take_rows(k, rows), ad.take_rows(v, rows))
+                        for k, v in self.kv])
 
 
 def _heads(t: Tensor, H: int, dh: int) -> Tensor:

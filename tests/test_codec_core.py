@@ -1,8 +1,11 @@
 """Root-level codec behavior: batch loss, sampling, exact enumeration."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from nestgen.autodiff import Tape
 from nestgen.batches import LeafBatch, n_rows, take
 from nestgen.codecs.base import (pass_losses, per_example_gradients,
                                  root_conditioning, sample_rows, train_step,
@@ -152,6 +155,32 @@ def test_sample_rows_chunks_and_reproduces():
     assert np.array_equal(a.fields["a"].codes, b.fields["a"].codes)
     assert np.array_equal(a.fields["l"].lengths, b.fields["l"].lengths)
     assert a.fields["l"].lengths.max() <= 2
+
+
+def test_sample_rows_count_zero_is_empty_zero_batch():
+    codec, store = compiled(NESTED, seed=10)
+    tree = sample_rows(codec, store, 0, np.random.default_rng(3))
+    assert n_rows(tree) == 0
+    assert tree.fields["a"].codes.shape == (0,)
+    assert tree.fields["l"].values.codes.shape == (0, 2)
+
+
+def test_sampling_in_another_thread_leaves_open_tape_alone():
+    codec, store = compiled(NESTED, seed=10)
+    done = []
+
+    def sample_elsewhere():
+        sample_rows(codec, store, 5, np.random.default_rng(4))
+        done.append(True)
+
+    with Tape() as tape:
+        pass_losses(codec, store, sample_rows(codec, store, 3, np.random.default_rng(5)))
+        before = len(tape._ops)
+        worker = threading.Thread(target=sample_elsewhere)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and done == [True]
+        assert len(tape._ops) == before > 0
 
 
 def test_per_example_gradients_average_to_batch_gradient():

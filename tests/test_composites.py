@@ -6,13 +6,16 @@ import pytest
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
-from nestgen.codecs.base import pass_losses, root_conditioning, train_step
+from nestgen.codecs.base import (pass_losses, root_conditioning, sample_rows,
+                                 train_step)
 from nestgen.codecs.composites import ListCodec, StructCodec
-from nestgen.codecs.primitives import CategoricalCodec
+from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec, QuantileTable
 from nestgen.params import ParamStore
-from nestgen.transformer import TransformerConfig
+from nestgen.schema import compile_schema, parse_schema
+from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
-from conftest import forward_loss, loss_gradients
+from conftest import (attach_tables, forward_loss, loss_gradients,
+                      random_schema_doc)
 
 
 def flat_struct(cards, width=8, shuffled=False, seed=0, path="s"):
@@ -439,9 +442,30 @@ def test_sample_respects_max_len_and_seed():
     assert np.array_equal(a.lengths, b.lengths)
     assert np.array_equal(a.values.codes, b.values.codes)
     assert a.lengths.min() >= 0 and a.lengths.max() <= 4
-    # padded tail positions stay at the fill value for rows shorter than max
+    # padded tail positions hold exactly zero
     pad = np.arange(4)[None, :] >= a.lengths[:, None]
-    assert set(np.unique(a.values.codes[pad])) <= {0, 1, 2}
+    assert pad.any() and np.all(a.values.codes[pad] == 0)
+
+
+def test_nested_sample_padding_equals_zero_batch():
+    # list of a struct with a numeric leaf: every padded slot holds exactly
+    # what zero_batch puts there, while real slots carry sampled real values
+    store = ParamStore()
+    rng = np.random.default_rng(32)
+    tcfg = TransformerConfig(width=8, blocks=1, heads=2)
+    table = QuantileTable(np.array([0.5, 1.0, 2.0, 4.0]))
+    kids = [CategoricalCodec("l/item/c", 3, 8, store, rng),
+            NumericalCodec("l/item/n", 4, 8, store, rng, table=table)]
+    item = StructCodec("l/item", ["c", "n"], kids, tcfg, store, rng)
+    codec = ListCodec("l", item, 5, tcfg, store, rng)
+    tree, _ = codec.sample(root_conditioning(store, 300, 8), np.random.default_rng(33))
+    pad = np.arange(5)[None, :] >= tree.lengths[:, None]
+    assert pad.any() and (~pad).any()
+    zero = codec.zero_batch(300).values
+    for name in ("c", "n"):
+        assert np.array_equal(tree.values.fields[name].codes[pad],
+                              zero.fields[name].codes[pad])
+    assert np.all(tree.values.fields["n"].codes[~pad] >= 0.5)
 
 
 def test_training_pins_constant_length():
@@ -459,3 +483,92 @@ def test_training_pins_constant_length():
     tree, _ = codec.sample(root_conditioning(store, 1000, 8),
                            np.random.default_rng(30))
     assert np.all(tree.lengths == 2)
+
+
+# -- cached sampling -------------------------------------------------------------
+
+STRUCT_LIST_STRUCT = {"type": "record", "name": "r", "fields": [
+    {"name": "a", "type": "enum", "cardinality": 3},
+    {"name": "l", "type": {"type": "array", "name": "l", "max_len": 3, "shuffled": True,
+                           "items": {"type": "record", "name": "s", "fields": [
+                               {"name": "b", "type": "enum", "cardinality": 2},
+                               {"name": "c", "type": "long", "bins": 3}]}}}]}
+LIST_OF_LISTS = {"type": "record", "name": "r", "fields": [
+    {"name": "ll", "type": {"type": "array", "name": "ll", "max_len": 3,
+                            "items": {"type": "array", "name": "in", "max_len": 2,
+                                      "shuffled": True,
+                                      "items": {"type": "enum", "name": "v",
+                                                "cardinality": 3}}}}]}
+SAMPLER_CASES = (
+    [(STRUCT_LIST_STRUCT, 1, False, False), (STRUCT_LIST_STRUCT, 2, True, True),
+     (LIST_OF_LISTS, 2, False, True), (LIST_OF_LISTS, 1, True, False)]
+    + [(random_schema_doc(np.random.default_rng(40 + i), max_depth=3),
+        1 + i % 2, i % 2 == 0, i >= 2) for i in range(4)])
+
+
+def _as_codes(codec, tree):
+    """A sampled tree with numeric values mapped back to their bin codes."""
+    if isinstance(codec, NumericalCodec):
+        return LeafBatch(codec.table.bin_values(tree.codes))
+    if isinstance(codec, StructCodec):
+        return StructBatch({n: _as_codes(c, tree.fields[n])
+                            for n, c in zip(codec.names, codec.children())})
+    if isinstance(codec, ListCodec):
+        return ListBatch(tree.lengths, _as_codes(codec.value_codec, tree.values))
+    return tree
+
+
+@pytest.mark.parametrize("doc,blocks,full_block,positional", SAMPLER_CASES)
+def test_cached_steps_match_full_prefix(monkeypatch, doc, blocks, full_block, positional):
+    codec, store = compile_schema(parse_schema(doc), width=8, blocks=blocks, heads=2,
+                                  full_block=full_block, positional_lists=positional,
+                                  seed=41)
+    attach_tables(codec, np.random.default_rng(42))
+    step, take, leaf_sample = AttentionStack.step, KVCache.take, CategoricalCodec.sample
+    inputs = {}   # id(cache) -> (cache, inputs stepped into it so far)
+    full_of = {}  # id(step output) -> (output, same row of __call__ on the prefix)
+    checked = {"steps": 0, "leaves": 0}
+
+    def checked_step(self, x, cache):
+        prefix = inputs.get(id(cache), (cache, []))[1] + [x.data]
+        out = step(self, x, cache)
+        full = self(Tensor(np.stack(prefix, axis=1))).data[:, -1]
+        np.testing.assert_allclose(out.data, full, rtol=0, atol=1e-10)
+        inputs[id(cache)] = (cache, prefix)
+        full_of[id(out)] = (out, full)
+        checked["steps"] += 1
+        return out
+
+    def checked_take(self, rows):
+        new = take(self, rows)
+        inputs[id(new)] = (new, [a[rows] for a in inputs[id(self)][1]])
+        return new
+
+    def checked_leaf_sample(self, cond, rng):
+        full = full_of[id(cond)][1]
+        np.testing.assert_allclose(cond.data @ self.w.data.T, full @ self.w.data.T,
+                                   rtol=0, atol=1e-10)
+        checked["leaves"] += 1
+        return leaf_sample(self, cond, rng)
+
+    monkeypatch.setattr(AttentionStack, "step", checked_step)
+    monkeypatch.setattr(KVCache, "take", checked_take)
+    monkeypatch.setattr(CategoricalCodec, "sample", checked_leaf_sample)
+    tree, emb = codec.sample(root_conditioning(store, 64, 8), np.random.default_rng(43))
+    assert checked["steps"] > 0 and checked["leaves"] > 0
+    # the returned embedding is what the training encoder makes of the sample
+    enc_emb, _ = codec.encode(_as_codes(codec, tree))
+    np.testing.assert_allclose(emb.data, enc_emb.data, rtol=0, atol=1e-10)
+
+
+def test_sampling_never_runs_the_full_stack(monkeypatch):
+    codec, store = compile_schema(parse_schema(STRUCT_LIST_STRUCT), width=8, blocks=2,
+                                  heads=2, positional_lists=True, seed=44)
+    attach_tables(codec, np.random.default_rng(45))
+
+    def refuse(self, x, valid=None):
+        raise AssertionError("sampling ran AttentionStack.__call__")
+
+    monkeypatch.setattr(AttentionStack, "__call__", refuse)
+    tree = sample_rows(codec, store, 50, np.random.default_rng(46))
+    assert tree.fields["l"].lengths.max() > 0
