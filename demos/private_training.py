@@ -4,9 +4,12 @@
 # dp_step takes the (batch, n_params) matrix of per-example gradients,
 # rescales every row to L2 norm at most C, averages, and adds independent
 # N(0, (sigma*C/batch)^2) noise per coordinate. The same step runs inside
-# fit() when a DpConfig is passed. This script first shows the mechanics on
-# a synthetic gradient matrix, then trains the same small model with and
-# without privacy to show the cost in loss.
+# fit() when a DpConfig is passed; there the matrix comes from
+# per_example_gradients, which runs one forward and one backward pass over
+# the whole batch and gives every parameter's gradient a leading batch axis.
+# This script first shows the mechanics on a synthetic gradient matrix, then
+# trains the same small model with and without privacy to show the cost in
+# loss.
 
 import numpy as np
 

@@ -5,6 +5,18 @@ manager). Ops are recorded in execution order, so walking the record backwards
 visits each node exactly once in reverse topological order. Tensors created
 while no tape is active behave as plain arrays, which is how sampling runs the
 same forward code without paying for gradient bookkeeping.
+
+`Tape(per_example=ExampleGrads(B, params))` computes per-example parameter
+gradients for a batch of B examples in one backward pass. It relies on two
+properties of the training graph: every tensor's leading axis is
+example-major (a list's (B*P) flattening keeps an example's P rows together,
+and row selections only reorder rows within an example), and no op mixes the
+rows of different examples. The gradient of every non-parameter tensor then
+already splits by example. Only the ops that read a parameter (`matmul` with
+a 2-D weight, `gather_rows`, `add_bias`, `layer_norm`, `broadcast_rows`,
+`add_seq`) need a per-example rule: on such a tape they add a (B, *shape)
+gradient into the `ExampleGrads` matrix instead of summing over the batch
+into `.grad`.
 """
 
 from __future__ import annotations
@@ -37,8 +49,12 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g):
+        # gradients are only ever replaced, never written in place, so g is
+        # kept without a copy. A non-contiguous g is still copied to C order:
+        # numpy sums a strided array in a different order, and later
+        # reductions over it would round differently.
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            self.grad = np.asarray(g, order="C")
         else:
             self.grad = self.grad + g
 
@@ -74,10 +90,16 @@ def as_tensor(x):
 
 
 class Tape:
-    """Execution-order record of ops, replayed backwards for gradients."""
+    """Execution-order record of ops, replayed backwards for gradients.
 
-    def __init__(self):
+    per_example: when given, parameter-reading ops recorded on this tape
+    add their per-example gradients into it and leave the parameter's
+    `.grad` alone. The seed must then be a sum of per-example losses.
+    """
+
+    def __init__(self, per_example: ExampleGrads | None = None):
         self._ops = []
+        self.per_example = per_example
 
     def __enter__(self):
         if _ACTIVE_TAPE.get() is not None:
@@ -109,6 +131,47 @@ def _record(out, backward):
     if tape is not None:
         tape.record(out, backward)
     return out
+
+
+class ExampleGrads:
+    """Per-example gradients of the given parameters for a batch of
+    `examples` examples, summed in place into one (examples, n_params)
+    `matrix`: row i is example i's gradient, flattened parameter by
+    parameter in the given order. Backward closures hold this object, not
+    the tape, so a tape never references itself and is freed as soon as it
+    goes out of scope."""
+
+    def __init__(self, examples: int, params):
+        self.examples = examples
+        sizes = [p.data.size for p in params]
+        self.matrix = np.zeros((examples, sum(sizes)))
+        self._blocks = {}
+        pos = 0
+        for p, size in zip(params, sizes):
+            self._blocks[p] = np.reshape(self.matrix[:, pos:pos + size],
+                                         (examples,) + p.data.shape, copy=False)
+            pos += size
+
+    def block(self, param: Tensor) -> np.ndarray:
+        """The (examples, *param.shape) view of `matrix` holding param."""
+        block = self._blocks.get(param)
+        if block is None:
+            raise RuntimeError("a per-example gradient rule was applied to a "
+                               "weight that is not a parameter")
+        return block
+
+    def add(self, param: Tensor, g: np.ndarray):
+        self.block(param)[...] += g
+
+    def sums(self, g, shape):
+        """Sum g (N, ..., *shape) within each example: (examples, *shape)."""
+        return g.reshape((self.examples, -1) + tuple(shape)).sum(axis=1)
+
+
+def _per_example():
+    """The active tape's ExampleGrads, or None."""
+    tape = _ACTIVE_TAPE.get()
+    return None if tape is None else tape.per_example
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +249,34 @@ def _unbroadcast(g, shape):
     return g
 
 
-def matmul(a, b):
-    """a @ b. b may be 2-D (shared weights) or match a's leading dims."""
+def matmul(a, b, transpose_b=False):
+    """a @ b, or a @ b.T with transpose_b (a 2-D b only). b may be 2-D
+    (shared weights) or match a's leading dims."""
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data @ b.data)
+    if transpose_b and b.data.ndim != 2:
+        raise ValueError(f"transpose_b needs a 2-D b, got shape {b.data.shape}")
+    bd = b.data.T if transpose_b else b.data
+    out = Tensor(a.data @ bd)
 
-    def backward(g):
-        if b.data.ndim == 2:
-            a.accumulate(g @ b.data.T)
-            k = a.data.shape[-1]
-            n = g.shape[-1]
-            b.accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
-        else:
-            a.accumulate(g @ np.swapaxes(b.data, -1, -2))
+    if bd.ndim == 2:
+        k, n = bd.shape
+        ex = _per_example()
+
+        def backward(g):
+            a.accumulate(g @ bd.T)
+            if ex is None:
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+                b.accumulate(gb.T if transpose_b else gb)
+            else:
+                rows = a.data.reshape(ex.examples, -1, k)
+                grows = g.reshape(ex.examples, -1, n)
+                if transpose_b:
+                    ex.add(b, np.swapaxes(grows, 1, 2) @ rows)
+                else:
+                    ex.add(b, np.swapaxes(rows, 1, 2) @ grows)
+    else:
+        def backward(g):
+            a.accumulate(g @ np.swapaxes(bd, -1, -2))
             b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _record(out, backward)
@@ -285,11 +363,18 @@ def gather_rows(w, idx):
     idx = np.asarray(idx)
     out = Tensor(w.data[idx])
     n, d = w.data.shape
+    ex = _per_example()
 
     def backward(g):
-        gw = np.zeros((n, d))
-        np.add.at(gw, idx.reshape(-1), g.reshape(-1, d))
-        w.accumulate(gw)
+        if ex is None:
+            gw = np.zeros((n, d))
+            np.add.at(gw, idx.reshape(-1), g.reshape(-1, d))
+            w.accumulate(gw)
+        else:
+            # row r of the flat index belongs to example r // (idx.size / B)
+            B = ex.examples
+            owner = np.repeat(np.arange(B), idx.size // B)
+            np.add.at(ex.block(w), (owner, idx.reshape(-1)), g.reshape(-1, d))
 
     return _record(out, backward)
 
@@ -376,9 +461,13 @@ def mean_all(a):
 def broadcast_rows(v, n):
     """Tile a (d,) vector into (n, d); gradient sums over the rows."""
     out = Tensor(np.broadcast_to(v.data, (n,) + v.data.shape).copy())
+    ex = _per_example()
 
     def backward(g):
-        v.accumulate(g.sum(axis=0))
+        if ex is None:
+            v.accumulate(g.sum(axis=0))
+        else:
+            ex.add(v, ex.sums(g, v.data.shape))
 
     return _record(out, backward)
 
@@ -386,10 +475,14 @@ def broadcast_rows(v, n):
 def add_seq(a, p):
     """Add a (L, d) table to every batch row of a (B, L, d) tensor."""
     out = Tensor(a.data + p.data)
+    ex = _per_example()
 
     def backward(g):
         a.accumulate(g)
-        p.accumulate(g.sum(axis=0))
+        if ex is None:
+            p.accumulate(g.sum(axis=0))
+        else:
+            ex.add(p, ex.sums(g, p.data.shape))
 
     return _record(out, backward)
 
@@ -397,10 +490,14 @@ def add_seq(a, p):
 def add_bias(a, b):
     """Add a (d,) bias to (..., d); bias gradient sums the leading axes."""
     out = Tensor(a.data + b.data)
+    ex = _per_example()
 
     def backward(g):
         a.accumulate(g)
-        b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if ex is None:
+            b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        else:
+            ex.add(b, ex.sums(g, b.data.shape))
 
     return _record(out, backward)
 
@@ -414,10 +511,15 @@ def layer_norm(a, gain, bias, eps=1e-5):
     xhat = (a.data - mu) * inv
     out = Tensor(xhat * gain.data + bias.data)
     d = a.data.shape[-1]
+    ex = _per_example()
 
     def backward(g):
-        gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        bias.accumulate(g.reshape(-1, d).sum(axis=0))
+        if ex is None:
+            gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+            bias.accumulate(g.reshape(-1, d).sum(axis=0))
+        else:
+            ex.add(gain, ex.sums(g * xhat, (d,)))
+            ex.add(bias, ex.sums(g, (d,)))
         gx = g * gain.data
         a.accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))

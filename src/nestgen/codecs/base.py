@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tape, Tensor
-from ..batches import concat_trees, n_rows, take
+from ..batches import concat_trees, n_rows
 from ..params import ParamStore
 
 C0_PATH = "~c0"
@@ -122,14 +122,20 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None, passes: int = 
     return out
 
 
+def _summed_passes(codec, store, batch, rng, passes):
+    """Per-example loss summed over the decoding passes, shape (B,)."""
+    per_pass = pass_losses(codec, store, batch, rng=rng, passes=passes)
+    total = per_pass[0]
+    for extra in per_pass[1:]:
+        total = ad.add(total, extra)
+    return total
+
+
 def train_step(codec: Codec, store: ParamStore, batch, rng=None, passes: int = 1):
     """One forward/backward: returns (mean loss float, gradients by path)."""
     store.zero_grads()
     with Tape() as tape:
-        per_pass = pass_losses(codec, store, batch, rng=rng, passes=passes)
-        total = per_pass[0]
-        for extra in per_pass[1:]:
-            total = ad.add(total, extra)
+        total = _summed_passes(codec, store, batch, rng, passes)
         loss = ad.scale(ad.mean_all(total), 1.0 / passes)
     tape.backward(loss)
     if not np.isfinite(loss.data):
@@ -139,17 +145,27 @@ def train_step(codec: Codec, store: ParamStore, batch, rng=None, passes: int = 1
 
 def per_example_gradients(codec: Codec, store: ParamStore, batch, rng=None,
                           passes: int = 1):
-    """Loss and flat gradient vector for each example separately (DP path)."""
-    n = n_rows(batch)
-    order = store.paths()
-    losses = np.empty(n)
-    grads = []
-    for i in range(n):
-        one = take(batch, np.array([i]))
-        loss, g = train_step(codec, store, one, rng=rng, passes=passes)
-        losses[i] = loss
-        grads.append(np.concatenate([g[p].ravel() for p in order]))
-    return losses, np.stack(grads)
+    """Loss and flat gradient vector of each example separately (DP path).
+
+    Returns (losses (B,), grads (B, n_params)); row i is what `train_step`
+    gives for example i alone, flattened in store order. The whole batch
+    runs one forward and one backward pass: the seed is the sum of the
+    per-example losses, and the tape's `ExampleGrads` gives every parameter
+    a (B, *shape) gradient (see `autodiff`). Shuffle permutations are drawn
+    once for the batch, as `train_step` draws them.
+    """
+    store.zero_grads()
+    grads = ad.ExampleGrads(n_rows(batch), [t for _, t in store.items()])
+    with Tape(per_example=grads) as tape:
+        losses = ad.scale(_summed_passes(codec, store, batch, rng, passes), 1.0 / passes)
+        loss = ad.sum_all(losses)
+    tape.backward(loss)
+    if not np.isfinite(loss.data):
+        raise FloatingPointError("non-finite training loss")
+    for path, t in store.items():
+        if t.grad is not None:
+            raise RuntimeError(f"{path}: read by an op with no per-example gradient rule")
+    return losses.data, grads.matrix
 
 
 def unflatten_gradients(store: ParamStore, flat: np.ndarray) -> dict[str, np.ndarray]:

@@ -41,7 +41,7 @@ class CategoricalCodec(Codec):
         return ad.gather_rows(self.w, codes), TRIVIAL
 
     def decode(self, cond: Tensor, ctx) -> LogitsRep:
-        return LogitsRep(ad.matmul(cond, ad.transpose(self.w, (1, 0))))
+        return LogitsRep(ad.matmul(cond, self.w, transpose_b=True))
 
     def loss_terms(self, rep: LogitsRep, x: LeafBatch, omega=None) -> Tensor:
         # omega is the hook for stochastic loss terms; every codec here is

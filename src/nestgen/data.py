@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batches import LeafBatch, ListBatch, StructBatch, merge_leading, split_leading
+from .batches import (LeafBatch, ListBatch, StructBatch, merge_leading, split_leading,
+                      take)
 from .codecs.primitives import DEFAULT_BINS, QuantileTable
 from .schema import Array, Enum, Number, Record, SchemaError, resolve, walk_paths
 
@@ -365,10 +366,14 @@ def _decode(tree, node, path, tf, rng):
         n = len(next(iter(cols.values())))
         return [{k: v[i] for k, v in cols.items()} for i in range(n)]
     if isinstance(node, Array):
-        b, p = tree.lengths.shape[0], node.max_len
-        flat = _decode(merge_leading(tree.values), node.items,
-                       f"{path}/{node.items.name}", tf, rng)
-        return [flat[i * p:i * p + int(tree.lengths[i])] for i in range(b)]
+        # only the valid slots b*max_len + j, j < lengths[b], are decoded:
+        # padding never reaches a leaf (nor draws from rng there)
+        lengths = np.asarray(tree.lengths, dtype=np.int64)
+        valid = np.arange(node.max_len)[None, :] < lengths[:, None]
+        flat = _decode(take(merge_leading(tree.values), np.flatnonzero(valid)),
+                       node.items, f"{path}/{node.items.name}", tf, rng)
+        ends = np.cumsum(lengths).tolist()
+        return [flat[e - m:e] for e, m in zip(ends, lengths.tolist())]
     raise TypeError(type(node).__name__)
 
 

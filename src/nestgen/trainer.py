@@ -1,11 +1,12 @@
 """Mini-batch training with optional order augmentation and DP-SGD.
 
-One top-level record is one example. Under differential privacy the backward
-pass runs per example so each example's whole gradient can be clipped before
-aggregation; Gaussian noise is added to the clipped mean. Privacy accounting
-(epsilon/delta) is deliberately not computed here; the run log keeps every
-quantity an external accountant needs (clip norm, noise multiplier, batch
-size, dataset size, step count).
+One top-level record is one example. Under differential privacy each step
+runs one forward and one backward pass over the batch that keep every
+example's gradient apart (`per_example_gradients`), so each example's whole
+gradient can be clipped before aggregation; Gaussian noise is added to the
+clipped mean. Privacy accounting (epsilon/delta) is deliberately not computed
+here; the run log keeps every quantity an external accountant needs (clip
+norm, noise multiplier, batch size, dataset size, step count).
 """
 
 from __future__ import annotations

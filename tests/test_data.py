@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from nestgen.codecs.base import C0_PATH, sample_rows
 from nestgen.data import (DataError, Transform, build_batch, check_records,
                           detect_format, fit_transform, flatten_records,
                           ingest, ingest_records, is_flat, join_tables,
                           read_records, records_from_batch, write_records)
-from nestgen.schema import parse_schema
+from nestgen.schema import compile_schema, parse_schema
 
 FLAT_DOC = {"type": "record", "name": "r", "fields": [
     {"name": "a", "type": "enum"},
@@ -260,6 +261,29 @@ def test_numeric_roundtrip_is_code_stable(tmp_path):
     tree2, _, _ = ingest_records(emitted, schema, transform=tf)
     assert np.array_equal(tree.fields["v"].codes, tree2.fields["v"].codes)
     assert np.array_equal(tree.fields["k"].codes, tree2.fields["k"].codes)
+
+
+def test_empty_sampled_lists_draw_no_uniforms():
+    doc = {"type": "record", "name": "r", "fields": [
+        {"name": "l", "type": "array", "max_len": 4,
+         "items": {"type": "long", "name": "v"}}]}
+    _, tf, _ = ingest_records([{"l": [1, 2]}, {"l": [5]}], parse_schema(doc))
+    codec, store = compile_schema(tf.schema, width=8, blocks=1, heads=2, seed=0)
+    # zero output projections make every attention step the identity, so the
+    # length head reads c0; point its length-0 row along c0
+    for path in store.paths():
+        if path.endswith("/wo"):
+            store[path].data[:] = 0.0
+    c0 = store.constant(C0_PATH)
+    w_len = store["r/l/~len/W"].data
+    w_len[:] = 0.0
+    w_len[0] = 1e3 * c0 / (c0 @ c0)
+    tree = sample_rows(codec, store, 1000, np.random.default_rng(0))
+    assert not tree.fields["l"].lengths.any()
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    assert records_from_batch(tree, tf, rng) == [{"l": []}] * 1000
+    assert rng.bit_generator.state == before
 
 
 def test_write_csv_header_only_and_float_repr(tmp_path):

@@ -1,0 +1,189 @@
+"""Batched per-example gradients (the DP path) against one train_step per
+example, which stays here as the reference."""
+
+import numpy as np
+import pytest
+
+from nestgen import autodiff as ad
+from nestgen.autodiff import Tape, Tensor
+from nestgen.batches import n_rows, take
+from nestgen.codecs.base import per_example_gradients, train_step, unflatten_gradients
+from nestgen.codecs.primitives import CategoricalCodec, LogitsRep
+from nestgen.schema import compile_schema, parse_schema
+from nestgen.transformer import AttentionStack
+
+from conftest import random_batch, random_schema_doc
+
+STRUCT_LIST_STRUCT = {"type": "record", "name": "r", "fields": [
+    {"name": "a", "type": "enum", "cardinality": 3},
+    {"name": "l", "type": {"type": "array", "name": "l", "max_len": 3,
+                           "items": {"type": "record", "name": "s", "fields": [
+                               {"name": "b", "type": "enum", "cardinality": 2},
+                               {"name": "c", "type": "long", "bins": 3}]}}}]}
+LIST_OF_LISTS = {"type": "record", "name": "r", "fields": [
+    {"name": "ll", "type": {"type": "array", "name": "ll", "max_len": 3,
+                            "items": {"type": "array", "name": "in", "max_len": 2,
+                                      "items": {"type": "enum", "name": "v",
+                                                "cardinality": 3}}}}]}
+SHUFFLED = {"type": "record", "name": "r", "shuffled": True, "fields": [
+    {"name": "a", "type": "enum", "cardinality": 3},
+    {"name": "l", "type": {"type": "array", "name": "l", "max_len": 3, "shuffled": True,
+                           "items": {"type": "record", "name": "s", "shuffled": True,
+                                     "fields": [
+                                         {"name": "b", "type": "enum", "cardinality": 2},
+                                         {"name": "c", "type": "long", "bins": 3}]}}},
+    {"name": "ll", "type": {"type": "array", "name": "ll", "max_len": 2,
+                            "items": {"type": "array", "name": "in", "max_len": 2,
+                                      "shuffled": True,
+                                      "items": {"type": "enum", "name": "v",
+                                                "cardinality": 3}}}}]}
+
+
+def compiled(doc, seed=0, **kw):
+    return compile_schema(parse_schema(doc), width=8, blocks=2, heads=2, seed=seed, **kw)
+
+
+def loop_gradients(codec, store, batch, rng=None, passes=1):
+    """The reference: one train_step per example, flattened in store order."""
+    n = n_rows(batch)
+    order = store.paths()
+    losses = np.empty(n)
+    grads = []
+    for i in range(n):
+        loss, g = train_step(codec, store, take(batch, np.array([i])), rng=rng,
+                             passes=passes)
+        losses[i] = loss
+        grads.append(np.concatenate([g[p].ravel() for p in order]))
+    return losses, np.stack(grads)
+
+
+IDENTITY_CASES = (
+    [pytest.param(random_schema_doc(np.random.default_rng(60 + i), max_depth=3), {},
+                  id=f"random{i}") for i in range(6)]
+    + [pytest.param(STRUCT_LIST_STRUCT, {}, id="struct-list-struct"),
+       pytest.param(LIST_OF_LISTS, {}, id="list-of-lists"),
+       pytest.param(STRUCT_LIST_STRUCT, {"full_block": True}, id="full_block"),
+       pytest.param(LIST_OF_LISTS, {"positional_lists": True}, id="positional_lists"),
+       pytest.param(STRUCT_LIST_STRUCT, {"trainable_c0": True}, id="trainable_c0"),
+       pytest.param(SHUFFLED, {"full_block": True, "positional_lists": True,
+                               "trainable_c0": True}, id="every-rule")])
+
+
+@pytest.mark.parametrize("doc,kw", IDENTITY_CASES)
+def test_rows_match_train_step_per_example(doc, kw):
+    codec, store = compiled(doc, seed=61, **kw)
+    batch = random_batch(codec, 6, np.random.default_rng(62))
+    losses, grads = per_example_gradients(codec, store, batch)
+    ref_losses, ref_grads = loop_gradients(codec, store, batch)
+    assert grads.shape == (6, store.n_params())
+    np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-10)
+    assert np.any(grads != 0.0)
+
+
+@pytest.mark.parametrize("seed", [70, 71, 72])
+def test_shuffled_passes_average_to_train_step(seed):
+    codec, store = compiled(SHUFFLED, seed=seed, positional_lists=True)
+    batch = random_batch(codec, 7, np.random.default_rng(seed))
+    losses, grads = per_example_gradients(codec, store, batch,
+                                          rng=np.random.default_rng(seed), passes=2)
+    loss, ref = train_step(codec, store, batch, rng=np.random.default_rng(seed), passes=2)
+    assert losses.mean() == pytest.approx(loss, rel=1e-12)
+    mean = unflatten_gradients(store, grads.mean(axis=0))
+    for path, g in ref.items():
+        np.testing.assert_allclose(mean[path], g, rtol=0, atol=1e-10, err_msg=path)
+
+
+@pytest.mark.parametrize("doc,passes", [(STRUCT_LIST_STRUCT, 1), (SHUFFLED, 2)])
+def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
+    codec, store = compiled(doc, seed=80)
+    call = AttentionStack.__call__
+    counts = {}
+
+    def counted(self, x, valid=None):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return call(self, x, valid)
+
+    monkeypatch.setattr(AttentionStack, "__call__", counted)
+    stacks = {id(c.enc) for c in codec.walk() if hasattr(c, "enc")}
+    stacks |= {id(c.dec) for c in codec.walk() if hasattr(c, "dec")}
+    for n in (1, 8):
+        counts.clear()
+        batch = random_batch(codec, n, np.random.default_rng(n))
+        per_example_gradients(codec, store, batch, rng=np.random.default_rng(0),
+                              passes=passes)
+        assert set(counts) == stacks
+        assert all(1 <= c <= passes for c in counts.values())
+        batched = dict(counts)
+        counts.clear()
+        train_step(codec, store, batch, rng=np.random.default_rng(0), passes=passes)
+        assert counts == batched
+
+
+@pytest.mark.parametrize("decode,message", [
+    # the weight reaches a rule only through a transpose
+    (lambda self, cond, ctx: LogitsRep(ad.matmul(cond, ad.transpose(self.w, (1, 0)))),
+     "not a parameter"),
+    # the weight is also read by an op with no per-example rule
+    (lambda self, cond, ctx: LogitsRep(ad.add(
+        ad.matmul(cond, self.w, transpose_b=True),
+        ad.mul_const(ad.sum_axis(self.w, 1), np.ones((cond.shape[0], 1))))),
+     "no per-example gradient rule"),
+])
+def test_gradients_outside_the_rules_are_refused(monkeypatch, decode, message):
+    codec, store = compiled(STRUCT_LIST_STRUCT, seed=90)
+    monkeypatch.setattr(CategoricalCodec, "decode", decode)
+    batch = random_batch(codec, 3, np.random.default_rng(91))
+    with pytest.raises(RuntimeError, match=message):
+        per_example_gradients(codec, store, batch)
+
+
+def _example_grads(build, params, B):
+    """(B, *shape) gradients of the sum of build()'s output, per parameter,
+    from one tape in per-example mode."""
+    grads = ad.ExampleGrads(B, params)
+    with Tape(per_example=grads) as tape:
+        loss = ad.sum_all(build())
+    tape.backward(loss)
+    assert all(p.grad is None for p in params)
+    return [grads.block(p) for p in params]
+
+
+def _loop_grads(build_one, params, B):
+    out = [[] for _ in params]
+    for b in range(B):
+        for p in params:
+            p.grad = None
+        with Tape() as tape:
+            loss = ad.sum_all(build_one(b))
+        tape.backward(loss)
+        for slot, p in zip(out, params):
+            slot.append(p.grad)
+    return [np.stack(s) for s in out]
+
+
+def test_op_rules_match_one_example_at_a_time():
+    rng = np.random.default_rng(95)
+    B, P, L, d, n = 3, 2, 4, 6, 5
+    w = Tensor(rng.standard_normal((d, n)))
+    table = Tensor(rng.standard_normal((7, d)))
+    gain, bias = Tensor(rng.standard_normal(d)), Tensor(rng.standard_normal(d))
+    pos = Tensor(rng.standard_normal((L, d)))
+    c0 = Tensor(rng.standard_normal(d))
+    x = rng.standard_normal((B * P, L, d))
+    idx = rng.integers(0, 7, size=(B * P, L))
+    idx[0, :2] = 3   # repeated rows within one example
+
+    def build(rows, ids, k):
+        h = ad.add_seq(ad.add(Tensor(x[rows]), ad.gather_rows(table, ids)), pos)
+        h = ad.add_bias(ad.layer_norm(h, gain, bias), bias)
+        h = ad.add(h, ad.reshape(ad.broadcast_rows(c0, h.shape[0] * L), h.shape))
+        return ad.add(ad.sum_all(ad.matmul(h, w)),
+                      ad.sum_all(ad.matmul(ad.narrow(h, 1, 0, 1), table, transpose_b=True)))
+
+    params = [w, table, gain, bias, pos, c0]
+    batched = _example_grads(lambda: build(slice(None), idx, B), params, B)
+    looped = _loop_grads(lambda b: build(slice(b * P, (b + 1) * P),
+                                         idx[b * P:(b + 1) * P], 1), params, B)
+    for got, want in zip(batched, looped):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
