@@ -4,14 +4,18 @@ A model artifact is a single zip file holding one meta.json plus one .npy
 entry per parameter tensor and per quantile table. The bytes are
 deterministic: fixed entry order, stored (uncompressed) payloads, constant
 timestamps, and sorted JSON keys, so saving the same model twice gives
-identical files and a load/save cycle round-trips bitwise.
+identical files and a load/save cycle round-trips bitwise. A bundle is
+written beside its target and moved into place only when complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
+import os
+import secrets
 import zipfile
 
 import numpy as np
@@ -39,6 +43,26 @@ def _read_npy(data: bytes) -> np.ndarray:
     return np.lib.format.read_array(io.BytesIO(data))
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Open a new file beside `path` for writing (`mode` as for open). On a
+    clean exit it is flushed to disk and moved over `path` with os.replace,
+    so `path` holds either its old content or all of the new; on an error
+    it is removed and `path` is left as it was."""
+    folder, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(folder, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_model(path, store, transform: Transform, config: dict,
                manifest: dict | None = None) -> None:
     """Write the bundle: schema, vocabularies, quantile tables, parameters,
@@ -63,7 +87,8 @@ def save_model(path, store, transform: Transform, config: dict,
     for p in sorted(tables):
         entries.append((tables[p]["file"],
                         _npy_bytes(transform.tables[p].q)))
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+    with atomic_write(path) as fh, \
+            zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
         for name, payload in entries:
             info = zipfile.ZipInfo(name, date_time=_EPOCH)
             info.external_attr = 0o644 << 16

@@ -214,7 +214,7 @@ def cmd_eval(args) -> int:
     sys.stdout.write(report.to_text())
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with artifact.atomic_write(args.out, "w", encoding="utf-8") as fh:
                 json.dump(report.to_json(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as e:

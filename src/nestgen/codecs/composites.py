@@ -196,14 +196,13 @@ class StructCodec(Codec):
             reps[k] = self._children[k].decode(cond_k, ctx.child_ctxs[k])
         return StructRep(reps, ctx.perm)
 
-    def loss_terms(self, rep: StructRep, x: StructBatch, omega=None) -> Tensor:
+    def loss_terms(self, rep: StructRep, x: StructBatch) -> Tensor:
         # summed in decoder slot order so a shuffled pass is bitwise equal to
         # a plain codec whose children were reordered the same way
         total = None
         for slot in range(len(self._children)):
             k = rep.perm[slot]
-            term = self._children[k].loss_terms(rep.fields[k], x.fields[self.names[k]],
-                                                omega)
+            term = self._children[k].loss_terms(rep.fields[k], x.fields[self.names[k]])
             total = term if total is None else ad.add(total, term)
         return total
 
@@ -324,14 +323,14 @@ class ListCodec(Codec):
         d_val = self.value_codec.decode(val_cond, ctx.slot_ctx)
         return ListRep(d_len, d_val, ctx.lengths, ctx.mask, ctx.perm)
 
-    def loss_terms(self, rep: ListRep, x: ListBatch, omega=None) -> Tensor:
+    def loss_terms(self, rep: ListRep, x: ListBatch) -> Tensor:
         # length loss plus the sum over valid element positions, unnormalised:
         # a longer list is a larger observation and weighs accordingly
         lengths = np.asarray(x.lengths, dtype=np.int64)
         B, P = rep.mask.shape
-        len_loss = self.len_codec.loss_terms(rep.length, LeafBatch(lengths), omega)
+        len_loss = self.len_codec.loss_terms(rep.length, LeafBatch(lengths))
         targets = x.values if rep.perm is None else take_positions(x.values, rep.perm)
-        v = self.value_codec.loss_terms(rep.values, merge_leading(targets), omega)
+        v = self.value_codec.loss_terms(rep.values, merge_leading(targets))
         v = ad.mul_const(ad.reshape(v, (B, P)), rep.mask.astype(np.float64))
         return ad.add(len_loss, ad.sum_axis(v, 1))
 

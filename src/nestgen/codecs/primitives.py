@@ -43,9 +43,7 @@ class CategoricalCodec(Codec):
     def decode(self, cond: Tensor, ctx) -> LogitsRep:
         return LogitsRep(ad.matmul(cond, self.w, transpose_b=True))
 
-    def loss_terms(self, rep: LogitsRep, x: LeafBatch, omega=None) -> Tensor:
-        # omega is the hook for stochastic loss terms; every codec here is
-        # deterministic given (rep, x) so it is accepted and ignored
+    def loss_terms(self, rep: LogitsRep, x: LeafBatch) -> Tensor:
         lp = ad.log_softmax(rep.logits)
         return ad.neg(ad.take_along_last(lp, np.asarray(x.codes)))
 
@@ -152,8 +150,8 @@ class NumericalCodec(Codec):
     def decode(self, cond, ctx):
         return self.cat.decode(cond, ctx)
 
-    def loss_terms(self, rep, x, omega=None):
-        return self.cat.loss_terms(rep, x, omega)
+    def loss_terms(self, rep, x):
+        return self.cat.loss_terms(rep, x)
 
     def sample(self, cond, rng):
         if self.table is None:

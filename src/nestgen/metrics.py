@@ -9,6 +9,11 @@ Tables here are plain dicts mapping column name to a list of values. Nested
 records are flattened first (see data.flatten_records): record-level columns
 keep one row per record, and when the schema has a list field every item
 contributes a row that repeats its parent's scalar values.
+
+Each column of a real/synthetic pair is coded once (code_tables), and the
+metrics count codes with np.bincount and np.unique. A k-way marginal counts
+only the joint cells that either side observes, so it works at any column
+cardinality.
 """
 
 from __future__ import annotations
@@ -62,27 +67,45 @@ def wasserstein_1d(real, synth, normalized: bool = False,
     return float(np.sum(np.abs(cdf_r - cdf_s) * widths))
 
 
-def _freqs(values, support):
-    index = {v: i for i, v in enumerate(support)}
-    counts = np.zeros(len(support))
-    for v in values:
-        counts[index[_cat_key(v)]] += 1
-    return counts / counts.sum()
-
-
 def _cat_key(v):
     return v if isinstance(v, str) else str(v)
 
 
-def jensen_shannon(real, synth, name: str = "column") -> tuple[float, float]:
+def _cat_codes(values) -> tuple[np.ndarray, int]:
+    keys = np.array([_cat_key(v) for v in values], dtype=str)
+    support, codes = np.unique(keys, return_inverse=True)
+    return codes, support.size
+
+
+def code_tables(real_table: dict, synth_table: dict, kinds: dict,
+                bins: dict | None = None) -> dict:
+    """Column name -> (codes, n) of a real/synthetic table pair, real rows
+    first: a categorical value's index among the n sorted keys of both
+    sides, a numeric value's bin among n quantiles of the real rows
+    (`bins[name]`, DEFAULT_BINS). The metrics below take it as `coded=`."""
+    if sorted(synth_table) != sorted(real_table):
+        raise MetricsError("real and synthetic tables have different columns")
+    coded = {}
+    for name, real in real_table.items():
+        both = [*real, *synth_table[name]]
+        if kinds[name] == "numeric":
+            q = QuantileTable.fit(real, (bins or {}).get(name, DEFAULT_BINS))
+            coded[name] = q.bin_values(both), q.n_bins
+        else:
+            coded[name] = _cat_codes(both)
+    return coded
+
+
+def jensen_shannon(real, synth, name: str = "column", *,
+                   coded: tuple | None = None) -> tuple[float, float]:
     """(distance, divergence) between the empirical category frequencies,
     natural log, over the union of observed symbols. The distance is the
-    square root of the divergence."""
+    square root of the divergence. `coded`: the pair's code_tables entry."""
     if len(real) == 0 or len(synth) == 0:
         raise MetricsError(f"column {name!r} is empty")
-    support = sorted({_cat_key(v) for v in real} | {_cat_key(v) for v in synth})
-    p = _freqs(real, support)
-    q = _freqs(synth, support)
+    codes, n = coded or _cat_codes([*real, *synth])
+    p = np.bincount(codes[:len(real)], minlength=n) / len(real)
+    q = np.bincount(codes[len(real):], minlength=n) / len(synth)
     m = 0.5 * (p + q)
     div = 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
     div = max(0.0, float(div))
@@ -94,97 +117,87 @@ def _kl(p, m):
     return float(np.sum(p[nz] * np.log(p[nz] / m[nz])))
 
 
-def _entropy(counts):
-    p = counts / counts.sum()
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
-
-
 def theils_u(x, y) -> float | None:
     """Uncertainty coefficient U(x|y): the fraction of x's entropy explained
     by knowing y. Asymmetric. None when x is constant (undefined)."""
-    xs = [_cat_key(v) for v in x]
-    ys = [_cat_key(v) for v in y]
-    xi = {v: i for i, v in enumerate(sorted(set(xs)))}
-    yi = {v: i for i, v in enumerate(sorted(set(ys)))}
-    joint = np.zeros((len(xi), len(yi)))
-    for a, b in zip(xs, ys):
-        joint[xi[a], yi[b]] += 1
-    hx = _entropy(joint.sum(axis=1))
+    return _theils_u(_cat_codes(x)[0], *_cat_codes(y))
+
+
+def _theils_u(x, y, ny) -> float | None:
+    px = np.bincount(x) / x.size
+    hx = float(-np.sum(px[px > 0] * np.log(px[px > 0])))
     if hx <= 0:
         return None
-    n = joint.sum()
-    py = joint.sum(axis=0) / n
-    hxy = 0.0
-    for j in range(joint.shape[1]):
-        col = joint[:, j]
-        if col.sum() > 0:
-            hxy += py[j] * _entropy(col)
+    # H(x|y) = -sum p(x, y) log p(x | y), over the observed (x, y) cells
+    cells, joint = np.unique(x * ny + y, return_counts=True)
+    given = joint / np.bincount(y)[cells % ny]
+    hxy = -float(np.sum(joint / x.size * np.log(given)))
     return (hx - hxy) / hx
 
 
 def correlation_ratio(categories, values) -> float | None:
     """eta: sqrt of the between-group share of variance. None when the
     numeric column is constant (undefined)."""
-    cats = [_cat_key(v) for v in categories]
-    vals = np.asarray(values, dtype=np.float64)
+    return _correlation_ratio(_cat_codes(categories)[0],
+                              np.asarray(values, dtype=np.float64))
+
+
+def _correlation_ratio(groups, vals) -> float | None:
     total = float(np.sum((vals - vals.mean()) ** 2))
     if total <= 0:
         return None
-    groups = {}
-    for c, v in zip(cats, vals):
-        groups.setdefault(c, []).append(v)
-    between = sum(len(g) * (np.mean(g) - vals.mean()) ** 2
-                  for g in groups.values())
-    return math.sqrt(max(0.0, float(between) / total))
+    counts = np.bincount(groups)
+    seen = counts > 0
+    means = np.bincount(groups, weights=vals)[seen] / counts[seen]
+    between = float(np.sum(counts[seen] * (means - vals.mean()) ** 2))
+    return math.sqrt(max(0.0, between / total))
 
 
-def _pearson(x, y) -> float | None:
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(y, dtype=np.float64)
-    if a.std() == 0 or b.std() == 0:
-        return None
-    return float(np.corrcoef(a, b)[0, 1])
-
-
-def association_matrix(table: dict, kinds: dict) -> np.ndarray:
+def association_matrix(table: dict, kinds: dict, *,
+                       coded: dict | None = None) -> np.ndarray:
     """Pairwise association matrix over the table's columns (order: sorted
     names). Numeric/numeric Pearson, categorical/categorical Theil's U in
     both orientations, mixed pairs the correlation ratio. Undefined entries
-    (a constant column) are NaN; correlation_diff zeroes them out."""
+    (a constant column) are NaN; correlation_diff zeroes them out. `coded`:
+    the table's (codes, n) per column, as code_tables makes them."""
+    coded = coded or code_tables(table, dict.fromkeys(table, ()), kinds)
     names = sorted(table)
-    n = len(names)
-    mat = np.eye(n)
-    for i in range(n):
-        for j in range(n):
+    vals = {name: np.asarray(table[name], dtype=np.float64)
+            for name in names if kinds[name] == "numeric"}
+    mat = np.eye(len(names))
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
             if i == j:
                 continue
-            a, b = names[i], names[j]
-            ka, kb = kinds[a], kinds[b]
-            if ka == "numeric" and kb == "numeric":
+            if a in vals and b in vals:
                 if j < i:
                     mat[i, j] = mat[j, i]
                     continue
-                v = _pearson(table[a], table[b])
-            elif ka == "categorical" and kb == "categorical":
-                v = theils_u(table[a], table[b])
-            elif ka == "categorical":
-                v = correlation_ratio(table[a], table[b])
+                v = (None if vals[a].std() == 0 or vals[b].std() == 0
+                     else float(np.corrcoef(vals[a], vals[b])[0, 1]))
+            elif a in vals:
+                v = _correlation_ratio(coded[b][0], vals[a])
+            elif b in vals:
+                v = _correlation_ratio(coded[a][0], vals[b])
             else:
-                v = correlation_ratio(table[b], table[a])
+                v = _theils_u(coded[a][0], *coded[b])
             mat[i, j] = np.nan if v is None else v
     return mat
 
 
-def correlation_diff(real_table: dict, synth_table: dict, kinds: dict) -> float:
+def correlation_diff(real_table: dict, synth_table: dict, kinds: dict, *,
+                     coded: dict | None = None) -> float:
     """Frobenius norm of the difference between the two association
     matrices. A pair undefined in either dataset (constant column)
-    contributes 0, with a warning naming the columns."""
+    contributes 0, with a warning naming the columns. `coded`: the pair's
+    code_tables."""
+    coded = coded or code_tables(real_table, synth_table, kinds)
     names = sorted(real_table)
-    if sorted(synth_table) != names:
-        raise MetricsError("real and synthetic tables have different columns")
-    a = association_matrix(real_table, kinds)
-    b = association_matrix(synth_table, kinds)
+    n_real = len(next(iter(real_table.values()), ()))
+    a = association_matrix(real_table, kinds, coded={
+        name: (codes[:n_real], n) for name, (codes, n) in coded.items()})
+    b = association_matrix(synth_table, kinds, coded={
+        name: (codes[n_real:], n) for name, (codes, n) in coded.items()})
     diff = a - b
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if bad.any():
@@ -195,47 +208,34 @@ def correlation_diff(real_table: dict, synth_table: dict, kinds: dict) -> float:
     return float(np.linalg.norm(diff))
 
 
-def _codes_for_column(real_vals, synth_vals, kind, n_bins):
-    if kind == "numeric":
-        table = QuantileTable.fit(np.asarray(real_vals, dtype=np.float64), n_bins)
-        r = table.bin_values(np.asarray(real_vals, dtype=np.float64))
-        s = table.bin_values(np.asarray(synth_vals, dtype=np.float64))
-        return r, s, table.n_bins
-    support = sorted({_cat_key(v) for v in real_vals}
-                     | {_cat_key(v) for v in synth_vals})
-    index = {v: i for i, v in enumerate(support)}
-    r = np.array([index[_cat_key(v)] for v in real_vals], dtype=np.int64)
-    s = np.array([index[_cat_key(v)] for v in synth_vals], dtype=np.int64)
-    return r, s, len(support)
-
-
 def marginal_score(real_table: dict, synth_table: dict, kinds: dict,
                    k: int = 4, n_subsets: int = 50, seed: int = 0,
-                   bins: dict | None = None) -> dict:
+                   bins: dict | None = None, *,
+                   coded: dict | None = None) -> dict:
     """Mean total-variation distance over random k-column joint marginals,
     remapped to a 0..1000 score (1000 = identical marginals). Numeric
-    columns are quantile-binned first, using the real column as reference."""
+    columns are quantile-binned first, using the real column as reference.
+    `coded`: the pair's code_tables. Only cells either side observes are
+    counted (others add exactly 0), so any column cardinality works."""
+    coded = coded or code_tables(real_table, synth_table, kinds, bins)
     names = sorted(real_table)
-    if sorted(synth_table) != names:
-        raise MetricsError("real and synthetic tables have different columns")
     if len(names) < k:
         raise MetricsError(f"need at least {k} columns for {k}-way marginals, "
                            f"have {len(names)}")
-    coded = {}
-    for name in names:
-        n_bins = (bins or {}).get(name, DEFAULT_BINS)
-        coded[name] = _codes_for_column(real_table[name], synth_table[name],
-                                        kinds[name], n_bins)
+    n_real = len(real_table[names[0]])
     rng = np.random.default_rng(seed)
     tvds = []
     for _ in range(n_subsets):
-        subset = [names[i] for i in rng.choice(len(names), size=k, replace=False)]
-        dims = tuple(coded[c][2] for c in subset)
-        r_flat = np.ravel_multi_index(tuple(coded[c][0] for c in subset), dims)
-        s_flat = np.ravel_multi_index(tuple(coded[c][1] for c in subset), dims)
-        cells = int(np.prod(dims))
-        pr = np.bincount(r_flat, minlength=cells) / r_flat.size
-        ps = np.bincount(s_flat, minlength=cells) / s_flat.size
+        cells, size = 0, 1  # mixed radix, first column most significant
+        for i in rng.choice(len(names), size=k, replace=False):
+            codes, n = coded[names[i]]
+            if size * n > 2 ** 62:  # keep the cell codes in int64
+                cells = np.unique(cells, return_inverse=True)[1]
+                size = int(cells.max()) + 1
+            cells, size = cells * n + codes, size * n
+        observed, cells = np.unique(cells, return_inverse=True)
+        pr, ps = (np.bincount(side, minlength=observed.size) / side.size
+                  for side in (cells[:n_real], cells[n_real:]))
         tvds.append(0.5 * float(np.abs(pr - ps).sum()))
     mean_tvd = float(np.mean(tvds))
     return {"score": 1000.0 * (1.0 - mean_tvd), "mean_tvd": mean_tvd,
@@ -414,17 +414,17 @@ def evaluate(real_records, synth_records, schema, k: int = 4,
     real = flatten_records(real_records, schema)
     synth = flatten_records(synth_records, schema)
 
-    columns = {}
+    coded, columns = {}, {}
     for origin in ("record", "item"):
         r_tab, s_tab = real[origin], synth[origin]
         if r_tab is None:
             continue
+        if r_tab and not s_tab:
+            raise MetricsError(f"the synthetic dataset has no {origin} rows")
+        coded[origin] = code_tables(r_tab, s_tab, kinds, bins)
         for name in sorted(r_tab):
             if origin == "item" and name in real["record"]:
                 continue
-            if name not in s_tab:
-                raise MetricsError(f"column {name!r} missing from the "
-                                   "synthetic dataset")
             if kinds.get(name) == "numeric":
                 columns[name] = {
                     "kind": "numeric",
@@ -434,24 +434,24 @@ def evaluate(real_records, synth_records, schema, k: int = 4,
                         r_tab[name], s_tab[name], normalized=True, name=name),
                 }
             else:
-                dist, div = jensen_shannon(r_tab[name], s_tab[name], name=name)
+                dist, div = jensen_shannon(r_tab[name], s_tab[name], name=name,
+                                           coded=coded[origin][name])
                 columns[name] = {"kind": "categorical",
                                  "jensen_distance": dist,
                                  "jensen_divergence": div}
 
     correlation = {}
     if len(real["record"]) >= 2:
-        correlation["record"] = correlation_diff(real["record"],
-                                                 synth["record"], kinds)
+        correlation["record"] = correlation_diff(
+            real["record"], synth["record"], kinds, coded=coded["record"])
     if real["item"] is not None and len(real["item"]) >= 2 \
             and real["item_count"] and synth["item_count"]:
-        correlation["item"] = correlation_diff(real["item"], synth["item"],
-                                               kinds)
+        correlation["item"] = correlation_diff(
+            real["item"], synth["item"], kinds, coded=coded["item"])
 
-    wide_real = real["item"] if real["item"] is not None else real["record"]
-    wide_synth = synth["item"] if synth["item"] is not None else synth["record"]
-    marginal = marginal_score(wide_real, wide_synth, kinds, k=k,
-                              n_subsets=n_subsets, seed=seed, bins=bins)
+    wide = "record" if real["item"] is None else "item"
+    marginal = marginal_score(real[wide], synth[wide], kinds, k=k,
+                              n_subsets=n_subsets, seed=seed, coded=coded[wide])
 
     consistency = None
     if rules:

@@ -8,6 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from nestgen import artifact
 from nestgen.artifact import (ArtifactError, content_hash, load_model,
                               save_model)
 from nestgen.cli import main
@@ -105,6 +106,35 @@ def test_double_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def failing_on_second_call(monkeypatch, owner, name):
+    original = getattr(owner, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+@pytest.mark.parametrize("owner, name", [(artifact, "_npy_bytes"),
+                                         (zipfile.ZipFile, "writestr")])
+def test_failed_save_leaves_old_bundle(tmp_path, monkeypatch, owner, name):
+    _, store, tf, config = fitted_flat(tmp_path)
+    path = tmp_path / "m.ngm"
+    save_model(path, store, tf, config, {"run": "old"})
+    old = path.read_bytes()
+    failing_on_second_call(monkeypatch, owner, name)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(path, store, tf, config, {"run": "new"})
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert load_model(path)[4] == {"run": "old"}
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ngm"]
+
+
 def test_loaded_model_samples_identically(tmp_path):
     codec, store, tf, config = fitted_flat(tmp_path)
     from nestgen.codecs.base import sample_rows
@@ -197,6 +227,24 @@ def test_cli_fit_sample_eval_flat(flat_setup, capsys):
     report = json.load(open(report_path))
     assert 0 <= report["marginal"]["score"] <= 1000
     assert report["rows"]["synth"] == 50
+
+
+def test_cli_failed_eval_report_leaves_old_report(flat_setup, monkeypatch,
+                                                  capsys):
+    schema, dataset, _, tmp_path = flat_setup
+    report = tmp_path / "report.json"
+    report.write_text("old\n", encoding="utf-8")
+
+    def full_disk(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", full_disk)
+    assert main(["eval", dataset, dataset, "--schema", schema, "--k", "2",
+                 "--subsets", "2", "--out", str(report)]) == 1
+    assert "cannot write report: disk full" in capsys.readouterr().err
+    assert report.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report.json", "schema.json", "train.csv"]
 
 
 def test_cli_sample_count_zero_and_seeds(flat_setup, capsys):

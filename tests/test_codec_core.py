@@ -135,18 +135,6 @@ def test_rng_none_means_identity_order():
     assert drawn.shape == plain.shape
 
 
-def test_omega_hook_is_accepted_and_ignored():
-    codec, store = compiled(PAIR, seed=9)
-    from nestgen.batches import StructBatch
-    batch = StructBatch({"a": LeafBatch(np.array([0, 1])),
-                         "b": LeafBatch(np.array([2, 0]))})
-    emb, ctx = codec.encode(batch)
-    rep = codec.decode(root_conditioning(store, 2, 8), ctx)
-    plain = codec.loss_terms(rep, batch)
-    with_omega = codec.loss_terms(rep, batch, omega=np.random.default_rng(0))
-    assert np.array_equal(plain.data, with_omega.data)
-
-
 def test_sample_rows_chunks_and_reproduces():
     codec, store = compiled(NESTED, seed=10)
     a = sample_rows(codec, store, 7, np.random.default_rng(3), chunk=3)

@@ -8,7 +8,8 @@ import pytest
 from scipy.spatial.distance import jensenshannon
 from scipy.stats import wasserstein_distance
 
-from nestgen.data import DataError
+from nestgen.codecs.primitives import DEFAULT_BINS, QuantileTable
+from nestgen.data import DataError, flatten_records
 from nestgen.metrics import (MetricsError, association_matrix,
                              consistency_check, correlation_diff,
                              correlation_ratio, evaluate, jensen_shannon,
@@ -412,6 +413,14 @@ def test_evaluate_report_structure():
     assert "consistency" in text
 
 
+def test_evaluate_rejects_synth_without_list_items():
+    schema = parse_schema(NESTED_DOC)
+    real = make_users(np.random.default_rng(5), 40)
+    synth = [dict(r, tx=[]) for r in real]
+    with pytest.raises(MetricsError, match="no item rows"):
+        evaluate(real, synth, schema, k=3, n_subsets=2)
+
+
 def test_evaluate_rejects_nonconforming_synth():
     doc = {"type": "record", "name": "r", "fields": [
         {"name": "a", "type": "enum"}, {"name": "b", "type": "enum"},
@@ -421,3 +430,230 @@ def test_evaluate_rejects_nonconforming_synth():
     synth = [{"a": "x", "b": "y", "c": "z"}] * 3
     with pytest.raises(DataError, match="record 0.*missing field 'd'"):
         evaluate(real, synth, schema)
+
+
+# -- per-value loop references -------------------------------------------------------
+# The loop implementations the array-coded metrics replaced, kept as the
+# reference: a dict lookup per value, a dense joint table per marginal.
+
+def ref_key(v):
+    return v if isinstance(v, str) else str(v)
+
+
+def ref_freqs(values, support):
+    index = {v: i for i, v in enumerate(support)}
+    counts = np.zeros(len(support))
+    for v in values:
+        counts[index[ref_key(v)]] += 1
+    return counts / counts.sum()
+
+
+def ref_entropy(counts):
+    p = counts / counts.sum()
+    nz = p > 0
+    return float(-np.sum(p[nz] * np.log(p[nz])))
+
+
+def ref_jensen_shannon(real, synth):
+    support = sorted({ref_key(v) for v in real} | {ref_key(v) for v in synth})
+    p, q = ref_freqs(real, support), ref_freqs(synth, support)
+    m = 0.5 * (p + q)
+    kl = [float(np.sum(a[a > 0] * np.log(a[a > 0] / m[a > 0]))) for a in (p, q)]
+    div = max(0.0, 0.5 * kl[0] + 0.5 * kl[1])
+    return math.sqrt(div), div
+
+
+def ref_theils_u(x, y):
+    xs, ys = [ref_key(v) for v in x], [ref_key(v) for v in y]
+    xi = {v: i for i, v in enumerate(sorted(set(xs)))}
+    yi = {v: i for i, v in enumerate(sorted(set(ys)))}
+    joint = np.zeros((len(xi), len(yi)))
+    for a, b in zip(xs, ys):
+        joint[xi[a], yi[b]] += 1
+    hx = ref_entropy(joint.sum(axis=1))
+    if hx <= 0:
+        return None
+    py = joint.sum(axis=0) / joint.sum()
+    hxy = sum(py[j] * ref_entropy(joint[:, j]) for j in range(joint.shape[1])
+              if joint[:, j].sum() > 0)
+    return (hx - hxy) / hx
+
+
+def ref_correlation_ratio(categories, values):
+    vals = np.asarray(values, dtype=np.float64)
+    total = float(np.sum((vals - vals.mean()) ** 2))
+    if total <= 0:
+        return None
+    groups = {}
+    for c, v in zip((ref_key(c) for c in categories), vals):
+        groups.setdefault(c, []).append(v)
+    between = sum(len(g) * (np.mean(g) - vals.mean()) ** 2
+                  for g in groups.values())
+    return math.sqrt(max(0.0, float(between) / total))
+
+
+def ref_association_matrix(table, kinds):
+    names = sorted(table)
+    mat = np.eye(len(names))
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            if i == j:
+                continue
+            if kinds[a] == "numeric" and kinds[b] == "numeric":
+                x = np.asarray(table[a], dtype=np.float64)
+                y = np.asarray(table[b], dtype=np.float64)
+                v = (None if x.std() == 0 or y.std() == 0
+                     else float(np.corrcoef(x, y)[0, 1]))
+            elif kinds[a] == "categorical" and kinds[b] == "categorical":
+                v = ref_theils_u(table[a], table[b])
+            elif kinds[a] == "categorical":
+                v = ref_correlation_ratio(table[a], table[b])
+            else:
+                v = ref_correlation_ratio(table[b], table[a])
+            mat[i, j] = np.nan if v is None else v
+    return mat
+
+
+def ref_correlation_diff(real, synth, kinds):
+    a, b = ref_association_matrix(real, kinds), ref_association_matrix(synth, kinds)
+    diff = a - b
+    diff[~(np.isfinite(a) & np.isfinite(b))] = 0.0
+    return float(np.linalg.norm(diff))
+
+
+def ref_marginal_score(real, synth, kinds, k, n_subsets, seed, bins=None):
+    coded = {}
+    for name in sorted(real):
+        if kinds[name] == "numeric":
+            table = QuantileTable.fit(np.asarray(real[name], dtype=np.float64),
+                                      (bins or {}).get(name, DEFAULT_BINS))
+            coded[name] = (table.bin_values(real[name]),
+                           table.bin_values(synth[name]), table.n_bins)
+        else:
+            support = sorted({ref_key(v) for v in [*real[name], *synth[name]]})
+            index = {v: i for i, v in enumerate(support)}
+            coded[name] = ([index[ref_key(v)] for v in real[name]],
+                           [index[ref_key(v)] for v in synth[name]], len(support))
+    names = sorted(real)
+    rng = np.random.default_rng(seed)
+    tvds = []
+    for _ in range(n_subsets):
+        subset = [names[i] for i in rng.choice(len(names), size=k, replace=False)]
+        dims = tuple(coded[c][2] for c in subset)
+        cells = int(np.prod(dims))
+        pr, ps = (np.bincount(flat, minlength=cells) / flat.size
+                  for flat in (np.ravel_multi_index(tuple(coded[c][side]
+                                                          for c in subset), dims)
+                               for side in (0, 1)))
+        tvds.append(0.5 * float(np.abs(pr - ps).sum()))
+    return 1000.0 * (1.0 - float(np.mean(tvds)))
+
+
+def mixed_tables(seed):
+    """A real and a synthetic table of unequal sizes: string enums whose
+    symbols partly occur on one side only, an int-valued enum, a constant
+    enum and a constant numeric column on one side, and numerics."""
+    rng = np.random.default_rng(seed)
+
+    def side(n, symbols, constant):
+        ints = rng.integers(0, 6, size=n)
+        return {
+            "s": list(rng.choice(symbols, size=n)),
+            "t": [str(v) for v in rng.choice(symbols[:3], size=n)],
+            "i": [int(v) for v in ints],
+            "c": ["k"] * n if constant else list(rng.choice(["k", "j"], size=n)),
+            "x": list(rng.normal(size=n) + 0.3 * ints),
+            "y": [2.5] * n if constant else list(rng.integers(0, 9, size=n) * 1.0),
+            "z": list(rng.gamma(2.0, size=n)),
+        }
+
+    kinds = {"s": "categorical", "t": "categorical", "i": "categorical",
+             "c": "categorical", "x": "numeric", "y": "numeric", "z": "numeric"}
+    real = side(int(rng.integers(80, 160)), list("abcdef"), constant=True)
+    synth = side(int(rng.integers(80, 160)), list("cdefgh"), constant=False)
+    return real, synth, kinds
+
+
+def assert_same_association(got, want):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got[~np.isnan(got)], want[~np.isnan(want)],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_associations_and_jensen_match_loop_reference(seed):
+    real, synth, kinds = mixed_tables(seed)
+    for table in (real, synth):
+        assert_same_association(association_matrix(table, kinds),
+                                ref_association_matrix(table, kinds))
+        for a in table:
+            for b in table:
+                if kinds[a] == kinds[b] == "categorical":
+                    got = theils_u(table[a], table[b])
+                    want = ref_theils_u(table[a], table[b])
+                elif kinds[a] == "categorical" and kinds[b] == "numeric":
+                    got = correlation_ratio(table[a], table[b])
+                    want = ref_correlation_ratio(table[a], table[b])
+                else:
+                    continue
+                assert (got is None) == (want is None), (a, b)
+                if got is not None:
+                    assert abs(got - want) <= 1e-12, (a, b)
+    np.testing.assert_allclose(correlation_diff(real, synth, kinds),
+                               ref_correlation_diff(real, synth, kinds),
+                               rtol=0, atol=1e-12)
+    for name, kind in kinds.items():
+        if kind == "categorical":
+            np.testing.assert_allclose(jensen_shannon(real[name], synth[name]),
+                                       ref_jensen_shannon(real[name], synth[name]),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_marginal_score_matches_dense_reference(seed, k):
+    real, synth, kinds = mixed_tables(seed)
+    bins = {"x": 6, "y": 4}
+    got = marginal_score(real, synth, kinds, k=k, n_subsets=20, seed=seed,
+                         bins=bins)["score"]
+    want = ref_marginal_score(real, synth, kinds, k, 20, seed, bins)
+    assert abs(got - want) <= 1e-9
+    same = marginal_score(real, {c: list(v) for c, v in real.items()}, kinds,
+                          k=k, n_subsets=20, seed=seed, bins=bins)
+    assert same["score"] == 1000.0
+
+
+def test_evaluate_matches_loop_reference():
+    schema = parse_schema(NESTED_DOC)
+    rng = np.random.default_rng(21)
+    real_records, synth_records = make_users(rng, 90), make_users(rng, 110)
+    report = evaluate(real_records, synth_records, schema, k=3, n_subsets=12)
+    real = flatten_records(real_records, schema)
+    synth = flatten_records(synth_records, schema)
+    kinds = {"age": "numeric", "sex": "categorical", "tx/place": "categorical",
+             "tx/price": "numeric"}
+    bins = {"age": 4, "tx/price": 4}
+    for level in ("record", "item"):
+        np.testing.assert_allclose(
+            report.correlation[level],
+            ref_correlation_diff(real[level], synth[level], kinds),
+            rtol=0, atol=1e-12)
+    for name, table in (("sex", "record"), ("tx/place", "item")):
+        np.testing.assert_allclose(
+            [report.columns[name]["jensen_distance"],
+             report.columns[name]["jensen_divergence"]],
+            ref_jensen_shannon(real[table][name], synth[table][name]),
+            rtol=0, atol=1e-12)
+    want = ref_marginal_score(real["item"], synth["item"], kinds, 3, 12, 0, bins)
+    assert abs(report.marginal["score"] - want) <= 1e-9
+
+
+def test_marginal_score_at_any_cardinality():
+    # 300 symbols in each of 8 columns: the dense joint would have 300**8
+    # cells, past int64, while 300 rows observe at most 300 of them
+    rng = np.random.default_rng(0)
+    table = {f"c{i}": [f"v{j}" for j in rng.permutation(300)] for i in range(8)}
+    kinds = {name: "categorical" for name in table}
+    out = marginal_score(table, {c: list(v) for c, v in table.items()}, kinds,
+                         k=8, n_subsets=1)
+    assert out["score"] == 1000.0 and out["mean_tvd"] == 0.0
