@@ -27,6 +27,9 @@ from .schema import compile_schema, parse_schema, serialize_schema
 FORMAT = "nestgen-model"
 VERSION = 1
 _EPOCH = (1980, 1, 1, 0, 0, 0)
+# compile options of earlier versions; a bundle that turned one on holds
+# parameters this version has no place for
+REMOVED_OPTIONS = ("full_block", "trainable_c0", "positional_lists")
 
 
 class ArtifactError(ValueError):
@@ -118,13 +121,13 @@ def load_model(path):
                                    integer=spec["integer"])
                   for p, spec in meta["tables"].items()}
         config = meta["config"]
+        for option in REMOVED_OPTIONS:
+            if config.get(option):
+                raise ArtifactError(f"{path}: the bundle was compiled with "
+                                    f"{option}, which is no longer supported")
         codec, store = compile_schema(
-            schema,
-            width=config["width"], blocks=config["blocks"],
-            heads=config["heads"], full_block=config.get("full_block", False),
-            seed=config.get("seed", 0), tables=tables,
-            trainable_c0=config.get("trainable_c0", False),
-            positional_lists=config.get("positional_lists", False))
+            schema, width=config["width"], blocks=config["blocks"],
+            heads=config["heads"], seed=config.get("seed", 0), tables=tables)
         state = {p: _read_npy(zf.read(f)) for p, f in meta["params"].items()}
         store.load_state(state)
         transform = Transform(schema, meta["vocabs"], tables)

@@ -12,11 +12,10 @@ properties of the training graph: every tensor's leading axis is
 example-major (a list's (B*P) flattening keeps an example's P rows together,
 and row selections only reorder rows within an example), and no op mixes the
 rows of different examples. The gradient of every non-parameter tensor then
-already splits by example. Only the ops that read a parameter (`matmul` with
-a 2-D weight, `gather_rows`, `add_bias`, `layer_norm`, `broadcast_rows`,
-`add_seq`) need a per-example rule: on such a tape they add a (B, *shape)
-gradient into the `ExampleGrads` matrix instead of summing over the batch
-into `.grad`.
+already splits by example. Only the two ops that read a parameter (`matmul`
+with a 2-D weight and `gather_rows`) need a per-example rule: on such a tape
+they add a (B, *shape) gradient into the `ExampleGrads` matrix instead of
+summing over the batch into `.grad`.
 """
 
 from __future__ import annotations
@@ -162,10 +161,6 @@ class ExampleGrads:
 
     def add(self, param: Tensor, g: np.ndarray):
         self.block(param)[...] += g
-
-    def sums(self, g, shape):
-        """Sum g (N, ..., *shape) within each example: (examples, *shape)."""
-        return g.reshape((self.examples, -1) + tuple(shape)).sum(axis=1)
 
 
 def _per_example():
@@ -456,75 +451,6 @@ def sum_all(a):
 
 def mean_all(a):
     return scale(sum_all(a), 1.0 / a.data.size)
-
-
-def broadcast_rows(v, n):
-    """Tile a (d,) vector into (n, d); gradient sums over the rows."""
-    out = Tensor(np.broadcast_to(v.data, (n,) + v.data.shape).copy())
-    ex = _per_example()
-
-    def backward(g):
-        if ex is None:
-            v.accumulate(g.sum(axis=0))
-        else:
-            ex.add(v, ex.sums(g, v.data.shape))
-
-    return _record(out, backward)
-
-
-def add_seq(a, p):
-    """Add a (L, d) table to every batch row of a (B, L, d) tensor."""
-    out = Tensor(a.data + p.data)
-    ex = _per_example()
-
-    def backward(g):
-        a.accumulate(g)
-        if ex is None:
-            p.accumulate(g.sum(axis=0))
-        else:
-            ex.add(p, ex.sums(g, p.data.shape))
-
-    return _record(out, backward)
-
-
-def add_bias(a, b):
-    """Add a (d,) bias to (..., d); bias gradient sums the leading axes."""
-    out = Tensor(a.data + b.data)
-    ex = _per_example()
-
-    def backward(g):
-        a.accumulate(g)
-        if ex is None:
-            b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-        else:
-            ex.add(b, ex.sums(g, b.data.shape))
-
-    return _record(out, backward)
-
-
-def layer_norm(a, gain, bias, eps=1e-5):
-    """Normalise the last axis to zero mean and unit variance, then apply
-    elementwise gain and bias."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    d = a.data.shape[-1]
-    ex = _per_example()
-
-    def backward(g):
-        if ex is None:
-            gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-            bias.accumulate(g.reshape(-1, d).sum(axis=0))
-        else:
-            ex.add(gain, ex.sums(g * xhat, (d,)))
-            ex.add(bias, ex.sums(g, (d,)))
-        gx = g * gain.data
-        a.accumulate(inv * (gx - gx.mean(axis=-1, keepdims=True)
-                            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
-
-    return _record(out, backward)
 
 
 def stack_columns(parts):

@@ -128,8 +128,7 @@ def cmd_fit(args) -> int:
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                       lr=args.lr, shuffle_passes=args.shuffle_passes,
                       seed=args.seed)
-    dp = DpConfig(clip_norm=args.clip, noise_multiplier=args.noise,
-                  enabled=True) if args.dp else None
+    dp = DpConfig(clip_norm=args.clip, noise_multiplier=args.noise) if args.dp else None
     log_path = args.out + ".log.jsonl"
     try:
         history = trainer.fit(codec, store, tree, cfg, dp=dp, log_path=log_path)

@@ -36,10 +36,9 @@ class Codec:
     path: str
     width: int
 
-    def encode(self, x, rng=None, perms=None):
+    def encode(self, x, rng=None):
         """Return (embedding (B, d) Tensor, context). rng drives shuffle
-        permutations; rng=None means identity order everywhere. perms maps
-        codec path to a forced permutation (test hook)."""
+        permutations; rng=None means identity order everywhere."""
         raise NotImplementedError
 
     def decode(self, cond: Tensor, ctx):
@@ -57,7 +56,7 @@ class Codec:
         with cached attention steps, never a stack over a whole prefix."""
         raise NotImplementedError
 
-    def reshuffle(self, ctx, rng, perms=None):
+    def reshuffle(self, ctx, rng):
         """Redraw shuffle permutations reusing cached child encodings.
 
         Returns (embedding or None, context, changed). Plain codecs pass
@@ -88,19 +87,17 @@ class Codec:
 def root_conditioning(store: ParamStore, n: int, width: int) -> Tensor:
     """The fixed initial conditioning rows for a batch of n examples.
 
-    Compiled models carry either a trainable ~c0 vector (compile-time flag)
-    or a fixed nonzero constant; a bare store falls back to zeros.
+    Compiled models carry a fixed nonzero constant; a bare store falls back
+    to zeros.
     """
-    if C0_PATH in store:
-        return ad.broadcast_rows(store[C0_PATH], n)
     c0 = store.constant(C0_PATH)
     if c0 is not None:
         return Tensor(np.tile(c0, (n, 1)))
     return Tensor(np.zeros((n, width)))
 
 
-def pass_losses(codec: Codec, store: ParamStore, batch, rng=None, passes: int = 1,
-                perms=None) -> list[Tensor]:
+def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
+                passes: int = 1) -> list[Tensor]:
     """Per-example loss vector for each decoding pass.
 
     The observation is encoded once; later passes redraw shuffle permutations
@@ -112,11 +109,11 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None, passes: int = 
     if passes > 1 and not codec.has_shuffle():
         raise ValueError("multiple decoding passes need at least one shuffled node")
     n = n_rows(batch)
-    emb, ctx = codec.encode(batch, rng=rng, perms=perms)
+    emb, ctx = codec.encode(batch, rng=rng)
     out = []
     for p in range(passes):
         if p > 0:
-            _, ctx, _ = codec.reshuffle(ctx, rng, perms=perms)
+            _, ctx, _ = codec.reshuffle(ctx, rng)
         rep = codec.decode(root_conditioning(store, n, codec.width), ctx)
         out.append(codec.loss_terms(rep, batch))
     return out

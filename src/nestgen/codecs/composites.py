@@ -5,7 +5,9 @@ causal attention stack turns the embedding sequence into running digests, and
 a second stack turns (conditioning, digests) into one conditioning vector per
 child for decoding. Optionally the order children enter the digest sequence
 is shuffled per pass, which trains the model to be usable under any
-autoregressive factorisation of the node.
+autoregressive factorisation of the node. Orders come only from the `rng`
+given to `encode` and `reshuffle`: a struct takes `rng.permutation(n)`, a
+list sorts `rng.random((B, max_len))` keys over each row's valid prefix.
 
 Indexing convention used throughout (0-based): for a struct with n fields the
 encoder reads embeddings at positions 0..n-1 and the decoder reads
@@ -115,20 +117,16 @@ class _Decoding:
     and decoder stacks, and the latest encoder digest (the node's
     conditioning before the first draw), which is the decoder's next input."""
 
-    def __init__(self, codec, cond, pos=None):
-        self.enc, self.dec, self.pos = codec.enc, codec.dec, pos
+    def __init__(self, codec, cond):
+        self.enc, self.dec = codec.enc, codec.dec
         self.enc_kv, self.dec_kv = KVCache(), KVCache()
         self.digest = ad.as_tensor(cond)
-        self.t = 0
 
     def draw(self, child, rng):
         """Sample `child` in the next slot and append its embedding to the
         encoder sequence; returns the sampled batch."""
         x, e = child.sample(self.dec.step(self.digest, self.dec_kv), rng)
-        if self.pos is not None:
-            e = ad.add(e, ad.gather_rows(self.pos, np.full(e.shape[0], self.t)))
         self.digest = self.enc.step(e, self.enc_kv)
-        self.t += 1
         return x
 
     def take(self, rows):
@@ -154,9 +152,7 @@ class StructCodec(Codec):
     def children(self):
         return self._children
 
-    def _draw_perm(self, rng, perms):
-        if perms and self.path in perms:
-            return tuple(int(i) for i in perms[self.path])
+    def _draw_perm(self, rng):
         if self.shuffled and rng is not None:
             return tuple(int(i) for i in rng.permutation(len(self._children)))
         return tuple(range(len(self._children)))
@@ -169,16 +165,16 @@ class StructCodec(Codec):
         emb = ad.reshape(ad.narrow(digests, 1, n - 1, 1), (B, self.width))
         return emb, StructCtx(digests, embs, ctxs, perm)
 
-    def encode(self, x: StructBatch, rng=None, perms=None):
+    def encode(self, x: StructBatch, rng=None):
         missing = [n for n in self.names if n not in x.fields]
         if missing:
             raise ValueError(f"{self.path}: batch is missing fields {missing}")
         embs, ctxs = [], []
         for name, child in zip(self.names, self._children):
-            e, c = child.encode(x.fields[name], rng=rng, perms=perms)
+            e, c = child.encode(x.fields[name], rng=rng)
             embs.append(e)
             ctxs.append(c)
-        return self._digest(embs, ctxs, self._draw_perm(rng, perms))
+        return self._digest(embs, ctxs, self._draw_perm(rng))
 
     def decode(self, cond: Tensor, ctx: StructCtx) -> StructRep:
         n = len(self._children)
@@ -206,20 +202,19 @@ class StructCodec(Codec):
             total = term if total is None else ad.add(total, term)
         return total
 
-    def reshuffle(self, ctx: StructCtx, rng, perms=None):
+    def reshuffle(self, ctx: StructCtx, rng):
         embs = list(ctx.embs)
         ctxs = []
         changed = False
         for k, child in enumerate(self._children):
-            e, c, ch = child.reshuffle(ctx.child_ctxs[k], rng, perms=perms)
+            e, c, ch = child.reshuffle(ctx.child_ctxs[k], rng)
             if ch:
                 embs[k] = e
                 changed = True
             ctxs.append(c)
-        forced = perms is not None and self.path in perms
-        if not (changed or self.shuffled or forced):
+        if not (changed or self.shuffled):
             return None, ctx, False
-        emb, ctx2 = self._digest(embs, ctxs, self._draw_perm(rng, perms))
+        emb, ctx2 = self._digest(embs, ctxs, self._draw_perm(rng))
         return emb, ctx2, True
 
     def sample(self, cond, rng):
@@ -244,8 +239,7 @@ class ListCodec(Codec):
     (B*max_len) rows."""
 
     def __init__(self, path: str, value_codec: Codec, max_len: int,
-                 tcfg: TransformerConfig, store, rng, shuffled: bool = False,
-                 positional: bool = False):
+                 tcfg: TransformerConfig, store, rng, shuffled: bool = False):
         if max_len < 1:
             raise ValueError(f"{path}: max_len must be >= 1")
         self.path = path
@@ -257,19 +251,13 @@ class ListCodec(Codec):
                                           tcfg.width, store, rng)
         self.enc = AttentionStack(tcfg, store, f"{path}/~enc", rng)
         self.dec = AttentionStack(tcfg, store, f"{path}/~dec", rng)
-        # learned position table for the encoder sequence, off by default:
-        # element order otherwise reaches the digests only through causality
-        self.pos = (store.allocate(f"{path}/~pos", (max_len + 1, tcfg.width), rng)
-                    if positional else None)
 
     def children(self):
         return [self.len_codec, self.value_codec]
 
-    def _draw_perm(self, rng, perms, mask):
+    def _draw_perm(self, rng, mask):
         """Per-row permutation of the valid prefix; padded slots stay put.
         Returns None when no shuffling applies."""
-        if perms and self.path in perms:
-            return np.asarray(perms[self.path], dtype=np.int64)
         if self.shuffled and rng is not None:
             B, P = mask.shape
             keys = np.where(mask, rng.random((B, P)), 1.0 + np.arange(P)[None, :])
@@ -286,8 +274,6 @@ class ListCodec(Codec):
         else:
             slot_embs, slot_ctx = val_embs, val_ctx
         seq = ad.concat([ad.reshape(e_len, (B, 1, self.width)), slot_embs], axis=1)
-        if self.pos is not None:
-            seq = ad.add_seq(seq, self.pos)
         valid = np.concatenate([np.ones((B, 1), dtype=bool), mask], axis=1)
         digests = self.enc(seq, valid=valid)
         emb = ad.reshape(ad.gather_positions(digests, lengths[:, None]), (B, self.width))
@@ -295,18 +281,17 @@ class ListCodec(Codec):
                       lengths, mask, perm)
         return emb, ctx
 
-    def encode(self, x: ListBatch, rng=None, perms=None):
+    def encode(self, x: ListBatch, rng=None):
         lengths = np.asarray(x.lengths, dtype=np.int64)
         P = self.max_len
         if lengths.min(initial=0) < 0 or lengths.max(initial=0) > P:
             raise ValueError(f"{self.path}: length out of range 0..{P}")
         mask = np.arange(P)[None, :] < lengths[:, None]
         e_len, _ = self.len_codec.encode(LeafBatch(lengths))
-        ev_flat, val_ctx = self.value_codec.encode(merge_leading(x.values),
-                                                   rng=rng, perms=perms)
+        ev_flat, val_ctx = self.value_codec.encode(merge_leading(x.values), rng=rng)
         B = lengths.shape[0]
         val_embs = ad.reshape(ev_flat, (B, P, self.width))
-        perm = self._draw_perm(rng, perms, mask)
+        perm = self._draw_perm(rng, mask)
         return self._digest(e_len, val_embs, val_ctx, lengths, mask, perm)
 
     def decode(self, cond: Tensor, ctx: ListCtx) -> ListRep:
@@ -334,22 +319,21 @@ class ListCodec(Codec):
         v = ad.mul_const(ad.reshape(v, (B, P)), rep.mask.astype(np.float64))
         return ad.add(len_loss, ad.sum_axis(v, 1))
 
-    def reshuffle(self, ctx: ListCtx, rng, perms=None):
+    def reshuffle(self, ctx: ListCtx, rng):
         B, P = ctx.mask.shape
-        e2, vctx2, changed = self.value_codec.reshuffle(ctx.val_ctx, rng, perms=perms)
+        e2, vctx2, changed = self.value_codec.reshuffle(ctx.val_ctx, rng)
         val_embs = ad.reshape(e2, (B, P, self.width)) if changed else ctx.val_embs
         vctx = vctx2 if changed else ctx.val_ctx
-        forced = perms is not None and self.path in perms
-        if not (changed or self.shuffled or forced):
+        if not (changed or self.shuffled):
             return None, ctx, False
-        perm = self._draw_perm(rng, perms, ctx.mask)
+        perm = self._draw_perm(rng, ctx.mask)
         return (*self._digest(ctx.len_emb, val_embs, vctx, ctx.lengths, ctx.mask, perm),
                 True)
 
     def sample(self, cond, rng):
         B = cond.shape[0]
         P = self.max_len
-        dec = _Decoding(self, cond, self.pos)
+        dec = _Decoding(self, cond)
         m = dec.draw(self.len_codec, rng).codes
         emb = dec.digest.data.copy()
         values = self.value_codec.zero_batch(B * P)

@@ -16,11 +16,11 @@ import numpy as np
 from ..batches import LeafBatch, ListBatch, StructBatch, split_leading
 from .base import Codec, pass_losses
 from .composites import ListCodec, StructCodec
-from .primitives import CategoricalCodec, NumericalCodec
+from .primitives import CategoricalCodec
 
 
 def zero_value(codec: Codec):
-    if isinstance(codec, (CategoricalCodec, NumericalCodec)):
+    if isinstance(codec, CategoricalCodec):
         return 0
     if isinstance(codec, StructCodec):
         return {n: zero_value(c) for n, c in zip(codec.names, codec._children)}
@@ -32,7 +32,7 @@ def zero_value(codec: Codec):
 def enumerate_outcomes(codec: Codec, limit: int = 100000) -> list:
     """All observations of a discrete codec as python value trees
     (category/bin codes at leaves, dicts at structs, lists at list nodes)."""
-    if isinstance(codec, (CategoricalCodec, NumericalCodec)):
+    if isinstance(codec, CategoricalCodec):
         out = list(range(codec.n_outcomes(limit + 1)))
     elif isinstance(codec, StructCodec):
         parts = [enumerate_outcomes(c, limit) for c in codec._children]
@@ -53,7 +53,7 @@ def enumerate_outcomes(codec: Codec, limit: int = 100000) -> list:
 
 def batch_from_values(codec: Codec, values: list):
     """Pack python value trees into one BatchTree (lists zero padded)."""
-    if isinstance(codec, (CategoricalCodec, NumericalCodec)):
+    if isinstance(codec, CategoricalCodec):
         return LeafBatch(np.asarray(values, dtype=np.int64))
     if isinstance(codec, StructCodec):
         return StructBatch({

@@ -34,7 +34,7 @@ class CategoricalCodec(Codec):
         self.width = width
         self.w = store.allocate(f"{path}/W", (cardinality, width), rng)
 
-    def encode(self, x: LeafBatch, rng=None, perms=None):
+    def encode(self, x: LeafBatch, rng=None):
         codes = np.asarray(x.codes)
         if codes.min(initial=0) < 0 or codes.max(initial=0) >= self.cardinality:
             raise ValueError(f"{self.path}: code out of range 0..{self.cardinality - 1}")
@@ -129,39 +129,23 @@ class QuantileTable:
         return np.rint(vals) if self.integer else vals
 
 
-class NumericalCodec(Codec):
+class NumericalCodec(CategoricalCodec):
     """A categorical codec over quantile bins. Ingestion bins raw values, so
-    encode/decode/loss see bin codes; only sampling touches real numbers.
-    The table may be attached after construction (it is fitted from data),
-    but sampling needs it."""
+    encode/decode/loss see bin codes; only sampling touches real numbers,
+    drawing a value uniformly from the chosen bin's bracket. The table may
+    be attached after construction (it is fitted from data), but sampling
+    needs it."""
 
     def __init__(self, path: str, n_bins: int, width: int, store, rng,
                  table: QuantileTable | None = None):
         if table is not None and table.n_bins != n_bins:
             raise ValueError(f"{path}: table has {table.n_bins} bins, expected {n_bins}")
-        self.path = path
+        super().__init__(path, n_bins, width, store, rng)
         self.table = table
-        self.width = width
-        self.cat = CategoricalCodec(path, n_bins, width, store, rng)
-
-    def encode(self, x, rng=None, perms=None):
-        return self.cat.encode(x, rng, perms)
-
-    def decode(self, cond, ctx):
-        return self.cat.decode(cond, ctx)
-
-    def loss_terms(self, rep, x):
-        return self.cat.loss_terms(rep, x)
 
     def sample(self, cond, rng):
         if self.table is None:
             raise RuntimeError(f"{self.path}: no quantile table fitted; "
                                "ingest data before sampling numeric fields")
-        bins, emb = self.cat.sample(cond, rng)
+        bins, emb = super().sample(cond, rng)
         return LeafBatch(self.table.sample_values(bins.codes, rng)), emb
-
-    def zero_batch(self, n):
-        return self.cat.zero_batch(n)
-
-    def n_outcomes(self, cap=10**9):
-        return self.cat.n_outcomes(cap)

@@ -410,6 +410,10 @@ def _kinds_and_bins(schema):
 def evaluate(real_records, synth_records, schema, k: int = 4,
              n_subsets: int = 50, seed: int = 0, rules=None) -> MetricsReport:
     """Full fidelity report between two record sets under one schema."""
+    if k < 1:
+        raise MetricsError(f"marginal order k must be >= 1, got {k}")
+    if n_subsets < 1:
+        raise MetricsError(f"n_subsets must be >= 1, got {n_subsets}")
     kinds, bins = _kinds_and_bins(schema)
     real = flatten_records(real_records, schema)
     synth = flatten_records(synth_records, schema)

@@ -1,22 +1,10 @@
-"""Gradient descent updates over a ParamStore."""
+"""The Adam update over a ParamStore."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .params import ParamStore
-
-
-class Sgd:
-    def __init__(self, lr: float = 1e-3):
-        self.lr = lr
-        self.step_count = 0
-
-    def step(self, store: ParamStore, grads: dict[str, np.ndarray]):
-        self.step_count += 1
-        for path, g in grads.items():
-            _check_grad(path, g, store[path].data.shape)
-            store[path].data -= self.lr * g
 
 
 class Adam:
@@ -58,10 +46,3 @@ def _check_grad(path: str, g: np.ndarray, shape: tuple):
     if not np.all(np.isfinite(g)):
         raise FloatingPointError(f"non-finite gradient for parameter {path}")
 
-
-def make_optimizer(name: str, lr: float):
-    if name == "adam":
-        return Adam(lr=lr)
-    if name == "sgd":
-        return Sgd(lr=lr)
-    raise ValueError(f"unknown optimizer: {name!r} (expected 'adam' or 'sgd')")

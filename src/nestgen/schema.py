@@ -269,30 +269,25 @@ def resolve(node, cardinalities: dict[str, int], prefix=None):
 
 
 def compile_schema(node, width: int = 64, blocks: int = 2, heads: int = 8,
-                   full_block: bool = False, seed: int = 0,
-                   tables: dict[str, QuantileTable] | None = None,
-                   trainable_c0: bool = False,
-                   positional_lists: bool = False) -> tuple[Codec, ParamStore]:
+                   seed: int = 0, tables: dict[str, QuantileTable] | None = None
+                   ) -> tuple[Codec, ParamStore]:
     """Allocate a codec tree for the schema. Parameters are initialised from
     the seed; paths follow the schema names, so the same schema always yields
     the same parameter layout."""
-    tcfg = TransformerConfig(width, blocks, heads, full_block)
+    tcfg = TransformerConfig(width, blocks, heads)
     tcfg.validate()
     store = ParamStore()
     rng = stream(seed, INIT)
-    codec = _build(node, node.name, tcfg, store, rng, tables or {}, positional_lists)
-    if trainable_c0:
-        store.allocate(C0_PATH, (width,), rng)
-    else:
-        # fixed but nonzero: a zero vector would pin the first decoded
-        # distribution at uniform forever, because the reduced attention
-        # block maps zero input to zero output and the categorical decoder
-        # has no bias term. Regenerated from the seed, never trained.
-        store.set_constant(C0_PATH, rng.normal(0.0, 1.0, size=width))
+    codec = _build(node, node.name, tcfg, store, rng, tables or {})
+    # fixed but nonzero: a zero vector would pin the first decoded
+    # distribution at uniform forever, because the reduced attention block
+    # maps zero input to zero output and the categorical decoder has no bias
+    # term. Regenerated from the seed, never trained.
+    store.set_constant(C0_PATH, rng.normal(0.0, 1.0, size=width))
     return codec, store
 
 
-def _build(node, path, tcfg, store, rng, tables, positional):
+def _build(node, path, tcfg, store, rng, tables):
     if isinstance(node, Enum):
         if node.cardinality is None:
             raise SchemaError(f"enum {path}: cardinality unknown; declare "
@@ -303,15 +298,15 @@ def _build(node, path, tcfg, store, rng, tables, positional):
         return NumericalCodec(path, bins, tcfg.width, store, rng,
                               table=tables.get(path))
     if isinstance(node, Record):
-        children = [_build(f, f"{path}/{f.name}", tcfg, store, rng, tables, positional)
+        children = [_build(f, f"{path}/{f.name}", tcfg, store, rng, tables)
                     for f in node.fields]
         return StructCodec(path, [f.name for f in node.fields], children,
                            tcfg, store, rng, shuffled=node.shuffled)
     if isinstance(node, Array):
         value = _build(node.items, f"{path}/{node.items.name}", tcfg, store, rng,
-                       tables, positional)
+                       tables)
         return ListCodec(path, value, node.max_len, tcfg, store, rng,
-                         shuffled=node.shuffled, positional=positional)
+                         shuffled=node.shuffled)
     raise TypeError(f"not a schema node: {type(node).__name__}")
 
 
@@ -319,7 +314,7 @@ def describe(codec: Codec) -> str:
     """Compact bracket rendering of a codec tree, e.g.
     struct[age: num(20), tags: set(max_len=8)[cat(5)]]."""
     if isinstance(codec, NumericalCodec):
-        return f"num({codec.cat.cardinality})"
+        return f"num({codec.cardinality})"
     if isinstance(codec, CategoricalCodec):
         return f"cat({codec.cardinality})"
     if isinstance(codec, StructCodec):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .batches import n_rows, take
 from .codecs.base import per_example_gradients, train_step, unflatten_gradients
-from .optim import make_optimizer
+from .optim import Adam
 from .rng import BATCH, DP_NOISE, SHUFFLE, stream
 
 log = logging.getLogger("nestgen.trainer")
@@ -31,7 +31,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 256
     lr: float = 1e-3
-    optimizer: str = "adam"
     shuffle_passes: int = 1
     seed: int = 0
 
@@ -42,21 +41,21 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.shuffle_passes < 1:
             raise ValueError("shuffle_passes must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass
 class DpConfig:
     clip_norm: float = 1e-3
     noise_multiplier: float = 1.08
-    enabled: bool = True
 
     def validate(self):
-        if not self.clip_norm > 0:
-            raise ValueError("clip norm must be positive")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise multiplier must be >= 0")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm}")
+        if not (math.isfinite(self.noise_multiplier) and self.noise_multiplier >= 0):
+            raise ValueError("noise_multiplier must be finite and >= 0, "
+                             f"got {self.noise_multiplier}")
 
 
 def dp_step(per_example_grads: np.ndarray, dp: DpConfig, rng) -> np.ndarray:
@@ -79,15 +78,14 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
     one record per optimizer step: {epoch, batch, loss, grad_norm, dp}.
     The same records go to `log_path` as JSON lines when given."""
     cfg.validate()
-    dp_on = dp is not None and dp.enabled
-    if dp_on:
+    if dp is not None:
         dp.validate()
     if cfg.shuffle_passes > 1 and not codec.has_shuffle():
         raise ValueError("shuffle_passes > 1 needs a shuffled node in the schema")
     n = n_rows(data)
     if n < 1:
         raise ValueError("empty dataset")
-    opt = make_optimizer(cfg.optimizer, cfg.lr)
+    opt = Adam(lr=cfg.lr)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     history = []
     sink = open(log_path, "w", encoding="utf-8") if log_path else None
@@ -101,7 +99,7 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
                 shuffle_rng = (stream(cfg.seed, SHUFFLE, epoch, b)
                                if codec.has_shuffle() else None)
                 try:
-                    if dp_on:
+                    if dp is not None:
                         losses, g = per_example_gradients(
                             codec, store, batch, rng=shuffle_rng,
                             passes=cfg.shuffle_passes)
@@ -122,7 +120,7 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
                 rec = {"epoch": epoch, "batch": b, "loss": loss,
                        "grad_norm": grad_norm,
                        "dp": ({"C": dp.clip_norm, "sigma": dp.noise_multiplier}
-                              if dp_on else None)}
+                              if dp is not None else None)}
                 history.append(rec)
                 epoch_losses.append(loss)
                 if sink:

@@ -5,16 +5,13 @@ residual connection and nothing else. No layer norm, no feed-forward, no
 positional encoding. Sequences here are a handful of field embeddings, not
 natural-language tokens, and position information already arrives through the
 residual stream (position k's output always contains its own input embedding).
-`full_block=True` switches every block to the conventional pre-norm layout
-with a dense layer for comparison runs.
 
 Training runs `__call__` over whole sequences. Sampling grows a sequence one
 position at a time with `step`, which keeps every block's keys and values in
 a `KVCache` and computes only the new position. Both run the same `_block`.
-The cached step is exact because a position's output depends only on its
-prefix, in either block layout: attention is causal, and layer norm and the
-dense layer act on each position alone. `KVCache.take` drops batch rows that
-need no further steps.
+The cached step is exact because attention is causal, so a position's output
+depends only on its prefix. `KVCache.take` drops batch rows that need no
+further steps.
 
 Masked score entries are filled with the most negative finite float before the
 softmax, so exp() underflows to exactly 0.0: causality and padding are bitwise
@@ -37,9 +34,12 @@ class TransformerConfig:
     width: int = 64
     blocks: int = 2
     heads: int = 8
-    full_block: bool = False
 
     def validate(self):
+        if self.width < 1:
+            raise ValueError(f"width must be >= 1, got {self.width}")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.blocks < 1:
@@ -57,20 +57,12 @@ class AttentionStack:
         d = cfg.width
         for i in range(cfg.blocks):
             p = f"{prefix}/b{i}"
-            blk = {
+            self.blocks.append({
                 "wq": store.allocate(f"{p}/wq", (d, d), rng),
                 "wk": store.allocate(f"{p}/wk", (d, d), rng),
                 "wv": store.allocate(f"{p}/wv", (d, d), rng),
                 "wo": store.allocate(f"{p}/wo", (d, d), rng),
-            }
-            if cfg.full_block:
-                blk["ln1_g"] = store.allocate(f"{p}/ln1_g", (d,), rng)
-                blk["ln1_b"] = store.allocate(f"{p}/ln1_b", (d,), rng)
-                blk["ln2_g"] = store.allocate(f"{p}/ln2_g", (d,), rng)
-                blk["ln2_b"] = store.allocate(f"{p}/ln2_b", (d,), rng)
-                blk["wd"] = store.allocate(f"{p}/wd", (d, d), rng)
-                blk["bd"] = store.allocate(f"{p}/bd", (d,), rng)
-            self.blocks.append(blk)
+            })
 
     def __call__(self, x: Tensor, valid: np.ndarray | None = None) -> Tensor:
         """Run the stack on x of shape (B, L, d).
@@ -120,13 +112,9 @@ class AttentionStack:
         B, L, d = x.data.shape
         H = self.cfg.heads
         dh = d // H
-        if self.cfg.full_block:
-            xin = ad.layer_norm(x, blk["ln1_g"], blk["ln1_b"])
-        else:
-            xin = x
-        q = _heads(ad.matmul(xin, blk["wq"]), H, dh)
-        k = _heads(ad.matmul(xin, blk["wk"]), H, dh)
-        v = _heads(ad.matmul(xin, blk["wv"]), H, dh)
+        q = _heads(ad.matmul(x, blk["wq"]), H, dh)
+        k = _heads(ad.matmul(x, blk["wk"]), H, dh)
+        v = _heads(ad.matmul(x, blk["wv"]), H, dh)
         if past is not None:
             k = ad.concat([past[0], k], axis=2)
             v = ad.concat([past[1], v], axis=2)
@@ -138,11 +126,7 @@ class AttentionStack:
         ctx = ad.transpose(ctx, (0, 2, 1, 3))      # (B, L, H, dh)
         ctx = ad.reshape(ctx, (B, L, d))
         y = ad.matmul(ctx, blk["wo"])
-        x = ad.add(y, x)
-        if self.cfg.full_block:
-            z = ad.layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-            x = ad.add(ad.add_bias(ad.matmul(z, blk["wd"]), blk["bd"]), z)
-        return x, (k, v)
+        return ad.add(y, x), (k, v)
 
 
 class KVCache:

@@ -50,22 +50,43 @@ def check_op_gradients(build, tensors, rng, rtol=1e-4, atol=1e-8, step=1e-5):
         np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
-def forward_loss(codec, store, batch, perms=None, passes=1):
+class ForcedOrder:
+    """Stands in for the shuffle rng to force an order on shuffled nodes:
+    `permutation(n)` returns sigma (a struct's field order) and
+    `random((B, P))` returns keys whose per-row argsort is perm, a (B, P)
+    array of permutations that keep padded slots in place (a list's order)."""
+
+    def __init__(self, sigma=None, perm=None):
+        self.sigma = sigma
+        self.perm = perm
+
+    def permutation(self, n):
+        assert len(self.sigma) == n
+        return np.asarray(self.sigma, dtype=np.int64)
+
+    def random(self, shape):
+        perm = np.asarray(self.perm, dtype=np.int64)
+        assert perm.shape == shape
+        keys = np.empty(shape)
+        ranks = np.broadcast_to(np.arange(shape[1]) / shape[1], shape)
+        np.put_along_axis(keys, perm, ranks, axis=1)
+        return keys
+
+
+def forward_loss(codec, store, batch, rng=None, passes=1):
     """Scalar training loss outside any tape (for finite differencing)."""
-    per_pass = pass_losses(codec, store, batch, rng=None, passes=passes,
-                           perms=perms)
+    per_pass = pass_losses(codec, store, batch, rng=rng, passes=passes)
     total = per_pass[0]
     for extra in per_pass[1:]:
         total = ad.add(total, extra)
     return float(total.data.mean()) / passes
 
 
-def loss_gradients(codec, store, batch, perms=None, passes=1):
+def loss_gradients(codec, store, batch, rng=None, passes=1):
     """(loss, grads-by-path) with the mean-over-batch convention."""
     store.zero_grads()
     with Tape() as tape:
-        per_pass = pass_losses(codec, store, batch, rng=None, passes=passes,
-                               perms=perms)
+        per_pass = pass_losses(codec, store, batch, rng=rng, passes=passes)
         total = per_pass[0]
         for extra in per_pass[1:]:
             total = ad.add(total, extra)
@@ -77,8 +98,6 @@ def loss_gradients(codec, store, batch, perms=None, passes=1):
 def random_batch(codec, n, rng, garbage_padding=True):
     """Random observations shaped for the codec. Padded list slots hold
     random garbage by default, which stresses the masking invariants."""
-    if isinstance(codec, NumericalCodec):
-        return LeafBatch(rng.integers(0, codec.cat.cardinality, size=n))
     if isinstance(codec, CategoricalCodec):
         return LeafBatch(rng.integers(0, codec.cardinality, size=n))
     if isinstance(codec, StructCodec):
@@ -158,7 +177,7 @@ def attach_tables(codec, rng):
     for node in codec.walk():
         if isinstance(node, NumericalCodec) and node.table is None:
             vals = rng.standard_normal(200)
-            node.table = QuantileTable.fit(vals, node.cat.cardinality)
+            node.table = QuantileTable.fit(vals, node.cardinality)
     return codec
 
 

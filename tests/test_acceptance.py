@@ -34,7 +34,7 @@ from nestgen.schema import compile_schema, parse_schema
 from nestgen.trainer import DpConfig, TrainConfig, dp_step, fit
 from nestgen.transformer import TransformerConfig
 
-from conftest import (forward_loss, loss_gradients, random_batch,
+from conftest import (ForcedOrder, forward_loss, loss_gradients, random_batch,
                       random_schema_doc)
 
 
@@ -358,12 +358,12 @@ def _find_list_rep(rep, codec, target):
     return None
 
 
-def _standalone_list(card, max_len, seed):
+def _standalone_list(card, max_len, seed, shuffled=False):
     store = ParamStore()
     srng = np.random.default_rng(seed)
     tcfg = TransformerConfig(width=8, blocks=1, heads=2)
     val = CategoricalCodec("l/item", card, 8, store, srng)
-    return ListCodec("l", val, max_len, tcfg, store, srng), store
+    return ListCodec("l", val, max_len, tcfg, store, srng, shuffled=shuffled), store
 
 
 def _list_value_logits(codec, store, x):
@@ -445,21 +445,21 @@ def test_07_shuffle_soundness():
     for case in range(25):
         n_fields = int(rng.integers(2, 6))
         cards = [int(rng.integers(2, 6)) for _ in range(n_fields)]
-        doc = {"type": "record", "name": "r",
+        doc = {"type": "record", "name": "r", "shuffled": True,
                "fields": [{"name": f"f{i}", "type": "enum", "cardinality": c}
                           for i, c in enumerate(cards)]}
         codec, store = compile_schema(parse_schema(doc), width=8, blocks=1,
                                       heads=2, seed=case)
         batch = random_batch(codec, 3, rng)
         sigma = tuple(int(i) for i in rng.permutation(n_fields))
-        shuffled = pass_losses(codec, store, batch, perms={"r": sigma})[0]
+        shuffled = pass_losses(codec, store, batch, rng=ForcedOrder(sigma=sigma))[0]
         plain = pass_losses(reordered_struct(codec, sigma), store, batch)[0]
         assert np.array_equal(shuffled.data, plain.data), f"struct case {case}"
 
     for case in range(25):
         card = int(rng.integers(2, 6))
         max_len = int(rng.integers(2, 7))
-        codec, store = _standalone_list(card, max_len, seed=200 + case)
+        codec, store = _standalone_list(card, max_len, seed=200 + case, shuffled=True)
         B = 3
         lengths = rng.integers(0, max_len + 1, size=B).astype(np.int64)
         values = rng.integers(0, card, size=(B, max_len))
@@ -470,7 +470,7 @@ def test_07_shuffle_soundness():
             perm[b, :m] = rng.permutation(m)
             reordered[b, :m] = values[b, perm[b, :m]]
         x = ListBatch(lengths, LeafBatch(values))
-        shuffled = pass_losses(codec, store, x, perms={"l": perm})[0]
+        shuffled = pass_losses(codec, store, x, rng=ForcedOrder(perm=perm))[0]
         plain = pass_losses(codec, store,
                             ListBatch(lengths, LeafBatch(reordered)))[0]
         assert np.array_equal(shuffled.data, plain.data), f"list case {case}"

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import logging
+import os
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,47 @@ def test_load_errors(tmp_path):
         load_model(stale)
 
 
+# A version-1 bundle written by an earlier release: `nestgen fit` on 120
+# records of {age: int(10 bins), region: enum(4), tx: shuffled array(max_len
+# 4) of {kind: enum(3), price: float(8 bins)}} with --width 8 --blocks 1
+# --heads 2 --epochs 2 --batch-size 32 --lr 0.01 --seed 3 (manifest paths
+# made relative), and its `sample --count 50 --seed 7` output.
+FIXTURES = Path(__file__).parent / "fixtures"
+V1_BUNDLE = FIXTURES / "nested_v1.nestgen"
+V1_SAMPLE = FIXTURES / "nested_v1_sample.jsonl"
+
+
+def test_version_1_bundle_samples_as_when_written(tmp_path, capsys):
+    out = tmp_path / "sample.jsonl"
+    assert main(["sample", "--model", str(V1_BUNDLE), "--count", "50",
+                 "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == V1_SAMPLE.read_bytes()
+
+
+def _with_config(src, dst, **changes):
+    """Copy a bundle, updating its meta.json config."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for item in zin.infolist():
+            payload = zin.read(item)
+            if item.filename == "meta.json":
+                meta = json.loads(payload)
+                meta["config"].update(changes)
+                payload = json.dumps(meta).encode("utf-8")
+            zout.writestr(item, payload)
+
+
+@pytest.mark.parametrize("option", ["full_block", "trainable_c0", "positional_lists"])
+def test_bundle_with_removed_option_is_refused(tmp_path, option):
+    off = tmp_path / "off.ngm"
+    _with_config(V1_BUNDLE, off, **{option: False})
+    load_model(off)
+    on = tmp_path / "on.ngm"
+    _with_config(V1_BUNDLE, on, **{option: True})
+    with pytest.raises(ArtifactError, match=option):
+        load_model(on)
+
+
 def test_content_hash_matches_hashlib(tmp_path):
     f1 = tmp_path / "one.bin"
     f2 = tmp_path / "two.bin"
@@ -295,6 +338,44 @@ def test_cli_stage_errors(flat_setup, tmp_path, capsys):
     assert main(["eval", str(tmp_path / "no.csv"), dataset,
                  "--schema", schema]) == 1
     assert "error: eval:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,field", [
+    (["--dp", "--noise", "nan"], "noise_multiplier"),
+    (["--dp", "--noise", "inf"], "noise_multiplier"),
+    (["--dp", "--clip", "nan"], "clip_norm"),
+    (["--dp", "--clip", "inf"], "clip_norm"),
+    (["--lr", "nan"], "lr"),
+    (["--lr", "inf"], "lr"),
+])
+def test_cli_fit_rejects_non_finite_hyperparameters(flat_setup, capsys, extra, field):
+    schema, dataset, model, _ = flat_setup
+    assert main(fit_args(schema, dataset, model, extra)) == 1
+    err = capsys.readouterr().err
+    assert "error: train:" in err and f"{field} must be finite" in err
+    assert not os.path.exists(model)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--heads", "0"), ("--heads", "-2"), ("--width", "0"), ("--width", "-4")])
+def test_cli_fit_rejects_bad_model_shape(flat_setup, capsys, flag, value):
+    schema, dataset, model, _ = flat_setup
+    assert main(fit_args(schema, dataset, model, [flag, value])) == 1
+    err = capsys.readouterr().err
+    assert f"error: parse: {flag[2:]} must be >= 1, got {value}" in err
+    assert not os.path.exists(model)
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--k", "0", "k"), ("--k", "-1", "k"), ("--subsets", "0", "n_subsets")])
+def test_cli_eval_rejects_bad_marginal_flags(flat_setup, capsys, flag, value, name):
+    schema, dataset, _, tmp_path = flat_setup
+    report = tmp_path / "report.json"
+    assert main(["eval", dataset, dataset, "--schema", schema, flag, value,
+                 "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert f"{name} must be >= 1, got {value}" in err
+    assert not report.exists()
 
 
 def test_cli_mismatched_data_names_field(flat_setup, capsys):

@@ -14,12 +14,12 @@ from nestgen.codecs.exact import enumerate_outcomes, joint_table
 from nestgen.optim import Adam
 from nestgen.schema import compile_schema, parse_schema
 
-from conftest import forward_loss
+from conftest import ForcedOrder, forward_loss
 
 
-def compiled(doc, width=8, blocks=1, heads=2, seed=0, **kw):
+def compiled(doc, width=8, blocks=1, heads=2, seed=0):
     return compile_schema(parse_schema(doc), width=width, blocks=blocks,
-                          heads=heads, seed=seed, **kw)
+                          heads=heads, seed=seed)
 
 
 CAT4 = {"type": "enum", "name": "x", "cardinality": 4}
@@ -59,14 +59,6 @@ def test_root_conditioning_is_fixed_and_nonzero():
     assert np.array_equal(cond.data, np.tile(cond.data[0], (5, 1)))
     again = root_conditioning(store, 2, 8)
     assert np.array_equal(again.data, cond.data[:2])
-
-
-def test_trainable_conditioning_flag():
-    codec, store = compiled(CAT4, seed=3, trainable_c0=True)
-    assert "~c0" in store.paths()
-    assert store.constant("~c0") is None
-    loss, grads = train_step(codec, store, LeafBatch(np.array([0, 1, 2, 3])))
-    assert np.any(grads["~c0"] != 0.0)
 
 
 def test_enumeration_sums_to_one_before_and_after_training():
@@ -128,7 +120,7 @@ def test_rng_none_means_identity_order():
                          for k in ("a", "b", "c")})
     plain = pass_losses(codec, store, batch)[0].data
     again = pass_losses(codec, store, batch)[0].data
-    forced = pass_losses(codec, store, batch, perms={"r": (0, 1, 2)})[0].data
+    forced = pass_losses(codec, store, batch, rng=ForcedOrder(sigma=(0, 1, 2)))[0].data
     assert np.array_equal(plain, again)
     assert np.array_equal(plain, forced)
     drawn = pass_losses(codec, store, batch, rng=np.random.default_rng(1))[0].data

@@ -14,7 +14,7 @@ from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
-from conftest import (attach_tables, forward_loss, loss_gradients,
+from conftest import (ForcedOrder, attach_tables, forward_loss, loss_gradients,
                       random_schema_doc)
 
 
@@ -188,7 +188,7 @@ def test_identity_permutation_equals_plain_pass():
     codec, store = flat_struct([3, 4, 2], shuffled=True, seed=9)
     x = struct_batch([[0, 1], [3, 2], [1, 0]])
     plain = forward_loss(codec, store, x)
-    forced = forward_loss(codec, store, x, perms={"s": (0, 1, 2)})
+    forced = forward_loss(codec, store, x, rng=ForcedOrder(sigma=(0, 1, 2)))
     assert plain == forced
 
 
@@ -209,12 +209,12 @@ def reordered_clone(codec, sigma):
 def test_fixed_sigma_equals_reordered_codec():
     # criterion: a shuffled pass with fixed sigma must be bitwise equal to a
     # plain codec whose children were reordered by sigma
-    codec, store = flat_struct([3, 4, 2, 5], seed=10)
+    codec, store = flat_struct([3, 4, 2, 5], shuffled=True, seed=10)
     x = struct_batch([[0, 1, 2], [3, 2, 1], [1, 0, 1], [4, 2, 0]])
     rng = np.random.default_rng(11)
     for _ in range(10):
         sigma = tuple(int(i) for i in rng.permutation(4))
-        shuffled = pass_losses(codec, store, x, perms={"s": sigma})[0]
+        shuffled = pass_losses(codec, store, x, rng=ForcedOrder(sigma=sigma))[0]
         plain = pass_losses(reordered_clone(codec, sigma), store, x)[0]
         assert np.array_equal(shuffled.data, plain.data)
 
@@ -223,11 +223,11 @@ def test_shuffle_pairing_with_zero_attention():
     # with zero attention the digests are the raw embeddings, so field k is
     # conditioned on the embedding of the field right before it in shuffled
     # order (or on c0 = 0 when it comes first)
-    codec, store = flat_struct([3, 3, 3], seed=12)
+    codec, store = flat_struct([3, 3, 3], shuffled=True, seed=12)
     zero_attention(store)
     x = struct_batch([[1], [2], [0]])
     sigma = (2, 0, 1)
-    _, ctx = codec.encode(x, perms={"s": sigma})
+    _, ctx = codec.encode(x, rng=ForcedOrder(sigma=sigma))
     rep = codec.decode(root_conditioning(store, 1, 8), ctx)
     w = [codec.children()[k].w.data for k in range(3)]
     embs = [w[0][1], w[1][2], w[2][0]]  # observed embeddings per field
@@ -381,19 +381,19 @@ def test_set_identity_perm_equals_plain_list():
     codec, store = cat_list(4, max_len=3, shuffled=True, seed=20)
     x = list_batch([2, 3], [[1, 3], [0, 2, 1]], 3)
     plain = forward_loss(codec, store, x)
-    forced = forward_loss(codec, store, x, perms={"l": identity_perm(2, 3)})
+    forced = forward_loss(codec, store, x, rng=ForcedOrder(perm=identity_perm(2, 3)))
     assert plain == forced
 
 
 def test_set_perm_equals_reordered_observation():
     # shuffled loss with sigma == plain loss on the sigma-reordered rows
-    codec, store = cat_list(5, max_len=4, seed=21)
+    codec, store = cat_list(5, max_len=4, shuffled=True, seed=21)
     lengths = [3, 4]
     rows = [[4, 0, 2], [1, 3, 0, 2]]
     x = list_batch(lengths, rows, 4)
     perm = np.array([[2, 0, 1, 3],   # valid prefix permuted, pad stays put
                      [3, 1, 0, 2]], dtype=np.int64)
-    shuffled = pass_losses(codec, store, x, perms={"l": perm})[0]
+    shuffled = pass_losses(codec, store, x, rng=ForcedOrder(perm=perm))[0]
     reordered = list_batch(lengths,
                            [[rows[0][k] for k in perm[0][:3]],
                             [rows[1][k] for k in perm[1]]], 4)
@@ -414,7 +414,7 @@ def test_set_random_perms_keep_padding_in_place():
     mask = np.array([[True, True, False, False],
                      [True, True, True, True],
                      [False, False, False, False]])
-    perm = codec._draw_perm(np.random.default_rng(25), None, mask)
+    perm = codec._draw_perm(np.random.default_rng(25), mask)
     assert perm.shape == (3, 4)
     for b in range(3):
         assert sorted(perm[b].tolist()) == [0, 1, 2, 3]
@@ -500,10 +500,9 @@ LIST_OF_LISTS = {"type": "record", "name": "r", "fields": [
                                       "items": {"type": "enum", "name": "v",
                                                 "cardinality": 3}}}}]}
 SAMPLER_CASES = (
-    [(STRUCT_LIST_STRUCT, 1, False, False), (STRUCT_LIST_STRUCT, 2, True, True),
-     (LIST_OF_LISTS, 2, False, True), (LIST_OF_LISTS, 1, True, False)]
-    + [(random_schema_doc(np.random.default_rng(40 + i), max_depth=3),
-        1 + i % 2, i % 2 == 0, i >= 2) for i in range(4)])
+    [(STRUCT_LIST_STRUCT, 1), (STRUCT_LIST_STRUCT, 2), (LIST_OF_LISTS, 2), (LIST_OF_LISTS, 1)]
+    + [(random_schema_doc(np.random.default_rng(40 + i), max_depth=3), 1 + i % 2)
+       for i in range(4)])
 
 
 def _as_codes(codec, tree):
@@ -518,10 +517,9 @@ def _as_codes(codec, tree):
     return tree
 
 
-@pytest.mark.parametrize("doc,blocks,full_block,positional", SAMPLER_CASES)
-def test_cached_steps_match_full_prefix(monkeypatch, doc, blocks, full_block, positional):
+@pytest.mark.parametrize("doc,blocks", SAMPLER_CASES)
+def test_cached_steps_match_full_prefix(monkeypatch, doc, blocks):
     codec, store = compile_schema(parse_schema(doc), width=8, blocks=blocks, heads=2,
-                                  full_block=full_block, positional_lists=positional,
                                   seed=41)
     attach_tables(codec, np.random.default_rng(42))
     step, take, leaf_sample = AttentionStack.step, KVCache.take, CategoricalCodec.sample
@@ -563,7 +561,7 @@ def test_cached_steps_match_full_prefix(monkeypatch, doc, blocks, full_block, po
 
 def test_sampling_never_runs_the_full_stack(monkeypatch):
     codec, store = compile_schema(parse_schema(STRUCT_LIST_STRUCT), width=8, blocks=2,
-                                  heads=2, positional_lists=True, seed=44)
+                                  heads=2, seed=44)
     attach_tables(codec, np.random.default_rng(45))
 
     def refuse(self, x, valid=None):

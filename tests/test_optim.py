@@ -1,9 +1,9 @@
-"""Optimizer semantics: SGD and Adam over a path-addressed store."""
+"""Optimizer semantics: Adam over a path-addressed store."""
 
 import numpy as np
 import pytest
 
-from nestgen.optim import Adam, Sgd, make_optimizer
+from nestgen.optim import Adam
 from nestgen.params import ParamStore
 
 
@@ -16,29 +16,13 @@ def scalar_store(value):
 
 def test_zero_gradients_leave_params_unchanged():
     rng = np.random.default_rng(4)
-    for opt in (Sgd(lr=0.5), Adam(lr=0.5)):
-        store = ParamStore()
-        store.allocate("a/w", (3, 2), rng)
-        store.allocate("b", (4,), rng)
-        before = store.state_dict()
-        opt.step(store, {p: np.zeros_like(t.data) for p, t in store.items()})
-        for path, arr in before.items():
-            assert np.array_equal(store[path].data, arr)
-
-
-def test_sgd_single_step():
-    store = scalar_store(0.0)
-    Sgd(lr=0.1).step(store, {"p": np.array([1.0])})
-    assert store["p"].data[0] == pytest.approx(-0.1, abs=1e-15)
-
-
-def test_sgd_accumulates_steps():
-    store = scalar_store(1.0)
-    opt = Sgd(lr=0.25)
-    for _ in range(4):
-        opt.step(store, {"p": np.array([1.0])})
-    assert store["p"].data[0] == pytest.approx(0.0, abs=1e-15)
-    assert opt.step_count == 4
+    store = ParamStore()
+    store.allocate("a/w", (3, 2), rng)
+    store.allocate("b", (4,), rng)
+    before = store.state_dict()
+    Adam(lr=0.5).step(store, {p: np.zeros_like(t.data) for p, t in store.items()})
+    for path, arr in before.items():
+        assert np.array_equal(store[path].data, arr)
 
 
 def test_adam_minimizes_quadratic():
@@ -82,20 +66,19 @@ def test_adam_matches_reference_formula():
 
 def test_non_finite_gradient_names_parameter():
     store = scalar_store(0.0)
-    for opt in (Sgd(lr=0.1), Adam(lr=0.1)):
-        with pytest.raises(FloatingPointError, match="p"):
-            opt.step(store, {"p": np.array([np.nan])})
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            opt.step(store, {"p": np.array([np.inf])})
+    opt = Adam(lr=0.1)
+    with pytest.raises(FloatingPointError, match="p"):
+        opt.step(store, {"p": np.array([np.nan])})
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        opt.step(store, {"p": np.array([np.inf])})
 
 
 def test_shape_mismatch_names_parameter():
     rng = np.random.default_rng(0)
     store = ParamStore()
     store.allocate("layer/w", (3,), rng)
-    for opt in (Sgd(lr=0.1), Adam(lr=0.1)):
-        with pytest.raises(ValueError, match="layer/w"):
-            opt.step(store, {"layer/w": np.zeros((1,))})
+    with pytest.raises(ValueError, match="layer/w"):
+        Adam(lr=0.1).step(store, {"layer/w": np.zeros((1,))})
 
 
 def test_partial_updates_touch_only_named_paths():
@@ -104,13 +87,6 @@ def test_partial_updates_touch_only_named_paths():
     store.allocate("a", (2,), rng)
     store.allocate("b", (2,), rng)
     b_before = store["b"].data.copy()
-    Sgd(lr=0.1).step(store, {"a": np.ones(2)})
+    Adam(lr=0.1).step(store, {"a": np.ones(2)})
     assert np.array_equal(store["b"].data, b_before)
     assert not np.array_equal(store["a"].data, store["b"].data)
-
-
-def test_make_optimizer():
-    assert isinstance(make_optimizer("adam", 0.1), Adam)
-    assert isinstance(make_optimizer("sgd", 0.1), Sgd)
-    with pytest.raises(ValueError, match="rmsprop"):
-        make_optimizer("rmsprop", 0.1)

@@ -39,8 +39,8 @@ SHUFFLED = {"type": "record", "name": "r", "shuffled": True, "fields": [
                                                 "cardinality": 3}}}}]}
 
 
-def compiled(doc, seed=0, **kw):
-    return compile_schema(parse_schema(doc), width=8, blocks=2, heads=2, seed=seed, **kw)
+def compiled(doc, seed=0):
+    return compile_schema(parse_schema(doc), width=8, blocks=2, heads=2, seed=seed)
 
 
 def loop_gradients(codec, store, batch, rng=None, passes=1):
@@ -58,20 +58,16 @@ def loop_gradients(codec, store, batch, rng=None, passes=1):
 
 
 IDENTITY_CASES = (
-    [pytest.param(random_schema_doc(np.random.default_rng(60 + i), max_depth=3), {},
+    [pytest.param(random_schema_doc(np.random.default_rng(60 + i), max_depth=3),
                   id=f"random{i}") for i in range(6)]
-    + [pytest.param(STRUCT_LIST_STRUCT, {}, id="struct-list-struct"),
-       pytest.param(LIST_OF_LISTS, {}, id="list-of-lists"),
-       pytest.param(STRUCT_LIST_STRUCT, {"full_block": True}, id="full_block"),
-       pytest.param(LIST_OF_LISTS, {"positional_lists": True}, id="positional_lists"),
-       pytest.param(STRUCT_LIST_STRUCT, {"trainable_c0": True}, id="trainable_c0"),
-       pytest.param(SHUFFLED, {"full_block": True, "positional_lists": True,
-                               "trainable_c0": True}, id="every-rule")])
+    + [pytest.param(STRUCT_LIST_STRUCT, id="struct-list-struct"),
+       pytest.param(LIST_OF_LISTS, id="list-of-lists"),
+       pytest.param(SHUFFLED, id="shuffled")])
 
 
-@pytest.mark.parametrize("doc,kw", IDENTITY_CASES)
-def test_rows_match_train_step_per_example(doc, kw):
-    codec, store = compiled(doc, seed=61, **kw)
+@pytest.mark.parametrize("doc", IDENTITY_CASES)
+def test_rows_match_train_step_per_example(doc):
+    codec, store = compiled(doc, seed=61)
     batch = random_batch(codec, 6, np.random.default_rng(62))
     losses, grads = per_example_gradients(codec, store, batch)
     ref_losses, ref_grads = loop_gradients(codec, store, batch)
@@ -83,7 +79,7 @@ def test_rows_match_train_step_per_example(doc, kw):
 
 @pytest.mark.parametrize("seed", [70, 71, 72])
 def test_shuffled_passes_average_to_train_step(seed):
-    codec, store = compiled(SHUFFLED, seed=seed, positional_lists=True)
+    codec, store = compiled(SHUFFLED, seed=seed)
     batch = random_batch(codec, 7, np.random.default_rng(seed))
     losses, grads = per_example_gradients(codec, store, batch,
                                           rng=np.random.default_rng(seed), passes=2)
@@ -167,21 +163,16 @@ def test_op_rules_match_one_example_at_a_time():
     B, P, L, d, n = 3, 2, 4, 6, 5
     w = Tensor(rng.standard_normal((d, n)))
     table = Tensor(rng.standard_normal((7, d)))
-    gain, bias = Tensor(rng.standard_normal(d)), Tensor(rng.standard_normal(d))
-    pos = Tensor(rng.standard_normal((L, d)))
-    c0 = Tensor(rng.standard_normal(d))
     x = rng.standard_normal((B * P, L, d))
     idx = rng.integers(0, 7, size=(B * P, L))
     idx[0, :2] = 3   # repeated rows within one example
 
     def build(rows, ids, k):
-        h = ad.add_seq(ad.add(Tensor(x[rows]), ad.gather_rows(table, ids)), pos)
-        h = ad.add_bias(ad.layer_norm(h, gain, bias), bias)
-        h = ad.add(h, ad.reshape(ad.broadcast_rows(c0, h.shape[0] * L), h.shape))
+        h = ad.add(Tensor(x[rows]), ad.gather_rows(table, ids))
         return ad.add(ad.sum_all(ad.matmul(h, w)),
                       ad.sum_all(ad.matmul(ad.narrow(h, 1, 0, 1), table, transpose_b=True)))
 
-    params = [w, table, gain, bias, pos, c0]
+    params = [w, table]
     batched = _example_grads(lambda: build(slice(None), idx, B), params, B)
     looped = _loop_grads(lambda b: build(slice(b * P, (b + 1) * P),
                                          idx[b * P:(b + 1) * P], 1), params, B)

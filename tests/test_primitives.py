@@ -276,13 +276,18 @@ def make_num(n_bins, d, table=None, seed=0):
 
 
 def test_numerical_is_categorical_over_bins(rng):
-    codec, _ = make_num(4, 8)
+    codec, store = make_num(4, 8)
+    cat = CategoricalCodec("x", 4, 8, ParamStore(), np.random.default_rng(0))
+    # same parameter path and initial values as a categorical codec, so
+    # bundles load into either
+    assert store.paths() == ["x/W"]
+    assert np.array_equal(codec.w.data, cat.w.data)
     codes = LeafBatch(np.array([0, 3, 2]))
     emb, ctx = codec.encode(codes)
-    assert np.array_equal(emb.data, codec.cat.w.data[[0, 3, 2]])
-    rep = codec.decode(Tensor(rng.standard_normal((3, 8))), ctx)
-    loss = codec.loss_terms(rep, codes)
-    ref = codec.cat.loss_terms(rep, codes)
+    assert np.array_equal(emb.data, codec.w.data[[0, 3, 2]])
+    cond = Tensor(rng.standard_normal((3, 8)))
+    loss = codec.loss_terms(codec.decode(cond, ctx), codes)
+    ref = cat.loss_terms(cat.decode(cond, ctx), codes)
     assert np.array_equal(loss.data, ref.data)
 
 

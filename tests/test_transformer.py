@@ -11,10 +11,9 @@ from nestgen.transformer import AttentionStack, TransformerConfig
 from conftest import fd_gradient
 
 
-def make_stack(width=8, blocks=1, heads=2, full_block=False, seed=0):
+def make_stack(width=8, blocks=1, heads=2, seed=0):
     store = ParamStore()
-    cfg = TransformerConfig(width=width, blocks=blocks, heads=heads,
-                            full_block=full_block)
+    cfg = TransformerConfig(width=width, blocks=blocks, heads=heads)
     stack = AttentionStack(cfg, store, "enc", np.random.default_rng(seed))
     return stack, store
 
@@ -138,15 +137,6 @@ def test_gradients_with_two_blocks(rng):
     stack, store = make_stack(width=8, blocks=2, heads=4, seed=22)
     x = rng.standard_normal((2, 3, 8))
     _check_param_gradients(stack, store, x, rtol=1e-4)
-
-
-def test_full_block_gradients(rng):
-    # Conventional pre-norm block with dense layer behind the same API.
-    stack, store = make_stack(width=8, blocks=1, heads=2, full_block=True,
-                              seed=23)
-    assert "enc/b0/ln1_g" in store and "enc/b0/wd" in store
-    x = rng.standard_normal((1, 3, 8))
-    _check_param_gradients(stack, store, x, rtol=2e-4)
 
 
 def test_input_gradient_matches_finite_differences(rng):
