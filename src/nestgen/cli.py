@@ -19,6 +19,7 @@ from .rng import SAMPLE, stream
 from .schema import (SchemaError, compile_schema, describe, parse_schema,
                      serialize_schema)
 from .trainer import DpConfig, TrainConfig
+from .transformer import TransformerConfig
 
 log = logging.getLogger("nestgen.cli")
 
@@ -104,6 +105,22 @@ def _load_schema(path):
 
 
 def cmd_fit(args) -> int:
+    # flags are checked before the data is read, so a bad one fails at once
+    try:
+        TransformerConfig(args.width, args.blocks, args.heads).validate()
+    except ValueError as e:
+        raise CliError("parse", str(e))
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                      lr=args.lr, shuffle_passes=args.shuffle_passes,
+                      seed=args.seed)
+    dp = DpConfig(clip_norm=args.clip, noise_multiplier=args.noise) if args.dp else None
+    try:
+        cfg.validate()
+        if dp is not None:
+            dp.validate()
+    except ValueError as e:
+        raise CliError("train", str(e))
+
     schema = _load_schema(args.schema)
     try:
         tree, tf, report = data.ingest(args.data, schema, fmt=args.format)
@@ -125,10 +142,6 @@ def cmd_fit(args) -> int:
     except (SchemaError, ValueError) as e:
         raise CliError("parse", str(e))
 
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                      lr=args.lr, shuffle_passes=args.shuffle_passes,
-                      seed=args.seed)
-    dp = DpConfig(clip_norm=args.clip, noise_multiplier=args.noise) if args.dp else None
     log_path = args.out + ".log.jsonl"
     try:
         history = trainer.fit(codec, store, tree, cfg, dp=dp, log_path=log_path)
@@ -246,6 +259,8 @@ def main(argv=None) -> int:
     handlers = {"fit": cmd_fit, "sample": cmd_sample,
                 "eval": cmd_eval, "inspect": cmd_inspect}
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise CliError("parse", f"--seed must be >= 0, got {args.seed}")
         return handlers[args.command](args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

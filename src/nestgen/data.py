@@ -3,14 +3,21 @@
 Ingestion turns CSV (flat schemas) or JSON-lines (any schema) files into the
 batch-major tensors the codecs train on: every leaf becomes one integer code
 array whose leading axis is the row axis, with one extra position axis per
-enclosing list. Along the way it fits quantile tables for numeric leaves and
-infers vocabularies for enums that declared neither symbols nor cardinality.
-Emission is the inverse: code trees back to records, records back to files.
+enclosing list. Emission is the inverse: code trees back to records, records
+back to files.
+
+Raw records are read once: one recursive pass per record (`_check_shape`)
+validates it, normalises CSV strings and appends each leaf value and each
+list length to a flat buffer per schema path (`Columns`; a list's lengths are
+its offsets, as in Arrow's list layout). Quantile tables, the vocabularies of
+enums that declared neither symbols nor cardinality, padded batches and the
+metric tables are all built from those buffers.
 
 Row handling: a row containing a null, or a list longer than its declared
 capacity, is dropped and counted in the ingestion report. A row that does not
-match the schema shape at all (missing field, non-numeric text in a numeric
-column, a scalar where a list should be) aborts with an error naming the row.
+match the schema shape at all (missing field, non-numeric text or a
+non-finite number in a numeric column, a scalar where a list should be)
+aborts with an error naming the row by its index in the input.
 """
 
 from __future__ import annotations
@@ -18,14 +25,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batches import (LeafBatch, ListBatch, StructBatch, merge_leading, split_leading,
-                      take)
+from .batches import LeafBatch, ListBatch, StructBatch, merge_leading, take
 from .codecs.primitives import DEFAULT_BINS, QuantileTable
-from .schema import Array, Enum, Number, Record, SchemaError, resolve, walk_paths
+from .schema import Array, Enum, Number, Record, leaf_columns, resolve, walk_paths
 
 log = logging.getLogger("nestgen.data")
 
@@ -39,6 +46,10 @@ class _Reject(Exception):
 
     def __init__(self, kind):
         self.kind = kind
+
+
+class _BadValue(Exception):
+    """Internal: args (index, message) of a column value without a code."""
 
 
 @dataclass
@@ -55,24 +66,28 @@ class Transform:
         self._index = {p: {_sym_key(s): i for i, s in enumerate(v)}
                        for p, v in self.vocabs.items()}
 
-    def code_for(self, path, value, node, where):
-        if path in self._index:
-            idx = self._index[path]
-            k = _sym_key(value)
-            if k not in idx:
-                raise DataError(f"{where}: unknown category {value!r} in "
-                                f"column {path}")
-            return idx[k]
-        # enum with declared cardinality but no symbols: data carries codes
-        try:
-            code = int(value)
-        except (TypeError, ValueError):
-            raise DataError(f"{where}: column {path} expects integer codes, "
-                            f"got {value!r}") from None
-        if not 0 <= code < node.cardinality:
-            raise DataError(f"{where}: code {code} out of range for column "
-                            f"{path} (cardinality {node.cardinality})")
-        return code
+    def code_column(self, path, node, values):
+        """Enum column values -> int64 codes. Raises _BadValue at the first
+        value that has no code."""
+        idx = self._index.get(path)
+        codes = np.empty(len(values), dtype=np.int64)
+        for i, value in enumerate(values):
+            if idx is not None:
+                code = idx.get(_sym_key(value))
+                if code is None:
+                    raise _BadValue(i, f"unknown category {value!r} in column "
+                                       f"{path}")
+            else:  # declared cardinality but no symbols: data carries codes
+                try:
+                    code = int(value)
+                except (TypeError, ValueError):
+                    raise _BadValue(i, f"column {path} expects integer codes, "
+                                       f"got {value!r}") from None
+                if not 0 <= code < node.cardinality:
+                    raise _BadValue(i, f"code {code} out of range for column "
+                                       f"{path} (cardinality {node.cardinality})")
+            codes[i] = code
+        return codes
 
     def value_for(self, path, code, node):
         if path in self.vocabs:
@@ -133,65 +148,80 @@ def read_records(path, fmt=None) -> list:
     raise DataError(f"unknown format {fmt!r} (expected csv or jsonl)")
 
 
-def _is_null(v):
-    return v is None or (isinstance(v, str) and v == "")
+class Columns:
+    """A schema's column plan: a flat buffer per leaf (its values) and per
+    list (its lengths), keyed by walk_paths path. `rows` holds the input
+    index of each record `add` accepted."""
+
+    def __init__(self, schema):
+        self.schema, self.rows = schema, []
+        self.bufs = {p: [] for p, n in walk_paths(schema) if not isinstance(n, Record)}
+
+    def add(self, record, i):
+        """Validate input record i and append it, or leave nothing behind."""
+        marks = [len(b) for b in self.bufs.values()]
+        try:
+            _check_shape(record, self.schema, self.schema.name, self.bufs,
+                         f"record {i}")
+        except (_Reject, DataError):
+            for b, m in zip(self.bufs.values(), marks):
+                del b[m:]
+            raise
+        self.rows.append(i)
+
+    def lists_over(self, path):
+        """Paths of the lists that enclose `path`, outermost first."""
+        return [p for p in self.bufs if path.startswith(p + "/")]
+
+    def __len__(self):
+        return len(self.rows)
 
 
-def _check_shape(value, node, where):
-    """Validate one record against the schema, normalising CSV strings.
-    Returns a tree of the same shape with numerics as floats. Raises _Reject
-    for tolerated problems and DataError for malformed rows."""
-    if _is_null(value):
+def _check_shape(value, node, path, bufs, where):
+    """Validate one record against the schema, normalising CSV strings, and
+    append its leaves and list lengths to the buffers (numerics as floats).
+    Raises _Reject for tolerated problems and DataError for malformed rows."""
+    if value is None or value == "":
         raise _Reject("null")
     if isinstance(node, Enum):
         if isinstance(value, (dict, list)):
             raise DataError(f"{where}: field {node.name}: expected a "
                             f"category, got {type(value).__name__}")
-        return value
-    if isinstance(node, Number):
-        if isinstance(value, bool) or isinstance(value, (dict, list)):
+        bufs[path].append(value)
+    elif isinstance(node, Number):
+        if isinstance(value, (bool, dict, list)):
             raise DataError(f"{where}: field {node.name}: expected a number")
         try:
-            return float(value)
+            x = float(value)
         except (TypeError, ValueError):
             raise DataError(f"{where}: field {node.name}: not a number: "
                             f"{value!r}") from None
-    if isinstance(node, Record):
+        if not math.isfinite(x):
+            raise DataError(f"{where}: field {node.name}: not a finite "
+                            f"number: {value!r}")
+        bufs[path].append(x)
+    elif isinstance(node, Record):
         if not isinstance(value, dict):
             raise DataError(f"{where}: expected an object for {node.name}, "
                             f"got {type(value).__name__}")
-        out = {}
         for f in node.fields:
             if f.name not in value:
                 raise DataError(f"{where}: missing field {f.name!r}")
-            out[f.name] = _check_shape(value[f.name], f, where)
-        return out
-    if isinstance(node, Array):
+            _check_shape(value[f.name], f, f"{path}/{f.name}", bufs, where)
+    else:
         if not isinstance(value, list):
             raise DataError(f"{where}: expected a list for {node.name}, got "
                             f"{type(value).__name__}")
         if len(value) > node.max_len:
             raise _Reject("overlong")
-        return [_check_shape(v, node.items, where) for v in value]
-    raise TypeError(f"not a schema node: {type(node).__name__}")
+        bufs[path].append(len(value))
+        items = f"{path}/{node.items.name}"
+        for v in value:
+            _check_shape(v, node.items, items, bufs, where)
 
 
-def _collect_leaves(tree, node, path, sink):
-    if isinstance(node, (Enum, Number)):
-        sink[path].append(tree)
-    elif isinstance(node, Record):
-        for f in node.fields:
-            _collect_leaves(tree[f.name], f, f"{path}/{f.name}", sink)
-    elif isinstance(node, Array):
-        for item in tree:
-            _collect_leaves(item, node.items, f"{path}/{node.items.name}", sink)
-
-
-def fit_transform(records_checked, schema) -> Transform:
-    """Build vocabularies and quantile tables from validated raw records."""
-    sink = {p: [] for p, n in walk_paths(schema) if isinstance(n, (Enum, Number))}
-    for tree in records_checked:
-        _collect_leaves(tree, schema, schema.name, sink)
+def fit_transform(columns, schema) -> Transform:
+    """Build vocabularies and quantile tables from checked columns."""
     vocabs, tables, cards = {}, {}, {}
     for path, node in walk_paths(schema):
         if isinstance(node, Enum):
@@ -199,7 +229,7 @@ def fit_transform(records_checked, schema) -> Transform:
                 vocabs[path] = list(node.symbols)
             elif node.cardinality is None:
                 seen = {}
-                for v in sink[path]:
+                for v in columns.bufs[path]:
                     seen.setdefault(_sym_key(v), v)
                 if not seen:
                     raise DataError(f"enum {path}: no values observed; "
@@ -207,72 +237,63 @@ def fit_transform(records_checked, schema) -> Transform:
                 vocabs[path] = [seen[k] for k in sorted(seen)]
                 cards[path] = len(vocabs[path])
         elif isinstance(node, Number):
-            vals = np.asarray(sink[path], dtype=np.float64)
-            if vals.size == 0:
+            if not columns.bufs[path]:
                 raise DataError(f"numeric column {path}: no values observed")
-            tables[path] = QuantileTable.fit(vals, node.bins or DEFAULT_BINS,
+            tables[path] = QuantileTable.fit(columns.bufs[path],
+                                             node.bins or DEFAULT_BINS,
                                              integer=node.integer)
     return Transform(resolve(schema, cards), vocabs, tables)
 
 
-def _encode_tree(tree, node, path, tf, where):
-    if isinstance(node, Enum):
-        return tf.code_for(path, tree, node, where)
-    if isinstance(node, Number):
-        return None  # numerics are binned vectorised in _assemble
+def _batch_tree(node, path, codes, slots, shape):
+    """Batch tree of one schema node. codes[path]: the (values, padding) of a
+    leaf or list; slots: the flat index of each value in the padded `shape`.
+    Item j of the list value at slot s goes to slot s * max_len + j."""
     if isinstance(node, Record):
-        return {f.name: _encode_tree(tree[f.name], f, f"{path}/{f.name}", tf, where)
-                for f in node.fields}
-    if isinstance(node, Array):
-        return [_encode_tree(v, node.items, f"{path}/{node.items.name}", tf, where)
-                for v in tree]
-    raise TypeError(type(node).__name__)
+        return StructBatch({f.name: _batch_tree(f, f"{path}/{f.name}", codes,
+                                                slots, shape)
+                            for f in node.fields})
+    values, pad = codes[path]
+    padded = np.full(math.prod(shape), pad, dtype=np.int64)
+    padded[slots] = values
+    padded = padded.reshape(shape)
+    if not isinstance(node, Array):
+        return LeafBatch(padded)
+    starts = np.cumsum(values) - values
+    items = np.repeat(slots * node.max_len - starts, values) + np.arange(values.sum())
+    return ListBatch(padded, _batch_tree(node.items, f"{path}/{node.items.name}",
+                                         codes, items, shape + (node.max_len,)))
 
 
-def _assemble(raw, codes, node, path, tf):
-    """raw/codes: parallel per-row lists shaped like the node. Returns the
-    batch tree; numeric leaves are binned here so the whole column goes
-    through one vectorised quantile lookup."""
-    if isinstance(node, Enum):
-        arr = np.array([0 if c is None else c for c in codes], dtype=np.int64)
-        return LeafBatch(arr)
-    if isinstance(node, Number):
-        vals = np.array([0.0 if v is None else v for v in raw], dtype=np.float64)
-        table = tf.tables.get(path)
-        if table is None:
-            raise DataError(f"numeric column {path}: no quantile table")
-        return LeafBatch(table.bin_values(vals).astype(np.int64))
-    if isinstance(node, Record):
-        return StructBatch({
-            f.name: _assemble([None if r is None else r[f.name] for r in raw],
-                              [None if c is None else c[f.name] for c in codes],
-                              f, f"{path}/{f.name}", tf)
-            for f in node.fields})
-    if isinstance(node, Array):
-        b, p = len(raw), node.max_len
-        lengths = np.array([len(r) if r is not None else 0 for r in raw],
-                           dtype=np.int64)
-        flat_raw, flat_codes = [], []
-        for row_raw, row_codes in zip(raw, codes):
-            items_r = row_raw or []
-            items_c = row_codes or []
-            flat_raw.extend(items_r)
-            flat_codes.extend(items_c)
-            pad = p - len(items_r)
-            flat_raw.extend([None] * pad)
-            flat_codes.extend([None] * pad)
-        child = _assemble(flat_raw, flat_codes, node.items,
-                          f"{path}/{node.items.name}", tf)
-        return ListBatch(lengths, split_leading(child, b, p))
-    raise TypeError(type(node).__name__)
-
-
-def build_batch(records_checked, transform) -> object:
-    """Validated raw records -> BatchTree of integer codes."""
+def build_batch(columns, transform) -> object:
+    """Checked columns -> BatchTree of integer codes: each column coded once,
+    padded slots hold code 0 (enums) or the bin of 0.0 (numerics). A value
+    without a code raises for the first record that holds one."""
+    codes, bad = {}, []
+    for k, (path, node) in enumerate(walk_paths(transform.schema)):
+        values = columns.bufs.get(path)
+        if isinstance(node, Array):
+            codes[path] = np.asarray(values, dtype=np.int64), 0
+        elif isinstance(node, Number):
+            table = transform.tables.get(path)
+            if table is None:
+                raise DataError(f"numeric column {path}: no quantile table")
+            codes[path] = table.bin_values(values), table.bin_values(0.0)
+        elif isinstance(node, Enum):
+            try:
+                codes[path] = transform.code_column(path, node, values), 0
+            except _BadValue as e:
+                i, message = e.args
+                for p in reversed(columns.lists_over(path)):
+                    i = int(np.searchsorted(np.cumsum(columns.bufs[p]), i,
+                                            side="right"))
+                bad.append((i, k, message))
+    if bad:
+        row, _, message = min(bad)
+        raise DataError(f"record {columns.rows[row]}: {message}")
+    b = len(columns)
     schema = transform.schema
-    codes = [_encode_tree(r, schema, schema.name, transform, f"record {i}")
-             for i, r in enumerate(records_checked)]
-    return _assemble(records_checked, codes, schema, schema.name, transform)
+    return _batch_tree(schema, schema.name, codes, np.arange(b), (b,))
 
 
 @dataclass
@@ -287,29 +308,29 @@ class IngestReport:
 
 
 def check_records(records, schema):
-    """Shape-check raw records. Returns (validated records, report)."""
+    """Shape-check raw records. Returns (Columns of the kept records, report)."""
     if not records:
         raise DataError("no records in input")
-    checked, report = [], IngestReport()
+    columns, report = Columns(schema), IngestReport()
     for i, rec in enumerate(records):
         try:
-            checked.append(_check_shape(rec, schema, f"record {i}"))
-            report.kept += 1
+            columns.add(rec, i)
         except _Reject as r:
             if r.kind == "null":
                 report.rejected_null += 1
             else:
                 report.rejected_overlong += 1
+    report.kept = len(columns)
     if report.rejected:
         log.warning("rejected %d of %d records (%d with nulls, %d with "
                     "overlong lists)", report.rejected, len(records),
                     report.rejected_null, report.rejected_overlong)
-    if not checked:
+    if not report.kept:
         raise DataError(
             f"all {len(records)} records rejected "
             f"({report.rejected_null} with nulls, "
             f"{report.rejected_overlong} with overlong lists)")
-    return checked, report
+    return columns, report
 
 
 def ingest_records(records, schema, transform=None):
@@ -434,66 +455,43 @@ def join_tables(parent_records, child_records, key, list_field,
 
 
 def flatten_records(records, schema) -> dict:
-    """Records -> column table for the metrics. Scalar fields become columns
-    named by their slash path under the root. When the schema contains list
-    fields, each list item contributes one row that repeats its parent's
-    scalar values, so cross-level associations stay visible; records whose
-    lists are all empty do not contribute item rows.
+    """Records -> column tables for the metrics, named by
+    `schema.leaf_columns`. Lists must nest in one chain (no sibling lists):
+    each element of the innermost list is one item row that repeats the
+    values of its ancestors, so cross-level associations stay visible.
 
     Returns {"record": record-level columns, "item": item-level columns or
     None for flat schemas, "item_count": rows in the item table}.
     """
-    rec_cols = {}
-    item_cols = {}
-    has_lists = any(isinstance(n, Array) for _, n in walk_paths(schema))
-
-    def scalars(tree, node, prefix, out):
-        for f in node.fields:
-            name = f"{prefix}{f.name}"
-            if isinstance(f, (Enum, Number)):
-                out[name] = tree[f.name]
-            elif isinstance(f, Record):
-                scalars(tree[f.name], f, name + "/", out)
-
-    def explode(tree, node, prefix, parent_vals):
-        vals = dict(parent_vals)
-        row_scalars = {}
-        scalars(tree, node, prefix, row_scalars)
-        vals.update(row_scalars)
-        lists = [f for f in node.fields if isinstance(f, Array)]
-        if not lists:
-            yield vals
-            return
-        if len(lists) > 1:
+    columns = Columns(schema)
+    lists = [p for p, n in walk_paths(schema) if isinstance(n, Array)]
+    for outer, inner in zip(lists, lists[1:]):
+        if not inner.startswith(outer + "/"):  # not one chain: name two siblings
+            outer = next(p for p in lists if not inner.startswith(p + "/"))
             raise DataError("item-level metrics support one list field per "
-                            "record; found " +
-                            ", ".join(f.name for f in lists))
-        f = lists[0]
-        for item in tree[f.name]:
-            ip = f"{prefix}{f.name}/"
-            if isinstance(f.items, Record):
-                yield from explode(item, f.items, ip, vals)
-            else:
-                row = dict(vals)
-                row[ip + f.items.name] = item
-                yield row
-
+                            f"record; found {outer.rsplit('/', 1)[1]}, "
+                            f"{inner.rsplit('/', 1)[1]}")
     for i, rec in enumerate(records):
         try:
-            checked = _check_shape(rec, schema, f"record {i}")
+            columns.add(rec, i)
         except _Reject as r:
             raise DataError(f"record {i} does not conform to the schema "
                             f"({'null value' if r.kind == 'null' else 'overlong list'})") from None
-        row = {}
-        scalars(checked, schema, "", row)
-        for k, v in row.items():
-            rec_cols.setdefault(k, []).append(v)
-        if has_lists:
-            for item_row in explode(checked, schema, "", {}):
-                for k, v in item_row.items():
-                    item_cols.setdefault(k, []).append(v)
+    paths = [p for p, n in walk_paths(schema) if isinstance(n, (Enum, Number))]
+    leaves = [(name, p, len(columns.lists_over(p)))
+              for (name, _), p in zip(leaf_columns(schema), paths)]
+    rec_cols = ({name: columns.bufs[p] for name, p, depth in leaves if not depth}
+                if len(columns) else {})
+    if not lists:
+        return {"record": rec_cols, "item": None, "item_count": 0}
 
-    n_items = len(next(iter(item_cols.values()))) if item_cols else 0
-    return {"record": rec_cols,
-            "item": item_cols if has_lists else None,
-            "item_count": n_items}
+    # up[d]: index of each item row's ancestor at list depth d (0 = records)
+    up = [np.arange(sum(columns.bufs[lists[-1]]))]
+    for path in reversed(lists):
+        lengths = columns.bufs[path]
+        up.insert(0, np.repeat(np.arange(len(lengths)), lengths)[up[0]])
+    item_cols = {}
+    if up[-1].size:
+        for name, path, depth in sorted(leaves, key=lambda leaf: leaf[2]):
+            item_cols[name] = [columns.bufs[path][t] for t in up[depth].tolist()]
+    return {"record": rec_cols, "item": item_cols, "item_count": up[-1].size}

@@ -221,36 +221,20 @@ def walk_paths(node, prefix=None):
 
 
 def leaf_columns(node) -> list[tuple[str, object]]:
-    """(column name, leaf node) pairs using the flattened-table naming:
-    slash-joined field names relative to the root. Items of a list are named
-    by the list field, so an item record's own type name never appears (the
-    same convention as data.flatten_records)."""
-    out = []
-
-    def fields_of(rec, prefix):
-        for f in rec.fields:
-            if isinstance(f, (Enum, Number)):
-                out.append((prefix + f.name, f))
-            elif isinstance(f, Record):
-                fields_of(f, prefix + f.name + "/")
-            else:
-                item(f.items, prefix + f.name + "/")
-
-    def item(n, prefix):
+    """(column name, leaf node) pairs in walk order, using the flattened-table
+    naming of data.flatten_records: slash-joined field names relative to the
+    root. Items of a list are named by the list field, so an item record's or
+    item list's own name never appears."""
+    def walk(n, prefix, named):
         if isinstance(n, (Enum, Number)):
-            out.append((prefix + n.name, n))
-        elif isinstance(n, Record):
-            fields_of(n, prefix)
-        else:
-            item(n.items, prefix)
+            return [(prefix + n.name, n)]
+        if named:
+            prefix += n.name + "/"
+        if isinstance(n, Record):
+            return [c for f in n.fields for c in walk(f, prefix, True)]
+        return walk(n.items, prefix, False)
 
-    if isinstance(node, (Enum, Number)):
-        return [(node.name, node)]
-    if isinstance(node, Record):
-        fields_of(node, "")
-    else:
-        item(node.items, node.name + "/")
-    return out
+    return walk(node, "", not isinstance(node, Record))
 
 
 def resolve(node, cardinalities: dict[str, int], prefix=None):

@@ -378,6 +378,55 @@ def test_cli_eval_rejects_bad_marginal_flags(flat_setup, capsys, flag, value, na
     assert not report.exists()
 
 
+def test_cli_fit_checks_flags_before_reading_data(flat_setup, capsys):
+    schema, _, model, tmp_path = flat_setup
+    missing = str(tmp_path / "missing.csv")
+    assert main(fit_args(schema, missing, model, ["--heads", "0"])) == 1
+    assert "error: parse: heads must be >= 1, got 0" in capsys.readouterr().err
+    assert main(fit_args(schema, missing, model, ["--lr", "nan"])) == 1
+    assert "error: train: lr must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "sample", "eval"])
+def test_cli_negative_seed_is_refused_by_name(flat_setup, capsys, command):
+    schema, dataset, model, tmp_path = flat_setup
+    out = str(tmp_path / "out.csv")
+    if command == "fit":
+        argv = fit_args(schema, dataset, out)
+    elif command == "sample":
+        assert main(fit_args(schema, dataset, model)) == 0
+        argv = ["sample", "--model", model, "--count", "5", "--out", out]
+    else:
+        argv = ["eval", dataset, dataset, "--schema", schema, "--out", out]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "error: parse: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("name,text,shown", [
+    ("nan.csv", "color,size,weight\nred,s,1.5\nblue,l,nan\n", "'nan'"),
+    ("inf.csv", "color,size,weight\nred,s,1.5\nblue,l,-inf\n", "'-inf'"),
+    ("big.jsonl", '{"color": "red", "size": "s", "weight": 1.5}\n'
+                  '{"color": "blue", "size": "l", "weight": 1e999}\n', "inf"),
+], ids=["csv-nan", "csv-inf", "jsonl-1e999"])
+def test_cli_non_finite_number_names_row_and_field(flat_setup, capsys, name,
+                                                   text, shown):
+    schema, dataset, model, tmp_path = flat_setup
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    want = f"record 1: field weight: not a finite number: {shown}"
+    assert main(fit_args(schema, str(bad), model)) == 1
+    err = capsys.readouterr().err
+    assert "error: ingest:" in err and want in err
+    assert not os.path.exists(model)
+    assert main(["eval", str(bad), dataset, "--schema", schema]) == 1
+    err = capsys.readouterr().err
+    assert "error: eval:" in err and want in err
+    assert main(["eval", dataset, str(bad), "--schema", schema]) == 1
+    assert want in capsys.readouterr().err
+
+
 def test_cli_mismatched_data_names_field(flat_setup, capsys):
     schema, _, model, tmp_path = flat_setup
     bad = write_csv(tmp_path / "bad.csv",

@@ -5,12 +5,19 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_batch, random_schema_doc
+from nestgen import metrics
+from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
 from nestgen.codecs.base import C0_PATH, sample_rows
-from nestgen.data import (DataError, Transform, build_batch, check_records,
-                          detect_format, fit_transform, flatten_records,
-                          ingest, ingest_records, is_flat, join_tables,
-                          read_records, records_from_batch, write_records)
-from nestgen.schema import compile_schema, parse_schema
+from nestgen.codecs.primitives import DEFAULT_BINS, QuantileTable
+from nestgen.data import (DataError, IngestReport, Transform, build_batch,
+                          check_records, detect_format, fit_transform,
+                          flatten_records, ingest, ingest_records, is_flat,
+                          join_tables, read_records, records_from_batch,
+                          write_records)
+from nestgen.metrics import evaluate
+from nestgen.schema import (Array, Enum, Number, Record, compile_schema,
+                            parse_schema, resolve, walk_paths)
 
 FLAT_DOC = {"type": "record", "name": "r", "fields": [
     {"name": "a", "type": "enum"},
@@ -139,6 +146,34 @@ def test_malformed_records_name_the_record():
     with pytest.raises(DataError, match="expected a list"):
         check_records([{"age": 3, "sex": "F", "reviews": "oops"}],
                       parse_schema(NESTED_DOC))
+
+
+def test_non_finite_numbers_name_row_and_field():
+    num = parse_schema({"type": "record", "name": "r",
+                        "fields": [{"name": "v", "type": "float"}]})
+    for bad in ("nan", "inf", float("-inf"), 1e999):
+        with pytest.raises(DataError, match=r"record 2: field v: not a finite"):
+            check_records([{"v": "1.0"}, {"v": None}, {"v": bad}], num)
+        with pytest.raises(DataError, match=r"record 1: field v: not a finite"):
+            flatten_records([{"v": 1.0}, {"v": bad}], num)
+
+
+def test_coding_errors_name_the_input_row():
+    doc = {"type": "record", "name": "r", "fields": [
+        {"name": "a", "type": "enum", "symbols": ["x", "y"]},
+        {"name": "v", "type": "float"}]}
+    records = [{"a": "x", "v": None}, {"a": "x", "v": 1.0}, {"a": "q", "v": 2.0}]
+    with pytest.raises(DataError, match="record 2: unknown category 'q'"):
+        ingest_records(records, parse_schema(doc))
+    # inside a list, after a rejected row, the earliest bad record is named
+    schema = parse_schema(NESTED_DOC)
+    _, tf, _ = ingest_records([user(20, "F", [("good", 1.0)])], schema)
+    records = [user(None, "F", []), user(30, "F", [("good", 2.0)]),
+               user(40, "F", [("good", 1.0), ("odd", 1.0)]),
+               user(50, "X", [])]
+    with pytest.raises(DataError, match="record 2: unknown category 'odd' "
+                                        "in column user/reviews/review/rating"):
+        ingest_records(records, schema, transform=tf)
 
 
 # -- batch building -------------------------------------------------------------
@@ -390,3 +425,388 @@ def test_flatten_rejects_sibling_lists():
          "items": {"type": "enum", "name": "v"}}]}
     with pytest.raises(DataError, match="one list field"):
         flatten_records([{"l1": ["a"], "l2": ["b"]}], parse_schema(doc))
+    # lists inside nested records are siblings too
+    nested = {"type": "record", "name": "r", "fields": [
+        {"name": "s", "type": {"type": "record", "name": "s",
+                               "fields": [doc["fields"][0]]}},
+        {"name": "t", "type": {"type": "record", "name": "t",
+                               "fields": [doc["fields"][1]]}}]}
+    with pytest.raises(DataError, match="one list field per record; found l1, l2"):
+        flatten_records([{"s": {"l1": []}, "t": {"l2": []}}], parse_schema(nested))
+
+
+def test_flatten_follows_a_list_inside_a_record():
+    schema = parse_schema({"type": "record", "name": "r", "fields": [
+        {"name": "a", "type": "enum"},
+        {"name": "s", "type": {"type": "record", "name": "s", "fields": [
+            {"name": "b", "type": "float"},
+            {"name": "l", "type": "array", "max_len": 3,
+             "items": {"type": "enum", "name": "v"}}]}}]})
+    out = flatten_records([{"a": "x", "s": {"b": 1, "l": ["p", "q"]}},
+                           {"a": "y", "s": {"b": 2, "l": []}},
+                           {"a": "z", "s": {"b": 3, "l": ["r"]}}], schema)
+    assert out["record"] == {"a": ["x", "y", "z"], "s/b": [1.0, 2.0, 3.0]}
+    assert out["item"] == {"a": ["x", "x", "z"], "s/b": [1.0, 1.0, 3.0],
+                           "s/l/v": ["p", "q", "r"]}
+    assert out["item_count"] == 3
+
+
+def test_evaluate_on_lists_of_lists():
+    schema = parse_schema({"type": "record", "name": "r", "fields": [
+        {"name": "l", "type": "array", "max_len": 3, "items": {
+            "type": "array", "name": "inner", "max_len": 2,
+            "items": {"type": "enum", "name": "e"}}}]})
+    records = [{"l": [["a", "b"], [], ["a"]]}, {"l": []}, {"l": [["c"]]}]
+    out = flatten_records(records, schema)
+    assert out["record"] == {} and out["item_count"] == 4
+    assert out["item"] == {"l/e": ["a", "b", "a", "c"]}
+    report = evaluate(records, records, schema, k=1)
+    assert report.marginal["score"] == 1000.0
+    assert list(report.columns) == ["l/e"]
+
+
+# -- the column plan against the per-record walkers it replaced -------------------
+#
+# The ref_* functions are the recursive walkers ingestion and flattening used
+# before the column plan: a shape check that returns a normalised tree, a leaf
+# collector for fitting, a per-record encoder and a batch assembler, and the
+# scalars/explode pair behind flatten_records. The new code must give the
+# same batches, transforms, reports and tables.
+
+def ref_check_shape(value, node, where):
+    if value is None or (isinstance(value, str) and value == ""):
+        raise RefReject("null")
+    if isinstance(node, Enum):
+        if isinstance(value, (dict, list)):
+            raise DataError(f"{where}: field {node.name}: expected a "
+                            f"category, got {type(value).__name__}")
+        return value
+    if isinstance(node, Number):
+        if isinstance(value, bool) or isinstance(value, (dict, list)):
+            raise DataError(f"{where}: field {node.name}: expected a number")
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: field {node.name}: not a number: "
+                            f"{value!r}") from None
+    if isinstance(node, Record):
+        if not isinstance(value, dict):
+            raise DataError(f"{where}: expected an object for {node.name}, "
+                            f"got {type(value).__name__}")
+        out = {}
+        for f in node.fields:
+            if f.name not in value:
+                raise DataError(f"{where}: missing field {f.name!r}")
+            out[f.name] = ref_check_shape(value[f.name], f, where)
+        return out
+    if not isinstance(value, list):
+        raise DataError(f"{where}: expected a list for {node.name}, got "
+                        f"{type(value).__name__}")
+    if len(value) > node.max_len:
+        raise RefReject("overlong")
+    return [ref_check_shape(v, node.items, where) for v in value]
+
+
+class RefReject(Exception):
+    def __init__(self, kind):
+        self.kind = kind
+
+
+def ref_check_records(records, schema):
+    checked, report = [], IngestReport()
+    for i, rec in enumerate(records):
+        try:
+            checked.append(ref_check_shape(rec, schema, f"record {i}"))
+            report.kept += 1
+        except RefReject as r:
+            if r.kind == "null":
+                report.rejected_null += 1
+            else:
+                report.rejected_overlong += 1
+    return checked, report
+
+
+def ref_collect_leaves(tree, node, path, sink):
+    if isinstance(node, (Enum, Number)):
+        sink[path].append(tree)
+    elif isinstance(node, Record):
+        for f in node.fields:
+            ref_collect_leaves(tree[f.name], f, f"{path}/{f.name}", sink)
+    elif isinstance(node, Array):
+        for item in tree:
+            ref_collect_leaves(item, node.items, f"{path}/{node.items.name}", sink)
+
+
+def ref_fit_transform(checked, schema):
+    sink = {p: [] for p, n in walk_paths(schema) if isinstance(n, (Enum, Number))}
+    for tree in checked:
+        ref_collect_leaves(tree, schema, schema.name, sink)
+    vocabs, tables, cards = {}, {}, {}
+    for path, node in walk_paths(schema):
+        if isinstance(node, Enum):
+            if node.symbols is not None:
+                vocabs[path] = list(node.symbols)
+            elif node.cardinality is None:
+                seen = {}
+                for v in sink[path]:
+                    seen.setdefault(v if isinstance(v, str) else str(v), v)
+                vocabs[path] = [seen[k] for k in sorted(seen)]
+                cards[path] = len(vocabs[path])
+        elif isinstance(node, Number):
+            tables[path] = QuantileTable.fit(np.asarray(sink[path], dtype=np.float64),
+                                             node.bins or DEFAULT_BINS,
+                                             integer=node.integer)
+    return Transform(resolve(schema, cards), vocabs, tables)
+
+
+def ref_code_for(tf, path, value, node, where):
+    if path in tf.vocabs:
+        keys = [s if isinstance(s, str) else str(s) for s in tf.vocabs[path]]
+        k = value if isinstance(value, str) else str(value)
+        if k not in keys:
+            raise DataError(f"{where}: unknown category {value!r} in "
+                            f"column {path}")
+        return keys.index(k)
+    try:
+        code = int(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{where}: column {path} expects integer codes, "
+                        f"got {value!r}") from None
+    if not 0 <= code < node.cardinality:
+        raise DataError(f"{where}: code {code} out of range for column "
+                        f"{path} (cardinality {node.cardinality})")
+    return code
+
+
+def ref_encode_tree(tree, node, path, tf, where):
+    if isinstance(node, Enum):
+        return ref_code_for(tf, path, tree, node, where)
+    if isinstance(node, Number):
+        return None
+    if isinstance(node, Record):
+        return {f.name: ref_encode_tree(tree[f.name], f, f"{path}/{f.name}", tf, where)
+                for f in node.fields}
+    return [ref_encode_tree(v, node.items, f"{path}/{node.items.name}", tf, where)
+            for v in tree]
+
+
+def ref_assemble(raw, codes, node, path, tf):
+    if isinstance(node, Enum):
+        return LeafBatch(np.array([0 if c is None else c for c in codes],
+                                  dtype=np.int64))
+    if isinstance(node, Number):
+        vals = np.array([0.0 if v is None else v for v in raw], dtype=np.float64)
+        return LeafBatch(tf.tables[path].bin_values(vals).astype(np.int64))
+    if isinstance(node, Record):
+        return StructBatch({
+            f.name: ref_assemble([None if r is None else r[f.name] for r in raw],
+                                 [None if c is None else c[f.name] for c in codes],
+                                 f, f"{path}/{f.name}", tf)
+            for f in node.fields})
+    b, p = len(raw), node.max_len
+    lengths = np.array([len(r) if r is not None else 0 for r in raw], dtype=np.int64)
+    flat_raw, flat_codes = [], []
+    for row_raw, row_codes in zip(raw, codes):
+        items_r, items_c = row_raw or [], row_codes or []
+        pad = p - len(items_r)
+        flat_raw.extend(items_r + [None] * pad)
+        flat_codes.extend(items_c + [None] * pad)
+    child = ref_assemble(flat_raw, flat_codes, node.items,
+                         f"{path}/{node.items.name}", tf)
+    return ListBatch(lengths, split_leading(child, b, p))
+
+
+def ref_build_batch(checked, tf):
+    schema = tf.schema
+    codes = [ref_encode_tree(r, schema, schema.name, tf, f"record {i}")
+             for i, r in enumerate(checked)]
+    return ref_assemble(checked, codes, schema, schema.name, tf)
+
+
+def ref_flatten_records(records, schema):
+    rec_cols, item_cols = {}, {}
+    has_lists = any(isinstance(n, Array) for _, n in walk_paths(schema))
+
+    def scalars(tree, node, prefix, out):
+        for f in node.fields:
+            name = f"{prefix}{f.name}"
+            if isinstance(f, (Enum, Number)):
+                out[name] = tree[f.name]
+            elif isinstance(f, Record):
+                scalars(tree[f.name], f, name + "/", out)
+
+    def explode(tree, node, prefix, parent_vals):
+        vals = dict(parent_vals)
+        scalars(tree, node, prefix, vals)
+        lists = [f for f in node.fields if isinstance(f, Array)]
+        if not lists:
+            yield vals
+            return
+        if len(lists) > 1:
+            raise DataError("item-level metrics support one list field per "
+                            "record; found " + ", ".join(f.name for f in lists))
+        f = lists[0]
+        for item in tree[f.name]:
+            ip = f"{prefix}{f.name}/"
+            if isinstance(f.items, Record):
+                yield from explode(item, f.items, ip, vals)
+            else:
+                row = dict(vals)
+                row[ip + f.items.name] = item
+                yield row
+
+    for i, rec in enumerate(records):
+        checked = ref_check_shape(rec, schema, f"record {i}")
+        row = {}
+        scalars(checked, schema, "", row)
+        for k, v in row.items():
+            rec_cols.setdefault(k, []).append(v)
+        if has_lists:
+            for item_row in explode(checked, schema, "", {}):
+                for k, v in item_row.items():
+                    item_cols.setdefault(k, []).append(v)
+    n_items = len(next(iter(item_cols.values()))) if item_cols else 0
+    return {"record": rec_cols, "item": item_cols if has_lists else None,
+            "item_count": n_items}
+
+
+def explode_sees_every_list(schema):
+    """True when the old explode walk reached every list of the schema: each
+    list is the single list field of the root or of the previous list's item
+    record, and no list holds lists directly."""
+    n_lists = sum(isinstance(n, Array) for _, n in walk_paths(schema))
+    node, seen = schema, 0
+    while isinstance(node, Record):
+        lists = [f for f in node.fields if isinstance(f, Array)]
+        if len(lists) != 1:
+            break
+        seen += 1
+        node = lists[0].items
+    return seen == n_lists and not isinstance(node, Array)
+
+
+def assert_same_batch(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, LeafBatch):
+        assert a.codes.dtype == b.codes.dtype and a.codes.shape == b.codes.shape
+        assert np.array_equal(a.codes, b.codes)
+    elif isinstance(a, ListBatch):
+        assert a.lengths.dtype == b.lengths.dtype
+        assert np.array_equal(a.lengths, b.lengths)
+        assert_same_batch(a.values, b.values)
+    else:
+        assert list(a.fields) == list(b.fields)
+        for k in a.fields:
+            assert_same_batch(a.fields[k], b.fields[k])
+
+
+def typed(x):
+    """x with every scalar paired with its type, so == also compares types."""
+    if isinstance(x, dict):
+        return [(k, typed(v)) for k, v in x.items()]
+    if isinstance(x, list):
+        return [typed(v) for v in x]
+    return (type(x), x)
+
+
+def random_records(seed, n=40):
+    """(schema, records): a random nested schema (depth 3, enums by
+    cardinality, integer leaves) and records decoded from a random batch,
+    plus one row with a null and one with an overlong list where possible."""
+    rng = np.random.default_rng(seed)
+    schema = parse_schema(random_schema_doc(rng, max_depth=3))
+    codec, _ = compile_schema(schema, width=8, blocks=1, heads=2, seed=0)
+    tf = Transform(schema, {}, {
+        p: QuantileTable.fit(rng.integers(0, 50, 100).astype(float), node.bins,
+                             integer=True)
+        for p, node in walk_paths(schema) if isinstance(node, Number)})
+    records = records_from_batch(random_batch(codec, n, rng, False), tf)
+    return schema, records
+
+
+def rejected_rows(schema, record):
+    """Copies of a record with a null leaf and, if the root has a list field,
+    with that list made overlong."""
+    out = []
+    nulled = json.loads(json.dumps(record))
+    node, tree = schema, nulled
+    while isinstance(node, Record):
+        f = node.fields[-1]
+        if isinstance(f, (Enum, Number)):
+            tree[f.name] = None
+            out.append(nulled)
+            break
+        if not isinstance(f, Record):
+            break
+        node, tree = f, tree[f.name]
+    for f in schema.fields:
+        if isinstance(f, Array):
+            long = json.loads(json.dumps(record))
+            long[f.name] = [long[f.name][0] if long[f.name] else None] * (f.max_len + 1)
+            out.append(long)
+            break
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ingest_matches_reference_walkers(seed):
+    schema, records = random_records(seed)
+    rejected = rejected_rows(schema, records[0])
+    records = records[:5] + rejected + records[5:]
+    checked, report = check_records(records, schema)
+    ref_checked, ref_report = ref_check_records(records, schema)
+    assert report == ref_report and report.rejected == len(rejected)
+    assert len(checked) == len(ref_checked)
+    tf = fit_transform(checked, schema)
+    ref_tf = ref_fit_transform(ref_checked, schema)
+    assert tf.schema == ref_tf.schema
+    assert typed(tf.vocabs) == typed(ref_tf.vocabs)
+    assert list(tf.tables) == list(ref_tf.tables)
+    for path, table in tf.tables.items():
+        assert np.array_equal(table.q, ref_tf.tables[path].q)
+        assert table.integer == ref_tf.tables[path].integer
+    assert_same_batch(build_batch(checked, tf), ref_build_batch(ref_checked, ref_tf))
+    # new data through a fitted transform, as held-out records are encoded
+    tree, _, _ = ingest_records(records[::-1], schema, transform=tf)
+    assert_same_batch(tree, ref_build_batch(ref_check_records(records[::-1],
+                                                              schema)[0], tf))
+
+
+def test_csv_strings_ingest_like_reference(tmp_path):
+    schema = parse_schema({"type": "record", "name": "r", "fields": [
+        {"name": "a", "type": "enum"},
+        {"name": "v", "type": "float", "bins": 3},
+        {"name": "k", "type": "int", "bins": 2}]})
+    path = write(tmp_path, "t.csv",
+                 "a,v,k\nx,1.5,3\n,2.0,1\ny,0.25,7\nx,-4,2\ny,9e1,5\n")
+    records = read_records(path)
+    tree, tf, report = ingest(path, schema)
+    ref_checked, ref_report = ref_check_records(records, schema)
+    ref_tf = ref_fit_transform(ref_checked, schema)
+    assert report == ref_report and report.rejected_null == 1
+    assert typed(tf.vocabs) == typed(ref_tf.vocabs)
+    assert all(np.array_equal(tf.tables[p].q, ref_tf.tables[p].q) for p in tf.tables)
+    assert_same_batch(tree, ref_build_batch(ref_checked, ref_tf))
+    kept = records[:1] + records[2:]
+    assert typed(flatten_records(kept, schema)) == \
+        typed(ref_flatten_records(kept, schema))
+
+
+def test_flatten_and_evaluate_match_reference_walkers(monkeypatch):
+    compared = 0
+    for seed in range(30):
+        schema, records = random_records(seed)
+        if not explode_sees_every_list(schema):
+            continue
+        compared += 1
+        assert typed(flatten_records(records, schema)) == \
+            typed(ref_flatten_records(records, schema))
+        real, synth = records[:25], records[25:]
+        report = json.dumps(evaluate(real, synth, schema, k=1).to_json(),
+                            sort_keys=True)
+        monkeypatch.setattr(metrics, "flatten_records", ref_flatten_records)
+        ref_report = json.dumps(evaluate(real, synth, schema, k=1).to_json(),
+                                sort_keys=True)
+        monkeypatch.undo()
+        assert report == ref_report
+    assert compared >= 6
