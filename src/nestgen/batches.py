@@ -50,16 +50,6 @@ def take(tree, idx):
     return StructBatch({k: take(v, idx) for k, v in tree.fields.items()})
 
 
-def take_positions(tree, idx):
-    """Per-row gather along the capacity axis: out[b, i] = tree[b, idx[b, i]]."""
-    rows = np.arange(idx.shape[0])[:, None]
-    if isinstance(tree, LeafBatch):
-        return LeafBatch(tree.codes[rows, idx])
-    if isinstance(tree, ListBatch):
-        return ListBatch(tree.lengths[rows, idx], take_positions(tree.values, idx))
-    return StructBatch({k: take_positions(v, idx) for k, v in tree.fields.items()})
-
-
 def merge_leading(tree):
     """Merge the first two axes of every array: (B, P, ...) -> (B*P, ...)."""
     if isinstance(tree, LeafBatch):

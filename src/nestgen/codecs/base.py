@@ -3,11 +3,15 @@
 A codec turns an observation into a fixed-width embedding plus a context, and
 turns a conditioning vector plus that context into a distribution
 representation whose negative log likelihood against the observation is the
-training loss. Sampling draws each child from its decoder conditioning and
-feeds the draw back through the encoder, one position at a time. Composite
-codecs own child codecs and wire them together with causal attention; the
-root codec is decoded from a fixed initial conditioning vector, and the
-embedding it produces is simply unused there.
+training loss. A context holds only what `decode` (and a composite's
+`reshuffle`) reads; a leaf's is None. Contexts are never reordered: a
+shuffled list's decoder slot 1+i conditions element perm[b, i], and decode
+gathers each element's slot back (see `composites`). Sampling draws each
+child from its decoder conditioning and feeds the draw back through the
+encoder, one position at a time. Composite codecs own child codecs and wire
+them together with causal attention; the root codec is decoded from a fixed
+initial conditioning vector, and the embedding it produces is simply unused
+there.
 """
 
 from __future__ import annotations
@@ -22,23 +26,14 @@ from ..params import ParamStore
 C0_PATH = "~c0"
 
 
-class TrivialCtx:
-    """Context of a codec that needs nothing from its encoder at decode time."""
-
-    def take(self, idx):
-        return self
-
-
-TRIVIAL = TrivialCtx()
-
-
 class Codec:
     path: str
     width: int
 
     def encode(self, x, rng=None):
-        """Return (embedding (B, d) Tensor, context). rng drives shuffle
-        permutations; rng=None means identity order everywhere."""
+        """Return (embedding (B, d) Tensor, context); the context is None for
+        a leaf. rng drives shuffle permutations; rng=None means identity
+        order everywhere."""
         raise NotImplementedError
 
     def decode(self, cond: Tensor, ctx):
@@ -55,14 +50,6 @@ class Codec:
         a parent appends it to its own encoder sequence. Composites decode
         with cached attention steps, never a stack over a whole prefix."""
         raise NotImplementedError
-
-    def reshuffle(self, ctx, rng):
-        """Redraw shuffle permutations reusing cached child encodings.
-
-        Returns (embedding or None, context, changed). Plain codecs pass
-        through untouched; see composite codecs for the real work.
-        """
-        return None, ctx, False
 
     def children(self):
         return []
@@ -100,9 +87,10 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
                 passes: int = 1) -> list[Tensor]:
     """Per-example loss vector for each decoding pass.
 
-    The observation is encoded once; later passes redraw shuffle permutations
-    on the cached child encodings. With no shuffled node anywhere, passes > 1
-    is a configuration error rather than silent duplicate work.
+    The observation is encoded once; each later pass calls the root's
+    `reshuffle` (composites only), which redraws the orders and re-runs only
+    the subtrees that hold a shuffled node. With no shuffled node anywhere,
+    passes > 1 is a configuration error rather than silent duplicate work.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
@@ -113,7 +101,7 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
     out = []
     for p in range(passes):
         if p > 0:
-            _, ctx, _ = codec.reshuffle(ctx, rng)
+            _, ctx = codec.reshuffle(ctx, rng)
         rep = codec.decode(root_conditioning(store, n, codec.width), ctx)
         out.append(codec.loss_terms(rep, batch))
     return out

@@ -9,13 +9,17 @@ autoregressive factorisation of the node. Orders come only from the `rng`
 given to `encode` and `reshuffle`: a struct takes `rng.permutation(n)`, a
 list sorts `rng.random((B, max_len))` keys over each row's valid prefix.
 
-Indexing convention used throughout (0-based): for a struct with n fields the
-encoder reads embeddings at positions 0..n-1 and the decoder reads
-(conditioning, digest 0, ..., digest n-2), so decoder output slot k
-conditions field k. For a list, encoder position 0 is the length embedding
-and position 1+i is element i; decoder output slot 0 conditions the length
-and slot 1+i conditions element i. Padded positions are masked out of
-attention and contribute exactly zero loss and gradient.
+Indexing convention used throughout (0-based): for a struct with n fields in
+order perm the encoder reads the embedding of field perm[k] at position k and
+the decoder reads (conditioning, digest 0, ..., digest n-2), so decoder
+output slot k conditions field perm[k]. For a list, encoder position 0 is the
+length embedding and position 1+i is element perm[b, i] (element i when the
+list is not shuffled); decoder output slot 0 conditions the length and slot
+1+i conditions element perm[b, i]. Decode gathers each element's slot back
+(`np.argsort(perm)`), so the value codec decodes and scores in element order
+against its own context, and the per-element losses are summed in slot
+order. Padded positions are masked out of attention and contribute exactly
+zero loss and gradient; a permutation keeps them in place.
 
 Sampling walks the same order one slot at a time with cached attention
 (`AttentionStack.step`): a decoder step on the conditioning gives slot 0;
@@ -34,10 +38,9 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..batches import (LeafBatch, ListBatch, StructBatch, merge_leading, put_rows,
-                       split_leading, take_positions)
+from ..batches import LeafBatch, ListBatch, StructBatch, merge_leading, put_rows, split_leading
 from ..transformer import AttentionStack, KVCache, TransformerConfig
-from .base import Codec, TRIVIAL
+from .base import Codec
 from .primitives import CategoricalCodec, LogitsRep
 
 
@@ -50,12 +53,6 @@ class StructCtx:
         self.child_ctxs = child_ctxs
         self.perm = perm
 
-    def take(self, idx):
-        return StructCtx(ad.take_rows(self.digests, idx),
-                         [ad.take_rows(e, idx) for e in self.embs],
-                         [c.take(idx) for c in self.child_ctxs],
-                         self.perm)
-
 
 class StructRep:
     __slots__ = ("fields", "perm")
@@ -66,48 +63,27 @@ class StructRep:
 
 
 class ListCtx:
-    __slots__ = ("digests", "len_emb", "val_embs", "val_ctx", "slot_embs",
-                 "slot_ctx", "lengths", "mask", "perm")
+    """Element embeddings and contexts are in element order; perm[b, i] is
+    the element in slot i of row b (None: identity)."""
 
-    def __init__(self, digests, len_emb, val_embs, val_ctx, slot_embs, slot_ctx,
-                 lengths, mask, perm):
+    __slots__ = ("digests", "len_emb", "val_embs", "val_ctx", "lengths", "mask", "perm")
+
+    def __init__(self, digests, len_emb, val_embs, val_ctx, lengths, mask, perm):
         self.digests = digests
         self.len_emb = len_emb
         self.val_embs = val_embs
         self.val_ctx = val_ctx
-        self.slot_embs = slot_embs
-        self.slot_ctx = slot_ctx
         self.lengths = lengths
         self.mask = mask
         self.perm = perm
 
-    def take(self, idx):
-        idx = np.asarray(idx)
-        P = self.mask.shape[1]
-        flat = (idx[:, None] * P + np.arange(P)).ravel()
-        vctx = self.val_ctx.take(flat)
-        if self.perm is None:
-            slot_embs = ad.take_rows(self.val_embs, idx)
-            slot_ctx = vctx
-            new_perm = None
-        else:
-            slot_embs = ad.take_rows(self.slot_embs, idx)
-            slot_ctx = self.slot_ctx.take(flat)
-            new_perm = self.perm[idx]
-        return ListCtx(ad.take_rows(self.digests, idx),
-                       ad.take_rows(self.len_emb, idx),
-                       ad.take_rows(self.val_embs, idx),
-                       vctx, slot_embs, slot_ctx,
-                       self.lengths[idx], self.mask[idx], new_perm)
-
 
 class ListRep:
-    __slots__ = ("length", "values", "lengths", "mask", "perm")
+    __slots__ = ("length", "values", "mask", "perm")
 
-    def __init__(self, length, values, lengths, mask, perm):
+    def __init__(self, length, values, mask, perm):
         self.length = length
         self.values = values
-        self.lengths = lengths
         self.mask = mask
         self.perm = perm
 
@@ -203,19 +179,14 @@ class StructCodec(Codec):
         return total
 
     def reshuffle(self, ctx: StructCtx, rng):
-        embs = list(ctx.embs)
-        ctxs = []
-        changed = False
+        """Redraw the orders in this subtree, which holds a shuffled node:
+        children without one keep their cached embeddings and contexts.
+        Returns (embedding, context) as `encode` does."""
+        embs, ctxs = list(ctx.embs), list(ctx.child_ctxs)
         for k, child in enumerate(self._children):
-            e, c, ch = child.reshuffle(ctx.child_ctxs[k], rng)
-            if ch:
-                embs[k] = e
-                changed = True
-            ctxs.append(c)
-        if not (changed or self.shuffled):
-            return None, ctx, False
-        emb, ctx2 = self._digest(embs, ctxs, self._draw_perm(rng))
-        return emb, ctx2, True
+            if child.has_shuffle():
+                embs[k], ctxs[k] = child.reshuffle(ctxs[k], rng)
+        return self._digest(embs, ctxs, self._draw_perm(rng))
 
     def sample(self, cond, rng):
         dec = _Decoding(self, cond)
@@ -266,20 +237,12 @@ class ListCodec(Codec):
 
     def _digest(self, e_len, val_embs, val_ctx, lengths, mask, perm):
         B = lengths.shape[0]
-        P = self.max_len
-        if perm is not None:
-            slot_embs = ad.gather_positions(val_embs, perm)
-            flat = (np.arange(B)[:, None] * P + perm).ravel()
-            slot_ctx = val_ctx.take(flat)
-        else:
-            slot_embs, slot_ctx = val_embs, val_ctx
-        seq = ad.concat([ad.reshape(e_len, (B, 1, self.width)), slot_embs], axis=1)
+        ordered = val_embs if perm is None else ad.gather_positions(val_embs, perm)
+        seq = ad.concat([ad.reshape(e_len, (B, 1, self.width)), ordered], axis=1)
         valid = np.concatenate([np.ones((B, 1), dtype=bool), mask], axis=1)
         digests = self.enc(seq, valid=valid)
         emb = ad.reshape(ad.gather_positions(digests, lengths[:, None]), (B, self.width))
-        ctx = ListCtx(digests, e_len, val_embs, val_ctx, slot_embs, slot_ctx,
-                      lengths, mask, perm)
-        return emb, ctx
+        return emb, ListCtx(digests, e_len, val_embs, val_ctx, lengths, mask, perm)
 
     def encode(self, x: ListBatch, rng=None):
         lengths = np.asarray(x.lengths, dtype=np.int64)
@@ -302,11 +265,13 @@ class ListCodec(Codec):
         pos = np.arange(P + 1)[None, :]
         valid = (pos <= ctx.lengths[:, None]) | (pos <= 1)
         h = self.dec(dec_in, valid=valid)
-        d_len = self.len_codec.decode(ad.reshape(ad.narrow(h, 1, 0, 1), (B, self.width)),
-                                      TRIVIAL)
-        val_cond = ad.reshape(ad.narrow(h, 1, 1, P), (B * P, self.width))
-        d_val = self.value_codec.decode(val_cond, ctx.slot_ctx)
-        return ListRep(d_len, d_val, ctx.lengths, ctx.mask, ctx.perm)
+        d_len = self.len_codec.decode(ad.reshape(ad.narrow(h, 1, 0, 1), (B, self.width)), None)
+        slots = ad.narrow(h, 1, 1, P)
+        if ctx.perm is not None:
+            # element j was fed in the slot i with perm[b, i] == j
+            slots = ad.gather_positions(slots, np.argsort(ctx.perm, axis=1))
+        d_val = self.value_codec.decode(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx)
+        return ListRep(d_len, d_val, ctx.mask, ctx.perm)
 
     def loss_terms(self, rep: ListRep, x: ListBatch) -> Tensor:
         # length loss plus the sum over valid element positions, unnormalised:
@@ -314,21 +279,23 @@ class ListCodec(Codec):
         lengths = np.asarray(x.lengths, dtype=np.int64)
         B, P = rep.mask.shape
         len_loss = self.len_codec.loss_terms(rep.length, LeafBatch(lengths))
-        targets = x.values if rep.perm is None else take_positions(x.values, rep.perm)
-        v = self.value_codec.loss_terms(rep.values, merge_leading(targets))
-        v = ad.mul_const(ad.reshape(v, (B, P)), rep.mask.astype(np.float64))
+        v = ad.reshape(self.value_codec.loss_terms(rep.values, merge_leading(x.values)), (B, P))
+        if rep.perm is not None:
+            # summed in slot order, so a shuffled pass is bitwise equal to a
+            # plain pass on the reordered observation
+            v = ad.gather_positions(v, rep.perm)
+        v = ad.mul_const(v, rep.mask.astype(np.float64))
         return ad.add(len_loss, ad.sum_axis(v, 1))
 
     def reshuffle(self, ctx: ListCtx, rng):
-        B, P = ctx.mask.shape
-        e2, vctx2, changed = self.value_codec.reshuffle(ctx.val_ctx, rng)
-        val_embs = ad.reshape(e2, (B, P, self.width)) if changed else ctx.val_embs
-        vctx = vctx2 if changed else ctx.val_ctx
-        if not (changed or self.shuffled):
-            return None, ctx, False
+        """As `StructCodec.reshuffle`: the value codec is re-run only when it
+        holds a shuffled node, and its draws come before this list's."""
+        val_embs, val_ctx = ctx.val_embs, ctx.val_ctx
+        if self.value_codec.has_shuffle():
+            e, val_ctx = self.value_codec.reshuffle(val_ctx, rng)
+            val_embs = ad.reshape(e, val_embs.shape)
         perm = self._draw_perm(rng, ctx.mask)
-        return (*self._digest(ctx.len_emb, val_embs, vctx, ctx.lengths, ctx.mask, perm),
-                True)
+        return self._digest(ctx.len_emb, val_embs, val_ctx, ctx.lengths, ctx.mask, perm)
 
     def sample(self, cond, rng):
         B = cond.shape[0]

@@ -7,7 +7,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..batches import LeafBatch
-from .base import Codec, TRIVIAL
+from .base import Codec
 
 DEFAULT_BINS = 100
 
@@ -38,7 +38,7 @@ class CategoricalCodec(Codec):
         codes = np.asarray(x.codes)
         if codes.min(initial=0) < 0 or codes.max(initial=0) >= self.cardinality:
             raise ValueError(f"{self.path}: code out of range 0..{self.cardinality - 1}")
-        return ad.gather_rows(self.w, codes), TRIVIAL
+        return ad.gather_rows(self.w, codes), None
 
     def decode(self, cond: Tensor, ctx) -> LogitsRep:
         return LogitsRep(ad.matmul(cond, self.w, transpose_b=True))

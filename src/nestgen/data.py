@@ -400,19 +400,22 @@ def _decode(tree, node, path, tf, rng):
 
 def write_records(records, schema, path, fmt) -> None:
     """Records -> file. CSV only for flat schemas; an empty CSV still gets
-    its header row."""
+    its header row. The file is written beside `path` and moved into place
+    when complete, so a failed write leaves `path` as it was."""
+    # artifact imports this module, so its writer is imported at call time
+    from .artifact import atomic_write
     if fmt == "csv":
         if not is_flat(schema):
             raise DataError("CSV output requires a flat record schema; "
                             "choose jsonl")
         names = [f.name for f in schema.fields]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(names)
             for rec in records:
                 w.writerow([_csv_cell(rec[n]) for n in names])
     elif fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
     else:

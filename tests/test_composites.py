@@ -169,19 +169,6 @@ def test_struct_sample_reproducible(rng):
         assert np.array_equal(a.fields[name].codes, b.fields[name].codes)
 
 
-def test_struct_ctx_take_matches_row_selection():
-    codec, store = flat_struct([3, 3, 3], seed=8)
-    x = struct_batch([[0, 1, 2, 1], [2, 0, 1, 1], [1, 1, 0, 2]])
-    _, ctx = codec.encode(x)
-    idx = np.array([3, 0])
-    sub = ctx.take(idx)
-    rep_full = codec.decode(root_conditioning(store, 4, 8), ctx)
-    rep_sub = codec.decode(root_conditioning(store, 2, 8), sub)
-    for k in range(3):
-        assert np.array_equal(rep_sub.fields[k].logits.data,
-                              rep_full.fields[k].logits.data[idx])
-
-
 # -- struct shuffling ---------------------------------------------------------
 
 def test_identity_permutation_equals_plain_pass():
@@ -358,19 +345,6 @@ def test_padding_is_invisible_and_gradient_free():
     assert np.any(g[~pad] != 0.0)
 
 
-def test_list_ctx_take_matches_row_selection():
-    codec, store = cat_list(4, max_len=3, seed=19)
-    x = list_batch([1, 3, 2], [[2], [0, 1, 3], [3, 3]], 3)
-    _, ctx = codec.encode(x)
-    rep = codec.decode(root_conditioning(store, 3, 8), ctx)
-    idx = np.array([2, 1])
-    sub = codec.decode(root_conditioning(store, 2, 8), ctx.take(idx))
-    assert np.array_equal(sub.length.logits.data, rep.length.logits.data[idx])
-    full_vals = rep.values.logits.data.reshape(3, 3, -1)
-    sub_vals = sub.values.logits.data.reshape(2, 3, -1)
-    assert np.array_equal(sub_vals, full_vals[idx])
-
-
 # -- set codec (shuffled list) -------------------------------------------------
 
 def identity_perm(b, p):
@@ -385,20 +359,48 @@ def test_set_identity_perm_equals_plain_list():
     assert plain == forced
 
 
+def record_set(max_len, seed):
+    """Shuffled list of (enum, numeric) records."""
+    store = ParamStore()
+    rng = np.random.default_rng(seed)
+    tcfg = TransformerConfig(width=8, blocks=1, heads=2)
+    kids = [CategoricalCodec("l/item/e", 3, 8, store, rng),
+            NumericalCodec("l/item/n", 5, 8, store, rng)]
+    item = StructCodec("l/item", ["e", "n"], kids, tcfg, store, rng)
+    return ListCodec("l", item, max_len, tcfg, store, rng, shuffled=True), store
+
+
+def reordered_values(tree, perm):
+    """out[b, i] = tree[b, perm[b, i]] on every leaf of a list's values."""
+    if isinstance(tree, LeafBatch):
+        return LeafBatch(np.take_along_axis(tree.codes, perm, axis=1))
+    return StructBatch({k: reordered_values(v, perm) for k, v in tree.fields.items()})
+
+
 def test_set_perm_equals_reordered_observation():
-    # shuffled loss with sigma == plain loss on the sigma-reordered rows
+    # shuffled loss with perm == plain loss on the perm-reordered rows
     codec, store = cat_list(5, max_len=4, shuffled=True, seed=21)
-    lengths = [3, 4]
-    rows = [[4, 0, 2], [1, 3, 0, 2]]
-    x = list_batch(lengths, rows, 4)
+    x = list_batch([3, 4], [[4, 0, 2], [1, 3, 0, 2]], 4)
     perm = np.array([[2, 0, 1, 3],   # valid prefix permuted, pad stays put
                      [3, 1, 0, 2]], dtype=np.int64)
-    shuffled = pass_losses(codec, store, x, rng=ForcedOrder(perm=perm))[0]
-    reordered = list_batch(lengths,
-                           [[rows[0][k] for k in perm[0][:3]],
-                            [rows[1][k] for k in perm[1]]], 4)
-    plain = pass_losses(codec, store, reordered)[0]
-    assert np.array_equal(shuffled.data, plain.data)
+    cases = [(codec, store, x, perm)]
+    # a list of records, whose elements decode against their own contexts
+    codec, store = record_set(max_len=5, seed=27)
+    rng = np.random.default_rng(28)
+    B, P = 6, 5
+    for _ in range(20):
+        lengths = rng.integers(0, P + 1, B)
+        x = ListBatch(lengths, StructBatch({"e": LeafBatch(rng.integers(0, 3, (B, P))),
+                                            "n": LeafBatch(rng.integers(0, 5, (B, P)))}))
+        perm = np.tile(np.arange(P), (B, 1))
+        for b, m in enumerate(lengths):
+            perm[b, :m] = rng.permutation(m)
+        cases.append((codec, store, x, perm))
+    for codec, store, x, perm in cases:
+        shuffled = pass_losses(codec, store, x, rng=ForcedOrder(perm=perm))[0]
+        reordered = ListBatch(x.lengths, reordered_values(x.values, perm))
+        plain = pass_losses(codec, store, reordered)[0]
+        assert np.array_equal(shuffled.data, plain.data)
 
 
 def test_set_empty_rows_unaffected_by_shuffle():

@@ -341,6 +341,23 @@ def test_write_jsonl_keeps_empty_lists(tmp_path):
     assert json.loads(line)["reviews"] == []
 
 
+@pytest.mark.parametrize("fmt, bad", [
+    ("jsonl", dict(user(30, "M", []), x=object())),  # not JSON
+    ("csv", {"a": "x"}),  # no value for column b
+])
+def test_failed_write_leaves_old_output(tmp_path, fmt, bad):
+    doc = NESTED_DOC if fmt == "jsonl" else FLAT_DOC
+    schema = parse_schema(doc)
+    good = (user(20, "F", []) if fmt == "jsonl" else {"a": "x", "b": "y"})
+    out = tmp_path / f"out.{fmt}"
+    write_records([good], schema, str(out), fmt)
+    old = out.read_bytes()
+    with pytest.raises((TypeError, KeyError)):
+        write_records([good] * 3 + [bad], schema, str(out), fmt)
+    assert out.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
 def test_write_csv_rejects_nested(tmp_path):
     with pytest.raises(DataError, match="flat"):
         write_records([], parse_schema(NESTED_DOC), str(tmp_path / "x.csv"), "csv")

@@ -39,6 +39,12 @@ SHUFFLED = {"type": "record", "name": "r", "shuffled": True, "fields": [
                                                 "cardinality": 3}}}}]}
 
 
+# only the list is shuffled: its record elements are encoded once per step
+SHUFFLED_LIST = {"type": "record", "name": "r", "fields": [
+    STRUCT_LIST_STRUCT["fields"][0],
+    {"name": "l", "type": {**STRUCT_LIST_STRUCT["fields"][1]["type"], "shuffled": True}}]}
+
+
 def compiled(doc, seed=0):
     return compile_schema(parse_schema(doc), width=8, blocks=2, heads=2, seed=seed)
 
@@ -90,7 +96,8 @@ def test_shuffled_passes_average_to_train_step(seed):
         np.testing.assert_allclose(mean[path], g, rtol=0, atol=1e-10, err_msg=path)
 
 
-@pytest.mark.parametrize("doc,passes", [(STRUCT_LIST_STRUCT, 1), (SHUFFLED, 2)])
+@pytest.mark.parametrize("doc,passes", [(STRUCT_LIST_STRUCT, 1), (SHUFFLED, 2),
+                                        (SHUFFLED_LIST, 2)])
 def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
     codec, store = compiled(doc, seed=80)
     call = AttentionStack.__call__
@@ -101,15 +108,22 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
         return call(self, x, valid)
 
     monkeypatch.setattr(AttentionStack, "__call__", counted)
-    stacks = {id(c.enc) for c in codec.walk() if hasattr(c, "enc")}
-    stacks |= {id(c.dec) for c in codec.walk() if hasattr(c, "dec")}
+    # every decoder runs once per pass; an encoder is re-run on later passes
+    # only when its subtree holds a shuffled node
+    composites = [c for c in codec.walk() if hasattr(c, "enc")]
+    expected = {id(c.dec): passes for c in composites}
+    expected |= {id(c.enc): passes if c.has_shuffle() else 1 for c in composites}
+    if doc is SHUFFLED:
+        assert set(expected.values()) == {passes}
+    if doc is SHUFFLED_LIST:
+        inner = codec.children()[1].value_codec
+        assert expected[id(inner.enc)] == 1 and expected[id(codec.enc)] == 2
     for n in (1, 8):
         counts.clear()
         batch = random_batch(codec, n, np.random.default_rng(n))
         per_example_gradients(codec, store, batch, rng=np.random.default_rng(0),
                               passes=passes)
-        assert set(counts) == stacks
-        assert all(1 <= c <= passes for c in counts.values())
+        assert counts == expected
         batched = dict(counts)
         counts.clear()
         train_step(codec, store, batch, rng=np.random.default_rng(0), passes=passes)
