@@ -147,6 +147,8 @@ def cmd_fit(args) -> int:
         history = trainer.fit(codec, store, tree, cfg, dp=dp, log_path=log_path)
     except (FloatingPointError, ValueError) as e:
         raise CliError("train", str(e))
+    except OSError as e:
+        raise CliError("save", f"cannot write run log: {log_path}: {e.strerror or e}")
     means = trainer.epoch_means(history)
     log.info("final epoch mean loss %.6f", means[-1])
 

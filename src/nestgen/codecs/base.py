@@ -1,17 +1,16 @@
-"""The codec contract: encoder, decoder, sampler, loss for one schema node.
+"""The codec contract: encode, score and sample one schema node.
 
-A codec turns an observation into a fixed-width embedding plus a context, and
-turns a conditioning vector plus that context into a distribution
-representation whose negative log likelihood against the observation is the
-training loss. A context holds only what `decode` (and a composite's
-`reshuffle`) reads; a leaf's is None. Contexts are never reordered: a
-shuffled list's decoder slot 1+i conditions element perm[b, i], and decode
-gathers each element's slot back (see `composites`). Sampling draws each
-child from its decoder conditioning and feeds the draw back through the
-encoder, one position at a time. Composite codecs own child codecs and wire
-them together with causal attention; the root codec is decoded from a fixed
-initial conditioning vector, and the embedding it produces is simply unused
-there.
+`encode` turns an observation into a fixed-width embedding plus a context.
+`loss_terms` runs the decoder from a conditioning vector and that context
+and scores the observation in the same walk: its per-example negative log
+likelihood is the training loss. `sample` draws each child from its decoder
+conditioning and feeds the draw back through the encoder, one position at a
+time. A context holds only what `loss_terms` (and a composite's `reshuffle`)
+reads; a leaf's is None. Contexts are never reordered: a shuffled list's
+decoder slot 1+i conditions element perm[b, i], and `loss_terms` gathers
+each element's slot back (see `composites`). Composite codecs own child
+codecs and wire them together with causal attention; the root codec is
+scored from a fixed initial conditioning vector, and its embedding is unused.
 """
 
 from __future__ import annotations
@@ -24,9 +23,12 @@ from ..batches import concat_trees, n_rows
 from ..params import ParamStore
 
 C0_PATH = "~c0"
+SAMPLE_CHUNK = 32768  # rows per root `sample` call in `sample_rows`
 
 
 class Codec:
+    """A codec's three duties: encode, score (`loss_terms`) and sample."""
+
     path: str
     width: int
 
@@ -36,11 +38,10 @@ class Codec:
         order everywhere."""
         raise NotImplementedError
 
-    def decode(self, cond: Tensor, ctx):
-        raise NotImplementedError
-
-    def loss_terms(self, rep, x) -> Tensor:
-        """Per-example negative log likelihood, shape (B,)."""
+    def loss_terms(self, cond: Tensor, ctx, x) -> Tensor:
+        """Decode from conditioning rows (B, d) and the context `encode`
+        returned for x; returns the per-example negative log likelihood of
+        x, shape (B,)."""
         raise NotImplementedError
 
     def sample(self, cond, rng):
@@ -102,8 +103,8 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
     for p in range(passes):
         if p > 0:
             _, ctx = codec.reshuffle(ctx, rng)
-        rep = codec.decode(root_conditioning(store, n, codec.width), ctx)
-        out.append(codec.loss_terms(rep, batch))
+        out.append(codec.loss_terms(root_conditioning(store, n, codec.width),
+                                    ctx, batch))
     return out
 
 
@@ -163,15 +164,14 @@ def unflatten_gradients(store: ParamStore, flat: np.ndarray) -> dict[str, np.nda
     return out
 
 
-def sample_rows(codec: Codec, store: ParamStore, count: int, rng,
-                chunk: int = 32768):
-    """Draw `count` observations from the root codec in bounded chunks."""
+def sample_rows(codec: Codec, store: ParamStore, count: int, rng):
+    """Draw `count` observations from the root codec in SAMPLE_CHUNK chunks."""
     if count == 0:
         return codec.zero_batch(0)
     parts = []
     left = count
     while left > 0:
-        n = min(left, chunk)
+        n = min(left, SAMPLE_CHUNK)
         cond = root_conditioning(store, n, codec.width)
         tree, _ = codec.sample(cond, rng)
         parts.append(tree)

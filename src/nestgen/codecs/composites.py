@@ -3,7 +3,8 @@
 Child observations are encoded bottom-up into fixed-width embeddings; a
 causal attention stack turns the embedding sequence into running digests, and
 a second stack turns (conditioning, digests) into one conditioning vector per
-child for decoding. Optionally the order children enter the digest sequence
+child, against which `loss_terms` scores the child in the same walk (a list
+scores its length first). Optionally the order children enter the digests
 is shuffled per pass, which trains the model to be usable under any
 autoregressive factorisation of the node. Orders come only from the `rng`
 given to `encode` and `reshuffle`: a struct takes `rng.permutation(n)`, a
@@ -15,8 +16,8 @@ the decoder reads (conditioning, digest 0, ..., digest n-2), so decoder
 output slot k conditions field perm[k]. For a list, encoder position 0 is the
 length embedding and position 1+i is element perm[b, i] (element i when the
 list is not shuffled); decoder output slot 0 conditions the length and slot
-1+i conditions element perm[b, i]. Decode gathers each element's slot back
-(`np.argsort(perm)`), so the value codec decodes and scores in element order
+1+i conditions element perm[b, i]. `loss_terms` gathers each element's slot
+back (`np.argsort(perm)`), so the value codec scores in element order
 against its own context, and the per-element losses are summed in slot
 order. Padded positions are masked out of attention and contribute exactly
 zero loss and gradient; a permutation keeps them in place.
@@ -41,7 +42,7 @@ from ..autodiff import Tensor
 from ..batches import LeafBatch, ListBatch, StructBatch, merge_leading, put_rows, split_leading
 from ..transformer import AttentionStack, KVCache, TransformerConfig
 from .base import Codec
-from .primitives import CategoricalCodec, LogitsRep
+from .primitives import CategoricalCodec
 
 
 class StructCtx:
@@ -51,14 +52,6 @@ class StructCtx:
         self.digests = digests
         self.embs = embs
         self.child_ctxs = child_ctxs
-        self.perm = perm
-
-
-class StructRep:
-    __slots__ = ("fields", "perm")
-
-    def __init__(self, fields, perm):
-        self.fields = fields
         self.perm = perm
 
 
@@ -74,16 +67,6 @@ class ListCtx:
         self.val_embs = val_embs
         self.val_ctx = val_ctx
         self.lengths = lengths
-        self.mask = mask
-        self.perm = perm
-
-
-class ListRep:
-    __slots__ = ("length", "values", "mask", "perm")
-
-    def __init__(self, length, values, mask, perm):
-        self.length = length
-        self.values = values
         self.mask = mask
         self.perm = perm
 
@@ -152,7 +135,7 @@ class StructCodec(Codec):
             ctxs.append(c)
         return self._digest(embs, ctxs, self._draw_perm(rng))
 
-    def decode(self, cond: Tensor, ctx: StructCtx) -> StructRep:
+    def loss_terms(self, cond: Tensor, ctx: StructCtx, x: StructBatch) -> Tensor:
         n = len(self._children)
         B = cond.data.shape[0]
         c_col = ad.reshape(cond, (B, 1, self.width))
@@ -161,20 +144,13 @@ class StructCodec(Codec):
         else:
             dec_in = c_col
         h = self.dec(dec_in)
-        reps = [None] * n
+        # scored and summed in decoder slot order so a shuffled pass is bitwise
+        # equal to a plain codec whose children were reordered the same way
+        total = None
         for slot in range(n):
             k = ctx.perm[slot]
             cond_k = ad.reshape(ad.narrow(h, 1, slot, 1), (B, self.width))
-            reps[k] = self._children[k].decode(cond_k, ctx.child_ctxs[k])
-        return StructRep(reps, ctx.perm)
-
-    def loss_terms(self, rep: StructRep, x: StructBatch) -> Tensor:
-        # summed in decoder slot order so a shuffled pass is bitwise equal to
-        # a plain codec whose children were reordered the same way
-        total = None
-        for slot in range(len(self._children)):
-            k = rep.perm[slot]
-            term = self._children[k].loss_terms(rep.fields[k], x.fields[self.names[k]])
+            term = self._children[k].loss_terms(cond_k, ctx.child_ctxs[k], x.fields[self.names[k]])
             total = term if total is None else ad.add(total, term)
         return total
 
@@ -257,34 +233,29 @@ class ListCodec(Codec):
         perm = self._draw_perm(rng, mask)
         return self._digest(e_len, val_embs, val_ctx, lengths, mask, perm)
 
-    def decode(self, cond: Tensor, ctx: ListCtx) -> ListRep:
-        B = cond.data.shape[0]
-        P = self.max_len
+    def loss_terms(self, cond: Tensor, ctx: ListCtx, x: ListBatch) -> Tensor:
+        # length loss plus the sum over valid element positions, unnormalised:
+        # a longer list is a larger observation and weighs accordingly
+        B, P = ctx.mask.shape
         c_col = ad.reshape(cond, (B, 1, self.width))
         dec_in = ad.concat([c_col, ad.narrow(ctx.digests, 1, 0, P)], axis=1)
         pos = np.arange(P + 1)[None, :]
         valid = (pos <= ctx.lengths[:, None]) | (pos <= 1)
         h = self.dec(dec_in, valid=valid)
-        d_len = self.len_codec.decode(ad.reshape(ad.narrow(h, 1, 0, 1), (B, self.width)), None)
+        len_cond = ad.reshape(ad.narrow(h, 1, 0, 1), (B, self.width))
+        len_loss = self.len_codec.loss_terms(len_cond, None, LeafBatch(ctx.lengths))
         slots = ad.narrow(h, 1, 1, P)
         if ctx.perm is not None:
             # element j was fed in the slot i with perm[b, i] == j
             slots = ad.gather_positions(slots, np.argsort(ctx.perm, axis=1))
-        d_val = self.value_codec.decode(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx)
-        return ListRep(d_len, d_val, ctx.mask, ctx.perm)
-
-    def loss_terms(self, rep: ListRep, x: ListBatch) -> Tensor:
-        # length loss plus the sum over valid element positions, unnormalised:
-        # a longer list is a larger observation and weighs accordingly
-        lengths = np.asarray(x.lengths, dtype=np.int64)
-        B, P = rep.mask.shape
-        len_loss = self.len_codec.loss_terms(rep.length, LeafBatch(lengths))
-        v = ad.reshape(self.value_codec.loss_terms(rep.values, merge_leading(x.values)), (B, P))
-        if rep.perm is not None:
+        v = self.value_codec.loss_terms(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx,
+                                        merge_leading(x.values))
+        v = ad.reshape(v, (B, P))
+        if ctx.perm is not None:
             # summed in slot order, so a shuffled pass is bitwise equal to a
             # plain pass on the reordered observation
-            v = ad.gather_positions(v, rep.perm)
-        v = ad.mul_const(v, rep.mask.astype(np.float64))
+            v = ad.gather_positions(v, ctx.perm)
+        v = ad.mul_const(v, ctx.mask.astype(np.float64))
         return ad.add(len_loss, ad.sum_axis(v, 1))
 
     def reshuffle(self, ctx: ListCtx, rng):

@@ -12,19 +12,11 @@ from .base import Codec
 DEFAULT_BINS = 100
 
 
-class LogitsRep:
-    """Distribution over category codes, as unnormalised logits (B, n)."""
-
-    __slots__ = ("logits",)
-
-    def __init__(self, logits: Tensor):
-        self.logits = logits
-
-
 class CategoricalCodec(Codec):
-    """One embedding matrix W does triple duty: encoding picks row k,
-    decoding scores categories as cond @ W^T (no separate output head), and
-    sampling inverts the softmax CDF with a single uniform draw."""
+    """One embedding matrix W does double duty: encoding picks row k, and
+    the logits cond @ W^T (no separate output head) are what `loss_terms`
+    scores and `sample` draws from, inverting the softmax CDF with a single
+    uniform draw."""
 
     def __init__(self, path: str, cardinality: int, width: int, store, rng):
         if cardinality < 1:
@@ -40,15 +32,15 @@ class CategoricalCodec(Codec):
             raise ValueError(f"{self.path}: code out of range 0..{self.cardinality - 1}")
         return ad.gather_rows(self.w, codes), None
 
-    def decode(self, cond: Tensor, ctx) -> LogitsRep:
-        return LogitsRep(ad.matmul(cond, self.w, transpose_b=True))
+    def _logits(self, cond) -> Tensor:
+        return ad.matmul(cond, self.w, transpose_b=True)
 
-    def loss_terms(self, rep: LogitsRep, x: LeafBatch) -> Tensor:
-        lp = ad.log_softmax(rep.logits)
+    def loss_terms(self, cond: Tensor, ctx, x: LeafBatch) -> Tensor:
+        lp = ad.log_softmax(self._logits(cond))
         return ad.neg(ad.take_along_last(lp, np.asarray(x.codes)))
 
     def sample(self, cond, rng):
-        logits = (cond.data if isinstance(cond, Tensor) else cond) @ self.w.data.T
+        logits = self._logits(cond).data
         z = logits - logits.max(axis=-1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=-1, keepdims=True)
@@ -131,7 +123,7 @@ class QuantileTable:
 
 class NumericalCodec(CategoricalCodec):
     """A categorical codec over quantile bins. Ingestion bins raw values, so
-    encode/decode/loss see bin codes; only sampling touches real numbers,
+    encode and loss_terms see bin codes; only sampling touches real numbers,
     drawing a value uniformly from the chosen bin's bracket. The table may
     be attached after construction (it is fitted from data), but sampling
     needs it."""

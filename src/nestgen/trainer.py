@@ -11,6 +11,7 @@ norm, noise multiplier, batch size, dataset size, step count).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import atomic_write
 from .batches import n_rows, take
 from .codecs.base import per_example_gradients, train_step, unflatten_gradients
 from .optim import Adam
@@ -76,7 +78,8 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
         log_path=None) -> list[dict]:
     """Train the codec parameters in place. Returns the per-batch history,
     one record per optimizer step: {epoch, batch, loss, grad_norm, dp}.
-    The same records go to `log_path` as JSON lines when given."""
+    The same records go to `log_path` as JSON lines when given, through
+    `atomic_write`, so a failed fit leaves an earlier log as it was."""
     cfg.validate()
     if dp is not None:
         dp.validate()
@@ -88,8 +91,8 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
     opt = Adam(lr=cfg.lr)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     history = []
-    sink = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with (atomic_write(log_path, "w", encoding="utf-8") if log_path
+          else contextlib.nullcontext()) as fh:
         for epoch in range(cfg.epochs):
             order = stream(cfg.seed, BATCH, epoch).permutation(n)
             epoch_losses = []
@@ -123,14 +126,11 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
                               if dp is not None else None)}
                 history.append(rec)
                 epoch_losses.append(loss)
-                if sink:
-                    sink.write(json.dumps(rec) + "\n")
-                    sink.flush()
+                if fh:
+                    fh.write(json.dumps(rec) + "\n")
+                    fh.flush()
             log.info("epoch %d: mean loss %.6f over %d batches",
                      epoch, float(np.mean(epoch_losses)), steps_per_epoch)
-    finally:
-        if sink:
-            sink.close()
     return history
 
 

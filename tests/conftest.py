@@ -95,6 +95,41 @@ def loss_gradients(codec, store, batch, rng=None, passes=1):
     return float(loss.data), store.gradients()
 
 
+class LeafSpy:
+    """Wraps the `loss_terms` of each leaf codec instance under `codec` and
+    records, per leaf path, the logits cond.data @ W.data.T that the leaf
+    scored and the per-example term it returned. Causality and masking
+    tests compare these logits: each call checks, bitwise, that the term is
+    the negative log softmax of them at the observed codes, so they are the
+    distribution the leaf was decoded to. `score` runs one scoring pass of
+    the whole tree, after which `logits` and `terms` are new dicts holding
+    only that pass's records."""
+
+    def __init__(self, codec):
+        self.codec = codec
+        self.logits, self.terms = {}, {}
+        for leaf in codec.walk():
+            if isinstance(leaf, CategoricalCodec):
+                leaf.loss_terms = self._wrap(leaf, leaf.loss_terms)
+
+    def _wrap(self, leaf, loss_terms):
+        def spied(cond, ctx, x):
+            term = loss_terms(cond, ctx, x)
+            logits = cond.data @ leaf.w.data.T
+            lp = ad.log_softmax(Tensor(logits))
+            ref = ad.neg(ad.take_along_last(lp, np.asarray(x.codes)))
+            assert np.array_equal(term.data, ref.data), leaf.path
+            self.logits[leaf.path] = logits
+            self.terms[leaf.path] = term
+            return term
+        return spied
+
+    def score(self, cond, ctx, x):
+        """codec.loss_terms(cond, ctx, x), recording a fresh pass."""
+        self.logits, self.terms = {}, {}
+        return self.codec.loss_terms(cond, ctx, x)
+
+
 def random_batch(codec, n, rng, garbage_padding=True):
     """Random observations shaped for the codec. Padded list slots hold
     random garbage by default, which stresses the masking invariants."""

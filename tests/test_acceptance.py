@@ -34,8 +34,8 @@ from nestgen.schema import compile_schema, parse_schema
 from nestgen.trainer import DpConfig, TrainConfig, dp_step, fit
 from nestgen.transformer import TransformerConfig
 
-from conftest import (ForcedOrder, forward_loss, loss_gradients, random_batch,
-                      random_schema_doc)
+from conftest import (ForcedOrder, LeafSpy, forward_loss, loss_gradients,
+                      random_batch, random_schema_doc)
 
 
 def verdict(num, ok, detail):
@@ -235,18 +235,6 @@ def test_04_markov_list_recovery():
 
 # -- 5: causality under input perturbation --------------------------------------------
 
-def leaf_logit_arrays(rep, out):
-    if hasattr(rep, "fields"):
-        for f in rep.fields:
-            leaf_logit_arrays(f, out)
-    elif hasattr(rep, "length"):
-        leaf_logit_arrays(rep.length, out)
-        leaf_logit_arrays(rep.values, out)
-    else:
-        out.append(rep.logits.data)
-    return out
-
-
 def struct_reachable_lists(codec, batch):
     """(list codec, its batch) pairs not nested inside any other list."""
     if isinstance(codec, ListCodec):
@@ -276,10 +264,11 @@ def replace_in_tree(codec, batch, target, new):
     return batch
 
 
-def decoded_logits(codec, store, batch):
-    emb_unused, ctx = codec.encode(batch, rng=None)
-    cond = root_conditioning(store, n_rows(batch), codec.width)
-    return codec.decode(cond, ctx)
+def decoded_logits(spy, store, batch):
+    """Logits each leaf scored in one identity-order pass, by leaf path."""
+    emb_unused, ctx = spy.codec.encode(batch, rng=None)
+    spy.score(root_conditioning(store, n_rows(batch), spy.codec.width), ctx, batch)
+    return spy.logits
 
 
 def test_05_causality_suite():
@@ -290,7 +279,8 @@ def test_05_causality_suite():
         codec, store = compile_schema(parse_schema(doc), width=8, blocks=1,
                                       heads=2, seed=case)
         batch = random_batch(codec, 2, rng)
-        rep0 = decoded_logits(codec, store, batch)
+        spy = LeafSpy(codec)
+        rep0 = decoded_logits(spy, store, batch)
 
         # struct invariant: the distributions decoded for fields before k
         # cannot move when every field from k onward is replaced
@@ -302,14 +292,12 @@ def test_05_causality_suite():
                 child = codec.children()[j]
                 pert = replace_field(pert, codec.names[j],
                                      random_batch(child, 2, rng))
-            rep1 = decoded_logits(codec, store, pert)
-            before0 = []
-            before1 = []
-            for i in range(k):
-                leaf_logit_arrays(rep0.fields[i], before0)
-                leaf_logit_arrays(rep1.fields[i], before1)
-            for a, b in zip(before0, before1):
-                assert np.array_equal(a, b), f"case {case}: field before {k} moved"
+            rep1 = decoded_logits(spy, store, pert)
+            before = [leaf.path for i in range(k)
+                      for leaf in codec.children()[i].walk() if leaf.path in rep0]
+            for path in before:
+                assert np.array_equal(rep0[path], rep1[path]), \
+                    f"case {case}: field before {k} moved"
             checks += 1
 
         # list invariant: the length distribution of any list node cannot
@@ -320,10 +308,9 @@ def test_05_causality_suite():
             pert_list = ListBatch(sub.lengths.copy(),
                                   split_leading(fresh, B, lst.max_len))
             pert = replace_in_tree(codec, batch, lst.path, pert_list)
-            rep1 = decoded_logits(codec, store, pert)
-            len0 = _find_list_rep(rep0, codec, lst.path).length.logits.data
-            len1 = _find_list_rep(rep1, codec, lst.path).length.logits.data
-            assert np.array_equal(len0, len1), \
+            rep1 = decoded_logits(spy, store, pert)
+            len_path = lst.len_codec.path
+            assert np.array_equal(rep0[len_path], rep1[len_path]), \
                 f"case {case}: length logits of {lst.path} saw the values"
             checks += 1
 
@@ -331,31 +318,21 @@ def test_05_causality_suite():
         # move when positions from i onward are replaced
         card, max_len = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         lst, lstore = _standalone_list(card, max_len, seed=case)
+        lspy = LeafSpy(lst)
         m = max_len
         base = LeafBatch(rng.integers(0, card, size=(1, m)))
         x0 = ListBatch(np.array([m]), base)
-        r0 = _list_value_logits(lst, lstore, x0)
+        r0 = decoded_logits(lspy, lstore, x0)["l/item"]
         i = int(rng.integers(1, m))
         pert_vals = base.codes.copy()
         pert_vals[0, i:] = (pert_vals[0, i:] + 1 +
                             rng.integers(0, card - 1)) % card
-        r1 = _list_value_logits(lst, lstore, ListBatch(np.array([m]),
-                                                       LeafBatch(pert_vals)))
+        r1 = decoded_logits(lspy, lstore, ListBatch(np.array([m]),
+                                                   LeafBatch(pert_vals)))["l/item"]
         assert np.array_equal(r0[:i + 1], r1[:i + 1]), f"case {case}: element"
         checks += 1
     verdict(5, True, f"{checks} bitwise perturbation checks over 50 "
                      "random schemas, all exact")
-
-
-def _find_list_rep(rep, codec, target):
-    if isinstance(codec, ListCodec):
-        return rep if codec.path == target else None
-    if isinstance(codec, StructCodec):
-        for i, child in enumerate(codec.children()):
-            found = _find_list_rep(rep.fields[i], child, target)
-            if found is not None:
-                return found
-    return None
 
 
 def _standalone_list(card, max_len, seed, shuffled=False):
@@ -364,12 +341,6 @@ def _standalone_list(card, max_len, seed, shuffled=False):
     tcfg = TransformerConfig(width=8, blocks=1, heads=2)
     val = CategoricalCodec("l/item", card, 8, store, srng)
     return ListCodec("l", val, max_len, tcfg, store, srng, shuffled=shuffled), store
-
-
-def _list_value_logits(codec, store, x):
-    _, ctx = codec.encode(x)
-    rep = codec.decode(root_conditioning(store, 1, codec.width), ctx)
-    return rep.values.logits.data
 
 
 # -- 6: padded positions carry no loss and no gradient ---------------------------------
@@ -416,8 +387,7 @@ def test_06_masking_zero_contribution():
         store.zero_grads()
         with Tape() as tape:
             _, ctx = codec.encode(x)
-            rep = codec.decode(root_conditioning(store, 6, 8), ctx)
-            loss = ad.mean_all(codec.loss_terms(rep, x))
+            loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 6, 8), ctx, x))
         tape.backward(loss)
         assert np.all(ctx.val_embs.grad[pad] == 0.0)
         pad_checks += int(pad.sum())

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nestgen import artifact
+from nestgen import artifact, trainer
 from nestgen.artifact import (ArtifactError, content_hash, load_model,
                               save_model)
 from nestgen.cli import main
-from nestgen.data import ingest_records
+from nestgen.codecs.base import pass_losses
+from nestgen.data import ingest_records, read_records
 from nestgen.schema import compile_schema, parse_schema
 
 FLAT_DOC = {"type": "record", "name": "r", "fields": [
@@ -108,14 +109,14 @@ def test_double_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def failing_on_second_call(monkeypatch, owner, name):
+def failing_on_second_call(monkeypatch, owner, name, error=OSError("disk full")):
     original = getattr(owner, name)
     calls = []
 
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
-            raise OSError("disk full")
+            raise error
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, failing)
@@ -179,10 +180,13 @@ def test_load_errors(tmp_path):
 # records of {age: int(10 bins), region: enum(4), tx: shuffled array(max_len
 # 4) of {kind: enum(3), price: float(8 bins)}} with --width 8 --blocks 1
 # --heads 2 --epochs 2 --batch-size 32 --lr 0.01 --seed 3 (manifest paths
-# made relative), and its `sample --count 50 --seed 7` output.
+# made relative), its `sample --count 50 --seed 7` output, and the
+# per-record NLL of that sample under the bundle: row 0 in identity order,
+# rows 1 and 2 the two passes of `passes=2` under np.random.default_rng(0).
 FIXTURES = Path(__file__).parent / "fixtures"
 V1_BUNDLE = FIXTURES / "nested_v1.nestgen"
 V1_SAMPLE = FIXTURES / "nested_v1_sample.jsonl"
+V1_NLL = FIXTURES / "nested_v1_nll.npy"
 
 
 def test_version_1_bundle_samples_as_when_written(tmp_path, capsys):
@@ -191,6 +195,15 @@ def test_version_1_bundle_samples_as_when_written(tmp_path, capsys):
                  "--seed", "7", "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == V1_SAMPLE.read_bytes()
+
+
+def test_version_1_bundle_scores_as_when_written():
+    codec, store, tf, _, _ = load_model(V1_BUNDLE)
+    tree, _, _ = ingest_records(read_records(str(V1_SAMPLE)), tf.schema, transform=tf)
+    identity = pass_losses(codec, store, tree)[0].data
+    shuffled = pass_losses(codec, store, tree, rng=np.random.default_rng(0), passes=2)
+    got = np.stack([identity] + [t.data for t in shuffled])
+    np.testing.assert_allclose(got, np.load(V1_NLL), rtol=0, atol=1e-12)
 
 
 def _with_config(src, dst, **changes):
@@ -288,6 +301,31 @@ def test_cli_failed_eval_report_leaves_old_report(flat_setup, monkeypatch,
     assert report.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "report.json", "schema.json", "train.csv"]
+
+
+def test_cli_fit_into_missing_directory_is_a_save_error(flat_setup, capsys):
+    schema, dataset, _, tmp_path = flat_setup
+    model = str(tmp_path / "missing" / "m.ngm")
+    assert main(fit_args(schema, dataset, model)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: save: cannot write run log: {model}.log.jsonl: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_failed_refit_leaves_old_bundle_and_run_log(flat_setup, monkeypatch,
+                                                        capsys):
+    schema, dataset, model, tmp_path = flat_setup
+    assert main(fit_args(schema, dataset, model)) == 0
+    run_log = Path(model + ".log.jsonl")
+    old_model, old_log = Path(model).read_bytes(), run_log.read_bytes()
+    failing_on_second_call(monkeypatch, trainer, "train_step",
+                           FloatingPointError("non-finite training loss"))
+    assert main(fit_args(schema, dataset, model, ["--seed", "1"])) == 1
+    assert "error: train: epoch 0 batch 1" in capsys.readouterr().err
+    assert Path(model).read_bytes() == old_model
+    assert run_log.read_bytes() == old_log
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model.ngm", "model.ngm.log.jsonl", "schema.json", "train.csv"]
 
 
 def test_cli_sample_count_zero_and_seeds(flat_setup, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from nestgen.autodiff import Tape
 from nestgen.batches import LeafBatch, n_rows, take
+from nestgen.codecs import base
 from nestgen.codecs.base import (pass_losses, per_example_gradients,
                                  root_conditioning, sample_rows, train_step,
                                  unflatten_gradients)
@@ -127,10 +128,11 @@ def test_rng_none_means_identity_order():
     assert drawn.shape == plain.shape
 
 
-def test_sample_rows_chunks_and_reproduces():
+def test_sample_rows_chunks_and_reproduces(monkeypatch):
     codec, store = compiled(NESTED, seed=10)
-    a = sample_rows(codec, store, 7, np.random.default_rng(3), chunk=3)
-    b = sample_rows(codec, store, 7, np.random.default_rng(3), chunk=3)
+    monkeypatch.setattr(base, "SAMPLE_CHUNK", 3)
+    a = sample_rows(codec, store, 7, np.random.default_rng(3))
+    b = sample_rows(codec, store, 7, np.random.default_rng(3))
     assert n_rows(a) == 7
     assert np.array_equal(a.fields["a"].codes, b.fields["a"].codes)
     assert np.array_equal(a.fields["l"].lengths, b.fields["l"].lengths)

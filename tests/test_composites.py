@@ -14,8 +14,8 @@ from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
-from conftest import (ForcedOrder, attach_tables, forward_loss, loss_gradients,
-                      random_schema_doc)
+from conftest import (ForcedOrder, LeafSpy, attach_tables, forward_loss,
+                      loss_gradients, random_schema_doc)
 
 
 def flat_struct(cards, width=8, shuffled=False, seed=0, path="s"):
@@ -88,10 +88,9 @@ def test_single_field_struct():
     assert ctx.digests.data.shape == (3, 1, 8)
     assert np.array_equal(emb.data, ctx.digests.data[:, 0, :])
     # and the struct loss is exactly the child loss
-    rep = codec.decode(root_conditioning(store, 3, 8), ctx)
-    total = codec.loss_terms(rep, x)
-    child = codec.children()[0].loss_terms(rep.fields[0], x.fields["f0"])
-    assert np.array_equal(total.data, child.data)
+    spy = LeafSpy(codec)
+    total = spy.score(root_conditioning(store, 3, 8), ctx, x)
+    assert np.array_equal(total.data, spy.terms["s/f0"].data)
 
 
 def test_struct_encode_deterministic():
@@ -122,31 +121,39 @@ def test_struct_decode_causality():
     codec, store = flat_struct([3, 3, 3, 3], seed=4)
     cond = root_conditioning(store, 2, 8)
     base = [[0, 1], [1, 2], [2, 0], [1, 1]]
-    _, ctx0 = codec.encode(struct_batch(base))
-    rep0 = codec.decode(cond, ctx0)
+    spy = LeafSpy(codec)
+    x0 = struct_batch(base)
+    _, ctx0 = codec.encode(x0)
+    spy.score(cond, ctx0, x0)
+    rep0 = spy.logits
     for k in range(4):
         codes = [list(c) for c in base]
         for j in range(k, 4):
             codes[j] = [(c + 1) % 3 for c in codes[j]]
-        _, ctx = codec.encode(struct_batch(codes))
-        rep = codec.decode(cond, ctx)
+        x = struct_batch(codes)
+        _, ctx = codec.encode(x)
+        spy.score(cond, ctx, x)
+        rep = spy.logits
         # fields <= k all condition on the untouched prefix
         for i in range(k + 1):
-            assert np.array_equal(rep.fields[i].logits.data,
-                                  rep0.fields[i].logits.data), (k, i)
+            assert np.array_equal(rep[f"s/f{i}"], rep0[f"s/f{i}"]), (k, i)
         # while the perturbed field k feeds the very next distribution
         if k + 1 < 4:
-            assert not np.array_equal(rep.fields[k + 1].logits.data,
-                                      rep0.fields[k + 1].logits.data)
+            assert not np.array_equal(rep[f"s/f{k + 1}"], rep0[f"s/f{k + 1}"])
 
 
 def test_first_field_depends_only_on_conditioning(rng):
     codec, store = flat_struct([3, 3], seed=5)
     cond = root_conditioning(store, 4, 8)
-    _, ctx_a = codec.encode(struct_batch([[0, 0, 0, 0], [1, 1, 1, 1]]))
-    _, ctx_b = codec.encode(struct_batch([[2, 1, 0, 2], [0, 2, 2, 0]]))
-    d_a = codec.decode(cond, ctx_a).fields[0].logits.data
-    d_b = codec.decode(cond, ctx_b).fields[0].logits.data
+    spy = LeafSpy(codec)
+    x_a = struct_batch([[0, 0, 0, 0], [1, 1, 1, 1]])
+    x_b = struct_batch([[2, 1, 0, 2], [0, 2, 2, 0]])
+    _, ctx_a = codec.encode(x_a)
+    _, ctx_b = codec.encode(x_b)
+    spy.score(cond, ctx_a, x_a)
+    d_a = spy.logits["s/f0"]
+    spy.score(cond, ctx_b, x_b)
+    d_b = spy.logits["s/f0"]
     assert np.array_equal(d_a, d_b)
 
 
@@ -215,14 +222,15 @@ def test_shuffle_pairing_with_zero_attention():
     x = struct_batch([[1], [2], [0]])
     sigma = (2, 0, 1)
     _, ctx = codec.encode(x, rng=ForcedOrder(sigma=sigma))
-    rep = codec.decode(root_conditioning(store, 1, 8), ctx)
+    spy = LeafSpy(codec)
+    spy.score(root_conditioning(store, 1, 8), ctx, x)
     w = [codec.children()[k].w.data for k in range(3)]
     embs = [w[0][1], w[1][2], w[2][0]]  # observed embeddings per field
     # slot order is (f2, f0, f1): f2 sees c0=0, f0 sees emb(f2), f1 sees emb(f0)
-    assert np.array_equal(rep.fields[2].logits.data[0], np.zeros(3))
-    np.testing.assert_allclose(rep.fields[0].logits.data[0], embs[2] @ w[0].T,
+    assert np.array_equal(spy.logits["s/f2"][0], np.zeros(3))
+    np.testing.assert_allclose(spy.logits["s/f0"][0], embs[2] @ w[0].T,
                                rtol=1e-15)
-    np.testing.assert_allclose(rep.fields[1].logits.data[0], embs[0] @ w[1].T,
+    np.testing.assert_allclose(spy.logits["s/f1"][0], embs[0] @ w[1].T,
                                rtol=1e-15)
 
 
@@ -263,10 +271,9 @@ def test_empty_list_embedding_is_length_digest():
     emb, ctx = codec.encode(x)
     assert np.array_equal(emb.data, ctx.digests.data[:, 0, :])
     # loss reduces to the length term alone
-    rep = codec.decode(root_conditioning(store, 2, 8), ctx)
-    total = codec.loss_terms(rep, x)
-    len_only = codec.len_codec.loss_terms(rep.length, LeafBatch(np.array([0, 0])))
-    assert np.array_equal(total.data, len_only.data)
+    spy = LeafSpy(codec)
+    total = spy.score(root_conditioning(store, 2, 8), ctx, x)
+    assert np.array_equal(total.data, spy.terms["l/~len"].data)
 
 
 def test_full_list_round_trips():
@@ -280,10 +287,15 @@ def test_full_list_round_trips():
 def test_length_distribution_sees_no_values():
     codec, store = cat_list(4, max_len=3, seed=14)
     cond = root_conditioning(store, 2, 8)
-    _, ctx_a = codec.encode(list_batch([2, 3], [[0, 1], [2, 3, 1]], 3))
-    _, ctx_b = codec.encode(list_batch([2, 3], [[3, 2], [0, 0, 0]], 3))
-    d_a = codec.decode(cond, ctx_a).length.logits.data
-    d_b = codec.decode(cond, ctx_b).length.logits.data
+    spy = LeafSpy(codec)
+    x_a = list_batch([2, 3], [[0, 1], [2, 3, 1]], 3)
+    x_b = list_batch([2, 3], [[3, 2], [0, 0, 0]], 3)
+    _, ctx_a = codec.encode(x_a)
+    _, ctx_b = codec.encode(x_b)
+    spy.score(cond, ctx_a, x_a)
+    d_a = spy.logits["l/~len"]
+    spy.score(cond, ctx_b, x_b)
+    d_b = spy.logits["l/~len"]
     assert np.array_equal(d_a, d_b)
 
 
@@ -291,15 +303,20 @@ def test_element_distributions_are_causal():
     # d for element i depends on (c, m, elements < i) only
     codec, store = cat_list(5, max_len=4, seed=15)
     cond = root_conditioning(store, 1, 8)
+    spy = LeafSpy(codec)
     base = [1, 4, 2, 3]
-    _, ctx0 = codec.encode(list_batch([4], [base], 4))
-    rep0 = codec.decode(cond, ctx0).values.logits.data
+    x0 = list_batch([4], [base], 4)
+    _, ctx0 = codec.encode(x0)
+    spy.score(cond, ctx0, x0)
+    rep0 = spy.logits["l/item"]
     for i in range(4):
         pert = list(base)
         for j in range(i, 4):
             pert[j] = (pert[j] + 2) % 5
-        _, ctx = codec.encode(list_batch([4], [pert], 4))
-        rep = codec.decode(cond, ctx).values.logits.data
+        x = list_batch([4], [pert], 4)
+        _, ctx = codec.encode(x)
+        spy.score(cond, ctx, x)
+        rep = spy.logits["l/item"]
         assert np.array_equal(rep[:i + 1], rep0[:i + 1]), i
         # element i itself feeds the next slot onward
         if i < 3:
@@ -309,10 +326,15 @@ def test_element_distributions_are_causal():
 def test_element_distribution_depends_on_length():
     codec, store = cat_list(4, max_len=3, seed=16)
     cond = root_conditioning(store, 1, 8)
-    _, ctx2 = codec.encode(list_batch([2], [[1, 3]], 3))
-    _, ctx3 = codec.encode(list_batch([3], [[1, 3, 0]], 3))
-    d2 = codec.decode(cond, ctx2).values.logits.data
-    d3 = codec.decode(cond, ctx3).values.logits.data
+    spy = LeafSpy(codec)
+    x2 = list_batch([2], [[1, 3]], 3)
+    x3 = list_batch([3], [[1, 3, 0]], 3)
+    _, ctx2 = codec.encode(x2)
+    _, ctx3 = codec.encode(x3)
+    spy.score(cond, ctx2, x2)
+    d2 = spy.logits["l/item"]
+    spy.score(cond, ctx3, x3)
+    d3 = spy.logits["l/item"]
     assert not np.array_equal(d2[0], d3[0])
 
 
@@ -337,8 +359,7 @@ def test_padding_is_invisible_and_gradient_free():
     store.zero_grads()
     with Tape() as tape:
         emb, ctx = codec.encode(dirty)
-        rep = codec.decode(root_conditioning(store, 4, 8), ctx)
-        loss = ad.mean_all(codec.loss_terms(rep, dirty))
+        loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 4, 8), ctx, dirty))
     tape.backward(loss)
     g = ctx.val_embs.grad
     assert np.all(g[pad] == 0.0)

@@ -8,7 +8,7 @@ from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
 from nestgen.batches import n_rows, take
 from nestgen.codecs.base import per_example_gradients, train_step, unflatten_gradients
-from nestgen.codecs.primitives import CategoricalCodec, LogitsRep
+from nestgen.codecs.primitives import CategoricalCodec
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack
 
@@ -130,19 +130,24 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
         assert counts == batched
 
 
-@pytest.mark.parametrize("decode,message", [
+@pytest.mark.parametrize("logits,message", [
     # the weight reaches a rule only through a transpose
-    (lambda self, cond, ctx: LogitsRep(ad.matmul(cond, ad.transpose(self.w, (1, 0)))),
+    (lambda self, cond: ad.matmul(cond, ad.transpose(self.w, (1, 0))),
      "not a parameter"),
     # the weight is also read by an op with no per-example rule
-    (lambda self, cond, ctx: LogitsRep(ad.add(
+    (lambda self, cond: ad.add(
         ad.matmul(cond, self.w, transpose_b=True),
-        ad.mul_const(ad.sum_axis(self.w, 1), np.ones((cond.shape[0], 1))))),
+        ad.mul_const(ad.sum_axis(self.w, 1), np.ones((cond.shape[0], 1)))),
      "no per-example gradient rule"),
 ])
-def test_gradients_outside_the_rules_are_refused(monkeypatch, decode, message):
+def test_gradients_outside_the_rules_are_refused(monkeypatch, logits, message):
     codec, store = compiled(STRUCT_LIST_STRUCT, seed=90)
-    monkeypatch.setattr(CategoricalCodec, "decode", decode)
+
+    def loss_terms(self, cond, ctx, x):
+        lp = ad.log_softmax(logits(self, cond))
+        return ad.neg(ad.take_along_last(lp, np.asarray(x.codes)))
+
+    monkeypatch.setattr(CategoricalCodec, "loss_terms", loss_terms)
     batch = random_batch(codec, 3, np.random.default_rng(91))
     with pytest.raises(RuntimeError, match=message):
         per_example_gradients(codec, store, batch)

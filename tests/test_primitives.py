@@ -1,4 +1,4 @@
-"""Leaf codecs: categorical encode/decode/sample/loss and quantile binning."""
+"""Leaf codecs: categorical encode/score/sample and quantile binning."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,33 @@ import pytest
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tensor
 from nestgen.batches import LeafBatch
-from nestgen.codecs.primitives import CategoricalCodec, LogitsRep, NumericalCodec, QuantileTable
+from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec, QuantileTable
 from nestgen.params import ParamStore
+
+from conftest import LeafSpy
 
 
 def make_cat(n, d, seed=0, path="f"):
     store = ParamStore()
     codec = CategoricalCodec(path, n, d, store, np.random.default_rng(seed))
     return codec, store
+
+
+def scored_logits(codec, cond):
+    """The logits `loss_terms` scores for conditioning rows cond (B, d)."""
+    spy = LeafSpy(codec)
+    spy.score(Tensor(cond), None, LeafBatch(np.zeros(len(cond), dtype=np.int64)))
+    return spy.logits[codec.path]
+
+
+def identity_logits(codec, logits):
+    """Set W to the identity (padded with zero columns) and return the
+    conditioning rows whose scored logits are exactly `logits`."""
+    n, d = codec.w.data.shape
+    codec.w.data[:] = np.eye(n, d)
+    cond = np.zeros((len(logits), d))
+    cond[:, :n] = logits
+    return Tensor(cond)
 
 
 class FixedUniform:
@@ -56,51 +75,53 @@ def test_cardinality_must_be_positive():
 def test_decode_projects_onto_embeddings():
     codec, _ = make_cat(2, 2)
     codec.w.data[:] = np.eye(2)
-    rep = codec.decode(Tensor(np.array([[1.0, 0.0]])), None)
-    assert np.array_equal(rep.logits.data, [[1.0, 0.0]])
-    rep = codec.decode(Tensor(np.zeros((3, 2))), None)
-    assert np.array_equal(rep.logits.data, np.zeros((3, 2)))
+    assert np.array_equal(scored_logits(codec, np.array([[1.0, 0.0]])), [[1.0, 0.0]])
+    assert np.array_equal(scored_logits(codec, np.zeros((3, 2))), np.zeros((3, 2)))
 
 
 def test_decode_matches_scalar_loop(rng):
     codec, _ = make_cat(5, 8, seed=2)
     c = rng.standard_normal((4, 8))
-    rep = codec.decode(Tensor(c), None)
+    logits = scored_logits(codec, c)
     for b in range(4):
         for k in range(5):
             expected = float(np.dot(c[b], codec.w.data[k]))
-            assert rep.logits.data[b, k] == pytest.approx(expected, rel=1e-12)
+            assert logits[b, k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_decoded_softmax_normalizes(rng):
     codec, _ = make_cat(7, 16, seed=3)
-    rep = codec.decode(Tensor(rng.standard_normal((10, 16))), None)
-    p = ad.softmax(rep.logits).data
+    cond = Tensor(rng.standard_normal((10, 16)))
+    p = ad.softmax(Tensor(scored_logits(codec, cond.data))).data
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+    # and the scores of all categories are the log of that distribution
+    scores = [codec.loss_terms(cond, None, LeafBatch(np.full(10, k))).data
+              for k in range(7)]
+    np.testing.assert_allclose(np.exp(-np.array(scores)).sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_loss_single_category_is_zero():
     codec, _ = make_cat(1, 4)
-    rep = codec.decode(Tensor(np.random.default_rng(0).standard_normal((5, 4))), None)
-    loss = codec.loss_terms(rep, LeafBatch(np.zeros(5, dtype=np.int64)))
+    cond = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
+    loss = codec.loss_terms(cond, None, LeafBatch(np.zeros(5, dtype=np.int64)))
     assert np.array_equal(loss.data, np.zeros(5))
 
 
 def test_loss_uniform_logits_is_ln2():
     codec, _ = make_cat(2, 4)
-    rep = LogitsRep(Tensor(np.zeros((2, 2))))
-    loss = codec.loss_terms(rep, LeafBatch(np.array([0, 1])))
+    cond = identity_logits(codec, np.zeros((2, 2)))
+    loss = codec.loss_terms(cond, None, LeafBatch(np.array([0, 1])))
     np.testing.assert_allclose(loss.data, np.log(2.0), rtol=1e-15)
 
 
 def test_loss_stable_under_large_logits():
     codec, _ = make_cat(2, 4)
-    rep = LogitsRep(Tensor(np.array([[1000.0, 0.0]])))
-    loss = codec.loss_terms(rep, LeafBatch(np.array([0])))
+    cond = identity_logits(codec, np.array([[1000.0, 0.0]]))
+    loss = codec.loss_terms(cond, None, LeafBatch(np.array([0])))
     assert np.isfinite(loss.data[0])
     assert 0.0 <= loss.data[0] < 1e-6
     # the improbable category keeps a finite, huge loss
-    loss1 = codec.loss_terms(rep, LeafBatch(np.array([1])))
+    loss1 = codec.loss_terms(cond, None, LeafBatch(np.array([1])))
     assert np.isfinite(loss1.data[0])
     assert loss1.data[0] == pytest.approx(1000.0, rel=1e-9)
 
@@ -109,7 +130,7 @@ def test_loss_nonnegative_and_matches_formula(rng):
     codec, _ = make_cat(6, 8, seed=4)
     logits = rng.standard_normal((32, 6)) * 3.0
     codes = rng.integers(0, 6, size=32)
-    loss = codec.loss_terms(LogitsRep(Tensor(logits)), LeafBatch(codes))
+    loss = codec.loss_terms(identity_logits(codec, logits), None, LeafBatch(codes))
     assert np.all(loss.data >= 0.0)
     z = logits - logits.max(axis=1, keepdims=True)
     manual = -(z[np.arange(32), codes] - np.log(np.exp(z).sum(axis=1)))
@@ -286,8 +307,8 @@ def test_numerical_is_categorical_over_bins(rng):
     emb, ctx = codec.encode(codes)
     assert np.array_equal(emb.data, codec.w.data[[0, 3, 2]])
     cond = Tensor(rng.standard_normal((3, 8)))
-    loss = codec.loss_terms(codec.decode(cond, ctx), codes)
-    ref = cat.loss_terms(cat.decode(cond, ctx), codes)
+    loss = codec.loss_terms(cond, ctx, codes)
+    ref = cat.loss_terms(cond, ctx, codes)
     assert np.array_equal(loss.data, ref.data)
 
 
