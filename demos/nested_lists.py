@@ -76,7 +76,7 @@ def main():
           f"loss {history[0]['loss']:.3f} -> {history[-1]['loss']:.3f}")
 
     tree = sample_rows(codec, store, 20000, np.random.default_rng(1))
-    synth = records_from_batch(tree, tf, rng=np.random.default_rng(2))
+    synth = records_from_batch(tree, tf)
 
     print("\nlist length profile (lengths 0..4):")
     print("  real :", length_profile(users))

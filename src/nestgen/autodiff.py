@@ -57,29 +57,6 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(as_tensor(other)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
@@ -200,19 +177,6 @@ def scale(a, s: float):
 
     def backward(g):
         a.accumulate(g * s)
-
-    return _record(out, backward)
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
-
-    def backward(g):
-        a.accumulate(g * b.data)
-        b.accumulate(g * a.data)
 
     return _record(out, backward)
 

@@ -121,9 +121,28 @@ def cmd_fit(args) -> int:
     except ValueError as e:
         raise CliError("train", str(e))
 
+    # the run log is opened before the data is read, so an --out that cannot
+    # be written fails at once, and it replaces an earlier log only once the
+    # bundle is saved
+    log_path = args.out + ".log.jsonl"
+    try:
+        with artifact.atomic_write(log_path, "w", encoding="utf-8") as run_log:
+            n_params, loss = _fit_and_save(args, cfg, dp, run_log, log_path)
+    except OSError as e:
+        raise CliError("save", f"cannot write run log: {log_path}: {e.strerror or e}")
+    print(f"model written to {args.out} "
+          f"({n_params} parameters, final loss {loss:.4f})")
+    return 0
+
+
+def _fit_and_save(args, cfg, dp, run_log, log_path):
+    """Ingest, compile, train into `run_log` and save the bundle; returns
+    (parameter count, final epoch mean loss). Only writing `run_log` may
+    raise OSError."""
     schema = _load_schema(args.schema)
     try:
         tree, tf, report = data.ingest(args.data, schema, fmt=args.format)
+        input_hash = artifact.content_hash(args.schema, args.data)
     except OSError as e:
         raise CliError("ingest", f"cannot read data: {e}")
     except data.DataError as e:
@@ -142,13 +161,10 @@ def cmd_fit(args) -> int:
     except (SchemaError, ValueError) as e:
         raise CliError("parse", str(e))
 
-    log_path = args.out + ".log.jsonl"
     try:
-        history = trainer.fit(codec, store, tree, cfg, dp=dp, log_path=log_path)
+        history = trainer.fit(codec, store, tree, cfg, dp=dp, log=run_log)
     except (FloatingPointError, ValueError) as e:
         raise CliError("train", str(e))
-    except OSError as e:
-        raise CliError("save", f"cannot write run log: {log_path}: {e.strerror or e}")
     means = trainer.epoch_means(history)
     log.info("final epoch mean loss %.6f", means[-1])
 
@@ -156,16 +172,14 @@ def cmd_fit(args) -> int:
                 "data": os.path.abspath(args.data),
                 "model": os.path.abspath(args.out),
                 "seed": args.seed, "config": config,
-                "input_sha256": artifact.content_hash(args.schema, args.data),
+                "input_sha256": input_hash,
                 "records": report.kept, "rejected": report.rejected,
                 "final_loss": means[-1], "run_log": os.path.abspath(log_path)}
     try:
         artifact.save_model(args.out, store, tf, config, manifest)
     except OSError as e:
         raise CliError("save", f"cannot write model: {e}")
-    print(f"model written to {args.out} "
-          f"({store.n_params()} parameters, final loss {means[-1]:.4f})")
-    return 0
+    return store.n_params(), means[-1]
 
 
 def _load_model(path):
@@ -192,7 +206,7 @@ def cmd_sample(args) -> int:
                                  "choose jsonl")
     rng = stream(args.seed, SAMPLE)
     tree = sample_rows(codec, store, args.count, rng)
-    records = data.records_from_batch(tree, tf, rng)
+    records = data.records_from_batch(tree, tf)
     try:
         data.write_records(records, tf.schema, args.out, fmt)
     except OSError as e:

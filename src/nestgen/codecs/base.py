@@ -67,10 +67,6 @@ class Codec:
         """An all-zeros observation batch of this codec's input shape."""
         raise NotImplementedError
 
-    def n_outcomes(self, cap: int = 10**9) -> int:
-        """Number of distinct observations, saturating at cap."""
-        raise NotImplementedError
-
 
 def root_conditioning(store: ParamStore, n: int, width: int) -> Tensor:
     """The fixed initial conditioning rows for a batch of n examples.

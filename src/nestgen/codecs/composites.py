@@ -173,12 +173,6 @@ class StructCodec(Codec):
         return StructBatch({name: c.zero_batch(n)
                             for name, c in zip(self.names, self._children)})
 
-    def n_outcomes(self, cap=10**9):
-        total = 1
-        for c in self._children:
-            total = min(total * c.n_outcomes(cap), cap)
-        return total
-
 
 class ListCodec(Codec):
     """Variable-length list: a categorical codec over lengths 0..max_len plus
@@ -290,14 +284,3 @@ class ListCodec(Codec):
         return ListBatch(np.zeros(n, dtype=np.int64),
                          split_leading(self.value_codec.zero_batch(n * self.max_len),
                                        n, self.max_len))
-
-    def n_outcomes(self, cap=10**9):
-        v = self.value_codec.n_outcomes(cap)
-        total = 0
-        term = 1
-        for _ in range(self.max_len + 1):
-            total = min(total + term, cap)
-            if total >= cap:
-                return cap
-            term = min(term * v, cap)
-        return total

@@ -31,9 +31,11 @@ def zero_value(codec: Codec):
 
 def enumerate_outcomes(codec: Codec, limit: int = 100000) -> list:
     """All observations of a discrete codec as python value trees
-    (category/bin codes at leaves, dicts at structs, lists at list nodes)."""
+    (category/bin codes at leaves, dicts at structs, lists at list nodes).
+    Raises ValueError when a node has more than `limit` outcomes; a list
+    stops extending its outcomes at the first length that passes it."""
     if isinstance(codec, CategoricalCodec):
-        out = list(range(codec.n_outcomes(limit + 1)))
+        out = list(range(codec.cardinality))
     elif isinstance(codec, StructCodec):
         parts = [enumerate_outcomes(c, limit) for c in codec._children]
         out = [dict(zip(codec.names, combo)) for combo in product(*parts)]

@@ -40,20 +40,13 @@ class CategoricalCodec(Codec):
         return ad.neg(ad.take_along_last(lp, np.asarray(x.codes)))
 
     def sample(self, cond, rng):
-        logits = self._logits(cond).data
-        z = logits - logits.max(axis=-1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
-        cdf = np.cumsum(p, axis=-1)
+        cdf = np.cumsum(ad.softmax(self._logits(cond)).data, axis=-1)
         u = rng.random(cdf.shape[0])
         codes = np.minimum((u[:, None] > cdf).sum(axis=1), self.cardinality - 1)
         return LeafBatch(codes.astype(np.int64)), ad.gather_rows(self.w, codes)
 
     def zero_batch(self, n):
         return LeafBatch(np.zeros(n, dtype=np.int64))
-
-    def n_outcomes(self, cap=10**9):
-        return min(self.cardinality, cap)
 
 
 class QuantileTable:

@@ -89,7 +89,7 @@ class Transform:
             codes[i] = code
         return codes
 
-    def value_for(self, path, code, node):
+    def value_for(self, path, code):
         if path in self.vocabs:
             return self.vocabs[path][code]
         return int(code)
@@ -357,42 +357,37 @@ def ingest(path, schema, fmt=None, transform=None):
         raise DataError(f"{path}: {e}") from None
 
 
-def records_from_batch(tree, transform, rng=None) -> list:
-    """BatchTree of codes -> list of raw records. Numeric codes become the
-    bin's quantile value, or a uniform draw inside the bin's bracket when an
-    rng is given (matching how sampled numbers should be spread)."""
-    return _decode(tree, transform.schema, transform.schema.name, transform, rng)
+def records_from_batch(tree, transform) -> list:
+    """BatchTree -> list of raw records. Enum codes become their symbols. A
+    numeric leaf of a sampled tree already holds real values (floats) and
+    keeps them; one of an ingested tree holds bin codes (integers), which
+    become the bin's quantile value."""
+    return _decode(tree, transform.schema, transform.schema.name, transform)
 
 
-def _decode(tree, node, path, tf, rng):
+def _decode(tree, node, path, tf):
     if isinstance(node, Enum):
-        return [tf.value_for(path, int(c), node) for c in tree.codes]
+        return [tf.value_for(path, int(c)) for c in tree.codes]
     if isinstance(node, Number):
-        arr = np.asarray(tree.codes)
-        if np.issubdtype(arr.dtype, np.floating):
-            # sampled trees already carry real values
-            vals = arr
-        else:
-            # ingested trees carry bin codes
+        vals = np.asarray(tree.codes)
+        if not np.issubdtype(vals.dtype, np.floating):
             table = tf.tables.get(path)
             if table is None:
                 raise DataError(f"numeric column {path}: no quantile table")
-            vals = (table.sample_values(arr, rng) if rng is not None
-                    else table.representative(arr))
+            vals = table.representative(vals)
         return [int(v) if node.integer else float(v) for v in vals]
     if isinstance(node, Record):
-        cols = {f.name: _decode(tree.fields[f.name], f, f"{path}/{f.name}",
-                                tf, rng)
+        cols = {f.name: _decode(tree.fields[f.name], f, f"{path}/{f.name}", tf)
                 for f in node.fields}
         n = len(next(iter(cols.values())))
         return [{k: v[i] for k, v in cols.items()} for i in range(n)]
     if isinstance(node, Array):
         # only the valid slots b*max_len + j, j < lengths[b], are decoded:
-        # padding never reaches a leaf (nor draws from rng there)
+        # padding never reaches a leaf
         lengths = np.asarray(tree.lengths, dtype=np.int64)
         valid = np.arange(node.max_len)[None, :] < lengths[:, None]
         flat = _decode(take(merge_leading(tree.values), np.flatnonzero(valid)),
-                       node.items, f"{path}/{node.items.name}", tf, rng)
+                       node.items, f"{path}/{node.items.name}", tf)
         ends = np.cumsum(lengths).tolist()
         return [flat[e - m:e] for e, m in zip(ends, lengths.tolist())]
     raise TypeError(type(node).__name__)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codecs.primitives import DEFAULT_BINS, QuantileTable
-from .data import flatten_records
+from .data import _sym_key, flatten_records
 from .schema import Enum, Number, leaf_columns
 
 log = logging.getLogger("nestgen.metrics")
@@ -67,12 +67,8 @@ def wasserstein_1d(real, synth, normalized: bool = False,
     return float(np.sum(np.abs(cdf_r - cdf_s) * widths))
 
 
-def _cat_key(v):
-    return v if isinstance(v, str) else str(v)
-
-
 def _cat_codes(values) -> tuple[np.ndarray, int]:
-    keys = np.array([_cat_key(v) for v in values], dtype=str)
+    keys = np.array([_sym_key(v) for v in values], dtype=str)
     support, codes = np.unique(keys, return_inverse=True)
     return codes, support.size
 
@@ -254,13 +250,18 @@ def _rule_label(rule):
 
 
 def _normalize_rules(rules):
+    default_list = None
     if isinstance(rules, dict):
         default_list = rules.get("list")
         rules = rules.get("rules", [])
-    else:
-        default_list = None
+    if not isinstance(rules, list):
+        raise MetricsError("consistency rules must be a list of objects, or an "
+                           f"object whose \"rules\" is one; got {type(rules).__name__}")
     out = []
-    for r in rules:
+    for i, r in enumerate(rules):
+        if not isinstance(r, dict):
+            raise MetricsError(f"consistency rule {i}: expected an object, "
+                               f"got {type(r).__name__}")
         kind = str(r.get("rule", r.get("type", ""))).replace("_", "-")
         if kind not in _RULE_KINDS:
             raise MetricsError(f"unknown consistency rule {kind!r}; expected "
@@ -279,6 +280,10 @@ def _normalize_rules(rules):
                 raise MetricsError("rule derived-constant needs key and field")
             rule["key"] = r["key"]
             rule["field"] = r["field"]
+        for name, value in rule.items():
+            if value is not None and not isinstance(value, str):
+                raise MetricsError(f"consistency rule {i}: {name} must be a "
+                                   f"string, got {type(value).__name__}")
         out.append(rule)
     return out
 
@@ -303,9 +308,9 @@ def _entity_ok(items, rule):
     kind = rule["kind"]
     if kind == "constant":
         vals = col(rule["field"])
-        return len({_cat_key(v) for v in vals}) <= 1
+        return len({_sym_key(v) for v in vals}) <= 1
     if kind == "at-most-one-per-key":
-        keys = [_cat_key(v) for v in col(rule["key"])]
+        keys = [_sym_key(v) for v in col(rule["key"])]
         return len(set(keys)) == len(keys)
     if kind == "monotone":
         vals = _ordered(col(rule["field"]))
@@ -313,8 +318,8 @@ def _entity_ok(items, rule):
     # derived-constant: within the entity, equal keys must carry equal values
     seen = {}
     for key, val in zip(col(rule["key"]), col(rule["field"])):
-        k = _cat_key(key)
-        v = _cat_key(val)
+        k = _sym_key(key)
+        v = _sym_key(val)
         if seen.setdefault(k, v) != v:
             return False
     return True
@@ -344,6 +349,9 @@ def consistency_check(records, rules, list_field: str | None = None) -> dict:
         for i, rec in enumerate(records):
             if lf not in rec or not isinstance(rec[lf], list):
                 raise MetricsError(f"record {i}: missing list field {lf!r}")
+            if not all(isinstance(item, dict) for item in rec[lf]):
+                raise MetricsError(f"record {i}: list field {lf!r} holds items "
+                                   "that are not objects, which rules cannot check")
             ok[i] = _entity_ok(rec[lf], rule)
         clean &= ok
         fractions[_rule_label(rule)] = float(ok.mean())

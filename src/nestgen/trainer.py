@@ -11,7 +11,6 @@ norm, noise multiplier, batch size, dataset size, step count).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import math
@@ -19,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import atomic_write
 from .batches import n_rows, take
 from .codecs.base import per_example_gradients, train_step, unflatten_gradients
 from .optim import Adam
 from .rng import BATCH, DP_NOISE, SHUFFLE, stream
 
-log = logging.getLogger("nestgen.trainer")
+_log = logging.getLogger("nestgen.trainer")
 
 
 @dataclass
@@ -75,11 +73,11 @@ def dp_step(per_example_grads: np.ndarray, dp: DpConfig, rng) -> np.ndarray:
 
 
 def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
-        log_path=None) -> list[dict]:
+        log=None) -> list[dict]:
     """Train the codec parameters in place. Returns the per-batch history,
     one record per optimizer step: {epoch, batch, loss, grad_norm, dp}.
-    The same records go to `log_path` as JSON lines when given, through
-    `atomic_write`, so a failed fit leaves an earlier log as it was."""
+    The same records are written as JSON lines to `log`, an open text file,
+    when given."""
     cfg.validate()
     if dp is not None:
         dp.validate()
@@ -91,46 +89,44 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
     opt = Adam(lr=cfg.lr)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     history = []
-    with (atomic_write(log_path, "w", encoding="utf-8") if log_path
-          else contextlib.nullcontext()) as fh:
-        for epoch in range(cfg.epochs):
-            order = stream(cfg.seed, BATCH, epoch).permutation(n)
-            epoch_losses = []
-            for b in range(steps_per_epoch):
-                idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-                batch = take(data, idx)
-                shuffle_rng = (stream(cfg.seed, SHUFFLE, epoch, b)
-                               if codec.has_shuffle() else None)
-                try:
-                    if dp is not None:
-                        losses, g = per_example_gradients(
-                            codec, store, batch, rng=shuffle_rng,
-                            passes=cfg.shuffle_passes)
-                        loss = float(losses.mean())
-                        noisy = dp_step(g, dp, stream(cfg.seed, DP_NOISE, epoch, b))
-                        grads = unflatten_gradients(store, noisy)
-                        grad_norm = float(np.linalg.norm(noisy))
-                    else:
-                        loss, grads = train_step(codec, store, batch,
-                                                 rng=shuffle_rng,
-                                                 passes=cfg.shuffle_passes)
-                        grad_norm = float(math.sqrt(sum(
-                            float((v * v).sum()) for v in grads.values())))
-                    opt.step(store, grads)
-                except FloatingPointError as e:
-                    raise FloatingPointError(
-                        f"epoch {epoch} batch {b}: {e}") from None
-                rec = {"epoch": epoch, "batch": b, "loss": loss,
-                       "grad_norm": grad_norm,
-                       "dp": ({"C": dp.clip_norm, "sigma": dp.noise_multiplier}
-                              if dp is not None else None)}
-                history.append(rec)
-                epoch_losses.append(loss)
-                if fh:
-                    fh.write(json.dumps(rec) + "\n")
-                    fh.flush()
-            log.info("epoch %d: mean loss %.6f over %d batches",
-                     epoch, float(np.mean(epoch_losses)), steps_per_epoch)
+    for epoch in range(cfg.epochs):
+        order = stream(cfg.seed, BATCH, epoch).permutation(n)
+        epoch_losses = []
+        for b in range(steps_per_epoch):
+            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            batch = take(data, idx)
+            shuffle_rng = (stream(cfg.seed, SHUFFLE, epoch, b)
+                           if codec.has_shuffle() else None)
+            try:
+                if dp is not None:
+                    losses, g = per_example_gradients(
+                        codec, store, batch, rng=shuffle_rng,
+                        passes=cfg.shuffle_passes)
+                    loss = float(losses.mean())
+                    noisy = dp_step(g, dp, stream(cfg.seed, DP_NOISE, epoch, b))
+                    grads = unflatten_gradients(store, noisy)
+                    grad_norm = float(np.linalg.norm(noisy))
+                else:
+                    loss, grads = train_step(codec, store, batch,
+                                             rng=shuffle_rng,
+                                             passes=cfg.shuffle_passes)
+                    grad_norm = float(math.sqrt(sum(
+                        float((v * v).sum()) for v in grads.values())))
+                opt.step(store, grads)
+            except FloatingPointError as e:
+                raise FloatingPointError(
+                    f"epoch {epoch} batch {b}: {e}") from None
+            rec = {"epoch": epoch, "batch": b, "loss": loss,
+                   "grad_norm": grad_norm,
+                   "dp": ({"C": dp.clip_norm, "sigma": dp.noise_multiplier}
+                          if dp is not None else None)}
+            history.append(rec)
+            epoch_losses.append(loss)
+            if log is not None:
+                log.write(json.dumps(rec) + "\n")
+                log.flush()
+        _log.info("epoch %d: mean loss %.6f over %d batches",
+                  epoch, float(np.mean(epoch_losses)), steps_per_epoch)
     return history
 
 

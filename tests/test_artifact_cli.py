@@ -328,6 +328,33 @@ def test_cli_failed_refit_leaves_old_bundle_and_run_log(flat_setup, monkeypatch,
         "model.ngm", "model.ngm.log.jsonl", "schema.json", "train.csv"]
 
 
+def test_cli_failed_bundle_save_leaves_old_bundle_and_run_log(flat_setup, monkeypatch,
+                                                              capsys):
+    schema, dataset, model, tmp_path = flat_setup
+    assert main(fit_args(schema, dataset, model)) == 0
+    run_log = Path(model + ".log.jsonl")
+    old_model, old_log = Path(model).read_bytes(), run_log.read_bytes()
+
+    def failing_save(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(artifact, "save_model", failing_save)
+    assert main(fit_args(schema, dataset, model, ["--seed", "1"])) == 1
+    assert "error: save: cannot write model: disk full" in capsys.readouterr().err
+    assert Path(model).read_bytes() == old_model
+    assert run_log.read_bytes() == old_log
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model.ngm", "model.ngm.log.jsonl", "schema.json", "train.csv"]
+
+
+def test_cli_fit_checks_out_before_reading_data(flat_setup, capsys):
+    schema, _, _, tmp_path = flat_setup
+    model = str(tmp_path / "missing" / "m.ngm")
+    assert main(fit_args(schema, str(tmp_path / "absent.csv"), model)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: save: cannot write run log: {model}.log.jsonl: ")
+
+
 def test_cli_sample_count_zero_and_seeds(flat_setup, capsys):
     schema, dataset, model, tmp_path = flat_setup
     assert main(fit_args(schema, dataset, model)) == 0
@@ -546,6 +573,33 @@ def test_cli_eval_with_rules(tmp_path, capsys):
     assert main(["eval", real, synth, "--schema", str(schema_path),
                  "--rules", str(bad_rules)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+ENUM_LIST_DOC = {"type": "record", "name": "r", "fields": [
+    {"name": "x", "type": "array", "max_len": 3,
+     "items": {"type": "enum", "name": "v"}}]}
+
+
+@pytest.mark.parametrize("rules, message", [
+    ({"rules": 5}, "consistency rules must be a list of objects"),
+    ([5], "consistency rule 0: expected an object, got int"),
+    ([{"rule": "constant", "field": "x"}],
+     "record 0: list field 'x' holds items that are not objects"),
+    ([{"rule": "constant", "field": ["x"]}],
+     "consistency rule 0: field must be a string, got list"),
+], ids=["rules_not_a_list", "rule_not_an_object", "items_not_objects",
+        "field_not_a_string"])
+def test_cli_eval_refuses_malformed_rules(tmp_path, capsys, rules, message):
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(ENUM_LIST_DOC), encoding="utf-8")
+    rows = write_jsonl(tmp_path / "rows.jsonl",
+                       [{"x": ["x1", "x2"]}, {"x": ["x2"]}, {"x": []}])
+    rules_path = tmp_path / "rules.json"
+    rules_path.write_text(json.dumps(rules), encoding="utf-8")
+    assert main(["eval", rows, rows, "--schema", str(schema_path), "--k", "1",
+                 "--subsets", "1", "--rules", str(rules_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eval: {message}")
 
 
 def test_cli_log_env_controls_verbosity(flat_setup, capsys, caplog, monkeypatch):

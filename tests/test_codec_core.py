@@ -1,5 +1,6 @@
 """Root-level codec behavior: batch loss, sampling, exact enumeration."""
 
+import importlib
 import threading
 
 import numpy as np
@@ -196,3 +197,19 @@ def test_non_finite_loss_raises():
     store["x/W"].data[:] = np.inf
     with pytest.raises(FloatingPointError, match="non-finite"):
         train_step(codec, store, LeafBatch(np.array([0, 1])))
+
+
+def test_enumerate_outcomes_refuses_more_than_limit():
+    codec, _ = compiled(PAIR)
+    assert len(enumerate_outcomes(codec, limit=6)) == 6
+    with pytest.raises(ValueError, match="r/b: more than 2 outcomes"):
+        enumerate_outcomes(codec, limit=2)
+    with pytest.raises(ValueError, match="r: more than 5 outcomes"):
+        enumerate_outcomes(codec, limit=5)
+
+
+@pytest.mark.parametrize("module", ["nestgen", "nestgen.codecs"])
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing

@@ -146,7 +146,8 @@ def test_fit_history_shape_and_run_log(tmp_path):
     data = pair_batch({(0, 0): 4, (0, 1): 3, (1, 0): 2, (1, 1): 1})
     log_path = tmp_path / "run.jsonl"
     cfg = TrainConfig(epochs=3, batch_size=4, lr=1e-3)
-    history = fit(codec, store, data, cfg, log_path=str(log_path))
+    with open(log_path, "w", encoding="utf-8") as log:
+        history = fit(codec, store, data, cfg, log=log)
     assert len(history) == 3 * math.ceil(10 / 4)
     for i, rec in enumerate(history):
         assert set(rec) == {"epoch", "batch", "loss", "grad_norm", "dp"}
