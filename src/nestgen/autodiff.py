@@ -7,19 +7,22 @@ while no tape is active behave as plain arrays, which is how sampling runs the
 same forward code without paying for gradient bookkeeping.
 
 `Tape(per_example=ExampleGrads(B, params))` computes per-example parameter
-gradients for a batch of B examples in one backward pass. It relies on two
-properties of the training graph: every tensor's leading axis is
-example-major (a list's (B*P) flattening keeps an example's P rows together,
-and row selections only reorder rows within an example), and no op mixes the
-rows of different examples. The gradient of every non-parameter tensor then
-already splits by example. Only the two ops that read a parameter (`matmul`
-with a 2-D weight and `gather_rows`) need a per-example rule: on such a tape
-they add a (B, *shape) gradient into the `ExampleGrads` matrix instead of
-summing over the batch into `.grad`.
+gradients for a batch of B examples in one backward pass. It relies on one
+property of the training graph: no op mixes the rows of different examples,
+so the gradient of every non-parameter tensor already splits by example.
+Only the two ops that read a parameter (`matmul` with a 2-D weight and
+`gather_rows`) need a per-example rule: on such a tape they add a
+(rows, *shape) gradient into the `ExampleGrads` matrix instead of summing
+over the batch into `.grad`. Which example each leading row belongs to is
+the `ExampleGrads.rows` map, a `RowMap` that is the identity at the root; a
+codec that runs some rows of its batch as a block (a list's length group)
+sets the block's map with `example_rows` while its ops run, and each rule
+captures the map at forward time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 
 import numpy as np
@@ -109,16 +112,39 @@ def _record(out, backward):
     return out
 
 
+class RowMap:
+    """Which example each leading row of an op's tensors belongs to: row r
+    belongs to example ids[r // per], or to example r when ids is None (the
+    root). `unique` records that no two ids are equal, so a fancy-index add
+    is enough; it is tracked while maps compose, never checked."""
+
+    __slots__ = ("ids", "per", "unique")
+
+    def __init__(self, ids=None, per=1, unique=True):
+        self.ids = ids
+        self.per = per
+        self.unique = unique
+
+    def within(self, rows, per) -> RowMap:
+        """The map of a block whose row r is row rows[r // per] of the rows
+        this map describes. rows must not repeat."""
+        outer = np.asarray(rows, dtype=np.int64) // self.per
+        return RowMap(outer if self.ids is None else self.ids[outer], per,
+                      self.unique and self.per == 1)
+
+
 class ExampleGrads:
     """Per-example gradients of the given parameters for a batch of
     `examples` examples, summed in place into one (examples, n_params)
     `matrix`: row i is example i's gradient, flattened parameter by
-    parameter in the given order. Backward closures hold this object, not
-    the tape, so a tape never references itself and is freed as soon as it
-    goes out of scope."""
+    parameter in the given order. `rows` maps the leading rows of the ops
+    running now to their examples (see `example_rows`). Backward closures
+    hold this object, not the tape, so a tape never references itself and
+    is freed as soon as it goes out of scope."""
 
     def __init__(self, examples: int, params):
         self.examples = examples
+        self.rows = RowMap()
         sizes = [p.data.size for p in params]
         self.matrix = np.zeros((examples, sum(sizes)))
         self._blocks = {}
@@ -136,14 +162,43 @@ class ExampleGrads:
                                "weight that is not a parameter")
         return block
 
-    def add(self, param: Tensor, g: np.ndarray):
-        self.block(param)[...] += g
+    def owners(self, rows: RowMap) -> np.ndarray:
+        """The example of each run of rows the map groups: one id per run."""
+        return np.arange(self.examples) if rows.ids is None else rows.ids
+
+    def add(self, param: Tensor, g: np.ndarray, rows: RowMap):
+        """Add g[i] into the gradient of the example owning run i of `rows`."""
+        block = self.block(param)
+        if rows.ids is None:
+            block += g
+        elif rows.unique:
+            block[rows.ids] += g
+        else:
+            np.add.at(block, rows.ids, g)
 
 
 def _per_example():
     """The active tape's ExampleGrads, or None."""
     tape = _ACTIVE_TAPE.get()
     return None if tape is None else tape.per_example
+
+
+@contextlib.contextmanager
+def example_rows(rows, per=1):
+    """Run a block of ops whose leading row r is row rows[r // per] of the
+    enclosing rows. On a per-example tape the block's ops attribute their
+    parameter gradients through the composed map; elsewhere this does
+    nothing."""
+    ex = _per_example()
+    if ex is None:
+        yield
+        return
+    outer = ex.rows
+    ex.rows = outer.within(rows, per)
+    try:
+        yield
+    finally:
+        ex.rows = outer
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +275,7 @@ def matmul(a, b, transpose_b=False):
     if bd.ndim == 2:
         k, n = bd.shape
         ex = _per_example()
+        row_map = None if ex is None else ex.rows
 
         def backward(g):
             a.accumulate(g @ bd.T)
@@ -227,12 +283,13 @@ def matmul(a, b, transpose_b=False):
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
                 b.accumulate(gb.T if transpose_b else gb)
             else:
-                rows = a.data.reshape(ex.examples, -1, k)
-                grows = g.reshape(ex.examples, -1, n)
+                runs = ex.owners(row_map).size
+                rows = a.data.reshape(runs, -1, k)
+                grows = g.reshape(runs, -1, n)
                 if transpose_b:
-                    ex.add(b, np.swapaxes(grows, 1, 2) @ rows)
+                    ex.add(b, np.swapaxes(grows, 1, 2) @ rows, row_map)
                 else:
-                    ex.add(b, np.swapaxes(rows, 1, 2) @ grows)
+                    ex.add(b, np.swapaxes(rows, 1, 2) @ grows, row_map)
     else:
         def backward(g):
             a.accumulate(g @ np.swapaxes(bd, -1, -2))
@@ -323,6 +380,7 @@ def gather_rows(w, idx):
     out = Tensor(w.data[idx])
     n, d = w.data.shape
     ex = _per_example()
+    row_map = None if ex is None else ex.rows
 
     def backward(g):
         if ex is None:
@@ -330,9 +388,9 @@ def gather_rows(w, idx):
             np.add.at(gw, idx.reshape(-1), g.reshape(-1, d))
             w.accumulate(gw)
         else:
-            # row r of the flat index belongs to example r // (idx.size / B)
-            B = ex.examples
-            owner = np.repeat(np.arange(B), idx.size // B)
+            # each run of the map owns an equal share of the flat index
+            ids = ex.owners(row_map)
+            owner = np.repeat(ids, idx.size // ids.size)
             np.add.at(ex.block(w), (owner, idx.reshape(-1)), g.reshape(-1, d))
 
     return _record(out, backward)

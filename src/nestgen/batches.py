@@ -3,9 +3,10 @@
 A batch of N nested records is stored as one tree whose leaves are arrays with
 a leading batch axis, not as N python objects. List nodes carry a lengths
 array plus a values subtree padded to the list's capacity; every array under
-the values subtree gains one extra leading capacity axis. Flattening the first
-two axes turns a (B, P, ...) subtree into a (B*P, ...) batch for the element
-codec, and a validity mask marks which of those rows are real.
+the values subtree gains one extra leading capacity axis. Cutting some rows to
+their first p positions and merging the first two axes turns a (B, P, ...)
+subtree into a (rows*p, ...) batch for the element codec, and a validity mask
+marks which of those rows are real.
 """
 
 from __future__ import annotations
@@ -51,6 +52,24 @@ def _map(fn, *trees):
         return ListBatch(fn(*(t.lengths for t in trees)),
                          _map(fn, *(t.values for t in trees)))
     return StructBatch({k: _map(fn, *(t.fields[k] for t in trees)) for k in first.fields})
+
+
+def arrays(tree):
+    """Every array of the tree (leaf codes and list lengths), depth first."""
+    if isinstance(tree, LeafBatch):
+        yield tree.codes
+    elif isinstance(tree, ListBatch):
+        yield tree.lengths
+        yield from arrays(tree.values)
+    else:
+        for sub in tree.fields.values():
+            yield from arrays(sub)
+
+
+def take_prefix(tree, rows, p: int):
+    """Rows `rows` of a list's values subtree, each cut to its first p
+    positions and merged: (B, P, ...) -> (len(rows)*p, ...)."""
+    return _map(lambda a: a[rows, :p].reshape((-1,) + a.shape[2:]), tree)
 
 
 def take(tree, idx):

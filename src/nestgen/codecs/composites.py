@@ -22,6 +22,16 @@ against its own context, and the per-element losses are summed in slot
 order. Padded positions are masked out of attention and contribute exactly
 zero loss and gradient; a permutation keeps them in place.
 
+Because padding is invisible and no op mixes the rows of different
+examples, a list trains its batch in length groups (`length_groups`): each
+group's rows are cut to the group's longest list P, so the value codec runs
+on (rows*P) flattened positions, not (B*max_len), and both stacks run at P.
+The groups' outputs are put back in batch order with `take_rows`. On the DP
+path each group sets its rows' example map (`autodiff.example_rows`). A
+shuffled list draws its (B, max_len) keys once per pass and cuts them per
+group, so its orders do not depend on the grouping; shuffled nodes inside
+the value codec draw once per group.
+
 Sampling walks the same order one slot at a time with cached attention
 (`AttentionStack.step`): a decoder step on the conditioning gives slot 0;
 then each slot samples its child, an encoder step on the child's embedding
@@ -39,7 +49,8 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..batches import LeafBatch, ListBatch, StructBatch, merge_leading, put_rows, split_leading
+from ..batches import (LeafBatch, ListBatch, StructBatch, arrays, put_rows, split_leading,
+                       take_prefix)
 from ..transformer import AttentionStack, KVCache, TransformerConfig
 from .base import Codec
 from .primitives import CategoricalCodec
@@ -55,20 +66,39 @@ class StructCtx:
         self.perm = perm
 
 
-class ListCtx:
-    """Element embeddings and contexts are in element order; perm[b, i] is
-    the element in slot i of row b (None: identity)."""
+class ListGroup:
+    """One length group of a list batch: batch rows `rows` (ascending), cut
+    to P positions. Element embeddings (n, P, d) and contexts are in element
+    order; perm[i, j] is the element in slot j of the group's row i (None:
+    identity). `digests` and `perm` belong to one pass."""
 
-    __slots__ = ("digests", "len_emb", "val_embs", "val_ctx", "lengths", "mask", "perm")
+    __slots__ = ("rows", "P", "lengths", "len_emb", "val_embs", "val_ctx", "digests", "perm")
 
-    def __init__(self, digests, len_emb, val_embs, val_ctx, lengths, mask, perm):
-        self.digests = digests
+    def __init__(self, rows, P, lengths, len_emb, val_embs, val_ctx):
+        self.rows = rows
+        self.P = P
+        self.lengths = lengths
         self.len_emb = len_emb
         self.val_embs = val_embs
         self.val_ctx = val_ctx
+        self.digests = None
+        self.perm = None
+
+    def mask(self):
+        """(n, P) True where a slot holds an element."""
+        return np.arange(self.P)[None, :] < self.lengths[:, None]
+
+
+class ListCtx:
+    """The groups of a list batch; `inverse` puts their rows, concatenated,
+    back in batch order (None: one group holding every row in order)."""
+
+    __slots__ = ("lengths", "groups", "inverse")
+
+    def __init__(self, lengths, groups, inverse):
         self.lengths = lengths
-        self.mask = mask
-        self.perm = perm
+        self.groups = groups
+        self.inverse = inverse
 
 
 class _Decoding:
@@ -93,6 +123,32 @@ class _Decoding:
         self.enc_kv = self.enc_kv.take(rows)
         self.dec_kv = self.dec_kv.take(rows)
         self.digest = ad.take_rows(self.digest, rows)
+
+
+def length_groups(lengths):
+    """Split batch rows by list length into at most two groups, each cut to
+    P, its longest list (at least 1). The rows sorted by length are cut once,
+    where the attention positions, the sum of rows*(P+1) over the groups,
+    are fewest; if no cut has fewer than one group, one group holds every
+    row. Returns [(rows ascending, P)], shorter lists first."""
+    B = lengths.shape[0]
+    top = max(int(lengths.max(initial=0)), 1)
+    s = np.maximum(np.sort(lengths), 1)
+    k = np.arange(1, B)
+    positions = k * (s[:-1] + 1) + (B - k) * (top + 1)
+    if B < 2 or positions.min() >= B * (top + 1):
+        return [(np.arange(B), top)]
+    # the first minimum ends a run of equal lengths, so the cut is a length
+    cut = int(s[np.argmin(positions)])
+    short = lengths <= cut
+    return [(np.flatnonzero(short), cut), (np.flatnonzero(~short), top)]
+
+
+def _in_batch_order(parts, inverse):
+    """Concatenate per-group rows and put them back in batch order."""
+    if inverse is None:
+        return parts[0]
+    return ad.take_rows(ad.concat(parts, axis=0), inverse)
 
 
 class StructCodec(Codec):
@@ -176,8 +232,9 @@ class StructCodec(Codec):
 
 class ListCodec(Codec):
     """Variable-length list: a categorical codec over lengths 0..max_len plus
-    one value codec shared by all positions, run on the batch flattened to
-    (B*max_len) rows."""
+    one value codec shared by all positions. Training splits the batch into
+    at most two length groups (`length_groups`); each group runs the value
+    codec on its (rows*P) flattened positions and both stacks at its own P."""
 
     def __init__(self, path: str, value_codec: Codec, max_len: int,
                  tcfg: TransformerConfig, store, rng, shuffled: bool = False):
@@ -205,62 +262,87 @@ class ListCodec(Codec):
             return np.argsort(keys, axis=1).astype(np.int64)
         return None
 
-    def _digest(self, e_len, val_embs, val_ctx, lengths, mask, perm):
-        B = lengths.shape[0]
-        ordered = val_embs if perm is None else ad.gather_positions(val_embs, perm)
-        seq = ad.concat([ad.reshape(e_len, (B, 1, self.width)), ordered], axis=1)
-        valid = np.concatenate([np.ones((B, 1), dtype=bool), mask], axis=1)
-        digests = self.enc(seq, valid=valid)
-        emb = ad.reshape(ad.gather_positions(digests, lengths[:, None]), (B, self.width))
-        return emb, ListCtx(digests, e_len, val_embs, val_ctx, lengths, mask, perm)
+    def _digest(self, groups, lengths, inverse, rng):
+        """Draw this pass's order (keys for the whole (B, max_len) batch, cut
+        per group) and run the encoder on each group."""
+        perm = self._draw_perm(rng, np.arange(self.max_len)[None, :] < lengths[:, None])
+        embs = []
+        for g in groups:
+            n = g.rows.size
+            g.perm = None if perm is None else perm[g.rows, :g.P]
+            ordered = g.val_embs if g.perm is None else ad.gather_positions(g.val_embs, g.perm)
+            seq = ad.concat([ad.reshape(g.len_emb, (n, 1, self.width)), ordered], axis=1)
+            valid = np.concatenate([np.ones((n, 1), dtype=bool), g.mask()], axis=1)
+            with ad.example_rows(g.rows):
+                g.digests = self.enc(seq, valid=valid)
+            embs.append(ad.reshape(ad.gather_positions(g.digests, g.lengths[:, None]),
+                                   (n, self.width)))
+        return _in_batch_order(embs, inverse), ListCtx(lengths, groups, inverse)
 
     def encode(self, x: ListBatch, rng=None):
         lengths = np.asarray(x.lengths, dtype=np.int64)
-        P = self.max_len
-        if lengths.min(initial=0) < 0 or lengths.max(initial=0) > P:
-            raise ValueError(f"{self.path}: length out of range 0..{P}")
-        mask = np.arange(P)[None, :] < lengths[:, None]
-        e_len, _ = self.len_codec.encode(LeafBatch(lengths))
-        ev_flat, val_ctx = self.value_codec.encode(merge_leading(x.values), rng=rng)
         B = lengths.shape[0]
-        val_embs = ad.reshape(ev_flat, (B, P, self.width))
-        perm = self._draw_perm(rng, mask)
-        return self._digest(e_len, val_embs, val_ctx, lengths, mask, perm)
+        if lengths.min(initial=0) < 0 or lengths.max(initial=0) > self.max_len:
+            raise ValueError(f"{self.path}: length out of range 0..{self.max_len}")
+        for a in arrays(x.values):
+            if a.shape[:2] != (B, self.max_len):
+                raise ValueError(f"{self.path}: values have leading shape {a.shape[:2]}, "
+                                 f"expected ({B}, {self.max_len})")
+        groups = []
+        for rows, P in length_groups(lengths):
+            with ad.example_rows(rows):
+                e_len, _ = self.len_codec.encode(LeafBatch(lengths[rows]))
+            with ad.example_rows(rows, P):
+                ev, val_ctx = self.value_codec.encode(take_prefix(x.values, rows, P), rng=rng)
+            groups.append(ListGroup(rows, P, lengths[rows], e_len,
+                                    ad.reshape(ev, (rows.size, P, self.width)), val_ctx))
+        inverse = None if len(groups) == 1 else np.argsort(
+            np.concatenate([g.rows for g in groups]))
+        return self._digest(groups, lengths, inverse, rng)
 
     def loss_terms(self, cond: Tensor, ctx: ListCtx, x: ListBatch) -> Tensor:
         # length loss plus the sum over valid element positions, unnormalised:
         # a longer list is a larger observation and weighs accordingly
-        B, P = ctx.mask.shape
-        c_col = ad.reshape(cond, (B, 1, self.width))
-        dec_in = ad.concat([c_col, ad.narrow(ctx.digests, 1, 0, P)], axis=1)
-        pos = np.arange(P + 1)[None, :]
-        valid = (pos <= ctx.lengths[:, None]) | (pos <= 1)
-        h = self.dec(dec_in, valid=valid)
-        len_cond = ad.reshape(ad.narrow(h, 1, 0, 1), (B, self.width))
-        len_loss = self.len_codec.loss_terms(len_cond, None, LeafBatch(ctx.lengths))
-        slots = ad.narrow(h, 1, 1, P)
-        if ctx.perm is not None:
-            # element j was fed in the slot i with perm[b, i] == j
-            slots = ad.gather_positions(slots, np.argsort(ctx.perm, axis=1))
-        v = self.value_codec.loss_terms(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx,
-                                        merge_leading(x.values))
-        v = ad.reshape(v, (B, P))
-        if ctx.perm is not None:
-            # summed in slot order, so a shuffled pass is bitwise equal to a
-            # plain pass on the reordered observation
-            v = ad.gather_positions(v, ctx.perm)
-        v = ad.mul_const(v, ctx.mask.astype(np.float64))
-        return ad.add(len_loss, ad.sum_axis(v, 1))
+        terms = []
+        for g in ctx.groups:
+            n, P = g.rows.size, g.P
+            c = cond if ctx.inverse is None else ad.take_rows(cond, g.rows)
+            dec_in = ad.concat([ad.reshape(c, (n, 1, self.width)),
+                                ad.narrow(g.digests, 1, 0, P)], axis=1)
+            pos = np.arange(P + 1)[None, :]
+            valid = (pos <= g.lengths[:, None]) | (pos <= 1)
+            with ad.example_rows(g.rows):
+                h = self.dec(dec_in, valid=valid)
+                len_cond = ad.reshape(ad.narrow(h, 1, 0, 1), (n, self.width))
+                len_loss = self.len_codec.loss_terms(len_cond, None, LeafBatch(g.lengths))
+            slots = ad.narrow(h, 1, 1, P)
+            if g.perm is not None:
+                # element j was fed in the slot i with perm[b, i] == j
+                slots = ad.gather_positions(slots, np.argsort(g.perm, axis=1))
+            with ad.example_rows(g.rows, P):
+                v = self.value_codec.loss_terms(ad.reshape(slots, (n * P, self.width)),
+                                                g.val_ctx, take_prefix(x.values, g.rows, P))
+            v = ad.reshape(v, (n, P))
+            if g.perm is not None:
+                # summed in slot order, so a shuffled pass is bitwise equal to a
+                # plain pass on the reordered observation
+                v = ad.gather_positions(v, g.perm)
+            v = ad.mul_const(v, g.mask().astype(np.float64))
+            terms.append(ad.add(len_loss, ad.sum_axis(v, 1)))
+        return _in_batch_order(terms, ctx.inverse)
 
     def reshuffle(self, ctx: ListCtx, rng):
         """As `StructCodec.reshuffle`: the value codec is re-run only when it
         holds a shuffled node, and its draws come before this list's."""
-        val_embs, val_ctx = ctx.val_embs, ctx.val_ctx
-        if self.value_codec.has_shuffle():
-            e, val_ctx = self.value_codec.reshuffle(val_ctx, rng)
-            val_embs = ad.reshape(e, val_embs.shape)
-        perm = self._draw_perm(rng, ctx.mask)
-        return self._digest(ctx.len_emb, val_embs, val_ctx, ctx.lengths, ctx.mask, perm)
+        groups = []
+        for g in ctx.groups:
+            val_embs, val_ctx = g.val_embs, g.val_ctx
+            if self.value_codec.has_shuffle():
+                with ad.example_rows(g.rows, g.P):
+                    e, val_ctx = self.value_codec.reshuffle(val_ctx, rng)
+                val_embs = ad.reshape(e, val_embs.shape)
+            groups.append(ListGroup(g.rows, g.P, g.lengths, g.len_emb, val_embs, val_ctx))
+        return self._digest(groups, ctx.lengths, ctx.inverse, rng)
 
     def sample(self, cond, rng):
         B = cond.shape[0]

@@ -265,11 +265,38 @@ def test_list_rejects_bad_lengths():
         codec.encode(ListBatch(np.array([-1]), padded))
 
 
+def test_list_rejects_values_of_another_capacity():
+    # the values' capacity axis must be max_len: a group reads row b's first
+    # P positions, so any other capacity would pair lengths with wrong values
+    codec, _ = cat_list(3, max_len=2, path="tags")
+    with pytest.raises(ValueError, match="tags"):
+        codec.encode(ListBatch(np.array([1, 2]), LeafBatch(np.zeros((2, 3), dtype=np.int64))))
+    with pytest.raises(ValueError, match="tags"):
+        codec.encode(ListBatch(np.array([1, 2]), LeafBatch(np.zeros((4,), dtype=np.int64))))
+    codec, _ = compile_schema(parse_schema({"type": "record", "name": "r", "fields": [
+        {"name": "ll", "type": {"type": "array", "name": "ll", "max_len": 2, "items": {
+            "type": "array", "name": "in", "max_len": 3,
+            "items": {"type": "enum", "name": "v", "cardinality": 2}}}}]}),
+        width=8, blocks=1, heads=2)
+    inner = ListBatch(np.zeros((1, 2), dtype=np.int64),
+                      LeafBatch(np.zeros((1, 3, 3), dtype=np.int64)))  # outer capacity 3
+    with pytest.raises(ValueError, match="^r/ll: values have leading shape \\(1, 3\\)"):
+        codec.encode(StructBatch({"ll": ListBatch(np.array([1]), inner)}))
+
+
+def only_group(ctx):
+    """The single length group of a list context, which holds every row."""
+    assert len(ctx.groups) == 1 and ctx.inverse is None
+    return ctx.groups[0]
+
+
 def test_empty_list_embedding_is_length_digest():
     codec, store = cat_list(3, max_len=4)
     x = list_batch([0, 0], [[], []], 4)
     emb, ctx = codec.encode(x)
-    assert np.array_equal(emb.data, ctx.digests.data[:, 0, :])
+    group = only_group(ctx)
+    assert group.P == 1  # cut to one position, not max_len
+    assert np.array_equal(emb.data, group.digests.data[:, 0, :])
     # loss reduces to the length term alone
     spy = LeafSpy(codec)
     total = spy.score(root_conditioning(store, 2, 8), ctx, x)
@@ -280,7 +307,9 @@ def test_full_list_round_trips():
     codec, store = cat_list(3, max_len=3)
     x = list_batch([3], [[2, 0, 1]], 3)
     emb, ctx = codec.encode(x)
-    assert np.array_equal(emb.data, ctx.digests.data[:, 3, :])
+    group = only_group(ctx)
+    assert group.P == 3
+    assert np.array_equal(emb.data, group.digests.data[:, 3, :])
     assert np.isfinite(forward_loss(codec, store, x))
 
 
@@ -356,14 +385,17 @@ def test_padding_is_invisible_and_gradient_free():
         assert np.array_equal(grads_c[path], grads_d[path]), path
 
     # gradient w.r.t. the embeddings fed at padded positions is exactly zero
+    # in every length group; lengths (0, 1) and (2, 4) run in groups of 1 and
+    # 4 positions, so each group has padding
     store.zero_grads()
     with Tape() as tape:
         emb, ctx = codec.encode(dirty)
         loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 4, 8), ctx, dirty))
     tape.backward(loss)
-    g = ctx.val_embs.grad
-    assert np.all(g[pad] == 0.0)
-    assert np.any(g[~pad] != 0.0)
+    assert [(g.rows.tolist(), g.P) for g in ctx.groups] == [([1, 3], 1), ([0, 2], 4)]
+    for group in ctx.groups:
+        assert np.all(group.val_embs.grad[~group.mask()] == 0.0)
+    assert np.any(np.concatenate([g.val_embs.grad[g.mask()] for g in ctx.groups]) != 0.0)
 
 
 # -- set codec (shuffled list) -------------------------------------------------

@@ -1,0 +1,223 @@
+"""Length-grouped list training against the padded scoring it replaced.
+
+`PaddedListCodec` keeps the old `ListCodec` training path as the reference:
+every row runs at max_len, the value codec on all (B*max_len) flattened
+positions. Grouping only drops positions that are masked out and reorders
+sums, so losses and gradients must agree to rounding, on both the plain and
+the per-example (DP) path."""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from nestgen import autodiff as ad
+from nestgen.batches import LeafBatch, ListBatch, StructBatch, merge_leading
+from nestgen.codecs.base import per_example_gradients, train_step
+from nestgen.codecs.composites import ListCodec, length_groups
+from nestgen.schema import compile_schema, parse_schema
+
+from conftest import random_batch, random_schema_doc
+
+TOL = 1e-12
+
+
+class PaddedCtx:
+    __slots__ = ("digests", "len_emb", "val_embs", "val_ctx", "lengths", "mask", "perm")
+
+    def __init__(self, digests, len_emb, val_embs, val_ctx, lengths, mask, perm):
+        self.digests = digests
+        self.len_emb = len_emb
+        self.val_embs = val_embs
+        self.val_ctx = val_ctx
+        self.lengths = lengths
+        self.mask = mask
+        self.perm = perm
+
+
+class PaddedListCodec(ListCodec):
+    """The padded list training path: one group of every row at max_len."""
+
+    def _padded_digest(self, e_len, val_embs, val_ctx, lengths, mask, perm):
+        B = lengths.shape[0]
+        ordered = val_embs if perm is None else ad.gather_positions(val_embs, perm)
+        seq = ad.concat([ad.reshape(e_len, (B, 1, self.width)), ordered], axis=1)
+        valid = np.concatenate([np.ones((B, 1), dtype=bool), mask], axis=1)
+        digests = self.enc(seq, valid=valid)
+        emb = ad.reshape(ad.gather_positions(digests, lengths[:, None]), (B, self.width))
+        return emb, PaddedCtx(digests, e_len, val_embs, val_ctx, lengths, mask, perm)
+
+    def encode(self, x, rng=None):
+        lengths = np.asarray(x.lengths, dtype=np.int64)
+        P = self.max_len
+        mask = np.arange(P)[None, :] < lengths[:, None]
+        e_len, _ = self.len_codec.encode(LeafBatch(lengths))
+        ev_flat, val_ctx = self.value_codec.encode(merge_leading(x.values), rng=rng)
+        B = lengths.shape[0]
+        val_embs = ad.reshape(ev_flat, (B, P, self.width))
+        perm = self._draw_perm(rng, mask)
+        return self._padded_digest(e_len, val_embs, val_ctx, lengths, mask, perm)
+
+    def loss_terms(self, cond, ctx, x):
+        B, P = ctx.mask.shape
+        c_col = ad.reshape(cond, (B, 1, self.width))
+        dec_in = ad.concat([c_col, ad.narrow(ctx.digests, 1, 0, P)], axis=1)
+        pos = np.arange(P + 1)[None, :]
+        valid = (pos <= ctx.lengths[:, None]) | (pos <= 1)
+        h = self.dec(dec_in, valid=valid)
+        len_cond = ad.reshape(ad.narrow(h, 1, 0, 1), (B, self.width))
+        len_loss = self.len_codec.loss_terms(len_cond, None, LeafBatch(ctx.lengths))
+        slots = ad.narrow(h, 1, 1, P)
+        if ctx.perm is not None:
+            slots = ad.gather_positions(slots, np.argsort(ctx.perm, axis=1))
+        v = self.value_codec.loss_terms(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx,
+                                        merge_leading(x.values))
+        v = ad.reshape(v, (B, P))
+        if ctx.perm is not None:
+            v = ad.gather_positions(v, ctx.perm)
+        v = ad.mul_const(v, ctx.mask.astype(np.float64))
+        return ad.add(len_loss, ad.sum_axis(v, 1))
+
+    def reshuffle(self, ctx, rng):
+        val_embs, val_ctx = ctx.val_embs, ctx.val_ctx
+        if self.value_codec.has_shuffle():
+            e, val_ctx = self.value_codec.reshuffle(val_ctx, rng)
+            val_embs = ad.reshape(e, val_embs.shape)
+        perm = self._draw_perm(rng, ctx.mask)
+        return self._padded_digest(ctx.len_emb, val_embs, val_ctx, ctx.lengths, ctx.mask, perm)
+
+
+@contextmanager
+def padded(codec):
+    """Every list codec under `codec` trains on the padded path meanwhile."""
+    lists = [c for c in codec.walk() if type(c) is ListCodec]
+    for c in lists:
+        c.__class__ = PaddedListCodec
+    try:
+        yield
+    finally:
+        for c in lists:
+            c.__class__ = ListCodec
+
+
+def enum(name, k=3):
+    return {"name": name, "type": "enum", "cardinality": k}
+
+
+def array(name, items, max_len, shuffled=False):
+    return {"type": "array", "name": name, "max_len": max_len, "items": items,
+            "shuffled": shuffled}
+
+
+LIST_OF_LISTS = {"type": "record", "name": "r", "fields": [
+    {"name": "ll", "type": array("ll", array("in", {"type": "enum", "name": "v",
+                                                    "cardinality": 3}, 3), 4)}]}
+STRUCT_WITH_LIST = {"type": "record", "name": "s", "fields": [
+    enum("b", 2), {"name": "c", "type": "long", "bins": 3},
+    {"name": "in", "type": array("in", {"type": "enum", "name": "v", "cardinality": 4}, 3)}]}
+LIST_OF_STRUCTS = {"type": "record", "name": "r", "fields": [
+    enum("a"), {"name": "l", "type": array("l", STRUCT_WITH_LIST, 5)}]}
+# the shuffled nodes sit outside lists' value codecs, so both paths draw the
+# same stream: the list's (B, max_len) keys, then the root's order
+SHUFFLED = {"type": "record", "name": "r", "shuffled": True, "fields": [
+    enum("a"), {"name": "l", "type": array("l", STRUCT_WITH_LIST, 5, shuffled=True)},
+    {"name": "m", "type": array("m", {"type": "enum", "name": "v", "cardinality": 5}, 6,
+                                shuffled=True)}]}
+
+DOCS = {"list-of-lists": LIST_OF_LISTS, "list-of-structs": LIST_OF_STRUCTS,
+        "shuffled": SHUFFLED}
+
+
+def compiled(doc, seed=0):
+    return compile_schema(parse_schema(doc), width=8, blocks=2, heads=2, seed=seed)
+
+
+def set_lengths(tree, codec, pick):
+    """The batch with every list's lengths replaced by pick(codec, shape)."""
+    if isinstance(tree, LeafBatch):
+        return tree
+    if isinstance(tree, StructBatch):
+        return StructBatch({k: set_lengths(v, c, pick) for (k, v), c in
+                            zip(tree.fields.items(), codec.children())})
+    return ListBatch(pick(codec, tree.lengths.shape),
+                     set_lengths(tree.values, codec.value_codec, pick))
+
+
+def batches(codec, B, rng):
+    """Random lengths, then all-empty, all-full and single-length lists."""
+    x = random_batch(codec, B, rng)
+    return {"random": x,
+            "empty": set_lengths(x, codec, lambda c, s: np.zeros(s, dtype=np.int64)),
+            "full": set_lengths(x, codec, lambda c, s: np.full(s, c.max_len)),
+            "single": set_lengths(x, codec, lambda c, s: np.full(s, (c.max_len + 1) // 2))}
+
+
+def assert_same_training(codec, store, x, passes, seed):
+    rng = lambda: np.random.default_rng(seed)  # noqa: E731
+    loss, grads = train_step(codec, store, x, rng=rng(), passes=passes)
+    losses, matrix = per_example_gradients(codec, store, x, rng=rng(), passes=passes)
+    with padded(codec):
+        ref_loss, ref_grads = train_step(codec, store, x, rng=rng(), passes=passes)
+        ref_losses, ref_matrix = per_example_gradients(codec, store, x, rng=rng(),
+                                                       passes=passes)
+    assert abs(loss - ref_loss) <= TOL
+    for path, g in ref_grads.items():
+        np.testing.assert_allclose(grads[path], g, rtol=0, atol=TOL, err_msg=path)
+    np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=TOL)
+    np.testing.assert_allclose(matrix, ref_matrix, rtol=0, atol=TOL)
+    assert np.any(matrix != 0.0)
+
+
+def split_lists(codec, x):
+    """How many list nodes split some batch they saw into two groups."""
+    if isinstance(x, LeafBatch):
+        return 0
+    if isinstance(x, StructBatch):
+        return sum(split_lists(c, v) for c, v in zip(codec.children(), x.fields.values()))
+    inner = split_lists(codec.value_codec, merge_leading(x.values))
+    return inner + (len(length_groups(np.asarray(x.lengths))) > 1)
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+@pytest.mark.parametrize("B", [1, 9])
+def test_grouped_training_matches_padded(name, B):
+    doc = DOCS[name]
+    passes = 2 if name == "shuffled" else 1
+    codec, store = compiled(doc, seed=B)
+    for kind, x in batches(codec, B, np.random.default_rng(100 + B)).items():
+        if kind == "random" and B > 1:
+            assert split_lists(codec, x) > 0  # the case really splits
+        assert_same_training(codec, store, x, passes, seed=B)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_random_schemas_match_padded(case):
+    while True:
+        rng = np.random.default_rng(300 + case)
+        doc = random_schema_doc(rng, max_depth=3, shuffle_ok=False)
+        codec, store = compiled(doc, seed=case)
+        if any(isinstance(c, ListCodec) for c in codec.walk()):
+            break
+        case += 100
+    assert_same_training(codec, store, random_batch(codec, 7, rng), 1, seed=case)
+
+
+def test_length_groups_take_the_cheapest_cut():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        B = int(rng.integers(0, 12))
+        top = int(rng.integers(1, 9))
+        lengths = rng.integers(0, top + 1, size=B)
+        groups = length_groups(lengths)
+        rows = np.concatenate([r for r, _ in groups])
+        assert np.array_equal(np.sort(rows), np.arange(B))
+        for r, P in groups:
+            assert np.all(np.diff(r) > 0)
+            assert P == max(int(lengths[r].max(initial=0)), 1)
+        positions = sum(r.size * (P + 1) for r, P in groups)
+        # brute force over every cut of the rows sorted by length
+        s = np.maximum(np.sort(lengths), 1)
+        one = B * (max(int(lengths.max(initial=0)), 1) + 1)
+        best = min([one] + [k * (s[k - 1] + 1) + (B - k) * (s[-1] + 1) for k in range(1, B)])
+        assert positions == best
+        assert len(groups) == 1 or positions < one

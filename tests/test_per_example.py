@@ -8,6 +8,7 @@ from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
 from nestgen.batches import n_rows, take
 from nestgen.codecs.base import per_example_gradients, train_step, unflatten_gradients
+from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.primitives import CategoricalCodec
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack
@@ -102,28 +103,78 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
     codec, store = compiled(doc, seed=80)
     call = AttentionStack.__call__
     counts = {}
+    encodes = {}   # id(codec) -> one entry per encode call
 
     def counted(self, x, valid=None):
         counts[id(self)] = counts.get(id(self), 0) + 1
         return call(self, x, valid)
 
+    def spied(encode):
+        def wrapper(self, x, rng=None):
+            emb, ctx = encode(self, x, rng=rng)
+            groups = [(g.rows, g.P) for g in ctx.groups] if isinstance(self, ListCodec) else None
+            encodes.setdefault(id(self), []).append((n_rows(x), groups, x))
+            return emb, ctx
+        return wrapper
+
     monkeypatch.setattr(AttentionStack, "__call__", counted)
-    # every decoder runs once per pass; an encoder is re-run on later passes
-    # only when its subtree holds a shuffled node
+    for cls in (StructCodec, ListCodec):
+        monkeypatch.setattr(cls, "encode", spied(cls.encode))
     composites = [c for c in codec.walk() if hasattr(c, "enc")]
-    expected = {id(c.dec): passes for c in composites}
-    expected |= {id(c.enc): passes if c.has_shuffle() else 1 for c in composites}
-    if doc is SHUFFLED:
-        assert set(expected.values()) == {passes}
-    if doc is SHUFFLED_LIST:
-        inner = codec.children()[1].value_codec
-        assert expected[id(inner.enc)] == 1 and expected[id(codec.enc)] == 2
+
+    def expected_counts():
+        """Each stack runs once per batch it sees per pass (an encoder is
+        re-run on later passes only when its subtree holds a shuffled node).
+        A struct sees one batch per encode call; a list sees one per length
+        group, and its value codec is encoded once per group."""
+        runs = {}
+
+        def visit(c, calls):
+            if not hasattr(c, "enc"):
+                return
+            assert len(encodes[id(c)]) == calls, c.path
+            batches = calls
+            if isinstance(c, ListCodec):
+                batches = 0
+                for B, groups, x in encodes[id(c)]:
+                    # the groups' rows partition the batch; each is cut to
+                    # its longest list (at least 1), at most two groups
+                    assert 1 <= len(groups) <= 2
+                    rows = np.concatenate([r for r, _ in groups])
+                    assert np.array_equal(np.sort(rows), np.arange(B)), c.path
+                    for r, P in groups:
+                        assert P == max(int(x.lengths[r].max()), 1), c.path
+                    batches += len(groups)
+            runs[id(c)] = batches
+            for child in c.children():
+                visit(child, batches if isinstance(c, ListCodec) else calls)
+
+        visit(codec, 1)
+        out = {id(c.dec): runs[id(c)] * passes for c in composites}
+        out |= {id(c.enc): runs[id(c)] * (passes if c.has_shuffle() else 1)
+                for c in composites}
+        return out, runs
+
     for n in (1, 8):
         counts.clear()
+        encodes.clear()
         batch = random_batch(codec, n, np.random.default_rng(n))
         per_example_gradients(codec, store, batch, rng=np.random.default_rng(0),
                               passes=passes)
+        expected, runs = expected_counts()
         assert counts == expected
+        lists = [c for c in composites if isinstance(c, ListCodec)]
+        if n == 1:
+            assert all(runs[id(c)] == 1 for c in lists if c in codec.children())
+        else:
+            # a batch of 8 lengths in 0..max_len splits somewhere
+            assert any(runs[id(c)] > len(encodes[id(c)]) for c in lists)
+        if doc is SHUFFLED:
+            assert all(counts[id(c.enc)] == counts[id(c.dec)] for c in composites)
+        if doc is SHUFFLED_LIST:
+            inner = codec.children()[1].value_codec
+            assert counts[id(inner.enc)] == runs[id(inner)]
+            assert counts[id(codec.enc)] == 2
         batched = dict(counts)
         counts.clear()
         train_step(codec, store, batch, rng=np.random.default_rng(0), passes=passes)
