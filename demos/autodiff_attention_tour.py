@@ -23,9 +23,9 @@ target = rng.integers(0, 3, size=5)
 
 with Tape() as tape:
     logits = ad.matmul(x, w)
-    logp = ad.log_softmax(logits)
-    picked = ad.take_along_last(logp, target)
-    loss = ad.scale(ad.mean_all(picked), -1.0)
+    # one op: the negative log softmax at each row's target, whose backward
+    # is softmax minus one-hot
+    loss = ad.mean_all(ad.categorical_nll(logits, target))
 tape.backward(loss)
 
 print("cross-entropy loss:", float(loss.data))
@@ -39,8 +39,7 @@ step = 1e-6
 def loss_at(v):
     prev = w.data[i, j]
     w.data[i, j] = v
-    out = -np.take_along_axis(
-        ad.log_softmax(ad.matmul(x, w)).data, target[:, None], 1).mean()
+    out = ad.categorical_nll(ad.matmul(x, w), target).data.mean()
     w.data[i, j] = prev
     return out
 

@@ -218,15 +218,6 @@ def add(a, b):
     return _record(out, backward)
 
 
-def neg(a):
-    out = Tensor(-a.data)
-
-    def backward(g):
-        a.accumulate(-g)
-
-    return _record(out, backward)
-
-
 def scale(a, s: float):
     out = Tensor(a.data * s)
 
@@ -362,14 +353,21 @@ def softmax(a):
     return _record(out, backward)
 
 
-def log_softmax(a):
-    z = a.data - a.data.max(axis=-1, keepdims=True)
+def categorical_nll(logits, codes):
+    """Negative log softmax of (N, K) logits at one code per row, shape (N,):
+    the loss of a categorical leaf. The backward is softmax minus one-hot,
+    scaled by each row's incoming gradient."""
+    codes = np.asarray(codes)
+    rows = np.arange(codes.shape[0])
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = Tensor(z - lse)
+    out = Tensor(lse[:, 0] - z[rows, codes])
     s = np.exp(z - lse)
 
     def backward(g):
-        a.accumulate(g - s * g.sum(axis=-1, keepdims=True))
+        ga = s * g[:, None]
+        ga[rows, codes] -= g
+        logits.accumulate(ga)
 
     return _record(out, backward)
 
@@ -420,20 +418,6 @@ def gather_positions(a, idx):
     def backward(g):
         ga = np.zeros(shape)
         np.add.at(ga, (rows, idx), g)
-        a.accumulate(ga)
-
-    return _record(out, backward)
-
-
-def take_along_last(a, idx):
-    """out[...] = a[..., idx[...]]: one entry per row of the last axis."""
-    idx = np.asarray(idx)
-    out = Tensor(np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0])
-    shape = a.data.shape
-
-    def backward(g):
-        ga = np.zeros(shape)
-        np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
         a.accumulate(ga)
 
     return _record(out, backward)

@@ -192,9 +192,9 @@ def _load_model(path):
 
 
 def cmd_sample(args) -> int:
-    codec, store, tf, config, _ = _load_model(args.model)
     if args.count < 0:
-        raise CliError("sample", "count must be >= 0")
+        raise CliError("parse", f"--count must be >= 0, got {args.count}")
+    codec, store, tf, config, _ = _load_model(args.model)
     fmt = args.format
     if fmt is None:
         try:
@@ -216,6 +216,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # flags are checked before any file is read, as fit checks its own
+    if args.k < 1:
+        raise CliError("parse", f"--k: marginal order k must be >= 1, got {args.k}")
+    if args.subsets < 1:
+        raise CliError("parse", f"--subsets: n_subsets must be >= 1, got {args.subsets}")
     schema = _load_schema(args.schema)
     rules = None
     if args.rules:

@@ -2,15 +2,17 @@
 
 `encode` turns an observation into a fixed-width embedding plus a context.
 `loss_terms` runs the decoder from a conditioning vector and that context
-and scores the observation in the same walk: its per-example negative log
-likelihood is the training loss. `sample` draws each child from its decoder
-conditioning and feeds the draw back through the encoder, one position at a
-time. A context holds only what `loss_terms` (and a composite's `reshuffle`)
-reads; a leaf's is None. Contexts are never reordered: a shuffled list's
-decoder slot 1+i conditions element perm[b, i], and `loss_terms` gathers
-each element's slot back (see `composites`). Composite codecs own child
-codecs and wire them together with causal attention; the root codec is
-scored from a fixed initial conditioning vector, and its embedding is unused.
+alone and scores the observation in the same walk: its per-example negative
+log likelihood is the training loss. `sample` draws each child from its
+decoder conditioning and feeds the draw back through the encoder, one
+position at a time. A context holds only what `loss_terms` (and a
+composite's `reshuffle`) reads: a leaf's is its codes, a composite's holds
+its digests and its children's contexts. Contexts are never reordered: a
+shuffled list's decoder slot 1+i conditions element perm[b, i], and
+`loss_terms` gathers each element's slot back (see `composites`). Composite
+codecs own child codecs and wire them together with causal attention; the
+root codec is scored from a fixed initial conditioning vector, and its
+embedding is unused.
 """
 
 from __future__ import annotations
@@ -33,15 +35,15 @@ class Codec:
     width: int
 
     def encode(self, x, rng=None):
-        """Return (embedding (B, d) Tensor, context); the context is None for
-        a leaf. rng drives shuffle permutations; rng=None means identity
+        """Return (embedding (B, d) Tensor, context); a leaf's context is its
+        (B,) codes. rng drives shuffle permutations; rng=None means identity
         order everywhere."""
         raise NotImplementedError
 
-    def loss_terms(self, cond: Tensor, ctx, x) -> Tensor:
+    def loss_terms(self, cond: Tensor, ctx) -> Tensor:
         """Decode from conditioning rows (B, d) and the context `encode`
-        returned for x; returns the per-example negative log likelihood of
-        x, shape (B,)."""
+        returned for an observation x; returns the per-example negative log
+        likelihood of x, shape (B,)."""
         raise NotImplementedError
 
     def sample(self, cond, rng):
@@ -68,16 +70,14 @@ class Codec:
         raise NotImplementedError
 
 
-def root_conditioning(store: ParamStore, n: int, width: int) -> Tensor:
-    """The fixed initial conditioning rows for a batch of n examples.
-
-    Compiled models carry a fixed nonzero constant; a bare store falls back
-    to zeros.
-    """
+def root_conditioning(store: ParamStore, n: int) -> Tensor:
+    """The fixed initial conditioning rows for a batch of n examples: the
+    store's `~c0` constant, which `compile_schema` sets."""
     c0 = store.constant(C0_PATH)
-    if c0 is not None:
-        return Tensor(np.tile(c0, (n, 1)))
-    return Tensor(np.zeros((n, width)))
+    if c0 is None:
+        raise ValueError(f"parameter store has no {C0_PATH} constant to "
+                         "condition the root on")
+    return Tensor(np.tile(c0, (n, 1)))
 
 
 def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
@@ -93,14 +93,13 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
         raise ValueError("passes must be >= 1")
     if passes > 1 and not codec.has_shuffle():
         raise ValueError("multiple decoding passes need at least one shuffled node")
-    n = n_rows(batch)
-    emb, ctx = codec.encode(batch, rng=rng)
+    cond = root_conditioning(store, n_rows(batch))
+    _, ctx = codec.encode(batch, rng=rng)
     out = []
     for p in range(passes):
         if p > 0:
             _, ctx = codec.reshuffle(ctx, rng)
-        out.append(codec.loss_terms(root_conditioning(store, n, codec.width),
-                                    ctx, batch))
+        out.append(codec.loss_terms(cond, ctx))
     return out
 
 
@@ -168,7 +167,7 @@ def sample_rows(codec: Codec, store: ParamStore, count: int, rng):
     left = count
     while left > 0:
         n = min(left, SAMPLE_CHUNK)
-        cond = root_conditioning(store, n, codec.width)
+        cond = root_conditioning(store, n)
         tree, _ = codec.sample(cond, rng)
         parts.append(tree)
         left -= n

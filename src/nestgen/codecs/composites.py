@@ -4,11 +4,14 @@ Child observations are encoded bottom-up into fixed-width embeddings; a
 causal attention stack turns the embedding sequence into running digests, and
 a second stack turns (conditioning, digests) into one conditioning vector per
 child, against which `loss_terms` scores the child in the same walk (a list
-scores its length first). Optionally the order children enter the digests
-is shuffled per pass, which trains the model to be usable under any
-autoregressive factorisation of the node. Orders come only from the `rng`
-given to `encode` and `reshuffle`: a struct takes `rng.permutation(n)`, a
-list sorts `rng.random((B, max_len))` keys over each row's valid prefix.
+scores its length first). Scoring reads only contexts: a composite's holds
+its digests and its children's contexts, down to the leaves', which are
+their codes, so `loss_terms` never sees the observation. Optionally the
+order children enter the digests is shuffled per pass, which trains the
+model to be usable under any autoregressive factorisation of the node.
+Orders come only from the `rng` given to `encode` and `reshuffle`: a struct
+takes `rng.permutation(n)`, a list sorts `rng.random((B, max_len))` keys
+over each row's valid prefix.
 
 Indexing convention used throughout (0-based): for a struct with n fields in
 order perm the encoder reads the embedding of field perm[k] at position k and
@@ -18,9 +21,10 @@ length embedding and position 1+i is element perm[b, i] (element i when the
 list is not shuffled); decoder output slot 0 conditions the length and slot
 1+i conditions element perm[b, i]. `loss_terms` gathers each element's slot
 back (`np.argsort(perm)`), so the value codec scores in element order
-against its own context, and the per-element losses are summed in slot
-order. Padded positions are masked out of attention and contribute exactly
-zero loss and gradient; a permutation keeps them in place.
+against its own context (the group's values as encoded), and the
+per-element losses are summed in slot order. Padded positions are masked
+out of attention and contribute exactly zero loss and gradient; a
+permutation keeps them in place.
 
 Because padding is invisible and no op mixes the rows of different
 examples, a list trains its batch in length groups (`length_groups`): each
@@ -191,7 +195,7 @@ class StructCodec(Codec):
             ctxs.append(c)
         return self._digest(embs, ctxs, self._draw_perm(rng))
 
-    def loss_terms(self, cond: Tensor, ctx: StructCtx, x: StructBatch) -> Tensor:
+    def loss_terms(self, cond: Tensor, ctx: StructCtx) -> Tensor:
         n = len(self._children)
         B = cond.data.shape[0]
         c_col = ad.reshape(cond, (B, 1, self.width))
@@ -206,7 +210,7 @@ class StructCodec(Codec):
         for slot in range(n):
             k = ctx.perm[slot]
             cond_k = ad.reshape(ad.narrow(h, 1, slot, 1), (B, self.width))
-            term = self._children[k].loss_terms(cond_k, ctx.child_ctxs[k], x.fields[self.names[k]])
+            term = self._children[k].loss_terms(cond_k, ctx.child_ctxs[k])
             total = term if total is None else ad.add(total, term)
         return total
 
@@ -300,7 +304,7 @@ class ListCodec(Codec):
             np.concatenate([g.rows for g in groups]))
         return self._digest(groups, lengths, inverse, rng)
 
-    def loss_terms(self, cond: Tensor, ctx: ListCtx, x: ListBatch) -> Tensor:
+    def loss_terms(self, cond: Tensor, ctx: ListCtx) -> Tensor:
         # length loss plus the sum over valid element positions, unnormalised:
         # a longer list is a larger observation and weighs accordingly
         terms = []
@@ -314,14 +318,14 @@ class ListCodec(Codec):
             with ad.example_rows(g.rows):
                 h = self.dec(dec_in, valid=valid)
                 len_cond = ad.reshape(ad.narrow(h, 1, 0, 1), (n, self.width))
-                len_loss = self.len_codec.loss_terms(len_cond, None, LeafBatch(g.lengths))
+                len_loss = self.len_codec.loss_terms(len_cond, g.lengths)
             slots = ad.narrow(h, 1, 1, P)
             if g.perm is not None:
                 # element j was fed in the slot i with perm[b, i] == j
                 slots = ad.gather_positions(slots, np.argsort(g.perm, axis=1))
             with ad.example_rows(g.rows, P):
                 v = self.value_codec.loss_terms(ad.reshape(slots, (n * P, self.width)),
-                                                g.val_ctx, take_prefix(x.values, g.rows, P))
+                                                g.val_ctx)
             v = ad.reshape(v, (n, P))
             if g.perm is not None:
                 # summed in slot order, so a shuffled pass is bitwise equal to a

@@ -16,7 +16,7 @@ class CategoricalCodec(Codec):
     """One embedding matrix W does double duty: encoding picks row k, and
     the logits cond @ W^T (no separate output head) are what `loss_terms`
     scores and `sample` draws from, inverting the softmax CDF with a single
-    uniform draw."""
+    uniform draw. A leaf's context is its codes."""
 
     def __init__(self, path: str, cardinality: int, width: int, store, rng):
         if cardinality < 1:
@@ -30,14 +30,13 @@ class CategoricalCodec(Codec):
         codes = np.asarray(x.codes)
         if codes.min(initial=0) < 0 or codes.max(initial=0) >= self.cardinality:
             raise ValueError(f"{self.path}: code out of range 0..{self.cardinality - 1}")
-        return ad.gather_rows(self.w, codes), None
+        return ad.gather_rows(self.w, codes), codes
 
     def _logits(self, cond) -> Tensor:
         return ad.matmul(cond, self.w, transpose_b=True)
 
-    def loss_terms(self, cond: Tensor, ctx, x: LeafBatch) -> Tensor:
-        lp = ad.log_softmax(self._logits(cond))
-        return ad.neg(ad.take_along_last(lp, np.asarray(x.codes)))
+    def loss_terms(self, cond: Tensor, codes) -> Tensor:
+        return ad.categorical_nll(self._logits(cond), codes)
 
     def sample(self, cond, rng):
         cdf = np.cumsum(ad.softmax(self._logits(cond)).data, axis=-1)

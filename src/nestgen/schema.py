@@ -72,6 +72,11 @@ _NUMERIC_TAGS = {"float": False, "double": False, "int": True, "long": True}
 _ATTRS = ("cardinality", "symbols", "max_len", "bins", "shuffled", "items")
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; `true` and `false` are not, though bool subclasses int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_schema(src) -> object:
     """Parse a JSON document (text or already-loaded dict) into a schema tree."""
     if isinstance(src, (str, bytes)):
@@ -136,7 +141,7 @@ def _parse_node(spec, where, name_override=None):
             raise SchemaError(f"array {name}: missing max_len (lists need a "
                               "declared capacity)")
         max_len = spec["max_len"]
-        if not isinstance(max_len, int) or max_len < 1:
+        if not _is_int(max_len) or max_len < 1:
             raise SchemaError(f"array {name}: max_len must be an integer >= 1")
         items_spec = spec["items"]
         if isinstance(items_spec, str):
@@ -148,6 +153,8 @@ def _parse_node(spec, where, name_override=None):
     if tag == "enum":
         symbols = spec.get("symbols")
         cardinality = spec.get("cardinality")
+        if cardinality is not None and (not _is_int(cardinality) or cardinality < 1):
+            raise SchemaError(f"enum {name}: cardinality must be an integer >= 1")
         if symbols is not None:
             if (not isinstance(symbols, list) or not symbols
                     or len(set(map(str, symbols))) != len(symbols)):
@@ -158,14 +165,11 @@ def _parse_node(spec, where, name_override=None):
                 raise SchemaError(f"enum {name}: cardinality {cardinality} "
                                   f"contradicts {len(symbols)} symbols")
             cardinality = len(symbols)
-        elif cardinality is not None:
-            if not isinstance(cardinality, int) or cardinality < 1:
-                raise SchemaError(f"enum {name}: cardinality must be an integer >= 1")
         return Enum(name, symbols, cardinality)
 
     if tag in _NUMERIC_TAGS:
         bins = spec.get("bins")
-        if bins is not None and (not isinstance(bins, int) or bins < 2):
+        if bins is not None and (not _is_int(bins) or bins < 2):
             raise SchemaError(f"{tag} {name}: bins must be an integer >= 2")
         return Number(name, integer=_NUMERIC_TAGS[tag], bins=bins)
 

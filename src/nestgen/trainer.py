@@ -95,8 +95,7 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
         for b in range(steps_per_epoch):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             batch = take(data, idx)
-            shuffle_rng = (stream(cfg.seed, SHUFFLE, epoch, b)
-                           if codec.has_shuffle() else None)
+            shuffle_rng = stream(cfg.seed, SHUFFLE, epoch, b)  # unshuffled nodes never draw
             try:
                 if dp is not None:
                     losses, g = per_example_gradients(

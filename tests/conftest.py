@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from nestgen import autodiff as ad
-from nestgen.autodiff import Tape, Tensor
+from nestgen.autodiff import Tape
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
-from nestgen.codecs.base import pass_losses, root_conditioning
+from nestgen.codecs.base import pass_losses
 from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec
 
@@ -100,10 +100,10 @@ class LeafSpy:
     records, per leaf path, the logits cond.data @ W.data.T that the leaf
     scored and the per-example term it returned. Causality and masking
     tests compare these logits: each call checks, bitwise, that the term is
-    the negative log softmax of them at the observed codes, so they are the
-    distribution the leaf was decoded to. `score` runs one scoring pass of
-    the whole tree, after which `logits` and `terms` are new dicts holding
-    only that pass's records."""
+    the negative log softmax of them at the codes (the leaf's context), so
+    they are the distribution the leaf was decoded to. `score` runs one
+    scoring pass of the whole tree, after which `logits` and `terms` are new
+    dicts holding only that pass's records."""
 
     def __init__(self, codec):
         self.codec = codec
@@ -113,21 +113,22 @@ class LeafSpy:
                 leaf.loss_terms = self._wrap(leaf, leaf.loss_terms)
 
     def _wrap(self, leaf, loss_terms):
-        def spied(cond, ctx, x):
-            term = loss_terms(cond, ctx, x)
+        def spied(cond, codes):
+            term = loss_terms(cond, codes)
             logits = cond.data @ leaf.w.data.T
-            lp = ad.log_softmax(Tensor(logits))
-            ref = ad.neg(ad.take_along_last(lp, np.asarray(x.codes)))
-            assert np.array_equal(term.data, ref.data), leaf.path
+            z = logits - logits.max(axis=-1, keepdims=True)
+            lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            ref = -(z - lse)[np.arange(codes.shape[0]), codes]
+            assert np.array_equal(term.data, ref), leaf.path
             self.logits[leaf.path] = logits
             self.terms[leaf.path] = term
             return term
         return spied
 
-    def score(self, cond, ctx, x):
-        """codec.loss_terms(cond, ctx, x), recording a fresh pass."""
+    def score(self, cond, ctx):
+        """codec.loss_terms(cond, ctx), recording a fresh pass."""
         self.logits, self.terms = {}, {}
-        return self.codec.loss_terms(cond, ctx, x)
+        return self.codec.loss_terms(cond, ctx)
 
 
 def random_batch(codec, n, rng, garbage_padding=True):

@@ -21,8 +21,8 @@ from nestgen.autodiff import Tape
 from nestgen.batches import (LeafBatch, ListBatch, StructBatch, n_rows,
                              split_leading)
 from nestgen.cli import main as cli_main
-from nestgen.codecs.base import (pass_losses, root_conditioning, sample_rows,
-                                 train_step)
+from nestgen.codecs.base import (C0_PATH, pass_losses, root_conditioning,
+                                 sample_rows, train_step)
 from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.exact import (batch_from_values, enumerate_outcomes,
                                   joint_table)
@@ -267,7 +267,7 @@ def replace_in_tree(codec, batch, target, new):
 def decoded_logits(spy, store, batch):
     """Logits each leaf scored in one identity-order pass, by leaf path."""
     emb_unused, ctx = spy.codec.encode(batch, rng=None)
-    spy.score(root_conditioning(store, n_rows(batch), spy.codec.width), ctx, batch)
+    spy.score(root_conditioning(store, n_rows(batch)), ctx)
     return spy.logits
 
 
@@ -337,6 +337,7 @@ def test_05_causality_suite():
 
 def _standalone_list(card, max_len, seed, shuffled=False):
     store = ParamStore()
+    store.set_constant(C0_PATH, np.zeros(8))
     srng = np.random.default_rng(seed)
     tcfg = TransformerConfig(width=8, blocks=1, heads=2)
     val = CategoricalCodec("l/item", card, 8, store, srng)
@@ -386,7 +387,7 @@ def test_06_masking_zero_contribution():
         store.zero_grads()
         with Tape() as tape:
             _, ctx = codec.encode(x)
-            loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 6, 8), ctx, x))
+            loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 6), ctx))
         tape.backward(loss)
         # every length group's padded positions, up to its own longest list
         for group in ctx.groups:

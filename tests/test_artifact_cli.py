@@ -443,6 +443,25 @@ def test_cli_eval_rejects_bad_marginal_flags(flat_setup, capsys, flag, value, na
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sample", "--model", "{missing}.ngm", "--count", "-1", "--out", "{out}"],
+     "error: parse: --count must be >= 0, got -1"),
+    (["eval", "{missing}.csv", "{missing}.csv", "--schema", "{missing}.json",
+      "--k", "0", "--out", "{out}"],
+     "error: parse: --k: marginal order k must be >= 1, got 0"),
+    (["eval", "{missing}.csv", "{missing}.csv", "--schema", "{missing}.json",
+      "--subsets", "-3", "--out", "{out}"],
+     "error: parse: --subsets: n_subsets must be >= 1, got -3"),
+], ids=["sample-count", "eval-k", "eval-subsets"])
+def test_cli_sample_and_eval_check_flags_before_reading(tmp_path, capsys, argv, message):
+    # every input is missing, so the flag must be refused before any is read
+    out = tmp_path / "out.json"
+    argv = [a.format(missing=tmp_path / "missing", out=out) for a in argv]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_fit_checks_flags_before_reading_data(flat_setup, capsys):
     schema, _, model, tmp_path = flat_setup
     missing = str(tmp_path / "missing.csv")

@@ -26,7 +26,7 @@ def test_identity_gradient_is_one():
 def test_backward_requires_scalar(rng):
     x = t(rng, 3)
     with Tape() as tape:
-        y = ad.neg(x)
+        y = ad.scale(x, -1.0)
     with pytest.raises(ValueError):
         tape.backward(y)
 
@@ -40,7 +40,7 @@ def test_nested_tape_rejected():
 
 def test_ops_outside_tape_do_not_record(rng):
     x = t(rng, 4)
-    y = ad.neg(x)  # no active tape
+    y = ad.scale(x, -1.0)  # no active tape
     with Tape() as tape:
         z = ad.sum_all(ad.scale(x, 2.0))
     tape.backward(z)
@@ -56,10 +56,9 @@ def test_gradient_accumulates_across_reuse(rng):
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
-def test_add_neg_scale_grads(rng):
+def test_add_scale_grads(rng):
     a, b = t(rng, 2, 3), t(rng, 2, 3)
     check_op_gradients(lambda: ad.add(a, b), [a, b], rng)
-    check_op_gradients(lambda: ad.neg(a), [a], rng)
     check_op_gradients(lambda: ad.scale(a, -1.7), [a], rng)
 
 
@@ -116,10 +115,9 @@ def test_softmax_sum_gradient_is_zero(rng):
     np.testing.assert_allclose(z.grad, np.zeros_like(z.data), atol=1e-12)
 
 
-def test_softmax_log_softmax_grads(rng):
+def test_softmax_grads(rng):
     z = t(rng, 3, 5)
     check_op_gradients(lambda: ad.softmax(z), [z], rng)
-    check_op_gradients(lambda: ad.log_softmax(z), [z], rng)
     # 3-D variants as used inside attention
     y = t(rng, 2, 3, 4)
     check_op_gradients(lambda: ad.softmax(y), [y], rng)
@@ -146,12 +144,24 @@ def test_take_rows_and_gather_positions(rng):
     check_op_gradients(lambda: ad.gather_positions(b, pos), [b], rng)
 
 
-def test_take_along_last(rng):
-    a = t(rng, 4, 6)
-    idx = np.array([0, 5, 3, 3])
-    out = ad.take_along_last(a, idx)
-    np.testing.assert_array_equal(out.data, a.data[np.arange(4), idx])
-    check_op_gradients(lambda: ad.take_along_last(a, idx), [a], rng)
+def test_categorical_nll(rng):
+    # the last row's code takes all the mass: exp(-800) underflows, so its
+    # loss and its gradient are exactly 0
+    z = Tensor(np.vstack([rng.standard_normal((3, 6)),
+                          [0.0, 0.0, 800.0, 0.0, -2.0, 0.0]]))
+    codes = np.array([0, 5, 3, 2])
+    out = ad.categorical_nll(z, codes)
+    shifted = z.data - z.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    np.testing.assert_array_equal(out.data, -(shifted - lse)[np.arange(4), codes])
+    assert out.data[3] == 0.0
+    check_op_gradients(lambda: ad.categorical_nll(z, codes), [z], rng)
+    # a one-category leaf: every loss and gradient is exactly 0
+    one = t(rng, 3, 1)
+    zeros = np.zeros(3, dtype=np.int64)
+    assert np.array_equal(ad.categorical_nll(one, zeros).data, np.zeros(3))
+    check_op_gradients(lambda: ad.categorical_nll(one, zeros), [one], rng)
+    assert np.all(one.grad == 0.0)
 
 
 def test_masked_fill_value_and_exact_zero_grads(rng):
@@ -194,7 +204,7 @@ def test_cross_entropy_composite_fd(rng):
     def build():
         e = ad.gather_rows(w, idx)
         logits = ad.matmul(e, proj)
-        return ad.neg(ad.take_along_last(ad.log_softmax(logits), target))
+        return ad.categorical_nll(logits, target)
 
     check_op_gradients(build, [w, proj], rng)
 

@@ -14,6 +14,7 @@ from nestgen.codecs.base import (pass_losses, per_example_gradients,
                                  unflatten_gradients)
 from nestgen.codecs.exact import enumerate_outcomes, joint_table
 from nestgen.optim import Adam
+from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 
 from conftest import ForcedOrder, forward_loss
@@ -55,12 +56,21 @@ def test_single_category_root_loss_is_zero():
 
 def test_root_conditioning_is_fixed_and_nonzero():
     codec, store = compiled(CAT4, seed=3)
-    cond = root_conditioning(store, 5, 8)
+    cond = root_conditioning(store, 5)
     assert cond.data.shape == (5, 8)
     assert np.any(cond.data != 0.0)
     assert np.array_equal(cond.data, np.tile(cond.data[0], (5, 1)))
-    again = root_conditioning(store, 2, 8)
+    again = root_conditioning(store, 2)
     assert np.array_equal(again.data, cond.data[:2])
+
+
+def test_root_conditioning_needs_the_constant():
+    codec, _ = compiled(CAT4, seed=3)
+    bare = ParamStore()
+    with pytest.raises(ValueError, match="~c0"):
+        root_conditioning(bare, 5)
+    with pytest.raises(ValueError, match="~c0"):
+        sample_rows(codec, bare, 2, np.random.default_rng(0))
 
 
 def test_enumeration_sums_to_one_before_and_after_training():

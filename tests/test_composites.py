@@ -6,8 +6,8 @@ import pytest
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
-from nestgen.codecs.base import (pass_losses, root_conditioning, sample_rows,
-                                 train_step)
+from nestgen.codecs.base import (C0_PATH, pass_losses, root_conditioning,
+                                 sample_rows, train_step)
 from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec, QuantileTable
 from nestgen.params import ParamStore
@@ -18,9 +18,16 @@ from conftest import (ForcedOrder, LeafSpy, attach_tables, forward_loss,
                       loss_gradients, random_schema_doc)
 
 
+def bare_store(width=8):
+    """A store for codecs built by hand, conditioning the root on zeros."""
+    store = ParamStore()
+    store.set_constant(C0_PATH, np.zeros(width))
+    return store
+
+
 def flat_struct(cards, width=8, shuffled=False, seed=0, path="s"):
     """Struct of categorical children with the given cardinalities."""
-    store = ParamStore()
+    store = bare_store(width)
     rng = np.random.default_rng(seed)
     tcfg = TransformerConfig(width=width, blocks=1, heads=2)
     kids = [CategoricalCodec(f"{path}/f{i}", c, width, store, rng)
@@ -32,7 +39,7 @@ def flat_struct(cards, width=8, shuffled=False, seed=0, path="s"):
 
 def cat_list(card, max_len, width=8, shuffled=False, seed=0, path="l"):
     """List of a single categorical value codec."""
-    store = ParamStore()
+    store = bare_store(width)
     rng = np.random.default_rng(seed)
     tcfg = TransformerConfig(width=width, blocks=1, heads=2)
     val = CategoricalCodec(f"{path}/item", card, width, store, rng)
@@ -89,7 +96,7 @@ def test_single_field_struct():
     assert np.array_equal(emb.data, ctx.digests.data[:, 0, :])
     # and the struct loss is exactly the child loss
     spy = LeafSpy(codec)
-    total = spy.score(root_conditioning(store, 3, 8), ctx, x)
+    total = spy.score(root_conditioning(store, 3), ctx)
     assert np.array_equal(total.data, spy.terms["s/f0"].data)
 
 
@@ -119,12 +126,12 @@ def test_struct_encoder_causality():
 def test_struct_decode_causality():
     # the distribution for field k cannot see fields k..n-1
     codec, store = flat_struct([3, 3, 3, 3], seed=4)
-    cond = root_conditioning(store, 2, 8)
+    cond = root_conditioning(store, 2)
     base = [[0, 1], [1, 2], [2, 0], [1, 1]]
     spy = LeafSpy(codec)
     x0 = struct_batch(base)
     _, ctx0 = codec.encode(x0)
-    spy.score(cond, ctx0, x0)
+    spy.score(cond, ctx0)
     rep0 = spy.logits
     for k in range(4):
         codes = [list(c) for c in base]
@@ -132,7 +139,7 @@ def test_struct_decode_causality():
             codes[j] = [(c + 1) % 3 for c in codes[j]]
         x = struct_batch(codes)
         _, ctx = codec.encode(x)
-        spy.score(cond, ctx, x)
+        spy.score(cond, ctx)
         rep = spy.logits
         # fields <= k all condition on the untouched prefix
         for i in range(k + 1):
@@ -144,15 +151,15 @@ def test_struct_decode_causality():
 
 def test_first_field_depends_only_on_conditioning(rng):
     codec, store = flat_struct([3, 3], seed=5)
-    cond = root_conditioning(store, 4, 8)
+    cond = root_conditioning(store, 4)
     spy = LeafSpy(codec)
     x_a = struct_batch([[0, 0, 0, 0], [1, 1, 1, 1]])
     x_b = struct_batch([[2, 1, 0, 2], [0, 2, 2, 0]])
     _, ctx_a = codec.encode(x_a)
     _, ctx_b = codec.encode(x_b)
-    spy.score(cond, ctx_a, x_a)
+    spy.score(cond, ctx_a)
     d_a = spy.logits["s/f0"]
-    spy.score(cond, ctx_b, x_b)
+    spy.score(cond, ctx_b)
     d_b = spy.logits["s/f0"]
     assert np.array_equal(d_a, d_b)
 
@@ -162,14 +169,14 @@ def test_all_single_category_struct():
     x = struct_batch([[0, 0, 0], [0, 0, 0]])
     assert forward_loss(codec, store, x) == 0.0
     # and sampling is deterministic
-    tree, _ = codec.sample(root_conditioning(store, 5, 8), np.random.default_rng(0))
+    tree, _ = codec.sample(root_conditioning(store, 5), np.random.default_rng(0))
     assert np.array_equal(tree.fields["f0"].codes, np.zeros(5, dtype=np.int64))
     assert np.array_equal(tree.fields["f1"].codes, np.zeros(5, dtype=np.int64))
 
 
 def test_struct_sample_reproducible(rng):
     codec, store = flat_struct([3, 4, 2], seed=6)
-    cond = root_conditioning(store, 64, 8)
+    cond = root_conditioning(store, 64)
     a, _ = codec.sample(cond, np.random.default_rng(7))
     b, _ = codec.sample(cond, np.random.default_rng(7))
     for name in codec.names:
@@ -223,7 +230,7 @@ def test_shuffle_pairing_with_zero_attention():
     sigma = (2, 0, 1)
     _, ctx = codec.encode(x, rng=ForcedOrder(sigma=sigma))
     spy = LeafSpy(codec)
-    spy.score(root_conditioning(store, 1, 8), ctx, x)
+    spy.score(root_conditioning(store, 1), ctx)
     w = [codec.children()[k].w.data for k in range(3)]
     embs = [w[0][1], w[1][2], w[2][0]]  # observed embeddings per field
     # slot order is (f2, f0, f1): f2 sees c0=0, f0 sees emb(f2), f1 sees emb(f0)
@@ -299,7 +306,7 @@ def test_empty_list_embedding_is_length_digest():
     assert np.array_equal(emb.data, group.digests.data[:, 0, :])
     # loss reduces to the length term alone
     spy = LeafSpy(codec)
-    total = spy.score(root_conditioning(store, 2, 8), ctx, x)
+    total = spy.score(root_conditioning(store, 2), ctx)
     assert np.array_equal(total.data, spy.terms["l/~len"].data)
 
 
@@ -315,15 +322,15 @@ def test_full_list_round_trips():
 
 def test_length_distribution_sees_no_values():
     codec, store = cat_list(4, max_len=3, seed=14)
-    cond = root_conditioning(store, 2, 8)
+    cond = root_conditioning(store, 2)
     spy = LeafSpy(codec)
     x_a = list_batch([2, 3], [[0, 1], [2, 3, 1]], 3)
     x_b = list_batch([2, 3], [[3, 2], [0, 0, 0]], 3)
     _, ctx_a = codec.encode(x_a)
     _, ctx_b = codec.encode(x_b)
-    spy.score(cond, ctx_a, x_a)
+    spy.score(cond, ctx_a)
     d_a = spy.logits["l/~len"]
-    spy.score(cond, ctx_b, x_b)
+    spy.score(cond, ctx_b)
     d_b = spy.logits["l/~len"]
     assert np.array_equal(d_a, d_b)
 
@@ -331,12 +338,12 @@ def test_length_distribution_sees_no_values():
 def test_element_distributions_are_causal():
     # d for element i depends on (c, m, elements < i) only
     codec, store = cat_list(5, max_len=4, seed=15)
-    cond = root_conditioning(store, 1, 8)
+    cond = root_conditioning(store, 1)
     spy = LeafSpy(codec)
     base = [1, 4, 2, 3]
     x0 = list_batch([4], [base], 4)
     _, ctx0 = codec.encode(x0)
-    spy.score(cond, ctx0, x0)
+    spy.score(cond, ctx0)
     rep0 = spy.logits["l/item"]
     for i in range(4):
         pert = list(base)
@@ -344,7 +351,7 @@ def test_element_distributions_are_causal():
             pert[j] = (pert[j] + 2) % 5
         x = list_batch([4], [pert], 4)
         _, ctx = codec.encode(x)
-        spy.score(cond, ctx, x)
+        spy.score(cond, ctx)
         rep = spy.logits["l/item"]
         assert np.array_equal(rep[:i + 1], rep0[:i + 1]), i
         # element i itself feeds the next slot onward
@@ -354,15 +361,15 @@ def test_element_distributions_are_causal():
 
 def test_element_distribution_depends_on_length():
     codec, store = cat_list(4, max_len=3, seed=16)
-    cond = root_conditioning(store, 1, 8)
+    cond = root_conditioning(store, 1)
     spy = LeafSpy(codec)
     x2 = list_batch([2], [[1, 3]], 3)
     x3 = list_batch([3], [[1, 3, 0]], 3)
     _, ctx2 = codec.encode(x2)
     _, ctx3 = codec.encode(x3)
-    spy.score(cond, ctx2, x2)
+    spy.score(cond, ctx2)
     d2 = spy.logits["l/item"]
-    spy.score(cond, ctx3, x3)
+    spy.score(cond, ctx3)
     d3 = spy.logits["l/item"]
     assert not np.array_equal(d2[0], d3[0])
 
@@ -390,7 +397,7 @@ def test_padding_is_invisible_and_gradient_free():
     store.zero_grads()
     with Tape() as tape:
         emb, ctx = codec.encode(dirty)
-        loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 4, 8), ctx, dirty))
+        loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 4), ctx))
     tape.backward(loss)
     assert [(g.rows.tolist(), g.P) for g in ctx.groups] == [([1, 3], 1), ([0, 2], 4)]
     for group in ctx.groups:
@@ -414,7 +421,7 @@ def test_set_identity_perm_equals_plain_list():
 
 def record_set(max_len, seed):
     """Shuffled list of (enum, numeric) records."""
-    store = ParamStore()
+    store = bare_store()
     rng = np.random.default_rng(seed)
     tcfg = TransformerConfig(width=8, blocks=1, heads=2)
     kids = [CategoricalCodec("l/item/e", 3, 8, store, rng),
@@ -482,7 +489,7 @@ def test_set_random_perms_keep_padding_in_place():
 def test_sampled_zero_lengths_give_empty_lists():
     codec, store = cat_list(3, max_len=4, seed=26)
     # zero uniforms always pick the smallest CDF bucket, length 0 included
-    tree, emb = codec.sample(root_conditioning(store, 8, 8), ZeroDraws())
+    tree, emb = codec.sample(root_conditioning(store, 8), ZeroDraws())
     assert np.array_equal(tree.lengths, np.zeros(8, dtype=np.int64))
     assert tree.values.codes.shape == (8, 4)
     assert np.array_equal(tree.values.codes, np.zeros((8, 4), dtype=np.int64))
@@ -491,7 +498,7 @@ def test_sampled_zero_lengths_give_empty_lists():
 
 def test_sample_respects_max_len_and_seed():
     codec, store = cat_list(3, max_len=4, seed=27)
-    cond = root_conditioning(store, 200, 8)
+    cond = root_conditioning(store, 200)
     a, _ = codec.sample(cond, np.random.default_rng(28))
     b, _ = codec.sample(cond, np.random.default_rng(28))
     assert np.array_equal(a.lengths, b.lengths)
@@ -505,7 +512,7 @@ def test_sample_respects_max_len_and_seed():
 def test_nested_sample_padding_equals_zero_batch():
     # list of a struct with a numeric leaf: every padded slot holds exactly
     # what zero_batch puts there, while real slots carry sampled real values
-    store = ParamStore()
+    store = bare_store()
     rng = np.random.default_rng(32)
     tcfg = TransformerConfig(width=8, blocks=1, heads=2)
     table = QuantileTable(np.array([0.5, 1.0, 2.0, 4.0]))
@@ -513,7 +520,7 @@ def test_nested_sample_padding_equals_zero_batch():
             NumericalCodec("l/item/n", 4, 8, store, rng, table=table)]
     item = StructCodec("l/item", ["c", "n"], kids, tcfg, store, rng)
     codec = ListCodec("l", item, 5, tcfg, store, rng)
-    tree, _ = codec.sample(root_conditioning(store, 300, 8), np.random.default_rng(33))
+    tree, _ = codec.sample(root_conditioning(store, 300), np.random.default_rng(33))
     pad = np.arange(5)[None, :] >= tree.lengths[:, None]
     assert pad.any() and (~pad).any()
     zero = codec.zero_batch(300).values
@@ -528,14 +535,14 @@ def test_training_pins_constant_length():
     # needs the compiled-model nonzero conditioning constant, without which
     # the root length distribution could never leave uniform
     codec, store = cat_list(2, max_len=3, seed=29)
-    store.set_constant("~c0", np.random.default_rng(31).normal(size=8))
+    store.set_constant(C0_PATH, np.random.default_rng(31).normal(size=8))
     x = list_batch([2] * 32, [[0, 1]] * 32, 3)
     from nestgen.optim import Adam
     opt = Adam(lr=0.05)
     for _ in range(150):
         loss, grads = train_step(codec, store, x)
         opt.step(store, grads)
-    tree, _ = codec.sample(root_conditioning(store, 1000, 8),
+    tree, _ = codec.sample(root_conditioning(store, 1000),
                            np.random.default_rng(30))
     assert np.all(tree.lengths == 2)
 
@@ -607,7 +614,7 @@ def test_cached_steps_match_full_prefix(monkeypatch, doc, blocks):
     monkeypatch.setattr(AttentionStack, "step", checked_step)
     monkeypatch.setattr(KVCache, "take", checked_take)
     monkeypatch.setattr(CategoricalCodec, "sample", checked_leaf_sample)
-    tree, emb = codec.sample(root_conditioning(store, 64, 8), np.random.default_rng(43))
+    tree, emb = codec.sample(root_conditioning(store, 64), np.random.default_rng(43))
     assert checked["steps"] > 0 and checked["leaves"] > 0
     # the returned embedding is what the training encoder makes of the sample
     enc_emb, _ = codec.encode(_as_codes(codec, tree))

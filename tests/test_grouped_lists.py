@@ -58,7 +58,7 @@ class PaddedListCodec(ListCodec):
         perm = self._draw_perm(rng, mask)
         return self._padded_digest(e_len, val_embs, val_ctx, lengths, mask, perm)
 
-    def loss_terms(self, cond, ctx, x):
+    def loss_terms(self, cond, ctx):
         B, P = ctx.mask.shape
         c_col = ad.reshape(cond, (B, 1, self.width))
         dec_in = ad.concat([c_col, ad.narrow(ctx.digests, 1, 0, P)], axis=1)
@@ -66,12 +66,11 @@ class PaddedListCodec(ListCodec):
         valid = (pos <= ctx.lengths[:, None]) | (pos <= 1)
         h = self.dec(dec_in, valid=valid)
         len_cond = ad.reshape(ad.narrow(h, 1, 0, 1), (B, self.width))
-        len_loss = self.len_codec.loss_terms(len_cond, None, LeafBatch(ctx.lengths))
+        len_loss = self.len_codec.loss_terms(len_cond, ctx.lengths)
         slots = ad.narrow(h, 1, 1, P)
         if ctx.perm is not None:
             slots = ad.gather_positions(slots, np.argsort(ctx.perm, axis=1))
-        v = self.value_codec.loss_terms(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx,
-                                        merge_leading(x.values))
+        v = self.value_codec.loss_terms(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx)
         v = ad.reshape(v, (B, P))
         if ctx.perm is not None:
             v = ad.gather_positions(v, ctx.perm)

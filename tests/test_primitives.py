@@ -21,7 +21,7 @@ def make_cat(n, d, seed=0, path="f"):
 def scored_logits(codec, cond):
     """The logits `loss_terms` scores for conditioning rows cond (B, d)."""
     spy = LeafSpy(codec)
-    spy.score(Tensor(cond), None, LeafBatch(np.zeros(len(cond), dtype=np.int64)))
+    spy.score(Tensor(cond), np.zeros(len(cond), dtype=np.int64))
     return spy.logits[codec.path]
 
 
@@ -95,7 +95,7 @@ def test_decoded_softmax_normalizes(rng):
     p = ad.softmax(Tensor(scored_logits(codec, cond.data))).data
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
     # and the scores of all categories are the log of that distribution
-    scores = [codec.loss_terms(cond, None, LeafBatch(np.full(10, k))).data
+    scores = [codec.loss_terms(cond, np.full(10, k)).data
               for k in range(7)]
     np.testing.assert_allclose(np.exp(-np.array(scores)).sum(axis=0), 1.0, atol=1e-12)
 
@@ -103,25 +103,25 @@ def test_decoded_softmax_normalizes(rng):
 def test_loss_single_category_is_zero():
     codec, _ = make_cat(1, 4)
     cond = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
-    loss = codec.loss_terms(cond, None, LeafBatch(np.zeros(5, dtype=np.int64)))
+    loss = codec.loss_terms(cond, np.zeros(5, dtype=np.int64))
     assert np.array_equal(loss.data, np.zeros(5))
 
 
 def test_loss_uniform_logits_is_ln2():
     codec, _ = make_cat(2, 4)
     cond = identity_logits(codec, np.zeros((2, 2)))
-    loss = codec.loss_terms(cond, None, LeafBatch(np.array([0, 1])))
+    loss = codec.loss_terms(cond, np.array([0, 1]))
     np.testing.assert_allclose(loss.data, np.log(2.0), rtol=1e-15)
 
 
 def test_loss_stable_under_large_logits():
     codec, _ = make_cat(2, 4)
     cond = identity_logits(codec, np.array([[1000.0, 0.0]]))
-    loss = codec.loss_terms(cond, None, LeafBatch(np.array([0])))
+    loss = codec.loss_terms(cond, np.array([0]))
     assert np.isfinite(loss.data[0])
     assert 0.0 <= loss.data[0] < 1e-6
     # the improbable category keeps a finite, huge loss
-    loss1 = codec.loss_terms(cond, None, LeafBatch(np.array([1])))
+    loss1 = codec.loss_terms(cond, np.array([1]))
     assert np.isfinite(loss1.data[0])
     assert loss1.data[0] == pytest.approx(1000.0, rel=1e-9)
 
@@ -130,7 +130,7 @@ def test_loss_nonnegative_and_matches_formula(rng):
     codec, _ = make_cat(6, 8, seed=4)
     logits = rng.standard_normal((32, 6)) * 3.0
     codes = rng.integers(0, 6, size=32)
-    loss = codec.loss_terms(identity_logits(codec, logits), None, LeafBatch(codes))
+    loss = codec.loss_terms(identity_logits(codec, logits), codes)
     assert np.all(loss.data >= 0.0)
     z = logits - logits.max(axis=1, keepdims=True)
     manual = -(z[np.arange(32), codes] - np.log(np.exp(z).sum(axis=1)))
@@ -307,8 +307,8 @@ def test_numerical_is_categorical_over_bins(rng):
     emb, ctx = codec.encode(codes)
     assert np.array_equal(emb.data, codec.w.data[[0, 3, 2]])
     cond = Tensor(rng.standard_normal((3, 8)))
-    loss = codec.loss_terms(cond, ctx, codes)
-    ref = cat.loss_terms(cond, ctx, codes)
+    loss = codec.loss_terms(cond, ctx)
+    ref = cat.loss_terms(cond, ctx)
     assert np.array_equal(loss.data, ref.data)
 
 

@@ -111,6 +111,27 @@ def test_parse_errors():
         parse_schema({"type": "int", "name": "x", "bins": 1})
 
 
+@pytest.mark.parametrize("doc,message", [
+    ('{"type": "record", "name": "r", "fields": [{"name": "l", "type": "array", '
+     '"max_len": true, "items": {"type": "enum", "cardinality": 3}}]}',
+     "array l: max_len must be an integer"),
+    ('{"type": "record", "name": "r", "fields": [{"name": "l", "type": "array", '
+     '"max_len": 2, "items": {"type": "enum", "cardinality": true}}]}',
+     "enum item: cardinality must be an integer"),
+    ('{"type": "enum", "name": "e", "cardinality": false}',
+     "enum e: cardinality must be an integer"),
+    ('{"type": "enum", "name": "e", "symbols": ["a"], "cardinality": true}',
+     "enum e: cardinality must be an integer"),
+    ('{"type": "long", "name": "n", "bins": true}', "long n: bins must be an integer"),
+    ('{"type": "double", "name": "n", "bins": false}', "double n: bins must be an integer"),
+], ids=["max_len", "items-cardinality", "cardinality-false", "cardinality-with-symbols",
+        "bins-true", "bins-false"])
+def test_booleans_are_not_integers(doc, message):
+    # JSON true/false parse to python bools, which are ints to isinstance
+    with pytest.raises(SchemaError, match=message):
+        parse_schema(doc)
+
+
 def test_serialize_parse_fixed_point(rng):
     docs = [USER_DOC, REVIEWS_DOC] + [random_schema_doc(rng) for _ in range(20)]
     for doc in docs:
@@ -204,7 +225,7 @@ def test_describe_tree():
 def test_review_schema_samples_conform():
     codec, store = compile_schema(parse_schema(REVIEWS_DOC), width=8, blocks=1,
                                   heads=2, seed=6)
-    tree, _ = codec.sample(root_conditioning(store, 3, 8), np.random.default_rng(7))
+    tree, _ = codec.sample(root_conditioning(store, 3), np.random.default_rng(7))
     reviews = tree.fields["reviews"]
     assert reviews.lengths.shape == (3,)
     assert reviews.lengths.min() >= 0 and reviews.lengths.max() <= 128
