@@ -5,14 +5,16 @@
 alone and scores the observation in the same walk: its per-example negative
 log likelihood is the training loss. `sample` draws each child from its
 decoder conditioning and feeds the draw back through the encoder, one
-position at a time. A context holds only what `loss_terms` (and a
-composite's `reshuffle`) reads: a leaf's is its codes, a composite's holds
-its digests and its children's contexts. Contexts are never reordered: a
-shuffled list's decoder slot 1+i conditions element perm[b, i], and
-`loss_terms` gathers each element's slot back (see `composites`). Composite
-codecs own child codecs and wire them together with causal attention; the
-root codec is scored from a fixed initial conditioning vector, and its
-embedding is unused.
+position at a time. These are every codec's three duties, composites
+included. A context holds only what `loss_terms` reads: a leaf's is its
+codes, a composite's holds its digests, its shuffle order and its children's
+contexts. Orders come only from the `rng` given to `encode`, so each
+decoding pass (`pass_losses`) encodes the batch again to draw its own.
+Contexts are never reordered: a shuffled list's decoder slot 1+i conditions
+element perm[b, i], and `loss_terms` gathers each element's slot back (see
+`composites`). Composite codecs own child codecs and wire them together
+with causal attention; the root codec is scored from a fixed initial
+conditioning vector, and its embedding is unused.
 """
 
 from __future__ import annotations
@@ -84,23 +86,16 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
                 passes: int = 1) -> list[Tensor]:
     """Per-example loss vector for each decoding pass.
 
-    The observation is encoded once; each later pass calls the root's
-    `reshuffle` (composites only), which redraws the orders and re-runs only
-    the subtrees that hold a shuffled node. With no shuffled node anywhere,
-    passes > 1 is a configuration error rather than silent duplicate work.
+    Each pass encodes the batch, drawing its shuffle orders from rng, and
+    scores it. With no shuffled node anywhere, passes > 1 is a configuration
+    error rather than silent duplicate work.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
     if passes > 1 and not codec.has_shuffle():
         raise ValueError("multiple decoding passes need at least one shuffled node")
     cond = root_conditioning(store, n_rows(batch))
-    _, ctx = codec.encode(batch, rng=rng)
-    out = []
-    for p in range(passes):
-        if p > 0:
-            _, ctx = codec.reshuffle(ctx, rng)
-        out.append(codec.loss_terms(cond, ctx))
-    return out
+    return [codec.loss_terms(cond, codec.encode(batch, rng=rng)[1]) for _ in range(passes)]
 
 
 def _summed_passes(codec, store, batch, rng, passes):

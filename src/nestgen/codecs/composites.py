@@ -6,12 +6,14 @@ a second stack turns (conditioning, digests) into one conditioning vector per
 child, against which `loss_terms` scores the child in the same walk (a list
 scores its length first). Scoring reads only contexts: a composite's holds
 its digests and its children's contexts, down to the leaves', which are
-their codes, so `loss_terms` never sees the observation. Optionally the
+their codes, so `loss_terms` never sees the observation. A composite has
+the three duties of every codec: encode, score and sample. Optionally the
 order children enter the digests is shuffled per pass, which trains the
 model to be usable under any autoregressive factorisation of the node.
-Orders come only from the `rng` given to `encode` and `reshuffle`: a struct
-takes `rng.permutation(n)`, a list sorts `rng.random((B, max_len))` keys
-over each row's valid prefix.
+Orders come only from the `rng` given to `encode`, and each decoding pass
+encodes the batch again: a struct takes `rng.permutation(n)` after its
+children's draws, a list sorts `rng.random((B, max_len))` keys over each
+row's valid prefix after its value codec's draws.
 
 Indexing convention used throughout (0-based): for a struct with n fields in
 order perm the encoder reads the embedding of field perm[k] at position k and
@@ -34,7 +36,7 @@ The groups' outputs are put back in batch order with `take_rows`. On the DP
 path each group sets its rows' example map (`autodiff.example_rows`). A
 shuffled list draws its (B, max_len) keys once per pass and cuts them per
 group, so its orders do not depend on the grouping; shuffled nodes inside
-the value codec draw once per group.
+the value codec draw once per group, before the list's own keys.
 
 Sampling walks the same order one slot at a time with cached attention
 (`AttentionStack.step`): a decoder step on the conditioning gives slot 0;
@@ -61,11 +63,10 @@ from .primitives import CategoricalCodec
 
 
 class StructCtx:
-    __slots__ = ("digests", "embs", "child_ctxs", "perm")
+    __slots__ = ("digests", "child_ctxs", "perm")
 
-    def __init__(self, digests, embs, child_ctxs, perm):
+    def __init__(self, digests, child_ctxs, perm):
         self.digests = digests
-        self.embs = embs
         self.child_ctxs = child_ctxs
         self.perm = perm
 
@@ -74,33 +75,30 @@ class ListGroup:
     """One length group of a list batch: batch rows `rows` (ascending), cut
     to P positions. Element embeddings (n, P, d) and contexts are in element
     order; perm[i, j] is the element in slot j of the group's row i (None:
-    identity). `digests` and `perm` belong to one pass."""
+    identity)."""
 
-    __slots__ = ("rows", "P", "lengths", "len_emb", "val_embs", "val_ctx", "digests", "perm")
+    __slots__ = ("rows", "P", "lengths", "val_embs", "val_ctx", "digests", "perm")
 
-    def __init__(self, rows, P, lengths, len_emb, val_embs, val_ctx):
+    def __init__(self, rows, P, lengths, val_embs, val_ctx, digests, perm):
         self.rows = rows
         self.P = P
         self.lengths = lengths
-        self.len_emb = len_emb
         self.val_embs = val_embs
         self.val_ctx = val_ctx
-        self.digests = None
-        self.perm = None
+        self.digests = digests
+        self.perm = perm
 
     def mask(self):
-        """(n, P) True where a slot holds an element."""
-        return np.arange(self.P)[None, :] < self.lengths[:, None]
+        return _prefix_mask(self.lengths, self.P)
 
 
 class ListCtx:
     """The groups of a list batch; `inverse` puts their rows, concatenated,
     back in batch order (None: one group holding every row in order)."""
 
-    __slots__ = ("lengths", "groups", "inverse")
+    __slots__ = ("groups", "inverse")
 
-    def __init__(self, lengths, groups, inverse):
-        self.lengths = lengths
+    def __init__(self, groups, inverse):
         self.groups = groups
         self.inverse = inverse
 
@@ -127,6 +125,11 @@ class _Decoding:
         self.enc_kv = self.enc_kv.take(rows)
         self.dec_kv = self.dec_kv.take(rows)
         self.digest = ad.take_rows(self.digest, rows)
+
+
+def _prefix_mask(lengths, P):
+    """(n, P) True where a slot holds an element."""
+    return np.arange(P)[None, :] < lengths[:, None]
 
 
 def length_groups(lengths):
@@ -176,14 +179,6 @@ class StructCodec(Codec):
             return tuple(int(i) for i in rng.permutation(len(self._children)))
         return tuple(range(len(self._children)))
 
-    def _digest(self, embs, ctxs, perm):
-        seq = ad.stack_columns([embs[k] for k in perm])
-        digests = self.enc(seq)
-        n = len(self._children)
-        B = digests.data.shape[0]
-        emb = ad.reshape(ad.narrow(digests, 1, n - 1, 1), (B, self.width))
-        return emb, StructCtx(digests, embs, ctxs, perm)
-
     def encode(self, x: StructBatch, rng=None):
         missing = [n for n in self.names if n not in x.fields]
         if missing:
@@ -193,7 +188,12 @@ class StructCodec(Codec):
             e, c = child.encode(x.fields[name], rng=rng)
             embs.append(e)
             ctxs.append(c)
-        return self._digest(embs, ctxs, self._draw_perm(rng))
+        perm = self._draw_perm(rng)
+        digests = self.enc(ad.stack_columns([embs[k] for k in perm]))
+        n = len(self._children)
+        B = digests.data.shape[0]
+        emb = ad.reshape(ad.narrow(digests, 1, n - 1, 1), (B, self.width))
+        return emb, StructCtx(digests, ctxs, perm)
 
     def loss_terms(self, cond: Tensor, ctx: StructCtx) -> Tensor:
         n = len(self._children)
@@ -213,16 +213,6 @@ class StructCodec(Codec):
             term = self._children[k].loss_terms(cond_k, ctx.child_ctxs[k])
             total = term if total is None else ad.add(total, term)
         return total
-
-    def reshuffle(self, ctx: StructCtx, rng):
-        """Redraw the orders in this subtree, which holds a shuffled node:
-        children without one keep their cached embeddings and contexts.
-        Returns (embedding, context) as `encode` does."""
-        embs, ctxs = list(ctx.embs), list(ctx.child_ctxs)
-        for k, child in enumerate(self._children):
-            if child.has_shuffle():
-                embs[k], ctxs[k] = child.reshuffle(ctxs[k], rng)
-        return self._digest(embs, ctxs, self._draw_perm(rng))
 
     def sample(self, cond, rng):
         dec = _Decoding(self, cond)
@@ -266,23 +256,6 @@ class ListCodec(Codec):
             return np.argsort(keys, axis=1).astype(np.int64)
         return None
 
-    def _digest(self, groups, lengths, inverse, rng):
-        """Draw this pass's order (keys for the whole (B, max_len) batch, cut
-        per group) and run the encoder on each group."""
-        perm = self._draw_perm(rng, np.arange(self.max_len)[None, :] < lengths[:, None])
-        embs = []
-        for g in groups:
-            n = g.rows.size
-            g.perm = None if perm is None else perm[g.rows, :g.P]
-            ordered = g.val_embs if g.perm is None else ad.gather_positions(g.val_embs, g.perm)
-            seq = ad.concat([ad.reshape(g.len_emb, (n, 1, self.width)), ordered], axis=1)
-            valid = np.concatenate([np.ones((n, 1), dtype=bool), g.mask()], axis=1)
-            with ad.example_rows(g.rows):
-                g.digests = self.enc(seq, valid=valid)
-            embs.append(ad.reshape(ad.gather_positions(g.digests, g.lengths[:, None]),
-                                   (n, self.width)))
-        return _in_batch_order(embs, inverse), ListCtx(lengths, groups, inverse)
-
     def encode(self, x: ListBatch, rng=None):
         lengths = np.asarray(x.lengths, dtype=np.int64)
         B = lengths.shape[0]
@@ -292,17 +265,30 @@ class ListCodec(Codec):
             if a.shape[:2] != (B, self.max_len):
                 raise ValueError(f"{self.path}: values have leading shape {a.shape[:2]}, "
                                  f"expected ({B}, {self.max_len})")
-        groups = []
+        encoded = []
         for rows, P in length_groups(lengths):
             with ad.example_rows(rows):
                 e_len, _ = self.len_codec.encode(LeafBatch(lengths[rows]))
             with ad.example_rows(rows, P):
                 ev, val_ctx = self.value_codec.encode(take_prefix(x.values, rows, P), rng=rng)
-            groups.append(ListGroup(rows, P, lengths[rows], e_len,
-                                    ad.reshape(ev, (rows.size, P, self.width)), val_ctx))
+            encoded.append((rows, P, e_len, ad.reshape(ev, (rows.size, P, self.width)), val_ctx))
+        # the order's keys cover the whole (B, max_len) batch and are cut per
+        # group, so they do not depend on the grouping
+        perm = self._draw_perm(rng, _prefix_mask(lengths, self.max_len))
+        groups, embs = [], []
+        for rows, P, e_len, val_embs, val_ctx in encoded:
+            n, m = rows.size, lengths[rows]
+            g_perm = None if perm is None else perm[rows, :P]
+            ordered = val_embs if g_perm is None else ad.gather_positions(val_embs, g_perm)
+            seq = ad.concat([ad.reshape(e_len, (n, 1, self.width)), ordered], axis=1)
+            valid = np.concatenate([np.ones((n, 1), dtype=bool), _prefix_mask(m, P)], axis=1)
+            with ad.example_rows(rows):
+                digests = self.enc(seq, valid=valid)
+            embs.append(ad.reshape(ad.gather_positions(digests, m[:, None]), (n, self.width)))
+            groups.append(ListGroup(rows, P, m, val_embs, val_ctx, digests, g_perm))
         inverse = None if len(groups) == 1 else np.argsort(
             np.concatenate([g.rows for g in groups]))
-        return self._digest(groups, lengths, inverse, rng)
+        return _in_batch_order(embs, inverse), ListCtx(groups, inverse)
 
     def loss_terms(self, cond: Tensor, ctx: ListCtx) -> Tensor:
         # length loss plus the sum over valid element positions, unnormalised:
@@ -334,19 +320,6 @@ class ListCodec(Codec):
             v = ad.mul_const(v, g.mask().astype(np.float64))
             terms.append(ad.add(len_loss, ad.sum_axis(v, 1)))
         return _in_batch_order(terms, ctx.inverse)
-
-    def reshuffle(self, ctx: ListCtx, rng):
-        """As `StructCodec.reshuffle`: the value codec is re-run only when it
-        holds a shuffled node, and its draws come before this list's."""
-        groups = []
-        for g in ctx.groups:
-            val_embs, val_ctx = g.val_embs, g.val_ctx
-            if self.value_codec.has_shuffle():
-                with ad.example_rows(g.rows, g.P):
-                    e, val_ctx = self.value_codec.reshuffle(val_ctx, rng)
-                val_embs = ad.reshape(e, val_embs.shape)
-            groups.append(ListGroup(g.rows, g.P, g.lengths, g.len_emb, val_embs, val_ctx))
-        return self._digest(groups, ctx.lengths, ctx.inverse, rng)
 
     def sample(self, cond, rng):
         B = cond.shape[0]

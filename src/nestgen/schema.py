@@ -77,6 +77,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _shuffled(spec, where) -> bool:
+    """The node's `shuffled` flag, which must be a JSON boolean."""
+    v = spec.get("shuffled", False)
+    if not isinstance(v, bool):
+        raise SchemaError(f"{where}: shuffled must be true or false, got {v!r}")
+    return v
+
+
 def parse_schema(src) -> object:
     """Parse a JSON document (text or already-loaded dict) into a schema tree."""
     if isinstance(src, (str, bytes)):
@@ -132,7 +140,7 @@ def _parse_node(spec, where, name_override=None):
                     if a in f:
                         fspec[a] = f[a]
             children.append(_parse_node(fspec, f"field {fname}", name_override=fname))
-        return Record(name, children, shuffled=bool(spec.get("shuffled", False)))
+        return Record(name, children, shuffled=_shuffled(spec, f"record {name}"))
 
     if tag == "array":
         if "items" not in spec:
@@ -146,9 +154,12 @@ def _parse_node(spec, where, name_override=None):
         items_spec = spec["items"]
         if isinstance(items_spec, str):
             items_spec = {"type": items_spec, "name": "item"}
+        elif not isinstance(items_spec, dict):
+            raise SchemaError(f"array {name}: items must be a type name or an object, "
+                              f"got {items_spec!r}")
         item = _parse_node(items_spec, f"items of {name}",
                            name_override=items_spec.get("name", "item"))
-        return Array(name, item, max_len, shuffled=bool(spec.get("shuffled", False)))
+        return Array(name, item, max_len, shuffled=_shuffled(spec, f"array {name}"))
 
     if tag == "enum":
         symbols = spec.get("symbols")

@@ -15,7 +15,7 @@ from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
 from conftest import (ForcedOrder, LeafSpy, attach_tables, forward_loss,
-                      loss_gradients, random_schema_doc)
+                      loss_gradients, random_batch, random_schema_doc)
 
 
 def bare_store(width=8):
@@ -259,6 +259,28 @@ def test_multi_pass_reshuffles_and_trains():
     loss, grads = train_step(codec, store, x, rng=np.random.default_rng(4), passes=2)
     assert np.isfinite(loss)
     assert any(np.any(g != 0.0) for g in grads.values())
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_passes_draw_like_single_passes(case):
+    # each pass re-encodes the batch, so k passes read one generator exactly
+    # as k one-pass calls do, shuffled nodes at any depth included
+    seed = 700 + case
+    while True:
+        rng = np.random.default_rng(seed)
+        doc = random_schema_doc(rng, max_depth=3)
+        codec, store = compile_schema(parse_schema(doc), width=8, blocks=2, heads=2,
+                                      seed=case)
+        if codec.has_shuffle():
+            break
+        seed += 100
+    x = random_batch(codec, 6, rng)
+    multi = pass_losses(codec, store, x, rng=np.random.default_rng(case), passes=3)
+    one = np.random.default_rng(case)
+    single = [pass_losses(codec, store, x, rng=one)[0] for _ in range(3)]
+    assert len(multi) == 3
+    for a, b in zip(multi, single):
+        assert np.array_equal(a.data, b.data)
 
 
 # -- list --------------------------------------------------------------------

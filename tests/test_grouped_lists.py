@@ -23,12 +23,10 @@ TOL = 1e-12
 
 
 class PaddedCtx:
-    __slots__ = ("digests", "len_emb", "val_embs", "val_ctx", "lengths", "mask", "perm")
+    __slots__ = ("digests", "val_ctx", "lengths", "mask", "perm")
 
-    def __init__(self, digests, len_emb, val_embs, val_ctx, lengths, mask, perm):
+    def __init__(self, digests, val_ctx, lengths, mask, perm):
         self.digests = digests
-        self.len_emb = len_emb
-        self.val_embs = val_embs
         self.val_ctx = val_ctx
         self.lengths = lengths
         self.mask = mask
@@ -38,25 +36,20 @@ class PaddedCtx:
 class PaddedListCodec(ListCodec):
     """The padded list training path: one group of every row at max_len."""
 
-    def _padded_digest(self, e_len, val_embs, val_ctx, lengths, mask, perm):
-        B = lengths.shape[0]
+    def encode(self, x, rng=None):
+        lengths = np.asarray(x.lengths, dtype=np.int64)
+        B, P = lengths.shape[0], self.max_len
+        mask = np.arange(P)[None, :] < lengths[:, None]
+        e_len, _ = self.len_codec.encode(LeafBatch(lengths))
+        ev_flat, val_ctx = self.value_codec.encode(merge_leading(x.values), rng=rng)
+        val_embs = ad.reshape(ev_flat, (B, P, self.width))
+        perm = self._draw_perm(rng, mask)
         ordered = val_embs if perm is None else ad.gather_positions(val_embs, perm)
         seq = ad.concat([ad.reshape(e_len, (B, 1, self.width)), ordered], axis=1)
         valid = np.concatenate([np.ones((B, 1), dtype=bool), mask], axis=1)
         digests = self.enc(seq, valid=valid)
         emb = ad.reshape(ad.gather_positions(digests, lengths[:, None]), (B, self.width))
-        return emb, PaddedCtx(digests, e_len, val_embs, val_ctx, lengths, mask, perm)
-
-    def encode(self, x, rng=None):
-        lengths = np.asarray(x.lengths, dtype=np.int64)
-        P = self.max_len
-        mask = np.arange(P)[None, :] < lengths[:, None]
-        e_len, _ = self.len_codec.encode(LeafBatch(lengths))
-        ev_flat, val_ctx = self.value_codec.encode(merge_leading(x.values), rng=rng)
-        B = lengths.shape[0]
-        val_embs = ad.reshape(ev_flat, (B, P, self.width))
-        perm = self._draw_perm(rng, mask)
-        return self._padded_digest(e_len, val_embs, val_ctx, lengths, mask, perm)
+        return emb, PaddedCtx(digests, val_ctx, lengths, mask, perm)
 
     def loss_terms(self, cond, ctx):
         B, P = ctx.mask.shape
@@ -76,14 +69,6 @@ class PaddedListCodec(ListCodec):
             v = ad.gather_positions(v, ctx.perm)
         v = ad.mul_const(v, ctx.mask.astype(np.float64))
         return ad.add(len_loss, ad.sum_axis(v, 1))
-
-    def reshuffle(self, ctx, rng):
-        val_embs, val_ctx = ctx.val_embs, ctx.val_ctx
-        if self.value_codec.has_shuffle():
-            e, val_ctx = self.value_codec.reshuffle(val_ctx, rng)
-            val_embs = ad.reshape(e, val_embs.shape)
-        perm = self._draw_perm(rng, ctx.mask)
-        return self._padded_digest(ctx.len_emb, val_embs, val_ctx, ctx.lengths, ctx.mask, perm)
 
 
 @contextmanager

@@ -132,6 +132,24 @@ def test_booleans_are_not_integers(doc, message):
         parse_schema(doc)
 
 
+@pytest.mark.parametrize("items", [None, [1], 5], ids=["null", "list", "number"])
+def test_array_items_must_be_a_type(items):
+    doc = {"type": "array", "name": "tags", "max_len": 3, "items": items}
+    with pytest.raises(SchemaError, match="^array tags: items must be a type name or an object"):
+        parse_schema(doc)
+
+
+@pytest.mark.parametrize("value", ["false", 1, None], ids=["string", "number", "null"])
+@pytest.mark.parametrize("tag", ["record", "array"])
+def test_shuffled_must_be_a_boolean(tag, value):
+    doc = {"type": tag, "name": "node", "shuffled": value, "max_len": 2,
+           "items": "int", "fields": [{"name": "a", "type": "int"}]}
+    with pytest.raises(SchemaError, match=f"^{tag} node: shuffled must be true or false"):
+        parse_schema(doc)
+    assert parse_schema({**doc, "shuffled": True}).shuffled is True
+    assert parse_schema({**doc, "shuffled": False}).shuffled is False
+
+
 def test_serialize_parse_fixed_point(rng):
     docs = [USER_DOC, REVIEWS_DOC] + [random_schema_doc(rng) for _ in range(20)]
     for doc in docs:
