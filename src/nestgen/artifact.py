@@ -107,31 +107,38 @@ def load_model(path):
     except (OSError, zipfile.BadZipFile) as e:
         raise ArtifactError(f"{path}: not a readable model bundle ({e})") from None
     with zf:
-        try:
-            meta = json.loads(zf.read("meta.json"))
-        except KeyError:
-            raise ArtifactError(f"{path}: missing meta.json") from None
+        meta = json.loads(_entry(zf, path, "meta.json"))
         if meta.get("format") != FORMAT:
             raise ArtifactError(f"{path}: not a {FORMAT} bundle")
         if meta.get("version") != VERSION:
             raise ArtifactError(f"{path}: unsupported bundle version "
                                 f"{meta.get('version')!r}")
-        schema = parse_schema(meta["schema"])
-        tables = {p: QuantileTable(_read_npy(zf.read(spec["file"])),
-                                   integer=spec["integer"])
-                  for p, spec in meta["tables"].items()}
-        config = meta["config"]
+        try:
+            schema = parse_schema(meta["schema"])
+            tables = {p: QuantileTable(_read_npy(_entry(zf, path, spec["file"])),
+                                       integer=spec["integer"])
+                      for p, spec in meta["tables"].items()}
+            config, vocabs, manifest = meta["config"], meta["vocabs"], meta["manifest"]
+            width, blocks, heads = config["width"], config["blocks"], config["heads"]
+            state = {p: _read_npy(_entry(zf, path, f)) for p, f in meta["params"].items()}
+        except KeyError as e:
+            raise ArtifactError(f"{path}: meta.json has no key {e.args[0]!r}") from None
         for option in REMOVED_OPTIONS:
             if config.get(option):
                 raise ArtifactError(f"{path}: the bundle was compiled with "
                                     f"{option}, which is no longer supported")
-        codec, store = compile_schema(
-            schema, width=config["width"], blocks=config["blocks"],
-            heads=config["heads"], seed=config.get("seed", 0), tables=tables)
-        state = {p: _read_npy(zf.read(f)) for p, f in meta["params"].items()}
+        codec, store = compile_schema(schema, width=width, blocks=blocks, heads=heads,
+                                      seed=config.get("seed", 0), tables=tables)
         store.load_state(state)
-        transform = Transform(schema, meta["vocabs"], tables)
-        return codec, store, transform, config, meta["manifest"]
+        return codec, store, Transform(schema, vocabs, tables), config, manifest
+
+
+def _entry(zf, path, name) -> bytes:
+    """The bytes of entry `name` of the open bundle at `path`."""
+    try:
+        return zf.read(name)
+    except KeyError:
+        raise ArtifactError(f"{path}: missing {name}") from None
 
 
 def content_hash(*paths) -> str:

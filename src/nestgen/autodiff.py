@@ -6,6 +6,10 @@ visits each node exactly once in reverse topological order. Tensors created
 while no tape is active behave as plain arrays, which is how sampling runs the
 same forward code without paying for gradient bookkeeping.
 
+Every read of part of a tensor (a slot, a slice, rows in a new order, one
+position per row) is one op, `index`, whose key is any numpy key; attention
+masks its scores inside `softmax` and scales them with `mul_const`.
+
 `Tape(per_example=ExampleGrads(B, params))` computes per-example parameter
 gradients for a batch of B examples in one backward pass. It relies on one
 property of the training graph: no op mixes the rows of different examples,
@@ -218,21 +222,14 @@ def add(a, b):
     return _record(out, backward)
 
 
-def scale(a, s: float):
-    out = Tensor(a.data * s)
-
-    def backward(g):
-        a.accumulate(g * s)
-
-    return _record(out, backward)
-
-
 def mul_const(a, c) -> Tensor:
-    """Elementwise product with a constant array (no gradient into c).
+    """Elementwise product with a constant scalar or array (no gradient
+    into c).
 
     The constant broadcasts against a, e.g. a loss grid (B, P) times a
-    validity mask (B, P) or (B, 1). Gradient is g * c reduced back to a's
-    shape, and a zero in c kills the gradient at that position exactly.
+    validity mask (B, P) or (B, 1), or a score grid times 1/sqrt(dh).
+    Gradient is g * c reduced back to a's shape, and a zero in c kills the
+    gradient at that position exactly.
     """
     c = np.asarray(c, dtype=np.float64)
     out = Tensor(a.data * c)
@@ -255,12 +252,10 @@ def _unbroadcast(g, shape):
 
 
 def matmul(a, b, transpose_b=False):
-    """a @ b, or a @ b.T with transpose_b (a 2-D b only). b may be 2-D
-    (shared weights) or match a's leading dims."""
+    """a @ b, or a @ b with b's last two axes swapped (transpose_b). b may
+    be 2-D (shared weights) or match a's leading dims."""
     a, b = as_tensor(a), as_tensor(b)
-    if transpose_b and b.data.ndim != 2:
-        raise ValueError(f"transpose_b needs a 2-D b, got shape {b.data.shape}")
-    bd = b.data.T if transpose_b else b.data
+    bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
     out = Tensor(a.data @ bd)
 
     if bd.ndim == 2:
@@ -284,7 +279,8 @@ def matmul(a, b, transpose_b=False):
     else:
         def backward(g):
             a.accumulate(g @ np.swapaxes(bd, -1, -2))
-            b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
+            gb = np.swapaxes(a.data, -1, -2) @ g
+            b.accumulate(np.swapaxes(gb, -1, -2) if transpose_b else gb)
 
     return _record(out, backward)
 
@@ -323,32 +319,44 @@ def concat(parts, axis):
     return _record(out, backward)
 
 
-def narrow(a, axis, start, length):
-    """Slice `length` entries starting at `start` along `axis`."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = Tensor(a.data[idx])
+def index(a, key):
+    """a.data[key] for any numpy key: slices and integers (an integer drops
+    its axis), integer arrays to take or reorder rows, a tuple of arrays to
+    gather per row. A basic key (slices and integers only) cannot repeat an
+    entry, so its backward assigns g into zeros; an array key may, so its
+    backward sums repeated entries with np.add.at."""
+    out = Tensor(a.data[key])
     shape = a.data.shape
 
     def backward(g):
-        full = np.zeros(shape)
-        full[idx] = g
-        a.accumulate(full)
+        ga = np.zeros(shape)
+        parts = key if isinstance(key, tuple) else (key,)
+        if all(isinstance(k, (slice, int, np.integer)) for k in parts):
+            ga[key] = g
+        else:
+            np.add.at(ga, key, g)
+        a.accumulate(ga)
 
     return _record(out, backward)
 
 
-def softmax(a):
-    """Softmax over the last axis, stabilised by max subtraction."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
+def softmax(a, blocked=None):
+    """Softmax over the last axis, stabilised by max subtraction. Entries
+    where the boolean `blocked` (broadcast against a) is True are filled
+    with MASK_FILL first, so they get exactly zero weight and exactly zero
+    gradient."""
+    x = a.data if blocked is None else np.where(blocked, MASK_FILL, a.data)
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
     def backward(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        a.accumulate(s * (g - dot))
+        ga = s * (g - dot)
+        if blocked is not None:
+            ga = _unbroadcast(np.where(blocked, 0.0, ga), a.data.shape)
+        a.accumulate(ga)
 
     return _record(out, backward)
 
@@ -394,47 +402,6 @@ def gather_rows(w, idx):
     return _record(out, backward)
 
 
-def take_rows(a, idx):
-    """Select (possibly repeated or reordered) rows along axis 0."""
-    idx = np.asarray(idx)
-    out = Tensor(a.data[idx])
-    shape = a.data.shape
-
-    def backward(g):
-        ga = np.zeros(shape)
-        np.add.at(ga, idx, g)
-        a.accumulate(ga)
-
-    return _record(out, backward)
-
-
-def gather_positions(a, idx):
-    """Per-row gather along axis 1: out[b, i] = a[b, idx[b, i]]."""
-    idx = np.asarray(idx)
-    rows = np.arange(a.data.shape[0])[:, None]
-    out = Tensor(a.data[rows, idx])
-    shape = a.data.shape
-
-    def backward(g):
-        ga = np.zeros(shape)
-        np.add.at(ga, (rows, idx), g)
-        a.accumulate(ga)
-
-    return _record(out, backward)
-
-
-def masked_fill(a, mask, value):
-    """Replace entries where mask is True with a constant. Masked entries
-    get exactly zero gradient."""
-    mask = np.asarray(mask, dtype=bool)
-    out = Tensor(np.where(mask, value, a.data))
-
-    def backward(g):
-        a.accumulate(_unbroadcast(np.where(mask, 0.0, g), a.data.shape))
-
-    return _record(out, backward)
-
-
 def sum_axis(a, axis):
     out = Tensor(a.data.sum(axis=axis))
     n = a.data.shape[axis]
@@ -456,7 +423,7 @@ def sum_all(a):
 
 
 def mean_all(a):
-    return scale(sum_all(a), 1.0 / a.data.size)
+    return mul_const(sum_all(a), 1.0 / a.data.size)
 
 
 def stack_columns(parts):

@@ -112,7 +112,7 @@ def train_step(codec: Codec, store: ParamStore, batch, rng=None, passes: int = 1
     store.zero_grads()
     with Tape() as tape:
         total = _summed_passes(codec, store, batch, rng, passes)
-        loss = ad.scale(ad.mean_all(total), 1.0 / passes)
+        loss = ad.mul_const(ad.mean_all(total), 1.0 / passes)
     tape.backward(loss)
     if not np.isfinite(loss.data):
         raise FloatingPointError("non-finite training loss")
@@ -133,7 +133,7 @@ def per_example_gradients(codec: Codec, store: ParamStore, batch, rng=None,
     store.zero_grads()
     grads = ad.ExampleGrads(n_rows(batch), [t for _, t in store.items()])
     with Tape(per_example=grads) as tape:
-        losses = ad.scale(_summed_passes(codec, store, batch, rng, passes), 1.0 / passes)
+        losses = ad.mul_const(_summed_passes(codec, store, batch, rng, passes), 1.0 / passes)
         loss = ad.sum_all(losses)
     tape.backward(loss)
     if not np.isfinite(loss.data):
@@ -156,6 +156,8 @@ def unflatten_gradients(store: ParamStore, flat: np.ndarray) -> dict[str, np.nda
 
 def sample_rows(codec: Codec, store: ParamStore, count: int, rng):
     """Draw `count` observations from the root codec in SAMPLE_CHUNK chunks."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
         return codec.zero_batch(0)
     parts = []

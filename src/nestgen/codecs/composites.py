@@ -26,13 +26,15 @@ back (`np.argsort(perm)`), so the value codec scores in element order
 against its own context (the group's values as encoded), and the
 per-element losses are summed in slot order. Padded positions are masked
 out of attention and contribute exactly zero loss and gradient; a
-permutation keeps them in place.
+permutation keeps them in place. Every slot read is one `ad.index`: a slot
+number drops the position axis, a slice keeps it (an empty one is a
+zero-length sequence), and `_per_row` reads one position per row.
 
 Because padding is invisible and no op mixes the rows of different
 examples, a list trains its batch in length groups (`length_groups`): each
 group's rows are cut to the group's longest list P, so the value codec runs
 on (rows*P) flattened positions, not (B*max_len), and both stacks run at P.
-The groups' outputs are put back in batch order with `take_rows`. On the DP
+The groups' outputs are put back in batch order with `ad.index`. On the DP
 path each group sets its rows' example map (`autodiff.example_rows`). A
 shuffled list draws its (B, max_len) keys once per pass and cuts them per
 group, so its orders do not depend on the grouping; shuffled nodes inside
@@ -73,17 +75,15 @@ class StructCtx:
 
 class ListGroup:
     """One length group of a list batch: batch rows `rows` (ascending), cut
-    to P positions. Element embeddings (n, P, d) and contexts are in element
-    order; perm[i, j] is the element in slot j of the group's row i (None:
-    identity)."""
+    to P positions. The value codec's context is in element order; perm[i, j]
+    is the element in slot j of the group's row i (None: identity)."""
 
-    __slots__ = ("rows", "P", "lengths", "val_embs", "val_ctx", "digests", "perm")
+    __slots__ = ("rows", "P", "lengths", "val_ctx", "digests", "perm")
 
-    def __init__(self, rows, P, lengths, val_embs, val_ctx, digests, perm):
+    def __init__(self, rows, P, lengths, val_ctx, digests, perm):
         self.rows = rows
         self.P = P
         self.lengths = lengths
-        self.val_embs = val_embs
         self.val_ctx = val_ctx
         self.digests = digests
         self.perm = perm
@@ -124,12 +124,17 @@ class _Decoding:
         """Keep only the given batch rows."""
         self.enc_kv = self.enc_kv.take(rows)
         self.dec_kv = self.dec_kv.take(rows)
-        self.digest = ad.take_rows(self.digest, rows)
+        self.digest = ad.index(self.digest, rows)
 
 
 def _prefix_mask(lengths, P):
     """(n, P) True where a slot holds an element."""
     return np.arange(P)[None, :] < lengths[:, None]
+
+
+def _per_row(idx):
+    """The `ad.index` key that reads position idx[b, i] of row b."""
+    return np.arange(idx.shape[0])[:, None], idx
 
 
 def length_groups(lengths):
@@ -155,7 +160,7 @@ def _in_batch_order(parts, inverse):
     """Concatenate per-group rows and put them back in batch order."""
     if inverse is None:
         return parts[0]
-    return ad.take_rows(ad.concat(parts, axis=0), inverse)
+    return ad.index(ad.concat(parts, axis=0), inverse)
 
 
 class StructCodec(Codec):
@@ -190,27 +195,21 @@ class StructCodec(Codec):
             ctxs.append(c)
         perm = self._draw_perm(rng)
         digests = self.enc(ad.stack_columns([embs[k] for k in perm]))
-        n = len(self._children)
-        B = digests.data.shape[0]
-        emb = ad.reshape(ad.narrow(digests, 1, n - 1, 1), (B, self.width))
-        return emb, StructCtx(digests, ctxs, perm)
+        return ad.index(digests, np.s_[:, -1]), StructCtx(digests, ctxs, perm)
 
     def loss_terms(self, cond: Tensor, ctx: StructCtx) -> Tensor:
         n = len(self._children)
         B = cond.data.shape[0]
         c_col = ad.reshape(cond, (B, 1, self.width))
-        if n > 1:
-            dec_in = ad.concat([c_col, ad.narrow(ctx.digests, 1, 0, n - 1)], axis=1)
-        else:
-            dec_in = c_col
-        h = self.dec(dec_in)
+        h = self.dec(ad.concat([c_col, ad.index(ctx.digests, np.s_[:, :n - 1])],
+                               axis=1))
         # scored and summed in decoder slot order so a shuffled pass is bitwise
         # equal to a plain codec whose children were reordered the same way
         total = None
         for slot in range(n):
             k = ctx.perm[slot]
-            cond_k = ad.reshape(ad.narrow(h, 1, slot, 1), (B, self.width))
-            term = self._children[k].loss_terms(cond_k, ctx.child_ctxs[k])
+            term = self._children[k].loss_terms(ad.index(h, np.s_[:, slot]),
+                                                ctx.child_ctxs[k])
             total = term if total is None else ad.add(total, term)
         return total
 
@@ -279,13 +278,13 @@ class ListCodec(Codec):
         for rows, P, e_len, val_embs, val_ctx in encoded:
             n, m = rows.size, lengths[rows]
             g_perm = None if perm is None else perm[rows, :P]
-            ordered = val_embs if g_perm is None else ad.gather_positions(val_embs, g_perm)
+            ordered = val_embs if g_perm is None else ad.index(val_embs, _per_row(g_perm))
             seq = ad.concat([ad.reshape(e_len, (n, 1, self.width)), ordered], axis=1)
             valid = np.concatenate([np.ones((n, 1), dtype=bool), _prefix_mask(m, P)], axis=1)
             with ad.example_rows(rows):
                 digests = self.enc(seq, valid=valid)
-            embs.append(ad.reshape(ad.gather_positions(digests, m[:, None]), (n, self.width)))
-            groups.append(ListGroup(rows, P, m, val_embs, val_ctx, digests, g_perm))
+            embs.append(ad.index(digests, (np.arange(n), m)))
+            groups.append(ListGroup(rows, P, m, val_ctx, digests, g_perm))
         inverse = None if len(groups) == 1 else np.argsort(
             np.concatenate([g.rows for g in groups]))
         return _in_batch_order(embs, inverse), ListCtx(groups, inverse)
@@ -296,19 +295,19 @@ class ListCodec(Codec):
         terms = []
         for g in ctx.groups:
             n, P = g.rows.size, g.P
-            c = cond if ctx.inverse is None else ad.take_rows(cond, g.rows)
+            c = cond if ctx.inverse is None else ad.index(cond, g.rows)
             dec_in = ad.concat([ad.reshape(c, (n, 1, self.width)),
-                                ad.narrow(g.digests, 1, 0, P)], axis=1)
+                                ad.index(g.digests, np.s_[:, :P])], axis=1)
             pos = np.arange(P + 1)[None, :]
             valid = (pos <= g.lengths[:, None]) | (pos <= 1)
             with ad.example_rows(g.rows):
                 h = self.dec(dec_in, valid=valid)
-                len_cond = ad.reshape(ad.narrow(h, 1, 0, 1), (n, self.width))
-                len_loss = self.len_codec.loss_terms(len_cond, g.lengths)
-            slots = ad.narrow(h, 1, 1, P)
-            if g.perm is not None:
+                len_loss = self.len_codec.loss_terms(ad.index(h, np.s_[:, 0]), g.lengths)
+            if g.perm is None:
+                slots = ad.index(h, np.s_[:, 1:])
+            else:
                 # element j was fed in the slot i with perm[b, i] == j
-                slots = ad.gather_positions(slots, np.argsort(g.perm, axis=1))
+                slots = ad.index(h, _per_row(1 + np.argsort(g.perm, axis=1)))
             with ad.example_rows(g.rows, P):
                 v = self.value_codec.loss_terms(ad.reshape(slots, (n * P, self.width)),
                                                 g.val_ctx)
@@ -316,7 +315,7 @@ class ListCodec(Codec):
             if g.perm is not None:
                 # summed in slot order, so a shuffled pass is bitwise equal to a
                 # plain pass on the reordered observation
-                v = ad.gather_positions(v, g.perm)
+                v = ad.index(v, _per_row(g.perm))
             v = ad.mul_const(v, g.mask().astype(np.float64))
             terms.append(ad.add(len_loss, ad.sum_axis(v, 1)))
         return _in_batch_order(terms, ctx.inverse)

@@ -6,16 +6,16 @@ import numpy as np
 
 from .params import ParamStore
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction, at BETA1, BETA2 and EPS."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -30,13 +30,13 @@ class Adam:
                 m = np.zeros_like(g)
                 self._v[path] = np.zeros_like(g)
             v = self._v[path]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
             self._m[path] = m
             self._v[path] = v
-            mhat = m / (1.0 - self.beta1 ** t)
-            vhat = v / (1.0 - self.beta2 ** t)
-            store[path].data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            mhat = m / (1.0 - BETA1 ** t)
+            vhat = v / (1.0 - BETA2 ** t)
+            store[path].data -= self.lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 def _check_grad(path: str, g: np.ndarray, shape: tuple):

@@ -13,9 +13,10 @@ The cached step is exact because attention is causal, so a position's output
 depends only on its prefix. `KVCache.take` drops batch rows that need no
 further steps.
 
-Masked score entries are filled with the most negative finite float before the
-softmax, so exp() underflows to exactly 0.0: causality and padding are bitwise
-guarantees, not approximations.
+Masked score entries are filled with the most negative finite float inside the
+softmax (`ad.softmax(scores, blocked)`), so exp() underflows to exactly 0.0 and
+their gradient is exactly 0.0: causality and padding are bitwise guarantees,
+not approximations.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import MASK_FILL, Tensor
+from .autodiff import Tensor
 from .params import ParamStore
 
 
@@ -118,10 +119,8 @@ class AttentionStack:
         if past is not None:
             k = ad.concat([past[0], k], axis=2)
             v = ad.concat([past[1], v], axis=2)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        if blocked is not None:
-            scores = ad.masked_fill(scores, blocked, MASK_FILL)
-        w = ad.softmax(scores)
+        scores = ad.mul_const(ad.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh))
+        w = ad.softmax(scores, blocked)
         ctx = ad.matmul(w, v)                      # (B, H, L, dh)
         ctx = ad.transpose(ctx, (0, 2, 1, 3))      # (B, L, H, dh)
         ctx = ad.reshape(ctx, (B, L, d))
@@ -139,7 +138,7 @@ class KVCache:
 
     def take(self, rows) -> "KVCache":
         """The cache restricted to (or reordered by) the given batch rows."""
-        return KVCache([(ad.take_rows(k, rows), ad.take_rows(v, rows))
+        return KVCache([(ad.index(k, rows), ad.index(v, rows))
                         for k, v in self.kv])
 
 

@@ -90,7 +90,7 @@ def loss_gradients(codec, store, batch, rng=None, passes=1):
         total = per_pass[0]
         for extra in per_pass[1:]:
             total = ad.add(total, extra)
-        loss = ad.scale(ad.mean_all(total), 1.0 / passes)
+        loss = ad.mul_const(ad.mean_all(total), 1.0 / passes)
     tape.backward(loss)
     return float(loss.data), store.gradients()
 
@@ -129,6 +129,30 @@ class LeafSpy:
         """codec.loss_terms(cond, ctx), recording a fresh pass."""
         self.logits, self.terms = {}, {}
         return self.codec.loss_terms(cond, ctx)
+
+
+def value_embedding_spy(lst):
+    """Wraps the `encode` of the value codec of the list codec `lst` and
+    returns the list each embedding it returns is appended to: one
+    (rows*P, d) tensor per length group, in group order. Padding tests read
+    the gradients of these tensors."""
+    embs = []
+    encode = lst.value_codec.encode
+
+    def spied(x, rng=None):
+        e, ctx = encode(x, rng=rng)
+        embs.append(e)
+        return e, ctx
+
+    lst.value_codec.encode = spied
+    return embs
+
+
+def group_grads(ctx, embs):
+    """(group, (rows, P, d) gradient of its value embeddings) per length
+    group of the list context `ctx`, from a `value_embedding_spy` list."""
+    assert len(embs) == len(ctx.groups)
+    return [(g, e.grad.reshape(g.rows.size, g.P, -1)) for g, e in zip(ctx.groups, embs)]
 
 
 def random_batch(codec, n, rng, garbage_padding=True):

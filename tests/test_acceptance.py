@@ -34,8 +34,8 @@ from nestgen.schema import compile_schema, parse_schema
 from nestgen.trainer import DpConfig, TrainConfig, dp_step, fit
 from nestgen.transformer import TransformerConfig
 
-from conftest import (ForcedOrder, LeafSpy, forward_loss, loss_gradients,
-                      random_batch, random_schema_doc)
+from conftest import (ForcedOrder, LeafSpy, forward_loss, group_grads, loss_gradients,
+                      random_batch, random_schema_doc, value_embedding_spy)
 
 
 def verdict(num, ok, detail):
@@ -385,14 +385,15 @@ def test_06_masking_zero_contribution():
         values = rng.integers(0, card, size=(6, max_len))
         x = ListBatch(lengths.astype(np.int64), LeafBatch(values))
         store.zero_grads()
+        embs = value_embedding_spy(codec)
         with Tape() as tape:
             _, ctx = codec.encode(x)
             loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 6), ctx))
         tape.backward(loss)
         # every length group's padded positions, up to its own longest list
-        for group in ctx.groups:
+        for group, grad in group_grads(ctx, embs):
             pad = ~group.mask()
-            assert np.all(group.val_embs.grad[pad] == 0.0)
+            assert np.all(grad[pad] == 0.0)
             pad_checks += int(pad.sum())
     assert pad_checks > 0
     verdict(6, True, f"{cases} schemas with bitwise-identical loss/gradients "

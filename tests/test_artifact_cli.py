@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import zipfile
 from pathlib import Path
 
@@ -216,6 +217,36 @@ def _with_config(src, dst, **changes):
                 meta["config"].update(changes)
                 payload = json.dumps(meta).encode("utf-8")
             zout.writestr(item, payload)
+
+
+def _rezip(src, dst, drop_entry=None, drop_key=None):
+    """Copy a bundle without one zip entry or without one meta.json key."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for item in zin.infolist():
+            if item.filename == drop_entry:
+                continue
+            payload = zin.read(item)
+            if item.filename == "meta.json" and drop_key:
+                meta = json.loads(payload)
+                del meta[drop_key]
+                payload = json.dumps(meta).encode("utf-8")
+            zout.writestr(item, payload)
+
+
+@pytest.mark.parametrize("drop, missing", [
+    ({"drop_key": "config"}, "'config'"),
+    ({"drop_key": "tables"}, "'tables'"),
+    ({"drop_entry": "params/0.npy"}, "params/0.npy"),
+])
+def test_bundle_missing_key_or_entry_is_named(tmp_path, capsys, drop, missing):
+    broken = tmp_path / "broken.ngm"
+    _rezip(V1_BUNDLE, broken, **drop)
+    with pytest.raises(ArtifactError, match=re.escape(missing)) as err:
+        load_model(broken)
+    assert str(broken) in str(err.value)
+    assert main(["inspect", "--model", str(broken)]) == 1
+    printed = capsys.readouterr().err
+    assert printed.startswith("error: load: ") and missing in printed
 
 
 @pytest.mark.parametrize("option", ["full_block", "trainable_c0", "positional_lists"])

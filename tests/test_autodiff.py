@@ -18,7 +18,7 @@ def t(rng, *shape):
 def test_identity_gradient_is_one():
     p = Tensor(3.0)
     with Tape() as tape:
-        out = ad.scale(p, 1.0)
+        out = ad.mul_const(p, 1.0)
     tape.backward(out)
     assert p.grad == 1.0
 
@@ -26,7 +26,7 @@ def test_identity_gradient_is_one():
 def test_backward_requires_scalar(rng):
     x = t(rng, 3)
     with Tape() as tape:
-        y = ad.scale(x, -1.0)
+        y = ad.mul_const(x, -1.0)
     with pytest.raises(ValueError):
         tape.backward(y)
 
@@ -40,9 +40,9 @@ def test_nested_tape_rejected():
 
 def test_ops_outside_tape_do_not_record(rng):
     x = t(rng, 4)
-    y = ad.scale(x, -1.0)  # no active tape
+    y = ad.mul_const(x, -1.0)  # no active tape
     with Tape() as tape:
-        z = ad.sum_all(ad.scale(x, 2.0))
+        z = ad.sum_all(ad.mul_const(x, 2.0))
     tape.backward(z)
     assert y.grad is None
     np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
@@ -59,7 +59,7 @@ def test_gradient_accumulates_across_reuse(rng):
 def test_add_scale_grads(rng):
     a, b = t(rng, 2, 3), t(rng, 2, 3)
     check_op_gradients(lambda: ad.add(a, b), [a, b], rng)
-    check_op_gradients(lambda: ad.scale(a, -1.7), [a], rng)
+    check_op_gradients(lambda: ad.mul_const(a, -1.7), [a], rng)
 
 
 def test_add_shape_mismatch_rejected(rng):
@@ -90,15 +90,33 @@ def test_matmul_batched_and_shared_rhs(rng):
     # (B, L, k) @ (B, k, n): fully batched
     u, v = t(rng, 2, 3, 4), t(rng, 2, 4, 3)
     check_op_gradients(lambda: ad.matmul(u, v), [u, v], rng)
+    # (B, H, L, k) @ (B, H, M, k)^T: attention scores against the keys
+    q, k = t(rng, 2, 2, 3, 4), t(rng, 2, 2, 5, 4)
+    out = ad.matmul(q, k, transpose_b=True)
+    np.testing.assert_array_equal(out.data, q.data @ np.swapaxes(k.data, -1, -2))
+    check_op_gradients(lambda: ad.matmul(q, k, transpose_b=True), [q, k], rng)
+    # (B, L, k) @ (n, k)^T: a shared 2-D right operand
+    a, w = t(rng, 2, 3, 4), t(rng, 5, 4)
+    check_op_gradients(lambda: ad.matmul(a, w, transpose_b=True), [a, w], rng)
 
 
-def test_transpose_reshape_concat_narrow(rng):
+def test_transpose_reshape_concat_index(rng):
     a = t(rng, 2, 3, 4)
     check_op_gradients(lambda: ad.transpose(a, (1, 2, 0)), [a], rng)
     check_op_gradients(lambda: ad.reshape(a, (6, 4)), [a], rng)
     b = t(rng, 2, 2, 4)
     check_op_gradients(lambda: ad.concat([a, b], axis=1), [a, b], rng)
-    check_op_gradients(lambda: ad.narrow(a, 1, 1, 2), [a], rng)
+    check_op_gradients(lambda: ad.index(a, np.s_[:, 1:3]), [a], rng)
+    # an integer key drops its axis
+    one = ad.index(a, np.s_[:, 2])
+    np.testing.assert_array_equal(one.data, a.data[:, 2])
+    check_op_gradients(lambda: ad.index(a, np.s_[:, 2]), [a], rng)
+    # an empty slice concatenates to nothing and sends back zeros
+    a.grad = None
+    with Tape() as tape:
+        loss = ad.sum_all(ad.concat([b, ad.index(a, np.s_[:, :0])], axis=1))
+    tape.backward(loss)
+    np.testing.assert_array_equal(a.grad, np.zeros_like(a.data))
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -131,17 +149,24 @@ def test_gather_rows_with_repeats(rng):
     check_op_gradients(lambda: ad.gather_rows(w, idx), [w], rng)
 
 
-def test_take_rows_and_gather_positions(rng):
+def test_index_array_keys_sum_repeats(rng):
     a = t(rng, 5, 3)
     idx = np.array([4, 0, 0, 2])
-    check_op_gradients(lambda: ad.take_rows(a, idx), [a], rng)
+    check_op_gradients(lambda: ad.index(a, idx), [a], rng)
+    # row 0 is taken twice, so its gradient is the sum of both reads
+    a.grad = None
+    with Tape() as tape:
+        loss = ad.sum_all(ad.index(a, idx))
+    tape.backward(loss)
+    np.testing.assert_array_equal(a.grad[:, 0], [2.0, 0.0, 1.0, 0.0, 1.0])
     b = t(rng, 3, 4, 2)
     pos = np.array([[1, 3, 0], [2, 2, 1], [0, 0, 3]])
-    out = ad.gather_positions(b, pos)
+    key = (np.arange(3)[:, None], pos)
+    out = ad.index(b, key)
     for r in range(3):
         for i in range(3):
             np.testing.assert_array_equal(out.data[r, i], b.data[r, pos[r, i]])
-    check_op_gradients(lambda: ad.gather_positions(b, pos), [b], rng)
+    check_op_gradients(lambda: ad.index(b, key), [b], rng)
 
 
 def test_categorical_nll(rng):
@@ -164,17 +189,25 @@ def test_categorical_nll(rng):
     assert np.all(one.grad == 0.0)
 
 
-def test_masked_fill_value_and_exact_zero_grads(rng):
+def test_blocked_softmax_value_and_exact_zero_grads(rng):
     a = t(rng, 3, 4)
     mask = np.array([[True, False, False, True]] * 3)
-    out = ad.masked_fill(a, mask, MASK_FILL)
-    assert (out.data[mask] == MASK_FILL).all()
-    np.testing.assert_array_equal(out.data[~mask], a.data[~mask])
+    out = ad.softmax(a, mask)
+    assert (out.data[mask] == 0.0).all()
+    filled = Tensor(np.where(mask, MASK_FILL, a.data))
+    np.testing.assert_array_equal(out.data, ad.softmax(filled).data)
+    weights = rng.standard_normal((3, 4))
+    a.grad = None
     with Tape() as tape:
-        loss = ad.sum_all(ad.masked_fill(a, mask, 0.5))
+        loss = ad.sum_all(ad.mul_const(ad.softmax(a, mask), weights))
     tape.backward(loss)
     assert (a.grad[mask] == 0.0).all()
-    assert (a.grad[~mask] == 1.0).all()
+    assert (a.grad[~mask] != 0.0).all()
+    check_op_gradients(lambda: ad.softmax(a, mask), [a], rng)
+    # a mask that broadcasts over a leading axis, as attention's causal one
+    y = t(rng, 2, 3, 3)
+    causal = ~np.tril(np.ones((3, 3), dtype=bool))[None]
+    check_op_gradients(lambda: ad.softmax(y, causal), [y], rng)
 
 
 def test_reductions_and_broadcast(rng):

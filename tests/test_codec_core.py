@@ -158,6 +158,12 @@ def test_sample_rows_count_zero_is_empty_zero_batch():
     assert tree.fields["l"].values.codes.shape == (0, 2)
 
 
+def test_sample_rows_negative_count_is_refused():
+    codec, store = compiled(NESTED, seed=10)
+    with pytest.raises(ValueError, match="count"):
+        sample_rows(codec, store, -1, np.random.default_rng(3))
+
+
 def test_sampling_in_another_thread_leaves_open_tape_alone():
     codec, store = compiled(NESTED, seed=10)
     done = []

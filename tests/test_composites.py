@@ -14,8 +14,8 @@ from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
-from conftest import (ForcedOrder, LeafSpy, attach_tables, forward_loss,
-                      loss_gradients, random_batch, random_schema_doc)
+from conftest import (ForcedOrder, LeafSpy, attach_tables, forward_loss, group_grads,
+                      loss_gradients, random_batch, random_schema_doc, value_embedding_spy)
 
 
 def bare_store(width=8):
@@ -417,14 +417,16 @@ def test_padding_is_invisible_and_gradient_free():
     # in every length group; lengths (0, 1) and (2, 4) run in groups of 1 and
     # 4 positions, so each group has padding
     store.zero_grads()
+    embs = value_embedding_spy(codec)
     with Tape() as tape:
         emb, ctx = codec.encode(dirty)
         loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 4), ctx))
     tape.backward(loss)
     assert [(g.rows.tolist(), g.P) for g in ctx.groups] == [([1, 3], 1), ([0, 2], 4)]
-    for group in ctx.groups:
-        assert np.all(group.val_embs.grad[~group.mask()] == 0.0)
-    assert np.any(np.concatenate([g.val_embs.grad[g.mask()] for g in ctx.groups]) != 0.0)
+    grads = group_grads(ctx, embs)
+    for group, grad in grads:
+        assert np.all(grad[~group.mask()] == 0.0)
+    assert np.any(np.concatenate([grad[g.mask()] for g, grad in grads]) != 0.0)
 
 
 # -- set codec (shuffled list) -------------------------------------------------

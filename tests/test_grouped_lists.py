@@ -44,29 +44,29 @@ class PaddedListCodec(ListCodec):
         ev_flat, val_ctx = self.value_codec.encode(merge_leading(x.values), rng=rng)
         val_embs = ad.reshape(ev_flat, (B, P, self.width))
         perm = self._draw_perm(rng, mask)
-        ordered = val_embs if perm is None else ad.gather_positions(val_embs, perm)
+        ordered = val_embs if perm is None else ad.index(val_embs, (np.arange(B)[:, None], perm))
         seq = ad.concat([ad.reshape(e_len, (B, 1, self.width)), ordered], axis=1)
         valid = np.concatenate([np.ones((B, 1), dtype=bool), mask], axis=1)
         digests = self.enc(seq, valid=valid)
-        emb = ad.reshape(ad.gather_positions(digests, lengths[:, None]), (B, self.width))
+        emb = ad.index(digests, (np.arange(B), lengths))
         return emb, PaddedCtx(digests, val_ctx, lengths, mask, perm)
 
     def loss_terms(self, cond, ctx):
         B, P = ctx.mask.shape
+        rows = np.arange(B)[:, None]
         c_col = ad.reshape(cond, (B, 1, self.width))
-        dec_in = ad.concat([c_col, ad.narrow(ctx.digests, 1, 0, P)], axis=1)
+        dec_in = ad.concat([c_col, ad.index(ctx.digests, np.s_[:, :P])], axis=1)
         pos = np.arange(P + 1)[None, :]
         valid = (pos <= ctx.lengths[:, None]) | (pos <= 1)
         h = self.dec(dec_in, valid=valid)
-        len_cond = ad.reshape(ad.narrow(h, 1, 0, 1), (B, self.width))
-        len_loss = self.len_codec.loss_terms(len_cond, ctx.lengths)
-        slots = ad.narrow(h, 1, 1, P)
+        len_loss = self.len_codec.loss_terms(ad.index(h, np.s_[:, 0]), ctx.lengths)
+        slots = ad.index(h, np.s_[:, 1:])
         if ctx.perm is not None:
-            slots = ad.gather_positions(slots, np.argsort(ctx.perm, axis=1))
+            slots = ad.index(slots, (rows, np.argsort(ctx.perm, axis=1)))
         v = self.value_codec.loss_terms(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx)
         v = ad.reshape(v, (B, P))
         if ctx.perm is not None:
-            v = ad.gather_positions(v, ctx.perm)
+            v = ad.index(v, (rows, ctx.perm))
         v = ad.mul_const(v, ctx.mask.astype(np.float64))
         return ad.add(len_loss, ad.sum_axis(v, 1))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nestgen.optim import Adam
+from nestgen.optim import BETA1, BETA2, EPS, Adam
 from nestgen.params import ParamStore
 
 
@@ -46,8 +46,9 @@ def test_adam_first_step_size_is_lr():
 
 
 def test_adam_matches_reference_formula():
-    # Two hand-rolled steps of the textbook update.
+    # Two hand-rolled steps of the textbook update at the default constants.
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    assert (BETA1, BETA2, EPS) == (b1, b2, eps)
     grads = [np.array([0.3]), np.array([-0.7])]
     p = np.array([0.5])
     m = np.zeros(1)
@@ -58,7 +59,7 @@ def test_adam_matches_reference_formula():
         p = p - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
 
     store = scalar_store(0.5)
-    opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(lr=lr)
     for g in grads:
         opt.step(store, {"p": g.copy()})
     np.testing.assert_allclose(store["p"].data, p, rtol=1e-12)
