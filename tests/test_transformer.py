@@ -5,10 +5,14 @@ import pytest
 
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
+from nestgen.codecs.base import per_example_gradients, train_step
+from nestgen.codecs.composites import ListCodec
 from nestgen.params import ParamStore
+from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, TransformerConfig
 
-from conftest import fd_gradient
+from conftest import check_op_gradients, fd_gradient, random_batch, random_schema_doc
+from test_grouped_lists import SHUFFLED, split_lists
 
 
 def make_stack(width=8, blocks=1, heads=2, seed=0):
@@ -171,3 +175,160 @@ def test_masked_positions_get_zero_gradient(rng):
     tape.backward(loss)
     assert np.all(xt.grad[~valid] == 0.0)
     assert np.any(xt.grad[valid] != 0.0)
+
+
+# -- the fused block against the 17-op block it replaced ----------------------
+
+def _transpose(a, axes):
+    """Axis permutation as a tape op, for the reference block's head split
+    and merge (the package has no transpose op)."""
+    out = Tensor(a.data.transpose(axes))
+    inv = tuple(np.argsort(axes))
+    return ad._record(out, lambda g: a.accumulate(g.transpose(inv)))
+
+
+def _heads(t, H, dh):
+    B, L, d = t.data.shape
+    return _transpose(ad.reshape(t, (B, L, H, dh)), (0, 2, 1, 3))
+
+
+def reference_block(self, blk, x, blocked, past=None):
+    """`AttentionStack._block` as 17 tape ops: three projections, the head
+    splits, scaled masked scores, softmax, the weighted sum, the head merge,
+    the output projection and the residual."""
+    B, L, d = x.data.shape
+    H = self.cfg.heads
+    dh = d // H
+    q = _heads(ad.matmul(x, blk["wq"]), H, dh)
+    k = _heads(ad.matmul(x, blk["wk"]), H, dh)
+    v = _heads(ad.matmul(x, blk["wv"]), H, dh)
+    if past is not None:
+        k = ad.concat([past[0], k], axis=2)
+        v = ad.concat([past[1], v], axis=2)
+    scores = ad.mul_const(ad.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh))
+    w = ad.softmax(scores, blocked)
+    ctx = ad.reshape(_transpose(ad.matmul(w, v), (0, 2, 1, 3)), (B, L, d))
+    y = ad.matmul(ctx, blk["wo"])
+    return ad.add(y, x), (k.data, v.data)
+
+
+TOL = 1e-12
+
+
+def _blockings(rng, B, L):
+    causal = np.tril(np.ones((L, L), dtype=bool))
+    valid = rng.random((B, L)) < 0.6
+    valid[:, 0] = True
+    return {"none": None, "causal": ~causal[None, None],
+            "valid": ~(causal[None] & valid[:, None, :])[:, None]}
+
+
+def _block_run(block, stack, store, x, blocked, past, w, per_example):
+    """(output, keys, values, x gradient, weight gradients) of one block under
+    the loss sum(output * w), on a plain or a per-example tape."""
+    blk = stack.blocks[0]
+    params = [blk[n] for n in ("wq", "wk", "wv", "wo")]
+    xt = Tensor(x.copy())
+    store.zero_grads()
+    ex = ad.ExampleGrads(x.shape[0], params) if per_example else None
+    with Tape(per_example=ex) as tape:
+        out, (k, v) = block(stack, blk, xt, blocked, past)
+        loss = ad.sum_all(ad.mul_const(out, w))
+    tape.backward(loss)
+    grads = ex.matrix if per_example else np.concatenate([p.grad.ravel() for p in params])
+    return out.data, k, v, xt.grad, grads
+
+
+@pytest.mark.parametrize("past_len", [0, 3])
+@pytest.mark.parametrize("blocking", ["none", "causal", "valid"])
+@pytest.mark.parametrize("per_example", [False, True])
+def test_fused_block_matches_reference(rng, past_len, blocking, per_example):
+    stack, store = make_stack(width=8, blocks=1, heads=2, seed=31)
+    B, L = 5, 4
+    x = rng.standard_normal((B, L, 8))
+    blocked = _blockings(rng, B, L)[blocking]
+    past = None
+    if past_len:
+        past = tuple(rng.standard_normal((B, 2, past_len, 4)) for _ in range(2))
+        if blocked is not None:
+            blocked = np.concatenate(
+                [np.zeros(blocked.shape[:3] + (past_len,), dtype=bool), blocked], axis=3)
+    w = rng.standard_normal((B, L, 8))
+    got = _block_run(AttentionStack._block, stack, store, x, blocked, past, w, per_example)
+    want = _block_run(reference_block, stack, store, x, blocked, past, w, per_example)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=TOL, atol=TOL)
+
+
+@pytest.mark.parametrize("blocking", ["none", "valid"])
+def test_fused_op_gradients_match_finite_differences(rng, blocking):
+    B, L, d, H = 2, 3, 8, 2
+    x = Tensor(rng.standard_normal((B, L, d)))
+    ws = [Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
+    blocked = _blockings(rng, B, L)[blocking]
+    check_op_gradients(lambda: ad.attention(x, *ws, blocked, H)[0], [x, *ws], rng)
+
+
+def test_fused_op_gradients_with_past(rng):
+    # the cached keys and values are constants: only x and the weights move
+    B, L, d, H, t = 2, 2, 8, 2, 3
+    x = Tensor(rng.standard_normal((B, L, d)))
+    ws = [Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
+    past = tuple(rng.standard_normal((B, H, t, d // H)) for _ in range(2))
+    out, (k, v) = ad.attention(x, *ws, None, H, past)
+    assert np.array_equal(k[:, :, :t], past[0]) and np.array_equal(v[:, :, :t], past[1])
+    check_op_gradients(lambda: ad.attention(x, *ws, None, H, past)[0], [x, *ws], rng)
+
+
+def test_fused_block_is_one_tape_op(rng):
+    stack, _ = make_stack(width=8, blocks=2, heads=2)
+    with Tape() as tape:
+        stack(Tensor(rng.standard_normal((2, 3, 8))))
+    assert len(tape._ops) == 2
+
+
+def _list_schemas(count):
+    """Random nested schema documents that hold at least one list."""
+    docs, seed = [], 400
+    while len(docs) < count:
+        doc = random_schema_doc(np.random.default_rng(seed), max_depth=3)
+        codec, _ = compile_schema(parse_schema(doc), width=8, blocks=1, heads=2)
+        if any(isinstance(c, ListCodec) for c in codec.walk()):
+            docs.append(doc)
+        seed += 1
+    return docs
+
+
+MODEL_DOCS = ([pytest.param(doc, id=f"random{i}") for i, doc in enumerate(_list_schemas(4))]
+              + [pytest.param(SHUFFLED, id="shuffled-lists")])
+
+
+def _training(codec, store, batch):
+    """Root embedding, loss and gradients of two shuffled passes, plainly and
+    per example."""
+    rng = lambda: np.random.default_rng(7)  # noqa: E731
+    emb, _ = codec.encode(batch, rng=rng())
+    loss, grads = train_step(codec, store, batch, rng=rng(), passes=2)
+    losses, matrix = per_example_gradients(codec, store, batch, rng=rng(), passes=2)
+    return [emb.data, np.array([loss]), *(grads[p] for p in store.paths()), losses, matrix]
+
+
+@pytest.mark.parametrize("doc", MODEL_DOCS)
+def test_models_train_as_with_the_reference_block(monkeypatch, doc):
+    codec, store = compile_schema(parse_schema(doc), width=8, blocks=2, heads=2, seed=3)
+    batch = random_batch(codec, 9, np.random.default_rng(8))
+    got = _training(codec, store, batch)
+    monkeypatch.setattr(AttentionStack, "_block", reference_block)
+    want = _training(codec, store, batch)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=TOL, atol=TOL)
+    assert np.any(got[-1] != 0.0)
+
+
+def test_model_cases_cover_length_groups_and_shuffled_lists():
+    codecs = [compile_schema(parse_schema(p.values[0]), width=8, blocks=1, heads=2)[0]
+              for p in MODEL_DOCS]
+    lists = [c for codec in codecs for c in codec.walk() if isinstance(c, ListCodec)]
+    assert any(c.shuffled for c in lists)
+    assert all(split_lists(codec, random_batch(codec, 9, np.random.default_rng(8))) > 0
+               for codec in codecs)
