@@ -1,33 +1,44 @@
 # Differentially private optimization: per-example clipping plus Gaussian
 # noise on the averaged gradient.
 #
-# dp_step takes the (batch, n_params) matrix of per-example gradients,
-# rescales every row to L2 norm at most C, averages, and adds independent
-# N(0, (sigma*C/batch)^2) noise per coordinate. The same step runs inside
-# fit() when a DpConfig is passed; there the matrix comes from
-# per_example_gradients, which runs one forward and one backward pass over
-# the whole batch and gives every parameter's gradient a leading batch axis.
-# This script first shows the mechanics on a synthetic gradient matrix, then
-# trains the same small model with and without privacy to show the cost in
-# loss.
+# dp_step takes a batch's per-example gradients as an autodiff.ExampleGrads:
+# what a per-example tape recorded of every parameter read (the inputs a and
+# output gradients g of each read, by example). From those reads it computes
+# each example's gradient norm, rescales every example's gradient to L2 norm
+# at most C, averages, and adds independent N(0, (sigma*C/batch)^2) noise per
+# coordinate, without ever building the (batch, n_params) matrix. The same
+# step runs inside fit() when a DpConfig is passed; there the ExampleGrads
+# comes from per_example_gradients, which runs one forward and one backward
+# pass over the whole batch. This script first shows the mechanics on a
+# synthetic set of per-example gradients, then trains the same small model
+# with and without privacy to show the cost in loss.
 
 import numpy as np
 
+from nestgen import autodiff as ad
 from nestgen.data import ingest_records
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.trainer import DpConfig, TrainConfig, dp_step, fit
 
-# -- the mechanics on a fabricated gradient matrix ----------------------------
+# -- the mechanics on fabricated per-example gradients -------------------------
 
 rng = np.random.default_rng(3)
 C, sigma, B = 0.5, 1.1, 256
 grads = rng.normal(size=(B, 40)) * np.geomspace(0.01, 5.0, B)[:, None]
 
+# example i's loss is w . grads[i] for a (1, 40) weight w, so its gradient is
+# grads[i]; a per-example tape records the one read of w
+w = ad.Tensor(np.zeros((1, 40)))
+per_example = ad.ExampleGrads(B, [w])
+with ad.Tape(per_example=per_example) as tape:
+    loss = ad.sum_all(ad.mul_const(ad.matmul(ad.Tensor(np.ones((B, 1))), w), grads))
+tape.backward(loss)
+
 norms = np.linalg.norm(grads, axis=1)
 print(f"raw per-example norms: min {norms.min():.3f} max {norms.max():.3f}")
 
 # with sigma=0 the output is exactly the mean of the clipped rows
-quiet = dp_step(grads, DpConfig(clip_norm=C, noise_multiplier=0.0), rng)
+quiet = dp_step(per_example, DpConfig(clip_norm=C, noise_multiplier=0.0), rng)
 factors = np.minimum(1.0, C / norms)
 by_hand = (grads * factors[:, None]).mean(axis=0)
 print("noiseless dp_step equals clip-then-average:",
@@ -35,7 +46,7 @@ print("noiseless dp_step equals clip-then-average:",
 
 # with noise, repeated calls scatter around that mean with std sigma*C/B
 noisy = np.stack([
-    dp_step(grads, DpConfig(clip_norm=C, noise_multiplier=sigma),
+    dp_step(per_example, DpConfig(clip_norm=C, noise_multiplier=sigma),
             np.random.default_rng(100 + r))
     for r in range(2000)])
 measured = (noisy - by_hand).std()

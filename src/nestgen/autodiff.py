@@ -16,18 +16,25 @@ property of the training graph: no op mixes the rows of different examples,
 so the gradient of every non-parameter tensor already splits by example.
 Only the three ops that read a parameter need a per-example rule (`matmul`
 with a 2-D weight and `attention` through `_weight_rule`, and `gather_rows`):
-on such a tape they add a (rows, *shape) gradient into the `ExampleGrads`
-matrix instead of summing over the batch into `.grad`. Which example each
-leading row belongs to is the `ExampleGrads.rows` map, a `RowMap` that is
-the identity at the root; a codec that runs some rows of its batch as a
-block (a list's length group) sets the block's map with `example_rows`
-while its ops run, and each rule captures the map at forward time.
+on such a tape they leave `.grad` alone and record the read in the
+`ExampleGrads` instead, its input rows a, output gradient rows g (an index
+for `gather_rows`) and the example owning each run of rows. Example i's
+gradient of a (k, n) weight is then the sum of a_t^T g_t over its rows t in
+every read, so its squared norm is the sum over t, s of (a_t . a_s)(g_t . g_s)
+(the Gram form, used where it costs less than the dense gradient) and a
+clipped sum over examples is one (c . a)^T g product per read; no
+(B, n_params) array is built. Which example each leading row belongs to is
+the `ExampleGrads.rows` map, a `RowMap` that is the identity at the root; a
+codec that runs some rows of its batch as a block (a list's length group)
+sets the block's map with `example_rows` while its ops run, and each rule
+captures the map at forward time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +83,8 @@ class Tape:
     """Execution-order record of ops, replayed backwards for gradients.
 
     per_example: when given, parameter-reading ops recorded on this tape
-    add their per-example gradients into it and leave the parameter's
-    `.grad` alone. The seed must then be a sum of per-example losses.
+    record their reads in it and leave the parameter's `.grad` alone. The
+    seed must then be a sum of per-example losses.
     """
 
     def __init__(self, per_example: ExampleGrads | None = None):
@@ -137,48 +144,126 @@ class RowMap:
                       self.unique and self.per == 1)
 
 
+class Read(NamedTuple):
+    """One op's read of a parameter on a per-example tape. Run j of the
+    op's rows belongs to example owners[j] and adds a[j]^T g[j] to its
+    gradient: a is (runs, r, k) and g (runs, r, n) for a (k, n) parameter.
+    For a row lookup a is the (runs, r) integer index, standing for its
+    one-hot (runs, r, k) rows. unique: no example owns two runs."""
+
+    owners: np.ndarray
+    unique: bool
+    a: np.ndarray
+    g: np.ndarray
+
+
 class ExampleGrads:
-    """Per-example gradients of the given parameters for a batch of
-    `examples` examples, summed in place into one (examples, n_params)
-    `matrix`: row i is example i's gradient, flattened parameter by
-    parameter in the given order. `rows` maps the leading rows of the ops
-    running now to their examples (see `example_rows`). Backward closures
-    hold this object, not the tape, so a tape never references itself and
-    is freed as soon as it goes out of scope."""
+    """Per-example gradients of the given 2-D parameters for a batch of
+    `examples` examples, kept as the reads that make them up (`reads`, by
+    parameter) instead of summed per example. `rows` maps the leading rows
+    of the ops running now to their examples (see `example_rows`).
+    `sq_norms` gives each example's squared gradient norm and
+    `clipped_sums` the gradient sums with example i's scaled by c[i]; no
+    (examples, n_params) array is ever built. Backward closures hold this
+    object, not the tape, so a tape never references itself and is freed as
+    soon as it goes out of scope."""
 
     def __init__(self, examples: int, params):
         self.examples = examples
+        self.params = list(params)
         self.rows = RowMap()
-        sizes = [p.data.size for p in params]
-        self.matrix = np.zeros((examples, sum(sizes)))
-        self._blocks = {}
-        pos = 0
-        for p, size in zip(params, sizes):
-            self._blocks[p] = np.reshape(self.matrix[:, pos:pos + size],
-                                         (examples,) + p.data.shape, copy=False)
-            pos += size
+        self.reads = {p: [] for p in self.params}
 
-    def block(self, param: Tensor) -> np.ndarray:
-        """The (examples, *param.shape) view of `matrix` holding param."""
-        block = self._blocks.get(param)
-        if block is None:
+    def add(self, param: Tensor, a: np.ndarray, g: np.ndarray, rows: RowMap):
+        """Record a read of param: a (..., k) and g (..., n), or an integer
+        index a for a row lookup, whose leading rows `rows` groups into one
+        run per owning example."""
+        reads = self.reads.get(param)
+        if reads is None:
             raise RuntimeError("a per-example gradient rule was applied to a "
                                "weight that is not a parameter")
-        return block
+        owners = np.arange(self.examples) if rows.ids is None else rows.ids
+        runs = owners.size
+        a = a.reshape(runs, -1) if a.dtype.kind in "iu" else a.reshape(runs, -1, a.shape[-1])
+        reads.append(Read(owners, rows.unique, a, g.reshape(runs, -1, g.shape[-1])))
 
-    def owners(self, rows: RowMap) -> np.ndarray:
-        """The example of each run of rows the map groups: one id per run."""
-        return np.arange(self.examples) if rows.ids is None else rows.ids
+    def uses_gram(self, param: Tensor) -> bool:
+        """Whether param's norms take the Gram form: each read gives each
+        example at most one run, and the R rows an example gets over all
+        reads make R (k + n) < k n. Per example the Gram form's two products
+        then cost R^2 (k + n) against the dense form's R k n, and its (R, k)
+        and (R, n) rows are smaller than the (k, n) gradient."""
+        reads = self.reads[param]
+        k, n = param.data.shape
+        R = sum(read.a.shape[1] for read in reads)
+        return all(read.unique for read in reads) and R * (k + n) < k * n
 
-    def add(self, param: Tensor, g: np.ndarray, rows: RowMap):
-        """Add g[i] into the gradient of the example owning run i of `rows`."""
-        block = self.block(param)
-        if rows.ids is None:
-            block += g
-        elif rows.unique:
-            block[rows.ids] += g
-        else:
-            np.add.at(block, rows.ids, g)
+    def gram_sq_norms(self, param: Tensor) -> np.ndarray:
+        """(examples,) squared norms of param's gradients, sum over t, s of
+        (a_t . a_s)(g_t . g_s) across every row an example reads. Each read's
+        runs are scattered into (examples, r, *), with zero rows for the
+        examples it skips and one-hot rows for a lookup, and the reads are
+        concatenated along the rows."""
+        k, n = param.data.shape
+        reads = self.reads[param]
+        R = sum(read.a.shape[1] for read in reads)
+        A, G = np.zeros((self.examples, R, k)), np.zeros((self.examples, R, n))
+        pos = 0
+        for owners, _, a, g in reads:
+            r = a.shape[1]
+            if a.ndim == 2:
+                A[owners[:, None], pos + np.arange(r), a] = 1.0
+            else:
+                A[owners, pos:pos + r] = a
+            G[owners, pos:pos + r] = g
+            pos += r
+        gram = A @ np.swapaxes(A, 1, 2)
+        gram *= G @ np.swapaxes(G, 1, 2)
+        return gram.sum(axis=(1, 2))
+
+    def dense(self, param: Tensor) -> np.ndarray:
+        """(examples, *param.shape): each example's gradient of param."""
+        out = np.zeros((self.examples,) + param.data.shape)
+        for owners, unique, a, g in self.reads[param]:
+            if a.ndim == 2:
+                np.add.at(out, (np.repeat(owners, a.shape[1]), a.reshape(-1)),
+                          g.reshape(-1, g.shape[-1]))
+            elif unique:
+                out[owners] += np.swapaxes(a, 1, 2) @ g
+            else:
+                np.add.at(out, owners, np.swapaxes(a, 1, 2) @ g)
+        return out
+
+    def sq_norms(self) -> np.ndarray:
+        """(examples,) squared norm of each example's whole gradient, one
+        parameter at a time, each in the Gram form or from its dense
+        gradient as `uses_gram` picks from the shapes. The Gram form sums
+        terms of both signs, so an example whose reads cancel can round below
+        zero; totals are clamped at zero."""
+        total = np.zeros(self.examples)
+        for p in self.params:
+            if self.uses_gram(p):
+                total += self.gram_sq_norms(p)
+            else:
+                d = self.dense(p).reshape(self.examples, -1)
+                total += np.einsum("ij,ij->i", d, d)
+        return np.maximum(total, 0.0)
+
+    def clipped_sums(self, c: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's gradient summed over the examples, example i's
+        scaled by c[i]: one (c . a)^T g product per read, or a scatter of
+        c . g for a row lookup."""
+        out = []
+        for p in self.params:
+            total = np.zeros(p.data.shape)
+            for owners, _, a, g in self.reads[p]:
+                cr = c[owners, None, None]
+                if a.ndim == 2:
+                    np.add.at(total, a.reshape(-1), (cr * g).reshape(-1, g.shape[-1]))
+                else:
+                    total += (cr * a).reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            out.append(total)
+        return out
 
 
 def _per_example():
@@ -254,18 +339,15 @@ def _unbroadcast(g, shape):
 def _weight_rule():
     """The rule of a 2-D weight w read by an op being recorded: add(w, a, g)
     sends a^T g, for a (..., k) and g (..., n), into w's `.grad`, or on a
-    per-example tape each example's share through the row map captured now."""
+    per-example tape records the read with the row map captured now."""
     ex = _per_example()
     row_map = None if ex is None else ex.rows
 
     def add(w, a, g):
-        runs = 1 if ex is None else ex.owners(row_map).size
-        gw = (np.swapaxes(a.reshape(runs, -1, a.shape[-1]), 1, 2)
-              @ g.reshape(runs, -1, g.shape[-1]))
         if ex is None:
-            w.accumulate(gw[0])
+            w.accumulate(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
         else:
-            ex.add(w, gw, row_map)
+            ex.add(w, a, g, row_map)
 
     return add
 
@@ -366,7 +448,9 @@ def attention(x, wq, wk, wv, wo, blocked, heads, past=None):
     dh = d // heads
     c = np.asarray(1.0 / np.sqrt(dh))
     w_in = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    q, k, v = (x.data @ w_in).reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    # the four weight products run on (B*L, d) rows: one 2-D GEMM each
+    x2 = x.data.reshape(B * L, d)
+    q, k, v = (x2 @ w_in).reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     if past is not None:
         k, v = np.concatenate([past[0], k], axis=2), np.concatenate([past[1], v], axis=2)
     p = q @ np.swapaxes(k, -1, -2)
@@ -379,11 +463,12 @@ def attention(x, wq, wk, wv, wo, blocked, heads, past=None):
     # products write straight into head-merged (B, L, d) layouts, no copy
     ctx = np.empty((B, L, heads, dh))
     np.matmul(p, v, out=ctx.transpose(0, 2, 1, 3))
-    ctx = ctx.reshape(B, L, d)
-    out = Tensor(ctx @ wo.data + x.data)
+    ctx = ctx.reshape(B * L, d)
+    out = Tensor((ctx @ wo.data + x2).reshape(B, L, d))
     add_weight = _weight_rule()
 
     def backward(g):
+        g = g.reshape(B * L, d)
         add_weight(wo, ctx, g)
         gctx = (g @ wo.data.T).reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
         gs = gctx @ np.swapaxes(v, -1, -2)
@@ -396,11 +481,10 @@ def attention(x, wq, wk, wv, wo, blocked, heads, past=None):
         np.matmul(gs, k, out=gq)
         np.matmul(np.swapaxes(gs, -1, -2)[:, :, -L:], q, out=gk)
         np.matmul(np.swapaxes(p, -1, -2)[:, :, -L:], gctx, out=gv)
-        gqkv = gqkv.reshape(B, L, 3 * d)
-        # one product each: a contiguous result adds faster per example
+        gqkv = gqkv.reshape(B * L, 3 * d)
         for i, w in enumerate((wq, wk, wv)):
-            add_weight(w, x.data, gqkv[:, :, i * d:(i + 1) * d])
-        x.accumulate(g + gqkv @ w_in.T)
+            add_weight(w, x2, gqkv[:, i * d:(i + 1) * d])
+        x.accumulate((g + gqkv @ w_in.T).reshape(B, L, d))
 
     return _record(out, backward), (k, v)
 
@@ -438,10 +522,7 @@ def gather_rows(w, idx):
             np.add.at(gw, idx.reshape(-1), g.reshape(-1, d))
             w.accumulate(gw)
         else:
-            # each run of the map owns an equal share of the flat index
-            ids = ex.owners(row_map)
-            owner = np.repeat(ids, idx.size // ids.size)
-            np.add.at(ex.block(w), (owner, idx.reshape(-1)), g.reshape(-1, d))
+            ex.add(w, idx, g, row_map)
 
     return _record(out, backward)
 

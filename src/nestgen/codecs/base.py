@@ -121,14 +121,15 @@ def train_step(codec: Codec, store: ParamStore, batch, rng=None, passes: int = 1
 
 def per_example_gradients(codec: Codec, store: ParamStore, batch, rng=None,
                           passes: int = 1):
-    """Loss and flat gradient vector of each example separately (DP path).
+    """Loss and gradients of each example separately (DP path).
 
-    Returns (losses (B,), grads (B, n_params)); row i is what `train_step`
-    gives for example i alone, flattened in store order. The whole batch
-    runs one forward and one backward pass: the seed is the sum of the
-    per-example losses, and the tape's `ExampleGrads` gives every parameter
-    a (B, *shape) gradient (see `autodiff`). Shuffle permutations are drawn
-    once for the batch, as `train_step` draws them.
+    Returns (losses (B,), grads), where grads is the tape's
+    `autodiff.ExampleGrads` over the store's parameters in store order:
+    example i's gradient is what `train_step` gives for example i alone, and
+    grads yields its squared norms and clipped sums without building the
+    (B, n_params) matrix. The whole batch runs one forward and one backward
+    pass: the seed is the sum of the per-example losses. Shuffle
+    permutations are drawn once for the batch, as `train_step` draws them.
     """
     store.zero_grads()
     grads = ad.ExampleGrads(n_rows(batch), [t for _, t in store.items()])
@@ -141,7 +142,7 @@ def per_example_gradients(codec: Codec, store: ParamStore, batch, rng=None,
     for path, t in store.items():
         if t.grad is not None:
             raise RuntimeError(f"{path}: read by an op with no per-example gradient rule")
-    return losses.data, grads.matrix
+    return losses.data, grads
 
 
 def unflatten_gradients(store: ParamStore, flat: np.ndarray) -> dict[str, np.ndarray]:

@@ -2,11 +2,14 @@
 
 One top-level record is one example. Under differential privacy each step
 runs one forward and one backward pass over the batch that keep every
-example's gradient apart (`per_example_gradients`), so each example's whole
-gradient can be clipped before aggregation; Gaussian noise is added to the
-clipped mean. Privacy accounting (epsilon/delta) is deliberately not computed
-here; the run log keeps every quantity an external accountant needs (clip
-norm, noise multiplier, batch size, dataset size, step count).
+example's gradient apart (`per_example_gradients`): the tape records each
+parameter read, and `dp_step` takes each example's gradient norm from those
+reads, clips every example's whole gradient to the bound with one scaled
+product per read, and adds Gaussian noise to the clipped mean, all without
+a (batch, n_params) matrix. Privacy accounting (epsilon/delta) is
+deliberately not computed here; the run log keeps every quantity an
+external accountant needs (clip norm, noise multiplier, batch size, dataset
+size, step count).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import ExampleGrads
 from .batches import n_rows, take
 from .codecs.base import per_example_gradients, train_step, unflatten_gradients
 from .optim import Adam
@@ -58,16 +62,18 @@ class DpConfig:
                              f"got {self.noise_multiplier}")
 
 
-def dp_step(per_example_grads: np.ndarray, dp: DpConfig, rng) -> np.ndarray:
-    """Clip each row to L2 norm <= C, average, add N(0, (sigma*C/B)^2) noise
-    per coordinate. Rows are flat per-example gradient vectors."""
+def dp_step(grads: ExampleGrads, dp: DpConfig, rng) -> np.ndarray:
+    """Clip each example's gradient to L2 norm <= C, average, add
+    N(0, (sigma*C/B)^2) noise per coordinate. grads holds the B examples'
+    gradients (`per_example_gradients`); the result is flat, parameter by
+    parameter in grads' order."""
     dp.validate()
-    g = np.asarray(per_example_grads, dtype=np.float64)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = np.sqrt(grads.sq_norms())
     factors = np.minimum(1.0, dp.clip_norm / np.maximum(norms, 1e-300))
-    mean = (g * factors).mean(axis=0)
+    mean = np.concatenate([s.ravel() for s in grads.clipped_sums(factors)])
+    mean /= grads.examples
     if dp.noise_multiplier > 0:
-        std = dp.noise_multiplier * dp.clip_norm / g.shape[0]
+        std = dp.noise_multiplier * dp.clip_norm / grads.examples
         mean = mean + rng.normal(0.0, std, size=mean.shape)
     return mean
 
@@ -98,11 +104,11 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
             shuffle_rng = stream(cfg.seed, SHUFFLE, epoch, b)  # unshuffled nodes never draw
             try:
                 if dp is not None:
-                    losses, g = per_example_gradients(
+                    losses, ex = per_example_gradients(
                         codec, store, batch, rng=shuffle_rng,
                         passes=cfg.shuffle_passes)
                     loss = float(losses.mean())
-                    noisy = dp_step(g, dp, stream(cfg.seed, DP_NOISE, epoch, b))
+                    noisy = dp_step(ex, dp, stream(cfg.seed, DP_NOISE, epoch, b))
                     grads = unflatten_gradients(store, noisy)
                     grad_norm = float(np.linalg.norm(noisy))
                 else:

@@ -50,6 +50,39 @@ def check_op_gradients(build, tensors, rng, rtol=1e-4, atol=1e-8, step=1e-5):
         np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
+def example_blocks(grads):
+    """[(B, *shape) gradient of each example] per parameter of an
+    `ad.ExampleGrads`, built from its recorded reads one run at a time: the
+    reference its norms and clipped sums are checked against."""
+    blocks = []
+    for p in grads.params:
+        block = np.zeros((grads.examples,) + p.data.shape)
+        for read in grads.reads[p]:
+            for j, i in enumerate(read.owners):
+                if read.a.ndim == 2:   # a row lookup: a holds row indices
+                    np.add.at(block[i], read.a[j], read.g[j])
+                else:
+                    block[i] += read.a[j].T @ read.g[j]
+        blocks.append(block)
+    return blocks
+
+
+def example_matrix(grads):
+    """The (B, n_params) matrix of per-example gradients of an
+    `ad.ExampleGrads`, row i flattened parameter by parameter."""
+    return np.concatenate([b.reshape(grads.examples, -1) for b in example_blocks(grads)],
+                          axis=1)
+
+
+def rows_as_example_grads(rows):
+    """An `ad.ExampleGrads` whose example i has gradient rows[i]: one (1, D)
+    parameter read once per example, with a = 1 and g = rows[i]."""
+    B, D = rows.shape
+    grads = ad.ExampleGrads(B, [ad.Tensor(np.zeros((1, D)))])
+    grads.add(grads.params[0], np.ones((B, 1)), rows, ad.RowMap())
+    return grads
+
+
 class ForcedOrder:
     """Stands in for the shuffle rng to force an order on shuffled nodes:
     `permutation(n)` returns sigma (a struct's field order) and

@@ -17,7 +17,7 @@ from nestgen.optim import Adam
 from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 
-from conftest import ForcedOrder, forward_loss
+from conftest import ForcedOrder, example_matrix, forward_loss
 
 
 def compiled(doc, width=8, blocks=1, heads=2, seed=0):
@@ -187,7 +187,8 @@ def test_per_example_gradients_average_to_batch_gradient():
     from nestgen.batches import StructBatch
     batch = StructBatch({"a": LeafBatch(np.array([0, 1, 0, 1])),
                          "b": LeafBatch(np.array([2, 0, 1, 1]))})
-    losses, flat = per_example_gradients(codec, store, batch)
+    losses, ex = per_example_gradients(codec, store, batch)
+    flat = example_matrix(ex)
     per_row = pass_losses(codec, store, batch)[0].data
     np.testing.assert_allclose(losses, per_row, rtol=1e-12)
     _, batch_grads = train_step(codec, store, batch)

@@ -17,7 +17,7 @@ from nestgen.codecs.base import per_example_gradients, train_step
 from nestgen.codecs.composites import ListCodec, length_groups
 from nestgen.schema import compile_schema, parse_schema
 
-from conftest import random_batch, random_schema_doc
+from conftest import example_matrix, random_batch, random_schema_doc
 
 TOL = 1e-12
 
@@ -139,11 +139,13 @@ def batches(codec, B, rng):
 def assert_same_training(codec, store, x, passes, seed):
     rng = lambda: np.random.default_rng(seed)  # noqa: E731
     loss, grads = train_step(codec, store, x, rng=rng(), passes=passes)
-    losses, matrix = per_example_gradients(codec, store, x, rng=rng(), passes=passes)
+    losses, ex = per_example_gradients(codec, store, x, rng=rng(), passes=passes)
+    matrix = example_matrix(ex)
     with padded(codec):
         ref_loss, ref_grads = train_step(codec, store, x, rng=rng(), passes=passes)
-        ref_losses, ref_matrix = per_example_gradients(codec, store, x, rng=rng(),
-                                                       passes=passes)
+        ref_losses, ref_ex = per_example_gradients(codec, store, x, rng=rng(),
+                                                   passes=passes)
+        ref_matrix = example_matrix(ref_ex)
     assert abs(loss - ref_loss) <= TOL
     for path, g in ref_grads.items():
         np.testing.assert_allclose(grads[path], g, rtol=0, atol=TOL, err_msg=path)

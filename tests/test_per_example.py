@@ -1,19 +1,22 @@
 """Batched per-example gradients (the DP path) against one train_step per
 example, which stays here as the reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
-from nestgen.batches import n_rows, take
+from nestgen.batches import ListBatch, StructBatch, n_rows, take
 from nestgen.codecs.base import per_example_gradients, train_step, unflatten_gradients
-from nestgen.codecs.composites import ListCodec, StructCodec
+from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.codecs.primitives import CategoricalCodec
 from nestgen.schema import compile_schema, parse_schema
+from nestgen.trainer import DpConfig, dp_step
 from nestgen.transformer import AttentionStack
 
-from conftest import random_batch, random_schema_doc
+from conftest import example_blocks, example_matrix, random_batch, random_schema_doc
 
 STRUCT_LIST_STRUCT = {"type": "record", "name": "r", "fields": [
     {"name": "a", "type": "enum", "cardinality": 3},
@@ -50,46 +53,117 @@ def compiled(doc, seed=0):
     return compile_schema(parse_schema(doc), width=8, blocks=2, heads=2, seed=seed)
 
 
-def loop_gradients(codec, store, batch, rng=None, passes=1):
-    """The reference: one train_step per example, flattened in store order."""
+def loop_gradients(codec, store, batch, passes=1, rng_of=None):
+    """The reference: one train_step per example, flattened in store order.
+    rng_of(i), when given, is example i's shuffle rng."""
     n = n_rows(batch)
     order = store.paths()
     losses = np.empty(n)
     grads = []
     for i in range(n):
-        loss, g = train_step(codec, store, take(batch, np.array([i])), rng=rng,
-                             passes=passes)
+        loss, g = train_step(codec, store, take(batch, np.array([i])),
+                             rng=None if rng_of is None else rng_of(i), passes=passes)
         losses[i] = loss
         grads.append(np.concatenate([g[p].ravel() for p in order]))
     return losses, np.stack(grads)
 
 
+class RowDraws:
+    """A shuffle rng for the SHUFFLED_LIST schema, whose only draw per pass
+    is the list's (B, max_len) keys: on the batch it records each draw, and
+    `row(b)` replays row b's keys of each, so one example run alone is
+    shuffled exactly as it was in the batch."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, shape):
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1]
+
+    def row(self, b):
+        draws = iter(self.draws)
+
+        class Replay:
+            def random(self, shape):
+                assert shape[0] == 1
+                return next(draws)[b:b + 1]
+
+        return Replay()
+
+
+def _with_lengths(batch, lengths):
+    """The batch with the root's list `l` given these lengths."""
+    return StructBatch({**batch.fields, "l": ListBatch(lengths, batch.fields["l"].values)})
+
+
+def _two_groups(batch):
+    """Half the lists empty and half full: two length groups."""
+    B = n_rows(batch)
+    batch = _with_lengths(batch, np.where(np.arange(B) < B // 2, 0, 3))
+    assert len(length_groups(batch.fields["l"].lengths)) == 2
+    return batch
+
+
+def _full(batch):
+    """Every list full, so each pass's order moves most of them."""
+    return _with_lengths(batch, np.full(n_rows(batch), 3))
+
+
+# (schema, batch size, batch edit, passes); shuffled nodes keep their
+# identity order except in the two-pass case
 IDENTITY_CASES = (
-    [pytest.param(random_schema_doc(np.random.default_rng(60 + i), max_depth=3),
+    [pytest.param(random_schema_doc(np.random.default_rng(60 + i), max_depth=3), 6, None, 1,
                   id=f"random{i}") for i in range(6)]
-    + [pytest.param(STRUCT_LIST_STRUCT, id="struct-list-struct"),
-       pytest.param(LIST_OF_LISTS, id="list-of-lists"),
-       pytest.param(SHUFFLED, id="shuffled")])
+    + [pytest.param(STRUCT_LIST_STRUCT, 6, None, 1, id="struct-list-struct"),
+       pytest.param(LIST_OF_LISTS, 6, None, 1, id="list-of-lists"),
+       pytest.param(SHUFFLED, 6, None, 1, id="shuffled"),
+       pytest.param(STRUCT_LIST_STRUCT, 8, _two_groups, 1, id="two-length-groups"),
+       pytest.param(SHUFFLED_LIST, 7, _full, 2, id="shuffled-list-two-passes"),
+       pytest.param(STRUCT_LIST_STRUCT, 1, None, 1, id="one-example")])
 
 
-@pytest.mark.parametrize("doc", IDENTITY_CASES)
-def test_rows_match_train_step_per_example(doc):
+@pytest.mark.parametrize("doc,B,edit,passes", IDENTITY_CASES)
+def test_rows_match_train_step_per_example(doc, B, edit, passes):
+    """Each example's gradient, built from the recorded reads, and the
+    squared norms and clipped sums taken from the reads directly."""
     codec, store = compiled(doc, seed=61)
-    batch = random_batch(codec, 6, np.random.default_rng(62))
-    losses, grads = per_example_gradients(codec, store, batch)
-    ref_losses, ref_grads = loop_gradients(codec, store, batch)
-    assert grads.shape == (6, store.n_params())
+    batch = random_batch(codec, B, np.random.default_rng(62))
+    if edit is not None:
+        batch = edit(batch)
+    rng = rng_of = None
+    if passes > 1:
+        rng = RowDraws(B)
+        rng_of = rng.row
+    losses, ex = per_example_gradients(codec, store, batch, rng=rng, passes=passes)
+    grads = example_matrix(ex)
+    ref_losses, ref_grads = loop_gradients(codec, store, batch, passes=passes, rng_of=rng_of)
+    if passes > 1:
+        # the orders drawn for the batch are what the reference replays
+        assert not np.allclose(ref_grads, loop_gradients(codec, store, batch, passes=passes)[1])
+    assert grads.shape == (B, store.n_params())
     np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-10)
     assert np.any(grads != 0.0)
+    ref_sq = (ref_grads * ref_grads).sum(axis=1)
+    np.testing.assert_allclose(ex.sq_norms(), ref_sq, rtol=0, atol=1e-10)
+    # clip at the median norm, so some examples are scaled and some are not
+    c = np.minimum(1.0, np.median(np.sqrt(ref_sq)) / np.sqrt(ref_sq))
+    sums = np.concatenate([s.ravel() for s in ex.clipped_sums(c)])
+    np.testing.assert_allclose(sums, (c[:, None] * ref_grads).sum(axis=0), rtol=0, atol=1e-10)
+    if doc is STRUCT_LIST_STRUCT:
+        # every leaf's W is read by encode (a row lookup) and by loss_terms
+        assert {read.a.ndim for read in ex.reads[store["r/a/W"]]} == {2, 3}
 
 
 @pytest.mark.parametrize("seed", [70, 71, 72])
 def test_shuffled_passes_average_to_train_step(seed):
     codec, store = compiled(SHUFFLED, seed=seed)
     batch = random_batch(codec, 7, np.random.default_rng(seed))
-    losses, grads = per_example_gradients(codec, store, batch,
-                                          rng=np.random.default_rng(seed), passes=2)
+    losses, ex = per_example_gradients(codec, store, batch,
+                                       rng=np.random.default_rng(seed), passes=2)
+    grads = example_matrix(ex)
     loss, ref = train_step(codec, store, batch, rng=np.random.default_rng(seed), passes=2)
     assert losses.mean() == pytest.approx(loss, rel=1e-12)
     mean = unflatten_gradients(store, grads.mean(axis=0))
@@ -206,7 +280,7 @@ def _example_grads(build, params, B):
         loss = ad.sum_all(build())
     tape.backward(loss)
     assert all(p.grad is None for p in params)
-    return [grads.block(p) for p in params]
+    return example_blocks(grads)
 
 
 def _loop_grads(build_one, params, B):
@@ -242,3 +316,88 @@ def test_op_rules_match_one_example_at_a_time():
                                          idx[b * P:(b + 1) * P], 1), params, B)
     for got, want in zip(batched, looped):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_gram_and_dense_norms_agree_on_every_parameter():
+    forms = set()
+    for doc in (STRUCT_LIST_STRUCT, LIST_OF_LISTS, SHUFFLED):
+        codec, store = compiled(doc, seed=3)
+        batch = random_batch(codec, 9, np.random.default_rng(4))
+        _, ex = per_example_gradients(codec, store, batch, rng=np.random.default_rng(5),
+                                      passes=2 if codec.has_shuffle() else 1)
+        for path, p in store.items():
+            if not ex.reads[p]:
+                continue
+            forms.add(ex.uses_gram(p))
+            dense = ex.dense(p).reshape(9, -1)
+            if all(read.unique for read in ex.reads[p]):
+                np.testing.assert_allclose(ex.gram_sq_norms(p), (dense * dense).sum(axis=1),
+                                           rtol=1e-12, atol=1e-12, err_msg=path)
+    # the cases reach both forms of the norm
+    assert forms == {True, False}
+
+
+def test_gram_norms_of_a_read_that_skips_examples():
+    # one read whose rows belong to examples 2 and 0 only: example 1 has no
+    # gradient, and the read's runs are not in example order
+    rng = np.random.default_rng(6)
+    w = Tensor(rng.standard_normal((4, 5)))
+    ex = ad.ExampleGrads(3, [w])
+    with Tape(per_example=ex) as tape:
+        with ad.example_rows(np.array([2, 0]), per=2):
+            loss = ad.sum_all(ad.matmul(Tensor(rng.standard_normal((4, 4))), w))
+    tape.backward(loss)
+    assert ex.uses_gram(w)
+    dense = ex.dense(w).reshape(3, -1)
+    assert np.all(dense[1] == 0.0) and np.all(dense[[0, 2]] != 0.0)
+    np.testing.assert_allclose(ex.gram_sq_norms(w), (dense * dense).sum(axis=1),
+                               rtol=1e-12, atol=0)
+
+
+def test_cancelling_reads_give_a_zero_norm_not_nan():
+    # each example reads w twice with contributions that cancel exactly, so
+    # the Gram form's terms of both signs round to totals just below zero
+    rng = np.random.default_rng(0)
+    B = 64
+    w = Tensor(np.zeros((8, 8)))
+    ex = ad.ExampleGrads(B, [w])
+    a, g = rng.standard_normal((B, 8)), rng.standard_normal((B, 8))
+    ex.add(w, a, g, ad.RowMap())
+    ex.add(w, -0.3 * a, g / 0.3, ad.RowMap())
+    assert ex.uses_gram(w)
+    assert np.any(ex.gram_sq_norms(w) < 0)
+    assert np.all(ex.sq_norms() >= 0)
+    mean = dp_step(ex, DpConfig(clip_norm=1.0, noise_multiplier=1.0), np.random.default_rng(1))
+    assert np.all(np.isfinite(mean))
+
+
+def test_gram_form_is_not_used_where_its_rows_outgrow_the_gradient():
+    # a 5000-row table looked up 64 times per example: one-hot Gram rows
+    # would be 64 / 32 times the dense (5000, 32) gradient
+    rng = np.random.default_rng(7)
+    table = Tensor(rng.standard_normal((5000, 32)))
+    for per, gram in ((64, False), (2, True)):
+        ex = ad.ExampleGrads(2, [table])
+        with Tape(per_example=ex) as tape:
+            loss = ad.sum_all(ad.gather_rows(table, rng.integers(0, 5000, size=(2, per))))
+        tape.backward(loss)
+        assert ex.uses_gram(table) is gram
+
+
+def test_dp_step_allocates_no_per_example_matrix():
+    doc = {"type": "record", "name": "r", "fields": [
+        {"name": f"f{i}", "type": "enum", "cardinality": 10} for i in range(4)]}
+    codec, store = compile_schema(parse_schema(doc), width=64, blocks=2, heads=8, seed=0)
+    B = 32
+    matrix_bytes = B * store.n_params() * 8
+    assert matrix_bytes >= 16e6
+    batch = random_batch(codec, B, np.random.default_rng(0))
+    dp = DpConfig(clip_norm=1e-3, noise_multiplier=1.0)
+    tracemalloc.start()
+    try:
+        _, ex = per_example_gradients(codec, store, batch)
+        dp_step(ex, dp, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 2

@@ -10,6 +10,8 @@ from nestgen.batches import LeafBatch, ListBatch, StructBatch
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.trainer import DpConfig, TrainConfig, dp_step, epoch_means, fit
 
+from conftest import rows_as_example_grads
+
 
 def compiled(doc, seed=0, **kw):
     kw.setdefault("width", 8)
@@ -82,14 +84,15 @@ def test_dp_step_clips_every_contribution():
     # spread row norms from far below to far above the clip threshold
     targets = np.geomspace(1e-6, 10 * C, 200)
     rows *= (targets / np.linalg.norm(rows, axis=1))[:, None]
-    singles = np.stack([dp_step(rows[i:i + 1], dp, rng) for i in range(200)])
+    singles = np.stack([dp_step(rows_as_example_grads(rows[i:i + 1]), dp, rng)
+                        for i in range(200)])
     norms = np.linalg.norm(singles, axis=1)
     assert np.all(norms <= C + 1e-9)
     # rows already inside the ball come back bitwise unchanged
     inside = targets <= C
     assert np.array_equal(singles[inside], rows[inside])
     # aggregation is the mean of the clipped rows
-    combined = dp_step(rows, dp, rng)
+    combined = dp_step(rows_as_example_grads(rows), dp, rng)
     np.testing.assert_allclose(combined, singles.mean(axis=0), rtol=1e-12)
 
 
@@ -98,13 +101,13 @@ def test_dp_step_scales_long_row_onto_sphere():
     dp = DpConfig(clip_norm=C, noise_multiplier=0.0)
     row = np.full((1, 16), 1.0)
     row *= 10 * C / np.linalg.norm(row)
-    out = dp_step(row, dp, np.random.default_rng(0))
+    out = dp_step(rows_as_example_grads(row), dp, np.random.default_rng(0))
     assert abs(np.linalg.norm(out) - C) <= 1e-9
 
 
 def test_dp_step_zero_row_is_safe():
     dp = DpConfig(clip_norm=1e-3, noise_multiplier=0.0)
-    out = dp_step(np.zeros((4, 8)), dp, np.random.default_rng(0))
+    out = dp_step(rows_as_example_grads(np.zeros((4, 8))), dp, np.random.default_rng(0))
     assert np.array_equal(out, np.zeros(8))
 
 
@@ -112,7 +115,7 @@ def test_dp_step_noise_scale():
     B, D = 1024, 10000
     C, sigma = 1e-3, 1.08
     dp = DpConfig(clip_norm=C, noise_multiplier=sigma)
-    out = dp_step(np.zeros((B, D)), dp, np.random.default_rng(3))
+    out = dp_step(rows_as_example_grads(np.zeros((B, D))), dp, np.random.default_rng(3))
     want = sigma * C / B
     assert abs(out.std() - want) / want < 0.05
     assert abs(out.mean()) < 5 * want / math.sqrt(D)
@@ -122,8 +125,8 @@ def test_dp_step_noiseless_is_deterministic():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(32, 12))
     dp = DpConfig(clip_norm=0.5, noise_multiplier=0.0)
-    a = dp_step(rows, dp, np.random.default_rng(1))
-    b = dp_step(rows, dp, np.random.default_rng(2))
+    a = dp_step(rows_as_example_grads(rows), dp, np.random.default_rng(1))
+    b = dp_step(rows_as_example_grads(rows), dp, np.random.default_rng(2))
     assert np.array_equal(a, b)
 
 

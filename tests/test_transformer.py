@@ -11,7 +11,8 @@ from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, TransformerConfig
 
-from conftest import check_op_gradients, fd_gradient, random_batch, random_schema_doc
+from conftest import (check_op_gradients, example_matrix, fd_gradient, random_batch,
+                      random_schema_doc)
 from test_grouped_lists import SHUFFLED, split_lists
 
 
@@ -235,7 +236,7 @@ def _block_run(block, stack, store, x, blocked, past, w, per_example):
         out, (k, v) = block(stack, blk, xt, blocked, past)
         loss = ad.sum_all(ad.mul_const(out, w))
     tape.backward(loss)
-    grads = ex.matrix if per_example else np.concatenate([p.grad.ravel() for p in params])
+    grads = example_matrix(ex) if per_example else np.concatenate([p.grad.ravel() for p in params])
     return out.data, k, v, xt.grad, grads
 
 
@@ -309,8 +310,9 @@ def _training(codec, store, batch):
     rng = lambda: np.random.default_rng(7)  # noqa: E731
     emb, _ = codec.encode(batch, rng=rng())
     loss, grads = train_step(codec, store, batch, rng=rng(), passes=2)
-    losses, matrix = per_example_gradients(codec, store, batch, rng=rng(), passes=2)
-    return [emb.data, np.array([loss]), *(grads[p] for p in store.paths()), losses, matrix]
+    losses, ex = per_example_gradients(codec, store, batch, rng=rng(), passes=2)
+    return [emb.data, np.array([loss]), *(grads[p] for p in store.paths()), losses,
+            example_matrix(ex)]
 
 
 @pytest.mark.parametrize("doc", MODEL_DOCS)
