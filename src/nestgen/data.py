@@ -6,12 +6,12 @@ array whose leading axis is the row axis, with one extra position axis per
 enclosing list. Emission is the inverse: code trees back to records, records
 back to files.
 
-Raw records are read once: one recursive pass per record (`_check_shape`)
-validates it, normalises CSV strings and appends each leaf value and each
-list length to a flat buffer per schema path (`Columns`; a list's lengths are
-its offsets, as in Arrow's list layout). Quantile tables, the vocabularies of
-enums that declared neither symbols nor cardinality, padded batches and the
-metric tables are all built from those buffers.
+Raw records are read once, by a record plan compiled from the schema (one
+closure per node, `_plan`) that validates each record, normalises CSV strings
+and appends every leaf value and list length to a flat buffer per schema path
+(`Columns`; a list's lengths are its offsets, as in Arrow's list layout).
+Quantile tables, enum vocabularies, padded batches and the metric tables are
+all built from those buffers, each column coded in bulk.
 
 Row handling: a row containing a null, or a list longer than its declared
 capacity, is dropped and counted in the ingestion report. A row that does not
@@ -70,6 +70,12 @@ class Transform:
         """Enum column values -> int64 codes. Raises _BadValue at the first
         value that has no code."""
         idx = self._index.get(path)
+        if idx is not None:
+            try:
+                return np.fromiter(map(idx.__getitem__, map(str, values)),
+                                   np.int64, len(values))
+            except KeyError:
+                pass  # the loop below names the first unknown value
         codes = np.empty(len(values), dtype=np.int64)
         for i, value in enumerate(values):
             if idx is not None:
@@ -79,6 +85,9 @@ class Transform:
                                        f"{path}")
             else:  # declared cardinality but no symbols: data carries codes
                 try:
+                    if isinstance(value, bool) or (isinstance(value, float)
+                                                   and not value.is_integer()):
+                        raise ValueError  # booleans and fractions are no codes
                     code = int(value)
                 except (TypeError, ValueError):
                     raise _BadValue(i, f"column {path} expects integer codes, "
@@ -116,26 +125,31 @@ def is_flat(schema) -> bool:
 
 def read_records(path, fmt=None) -> list:
     """Load raw records. CSV yields dicts of strings keyed by header name;
-    JSONL yields the parsed objects, one per line."""
+    JSONL yields the parsed objects, one per line. Both are read as UTF-8,
+    with or without a leading byte order mark."""
     fmt = fmt or detect_format(path)
     if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh, restkey="__extra__")
             if reader.fieldnames is None:
                 raise DataError(f"{path}: empty CSV (missing header row)")
+            repeated = [n for n in reader.fieldnames if reader.fieldnames.count(n) > 1]
+            if repeated:
+                raise DataError(f"{path}: column {repeated[0]!r} appears more "
+                                "than once in the header")
             rows = []
             for i, row in enumerate(reader):
                 if "__extra__" in row:
                     raise DataError(f"{path}: row {i + 1} has more values "
                                     "than the header")
-                if any(v is None for v in row.values()):
+                if None in row.values():
                     raise DataError(f"{path}: row {i + 1} has fewer values "
                                     "than the header")
                 rows.append(row)
             return rows
     if fmt == "jsonl":
         records = []
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for i, line in enumerate(fh):
                 if not line.strip():
                     continue
@@ -150,23 +164,24 @@ def read_records(path, fmt=None) -> list:
 
 class Columns:
     """A schema's column plan: a flat buffer per leaf (its values) and per
-    list (its lengths), keyed by walk_paths path. `rows` holds the input
-    index of each record `add` accepted."""
+    list (its lengths), keyed by walk_paths path, filled by the schema's
+    record plan. `rows` holds the input index of each record `add` accepted."""
 
     def __init__(self, schema):
         self.schema, self.rows = schema, []
         self.bufs = {p: [] for p, n in walk_paths(schema) if not isinstance(n, Record)}
+        self._fill = _plan(schema, schema.name, self.bufs)
 
     def add(self, record, i):
         """Validate input record i and append it, or leave nothing behind."""
-        marks = [len(b) for b in self.bufs.values()]
+        bufs = self.bufs.values()
+        marks = list(map(len, bufs))
         try:
-            _check_shape(record, self.schema, self.schema.name, self.bufs,
-                         f"record {i}")
-        except (_Reject, DataError):
-            for b, m in zip(self.bufs.values(), marks):
+            self._fill(record)
+        except (_Reject, DataError) as e:
+            for b, m in zip(bufs, marks):
                 del b[m:]
-            raise
+            raise e if isinstance(e, _Reject) else DataError(f"record {i}: {e}") from None
         self.rows.append(i)
 
     def lists_over(self, path):
@@ -177,47 +192,70 @@ class Columns:
         return len(self.rows)
 
 
-def _check_shape(value, node, path, bufs, where):
-    """Validate one record against the schema, normalising CSV strings, and
-    append its leaves and list lengths to the buffers (numerics as floats).
-    Raises _Reject for tolerated problems and DataError for malformed rows."""
-    if value is None or value == "":
-        raise _Reject("null")
-    if isinstance(node, Enum):
-        if isinstance(value, (dict, list)):
-            raise DataError(f"{where}: field {node.name}: expected a "
-                            f"category, got {type(value).__name__}")
-        bufs[path].append(value)
+def _plan(node, path, bufs):
+    """fill(value) for one schema node: validates the value (a value of the
+    node's usual exact type skips the checks it cannot fail), normalises CSV
+    strings and appends its leaves (numerics as floats) and list lengths to
+    the buffers. Raises _Reject for tolerated problems and, for malformed
+    rows, a DataError that Columns.add prefixes with the record."""
+    name = node.name
+    if isinstance(node, Record):
+        fields = [(f.name, _plan(f, f"{path}/{f.name}", bufs)) for f in node.fields]
+
+        def fill(value):
+            if value.__class__ is not dict:
+                if value is None or value == "":
+                    raise _Reject("null")
+                if not isinstance(value, dict):
+                    raise DataError(f"expected an object for {name}, got "
+                                    f"{type(value).__name__}")
+            for key, fill_field in fields:
+                if key not in value:
+                    raise DataError(f"missing field {key!r}")
+                fill_field(value[key])
+        return fill
+
+    append = bufs[path].append
+    if isinstance(node, Array):
+        fill_item, max_len = _plan(node.items, f"{path}/{node.items.name}", bufs), node.max_len
+
+        def fill(value):
+            if value.__class__ is not list:
+                if value is None or value == "":
+                    raise _Reject("null")
+                if not isinstance(value, list):
+                    raise DataError(f"expected a list for {name}, got "
+                                    f"{type(value).__name__}")
+            if len(value) > max_len:
+                raise _Reject("overlong")
+            append(len(value))
+            for item in value:
+                fill_item(item)
     elif isinstance(node, Number):
-        if isinstance(value, (bool, dict, list)):
-            raise DataError(f"{where}: field {node.name}: expected a number")
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            raise DataError(f"{where}: field {node.name}: not a number: "
-                            f"{value!r}") from None
-        if not math.isfinite(x):
-            raise DataError(f"{where}: field {node.name}: not a finite "
-                            f"number: {value!r}")
-        bufs[path].append(x)
-    elif isinstance(node, Record):
-        if not isinstance(value, dict):
-            raise DataError(f"{where}: expected an object for {node.name}, "
-                            f"got {type(value).__name__}")
-        for f in node.fields:
-            if f.name not in value:
-                raise DataError(f"{where}: missing field {f.name!r}")
-            _check_shape(value[f.name], f, f"{path}/{f.name}", bufs, where)
+        def fill(value):
+            x = value
+            if value.__class__ is not float:
+                if value is None or value == "":
+                    raise _Reject("null")
+                if isinstance(value, (bool, dict, list)):
+                    raise DataError(f"field {name}: expected a number")
+                try:
+                    x = float(value)
+                except (TypeError, ValueError):
+                    raise DataError(f"field {name}: not a number: {value!r}") from None
+            if not math.isfinite(x):
+                raise DataError(f"field {name}: not a finite number: {value!r}")
+            append(x)
     else:
-        if not isinstance(value, list):
-            raise DataError(f"{where}: expected a list for {node.name}, got "
-                            f"{type(value).__name__}")
-        if len(value) > node.max_len:
-            raise _Reject("overlong")
-        bufs[path].append(len(value))
-        items = f"{path}/{node.items.name}"
-        for v in value:
-            _check_shape(v, node.items, items, bufs, where)
+        def fill(value):
+            if value.__class__ is not str or not value:
+                if value is None or value == "":
+                    raise _Reject("null")
+                if isinstance(value, (dict, list)):
+                    raise DataError(f"field {name}: expected a category, got "
+                                    f"{type(value).__name__}")
+            append(value)
+    return fill
 
 
 def fit_transform(columns, schema) -> Transform:
@@ -228,9 +266,9 @@ def fit_transform(columns, schema) -> Transform:
             if node.symbols is not None:
                 vocabs[path] = list(node.symbols)
             elif node.cardinality is None:
-                seen = {}
-                for v in columns.bufs[path]:
-                    seen.setdefault(_sym_key(v), v)
+                # keyed by string; reversed, so the first value seen wins
+                values = columns.bufs[path][::-1]
+                seen = dict(zip(map(str, values), values))
                 if not seen:
                     raise DataError(f"enum {path}: no values observed; "
                                     "declare symbols or cardinality")

@@ -68,9 +68,10 @@ def wasserstein_1d(real, synth, normalized: bool = False,
 
 
 def _cat_codes(values) -> tuple[np.ndarray, int]:
-    keys = np.array([_sym_key(v) for v in values], dtype=str)
-    support, codes = np.unique(keys, return_inverse=True)
-    return codes, support.size
+    """(codes, n): each value's rank among the n sorted distinct string keys."""
+    keys = list(map(str, values))  # the _sym_key of every value
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return np.fromiter(map(rank.__getitem__, keys), np.int64, len(keys)), len(rank)
 
 
 def code_tables(real_table: dict, synth_table: dict, kinds: dict,

@@ -10,11 +10,11 @@ from nestgen import metrics
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
 from nestgen.codecs.base import C0_PATH, sample_rows
 from nestgen.codecs.primitives import DEFAULT_BINS, QuantileTable
-from nestgen.data import (DataError, IngestReport, Transform, build_batch,
-                          check_records, detect_format, fit_transform,
-                          flatten_records, ingest, ingest_records, is_flat,
-                          join_tables, read_records, records_from_batch,
-                          write_records)
+from nestgen.data import (Columns, DataError, IngestReport, Transform,
+                          build_batch, check_records, detect_format,
+                          fit_transform, flatten_records, ingest,
+                          ingest_records, is_flat, join_tables, read_records,
+                          records_from_batch, write_records)
 from nestgen.metrics import evaluate
 from nestgen.schema import (Array, Enum, Number, Record, compile_schema,
                             parse_schema, resolve, walk_paths)
@@ -97,6 +97,27 @@ def test_jsonl_error_names_line(tmp_path):
 def test_jsonl_skips_blank_lines(tmp_path):
     path = write(tmp_path, "t.jsonl", '{"a": 1}\n\n{"a": 2}\n')
     assert read_records(path) == [{"a": 1}, {"a": 2}]
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    csv_text = "a,b\n0,x\n1,y\n"
+    jsonl_text = '{"a": "0", "b": "x"}\n{"a": "1", "b": "y"}\n'
+    schema = parse_schema(FLAT_DOC)
+    for name, text in (("t.csv", csv_text), ("t.jsonl", jsonl_text)):
+        plain = write(tmp_path, "plain_" + name, text)
+        marked = write(tmp_path, "bom_" + name, "\ufeff" + text)
+        assert read_records(marked) == read_records(plain)
+        tree, tf, report = ingest(marked, schema)
+        ref_tree, ref_tf, ref_report = ingest(plain, schema)
+        assert report == ref_report and tf.vocabs == ref_tf.vocabs
+        assert_same_batch(tree, ref_tree)
+
+
+def test_csv_repeated_header_column_is_refused(tmp_path):
+    path = write(tmp_path, "dup.csv", "a,v,a\nx,1.0,y\n")
+    with pytest.raises(DataError, match=r"dup\.csv: column 'a' appears more "
+                                        "than once in the header"):
+        read_records(path)
 
 
 # -- shape checking and rejection ----------------------------------------------
@@ -255,6 +276,18 @@ def test_cardinality_only_enum_takes_codes():
         ingest_records([{"a": 3}], schema, transform=tf)
     with pytest.raises(DataError, match="integer codes"):
         ingest_records([{"a": "west"}], schema, transform=tf)
+    # integral floats and integer strings are codes; booleans, fractions,
+    # non-finite floats and decimal strings are not, and the record is named
+    tree, _, _ = ingest_records([{"a": 2.0}, {"a": " 1"}, {"a": 0}], schema,
+                                transform=tf)
+    assert np.array_equal(tree.fields["a"].codes, [2, 1, 0])
+    for bad in (1.7, True, False, "1.0", float("inf"), float("nan")):
+        with pytest.raises(DataError, match=r"record 1: column r/a expects "
+                                            r"integer codes, got " + repr(bad)):
+            ingest_records([{"a": 1}, {"a": bad}], schema, transform=tf)
+        with pytest.raises(DataError) as ref:
+            ref_code_for(tf, "r/a", bad, schema.fields[0], "record 1")
+        assert "expects integer codes" in str(ref.value)
 
 
 def test_missing_numeric_or_enum_values_error():
@@ -499,10 +532,14 @@ def ref_check_shape(value, node, where):
         if isinstance(value, bool) or isinstance(value, (dict, list)):
             raise DataError(f"{where}: field {node.name}: expected a number")
         try:
-            return float(value)
+            x = float(value)
         except (TypeError, ValueError):
             raise DataError(f"{where}: field {node.name}: not a number: "
                             f"{value!r}") from None
+        if x in (float("inf"), float("-inf")) or x != x:
+            raise DataError(f"{where}: field {node.name}: not a finite "
+                            f"number: {value!r}")
+        return x
     if isinstance(node, Record):
         if not isinstance(value, dict):
             raise DataError(f"{where}: expected an object for {node.name}, "
@@ -581,11 +618,15 @@ def ref_code_for(tf, path, value, node, where):
             raise DataError(f"{where}: unknown category {value!r} in "
                             f"column {path}")
         return keys.index(k)
-    try:
-        code = int(value)
-    except (TypeError, ValueError):
+    code = None
+    if not (isinstance(value, bool) or isinstance(value, float) and value % 1 != 0):
+        try:
+            code = int(value)
+        except (TypeError, ValueError):
+            pass
+    if code is None:  # a boolean, a fraction, inf, nan or a non-integer string
         raise DataError(f"{where}: column {path} expects integer codes, "
-                        f"got {value!r}") from None
+                        f"got {value!r}")
     if not 0 <= code < node.cardinality:
         raise DataError(f"{where}: code {code} out of range for column "
                         f"{path} (cardinality {node.cardinality})")
@@ -824,3 +865,76 @@ def test_flatten_and_evaluate_match_reference_walkers(monkeypatch):
         monkeypatch.undo()
         assert report == ref_report
     assert compared >= 6
+
+
+PLAN_DOC = {"type": "record", "name": "r", "fields": [
+    {"name": "e", "type": "enum"},
+    {"name": "x", "type": "float"},
+    {"name": "s", "type": {"type": "record", "name": "s",
+                           "fields": [{"name": "y", "type": "enum"}]}},
+    {"name": "l", "type": "array", "max_len": 3, "items": {
+        "type": "record", "name": "item", "fields": [
+            {"name": "e", "type": "enum"},
+            {"name": "x", "type": "float"},
+            {"name": "s", "type": {"type": "record", "name": "s",
+                                   "fields": [{"name": "y", "type": "enum"}]}},
+            {"name": "l", "type": "array", "max_len": 2,
+             "items": {"type": "enum", "name": "v"}}]}}]}
+
+
+def plan_record(e="a"):
+    item = {"e": e, "x": 2.5, "s": {"y": "c"}, "l": ["p"]}
+    return {"e": e, "x": 1.0, "s": {"y": "b"}, "l": [dict(item), item]}
+
+
+PLAN_ERRORS = [("e", {"k": 1}), ("e", [1]),
+               ("x", True), ("x", {"k": 1}), ("x", "abc"), ("x", "inf"),
+               ("s", [1]), ("e", "<missing>"), ("l", 5)]
+
+
+@pytest.mark.parametrize("inside_list", [False, True])
+@pytest.mark.parametrize("key,bad", PLAN_ERRORS)
+def test_plan_errors_match_reference_and_roll_back(key, bad, inside_list):
+    schema = parse_schema(PLAN_DOC)
+    record = plan_record()
+    target = record["l"][1] if inside_list else record
+    if bad == "<missing>":
+        del target[key]
+    else:
+        target[key] = bad
+    with pytest.raises(DataError) as ref:
+        ref_check_shape(record, schema, "record 3")
+    columns = Columns(schema)
+    columns.add(plan_record(), 0)
+    before = typed(columns.bufs)
+    with pytest.raises(DataError) as got:
+        columns.add(record, 3)
+    assert str(got.value) == str(ref.value)
+    assert typed(columns.bufs) == before and columns.rows == [0]
+
+
+def test_plan_rejections_leave_no_trace():
+    schema = parse_schema(PLAN_DOC)
+    null_item, overlong_inner, overlong = plan_record(), plan_record(), plan_record()
+    null_item["l"][1]["s"]["y"] = None
+    overlong_inner["l"][1]["l"] = ["p", "q", "r"]
+    overlong["l"] = overlong["l"] * 2
+    good = [plan_record("a"), plan_record("b")]
+    checked, report = check_records([good[0], null_item, overlong_inner,
+                                     overlong, good[1]], schema)
+    alone, _ = check_records(good, schema)
+    assert (report.rejected_null, report.rejected_overlong) == (1, 2)
+    assert typed(checked.bufs) == typed(alone.bufs) and checked.rows == [0, 4]
+
+
+def test_mixed_type_enum_vocabulary_matches_reference():
+    schema = parse_schema({"type": "record", "name": "r", "fields": [
+        {"name": "m", "type": "enum"}, {"name": "s", "type": "enum"}]})
+    records = [{"m": m, "s": s} for m, s in
+               [(1, "y"), ("1", "x"), (1.0, "y"), ("b", "z"), (2, "x")]]
+    checked, _ = check_records(records, schema)
+    ref_checked, _ = ref_check_records(records, schema)
+    tf, ref_tf = fit_transform(checked, schema), ref_fit_transform(ref_checked, schema)
+    assert typed(tf.vocabs) == typed(ref_tf.vocabs)
+    assert typed(tf.vocabs["r/m"]) == typed([1, 1.0, 2, "b"])
+    assert_same_batch(build_batch(checked, tf), ref_build_batch(ref_checked, ref_tf))

@@ -11,10 +11,23 @@ from scipy.stats import wasserstein_distance
 from nestgen.codecs.primitives import DEFAULT_BINS, QuantileTable
 from nestgen.data import DataError, flatten_records
 from nestgen.metrics import (MetricsError, association_matrix,
-                             consistency_check, correlation_diff,
+                             code_tables, consistency_check, correlation_diff,
                              correlation_ratio, evaluate, jensen_shannon,
                              marginal_score, theils_u, wasserstein_1d)
 from nestgen.schema import parse_schema
+
+# -- coding ---------------------------------------------------------------------
+
+def test_categorical_codes_rank_the_sorted_string_keys():
+    real = ["b", 1, "1", 1.0, True, "\u00e9", "a"]
+    synth = ["B", 2, "b", "10", "\U0001f600", "True", ""]
+    codes, n = code_tables({"c": real}, {"c": synth}, {"c": "categorical"})["c"]
+    # reference: np.unique over the string keys of both sides, real rows first
+    support, ref = np.unique(np.array([str(v) for v in real + synth]),
+                             return_inverse=True)
+    assert n == support.size == 11
+    assert codes.dtype == ref.dtype and np.array_equal(codes, ref)
+
 
 # -- wasserstein ----------------------------------------------------------------
 
