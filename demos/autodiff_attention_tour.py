@@ -17,15 +17,15 @@ rng = np.random.default_rng(0)
 
 # -- a scalar loss, differentiated by the tape --------------------------------
 
-w = Tensor(rng.normal(size=(4, 3)))
+# a categorical leaf's table w (3 categories, width 4) scores rows x
+w = Tensor(rng.normal(size=(3, 4)))
 x = Tensor(rng.normal(size=(5, 4)))
 target = rng.integers(0, 3, size=5)
 
 with Tape() as tape:
-    logits = ad.matmul(x, w)
-    # one op: the negative log softmax at each row's target, whose backward
-    # is softmax minus one-hot
-    loss = ad.mean_all(ad.categorical_nll(logits, target))
+    # one op: the negative log softmax of the logits x @ w^T at each row's
+    # target, whose backward is softmax minus one-hot sent through w and x
+    loss = ad.mean_all(ad.categorical_nll(x, w, target))
 tape.backward(loss)
 
 print("cross-entropy loss:", float(loss.data))
@@ -39,7 +39,7 @@ step = 1e-6
 def loss_at(v):
     prev = w.data[i, j]
     w.data[i, j] = v
-    out = ad.categorical_nll(ad.matmul(x, w), target).data.mean()
+    out = ad.categorical_nll(x, w, target).data.mean()
     w.data[i, j] = prev
     return out
 

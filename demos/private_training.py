@@ -26,31 +26,35 @@ rng = np.random.default_rng(3)
 C, sigma, B = 0.5, 1.1, 256
 grads = rng.normal(size=(B, 40)) * np.geomspace(0.01, 5.0, B)[:, None]
 
-# example i's loss is w . grads[i] for a (1, 40) weight w, so its gradient is
-# grads[i]; a per-example tape records the one read of w
+# example i's loss is w . grads[i] for a one-row (1, 40) table w that every
+# example looks up, so its gradient is grads[i]; a per-example tape records
+# the one read of w
 w = ad.Tensor(np.zeros((1, 40)))
 per_example = ad.ExampleGrads(B, [w])
 with ad.Tape(per_example=per_example) as tape:
-    loss = ad.sum_all(ad.mul_const(ad.matmul(ad.Tensor(np.ones((B, 1))), w), grads))
+    loss = ad.sum_all(ad.mul_const(ad.gather_rows(w, np.zeros(B, dtype=np.int64)), grads))
 tape.backward(loss)
 
 norms = np.linalg.norm(grads, axis=1)
 print(f"raw per-example norms: min {norms.min():.3f} max {norms.max():.3f}")
 
-# with sigma=0 the output is exactly the mean of the clipped rows
-quiet = dp_step(per_example, DpConfig(clip_norm=C, noise_multiplier=0.0), rng)
+# dp_step returns one array per parameter; with sigma=0 w's is exactly the
+# mean of the clipped rows
+(quiet,) = dp_step(per_example, DpConfig(clip_norm=C, noise_multiplier=0.0), rng)
 factors = np.minimum(1.0, C / norms)
 by_hand = (grads * factors[:, None]).mean(axis=0)
-print("noiseless dp_step equals clip-then-average:",
-      np.allclose(quiet, by_hand, rtol=1e-12, atol=0.0))
+same = np.allclose(quiet[0], by_hand, rtol=1e-12, atol=0.0)
+print("noiseless dp_step equals clip-then-average:", same)
+assert same
 
 # with noise, repeated calls scatter around that mean with std sigma*C/B
 noisy = np.stack([
     dp_step(per_example, DpConfig(clip_norm=C, noise_multiplier=sigma),
-            np.random.default_rng(100 + r))
+            np.random.default_rng(100 + r))[0][0]
     for r in range(2000)])
 measured = (noisy - by_hand).std()
 print(f"noise std measured {measured:.3e}, expected {sigma * C / B:.3e}")
+assert abs(measured / (sigma * C / B) - 1.0) < 0.05
 
 # -- the cost of privacy on a real fit ----------------------------------------
 

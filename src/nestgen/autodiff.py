@@ -7,15 +7,17 @@ while no tape is active behave as plain arrays, which is how sampling runs the
 same forward code without paying for gradient bookkeeping.
 
 Every read of part of a tensor (a slot, a slice, rows in a new order, one
-position per row) is one op, `index`, whose key is any numpy key, and one
-attention block is one op, `attention`, with a hand-written backward.
+position per row) is one op, `index`, whose key is any numpy key; one
+attention block is one op, `attention`, and a leaf's scoring is one op,
+`categorical_nll`, each with a hand-written backward. The module holds only
+the ops that fitting or sampling runs.
 
 `Tape(per_example=ExampleGrads(B, params))` computes per-example parameter
 gradients for a batch of B examples in one backward pass. It relies on one
 property of the training graph: no op mixes the rows of different examples,
 so the gradient of every non-parameter tensor already splits by example.
-Only the three ops that read a parameter need a per-example rule (`matmul`
-with a 2-D weight and `attention` through `_weight_rule`, and `gather_rows`):
+Only the three ops that read a parameter need a per-example rule
+(`attention` and `categorical_nll` through `_weight_rule`, and `gather_rows`):
 on such a tape they leave `.grad` alone and record the read in the
 `ExampleGrads` instead, its input rows a, output gradient rows g (an index
 for `gather_rows`) and the example owning each run of rows. Example i's
@@ -309,31 +311,19 @@ def add(a, b):
 
 def mul_const(a, c) -> Tensor:
     """Elementwise product with a constant scalar or array (no gradient
-    into c).
-
-    The constant broadcasts against a, e.g. a loss grid (B, P) times a
-    validity mask (B, P) or (B, 1), or a loss times 1/passes.
-    Gradient is g * c reduced back to a's shape, and a zero in c kills the
-    gradient at that position exactly.
-    """
+    into c), e.g. a loss grid (B, P) times its validity mask, or a loss
+    times 1/passes. c must broadcast into a's shape, never widen it, so the
+    gradient is g * c, and a zero in c kills the gradient at that position
+    exactly."""
     c = np.asarray(c, dtype=np.float64)
+    if np.broadcast_shapes(a.data.shape, c.shape) != a.data.shape:
+        raise ValueError(f"mul_const constant {c.shape} widens {a.data.shape}")
     out = Tensor(a.data * c)
 
     def backward(g):
-        ga = g * c
-        a.accumulate(_unbroadcast(ga, a.data.shape))
+        a.accumulate(g * c)
 
     return _record(out, backward)
-
-
-def _unbroadcast(g, shape):
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def _weight_rule():
@@ -350,25 +340,6 @@ def _weight_rule():
             ex.add(w, a, g, row_map)
 
     return add
-
-
-def matmul(a, b, transpose_b=False):
-    """a @ b, or a @ b with b's last two axes swapped (transpose_b). b may
-    be 2-D (shared weights) or match a's leading dims."""
-    a, b = as_tensor(a), as_tensor(b)
-    bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
-    out = Tensor(a.data @ bd)
-    add_weight = _weight_rule() if bd.ndim == 2 else None
-
-    def backward(g):
-        a.accumulate(g @ np.swapaxes(bd, -1, -2))
-        left, right = (g, a.data) if transpose_b else (a.data, g)
-        if add_weight is None:
-            b.accumulate(np.swapaxes(left, -1, -2) @ right)
-        else:
-            add_weight(b, left, right)
-
-    return _record(out, backward)
 
 
 def reshape(a, shape):
@@ -412,27 +383,6 @@ def index(a, key, unique=False):
             ga[key] = g
         else:
             np.add.at(ga, key, g)
-        a.accumulate(ga)
-
-    return _record(out, backward)
-
-
-def softmax(a, blocked=None):
-    """Softmax over the last axis, stabilised by max subtraction. Entries
-    where the boolean `blocked` (broadcast against a) is True are filled
-    with MASK_FILL first, so they get exactly zero weight and exactly zero
-    gradient."""
-    x = a.data if blocked is None else np.where(blocked, MASK_FILL, a.data)
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
-
-    def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        ga = s * (g - dot)
-        if blocked is not None:
-            ga = _unbroadcast(np.where(blocked, 0.0, ga), a.data.shape)
         a.accumulate(ga)
 
     return _record(out, backward)
@@ -489,21 +439,26 @@ def attention(x, wq, wk, wv, wo, blocked, heads, past=None):
     return _record(out, backward), (k, v)
 
 
-def categorical_nll(logits, codes):
-    """Negative log softmax of (N, K) logits at one code per row, shape (N,):
-    the loss of a categorical leaf. The backward is softmax minus one-hot,
-    scaled by each row's incoming gradient."""
+def categorical_nll(cond, w, codes):
+    """Negative log softmax of the logits cond @ w^T at one code per row,
+    shape (N,): the loss of a categorical leaf whose (K, d) table w both
+    embeds and scores, given its (N, d) conditioning rows. The backward
+    forms softmax minus one-hot, scaled by each row's incoming gradient,
+    and sends it into cond through w and into w through the weight rule."""
     codes = np.asarray(codes)
     rows = np.arange(codes.shape[0])
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logits = cond.data @ w.data.T
+    z = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = Tensor(lse[:, 0] - z[rows, codes])
     s = np.exp(z - lse)
+    add_weight = _weight_rule()
 
     def backward(g):
         ga = s * g[:, None]
         ga[rows, codes] -= g
-        logits.accumulate(ga)
+        cond.accumulate(ga @ w.data)
+        add_weight(w, ga, cond.data)
 
     return _record(out, backward)
 

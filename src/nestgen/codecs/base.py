@@ -145,16 +145,6 @@ def per_example_gradients(codec: Codec, store: ParamStore, batch, rng=None,
     return losses.data, grads
 
 
-def unflatten_gradients(store: ParamStore, flat: np.ndarray) -> dict[str, np.ndarray]:
-    out = {}
-    pos = 0
-    for path, t in store.items():
-        size = t.data.size
-        out[path] = flat[pos:pos + size].reshape(t.data.shape)
-        pos += size
-    return out
-
-
 def sample_rows(codec: Codec, store: ParamStore, count: int, rng):
     """Draw `count` observations from the root codec in SAMPLE_CHUNK chunks."""
     if count < 0:

@@ -15,8 +15,9 @@ DEFAULT_BINS = 100
 class CategoricalCodec(Codec):
     """One embedding matrix W does double duty: encoding picks row k, and
     the logits cond @ W^T (no separate output head) are what `loss_terms`
-    scores and `sample` draws from, inverting the softmax CDF with a single
-    uniform draw. A leaf's context is its codes."""
+    scores, in one `categorical_nll` op that takes cond and W, and what
+    `sample` draws from off the tape, inverting the softmax CDF with a
+    single uniform draw. A leaf's context is its codes."""
 
     def __init__(self, path: str, cardinality: int, width: int, store, rng):
         if cardinality < 1:
@@ -32,14 +33,14 @@ class CategoricalCodec(Codec):
             raise ValueError(f"{self.path}: code out of range 0..{self.cardinality - 1}")
         return ad.gather_rows(self.w, codes), codes
 
-    def _logits(self, cond) -> Tensor:
-        return ad.matmul(cond, self.w, transpose_b=True)
-
     def loss_terms(self, cond: Tensor, codes) -> Tensor:
-        return ad.categorical_nll(self._logits(cond), codes)
+        return ad.categorical_nll(cond, self.w, codes)
 
     def sample(self, cond, rng):
-        cdf = np.cumsum(ad.softmax(self._logits(cond)).data, axis=-1)
+        z = ad.as_tensor(cond).data @ self.w.data.T
+        z -= z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        cdf = np.cumsum(e / e.sum(axis=-1, keepdims=True), axis=-1)
         u = rng.random(cdf.shape[0])
         codes = np.minimum((u[:, None] > cdf).sum(axis=1), self.cardinality - 1)
         return LeafBatch(codes.astype(np.int64)), ad.gather_rows(self.w, codes)

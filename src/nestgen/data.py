@@ -63,7 +63,7 @@ class Transform:
     tables: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._index = {p: {_sym_key(s): i for i, s in enumerate(v)}
+        self._index = {p: {str(s): i for i, s in enumerate(v)}
                        for p, v in self.vocabs.items()}
 
     def code_column(self, path, node, values):
@@ -79,7 +79,7 @@ class Transform:
         codes = np.empty(len(values), dtype=np.int64)
         for i, value in enumerate(values):
             if idx is not None:
-                code = idx.get(_sym_key(value))
+                code = idx.get(str(value))
                 if code is None:
                     raise _BadValue(i, f"unknown category {value!r} in column "
                                        f"{path}")
@@ -102,10 +102,6 @@ class Transform:
         if path in self.vocabs:
             return self.vocabs[path][code]
         return int(code)
-
-
-def _sym_key(value):
-    return value if isinstance(value, str) else str(value)
 
 
 def detect_format(path) -> str:
@@ -243,6 +239,9 @@ def _plan(node, path, bufs):
                     x = float(value)
                 except (TypeError, ValueError):
                     raise DataError(f"field {name}: not a number: {value!r}") from None
+                except OverflowError:
+                    raise DataError(f"field {name}: not a finite number: too "
+                                    "large for a float") from None
             if not math.isfinite(x):
                 raise DataError(f"field {name}: not a finite number: {value!r}")
             append(x)
@@ -456,9 +455,7 @@ def write_records(records, schema, path, fmt) -> None:
 
 
 def _csv_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v if isinstance(v, str) else str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def join_tables(parent_records, child_records, key, list_field,
@@ -471,14 +468,14 @@ def join_tables(parent_records, child_records, key, list_field,
         if key not in child:
             raise DataError(f"child row {i}: missing join key {key!r}")
         child = dict(child)
-        k = _sym_key(child.pop(key) if drop_key else child[key])
+        k = str(child.pop(key) if drop_key else child[key])
         groups.setdefault(k, []).append(child)
     out, seen = [], set()
     for i, parent in enumerate(parent_records):
         if key not in parent:
             raise DataError(f"parent row {i}: missing join key {key!r}")
         rec = dict(parent)
-        k = _sym_key(rec.pop(key) if drop_key else rec[key])
+        k = str(rec.pop(key) if drop_key else rec[key])
         if k in seen:
             raise DataError(f"parent row {i}: duplicate key {k!r}")
         seen.add(k)

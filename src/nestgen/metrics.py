@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codecs.primitives import DEFAULT_BINS, QuantileTable
-from .data import _sym_key, flatten_records
+from .data import flatten_records
 from .schema import Enum, Number, leaf_columns
 
 log = logging.getLogger("nestgen.metrics")
@@ -69,7 +69,7 @@ def wasserstein_1d(real, synth, normalized: bool = False,
 
 def _cat_codes(values) -> tuple[np.ndarray, int]:
     """(codes, n): each value's rank among the n sorted distinct string keys."""
-    keys = list(map(str, values))  # the _sym_key of every value
+    keys = list(map(str, values))
     rank = {k: r for r, k in enumerate(sorted(set(keys)))}
     return np.fromiter(map(rank.__getitem__, keys), np.int64, len(keys)), len(rank)
 
@@ -309,9 +309,9 @@ def _entity_ok(items, rule):
     kind = rule["kind"]
     if kind == "constant":
         vals = col(rule["field"])
-        return len({_sym_key(v) for v in vals}) <= 1
+        return len(set(map(str, vals))) <= 1
     if kind == "at-most-one-per-key":
-        keys = [_sym_key(v) for v in col(rule["key"])]
+        keys = list(map(str, col(rule["key"])))
         return len(set(keys)) == len(keys)
     if kind == "monotone":
         vals = _ordered(col(rule["field"]))
@@ -319,9 +319,8 @@ def _entity_ok(items, rule):
     # derived-constant: within the entity, equal keys must carry equal values
     seen = {}
     for key, val in zip(col(rule["key"]), col(rule["field"])):
-        k = _sym_key(key)
-        v = _sym_key(val)
-        if seen.setdefault(k, v) != v:
+        v = str(val)
+        if seen.setdefault(str(key), v) != v:
             return False
     return True
 

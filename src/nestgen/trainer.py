@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import ExampleGrads
 from .batches import n_rows, take
-from .codecs.base import per_example_gradients, train_step, unflatten_gradients
+from .codecs.base import per_example_gradients, train_step
 from .optim import Adam
 from .rng import BATCH, DP_NOISE, SHUFFLE, stream
 
@@ -62,20 +62,22 @@ class DpConfig:
                              f"got {self.noise_multiplier}")
 
 
-def dp_step(grads: ExampleGrads, dp: DpConfig, rng) -> np.ndarray:
+def dp_step(grads: ExampleGrads, dp: DpConfig, rng) -> list[np.ndarray]:
     """Clip each example's gradient to L2 norm <= C, average, add
     N(0, (sigma*C/B)^2) noise per coordinate. grads holds the B examples'
-    gradients (`per_example_gradients`); the result is flat, parameter by
-    parameter in grads' order."""
+    gradients (`per_example_gradients`); the result is one array per
+    parameter in grads' order, the noise drawn parameter by parameter."""
     dp.validate()
     norms = np.sqrt(grads.sq_norms())
     factors = np.minimum(1.0, dp.clip_norm / np.maximum(norms, 1e-300))
-    mean = np.concatenate([s.ravel() for s in grads.clipped_sums(factors)])
-    mean /= grads.examples
-    if dp.noise_multiplier > 0:
-        std = dp.noise_multiplier * dp.clip_norm / grads.examples
-        mean = mean + rng.normal(0.0, std, size=mean.shape)
-    return mean
+    std = dp.noise_multiplier * dp.clip_norm / grads.examples
+    out = []
+    for total in grads.clipped_sums(factors):
+        total /= grads.examples
+        if dp.noise_multiplier > 0:
+            total += rng.normal(0.0, std, size=total.shape)
+        out.append(total)
+    return out
 
 
 def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
@@ -109,14 +111,13 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
                         passes=cfg.shuffle_passes)
                     loss = float(losses.mean())
                     noisy = dp_step(ex, dp, stream(cfg.seed, DP_NOISE, epoch, b))
-                    grads = unflatten_gradients(store, noisy)
-                    grad_norm = float(np.linalg.norm(noisy))
+                    grads = dict(zip(store.paths(), noisy))
                 else:
                     loss, grads = train_step(codec, store, batch,
                                              rng=shuffle_rng,
                                              passes=cfg.shuffle_passes)
-                    grad_norm = float(math.sqrt(sum(
-                        float((v * v).sum()) for v in grads.values())))
+                grad_norm = float(math.sqrt(sum(
+                    float((v * v).sum()) for v in grads.values())))
                 opt.step(store, grads)
             except FloatingPointError as e:
                 raise FloatingPointError(

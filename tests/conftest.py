@@ -10,6 +10,7 @@ from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
 from nestgen.codecs.base import pass_losses
 from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec
+from nestgen.trainer import dp_step
 
 
 def fd_gradient(f, tensor, step=1e-5, coords=None):
@@ -81,6 +82,13 @@ def rows_as_example_grads(rows):
     grads = ad.ExampleGrads(B, [ad.Tensor(np.zeros((1, D)))])
     grads.add(grads.params[0], np.ones((B, 1)), rows, ad.RowMap())
     return grads
+
+
+def dp_row(rows, dp, rng):
+    """`dp_step` of rows_as_example_grads(rows): the (D,) clipped, noised
+    mean of the rows, read from its one (1, D) parameter."""
+    (out,) = dp_step(rows_as_example_grads(rows), dp, rng)
+    return out[0]
 
 
 class ForcedOrder:

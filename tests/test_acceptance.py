@@ -31,11 +31,11 @@ from nestgen.metrics import evaluate, marginal_score, wasserstein_1d
 from nestgen.optim import Adam
 from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
-from nestgen.trainer import DpConfig, TrainConfig, dp_step, fit
+from nestgen.trainer import DpConfig, TrainConfig, fit
 from nestgen.transformer import TransformerConfig
 
-from conftest import (ForcedOrder, LeafSpy, forward_loss, group_grads, loss_gradients,
-                      random_batch, random_schema_doc, rows_as_example_grads,
+from conftest import (ForcedOrder, LeafSpy, dp_row, forward_loss, group_grads,
+                      loss_gradients, random_batch, random_schema_doc,
                       value_embedding_spy)
 
 
@@ -467,15 +467,14 @@ def test_08_dp_clipping_and_noise():
     rows *= (scales / np.linalg.norm(rows, axis=1))[:, None]
     worst = 0.0
     for i in range(10000):
-        contribution = dp_step(rows_as_example_grads(rows[i:i + 1]), quiet, rng)
+        contribution = dp_row(rows[i:i + 1], quiet, rng)
         worst = max(worst, float(np.linalg.norm(contribution)))
     clip_ok = worst <= C + 1e-9
 
     sigma, B = 1.08, 1024
     noisy = DpConfig(clip_norm=C, noise_multiplier=sigma)
     draws = np.concatenate([
-        dp_step(rows_as_example_grads(np.zeros((B, 20000))), noisy,
-                np.random.default_rng(1000 + r))
+        dp_row(np.zeros((B, 20000)), noisy, np.random.default_rng(1000 + r))
         for r in range(5)])
     want = sigma * C / B
     std_err = abs(draws.std() / want - 1.0)

@@ -1,6 +1,7 @@
 """Gradient correctness of every primitive op against central finite
 differences, plus the tape-level contracts (scalar seed, accumulation,
-exact-zero masked gradients)."""
+exact-zero masked gradients). The last section checks the test-only ops of
+`reference_ops` the same way."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nestgen import autodiff as ad
 from nestgen.autodiff import MASK_FILL, Tape, Tensor
 
 from conftest import check_op_gradients, fd_gradient
+from reference_ops import matmul, softmax
 
 
 def t(rng, *shape):
@@ -73,31 +75,12 @@ def test_mul_and_mul_const(rng):
     check_op_gradients(lambda: ad.mul_const(a, c), [a], rng)
     m = rng.random((3, 4)) < 0.5
     check_op_gradients(lambda: ad.mul_const(a, m.astype(float)), [a], rng)
-
-
-def test_matmul_matches_numpy(rng):
-    a, b = t(rng, 4, 3), t(rng, 3, 5)
-    np.testing.assert_allclose(ad.matmul(a, b).data, a.data @ b.data)
-    check_op_gradients(lambda: ad.matmul(a, b), [a, b], rng)
-
-
-def test_matmul_batched_and_shared_rhs(rng):
-    # (B, L, k) @ (k, n): the 2-D right operand is shared across the batch
-    a, w = t(rng, 2, 3, 4), t(rng, 4, 5)
-    out = ad.matmul(a, w)
-    np.testing.assert_allclose(out.data, a.data @ w.data)
-    check_op_gradients(lambda: ad.matmul(a, w), [a, w], rng)
-    # (B, L, k) @ (B, k, n): fully batched
-    u, v = t(rng, 2, 3, 4), t(rng, 2, 4, 3)
-    check_op_gradients(lambda: ad.matmul(u, v), [u, v], rng)
-    # (B, H, L, k) @ (B, H, M, k)^T: attention scores against the keys
-    q, k = t(rng, 2, 2, 3, 4), t(rng, 2, 2, 5, 4)
-    out = ad.matmul(q, k, transpose_b=True)
-    np.testing.assert_array_equal(out.data, q.data @ np.swapaxes(k.data, -1, -2))
-    check_op_gradients(lambda: ad.matmul(q, k, transpose_b=True), [q, k], rng)
-    # (B, L, k) @ (n, k)^T: a shared 2-D right operand
-    a, w = t(rng, 2, 3, 4), t(rng, 5, 4)
-    check_op_gradients(lambda: ad.matmul(a, w, transpose_b=True), [a, w], rng)
+    # a constant that would widen a is refused, as add refuses a mismatch
+    for wide in (np.ones((2, 3, 4)), np.ones((3, 4, 1)), np.ones((3, 5))):
+        with pytest.raises(ValueError):
+            ad.mul_const(a, wide)
+    with pytest.raises(ValueError, match="widens"):
+        ad.mul_const(t(rng, 4), np.ones((3, 1)))
 
 
 def test_reshape_concat_index(rng):
@@ -116,28 +99,6 @@ def test_reshape_concat_index(rng):
         loss = ad.sum_all(ad.concat([b, ad.index(a, np.s_[:, :0])], axis=1))
     tape.backward(loss)
     np.testing.assert_array_equal(a.grad, np.zeros_like(a.data))
-
-
-def test_softmax_rows_sum_to_one(rng):
-    z = t(rng, 5, 7)
-    s = ad.softmax(z)
-    np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(5), rtol=0, atol=1e-15)
-
-
-def test_softmax_sum_gradient_is_zero(rng):
-    z = t(rng, 4, 6)
-    with Tape() as tape:
-        loss = ad.sum_all(ad.softmax(z))
-    tape.backward(loss)
-    np.testing.assert_allclose(z.grad, np.zeros_like(z.data), atol=1e-12)
-
-
-def test_softmax_grads(rng):
-    z = t(rng, 3, 5)
-    check_op_gradients(lambda: ad.softmax(z), [z], rng)
-    # 3-D variants as used inside attention
-    y = t(rng, 2, 3, 4)
-    check_op_gradients(lambda: ad.softmax(y), [y], rng)
 
 
 def test_gather_rows_with_repeats(rng):
@@ -189,44 +150,36 @@ def test_index_unique_keys_assign_like_add_at(rng):
 
 
 def test_categorical_nll(rng):
-    # the last row's code takes all the mass: exp(-800) underflows, so its
-    # loss and its gradient are exactly 0
-    z = Tensor(np.vstack([rng.standard_normal((3, 6)),
-                          [0.0, 0.0, 800.0, 0.0, -2.0, 0.0]]))
+    # with W the identity the logits are cond itself. The last row's code
+    # takes all the mass: exp(-800) underflows, so its loss and its
+    # gradients are exactly 0
+    cond = Tensor(np.vstack([rng.standard_normal((3, 6)),
+                             [0.0, 0.0, 800.0, 0.0, -2.0, 0.0]]))
+    eye = Tensor(np.eye(6))
     codes = np.array([0, 5, 3, 2])
-    out = ad.categorical_nll(z, codes)
-    shifted = z.data - z.data.max(axis=1, keepdims=True)
+    out = ad.categorical_nll(cond, eye, codes)
+    shifted = cond.data - cond.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     np.testing.assert_array_equal(out.data, -(shifted - lse)[np.arange(4), codes])
     assert out.data[3] == 0.0
-    check_op_gradients(lambda: ad.categorical_nll(z, codes), [z], rng)
-    # a one-category leaf: every loss and gradient is exactly 0
-    one = t(rng, 3, 1)
-    zeros = np.zeros(3, dtype=np.int64)
-    assert np.array_equal(ad.categorical_nll(one, zeros).data, np.zeros(3))
-    check_op_gradients(lambda: ad.categorical_nll(one, zeros), [one], rng)
-    assert np.all(one.grad == 0.0)
-
-
-def test_blocked_softmax_value_and_exact_zero_grads(rng):
-    a = t(rng, 3, 4)
-    mask = np.array([[True, False, False, True]] * 3)
-    out = ad.softmax(a, mask)
-    assert (out.data[mask] == 0.0).all()
-    filled = Tensor(np.where(mask, MASK_FILL, a.data))
-    np.testing.assert_array_equal(out.data, ad.softmax(filled).data)
-    weights = rng.standard_normal((3, 4))
-    a.grad = None
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul_const(ad.softmax(a, mask), weights))
+        loss = ad.sum_all(ad.categorical_nll(cond, eye, codes))
     tape.backward(loss)
-    assert (a.grad[mask] == 0.0).all()
-    assert (a.grad[~mask] != 0.0).all()
-    check_op_gradients(lambda: ad.softmax(a, mask), [a], rng)
-    # a mask that broadcasts over a leading axis, as attention's causal one
-    y = t(rng, 2, 3, 3)
-    causal = ~np.tril(np.ones((3, 3), dtype=bool))[None]
-    check_op_gradients(lambda: ad.softmax(y, causal), [y], rng)
+    assert np.all(cond.grad[3] == 0.0)
+    # finite differences for both cond and the (K, d) table
+    cond, w = t(rng, 4, 3), t(rng, 5, 3)
+    codes = np.array([4, 0, 2, 4])
+    out = ad.categorical_nll(cond, w, codes)
+    logits = cond.data @ w.data.T
+    ref = np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(4), codes]
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12)
+    check_op_gradients(lambda: ad.categorical_nll(cond, w, codes), [cond, w], rng)
+    # a one-category leaf: every loss and gradient is exactly 0
+    cond, one = t(rng, 3, 4), t(rng, 1, 4)
+    zeros = np.zeros(3, dtype=np.int64)
+    assert np.array_equal(ad.categorical_nll(cond, one, zeros).data, np.zeros(3))
+    check_op_gradients(lambda: ad.categorical_nll(cond, one, zeros), [cond, one], rng)
+    assert np.all(cond.grad == 0.0) and np.all(one.grad == 0.0)
 
 
 def test_reductions_and_broadcast(rng):
@@ -246,19 +199,17 @@ def test_stack_columns(rng):
 
 
 def test_cross_entropy_composite_fd(rng):
-    """Cross-entropy of logits produced by an embedding + projection chain,
+    """Cross-entropy of an embedding lookup scored against a second table,
     checked against finite differences end to end."""
     w = t(rng, 4, 6)
-    proj = t(rng, 6, 4)
+    table = t(rng, 4, 6)
     idx = np.array([1, 3, 0])
     target = np.array([2, 0, 3])
 
     def build():
-        e = ad.gather_rows(w, idx)
-        logits = ad.matmul(e, proj)
-        return ad.categorical_nll(logits, target)
+        return ad.categorical_nll(ad.gather_rows(w, idx), table, target)
 
-    check_op_gradients(build, [w, proj], rng)
+    check_op_gradients(build, [w, table], rng)
 
 
 def test_fd_helper_sanity(rng):
@@ -267,3 +218,73 @@ def test_fd_helper_sanity(rng):
     analytic = 2.0 * a.data  # d/da sum(a^2)
     numeric = fd_gradient(lambda: float((a.data ** 2).sum()), a)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-6)
+
+
+# -- the reference block's ops (reference_ops) ------------------------------------
+
+def test_matmul_matches_numpy(rng):
+    a, b = t(rng, 4, 3), t(rng, 3, 5)
+    np.testing.assert_allclose(matmul(a, b).data, a.data @ b.data)
+    check_op_gradients(lambda: matmul(a, b), [a, b], rng)
+
+
+def test_matmul_batched_and_shared_rhs(rng):
+    # (B, L, k) @ (k, n): the 2-D right operand is shared across the batch
+    a, w = t(rng, 2, 3, 4), t(rng, 4, 5)
+    out = matmul(a, w)
+    np.testing.assert_allclose(out.data, a.data @ w.data)
+    check_op_gradients(lambda: matmul(a, w), [a, w], rng)
+    # (B, L, k) @ (B, k, n): fully batched
+    u, v = t(rng, 2, 3, 4), t(rng, 2, 4, 3)
+    check_op_gradients(lambda: matmul(u, v), [u, v], rng)
+    # (B, H, L, k) @ (B, H, M, k)^T: attention scores against the keys
+    q, k = t(rng, 2, 2, 3, 4), t(rng, 2, 2, 5, 4)
+    out = matmul(q, k, transpose_b=True)
+    np.testing.assert_array_equal(out.data, q.data @ np.swapaxes(k.data, -1, -2))
+    check_op_gradients(lambda: matmul(q, k, transpose_b=True), [q, k], rng)
+    # (B, L, k) @ (n, k)^T: a shared 2-D right operand
+    a, w = t(rng, 2, 3, 4), t(rng, 5, 4)
+    check_op_gradients(lambda: matmul(a, w, transpose_b=True), [a, w], rng)
+
+
+def test_softmax_rows_sum_to_one(rng):
+    z = t(rng, 5, 7)
+    s = softmax(z)
+    np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(5), rtol=0, atol=1e-15)
+
+
+def test_softmax_sum_gradient_is_zero(rng):
+    z = t(rng, 4, 6)
+    with Tape() as tape:
+        loss = ad.sum_all(softmax(z))
+    tape.backward(loss)
+    np.testing.assert_allclose(z.grad, np.zeros_like(z.data), atol=1e-12)
+
+
+def test_softmax_grads(rng):
+    z = t(rng, 3, 5)
+    check_op_gradients(lambda: softmax(z), [z], rng)
+    # 3-D variants as used inside attention
+    y = t(rng, 2, 3, 4)
+    check_op_gradients(lambda: softmax(y), [y], rng)
+
+
+def test_blocked_softmax_value_and_exact_zero_grads(rng):
+    a = t(rng, 3, 4)
+    mask = np.array([[True, False, False, True]] * 3)
+    out = softmax(a, mask)
+    assert (out.data[mask] == 0.0).all()
+    filled = Tensor(np.where(mask, MASK_FILL, a.data))
+    np.testing.assert_array_equal(out.data, softmax(filled).data)
+    weights = rng.standard_normal((3, 4))
+    a.grad = None
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul_const(softmax(a, mask), weights))
+    tape.backward(loss)
+    assert (a.grad[mask] == 0.0).all()
+    assert (a.grad[~mask] != 0.0).all()
+    check_op_gradients(lambda: softmax(a, mask), [a], rng)
+    # a mask that broadcasts over a leading axis, as attention's causal one
+    y = t(rng, 2, 3, 3)
+    causal = ~np.tril(np.ones((3, 3), dtype=bool))[None]
+    check_op_gradients(lambda: softmax(y, causal), [y], rng)

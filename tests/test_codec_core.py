@@ -10,14 +10,13 @@ from nestgen.autodiff import Tape
 from nestgen.batches import LeafBatch, n_rows, take
 from nestgen.codecs import base
 from nestgen.codecs.base import (pass_losses, per_example_gradients,
-                                 root_conditioning, sample_rows, train_step,
-                                 unflatten_gradients)
+                                 root_conditioning, sample_rows, train_step)
 from nestgen.codecs.exact import enumerate_outcomes, joint_table
 from nestgen.optim import Adam
 from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 
-from conftest import ForcedOrder, example_matrix, forward_loss
+from conftest import ForcedOrder, example_blocks, forward_loss
 
 
 def compiled(doc, width=8, blocks=1, heads=2, seed=0):
@@ -188,14 +187,13 @@ def test_per_example_gradients_average_to_batch_gradient():
     batch = StructBatch({"a": LeafBatch(np.array([0, 1, 0, 1])),
                          "b": LeafBatch(np.array([2, 0, 1, 1]))})
     losses, ex = per_example_gradients(codec, store, batch)
-    flat = example_matrix(ex)
     per_row = pass_losses(codec, store, batch)[0].data
     np.testing.assert_allclose(losses, per_row, rtol=1e-12)
     _, batch_grads = train_step(codec, store, batch)
-    mean_flat = flat.mean(axis=0)
-    rebuilt = unflatten_gradients(store, mean_flat)
-    for path, g in batch_grads.items():
-        np.testing.assert_allclose(rebuilt[path], g, rtol=1e-9, atol=1e-12,
+    # one (B, *shape) block per parameter, in store order
+    assert [b.shape[1:] for b in example_blocks(ex)] == [g.shape for g in batch_grads.values()]
+    for (path, g), block in zip(batch_grads.items(), example_blocks(ex)):
+        np.testing.assert_allclose(block.mean(axis=0), g, rtol=1e-9, atol=1e-12,
                                    err_msg=path)
 
 

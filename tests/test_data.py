@@ -179,6 +179,29 @@ def test_non_finite_numbers_name_row_and_field():
             flatten_records([{"v": 1.0}, {"v": bad}], num)
 
 
+def test_integers_too_large_for_a_float_name_row_and_field(tmp_path):
+    # float() of a JSON integer past float64's range overflows; the value is
+    # refused like any other non-finite number, on ingest and in eval's
+    # flatten_records, which share the record plan
+    big = "1" + "0" * 400
+    path = write(tmp_path, "big.jsonl", '{"v": 1}\n{"v": ' + big + '}\n')
+    num = parse_schema({"type": "record", "name": "r",
+                        "fields": [{"name": "v", "type": "int"}]})
+    with pytest.raises(DataError, match=r"big.jsonl: record 1: field v: not a finite"):
+        ingest(path, num)
+    with pytest.raises(DataError, match=r"record 0: field v: not a finite"):
+        check_records([{"v": 10 ** 400}], num)
+    with pytest.raises(DataError, match=r"record 1: field v: not a finite"):
+        flatten_records([{"v": 1}, {"v": -10 ** 400}], num)
+    # a list element's field is named the same way
+    nested = parse_schema(NESTED_DOC)
+    records = [user(20, "F", [("good", 1.0)]), user(30, "F", [("good", 10 ** 400)])]
+    with pytest.raises(DataError, match=r"record 1: field price: not a finite"):
+        check_records(records, nested)
+    with pytest.raises(DataError, match=r"record 1: field price: not a finite"):
+        flatten_records(records, nested)
+
+
 def test_coding_errors_name_the_input_row():
     doc = {"type": "record", "name": "r", "fields": [
         {"name": "a", "type": "enum", "symbols": ["x", "y"]},

@@ -9,7 +9,7 @@ import pytest
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
 from nestgen.batches import ListBatch, StructBatch, n_rows, take
-from nestgen.codecs.base import per_example_gradients, train_step, unflatten_gradients
+from nestgen.codecs.base import per_example_gradients, train_step
 from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.codecs.primitives import CategoricalCodec
 from nestgen.schema import compile_schema, parse_schema
@@ -163,12 +163,11 @@ def test_shuffled_passes_average_to_train_step(seed):
     batch = random_batch(codec, 7, np.random.default_rng(seed))
     losses, ex = per_example_gradients(codec, store, batch,
                                        rng=np.random.default_rng(seed), passes=2)
-    grads = example_matrix(ex)
     loss, ref = train_step(codec, store, batch, rng=np.random.default_rng(seed), passes=2)
     assert losses.mean() == pytest.approx(loss, rel=1e-12)
-    mean = unflatten_gradients(store, grads.mean(axis=0))
-    for path, g in ref.items():
-        np.testing.assert_allclose(mean[path], g, rtol=0, atol=1e-10, err_msg=path)
+    for path, block in zip(store.paths(), example_blocks(ex)):
+        np.testing.assert_allclose(block.mean(axis=0), ref[path], rtol=0, atol=1e-10,
+                                   err_msg=path)
 
 
 @pytest.mark.parametrize("doc,passes", [(STRUCT_LIST_STRUCT, 1), (SHUFFLED, 2),
@@ -250,23 +249,20 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
         assert counts == batched
 
 
-@pytest.mark.parametrize("logits,message", [
+@pytest.mark.parametrize("nll,message", [
     # the weight reaches a rule only through a reshape
-    (lambda self, cond: ad.matmul(cond, ad.reshape(self.w, self.w.shape), transpose_b=True),
+    (lambda self, cond, codes: ad.categorical_nll(
+        cond, ad.reshape(self.w, self.w.shape), codes),
      "not a parameter"),
     # the weight is also read by an op with no per-example rule
-    (lambda self, cond: ad.add(
-        ad.matmul(cond, self.w, transpose_b=True),
-        ad.mul_const(ad.sum_axis(self.w, 1), np.ones((cond.shape[0], 1)))),
+    (lambda self, cond, codes: ad.add(
+        ad.categorical_nll(cond, self.w, codes),
+        ad.index(ad.sum_axis(self.w, 1), codes)),
      "no per-example gradient rule"),
 ])
-def test_gradients_outside_the_rules_are_refused(monkeypatch, logits, message):
+def test_gradients_outside_the_rules_are_refused(monkeypatch, nll, message):
     codec, store = compiled(STRUCT_LIST_STRUCT, seed=90)
-
-    def loss_terms(self, cond, codes):
-        return ad.categorical_nll(logits(self, cond), codes)
-
-    monkeypatch.setattr(CategoricalCodec, "loss_terms", loss_terms)
+    monkeypatch.setattr(CategoricalCodec, "loss_terms", nll)
     batch = random_batch(codec, 3, np.random.default_rng(91))
     with pytest.raises(RuntimeError, match=message):
         per_example_gradients(codec, store, batch)
@@ -299,21 +295,27 @@ def _loop_grads(build_one, params, B):
 def test_op_rules_match_one_example_at_a_time():
     rng = np.random.default_rng(95)
     B, P, L, d, n = 3, 2, 4, 6, 5
-    w = Tensor(rng.standard_normal((d, n)))
+    w = Tensor(rng.standard_normal((n, d)))
     table = Tensor(rng.standard_normal((7, d)))
     x = rng.standard_normal((B * P, L, d))
     idx = rng.integers(0, 7, size=(B * P, L))
     idx[0, :2] = 3   # repeated rows within one example
+    codes = rng.integers(0, n, size=(B * P, L))
+    firsts = rng.integers(0, 7, size=B * P)
+    firsts[:2] = idx[0, 0]   # a table row both looked up and scored
 
-    def build(rows, ids, k):
-        h = ad.add(Tensor(x[rows]), ad.gather_rows(table, ids))
-        return ad.add(ad.sum_all(ad.matmul(h, w)),
-                      ad.sum_all(ad.matmul(ad.index(h, np.s_[:, :1]), table, transpose_b=True)))
+    def build(rows):
+        # each example's rows stay contiguous, so the flat (rows, d) leading
+        # axis still splits into one run per example
+        h = ad.add(Tensor(x[rows]), ad.gather_rows(table, idx[rows]))
+        flat = ad.reshape(h, (-1, d))
+        return ad.add(ad.sum_all(ad.categorical_nll(flat, w, codes[rows].reshape(-1))),
+                      ad.sum_all(ad.categorical_nll(ad.index(h, np.s_[:, 0]), table,
+                                                    firsts[rows])))
 
     params = [w, table]
-    batched = _example_grads(lambda: build(slice(None), idx, B), params, B)
-    looped = _loop_grads(lambda b: build(slice(b * P, (b + 1) * P),
-                                         idx[b * P:(b + 1) * P], 1), params, B)
+    batched = _example_grads(lambda: build(slice(None)), params, B)
+    looped = _loop_grads(lambda b: build(slice(b * P, (b + 1) * P)), params, B)
     for got, want in zip(batched, looped):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
@@ -341,11 +343,12 @@ def test_gram_norms_of_a_read_that_skips_examples():
     # one read whose rows belong to examples 2 and 0 only: example 1 has no
     # gradient, and the read's runs are not in example order
     rng = np.random.default_rng(6)
-    w = Tensor(rng.standard_normal((4, 5)))
+    w = Tensor(rng.standard_normal((5, 4)))
     ex = ad.ExampleGrads(3, [w])
     with Tape(per_example=ex) as tape:
         with ad.example_rows(np.array([2, 0]), per=2):
-            loss = ad.sum_all(ad.matmul(Tensor(rng.standard_normal((4, 4))), w))
+            loss = ad.sum_all(ad.categorical_nll(Tensor(rng.standard_normal((4, 4))), w,
+                                                 rng.integers(0, 5, size=4)))
     tape.backward(loss)
     assert ex.uses_gram(w)
     dense = ex.dense(w).reshape(3, -1)
@@ -367,7 +370,8 @@ def test_cancelling_reads_give_a_zero_norm_not_nan():
     assert ex.uses_gram(w)
     assert np.any(ex.gram_sq_norms(w) < 0)
     assert np.all(ex.sq_norms() >= 0)
-    mean = dp_step(ex, DpConfig(clip_norm=1.0, noise_multiplier=1.0), np.random.default_rng(1))
+    (mean,) = dp_step(ex, DpConfig(clip_norm=1.0, noise_multiplier=1.0),
+                      np.random.default_rng(1))
     assert np.all(np.isfinite(mean))
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from nestgen import autodiff as ad
 from nestgen.autodiff import Tensor
 from nestgen.batches import LeafBatch
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec, QuantileTable
@@ -92,7 +91,8 @@ def test_decode_matches_scalar_loop(rng):
 def test_decoded_softmax_normalizes(rng):
     codec, _ = make_cat(7, 16, seed=3)
     cond = Tensor(rng.standard_normal((10, 16)))
-    p = ad.softmax(Tensor(scored_logits(codec, cond.data))).data
+    e = np.exp(scored_logits(codec, cond.data))
+    p = e / e.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
     # and the scores of all categories are the log of that distribution
     scores = [codec.loss_terms(cond, np.full(10, k)).data

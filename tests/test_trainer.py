@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from nestgen import autodiff as ad
 from nestgen.batches import LeafBatch, ListBatch, StructBatch
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.trainer import DpConfig, TrainConfig, dp_step, epoch_means, fit
 
-from conftest import rows_as_example_grads
+from conftest import dp_row
 
 
 def compiled(doc, seed=0, **kw):
@@ -84,7 +85,7 @@ def test_dp_step_clips_every_contribution():
     # spread row norms from far below to far above the clip threshold
     targets = np.geomspace(1e-6, 10 * C, 200)
     rows *= (targets / np.linalg.norm(rows, axis=1))[:, None]
-    singles = np.stack([dp_step(rows_as_example_grads(rows[i:i + 1]), dp, rng)
+    singles = np.stack([dp_row(rows[i:i + 1], dp, rng)
                         for i in range(200)])
     norms = np.linalg.norm(singles, axis=1)
     assert np.all(norms <= C + 1e-9)
@@ -92,7 +93,7 @@ def test_dp_step_clips_every_contribution():
     inside = targets <= C
     assert np.array_equal(singles[inside], rows[inside])
     # aggregation is the mean of the clipped rows
-    combined = dp_step(rows_as_example_grads(rows), dp, rng)
+    combined = dp_row(rows, dp, rng)
     np.testing.assert_allclose(combined, singles.mean(axis=0), rtol=1e-12)
 
 
@@ -101,13 +102,13 @@ def test_dp_step_scales_long_row_onto_sphere():
     dp = DpConfig(clip_norm=C, noise_multiplier=0.0)
     row = np.full((1, 16), 1.0)
     row *= 10 * C / np.linalg.norm(row)
-    out = dp_step(rows_as_example_grads(row), dp, np.random.default_rng(0))
+    out = dp_row(row, dp, np.random.default_rng(0))
     assert abs(np.linalg.norm(out) - C) <= 1e-9
 
 
 def test_dp_step_zero_row_is_safe():
     dp = DpConfig(clip_norm=1e-3, noise_multiplier=0.0)
-    out = dp_step(rows_as_example_grads(np.zeros((4, 8))), dp, np.random.default_rng(0))
+    out = dp_row(np.zeros((4, 8)), dp, np.random.default_rng(0))
     assert np.array_equal(out, np.zeros(8))
 
 
@@ -115,7 +116,7 @@ def test_dp_step_noise_scale():
     B, D = 1024, 10000
     C, sigma = 1e-3, 1.08
     dp = DpConfig(clip_norm=C, noise_multiplier=sigma)
-    out = dp_step(rows_as_example_grads(np.zeros((B, D))), dp, np.random.default_rng(3))
+    out = dp_row(np.zeros((B, D)), dp, np.random.default_rng(3))
     want = sigma * C / B
     assert abs(out.std() - want) / want < 0.05
     assert abs(out.mean()) < 5 * want / math.sqrt(D)
@@ -125,9 +126,28 @@ def test_dp_step_noiseless_is_deterministic():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(32, 12))
     dp = DpConfig(clip_norm=0.5, noise_multiplier=0.0)
-    a = dp_step(rows_as_example_grads(rows), dp, np.random.default_rng(1))
-    b = dp_step(rows_as_example_grads(rows), dp, np.random.default_rng(2))
+    a = dp_row(rows, dp, np.random.default_rng(1))
+    b = dp_row(rows, dp, np.random.default_rng(2))
     assert np.array_equal(a, b)
+
+
+def test_dp_step_returns_one_array_per_parameter():
+    # two parameters, each read once per example: the result keeps grads'
+    # parameter order and shapes, and the noise is one stream drawn
+    # parameter by parameter
+    rng = np.random.default_rng(5)
+    B, C, sigma = 6, 0.5, 1.3
+    params = [ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((1, 5)))]
+    ex = ad.ExampleGrads(B, params)
+    ex.add(params[0], rng.normal(size=(B, 3)), rng.normal(size=(B, 4)), ad.RowMap())
+    ex.add(params[1], np.ones((B, 1)), rng.normal(size=(B, 5)), ad.RowMap())
+    quiet = dp_step(ex, DpConfig(clip_norm=C, noise_multiplier=0.0), np.random.default_rng(9))
+    noisy = dp_step(ex, DpConfig(clip_norm=C, noise_multiplier=sigma),
+                    np.random.default_rng(9))
+    assert [g.shape for g in quiet] == [g.shape for g in noisy] == [(3, 4), (1, 5)]
+    whole = np.random.default_rng(9).normal(0.0, sigma * C / B, size=17)
+    assert np.array_equal(noisy[0], quiet[0] + whole[:12].reshape(3, 4))
+    assert np.array_equal(noisy[1], quiet[1] + whole[12:].reshape(1, 5))
 
 
 # -- fit ---------------------------------------------------------------------------

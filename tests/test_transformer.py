@@ -13,6 +13,7 @@ from nestgen.transformer import AttentionStack, TransformerConfig
 
 from conftest import (check_op_gradients, example_matrix, fd_gradient, random_batch,
                       random_schema_doc)
+from reference_ops import matmul, softmax
 from test_grouped_lists import SHUFFLED, split_lists
 
 
@@ -182,7 +183,8 @@ def test_masked_positions_get_zero_gradient(rng):
 
 def _transpose(a, axes):
     """Axis permutation as a tape op, for the reference block's head split
-    and merge (the package has no transpose op)."""
+    and merge (the package has no transpose op; `reference_ops` has the
+    block's other ops)."""
     out = Tensor(a.data.transpose(axes))
     inv = tuple(np.argsort(axes))
     return ad._record(out, lambda g: a.accumulate(g.transpose(inv)))
@@ -200,16 +202,16 @@ def reference_block(self, blk, x, blocked, past=None):
     B, L, d = x.data.shape
     H = self.cfg.heads
     dh = d // H
-    q = _heads(ad.matmul(x, blk["wq"]), H, dh)
-    k = _heads(ad.matmul(x, blk["wk"]), H, dh)
-    v = _heads(ad.matmul(x, blk["wv"]), H, dh)
+    q = _heads(matmul(x, blk["wq"]), H, dh)
+    k = _heads(matmul(x, blk["wk"]), H, dh)
+    v = _heads(matmul(x, blk["wv"]), H, dh)
     if past is not None:
         k = ad.concat([past[0], k], axis=2)
         v = ad.concat([past[1], v], axis=2)
-    scores = ad.mul_const(ad.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh))
-    w = ad.softmax(scores, blocked)
-    ctx = ad.reshape(_transpose(ad.matmul(w, v), (0, 2, 1, 3)), (B, L, d))
-    y = ad.matmul(ctx, blk["wo"])
+    scores = ad.mul_const(matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh))
+    w = softmax(scores, blocked)
+    ctx = ad.reshape(_transpose(matmul(w, v), (0, 2, 1, 3)), (B, L, d))
+    y = matmul(ctx, blk["wo"])
     return ad.add(y, x), (k.data, v.data)
 
 
