@@ -10,17 +10,6 @@ from nestgen import autodiff as ad
 from nestgen.autodiff import MASK_FILL, Tensor
 
 
-def _unbroadcast(g, shape):
-    """Sum g over the axes a broadcast added or widened, back to shape."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def matmul(a, b, transpose_b=False):
     """a @ b, or a @ b with b's last two axes swapped (transpose_b). b may
     be 2-D (a shared weight, with the per-example weight rule) or match a's
@@ -43,9 +32,9 @@ def matmul(a, b, transpose_b=False):
 
 def softmax(a, blocked=None):
     """Softmax over the last axis, stabilised by max subtraction. Entries
-    where the boolean `blocked` (broadcast against a) is True are filled
-    with MASK_FILL first, so they get exactly zero weight and exactly zero
-    gradient."""
+    where the boolean `blocked` (which broadcasts into a's shape) is True
+    are filled with MASK_FILL first, so they get exactly zero weight and
+    exactly zero gradient."""
     x = a.data if blocked is None else np.where(blocked, MASK_FILL, a.data)
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -55,8 +44,6 @@ def softmax(a, blocked=None):
     def backward(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
         ga = s * (g - dot)
-        if blocked is not None:
-            ga = _unbroadcast(np.where(blocked, 0.0, ga), a.data.shape)
-        a.accumulate(ga)
+        a.accumulate(ga if blocked is None else np.where(blocked, 0.0, ga))
 
     return ad._record(out, backward)
