@@ -74,6 +74,7 @@ def main():
                               seed=args.seed))
     print(f"trained {len(history)} steps, "
           f"loss {history[0]['loss']:.3f} -> {history[-1]['loss']:.3f}")
+    assert history[-1]["loss"] < history[0]["loss"]
 
     tree = sample_rows(codec, store, 20000, np.random.default_rng(1))
     synth = records_from_batch(tree, tf)
@@ -87,6 +88,14 @@ def main():
     for seg in ("a", "b"):
         print(f"  segment {seg} real :", real_cond[seg])
         print(f"  segment {seg} synth:", synth_cond[seg])
+
+    # every share is within 0.05 of the real one
+    gaps = list(np.abs(length_profile(synth) - length_profile(users)))
+    for seg in ("a", "b"):
+        real, fake = real_cond[seg], synth_cond[seg]
+        gaps += [abs(real.get(p, 0.0) - fake.get(p, 0.0)) for p in set(real) | set(fake)]
+    print(f"\nlargest share gap: {max(gaps):.3f}")
+    assert max(gaps) <= 0.05
 
 
 if __name__ == "__main__":

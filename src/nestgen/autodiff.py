@@ -16,11 +16,11 @@ the ops that fitting or sampling runs.
 gradients for a batch of B examples in one backward pass. It relies on one
 property of the training graph: no op mixes the rows of different examples,
 so the gradient of every non-parameter tensor already splits by example.
-Only the three ops that read a parameter need a per-example rule
-(`attention` and `categorical_nll` through `_weight_rule`, and `gather_rows`):
-on such a tape they leave `.grad` alone and record the read in the
-`ExampleGrads` instead, its input rows a, output gradient rows g (an index
-for `gather_rows`) and the example owning each run of rows. Example i's
+Only the three ops that read a parameter, `attention`, `categorical_nll`
+and `gather_rows`, need a per-example rule, and they share one,
+`_weight_rule`: on such a tape it leaves `.grad` alone and records the read
+in the `ExampleGrads` instead, its input rows a, output gradient rows g (an
+index for `gather_rows`) and the example owning each run of rows. Example i's
 gradient of a (k, n) weight is then the sum of a_t^T g_t over its rows t in
 every read, so its squared norm is the sum over t, s of (a_t . a_s)(g_t . g_s)
 (the Gram form, used where it costs less than the dense gradient) and a
@@ -329,15 +329,20 @@ def mul_const(a, c) -> Tensor:
 def _weight_rule():
     """The rule of a 2-D weight w read by an op being recorded: add(w, a, g)
     sends a^T g, for a (..., k) and g (..., n), into w's `.grad`, or on a
-    per-example tape records the read with the row map captured now."""
+    per-example tape records the read with the row map captured now. An
+    integer a is a row lookup, standing for its one-hot (..., k) rows."""
     ex = _per_example()
     row_map = None if ex is None else ex.rows
 
     def add(w, a, g):
-        if ex is None:
-            w.accumulate(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        else:
+        if ex is not None:
             ex.add(w, a, g, row_map)
+        elif a.dtype.kind in "iu":
+            gw = np.zeros(w.data.shape)
+            np.add.at(gw, a.reshape(-1), g.reshape(-1, g.shape[-1]))
+            w.accumulate(gw)
+        else:
+            w.accumulate(a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return add
 
@@ -467,17 +472,10 @@ def gather_rows(w, idx):
     """Embedding lookup: rows of a 2-D table by integer index array."""
     idx = np.asarray(idx)
     out = Tensor(w.data[idx])
-    n, d = w.data.shape
-    ex = _per_example()
-    row_map = None if ex is None else ex.rows
+    add_weight = _weight_rule()
 
     def backward(g):
-        if ex is None:
-            gw = np.zeros((n, d))
-            np.add.at(gw, idx.reshape(-1), g.reshape(-1, d))
-            w.accumulate(gw)
-        else:
-            ex.add(w, idx, g, row_map)
+        add_weight(w, idx, g)
 
     return _record(out, backward)
 

@@ -33,12 +33,12 @@ class CliError(Exception):
 
 
 def _add_model_flags(p):
-    p.add_argument("--width", type=int, default=64,
-                   help="embedding width (default 64)")
-    p.add_argument("--blocks", type=int, default=2,
-                   help="attention blocks per encoder/decoder (default 2)")
-    p.add_argument("--heads", type=int, default=8,
-                   help="attention heads (default 8)")
+    p.add_argument("--width", type=int, default=TransformerConfig.width,
+                   help="embedding width (default %(default)s)")
+    p.add_argument("--blocks", type=int, default=TransformerConfig.blocks,
+                   help="attention blocks per encoder/decoder (default %(default)s)")
+    p.add_argument("--heads", type=int, default=TransformerConfig.heads,
+                   help="attention heads (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,19 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", required=True, help="model bundle to write")
     fit.add_argument("--format", choices=["csv", "jsonl"],
                      help="input format (default: by file extension)")
-    fit.add_argument("--epochs", type=int, default=10)
-    fit.add_argument("--batch-size", type=int, default=256)
-    fit.add_argument("--lr", type=float, default=1e-3)
+    fit.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    fit.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    fit.add_argument("--lr", type=float, default=TrainConfig.lr)
     _add_model_flags(fit)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--shuffle-passes", type=int, default=1,
-                     help="decoding passes per batch for shuffled nodes")
+    fit.add_argument("--seed", type=int, default=TrainConfig.seed)
+    fit.add_argument("--shuffle-passes", type=int, default=TrainConfig.shuffle_passes,
+                     help="decoding passes per batch for shuffled nodes (default %(default)s)")
     fit.add_argument("--dp", action="store_true",
                      help="train with per-example clipping and Gaussian noise")
-    fit.add_argument("--clip", type=float, default=1e-3,
-                     help="DP clip norm C (default 1e-3)")
-    fit.add_argument("--noise", type=float, default=1.08,
-                     help="DP noise multiplier (default 1.08)")
+    fit.add_argument("--clip", type=float, default=DpConfig.clip_norm,
+                     help="DP clip norm C (default %(default)s)")
+    fit.add_argument("--noise", type=float, default=DpConfig.noise_multiplier,
+                     help="DP noise multiplier (default %(default)s)")
 
     sample = sub.add_parser("sample", help="draw synthetic records from a model")
     sample.add_argument("--model", required=True, help="model bundle")

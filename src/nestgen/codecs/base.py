@@ -26,7 +26,6 @@ from ..autodiff import Tape, Tensor
 from ..batches import concat_trees, n_rows
 from ..params import ParamStore
 
-C0_PATH = "~c0"
 SAMPLE_CHUNK = 32768  # rows per root `sample` call in `sample_rows`
 
 
@@ -73,13 +72,11 @@ class Codec:
 
 
 def root_conditioning(store: ParamStore, n: int) -> Tensor:
-    """The fixed initial conditioning rows for a batch of n examples: the
-    store's `~c0` constant, which `compile_schema` sets."""
-    c0 = store.constant(C0_PATH)
-    if c0 is None:
-        raise ValueError(f"parameter store has no {C0_PATH} constant to "
-                         "condition the root on")
-    return Tensor(np.tile(c0, (n, 1)))
+    """The fixed initial conditioning rows for a batch of n examples: n
+    copies of `store.c0`, which `compile_schema` sets."""
+    if store.c0 is None:
+        raise ValueError("parameter store has no c0 vector to condition the root on")
+    return Tensor(np.tile(store.c0, (n, 1)))
 
 
 def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,

@@ -13,20 +13,10 @@ from itertools import product
 
 import numpy as np
 
-from ..batches import LeafBatch, ListBatch, StructBatch, split_leading
+from ..batches import LeafBatch, ListBatch, StructBatch, put_rows, split_leading
 from .base import Codec, pass_losses
 from .composites import ListCodec, StructCodec
 from .primitives import CategoricalCodec
-
-
-def zero_value(codec: Codec):
-    if isinstance(codec, CategoricalCodec):
-        return 0
-    if isinstance(codec, StructCodec):
-        return {n: zero_value(c) for n, c in zip(codec.names, codec._children)}
-    if isinstance(codec, ListCodec):
-        return []
-    raise TypeError(f"unsupported codec: {type(codec).__name__}")
 
 
 def enumerate_outcomes(codec: Codec, limit: int = 100000) -> list:
@@ -54,7 +44,9 @@ def enumerate_outcomes(codec: Codec, limit: int = 100000) -> list:
 
 
 def batch_from_values(codec: Codec, values: list):
-    """Pack python value trees into one BatchTree (lists zero padded)."""
+    """Pack python value trees into one BatchTree. A list's elements are
+    packed together and written at their slots of the value codec's
+    `zero_batch`, which pads the rest."""
     if isinstance(codec, CategoricalCodec):
         return LeafBatch(np.asarray(values, dtype=np.int64))
     if isinstance(codec, StructCodec):
@@ -62,16 +54,12 @@ def batch_from_values(codec: Codec, values: list):
             name: batch_from_values(child, [v[name] for v in values])
             for name, child in zip(codec.names, codec._children)})
     if isinstance(codec, ListCodec):
-        P = codec.max_len
-        pad = zero_value(codec.value_codec)
+        B, P = len(values), codec.max_len
         lengths = np.asarray([len(v) for v in values], dtype=np.int64)
-        flat = []
-        for v in values:
-            flat.extend(v)
-            flat.extend(pad for _ in range(P - len(v)))
-        return ListBatch(lengths,
-                         split_leading(batch_from_values(codec.value_codec, flat),
-                                       len(values), P))
+        slots = np.flatnonzero(np.arange(P) < lengths[:, None])
+        elems = batch_from_values(codec.value_codec, [e for v in values for e in v])
+        padded = put_rows(codec.value_codec.zero_batch(B * P), slots, elems)
+        return ListBatch(lengths, split_leading(padded, B, P))
     raise TypeError(f"unsupported codec: {type(codec).__name__}")
 
 

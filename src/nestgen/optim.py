@@ -14,7 +14,7 @@ EPS = 1e-8
 class Adam:
     """Adam with bias correction, at BETA1, BETA2 and EPS."""
 
-    def __init__(self, lr: float = 1e-3):
+    def __init__(self, lr: float):
         self.lr = lr
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}

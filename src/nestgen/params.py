@@ -16,9 +16,12 @@ INIT_STD = 0.02
 
 
 class ParamStore:
+    """Parameter tensors by path, plus `store.c0`, the root's (width,)
+    conditioning vector: None until `compile_schema` draws it, never saved."""
+
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
-        self._constants: dict[str, np.ndarray] = {}
+        self.c0: np.ndarray | None = None
 
     def allocate(self, path: str, shape, rng: np.random.Generator) -> Tensor:
         """Create a tensor at `path` initialised from normal(0, 0.02)."""
@@ -30,17 +33,6 @@ class ParamStore:
 
     def __getitem__(self, path: str) -> Tensor:
         return self._tensors[path]
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._tensors
-
-    def set_constant(self, path: str, value: np.ndarray):
-        """Register a fixed array under a path; never trained or saved,
-        regenerated deterministically at compile time."""
-        self._constants[path] = np.asarray(value, dtype=np.float64)
-
-    def constant(self, path: str) -> np.ndarray | None:
-        return self._constants.get(path)
 
     def paths(self) -> list[str]:
         return list(self._tensors)

@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
-from .codecs.base import C0_PATH, Codec
+from .codecs.base import Codec
 from .codecs.composites import ListCodec, StructCodec
 from .codecs.primitives import DEFAULT_BINS, CategoricalCodec, NumericalCodec, QuantileTable
 from .params import ParamStore
@@ -267,7 +267,8 @@ def resolve(node, cardinalities: dict[str, int], prefix=None):
     return node
 
 
-def compile_schema(node, width: int = 64, blocks: int = 2, heads: int = 8,
+def compile_schema(node, width: int = TransformerConfig.width,
+                   blocks: int = TransformerConfig.blocks, heads: int = TransformerConfig.heads,
                    seed: int = 0, tables: dict[str, QuantileTable] | None = None
                    ) -> tuple[Codec, ParamStore]:
     """Allocate a codec tree for the schema. Parameters are initialised from
@@ -282,7 +283,7 @@ def compile_schema(node, width: int = 64, blocks: int = 2, heads: int = 8,
     # distribution at uniform forever, because the reduced attention block
     # maps zero input to zero output and the categorical decoder has no bias
     # term. Regenerated from the seed, never trained.
-    store.set_constant(C0_PATH, rng.normal(0.0, 1.0, size=width))
+    store.c0 = rng.normal(0.0, 1.0, size=width)
     return codec, store
 
 

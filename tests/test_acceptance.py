@@ -21,8 +21,7 @@ from nestgen.autodiff import Tape
 from nestgen.batches import (LeafBatch, ListBatch, StructBatch, n_rows,
                              split_leading)
 from nestgen.cli import main as cli_main
-from nestgen.codecs.base import (C0_PATH, pass_losses, root_conditioning,
-                                 sample_rows, train_step)
+from nestgen.codecs.base import pass_losses, root_conditioning, sample_rows, train_step
 from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.exact import (batch_from_values, enumerate_outcomes,
                                   joint_table)
@@ -338,7 +337,7 @@ def test_05_causality_suite():
 
 def _standalone_list(card, max_len, seed, shuffled=False):
     store = ParamStore()
-    store.set_constant(C0_PATH, np.zeros(8))
+    store.c0 = np.zeros(8)
     srng = np.random.default_rng(seed)
     tcfg = TransformerConfig(width=8, blocks=1, heads=2)
     val = CategoricalCodec("l/item", card, 8, store, srng)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from nestgen.autodiff import Tape
-from nestgen.batches import LeafBatch, n_rows, take
+from nestgen.batches import LeafBatch, arrays, n_rows, take, take_prefix
 from nestgen.codecs import base
+from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.base import (pass_losses, per_example_gradients,
                                  root_conditioning, sample_rows, train_step)
 from nestgen.codecs.exact import enumerate_outcomes, joint_table
@@ -66,9 +67,9 @@ def test_root_conditioning_is_fixed_and_nonzero():
 def test_root_conditioning_needs_the_constant():
     codec, _ = compiled(CAT4, seed=3)
     bare = ParamStore()
-    with pytest.raises(ValueError, match="~c0"):
+    with pytest.raises(ValueError, match="no c0 vector"):
         root_conditioning(bare, 5)
-    with pytest.raises(ValueError, match="~c0"):
+    with pytest.raises(ValueError, match="no c0 vector"):
         sample_rows(codec, bare, 2, np.random.default_rng(0))
 
 
@@ -89,6 +90,55 @@ def test_enumeration_sums_to_one_before_and_after_training():
             opt.step(store, grads)
         _, probs = joint_table(codec, store)
         assert abs(probs.sum() - 1.0) < 1e-9
+
+
+def assert_padded(codec, values, tree):
+    """tree packs `values` as codes, and each list's slots past its length
+    hold exactly the value codec's `zero_batch` rows, at every depth."""
+    if isinstance(codec, StructCodec):
+        for name, child in zip(codec.names, codec.children()):
+            assert_padded(child, [v[name] for v in values], tree.fields[name])
+    elif isinstance(codec, ListCodec):
+        P = codec.max_len
+        assert tree.lengths.dtype == np.int64
+        assert tree.lengths.tolist() == [len(v) for v in values]
+        for b, v in enumerate(values):
+            slots = take_prefix(tree.values, [b], P)
+            assert_padded(codec.value_codec, v, take(slots, np.arange(len(v))))
+            pad = take(slots, np.arange(len(v), P))
+            zeros = codec.value_codec.zero_batch(P - len(v))
+            for got, want in zip(arrays(pad), arrays(zeros), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert tree.codes.dtype == np.int64 and tree.codes.tolist() == list(values)
+
+
+STRUCT_LIST = {"type": "record", "name": "r", "fields": [
+    {"name": "a", "type": "enum", "cardinality": 2},
+    {"name": "l", "type": "array", "max_len": 3,
+     "items": {"type": "record", "name": "t", "fields": [
+         {"name": "place", "type": "enum", "cardinality": 3},
+         {"name": "price", "type": "float", "bins": 4}]}}]}
+LIST_OF_LISTS = {"type": "record", "name": "r", "fields": [
+    {"name": "l", "type": "array", "max_len": 2,
+     "items": {"type": "array", "name": "inner", "max_len": 3,
+               "items": {"type": "enum", "name": "v", "cardinality": 2}}}]}
+
+
+@pytest.mark.parametrize("doc, values", [
+    (STRUCT_LIST, [{"a": 1, "l": [{"place": 2, "price": 3}]},
+                   {"a": 0, "l": []},
+                   {"a": 1, "l": [{"place": 1, "price": 1}, {"place": 0, "price": 2},
+                                  {"place": 2, "price": 0}]}]),
+    (LIST_OF_LISTS, [{"l": [[1], [0, 1, 1]]}, {"l": [[]]}, {"l": []}]),
+    (LIST_OF_LISTS, [{"l": []}, {"l": []}]),
+], ids=["struct_with_numeric", "list_of_lists", "all_empty"])
+def test_batch_from_values_pads_as_zero_batch(doc, values):
+    from nestgen.codecs.exact import batch_from_values
+    codec, store = compiled(doc)
+    batch = batch_from_values(codec, values)
+    assert_padded(codec, values, batch)
+    assert np.isfinite(forward_loss(codec, store, batch))
 
 
 def test_enumeration_covers_list_outcomes():

@@ -6,8 +6,7 @@ import pytest
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
-from nestgen.codecs.base import (C0_PATH, pass_losses, root_conditioning,
-                                 sample_rows, train_step)
+from nestgen.codecs.base import pass_losses, root_conditioning, sample_rows, train_step
 from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec, QuantileTable
 from nestgen.params import ParamStore
@@ -21,7 +20,7 @@ from conftest import (ForcedOrder, LeafSpy, attach_tables, forward_loss, group_g
 def bare_store(width=8):
     """A store for codecs built by hand, conditioning the root on zeros."""
     store = ParamStore()
-    store.set_constant(C0_PATH, np.zeros(width))
+    store.c0 = np.zeros(width)
     return store
 
 
@@ -559,7 +558,7 @@ def test_training_pins_constant_length():
     # needs the compiled-model nonzero conditioning constant, without which
     # the root length distribution could never leave uniform
     codec, store = cat_list(2, max_len=3, seed=29)
-    store.set_constant(C0_PATH, np.random.default_rng(31).normal(size=8))
+    store.c0 = np.random.default_rng(31).normal(size=8)
     x = list_batch([2] * 32, [[0, 1]] * 32, 3)
     from nestgen.optim import Adam
     opt = Adam(lr=0.05)

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_batch, random_schema_doc
 from nestgen import metrics
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
-from nestgen.codecs.base import C0_PATH, sample_rows
+from nestgen.codecs.base import sample_rows
 from nestgen.codecs.primitives import DEFAULT_BINS, QuantileTable
 from nestgen.data import (Columns, DataError, IngestReport, Transform,
                           build_batch, check_records, detect_format,
@@ -365,7 +365,7 @@ def test_empty_sampled_lists_draw_no_uniforms():
     for path in store.paths():
         if path.endswith("/wo"):
             store[path].data[:] = 0.0
-    c0 = store.constant(C0_PATH)
+    c0 = store.c0
     w_len = store["r/l/~len/W"].data
     w_len[:] = 0.0
     w_len[0] = 1e3 * c0 / (c0 @ c0)

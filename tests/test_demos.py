@@ -12,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("demo", ["autodiff_attention_tour.py", "fidelity_metrics.py",
-                                  "private_training.py"])
+                                  "nested_lists.py", "private_training.py"])
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
