@@ -107,30 +107,53 @@ def load_model(path):
     except (OSError, zipfile.BadZipFile) as e:
         raise ArtifactError(f"{path}: not a readable model bundle ({e})") from None
     with zf:
-        meta = json.loads(_entry(zf, path, "meta.json"))
-        if meta.get("format") != FORMAT:
+        try:
+            meta = json.loads(_entry(zf, path, "meta.json"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise ArtifactError(f"{path}: meta.json is not valid JSON") from None
+        if not isinstance(meta, dict) or meta.get("format") != FORMAT:
             raise ArtifactError(f"{path}: not a {FORMAT} bundle")
         if meta.get("version") != VERSION:
             raise ArtifactError(f"{path}: unsupported bundle version "
                                 f"{meta.get('version')!r}")
-        try:
-            schema = parse_schema(meta["schema"])
-            tables = {p: QuantileTable(_read_npy(_entry(zf, path, spec["file"])),
-                                       integer=spec["integer"])
-                      for p, spec in meta["tables"].items()}
-            config, vocabs, manifest = meta["config"], meta["vocabs"], meta["manifest"]
-            width, blocks, heads = config["width"], config["blocks"], config["heads"]
-            state = {p: _read_npy(_entry(zf, path, f)) for p, f in meta["params"].items()}
-        except KeyError as e:
-            raise ArtifactError(f"{path}: meta.json has no key {e.args[0]!r}") from None
+        config, vocabs, manifest, specs, params = (_field(path, meta, key, dict) for key in (
+            "config", "vocabs", "manifest", "tables", "params"))
+        width, blocks, heads, seed = (_field(path, {"seed": 0} | config, key, int,
+                                             "meta.json config")
+                                      for key in ("width", "blocks", "heads", "seed"))
         for option in REMOVED_OPTIONS:
             if config.get(option):
                 raise ArtifactError(f"{path}: the bundle was compiled with "
                                     f"{option}, which is no longer supported")
+        schema = parse_schema(_field(path, meta, "schema", dict))
+        vocabs = {p: _field(path, vocabs, p, list, "meta.json vocabs") for p in vocabs}
+        tables = {}
+        for p in specs:
+            spec, where = _field(path, specs, p, dict, "meta.json tables"), f"meta.json table {p!r}"
+            q = _read_npy(_entry(zf, path, _field(path, spec, "file", str, where)))
+            tables[p] = QuantileTable(q, integer=_field(path, spec, "integer", bool, where))
+        state = {p: _read_npy(_entry(zf, path, _field(path, params, p, str, "meta.json params")))
+                 for p in params}
         codec, store = compile_schema(schema, width=width, blocks=blocks, heads=heads,
-                                      seed=config.get("seed", 0), tables=tables)
+                                      seed=seed, tables=tables)
         store.load_state(state)
         return codec, store, Transform(schema, vocabs, tables), config, manifest
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", int: "an integer"}
+
+
+def _field(path, obj, key, kind, where="meta.json") -> object:
+    """obj[key], which must be of type `kind` (an integer is no boolean),
+    from the part of the meta.json of the bundle at `path` that `where`
+    names."""
+    if key not in obj:
+        raise ArtifactError(f"{path}: {where} has no key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ArtifactError(f"{path}: {where} {key!r} must be {_KINDS[kind]}, "
+                            f"got {json.dumps(value)[:40]}")
+    return value
 
 
 def _entry(zf, path, name) -> bytes:

@@ -107,17 +107,14 @@ def _load_schema(path):
 def cmd_fit(args) -> int:
     # flags are checked before the data is read, so a bad one fails at once
     try:
-        TransformerConfig(args.width, args.blocks, args.heads).validate()
+        TransformerConfig(args.width, args.blocks, args.heads)
     except ValueError as e:
         raise CliError("parse", str(e))
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                      lr=args.lr, shuffle_passes=args.shuffle_passes,
-                      seed=args.seed)
-    dp = DpConfig(clip_norm=args.clip, noise_multiplier=args.noise) if args.dp else None
     try:
-        cfg.validate()
-        if dp is not None:
-            dp.validate()
+        cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                          lr=args.lr, shuffle_passes=args.shuffle_passes,
+                          seed=args.seed)
+        dp = DpConfig(clip_norm=args.clip, noise_multiplier=args.noise) if args.dp else None
     except ValueError as e:
         raise CliError("train", str(e))
 

@@ -1,20 +1,20 @@
 """The codec contract: encode, score and sample one schema node.
 
-`encode` turns an observation into a fixed-width embedding plus a context.
-`loss_terms` runs the decoder from a conditioning vector and that context
-alone and scores the observation in the same walk: its per-example negative
-log likelihood is the training loss. `sample` draws each child from its
-decoder conditioning and feeds the draw back through the encoder, one
+`encode(x, rng)` turns an observation into a fixed-width embedding and
+returns it with the observation's scorer: `score(cond)` runs the decoder from
+conditioning rows and scores x in the same walk, and its per-example
+negative log likelihood is the training loss. `sample` draws each child from
+its decoder conditioning and feeds the draw back through the encoder, one
 position at a time. These are every codec's three duties, composites
-included. A context holds only what `loss_terms` reads: a leaf's is its
-codes, a composite's holds its digests, its shuffle order and its children's
-contexts. Orders come only from the `rng` given to `encode`, so each
-decoding pass (`pass_losses`) encodes the batch again to draw its own.
-Contexts are never reordered: a shuffled list's decoder slot 1+i conditions
-element perm[b, i], and `loss_terms` gathers each element's slot back (see
-`composites`). Composite codecs own child codecs and wire them together
-with causal attention; the root codec is scored from a fixed initial
-conditioning vector, and its embedding is unused.
+included. A leaf's scorer is its one `loss_terms(cond, codes)` op; a
+composite's closes over its digests, its shuffle order and its children's
+scorers. Orders come only from the `rng` given to `encode`, so each decoding
+pass (`pass_losses`) encodes the batch again to draw its own. A shuffled
+list's decoder slot 1+i conditions element perm[b, i], and its scorer
+gathers each element's slot back (see `composites`). Composite codecs own
+child codecs and wire them together with causal attention; the root codec
+is scored from a fixed initial conditioning vector, and its embedding is
+unused.
 """
 
 from __future__ import annotations
@@ -30,21 +30,16 @@ SAMPLE_CHUNK = 32768  # rows per root `sample` call in `sample_rows`
 
 
 class Codec:
-    """A codec's three duties: encode, score (`loss_terms`) and sample."""
+    """A codec's three duties: encode, score and sample."""
 
     path: str
     width: int
 
     def encode(self, x, rng=None):
-        """Return (embedding (B, d) Tensor, context); a leaf's context is its
-        (B,) codes. rng drives shuffle permutations; rng=None means identity
-        order everywhere."""
-        raise NotImplementedError
-
-    def loss_terms(self, cond: Tensor, ctx) -> Tensor:
-        """Decode from conditioning rows (B, d) and the context `encode`
-        returned for an observation x; returns the per-example negative log
-        likelihood of x, shape (B,)."""
+        """Return (embedding (B, d) Tensor, score), where score(cond) decodes
+        from conditioning rows (B, d) and returns the per-example negative
+        log likelihood of x, shape (B,). rng drives shuffle permutations;
+        rng=None means identity order everywhere."""
         raise NotImplementedError
 
     def sample(self, cond, rng):
@@ -92,7 +87,7 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
     if passes > 1 and not codec.has_shuffle():
         raise ValueError("multiple decoding passes need at least one shuffled node")
     cond = root_conditioning(store, n_rows(batch))
-    return [codec.loss_terms(cond, codec.encode(batch, rng=rng)[1]) for _ in range(passes)]
+    return [codec.encode(batch, rng=rng)[1](cond) for _ in range(passes)]
 
 
 def _summed_passes(codec, store, batch, rng, passes):

@@ -3,11 +3,12 @@
 Child observations are encoded bottom-up into fixed-width embeddings; a
 causal attention stack turns the embedding sequence into running digests, and
 a second stack turns (conditioning, digests) into one conditioning vector per
-child, against which `loss_terms` scores the child in the same walk (a list
-scores its length first). Scoring reads only contexts: a composite's holds
-its digests and its children's contexts, down to the leaves', which are
-their codes, so `loss_terms` never sees the observation. A composite has
-the three duties of every codec: encode, score and sample. Optionally the
+child, against which the child's scorer scores it in the same walk (a list
+scores its length first). `encode` returns the scorer as a closure over what
+it computed, its digests, its order and its children's scorers, down to the
+leaves', which close over their codes, so scoring never sees the
+observation. A composite has the three duties of every codec: encode, score
+and sample. Optionally the
 order children enter the digests is shuffled per pass, which trains the
 model to be usable under any autoregressive factorisation of the node.
 Orders come only from the `rng` given to `encode`, and each decoding pass
@@ -21,10 +22,10 @@ the decoder reads (conditioning, digest 0, ..., digest n-2), so decoder
 output slot k conditions field perm[k]. For a list, encoder position 0 is the
 length embedding and position 1+i is element perm[b, i] (element i when the
 list is not shuffled); decoder output slot 0 conditions the length and slot
-1+i conditions element perm[b, i]. `loss_terms` gathers each element's slot
-back (`np.argsort(perm)`), so the value codec scores in element order
-against its own context (the group's values as encoded), and the
-per-element losses are summed in slot order. Padded positions are masked
+1+i conditions element perm[b, i]. The scorer gathers each element's slot
+back (`np.argsort(perm)`), so the value codec's scorer runs in element order
+(the group's values as encoded), and the per-element losses are summed in
+slot order. Padded positions are masked
 out of attention and contribute exactly zero loss and gradient; a
 permutation keeps them in place. Every slot read is one `ad.index`: a slot
 number drops the position axis, a slice keeps it (an empty one is a
@@ -53,6 +54,8 @@ exactly that batch's zeros.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .. import autodiff as ad
@@ -62,45 +65,6 @@ from ..batches import (LeafBatch, ListBatch, StructBatch, arrays, put_rows, spli
 from ..transformer import AttentionStack, KVCache, TransformerConfig
 from .base import Codec
 from .primitives import CategoricalCodec
-
-
-class StructCtx:
-    __slots__ = ("digests", "child_ctxs", "perm")
-
-    def __init__(self, digests, child_ctxs, perm):
-        self.digests = digests
-        self.child_ctxs = child_ctxs
-        self.perm = perm
-
-
-class ListGroup:
-    """One length group of a list batch: batch rows `rows` (ascending), cut
-    to P positions. The value codec's context is in element order; perm[i, j]
-    is the element in slot j of the group's row i (None: identity)."""
-
-    __slots__ = ("rows", "P", "lengths", "val_ctx", "digests", "perm")
-
-    def __init__(self, rows, P, lengths, val_ctx, digests, perm):
-        self.rows = rows
-        self.P = P
-        self.lengths = lengths
-        self.val_ctx = val_ctx
-        self.digests = digests
-        self.perm = perm
-
-    def mask(self):
-        return _prefix_mask(self.lengths, self.P)
-
-
-class ListCtx:
-    """The groups of a list batch; `inverse` puts their rows, concatenated,
-    back in batch order (None: one group holding every row in order)."""
-
-    __slots__ = ("groups", "inverse")
-
-    def __init__(self, groups, inverse):
-        self.groups = groups
-        self.inverse = inverse
 
 
 class _Decoding:
@@ -188,30 +152,19 @@ class StructCodec(Codec):
         missing = [n for n in self.names if n not in x.fields]
         if missing:
             raise ValueError(f"{self.path}: batch is missing fields {missing}")
-        embs, ctxs = [], []
-        for name, child in zip(self.names, self._children):
-            e, c = child.encode(x.fields[name], rng=rng)
-            embs.append(e)
-            ctxs.append(c)
+        embs, scores = zip(*(child.encode(x.fields[name], rng=rng)
+                             for name, child in zip(self.names, self._children)))
         perm = self._draw_perm(rng)
         digests = self.enc(ad.stack_columns([embs[k] for k in perm]))
-        return ad.index(digests, np.s_[:, -1]), StructCtx(digests, ctxs, perm)
 
-    def loss_terms(self, cond: Tensor, ctx: StructCtx) -> Tensor:
-        n = len(self._children)
-        B = cond.data.shape[0]
-        c_col = ad.reshape(cond, (B, 1, self.width))
-        h = self.dec(ad.concat([c_col, ad.index(ctx.digests, np.s_[:, :n - 1])],
-                               axis=1))
-        # scored and summed in decoder slot order so a shuffled pass is bitwise
-        # equal to a plain codec whose children were reordered the same way
-        total = None
-        for slot in range(n):
-            k = ctx.perm[slot]
-            term = self._children[k].loss_terms(ad.index(h, np.s_[:, slot]),
-                                                ctx.child_ctxs[k])
-            total = term if total is None else ad.add(total, term)
-        return total
+        def score(cond):
+            c_col = ad.reshape(cond, (cond.data.shape[0], 1, self.width))
+            h = self.dec(ad.concat([c_col, ad.index(digests, np.s_[:, :-1])], axis=1))
+            # scored and summed in decoder slot order so a shuffled pass is bitwise
+            # equal to a plain codec whose children were reordered the same way
+            return reduce(ad.add, (scores[k](ad.index(h, np.s_[:, slot]))
+                                   for slot, k in enumerate(perm)))
+        return ad.index(digests, np.s_[:, -1]), score
 
     def sample(self, cond, rng):
         dec = _Decoding(self, cond)
@@ -267,15 +220,16 @@ class ListCodec(Codec):
         encoded = []
         for rows, P in length_groups(lengths):
             with ad.example_rows(rows):
-                e_len, _ = self.len_codec.encode(LeafBatch(lengths[rows]))
+                e_len, len_score = self.len_codec.encode(LeafBatch(lengths[rows]))
             with ad.example_rows(rows, P):
-                ev, val_ctx = self.value_codec.encode(take_prefix(x.values, rows, P), rng=rng)
-            encoded.append((rows, P, e_len, ad.reshape(ev, (rows.size, P, self.width)), val_ctx))
+                ev, val_score = self.value_codec.encode(take_prefix(x.values, rows, P), rng=rng)
+            encoded.append((rows, P, e_len, ad.reshape(ev, (rows.size, P, self.width)),
+                            len_score, val_score))
         # the order's keys cover the whole (B, max_len) batch and are cut per
         # group, so they do not depend on the grouping
         perm = self._draw_perm(rng, _prefix_mask(lengths, self.max_len))
         groups, embs = [], []
-        for rows, P, e_len, val_embs, val_ctx in encoded:
+        for rows, P, e_len, val_embs, len_score, val_score in encoded:
             n, m = rows.size, lengths[rows]
             g_perm = None if perm is None else perm[rows, :P]
             ordered = val_embs if g_perm is None else _per_row(val_embs, g_perm)
@@ -284,41 +238,39 @@ class ListCodec(Codec):
             with ad.example_rows(rows):
                 digests = self.enc(seq, valid=valid)
             embs.append(ad.index(digests, (np.arange(n), m), unique=True))
-            groups.append(ListGroup(rows, P, m, val_ctx, digests, g_perm))
+            groups.append((rows, P, valid, digests, g_perm, len_score, val_score))
         inverse = None if len(groups) == 1 else np.argsort(
-            np.concatenate([g.rows for g in groups]))
-        return _in_batch_order(embs, inverse), ListCtx(groups, inverse)
+            np.concatenate([rows for rows, *_ in groups]))
 
-    def loss_terms(self, cond: Tensor, ctx: ListCtx) -> Tensor:
-        # length loss plus the sum over valid element positions, unnormalised:
-        # a longer list is a larger observation and weighs accordingly
-        terms = []
-        for g in ctx.groups:
-            n, P = g.rows.size, g.P
-            c = cond if ctx.inverse is None else ad.index(cond, g.rows, unique=True)
-            dec_in = ad.concat([ad.reshape(c, (n, 1, self.width)),
-                                ad.index(g.digests, np.s_[:, :P])], axis=1)
-            pos = np.arange(P + 1)[None, :]
-            valid = (pos <= g.lengths[:, None]) | (pos <= 1)
-            with ad.example_rows(g.rows):
-                h = self.dec(dec_in, valid=valid)
-                len_loss = self.len_codec.loss_terms(ad.index(h, np.s_[:, 0]), g.lengths)
-            if g.perm is None:
-                slots = ad.index(h, np.s_[:, 1:])
-            else:
-                # element j was fed in the slot i with perm[b, i] == j
-                slots = _per_row(h, 1 + np.argsort(g.perm, axis=1))
-            with ad.example_rows(g.rows, P):
-                v = self.value_codec.loss_terms(ad.reshape(slots, (n * P, self.width)),
-                                                g.val_ctx)
-            v = ad.reshape(v, (n, P))
-            if g.perm is not None:
-                # summed in slot order, so a shuffled pass is bitwise equal to a
-                # plain pass on the reordered observation
-                v = _per_row(v, g.perm)
-            v = ad.mul_const(v, g.mask().astype(np.float64))
-            terms.append(ad.add(len_loss, ad.sum_axis(v, 1)))
-        return _in_batch_order(terms, ctx.inverse)
+        def score(cond):
+            # length loss plus the sum over valid element positions, unnormalised:
+            # a longer list is a larger observation and weighs accordingly
+            terms = []
+            for rows, P, valid, digests, g_perm, len_score, val_score in groups:
+                n = rows.size
+                c = cond if inverse is None else ad.index(cond, rows, unique=True)
+                dec_in = ad.concat([ad.reshape(c, (n, 1, self.width)),
+                                    ad.index(digests, np.s_[:, :P])], axis=1)
+                with ad.example_rows(rows):
+                    # the encoder's mask; position 1 stays a key for an empty list
+                    h = self.dec(dec_in, valid=valid | (np.arange(P + 1) <= 1))
+                    len_loss = len_score(ad.index(h, np.s_[:, 0]))
+                if g_perm is None:
+                    slots = ad.index(h, np.s_[:, 1:])
+                else:
+                    # element j was fed in the slot i with perm[b, i] == j
+                    slots = _per_row(h, 1 + np.argsort(g_perm, axis=1))
+                with ad.example_rows(rows, P):
+                    v = val_score(ad.reshape(slots, (n * P, self.width)))
+                v = ad.reshape(v, (n, P))
+                if g_perm is not None:
+                    # summed in slot order, so a shuffled pass is bitwise equal to a
+                    # plain pass on the reordered observation
+                    v = _per_row(v, g_perm)
+                v = ad.mul_const(v, valid[:, 1:].astype(np.float64))
+                terms.append(ad.add(len_loss, ad.sum_axis(v, 1)))
+            return _in_batch_order(terms, inverse)
+        return _in_batch_order(embs, inverse), score
 
     def sample(self, cond, rng):
         B = cond.shape[0]

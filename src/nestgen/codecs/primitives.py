@@ -17,7 +17,8 @@ class CategoricalCodec(Codec):
     the logits cond @ W^T (no separate output head) are what `loss_terms`
     scores, in one `categorical_nll` op that takes cond and W, and what
     `sample` draws from off the tape, inverting the softmax CDF with a
-    single uniform draw. A leaf's context is its codes."""
+    single uniform draw. The scorer `encode` returns calls
+    `self.loss_terms(cond, codes)`."""
 
     def __init__(self, path: str, cardinality: int, width: int, store, rng):
         if cardinality < 1:
@@ -31,7 +32,7 @@ class CategoricalCodec(Codec):
         codes = np.asarray(x.codes)
         if codes.min(initial=0) < 0 or codes.max(initial=0) >= self.cardinality:
             raise ValueError(f"{self.path}: code out of range 0..{self.cardinality - 1}")
-        return ad.gather_rows(self.w, codes), codes
+        return ad.gather_rows(self.w, codes), lambda cond: self.loss_terms(cond, codes)
 
     def loss_terms(self, cond: Tensor, codes) -> Tensor:
         return ad.categorical_nll(cond, self.w, codes)
@@ -116,7 +117,7 @@ class QuantileTable:
 
 class NumericalCodec(CategoricalCodec):
     """A categorical codec over quantile bins. Ingestion bins raw values, so
-    encode and loss_terms see bin codes; only sampling touches real numbers,
+    encode and scoring see bin codes; only sampling touches real numbers,
     drawing a value uniformly from the chosen bin's bracket. The table may
     be attached after construction (it is fitted from data), but sampling
     needs it."""

@@ -275,7 +275,6 @@ def compile_schema(node, width: int = TransformerConfig.width,
     the seed; paths follow the schema names, so the same schema always yields
     the same parameter layout."""
     tcfg = TransformerConfig(width, blocks, heads)
-    tcfg.validate()
     store = ParamStore()
     rng = stream(seed, INIT)
     codec = _build(node, node.name, tcfg, store, rng, tables or {})

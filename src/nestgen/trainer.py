@@ -30,7 +30,7 @@ from .rng import BATCH, DP_NOISE, SHUFFLE, stream
 _log = logging.getLogger("nestgen.trainer")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 256
@@ -38,7 +38,7 @@ class TrainConfig:
     shuffle_passes: int = 1
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -49,12 +49,12 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DpConfig:
     clip_norm: float = 1e-3
     noise_multiplier: float = 1.08
 
-    def validate(self):
+    def __post_init__(self):
         if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
             raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm}")
         if not (math.isfinite(self.noise_multiplier) and self.noise_multiplier >= 0):
@@ -67,7 +67,6 @@ def dp_step(grads: ExampleGrads, dp: DpConfig, rng) -> list[np.ndarray]:
     N(0, (sigma*C/B)^2) noise per coordinate. grads holds the B examples'
     gradients (`per_example_gradients`); the result is one array per
     parameter in grads' order, the noise drawn parameter by parameter."""
-    dp.validate()
     norms = np.sqrt(grads.sq_norms())
     factors = np.minimum(1.0, dp.clip_norm / np.maximum(norms, 1e-300))
     std = dp.noise_multiplier * dp.clip_norm / grads.examples
@@ -86,11 +85,6 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
     one record per optimizer step: {epoch, batch, loss, grad_norm, dp}.
     The same records are written as JSON lines to `log`, an open text file,
     when given."""
-    cfg.validate()
-    if dp is not None:
-        dp.validate()
-    if cfg.shuffle_passes > 1 and not codec.has_shuffle():
-        raise ValueError("shuffle_passes > 1 needs a shuffled node in the schema")
     n = n_rows(data)
     if n < 1:
         raise ValueError("empty dataset")

@@ -30,13 +30,13 @@ from .autodiff import Tensor
 from .params import ParamStore
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformerConfig:
     width: int = 64
     blocks: int = 2
     heads: int = 8
 
-    def validate(self):
+    def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
         if self.heads < 1:
@@ -52,7 +52,6 @@ class AttentionStack:
 
     def __init__(self, cfg: TransformerConfig, store: ParamStore, prefix: str,
                  rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         d = cfg.width
         # each block's weights are `ad.attention`'s keyword arguments

@@ -8,7 +8,7 @@ from nestgen import autodiff as ad
 from nestgen.autodiff import Tape
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
 from nestgen.codecs.base import pass_losses
-from nestgen.codecs.composites import ListCodec, StructCodec
+from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec
 from nestgen.trainer import dp_step
 
@@ -139,12 +139,13 @@ def loss_gradients(codec, store, batch, rng=None, passes=1):
 class LeafSpy:
     """Wraps the `loss_terms` of each leaf codec instance under `codec` and
     records, per leaf path, the logits cond.data @ W.data.T that the leaf
-    scored and the per-example term it returned. Causality and masking
+    scored and the per-example term it returned. A leaf's scorer calls
+    `loss_terms`, so the spy sees every leaf score. Causality and masking
     tests compare these logits: each call checks, bitwise, that the term is
-    the negative log softmax of them at the codes (the leaf's context), so
-    they are the distribution the leaf was decoded to. `score` runs one
-    scoring pass of the whole tree, after which `logits` and `terms` are new
-    dicts holding only that pass's records."""
+    the negative log softmax of them at the codes, so they are the
+    distribution the leaf was decoded to. `score` runs one scoring pass of
+    the whole tree, after which `logits` and `terms` are new dicts holding
+    only that pass's records."""
 
     def __init__(self, codec):
         self.codec = codec
@@ -166,10 +167,11 @@ class LeafSpy:
             return term
         return spied
 
-    def score(self, cond, ctx):
-        """codec.loss_terms(cond, ctx), recording a fresh pass."""
+    def score(self, cond, score):
+        """score(cond) for a scorer `codec.encode` returned, recording a
+        fresh pass."""
         self.logits, self.terms = {}, {}
-        return self.codec.loss_terms(cond, ctx)
+        return score(cond)
 
 
 def value_embedding_spy(lst):
@@ -181,19 +183,38 @@ def value_embedding_spy(lst):
     encode = lst.value_codec.encode
 
     def spied(x, rng=None):
-        e, ctx = encode(x, rng=rng)
+        e, score = encode(x, rng=rng)
         embs.append(e)
-        return e, ctx
+        return e, score
 
     lst.value_codec.encode = spied
     return embs
 
 
-def group_grads(ctx, embs):
-    """(group, (rows, P, d) gradient of its value embeddings) per length
-    group of the list context `ctx`, from a `value_embedding_spy` list."""
-    assert len(embs) == len(ctx.groups)
-    return [(g, e.grad.reshape(g.rows.size, g.P, -1)) for g, e in zip(ctx.groups, embs)]
+def digest_spy(codec):
+    """Wraps the encoder stack of the composite `codec` and returns the list
+    each (B, L, d) digest tensor it computes is appended to: one per struct
+    encode, one per length group of a list encode."""
+    digests = []
+    stack = codec.enc
+
+    def spied(x, valid=None):
+        digests.append(stack(x, valid=valid))
+        return digests[-1]
+
+    codec.enc = spied
+    return digests
+
+
+def group_grads(lengths, embs):
+    """(mask, (rows, P, d) gradient of its value embeddings) per length
+    group of a list batch with these lengths, from a `value_embedding_spy`
+    list; mask is (rows, P), True where a slot holds an element."""
+    lengths = np.asarray(lengths)
+    groups = length_groups(lengths)
+    assert len(embs) == len(groups)
+    return [(np.arange(P)[None, :] < lengths[rows][:, None], e.grad.reshape(rows.size, P, -1))
+            for (rows, P), e in zip(groups, embs)]
 
 
 def random_batch(codec, n, rng, garbage_padding=True):

@@ -266,8 +266,8 @@ def replace_in_tree(codec, batch, target, new):
 
 def decoded_logits(spy, store, batch):
     """Logits each leaf scored in one identity-order pass, by leaf path."""
-    emb_unused, ctx = spy.codec.encode(batch, rng=None)
-    spy.score(root_conditioning(store, n_rows(batch)), ctx)
+    _, score = spy.codec.encode(batch, rng=None)
+    spy.score(root_conditioning(store, n_rows(batch)), score)
     return spy.logits
 
 
@@ -387,12 +387,12 @@ def test_06_masking_zero_contribution():
         store.zero_grads()
         embs = value_embedding_spy(codec)
         with Tape() as tape:
-            _, ctx = codec.encode(x)
-            loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 6), ctx))
+            _, score = codec.encode(x)
+            loss = ad.mean_all(score(root_conditioning(store, 6)))
         tape.backward(loss)
         # every length group's padded positions, up to its own longest list
-        for group, grad in group_grads(ctx, embs):
-            pad = ~group.mask()
+        for mask, grad in group_grads(x.lengths, embs):
+            pad = ~mask
             assert np.all(grad[pad] == 0.0)
             pad_checks += int(pad.sum())
     assert pad_checks > 0

@@ -164,6 +164,12 @@ def test_load_errors(tmp_path):
         zf.writestr("other.txt", "hi")
     with pytest.raises(ArtifactError, match="missing meta.json"):
         load_model(empty)
+    for payload in (b"{not json", b"\xff\xfe garbage"):
+        unparsed = tmp_path / "j.ngm"
+        with zipfile.ZipFile(unparsed, "w") as zf:
+            zf.writestr("meta.json", payload)
+        with pytest.raises(ArtifactError, match=f"^{re.escape(str(unparsed))}: meta.json is not"):
+            load_model(unparsed)
     wrong = tmp_path / "w.ngm"
     with zipfile.ZipFile(wrong, "w") as zf:
         zf.writestr("meta.json", json.dumps({"format": "other"}))
@@ -247,6 +253,53 @@ def test_bundle_missing_key_or_entry_is_named(tmp_path, capsys, drop, missing):
     assert main(["inspect", "--model", str(broken)]) == 1
     printed = capsys.readouterr().err
     assert printed.startswith("error: load: ") and missing in printed
+
+
+def _with_meta(src, dst, edit):
+    """Copy a bundle, replacing its meta.json by edit(meta)."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for item in zin.infolist():
+            payload = zin.read(item)
+            if item.filename == "meta.json":
+                payload = json.dumps(edit(json.loads(payload))).encode("utf-8")
+            zout.writestr(item, payload)
+
+
+def _replaced(meta, *keys, value):
+    """meta with meta[keys[0]][keys[1]]... set to value."""
+    meta = json.loads(json.dumps(meta))
+    inner = meta
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return meta
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: [m], "not a nestgen-model bundle"),
+    (lambda m: _replaced(m, "vocabs", value=[]), "'vocabs' must be an object"),
+    (lambda m: _replaced(m, "vocabs", "user/region", value=4), "'user/region' must be a list"),
+    (lambda m: _replaced(m, "tables", value=[]), "'tables' must be an object"),
+    (lambda m: _replaced(m, "params", value="params/0.npy"), "'params' must be an object"),
+    (lambda m: _replaced(m, "config", value=[8, 1, 2]), "'config' must be an object"),
+    (lambda m: _replaced(m, "tables", "user/age", value="tables/0.npy"),
+     "tables 'user/age' must be an object"),
+    (lambda m: _replaced(m, "config", "width", value="32"), "'width' must be an integer"),
+    (lambda m: _replaced(m, "config", "width", value=32.0), "'width' must be an integer"),
+    (lambda m: _replaced(m, "config", "heads", value=True), "'heads' must be an integer"),
+    (lambda m: _replaced(m, "tables", "user/age", "integer", value="no"),
+     "'integer' must be a boolean"),
+])
+def test_malformed_bundle_meta_is_named(tmp_path, capsys, edit, message):
+    broken = tmp_path / "broken.ngm"
+    _with_meta(V1_BUNDLE, broken, edit)
+    with pytest.raises(ArtifactError, match=re.escape(message)) as err:
+        load_model(broken)
+    assert str(err.value).startswith(f"{broken}: ")
+    for argv in (["inspect"], ["sample", "--count", "2", "--out", str(tmp_path / "s.jsonl")]):
+        assert main([*argv, "--model", str(broken)]) == 1
+        printed = capsys.readouterr().err
+        assert printed.startswith(f"error: load: {broken}: ") and message in printed
 
 
 @pytest.mark.parametrize("option", ["full_block", "trainable_c0", "positional_lists"])

@@ -7,14 +7,15 @@ from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
 from nestgen.codecs.base import pass_losses, root_conditioning, sample_rows, train_step
-from nestgen.codecs.composites import ListCodec, StructCodec
+from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec, QuantileTable
 from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
-from conftest import (ForcedOrder, LeafSpy, attach_tables, forward_loss, group_grads,
-                      loss_gradients, random_batch, random_schema_doc, value_embedding_spy)
+from conftest import (ForcedOrder, LeafSpy, attach_tables, digest_spy, forward_loss,
+                      group_grads, loss_gradients, random_batch, random_schema_doc,
+                      value_embedding_spy)
 
 
 def bare_store(width=8):
@@ -89,35 +90,38 @@ def test_struct_missing_field_named():
 def test_single_field_struct():
     codec, store = flat_struct([3])
     x = struct_batch([[0, 2, 1]])
-    emb, ctx = codec.encode(x)
+    digests = digest_spy(codec)
+    emb, score = codec.encode(x)
     # the embedding is the one and only digest
-    assert ctx.digests.data.shape == (3, 1, 8)
-    assert np.array_equal(emb.data, ctx.digests.data[:, 0, :])
+    assert digests[0].data.shape == (3, 1, 8)
+    assert np.array_equal(emb.data, digests[0].data[:, 0, :])
     # and the struct loss is exactly the child loss
     spy = LeafSpy(codec)
-    total = spy.score(root_conditioning(store, 3), ctx)
+    total = spy.score(root_conditioning(store, 3), score)
     assert np.array_equal(total.data, spy.terms["s/f0"].data)
 
 
 def test_struct_encode_deterministic():
     codec, _ = flat_struct([2, 3, 4], seed=2)
     x = struct_batch([[0, 1], [2, 0], [3, 1]])
-    emb1, ctx1 = codec.encode(x)
-    emb2, ctx2 = codec.encode(x)
+    digests = digest_spy(codec)
+    emb1, _ = codec.encode(x)
+    emb2, _ = codec.encode(x)
     assert np.array_equal(emb1.data, emb2.data)
-    assert np.array_equal(ctx1.digests.data, ctx2.digests.data)
+    assert np.array_equal(digests[0].data, digests[1].data)
 
 
 def test_struct_encoder_causality():
     # perturbing field j leaves digests 0..j-1 bit-identical
     codec, _ = flat_struct([4, 4, 4], seed=3)
     base = struct_batch([[1], [2], [3]])
-    _, ctx0 = codec.encode(base)
+    digests = digest_spy(codec)
+    codec.encode(base)
     for j in range(3):
         codes = [[1], [2], [3]]
         codes[j] = [0]
-        _, ctx = codec.encode(struct_batch(codes))
-        d0, d1 = ctx0.digests.data, ctx.digests.data
+        codec.encode(struct_batch(codes))
+        d0, d1 = digests[0].data, digests[-1].data
         assert np.array_equal(d1[:, :j, :], d0[:, :j, :])
         assert not np.array_equal(d1[:, j:, :], d0[:, j:, :])
 
@@ -129,16 +133,16 @@ def test_struct_decode_causality():
     base = [[0, 1], [1, 2], [2, 0], [1, 1]]
     spy = LeafSpy(codec)
     x0 = struct_batch(base)
-    _, ctx0 = codec.encode(x0)
-    spy.score(cond, ctx0)
+    _, score0 = codec.encode(x0)
+    spy.score(cond, score0)
     rep0 = spy.logits
     for k in range(4):
         codes = [list(c) for c in base]
         for j in range(k, 4):
             codes[j] = [(c + 1) % 3 for c in codes[j]]
         x = struct_batch(codes)
-        _, ctx = codec.encode(x)
-        spy.score(cond, ctx)
+        _, score = codec.encode(x)
+        spy.score(cond, score)
         rep = spy.logits
         # fields <= k all condition on the untouched prefix
         for i in range(k + 1):
@@ -154,11 +158,11 @@ def test_first_field_depends_only_on_conditioning(rng):
     spy = LeafSpy(codec)
     x_a = struct_batch([[0, 0, 0, 0], [1, 1, 1, 1]])
     x_b = struct_batch([[2, 1, 0, 2], [0, 2, 2, 0]])
-    _, ctx_a = codec.encode(x_a)
-    _, ctx_b = codec.encode(x_b)
-    spy.score(cond, ctx_a)
+    _, score_a = codec.encode(x_a)
+    _, score_b = codec.encode(x_b)
+    spy.score(cond, score_a)
     d_a = spy.logits["s/f0"]
-    spy.score(cond, ctx_b)
+    spy.score(cond, score_b)
     d_b = spy.logits["s/f0"]
     assert np.array_equal(d_a, d_b)
 
@@ -227,9 +231,9 @@ def test_shuffle_pairing_with_zero_attention():
     zero_attention(store)
     x = struct_batch([[1], [2], [0]])
     sigma = (2, 0, 1)
-    _, ctx = codec.encode(x, rng=ForcedOrder(sigma=sigma))
+    _, score = codec.encode(x, rng=ForcedOrder(sigma=sigma))
     spy = LeafSpy(codec)
-    spy.score(root_conditioning(store, 1), ctx)
+    spy.score(root_conditioning(store, 1), score)
     w = [codec.children()[k].w.data for k in range(3)]
     embs = [w[0][1], w[1][2], w[2][0]]  # observed embeddings per field
     # slot order is (f2, f0, f1): f2 sees c0=0, f0 sees emb(f2), f1 sees emb(f0)
@@ -282,6 +286,47 @@ def test_passes_draw_like_single_passes(case):
         assert np.array_equal(a.data, b.data)
 
 
+SCORED = {"type": "record", "name": "r", "shuffled": True, "fields": [
+    {"name": "a", "type": "enum", "cardinality": 3},
+    {"name": "l", "type": {"type": "array", "name": "l", "max_len": 4, "shuffled": True,
+                           "items": {"type": "record", "name": "e", "fields": [
+                               {"name": "b", "type": "enum", "cardinality": 4},
+                               {"name": "c", "type": "long", "bins": 3}]}}}]}
+
+
+def test_scorer_repeats_bitwise_and_encode_scores_nothing():
+    # encode records only the embedding side; every leaf score is recorded
+    # when the scorer runs, and running it again changes nothing
+    codec, store = compile_schema(parse_schema(SCORED), width=8, blocks=2, heads=2, seed=3)
+    x = random_batch(codec, 8, np.random.default_rng(30))
+    groups = length_groups(x.fields["l"].lengths)
+    assert len(groups) == 2
+
+    def op_names(tape):
+        return [backward.__qualname__.split(".")[0] for _, backward in tape._ops]
+
+    with Tape() as tape:
+        _, score = codec.encode(x, rng=np.random.default_rng(31))
+    assert "categorical_nll" not in op_names(tape) and "gather_rows" in op_names(tape)
+    runs = []
+    for _ in range(2):
+        store.zero_grads()
+        cond = root_conditioning(store, 8)
+        with Tape() as tape:
+            losses = score(cond)
+            loss = ad.sum_all(losses)
+        tape.backward(loss)
+        # a once; ~len, b and c once per length group of the list
+        assert op_names(tape).count("categorical_nll") == 1 + 3 * len(groups)
+        runs.append((losses.data, cond.grad, store.gradients()))
+    (l1, c1, g1), (l2, c2, g2) = runs
+    assert np.array_equal(l1, l2) and np.array_equal(c1, c2)
+    assert g1.keys() == g2.keys()
+    for path in g1:
+        assert np.array_equal(g1[path], g2[path]), path
+    assert np.any(c1 != 0.0)
+
+
 # -- list --------------------------------------------------------------------
 
 def test_list_rejects_bad_lengths():
@@ -312,32 +357,37 @@ def test_list_rejects_values_of_another_capacity():
         codec.encode(StructBatch({"ll": ListBatch(np.array([1]), inner)}))
 
 
-def only_group(ctx):
-    """The single length group of a list context, which holds every row."""
-    assert len(ctx.groups) == 1 and ctx.inverse is None
-    return ctx.groups[0]
+def only_group(x, digests):
+    """(P, digests) of the single length group of list batch x, which holds
+    every row in order; digests is the `digest_spy` list of one encode."""
+    [(rows, P)] = length_groups(x.lengths)
+    assert np.array_equal(rows, np.arange(x.lengths.shape[0])) and len(digests) == 1
+    assert digests[0].data.shape[1] == P + 1
+    return P, digests[0]
 
 
 def test_empty_list_embedding_is_length_digest():
     codec, store = cat_list(3, max_len=4)
     x = list_batch([0, 0], [[], []], 4)
-    emb, ctx = codec.encode(x)
-    group = only_group(ctx)
-    assert group.P == 1  # cut to one position, not max_len
-    assert np.array_equal(emb.data, group.digests.data[:, 0, :])
+    digests = digest_spy(codec)
+    emb, score = codec.encode(x)
+    P, group_digests = only_group(x, digests)
+    assert P == 1  # cut to one position, not max_len
+    assert np.array_equal(emb.data, group_digests.data[:, 0, :])
     # loss reduces to the length term alone
     spy = LeafSpy(codec)
-    total = spy.score(root_conditioning(store, 2), ctx)
+    total = spy.score(root_conditioning(store, 2), score)
     assert np.array_equal(total.data, spy.terms["l/~len"].data)
 
 
 def test_full_list_round_trips():
     codec, store = cat_list(3, max_len=3)
     x = list_batch([3], [[2, 0, 1]], 3)
-    emb, ctx = codec.encode(x)
-    group = only_group(ctx)
-    assert group.P == 3
-    assert np.array_equal(emb.data, group.digests.data[:, 3, :])
+    digests = digest_spy(codec)
+    emb, _ = codec.encode(x)
+    P, group_digests = only_group(x, digests)
+    assert P == 3
+    assert np.array_equal(emb.data, group_digests.data[:, 3, :])
     assert np.isfinite(forward_loss(codec, store, x))
 
 
@@ -347,11 +397,11 @@ def test_length_distribution_sees_no_values():
     spy = LeafSpy(codec)
     x_a = list_batch([2, 3], [[0, 1], [2, 3, 1]], 3)
     x_b = list_batch([2, 3], [[3, 2], [0, 0, 0]], 3)
-    _, ctx_a = codec.encode(x_a)
-    _, ctx_b = codec.encode(x_b)
-    spy.score(cond, ctx_a)
+    _, score_a = codec.encode(x_a)
+    _, score_b = codec.encode(x_b)
+    spy.score(cond, score_a)
     d_a = spy.logits["l/~len"]
-    spy.score(cond, ctx_b)
+    spy.score(cond, score_b)
     d_b = spy.logits["l/~len"]
     assert np.array_equal(d_a, d_b)
 
@@ -363,16 +413,16 @@ def test_element_distributions_are_causal():
     spy = LeafSpy(codec)
     base = [1, 4, 2, 3]
     x0 = list_batch([4], [base], 4)
-    _, ctx0 = codec.encode(x0)
-    spy.score(cond, ctx0)
+    _, score0 = codec.encode(x0)
+    spy.score(cond, score0)
     rep0 = spy.logits["l/item"]
     for i in range(4):
         pert = list(base)
         for j in range(i, 4):
             pert[j] = (pert[j] + 2) % 5
         x = list_batch([4], [pert], 4)
-        _, ctx = codec.encode(x)
-        spy.score(cond, ctx)
+        _, score = codec.encode(x)
+        spy.score(cond, score)
         rep = spy.logits["l/item"]
         assert np.array_equal(rep[:i + 1], rep0[:i + 1]), i
         # element i itself feeds the next slot onward
@@ -386,11 +436,11 @@ def test_element_distribution_depends_on_length():
     spy = LeafSpy(codec)
     x2 = list_batch([2], [[1, 3]], 3)
     x3 = list_batch([3], [[1, 3, 0]], 3)
-    _, ctx2 = codec.encode(x2)
-    _, ctx3 = codec.encode(x3)
-    spy.score(cond, ctx2)
+    _, score2 = codec.encode(x2)
+    _, score3 = codec.encode(x3)
+    spy.score(cond, score2)
     d2 = spy.logits["l/item"]
-    spy.score(cond, ctx3)
+    spy.score(cond, score3)
     d3 = spy.logits["l/item"]
     assert not np.array_equal(d2[0], d3[0])
 
@@ -418,14 +468,15 @@ def test_padding_is_invisible_and_gradient_free():
     store.zero_grads()
     embs = value_embedding_spy(codec)
     with Tape() as tape:
-        emb, ctx = codec.encode(dirty)
-        loss = ad.mean_all(codec.loss_terms(root_conditioning(store, 4), ctx))
+        emb, score = codec.encode(dirty)
+        loss = ad.mean_all(score(root_conditioning(store, 4)))
     tape.backward(loss)
-    assert [(g.rows.tolist(), g.P) for g in ctx.groups] == [([1, 3], 1), ([0, 2], 4)]
-    grads = group_grads(ctx, embs)
-    for group, grad in grads:
-        assert np.all(grad[~group.mask()] == 0.0)
-    assert np.any(np.concatenate([grad[g.mask()] for g, grad in grads]) != 0.0)
+    assert [(rows.tolist(), P) for rows, P in length_groups(dirty.lengths)] == \
+        [([1, 3], 1), ([0, 2], 4)]
+    grads = group_grads(dirty.lengths, embs)
+    for mask, grad in grads:
+        assert np.all(grad[~mask] == 0.0)
+    assert np.any(np.concatenate([grad[mask] for mask, grad in grads]) != 0.0)
 
 
 # -- set codec (shuffled list) -------------------------------------------------

@@ -22,17 +22,6 @@ from conftest import example_matrix, random_batch, random_schema_doc
 TOL = 1e-12
 
 
-class PaddedCtx:
-    __slots__ = ("digests", "val_ctx", "lengths", "mask", "perm")
-
-    def __init__(self, digests, val_ctx, lengths, mask, perm):
-        self.digests = digests
-        self.val_ctx = val_ctx
-        self.lengths = lengths
-        self.mask = mask
-        self.perm = perm
-
-
 class PaddedListCodec(ListCodec):
     """The padded list training path: one group of every row at max_len."""
 
@@ -40,8 +29,8 @@ class PaddedListCodec(ListCodec):
         lengths = np.asarray(x.lengths, dtype=np.int64)
         B, P = lengths.shape[0], self.max_len
         mask = np.arange(P)[None, :] < lengths[:, None]
-        e_len, _ = self.len_codec.encode(LeafBatch(lengths))
-        ev_flat, val_ctx = self.value_codec.encode(merge_leading(x.values), rng=rng)
+        e_len, len_score = self.len_codec.encode(LeafBatch(lengths))
+        ev_flat, val_score = self.value_codec.encode(merge_leading(x.values), rng=rng)
         val_embs = ad.reshape(ev_flat, (B, P, self.width))
         perm = self._draw_perm(rng, mask)
         ordered = val_embs if perm is None else ad.index(val_embs, (np.arange(B)[:, None], perm))
@@ -49,26 +38,25 @@ class PaddedListCodec(ListCodec):
         valid = np.concatenate([np.ones((B, 1), dtype=bool), mask], axis=1)
         digests = self.enc(seq, valid=valid)
         emb = ad.index(digests, (np.arange(B), lengths))
-        return emb, PaddedCtx(digests, val_ctx, lengths, mask, perm)
 
-    def loss_terms(self, cond, ctx):
-        B, P = ctx.mask.shape
-        rows = np.arange(B)[:, None]
-        c_col = ad.reshape(cond, (B, 1, self.width))
-        dec_in = ad.concat([c_col, ad.index(ctx.digests, np.s_[:, :P])], axis=1)
-        pos = np.arange(P + 1)[None, :]
-        valid = (pos <= ctx.lengths[:, None]) | (pos <= 1)
-        h = self.dec(dec_in, valid=valid)
-        len_loss = self.len_codec.loss_terms(ad.index(h, np.s_[:, 0]), ctx.lengths)
-        slots = ad.index(h, np.s_[:, 1:])
-        if ctx.perm is not None:
-            slots = ad.index(slots, (rows, np.argsort(ctx.perm, axis=1)))
-        v = self.value_codec.loss_terms(ad.reshape(slots, (B * P, self.width)), ctx.val_ctx)
-        v = ad.reshape(v, (B, P))
-        if ctx.perm is not None:
-            v = ad.index(v, (rows, ctx.perm))
-        v = ad.mul_const(v, ctx.mask.astype(np.float64))
-        return ad.add(len_loss, ad.sum_axis(v, 1))
+        def score(cond):
+            rows = np.arange(B)[:, None]
+            c_col = ad.reshape(cond, (B, 1, self.width))
+            dec_in = ad.concat([c_col, ad.index(digests, np.s_[:, :P])], axis=1)
+            pos = np.arange(P + 1)[None, :]
+            valid = (pos <= lengths[:, None]) | (pos <= 1)
+            h = self.dec(dec_in, valid=valid)
+            len_loss = len_score(ad.index(h, np.s_[:, 0]))
+            slots = ad.index(h, np.s_[:, 1:])
+            if perm is not None:
+                slots = ad.index(slots, (rows, np.argsort(perm, axis=1)))
+            v = val_score(ad.reshape(slots, (B * P, self.width)))
+            v = ad.reshape(v, (B, P))
+            if perm is not None:
+                v = ad.index(v, (rows, perm))
+            v = ad.mul_const(v, mask.astype(np.float64))
+            return ad.add(len_loss, ad.sum_axis(v, 1))
+        return emb, score
 
 
 @contextmanager

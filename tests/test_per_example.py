@@ -153,7 +153,7 @@ def test_rows_match_train_step_per_example(doc, B, edit, passes):
     sums = np.concatenate([s.ravel() for s in ex.clipped_sums(c)])
     np.testing.assert_allclose(sums, (c[:, None] * ref_grads).sum(axis=0), rtol=0, atol=1e-10)
     if doc is STRUCT_LIST_STRUCT:
-        # every leaf's W is read by encode (a row lookup) and by loss_terms
+        # every leaf's W is read by encode (a row lookup) and by its scorer
         assert {read.a.ndim for read in ex.reads[store["r/a/W"]]} == {2, 3}
 
 
@@ -184,10 +184,10 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
 
     def spied(encode):
         def wrapper(self, x, rng=None):
-            emb, ctx = encode(self, x, rng=rng)
-            groups = [(g.rows, g.P) for g in ctx.groups] if isinstance(self, ListCodec) else None
+            emb, score = encode(self, x, rng=rng)
+            groups = length_groups(x.lengths) if isinstance(self, ListCodec) else None
             encodes.setdefault(id(self), []).append((n_rows(x), groups, x))
-            return emb, ctx
+            return emb, score
         return wrapper
 
     monkeypatch.setattr(AttentionStack, "__call__", counted)

@@ -20,7 +20,8 @@ def make_cat(n, d, seed=0, path="f"):
 def scored_logits(codec, cond):
     """The logits `loss_terms` scores for conditioning rows cond (B, d)."""
     spy = LeafSpy(codec)
-    spy.score(Tensor(cond), np.zeros(len(cond), dtype=np.int64))
+    _, score = codec.encode(LeafBatch(np.zeros(len(cond), dtype=np.int64)))
+    spy.score(Tensor(cond), score)
     return spy.logits[codec.path]
 
 
@@ -304,11 +305,11 @@ def test_numerical_is_categorical_over_bins(rng):
     assert store.paths() == ["x/W"]
     assert np.array_equal(codec.w.data, cat.w.data)
     codes = LeafBatch(np.array([0, 3, 2]))
-    emb, ctx = codec.encode(codes)
+    emb, score = codec.encode(codes)
     assert np.array_equal(emb.data, codec.w.data[[0, 3, 2]])
     cond = Tensor(rng.standard_normal((3, 8)))
-    loss = codec.loss_terms(cond, ctx)
-    ref = cat.loss_terms(cond, ctx)
+    loss = score(cond)
+    ref = cat.encode(codes)[1](cond)
     assert np.array_equal(loss.data, ref.data)
 
 

@@ -1,5 +1,6 @@
 """Mini-batch fitting, run logs, and the differentially private step."""
 
+import dataclasses
 import json
 import math
 
@@ -52,19 +53,18 @@ def shuffled_batch(rng, n):
 # -- config validation ---------------------------------------------------------
 
 def test_train_config_validation():
-    for bad in [TrainConfig(epochs=0), TrainConfig(batch_size=0),
-                TrainConfig(lr=0.0), TrainConfig(shuffle_passes=0)]:
+    for bad in [{"epochs": 0}, {"batch_size": 0}, {"lr": 0.0}, {"shuffle_passes": 0}]:
         with pytest.raises(ValueError):
-            bad.validate()
-    TrainConfig().validate()
+            TrainConfig(**bad)
+    TrainConfig()
 
 
 def test_dp_config_validation():
     with pytest.raises(ValueError, match="clip"):
-        DpConfig(clip_norm=0.0).validate()
+        DpConfig(clip_norm=0.0)
     with pytest.raises(ValueError, match="noise"):
-        DpConfig(noise_multiplier=-0.1).validate()
-    DpConfig(noise_multiplier=0.0).validate()
+        DpConfig(noise_multiplier=-0.1)
+    DpConfig(noise_multiplier=0.0)
 
 
 @pytest.mark.parametrize("field", ["lr", "clip_norm", "noise_multiplier"])
@@ -72,7 +72,16 @@ def test_dp_config_validation():
 def test_configs_reject_non_finite_values(field, value):
     config = TrainConfig if field == "lr" else DpConfig
     with pytest.raises(ValueError, match=field):
-        config(**{field: value}).validate()
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("config,field", [(TrainConfig(), "epochs"), (TrainConfig(), "lr"),
+                                          (DpConfig(), "clip_norm"),
+                                          (DpConfig(), "noise_multiplier")])
+def test_configs_are_checked_once_and_frozen(config, field):
+    # a config is validated when built, so no field may change afterwards
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, 0)
 
 
 # -- the private step -----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Attention stack: causality, residual passthrough, masking, gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,12 +28,19 @@ def make_stack(width=8, blocks=1, heads=2, seed=0):
 
 def test_config_rejects_indivisible_width():
     with pytest.raises(ValueError, match="divisible"):
-        TransformerConfig(width=8, heads=3).validate()
+        TransformerConfig(width=8, heads=3)
 
 
 def test_config_rejects_zero_blocks():
     with pytest.raises(ValueError, match="block"):
-        TransformerConfig(width=8, blocks=0, heads=2).validate()
+        TransformerConfig(width=8, blocks=0, heads=2)
+
+
+@pytest.mark.parametrize("field", ["width", "blocks", "heads"])
+def test_config_is_frozen(field):
+    # checked once when built: a field assigned later would skip the check
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(TransformerConfig(), field, 0)
 
 
 def test_width_mismatch_raises(rng):
