@@ -229,16 +229,11 @@ def cmd_eval(args) -> int:
         except json.JSONDecodeError as e:
             raise CliError("eval", f"rules file is not valid JSON: {e}")
     try:
-        real = data.read_records(args.real)
-        synth = data.read_records(args.synth)
+        report = metrics.evaluate(data.read_records(args.real),
+                                  data.read_records(args.synth), schema, k=args.k,
+                                  n_subsets=args.subsets, seed=args.seed, rules=rules)
     except OSError as e:
         raise CliError("eval", f"cannot read dataset: {e}")
-    except data.DataError as e:
-        raise CliError("eval", str(e))
-    try:
-        report = metrics.evaluate(real, synth, schema, k=args.k,
-                                  n_subsets=args.subsets, seed=args.seed,
-                                  rules=rules)
     except (metrics.MetricsError, data.DataError) as e:
         raise CliError("eval", str(e))
     sys.stdout.write(report.to_text())

@@ -6,12 +6,13 @@ array whose leading axis is the row axis, with one extra position axis per
 enclosing list. Emission is the inverse: code trees back to records, records
 back to files.
 
-Raw records are read once, by a record plan compiled from the schema (one
-closure per node, `_plan`) that validates each record, normalises CSV strings
-and appends every leaf value and list length to a flat buffer per schema path
-(`Columns`; a list's lengths are its offsets, as in Arrow's list layout).
-Quantile tables, enum vocabularies, padded batches and the metric tables are
-all built from those buffers, each column coded in bulk.
+Raw records are checked and flattened one schema node at a time (`_walk`),
+all values at a node together, into a flat buffer per schema path
+(`Columns`): a record's fields by one itemgetter map each, a list's lengths
+(its offsets, as in Arrow's list layout and Dremel's striped columns) by one
+len map, a numeric column by one float conversion. Quantile tables, enum
+vocabularies, padded batches and the metric tables are all built from those
+buffers, each column coded in bulk.
 
 Row handling: a row containing a null, or a list longer than its declared
 capacity, is dropped and counted in the ingestion report. A row that does not
@@ -27,6 +28,8 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,13 +42,6 @@ log = logging.getLogger("nestgen.data")
 
 class DataError(ValueError):
     pass
-
-
-class _Reject(Exception):
-    """Internal: row dropped for a tolerated reason (null / overlong list)."""
-
-    def __init__(self, kind):
-        self.kind = kind
 
 
 class _BadValue(Exception):
@@ -75,26 +71,22 @@ class Transform:
                 return np.fromiter(map(idx.__getitem__, map(str, values)),
                                    np.int64, len(values))
             except KeyError:
-                pass  # the loop below names the first unknown value
+                i = next(i for i, v in enumerate(values) if str(v) not in idx)
+                raise _BadValue(i, f"unknown category {values[i]!r} in column "
+                                   f"{path}") from None
         codes = np.empty(len(values), dtype=np.int64)
-        for i, value in enumerate(values):
-            if idx is not None:
-                code = idx.get(str(value))
-                if code is None:
-                    raise _BadValue(i, f"unknown category {value!r} in column "
-                                       f"{path}")
-            else:  # declared cardinality but no symbols: data carries codes
-                try:
-                    if isinstance(value, bool) or (isinstance(value, float)
-                                                   and not value.is_integer()):
-                        raise ValueError  # booleans and fractions are no codes
-                    code = int(value)
-                except (TypeError, ValueError):
-                    raise _BadValue(i, f"column {path} expects integer codes, "
-                                       f"got {value!r}") from None
-                if not 0 <= code < node.cardinality:
-                    raise _BadValue(i, f"code {code} out of range for column "
-                                       f"{path} (cardinality {node.cardinality})")
+        for i, value in enumerate(values):  # cardinality only: the data carries codes
+            try:
+                if isinstance(value, bool) or (isinstance(value, float)
+                                               and not value.is_integer()):
+                    raise ValueError  # booleans and fractions are no codes
+                code = int(value)
+            except (TypeError, ValueError):
+                raise _BadValue(i, f"column {path} expects integer codes, "
+                                   f"got {value!r}") from None
+            if not 0 <= code < node.cardinality:
+                raise _BadValue(i, f"code {code} out of range for column "
+                                   f"{path} (cardinality {node.cardinality})")
             codes[i] = code
         return codes
 
@@ -144,41 +136,28 @@ def read_records(path, fmt=None) -> list:
                 rows.append(row)
             return rows
     if fmt == "jsonl":
-        records = []
+        records, decode = [], json.JSONDecoder().decode
         with open(path, encoding="utf-8-sig") as fh:
             for i, line in enumerate(fh):
                 if not line.strip():
                     continue
                 try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as e:
-                    raise DataError(f"{path}: line {i + 1}: invalid JSON "
-                                    f"({e.msg})") from None
+                    records.append(decode(line))
+                except json.JSONDecodeError as e:  # named as json.loads names it
+                    msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                           if line.startswith("\ufeff") else e.msg)
+                    raise DataError(f"{path}: line {i + 1}: invalid JSON ({msg})") from None
         return records
     raise DataError(f"unknown format {fmt!r} (expected csv or jsonl)")
 
 
 class Columns:
-    """A schema's column plan: a flat buffer per leaf (its values) and per
-    list (its lengths), keyed by walk_paths path, filled by the schema's
-    record plan. `rows` holds the input index of each record `add` accepted."""
+    """Checked records by column, keyed by walk_paths path: each leaf's values
+    (numerics as one float64 array) and each list's lengths, its offsets.
+    `rows` holds the input index of each record."""
 
-    def __init__(self, schema):
-        self.schema, self.rows = schema, []
-        self.bufs = {p: [] for p, n in walk_paths(schema) if not isinstance(n, Record)}
-        self._fill = _plan(schema, schema.name, self.bufs)
-
-    def add(self, record, i):
-        """Validate input record i and append it, or leave nothing behind."""
-        bufs = self.bufs.values()
-        marks = list(map(len, bufs))
-        try:
-            self._fill(record)
-        except (_Reject, DataError) as e:
-            for b, m in zip(bufs, marks):
-                del b[m:]
-            raise e if isinstance(e, _Reject) else DataError(f"record {i}: {e}") from None
-        self.rows.append(i)
+    def __init__(self, bufs, rows):
+        self.bufs, self.rows = bufs, rows
 
     def lists_over(self, path):
         """Paths of the lists that enclose `path`, outermost first."""
@@ -188,73 +167,102 @@ class Columns:
         return len(self.rows)
 
 
-def _plan(node, path, bufs):
-    """fill(value) for one schema node: validates the value (a value of the
-    node's usual exact type skips the checks it cannot fail), normalises CSV
-    strings and appends its leaves (numerics as floats) and list lengths to
-    the buffers. Raises _Reject for tolerated problems and, for malformed
-    rows, a DataError that Columns.add prefixes with the record."""
-    name = node.name
+# the types a column of each node kind may hold without a value-by-value check
+_TYPES = {Record: {dict}, Array: {list}, Number: {str, int, float},
+          Enum: {str, int, float, bool}}
+
+
+def _problem(node, value):
+    """Why `value` cannot stand at `node`: "null" for None or an empty string
+    (which drops its record), else an error message; None if it can."""
+    if value is None or value == "":
+        return "null"
+    name, got = node.name, type(value).__name__
     if isinstance(node, Record):
-        fields = [(f.name, _plan(f, f"{path}/{f.name}", bufs)) for f in node.fields]
-
-        def fill(value):
-            if value.__class__ is not dict:
-                if value is None or value == "":
-                    raise _Reject("null")
-                if not isinstance(value, dict):
-                    raise DataError(f"expected an object for {name}, got "
-                                    f"{type(value).__name__}")
-            for key, fill_field in fields:
-                if key not in value:
-                    raise DataError(f"missing field {key!r}")
-                fill_field(value[key])
-        return fill
-
-    append = bufs[path].append
+        return None if isinstance(value, dict) else f"expected an object for {name}, got {got}"
     if isinstance(node, Array):
-        fill_item, max_len = _plan(node.items, f"{path}/{node.items.name}", bufs), node.max_len
+        return None if isinstance(value, list) else f"expected a list for {name}, got {got}"
+    if isinstance(node, Enum):
+        return f"field {name}: expected a category, got {got}" if isinstance(value, (dict, list)) else None
+    if isinstance(value, (bool, dict, list)):
+        return f"field {name}: expected a number"
+    try:
+        return None if math.isfinite(float(value)) else f"field {name}: not a finite number: {value!r}"
+    except (TypeError, ValueError):
+        return f"field {name}: not a number: {value!r}"
+    except OverflowError:
+        return f"field {name}: not a finite number: too large for a float"
 
-        def fill(value):
-            if value.__class__ is not list:
-                if value is None or value == "":
-                    raise _Reject("null")
-                if not isinstance(value, list):
-                    raise DataError(f"expected a list for {name}, got "
-                                    f"{type(value).__name__}")
-            if len(value) > max_len:
-                raise _Reject("overlong")
-            append(len(value))
-            for item in value:
-                fill_item(item)
-    elif isinstance(node, Number):
-        def fill(value):
-            x = value
-            if value.__class__ is not float:
-                if value is None or value == "":
-                    raise _Reject("null")
-                if isinstance(value, (bool, dict, list)):
-                    raise DataError(f"field {name}: expected a number")
+
+def _walk(records, schema):
+    """Checks and flattens records one schema node at a time, all values at
+    a node together; only a column whose type scan or float conversion fails
+    is checked value by value. Returns (bufs, rids, first): bufs as in
+    Columns, over all records; rids[path], the input record of each entry;
+    first[i] = (kind, message), record i's first problem in walk order, of
+    kind "null", "overlong" or "error"."""
+    bufs = {p: None for p, n in walk_paths(schema) if not isinstance(n, Record)}
+    rids, links, found = {}, {}, []
+
+    def visit(node, path, values, rid):
+        def flag(i, kind, message=None, sub=()):
+            found.append((int(rid[i]), kind, message, path, int(i), sub))
+
+        at, scan = np.arange(len(values)), set(map(type, values))
+        plain = scan <= _TYPES[type(node)] and not (str in scan and "" in values)
+        if plain and isinstance(node, Number):
+            try:
+                x = np.fromiter(map(float, values), np.float64, len(values))
+                plain = bool(np.isfinite(x).all())
+            except (ValueError, OverflowError):
+                plain = False
+        if not plain:
+            problems = [_problem(node, v) for v in values]
+            ok = np.fromiter((p is None for p in problems), bool, len(values))
+            for i in np.flatnonzero(~ok):
+                flag(i, "null" if problems[i] == "null" else "error", problems[i])
+            values, at = list(compress(values, ok)), at[ok]
+        if isinstance(node, Record):
+            for k, f in enumerate(node.fields):
                 try:
-                    x = float(value)
-                except (TypeError, ValueError):
-                    raise DataError(f"field {name}: not a number: {value!r}") from None
-                except OverflowError:
-                    raise DataError(f"field {name}: not a finite number: too "
-                                    "large for a float") from None
-            if not math.isfinite(x):
-                raise DataError(f"field {name}: not a finite number: {value!r}")
-            append(x)
-    else:
-        def fill(value):
-            if value.__class__ is not str or not value:
-                if value is None or value == "":
-                    raise _Reject("null")
-                if isinstance(value, (dict, list)):
-                    raise DataError(f"field {name}: expected a category, got "
-                                    f"{type(value).__name__}")
-            append(value)
-    return fill
+                    col, up = list(map(itemgetter(f.name), values)), at
+                except KeyError:
+                    has = np.fromiter((f.name in v for v in values), bool, len(values))
+                    for i in at[~has]:
+                        flag(i, "error", f"missing field {f.name!r}", (k,))
+                    col, up = [v[f.name] for v in compress(values, has)], at[has]
+                links[f"{path}/{f.name}"] = (path, up, k)
+                visit(f, f"{path}/{f.name}", col, rid[up])
+            return
+        if isinstance(node, Array):
+            lengths = np.fromiter(map(len, values), np.int64, len(values))
+            for i in at[lengths > node.max_len]:
+                flag(i, "overlong")
+            item = f"{path}/{node.items.name}"
+            links[item] = (path, np.repeat(at, lengths), None)
+            visit(node.items, item, list(chain.from_iterable(values)),
+                  np.repeat(rid[at], lengths))
+            values = lengths
+        elif isinstance(node, Number):
+            values = x if plain else np.fromiter(map(float, values), np.float64, len(values))
+        bufs[path], rids[path] = values, rid[at]
+
+    def walk_key(problem):
+        """Field index or item index at each level down to the problem."""
+        path, i, key = problem[3], problem[4], list(problem[5])
+        while path in links:
+            path, up, k = links[path]
+            key.append(k if k is not None else i - int(np.searchsorted(up, up[i])))
+            i = int(up[i])
+        return key[::-1]
+
+    visit(schema, schema.name, records, np.arange(len(records)))
+    by_record = {}
+    for problem in found:
+        by_record.setdefault(problem[0], []).append(problem)
+    first = {r: (min(ps, key=walk_key) if len(ps) > 1 else ps[0])[1:3]
+             for r, ps in by_record.items()}
+    return bufs, rids, first
 
 
 def fit_transform(columns, schema) -> Transform:
@@ -274,7 +282,7 @@ def fit_transform(columns, schema) -> Transform:
                 vocabs[path] = [seen[k] for k in sorted(seen)]
                 cards[path] = len(vocabs[path])
         elif isinstance(node, Number):
-            if not columns.bufs[path]:
+            if not len(columns.bufs[path]):
                 raise DataError(f"numeric column {path}: no values observed")
             tables[path] = QuantileTable.fit(columns.bufs[path],
                                              node.bins or DEFAULT_BINS,
@@ -345,19 +353,23 @@ class IngestReport:
 
 
 def check_records(records, schema):
-    """Shape-check raw records. Returns (Columns of the kept records, report)."""
+    """Shape-check raw records. Returns (Columns of the kept records, report).
+    A record's first problem drops it (a null or an overlong list) or raises."""
     if not records:
         raise DataError("no records in input")
-    columns, report = Columns(schema), IngestReport()
-    for i, rec in enumerate(records):
-        try:
-            columns.add(rec, i)
-        except _Reject as r:
-            if r.kind == "null":
-                report.rejected_null += 1
-            else:
-                report.rejected_overlong += 1
-    report.kept = len(columns)
+    bufs, rids, first = _walk(records, schema)
+    errors = [r for r, (kind, _) in first.items() if kind == "error"]
+    if errors:
+        raise DataError(f"record {min(errors)}: {first[min(errors)][1]}")
+    kinds = [kind for kind, _ in first.values()]
+    report = IngestReport(len(records) - len(first), kinds.count("null"),
+                          kinds.count("overlong"))
+    keep = np.ones(len(records), dtype=bool)
+    if first:
+        keep[list(first)] = False
+        for path, buf in bufs.items():
+            kept = keep[rids[path]]
+            bufs[path] = buf[kept] if isinstance(buf, np.ndarray) else list(compress(buf, kept))
     if report.rejected:
         log.warning("rejected %d of %d records (%d with nulls, %d with "
                     "overlong lists)", report.rejected, len(records),
@@ -367,7 +379,7 @@ def check_records(records, schema):
             f"all {len(records)} records rejected "
             f"({report.rejected_null} with nulls, "
             f"{report.rejected_overlong} with overlong lists)")
-    return columns, report
+    return Columns(bufs, np.flatnonzero(keep).tolist()), report
 
 
 def ingest_records(records, schema, transform=None):
@@ -496,7 +508,6 @@ def flatten_records(records, schema) -> dict:
     Returns {"record": record-level columns, "item": item-level columns or
     None for flat schemas, "item_count": rows in the item table}.
     """
-    columns = Columns(schema)
     lists = [p for p, n in walk_paths(schema) if isinstance(n, Array)]
     for outer, inner in zip(lists, lists[1:]):
         if not inner.startswith(outer + "/"):  # not one chain: name two siblings
@@ -504,27 +515,29 @@ def flatten_records(records, schema) -> dict:
             raise DataError("item-level metrics support one list field per "
                             f"record; found {outer.rsplit('/', 1)[1]}, "
                             f"{inner.rsplit('/', 1)[1]}")
-    for i, rec in enumerate(records):
-        try:
-            columns.add(rec, i)
-        except _Reject as r:
-            raise DataError(f"record {i} does not conform to the schema "
-                            f"({'null value' if r.kind == 'null' else 'overlong list'})") from None
+    bufs, _, first = _walk(records, schema)
+    if first:
+        r, (kind, message) = min(first.items())
+        if kind == "error":
+            raise DataError(f"record {r}: {message}")
+        raise DataError(f"record {r} does not conform to the schema "
+                        f"({'null value' if kind == 'null' else 'overlong list'})")
+
+    def column(path, rows):  # Python values, as the record holds them
+        return np.asarray(bufs[path], dtype=object)[rows].tolist()
+
     paths = [p for p, n in walk_paths(schema) if isinstance(n, (Enum, Number))]
-    leaves = [(name, p, len(columns.lists_over(p)))
+    leaves = [(name, p, sum(p.startswith(q + "/") for q in lists))
               for (name, _), p in zip(leaf_columns(schema), paths)]
-    rec_cols = ({name: columns.bufs[p] for name, p, depth in leaves if not depth}
-                if len(columns) else {})
+    rec_cols = ({name: column(p, np.arange(len(records)))
+                 for name, p, depth in leaves if not depth} if records else {})
     if not lists:
         return {"record": rec_cols, "item": None, "item_count": 0}
 
     # up[d]: index of each item row's ancestor at list depth d (0 = records)
-    up = [np.arange(sum(columns.bufs[lists[-1]]))]
+    up = [np.arange(bufs[lists[-1]].sum())]
     for path in reversed(lists):
-        lengths = columns.bufs[path]
-        up.insert(0, np.repeat(np.arange(len(lengths)), lengths)[up[0]])
-    item_cols = {}
-    if up[-1].size:
-        for name, path, depth in sorted(leaves, key=lambda leaf: leaf[2]):
-            item_cols[name] = [columns.bufs[path][t] for t in up[depth].tolist()]
+        up.insert(0, np.repeat(np.arange(len(bufs[path])), bufs[path])[up[0]])
+    item_cols = {name: column(path, up[depth]) for name, path, depth
+                 in sorted(leaves, key=lambda leaf: leaf[2])} if up[-1].size else {}
     return {"record": rec_cols, "item": item_cols, "item_count": up[-1].size}

@@ -117,37 +117,16 @@ def _kl(p, m):
 def theils_u(x, y) -> float | None:
     """Uncertainty coefficient U(x|y): the fraction of x's entropy explained
     by knowing y. Asymmetric. None when x is constant (undefined)."""
-    return _theils_u(_cat_codes(x)[0], *_cat_codes(y))
-
-
-def _theils_u(x, y, ny) -> float | None:
-    px = np.bincount(x) / x.size
-    hx = float(-np.sum(px[px > 0] * np.log(px[px > 0])))
-    if hx <= 0:
-        return None
-    # H(x|y) = -sum p(x, y) log p(x | y), over the observed (x, y) cells
-    cells, joint = np.unique(x * ny + y, return_counts=True)
-    given = joint / np.bincount(y)[cells % ny]
-    hxy = -float(np.sum(joint / x.size * np.log(given)))
-    return (hx - hxy) / hx
+    u = association_matrix({"x": x, "y": y}, dict.fromkeys("xy", "categorical"))[0, 1]
+    return None if np.isnan(u) else float(u)
 
 
 def correlation_ratio(categories, values) -> float | None:
     """eta: sqrt of the between-group share of variance. None when the
     numeric column is constant (undefined)."""
-    return _correlation_ratio(_cat_codes(categories)[0],
-                              np.asarray(values, dtype=np.float64))
-
-
-def _correlation_ratio(groups, vals) -> float | None:
-    total = float(np.sum((vals - vals.mean()) ** 2))
-    if total <= 0:
-        return None
-    counts = np.bincount(groups)
-    seen = counts > 0
-    means = np.bincount(groups, weights=vals)[seen] / counts[seen]
-    between = float(np.sum(counts[seen] * (means - vals.mean()) ** 2))
-    return math.sqrt(max(0.0, between / total))
+    eta = association_matrix({"c": categories, "v": values},
+                             {"c": "categorical", "v": "numeric"})[0, 1]
+    return None if np.isnan(eta) else float(eta)
 
 
 def association_matrix(table: dict, kinds: dict, *,
@@ -156,29 +135,46 @@ def association_matrix(table: dict, kinds: dict, *,
     names). Numeric/numeric Pearson, categorical/categorical Theil's U in
     both orientations, mixed pairs the correlation ratio. Undefined entries
     (a constant column) are NaN; correlation_diff zeroes them out. `coded`:
-    the table's (codes, n) per column, as code_tables makes them."""
+    the table's (codes, n) per column, as code_tables makes them.
+
+    Built in bulk: one corrcoef over the numeric columns, one grouped sum
+    per categorical column against all of them, and one joint count per
+    categorical pair for Theil's U in both orientations."""
     coded = coded or code_tables(table, dict.fromkeys(table, ()), kinds)
     names = sorted(table)
-    vals = {name: np.asarray(table[name], dtype=np.float64)
-            for name in names if kinds[name] == "numeric"}
-    mat = np.eye(len(names))
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if i == j:
-                continue
-            if a in vals and b in vals:
-                if j < i:
-                    mat[i, j] = mat[j, i]
-                    continue
-                v = (None if vals[a].std() == 0 or vals[b].std() == 0
-                     else float(np.corrcoef(vals[a], vals[b])[0, 1]))
-            elif a in vals:
-                v = _correlation_ratio(coded[b][0], vals[a])
-            elif b in vals:
-                v = _correlation_ratio(coded[a][0], vals[b])
-            else:
-                v = _theils_u(coded[a][0], *coded[b])
-            mat[i, j] = np.nan if v is None else v
+    num = np.flatnonzero([kinds[name] == "numeric" for name in names])
+    cat = [i for i, name in enumerate(names) if kinds[name] != "numeric"]
+    rows = len(table[names[0]]) if names else 0
+    x = np.array([table[names[i]] for i in num], dtype=np.float64).reshape(len(num), rows)
+    mean = x.mean(axis=1, keepdims=True)
+    total = np.sum((x - mean) ** 2, axis=1)
+    live = x.std(axis=1) != 0  # the rows of x that are not constant
+    mat = np.full((len(names), len(names)), np.nan)
+    mat[np.ix_(num[live], num[live])] = np.corrcoef(x[live])
+    counts, h = {}, {}
+    for i in cat:
+        g, n = coded[names[i]]
+        counts[i] = np.bincount(g, minlength=n)
+        seen = counts[i] > 0
+        sums = np.bincount((g + n * np.arange(len(num))[:, None]).ravel(),
+                           weights=x.ravel(), minlength=n * len(num))
+        means = sums.reshape(len(num), n)[:, seen] / counts[i][seen]
+        between = np.sum(counts[i][seen] * (means - mean) ** 2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mat[i, num] = mat[num, i] = np.where(total > 0, np.sqrt(np.maximum(
+                0.0, between / total)), np.nan)
+        px = counts[i][seen] / g.size
+        h[i] = float(-np.sum(px * np.log(px)))
+    for k, i in enumerate(cat):
+        for j in cat[k + 1:]:
+            # one joint count per pair serves both orientations: H(a|b) =
+            # -sum p(a, b) log p(a | b), over the observed (a, b) cells
+            (g, _), (y, ny) = coded[names[i]], coded[names[j]]
+            cells, joint = np.unique(g * ny + y, return_counts=True)
+            for a, b, given in ((i, j, counts[j][cells % ny]), (j, i, counts[i][cells // ny])):
+                if h[a] > 0:
+                    mat[a, b] = (h[a] + float(np.sum(joint / g.size * np.log(joint / given)))) / h[a]
+    np.fill_diagonal(mat, 1.0)
     return mat
 
 
@@ -425,14 +421,17 @@ def evaluate(real_records, synth_records, schema, k: int = 4,
     kinds, bins = _kinds_and_bins(schema)
     real = flatten_records(real_records, schema)
     synth = flatten_records(synth_records, schema)
+    rows = {"real": len(real_records), "synth": len(synth_records),
+            "real_items": real["item_count"], "synth_items": synth["item_count"]}
 
     coded, columns = {}, {}
     for origin in ("record", "item"):
         r_tab, s_tab = real[origin], synth[origin]
         if r_tab is None:
             continue
-        if r_tab and not s_tab:
-            raise MetricsError(f"the synthetic dataset has no {origin} rows")
+        for side, key in (("real", "real"), ("synthetic", "synth")):
+            if not rows[key if origin == "record" else f"{key}_items"]:
+                raise MetricsError(f"the {side} dataset has no {origin} rows")
         coded[origin] = code_tables(r_tab, s_tab, kinds, bins)
         for name in sorted(r_tab):
             if origin == "item" and name in real["record"]:
@@ -452,14 +451,9 @@ def evaluate(real_records, synth_records, schema, k: int = 4,
                                  "jensen_distance": dist,
                                  "jensen_divergence": div}
 
-    correlation = {}
-    if len(real["record"]) >= 2:
-        correlation["record"] = correlation_diff(
-            real["record"], synth["record"], kinds, coded=coded["record"])
-    if real["item"] is not None and len(real["item"]) >= 2 \
-            and real["item_count"] and synth["item_count"]:
-        correlation["item"] = correlation_diff(
-            real["item"], synth["item"], kinds, coded=coded["item"])
+    # both sides have rows at every level (checked above)
+    correlation = {origin: correlation_diff(real[origin], synth[origin], kinds, coded=codes)
+                   for origin, codes in coded.items() if len(real[origin]) >= 2}
 
     wide = "record" if real["item"] is None else "item"
     marginal = marginal_score(real[wide], synth[wide], kinds, k=k,
@@ -480,8 +474,6 @@ def evaluate(real_records, synth_records, schema, k: int = 4,
               "note": "row indices into the real dataset for external "
                       "model-utility harnesses"}
 
-    rows = {"real": n_real, "synth": len(synth_records),
-            "real_items": real["item_count"], "synth_items": synth["item_count"]}
     return MetricsReport(columns=columns, correlation=correlation,
                          marginal=marginal, consistency=consistency,
                          splits=splits, rows=rows)

@@ -678,6 +678,20 @@ def test_cli_eval_with_rules(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_cli_eval_names_an_empty_real_dataset(tmp_path, capsys):
+    schema_path = tmp_path / "user.json"
+    schema_path.write_text(json.dumps(NESTED_DOC), encoding="utf-8")
+    rows = nested_rows(np.random.default_rng(4), 20)
+    synth = write_jsonl(tmp_path / "synth.jsonl", rows)
+    empty = write_jsonl(tmp_path / "empty.jsonl", [])
+    no_items = write_jsonl(tmp_path / "no_items.jsonl", [dict(r, tx=[]) for r in rows])
+    for real, level in ((empty, "record"), (no_items, "item")):
+        assert main(["eval", real, synth, "--schema", str(schema_path),
+                     "--k", "2", "--subsets", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: eval: the real dataset has no {level} rows")
+
+
 ENUM_LIST_DOC = {"type": "record", "name": "r", "fields": [
     {"name": "x", "type": "array", "max_len": 3,
      "items": {"type": "enum", "name": "v"}}]}

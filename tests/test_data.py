@@ -1,6 +1,9 @@
 """Ingestion, transforms, emission, joining, and metric-table flattening."""
 
+import importlib.util
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,14 +13,17 @@ from nestgen import metrics
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
 from nestgen.codecs.base import sample_rows
 from nestgen.codecs.primitives import DEFAULT_BINS, QuantileTable
-from nestgen.data import (Columns, DataError, IngestReport, Transform,
+from nestgen.data import (DataError, IngestReport, Transform,
                           build_batch, check_records, detect_format,
                           fit_transform, flatten_records, ingest,
                           ingest_records, is_flat, join_tables, read_records,
                           records_from_batch, write_records)
-from nestgen.metrics import evaluate
+from nestgen.metrics import association_matrix, evaluate
 from nestgen.schema import (Array, Enum, Number, Record, compile_schema,
-                            parse_schema, resolve, walk_paths)
+                            leaf_columns, parse_schema, resolve, walk_paths)
+from test_metrics import assert_same_association, ref_association_matrix
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 FLAT_DOC = {"type": "record", "name": "r", "fields": [
     {"name": "a", "type": "enum"},
@@ -92,6 +98,27 @@ def test_jsonl_error_names_line(tmp_path):
     path = write(tmp_path, "t.jsonl", '{"a": "x", "b": "y"}\n{broken\n')
     with pytest.raises(DataError, match="line 2"):
         read_records(path)
+
+
+def test_jsonl_stray_byte_order_mark_is_named_as_json_loads_names_it(tmp_path):
+    path = write(tmp_path, "t.jsonl", '{"a": 1}\n\ufeff{"a": 2}\n')
+    try:
+        json.loads('\ufeff{"a": 2}\n')
+    except json.JSONDecodeError as e:
+        message = e.msg
+    with pytest.raises(DataError) as got:
+        read_records(path)
+    assert str(got.value) == f"{path}: line 2: invalid JSON ({message})"
+
+
+def test_jsonl_round_trips_unicode_line_separators(tmp_path):
+    # write_records writes U+2028 and U+0085 raw; they end no line on reading
+    schema = parse_schema(FLAT_DOC)
+    records = [{"a": "x\u2028y", "b": "p\u0085q"}, {"a": "\u2028", "b": "z"}]
+    path = str(tmp_path / "t.jsonl")
+    write_records(records, schema, path, "jsonl")
+    assert "\u2028" in open(path, encoding="utf-8").read()
+    assert read_records(path) == records
 
 
 def test_jsonl_skips_blank_lines(tmp_path):
@@ -535,13 +562,13 @@ def test_evaluate_on_lists_of_lists():
     assert list(report.columns) == ["l/e"]
 
 
-# -- the column plan against the per-record walkers it replaced -------------------
+# -- the column walk against the per-record walkers it replaced -------------------
 #
 # The ref_* functions are the recursive walkers ingestion and flattening used
-# before the column plan: a shape check that returns a normalised tree, a leaf
+# before the column walk: a shape check that returns a normalised tree, a leaf
 # collector for fitting, a per-record encoder and a batch assembler, and the
 # scalars/explode pair behind flatten_records. The new code must give the
-# same batches, transforms, reports and tables.
+# same errors, batches, transforms, reports and tables.
 
 def ref_check_shape(value, node, where):
     if value is None or (isinstance(value, str) and value == ""):
@@ -559,6 +586,9 @@ def ref_check_shape(value, node, where):
         except (TypeError, ValueError):
             raise DataError(f"{where}: field {node.name}: not a number: "
                             f"{value!r}") from None
+        except OverflowError:
+            raise DataError(f"{where}: field {node.name}: not a finite "
+                            "number: too large for a float") from None
         if x in (float("inf"), float("-inf")) or x != x:
             raise DataError(f"{where}: field {node.name}: not a finite "
                             f"number: {value!r}")
@@ -734,7 +764,11 @@ def ref_flatten_records(records, schema):
                 yield row
 
     for i, rec in enumerate(records):
-        checked = ref_check_shape(rec, schema, f"record {i}")
+        try:
+            checked = ref_check_shape(rec, schema, f"record {i}")
+        except RefReject as r:
+            raise DataError(f"record {i} does not conform to the schema "
+                            f"({'null value' if r.kind == 'null' else 'overlong list'})")
         row = {}
         scalars(checked, schema, "", row)
         for k, v in row.items():
@@ -826,15 +860,35 @@ def rejected_rows(schema, record):
     return out
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_ingest_matches_reference_walkers(seed):
-    schema, records = random_records(seed)
-    rejected = rejected_rows(schema, records[0])
-    records = records[:5] + rejected + records[5:]
+def outcome(fn, *args):
+    """typed(fn(*args)), or the message of the DataError it raises."""
+    try:
+        return typed(fn(*args))
+    except DataError as e:
+        return str(e)
+
+
+def assert_checks_like_reference(records, schema):
+    """check_records raises the reference's error, or keeps the same rows
+    with the same report, and they fit the same transform and batches."""
+    try:
+        ref_checked, ref_report = ref_check_records(records, schema)
+    except DataError as e:
+        assert outcome(check_records, records, schema) == str(e)
+        return None
+    if not ref_report.kept:
+        with pytest.raises(DataError, match="records rejected"):
+            check_records(records, schema)
+        return None
     checked, report = check_records(records, schema)
-    ref_checked, ref_report = ref_check_records(records, schema)
-    assert report == ref_report and report.rejected == len(rejected)
-    assert len(checked) == len(ref_checked)
+    assert report == ref_report
+    assert checked.rows == [i for i, rec in enumerate(records)
+                            if ref_check_records([rec], schema)[1].kept]
+    if any(isinstance(node, Number) and not len(checked.bufs[path])
+           for path, node in walk_paths(schema)):
+        with pytest.raises(DataError, match="no values observed"):
+            fit_transform(checked, schema)
+        return None
     tf = fit_transform(checked, schema)
     ref_tf = ref_fit_transform(ref_checked, schema)
     assert tf.schema == ref_tf.schema
@@ -844,10 +898,115 @@ def test_ingest_matches_reference_walkers(seed):
         assert np.array_equal(table.q, ref_tf.tables[path].q)
         assert table.integer == ref_tf.tables[path].integer
     assert_same_batch(build_batch(checked, tf), ref_build_batch(ref_checked, ref_tf))
+    return tf
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ingest_matches_reference_walkers(seed):
+    schema, records = random_records(seed)
+    rejected = rejected_rows(schema, records[0])
+    records = records[:5] + rejected + records[5:]
+    _, report = check_records(records, schema)
+    assert report.rejected == len(rejected)
+    tf = assert_checks_like_reference(records, schema)
     # new data through a fitted transform, as held-out records are encoded
     tree, _, _ = ingest_records(records[::-1], schema, transform=tf)
     assert_same_batch(tree, ref_build_batch(ref_check_records(records[::-1],
                                                               schema)[0], tf))
+
+
+def fault_sites(holder, key, node, out):
+    """(holder, key, node) of holder[key] and of every value inside it, in
+    walk order."""
+    out.append((holder, key, node))
+    if isinstance(node, Record):
+        for f in node.fields:
+            fault_sites(holder[key], f.name, f, out)
+    elif isinstance(node, Array):
+        for j in range(len(holder[key])):
+            fault_sites(holder[key], j, node.items, out)
+    return out
+
+
+ERROR_FAULTS = {Record: [[1], "x", 5, "<missing>"], Array: [{"k": 1}, "x", 5],
+                Number: [True, False, {"k": 1}, [1], "abc", "inf", 10 ** 400],
+                Enum: [{"k": 1}, [1]]}
+
+
+def inject(rng, record, schema, plan):
+    """A copy of record with one fault per entry of `plan` ("reject": a null,
+    "" or an overlong list; "error": anything that aborts), at distinct
+    random sites, taken in walk order. The last is placed first, so no
+    fault removes the site of one still to place."""
+    holder = [json.loads(json.dumps(record))]
+    sites = fault_sites(holder, 0, schema, [])
+    picks = np.sort(rng.choice(len(sites), size=min(len(plan), len(sites)),
+                               replace=False))
+    for kind, i in reversed(list(zip(plan, picks))):
+        parent, key, node = sites[i]
+        if kind == "reject":
+            faults = [None, ""]
+            if isinstance(node, Array):
+                faults.append((parent[key] or [None]) * (node.max_len + 1))
+        else:
+            faults = ERROR_FAULTS[type(node)]
+        fault = faults[rng.integers(len(faults))]
+        if fault == "<missing>":
+            del parent[key][node.fields[rng.integers(len(node.fields))].name]
+        else:
+            parent[key] = fault
+    return holder[0]
+
+
+# the first fault of a plan decides the record's fate
+FAULT_PLANS = [("reject",), ("reject", "reject"), ("reject", "error"),
+               ("error",), ("error", "reject"), ("error", "error")]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_injected_faults_match_reference_walkers(seed):
+    schema, records = random_records(seed)
+    rng = np.random.default_rng(seed)
+    flattens = explode_sees_every_list(schema)
+    for trial in range(8):
+        plans = FAULT_PLANS[:3] if trial % 2 else FAULT_PLANS
+        faulty = [inject(rng, rec, schema, plans[rng.integers(len(plans))])
+                  if rng.random() < 0.3 else rec for rec in records]
+        assert_checks_like_reference(faulty, schema)
+        if flattens:
+            assert outcome(flatten_records, faulty, schema) == \
+                outcome(ref_flatten_records, faulty, schema)
+        # each faulted record on its own, so every first fault is compared
+        for rec, clean in zip(faulty, records):
+            if rec is not clean:
+                assert_checks_like_reference([records[0], rec], schema)
+
+
+def load_workloads():
+    """bench/workloads.py, loaded from its file once."""
+    if "workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            "workloads", os.path.join(ROOT, "bench", "workloads.py"))
+        sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["workloads"])
+    return sys.modules["workloads"]
+
+
+@pytest.mark.parametrize("name", ["nested_tx", "long_sets", "flat_wide"])
+def test_benchmark_inputs_match_reference_walkers(tmp_path, name):
+    workloads = load_workloads()
+    workload = workloads.WORKLOADS[name]
+    workloads.write_inputs(workload, 1, str(tmp_path))
+    records = read_records(workloads.input_paths(str(tmp_path), workload)["train"])
+    schema = parse_schema(workload.schema)
+    assert_checks_like_reference(records, schema)
+    tables = flatten_records(records, schema)
+    assert typed(tables) == typed(ref_flatten_records(records, schema))
+    if name == "flat_wide":
+        kinds = {name: "numeric" if isinstance(node, Number) else "categorical"
+                 for name, node in leaf_columns(schema)}
+        assert_same_association(association_matrix(tables["record"], kinds),
+                                ref_association_matrix(tables["record"], kinds))
 
 
 def test_csv_strings_ingest_like_reference(tmp_path):
@@ -926,14 +1085,17 @@ def test_plan_errors_match_reference_and_roll_back(key, bad, inside_list):
     else:
         target[key] = bad
     with pytest.raises(DataError) as ref:
-        ref_check_shape(record, schema, "record 3")
-    columns = Columns(schema)
-    columns.add(plan_record(), 0)
-    before = typed(columns.bufs)
+        ref_check_shape(record, schema, "record 1")
     with pytest.raises(DataError) as got:
-        columns.add(record, 3)
+        check_records([plan_record(), record], schema)
     assert str(got.value) == str(ref.value)
-    assert typed(columns.bufs) == before and columns.rows == [0]
+    with pytest.raises(DataError) as got:
+        flatten_records([plan_record(), record], schema)
+    assert str(got.value) == str(ref.value)
+
+
+def plain(bufs):
+    return {p: b.tolist() if isinstance(b, np.ndarray) else b for p, b in bufs.items()}
 
 
 def test_plan_rejections_leave_no_trace():
@@ -947,7 +1109,8 @@ def test_plan_rejections_leave_no_trace():
                                      overlong, good[1]], schema)
     alone, _ = check_records(good, schema)
     assert (report.rejected_null, report.rejected_overlong) == (1, 2)
-    assert typed(checked.bufs) == typed(alone.bufs) and checked.rows == [0, 4]
+    assert typed(plain(checked.bufs)) == typed(plain(alone.bufs))
+    assert checked.rows == [0, 4]
 
 
 def test_mixed_type_enum_vocabulary_matches_reference():

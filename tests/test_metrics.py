@@ -434,6 +434,23 @@ def test_evaluate_rejects_synth_without_list_items():
         evaluate(real, synth, schema, k=3, n_subsets=2)
 
 
+def test_evaluate_rejects_real_without_rows():
+    schema = parse_schema(NESTED_DOC)
+    synth = make_users(np.random.default_rng(5), 40)
+    with pytest.raises(MetricsError, match="the real dataset has no record rows"):
+        evaluate([], synth, schema, k=3, n_subsets=2)
+    real = [dict(r, tx=[]) for r in synth]
+    with pytest.raises(MetricsError, match="the real dataset has no item rows"):
+        evaluate(real, synth, schema, k=3, n_subsets=2)
+    # neither side has rows: the real side is named, not the column count
+    with pytest.raises(MetricsError, match="the real dataset has no item rows"):
+        evaluate(real, real, schema, k=3, n_subsets=2)
+    flat = parse_schema({"type": "record", "name": "r", "fields": [
+        {"name": "a", "type": "enum"}, {"name": "b", "type": "float"}]})
+    with pytest.raises(MetricsError, match="the real dataset has no record rows"):
+        evaluate([], [], flat, k=2, n_subsets=2)
+
+
 def test_evaluate_rejects_nonconforming_synth():
     doc = {"type": "record", "name": "r", "fields": [
         {"name": "a", "type": "enum"}, {"name": "b", "type": "enum"},
@@ -593,12 +610,21 @@ def assert_same_association(got, want):
                                rtol=0, atol=1e-12)
 
 
+# (columns, rows) of the tables compared: all of them, no numeric column, one,
+# no categorical column, one or two rows
+TABLE_SHAPES = [(None, None), ("stic", None), ("sx", None), ("xyz", None),
+                (None, 1), (None, 2), ("xz", 2), ("ci", 1)]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_associations_and_jensen_match_loop_reference(seed):
     real, synth, kinds = mixed_tables(seed)
     for table in (real, synth):
-        assert_same_association(association_matrix(table, kinds),
-                                ref_association_matrix(table, kinds))
+        for columns, rows in TABLE_SHAPES:
+            part = {name: values[:rows] for name, values in table.items()
+                    if columns is None or name in columns}
+            assert_same_association(association_matrix(part, kinds),
+                                    ref_association_matrix(part, kinds))
         for a in table:
             for b in table:
                 if kinds[a] == kinds[b] == "categorical":
