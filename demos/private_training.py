@@ -41,19 +41,19 @@ tape.backward(loss)
 norms = np.linalg.norm(grads, axis=1)
 print(f"raw per-example norms: min {norms.min():.3f} max {norms.max():.3f}")
 
-# dp_step returns one array per parameter; with sigma=0 w's is exactly the
-# mean of the clipped rows
-(quiet,) = dp_step(per_example, DpConfig(clip_norm=C, noise_multiplier=0.0), rng)
+# dp_step returns one flat vector over every parameter, here w's 40
+# coordinates; with sigma=0 it is exactly the mean of the clipped rows
+quiet = dp_step(per_example, DpConfig(clip_norm=C, noise_multiplier=0.0), rng)
 factors = np.minimum(1.0, C / norms)
 by_hand = (grads * factors[:, None]).mean(axis=0)
-same = np.allclose(quiet[0], by_hand, rtol=1e-12, atol=0.0)
+same = np.allclose(quiet, by_hand, rtol=1e-12, atol=0.0)
 print("noiseless dp_step equals clip-then-average:", same)
 assert same
 
 # with noise, repeated calls scatter around that mean with std sigma*C/B
 noisy = np.stack([
     dp_step(per_example, DpConfig(clip_norm=C, noise_multiplier=sigma),
-            np.random.default_rng(100 + r))[0][0]
+            np.random.default_rng(100 + r))
     for r in range(2000)])
 measured = (noisy - by_hand).std()
 print(f"noise std measured {measured:.3e}, expected {sigma * C / B:.3e}")

@@ -136,7 +136,10 @@ def load_model(path):
                  for p in params}
         codec, store = compile_schema(schema, width=width, blocks=blocks, heads=heads,
                                       seed=seed, tables=tables)
-        store.load_state(state)
+        try:
+            store.load_state(state)
+        except ValueError as e:
+            raise ArtifactError(f"{path}: {e}") from None
         return codec, store, Transform(schema, vocabs, tables), config, manifest
 
 

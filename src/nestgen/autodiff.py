@@ -165,7 +165,7 @@ class ExampleGrads:
     parameter) instead of summed per example. `rows` maps the leading rows
     of the ops running now to their examples (see `example_rows`).
     `sq_norms` gives each example's squared gradient norm and
-    `clipped_sums` the gradient sums with example i's scaled by c[i]; no
+    `clipped_sums` the flat gradient sum with example i's scaled by c[i]; no
     (examples, n_params) array is ever built. Backward closures hold this
     object, not the tape, so a tape never references itself and is freed as
     soon as it goes out of scope."""
@@ -251,20 +251,21 @@ class ExampleGrads:
                 total += np.einsum("ij,ij->i", d, d)
         return np.maximum(total, 0.0)
 
-    def clipped_sums(self, c: np.ndarray) -> list[np.ndarray]:
-        """Each parameter's gradient summed over the examples, example i's
-        scaled by c[i]: one (c . a)^T g product per read, or a scatter of
-        c . g for a row lookup."""
-        out = []
-        for p in self.params:
-            total = np.zeros(p.data.shape)
+    def clipped_sums(self, c: np.ndarray) -> np.ndarray:
+        """The gradient summed over the examples, example i's scaled by c[i],
+        as one vector of the parameters in order: one (c . a)^T g product
+        per read into its parameter's slice, or a scatter of c . g for a row
+        lookup."""
+        sizes = [p.data.size for p in self.params]
+        out = np.zeros(sum(sizes))
+        for p, total in zip(self.params, np.split(out, np.cumsum(sizes)[:-1])):
+            total = total.reshape(p.data.shape)
             for owners, _, a, g in self.reads[p]:
                 cr = c[owners, None, None]
                 if a.ndim == 2:
                     np.add.at(total, a.reshape(-1), (cr * g).reshape(-1, g.shape[-1]))
                 else:
                     total += (cr * a).reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            out.append(total)
         return out
 
 

@@ -8,6 +8,7 @@ configuration plus a content hash of the inputs in the model bundle.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -41,6 +42,7 @@ def _add_model_flags(p):
                    help="attention heads (default %(default)s)")
 
 
+@functools.cache  # built once per process; each parse_args makes a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nestgen",

@@ -19,6 +19,8 @@ unused.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .. import autodiff as ad
@@ -90,20 +92,11 @@ def pass_losses(codec: Codec, store: ParamStore, batch, rng=None,
     return [codec.encode(batch, rng=rng)[1](cond) for _ in range(passes)]
 
 
-def _summed_passes(codec, store, batch, rng, passes):
-    """Per-example loss summed over the decoding passes, shape (B,)."""
-    per_pass = pass_losses(codec, store, batch, rng=rng, passes=passes)
-    total = per_pass[0]
-    for extra in per_pass[1:]:
-        total = ad.add(total, extra)
-    return total
-
-
 def train_step(codec: Codec, store: ParamStore, batch, rng=None, passes: int = 1):
-    """One forward/backward: returns (mean loss float, gradients by path)."""
+    """One forward/backward: returns (mean loss float, `store.gradients()`)."""
     store.zero_grads()
     with Tape() as tape:
-        total = _summed_passes(codec, store, batch, rng, passes)
+        total = reduce(ad.add, pass_losses(codec, store, batch, rng=rng, passes=passes))
         loss = ad.mul_const(ad.mean_all(total), 1.0 / passes)
     tape.backward(loss)
     if not np.isfinite(loss.data):
@@ -126,7 +119,8 @@ def per_example_gradients(codec: Codec, store: ParamStore, batch, rng=None,
     store.zero_grads()
     grads = ad.ExampleGrads(n_rows(batch), [t for _, t in store.items()])
     with Tape(per_example=grads) as tape:
-        losses = ad.mul_const(_summed_passes(codec, store, batch, rng, passes), 1.0 / passes)
+        total = reduce(ad.add, pass_losses(codec, store, batch, rng=rng, passes=passes))
+        losses = ad.mul_const(total, 1.0 / passes)
         loss = ad.sum_all(losses)
     tape.backward(loss)
     if not np.isfinite(loss.data):

@@ -118,23 +118,20 @@ def read_records(path, fmt=None) -> list:
     fmt = fmt or detect_format(path)
     if fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh, restkey="__extra__")
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{path}: empty CSV (missing header row)")
-            repeated = [n for n in reader.fieldnames if reader.fieldnames.count(n) > 1]
+            repeated = [n for n in header if header.count(n) > 1]
             if repeated:
                 raise DataError(f"{path}: column {repeated[0]!r} appears more "
                                 "than once in the header")
-            rows = []
-            for i, row in enumerate(reader):
-                if "__extra__" in row:
-                    raise DataError(f"{path}: row {i + 1} has more values "
-                                    "than the header")
-                if None in row.values():
-                    raise DataError(f"{path}: row {i + 1} has fewer values "
-                                    "than the header")
-                rows.append(row)
-            return rows
+            rows = [row for row in reader if row]  # blank rows are skipped, not counted
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                side = "more" if len(row) > len(header) else "fewer"
+                raise DataError(f"{path}: row {i + 1} has {side} values than the header")
+        return [dict(zip(header, row)) for row in rows]
     if fmt == "jsonl":
         records, decode = [], json.JSONDecoder().decode
         with open(path, encoding="utf-8-sig") as fh:

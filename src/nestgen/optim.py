@@ -1,4 +1,6 @@
-"""The Adam update over a ParamStore."""
+"""The Adam update over a packed ParamStore: the moments m and v are two
+vectors laid out as `store.flat`, and a step is a few in-place operations
+over the whole of it, each element computed in the textbook order."""
 
 from __future__ import annotations
 
@@ -17,32 +19,26 @@ class Adam:
     def __init__(self, lr: float):
         self.lr = lr
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._buffers = None  # m, v, two scratch vectors and a finiteness mask
 
-    def step(self, store: ParamStore, grads: dict[str, np.ndarray]):
-        self.step_count += 1
-        t = self.step_count
-        for path, g in grads.items():
-            _check_grad(path, g, store[path].data.shape)
-            m = self._m.get(path)
-            if m is None:
-                m = np.zeros_like(g)
-                self._v[path] = np.zeros_like(g)
-            v = self._v[path]
-            m = BETA1 * m + (1.0 - BETA1) * g
-            v = BETA2 * v + (1.0 - BETA2) * g * g
-            self._m[path] = m
-            self._v[path] = v
-            mhat = m / (1.0 - BETA1 ** t)
-            vhat = v / (1.0 - BETA2 ** t)
-            store[path].data -= self.lr * mhat / (np.sqrt(vhat) + EPS)
-
-
-def _check_grad(path: str, g: np.ndarray, shape: tuple):
-    if g.shape != shape:
-        raise ValueError(
-            f"gradient shape {g.shape} does not match parameter {path} of shape {shape}")
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite gradient for parameter {path}")
-
+    def step(self, store: ParamStore, grad: np.ndarray):
+        """Update `store.flat` in place from the flat gradient `grad`."""
+        if grad.shape != store.flat.shape:
+            raise ValueError(f"gradient of shape {grad.shape} for {store.flat.size} parameters")
+        if self._buffers is None:
+            self._buffers = (*(np.zeros_like(grad) for _ in range(4)), np.empty(grad.shape, bool))
+        m, v, a, b, finite = self._buffers
+        if not np.isfinite(grad, out=finite).all():
+            path = next(p for p, sl in store.slices.items() if not finite[sl].all())
+            raise FloatingPointError(f"non-finite gradient for parameter {path}")
+        t = self.step_count = self.step_count + 1
+        m *= BETA1                          # m = BETA1 m + (1 - BETA1) g
+        m += np.multiply(grad, 1.0 - BETA1, out=a)
+        v *= BETA2                          # v = BETA2 v + ((1 - BETA2) g) g
+        v += np.multiply(np.multiply(grad, 1.0 - BETA2, out=a), grad, out=a)
+        np.divide(m, 1.0 - BETA1 ** t, out=a)   # (lr mhat) / (sqrt(vhat) + EPS)
+        a *= self.lr
+        np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=b), out=b)
+        b += EPS
+        a /= b
+        store.flat -= a

@@ -273,7 +273,7 @@ def compile_schema(node, width: int = TransformerConfig.width,
                    ) -> tuple[Codec, ParamStore]:
     """Allocate a codec tree for the schema. Parameters are initialised from
     the seed; paths follow the schema names, so the same schema always yields
-    the same parameter layout."""
+    the same parameter layout, packed into one flat vector (`ParamStore.pack`)."""
     tcfg = TransformerConfig(width, blocks, heads)
     store = ParamStore()
     rng = stream(seed, INIT)
@@ -283,6 +283,7 @@ def compile_schema(node, width: int = TransformerConfig.width,
     # maps zero input to zero output and the categorical decoder has no bias
     # term. Regenerated from the seed, never trained.
     store.c0 = rng.normal(0.0, 1.0, size=width)
+    store.pack()
     return codec, store
 
 

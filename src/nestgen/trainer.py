@@ -62,21 +62,19 @@ class DpConfig:
                              f"got {self.noise_multiplier}")
 
 
-def dp_step(grads: ExampleGrads, dp: DpConfig, rng) -> list[np.ndarray]:
+def dp_step(grads: ExampleGrads, dp: DpConfig, rng) -> np.ndarray:
     """Clip each example's gradient to L2 norm <= C, average, add
     N(0, (sigma*C/B)^2) noise per coordinate. grads holds the B examples'
-    gradients (`per_example_gradients`); the result is one array per
-    parameter in grads' order, the noise drawn parameter by parameter."""
+    gradients (`per_example_gradients`); the result is one vector laid out
+    as `ParamStore.flat`, and its noise one draw over the whole vector, the
+    same stream as drawing it parameter by parameter in store order."""
     norms = np.sqrt(grads.sq_norms())
     factors = np.minimum(1.0, dp.clip_norm / np.maximum(norms, 1e-300))
-    std = dp.noise_multiplier * dp.clip_norm / grads.examples
-    out = []
-    for total in grads.clipped_sums(factors):
-        total /= grads.examples
-        if dp.noise_multiplier > 0:
-            total += rng.normal(0.0, std, size=total.shape)
-        out.append(total)
-    return out
+    total = grads.clipped_sums(factors)
+    total /= grads.examples
+    if dp.noise_multiplier > 0:
+        total += rng.normal(0.0, dp.noise_multiplier * dp.clip_norm / grads.examples, total.size)
+    return total
 
 
 def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
@@ -95,31 +93,23 @@ def fit(codec, store, data, cfg: TrainConfig, dp: DpConfig | None = None,
         order = stream(cfg.seed, BATCH, epoch).permutation(n)
         epoch_losses = []
         for b in range(steps_per_epoch):
-            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            batch = take(data, idx)
+            batch = take(data, order[b * cfg.batch_size:(b + 1) * cfg.batch_size])
             shuffle_rng = stream(cfg.seed, SHUFFLE, epoch, b)  # unshuffled nodes never draw
             try:
                 if dp is not None:
-                    losses, ex = per_example_gradients(
-                        codec, store, batch, rng=shuffle_rng,
-                        passes=cfg.shuffle_passes)
+                    losses, ex = per_example_gradients(codec, store, batch, rng=shuffle_rng,
+                                                       passes=cfg.shuffle_passes)
                     loss = float(losses.mean())
-                    noisy = dp_step(ex, dp, stream(cfg.seed, DP_NOISE, epoch, b))
-                    grads = dict(zip(store.paths(), noisy))
+                    grads = dp_step(ex, dp, stream(cfg.seed, DP_NOISE, epoch, b))
                 else:
-                    loss, grads = train_step(codec, store, batch,
-                                             rng=shuffle_rng,
+                    loss, grads = train_step(codec, store, batch, rng=shuffle_rng,
                                              passes=cfg.shuffle_passes)
-                grad_norm = float(math.sqrt(sum(
-                    float((v * v).sum()) for v in grads.values())))
+                grad_norm = math.sqrt(sum((v * v).sum() for v in store.views(grads).values()))
                 opt.step(store, grads)
             except FloatingPointError as e:
-                raise FloatingPointError(
-                    f"epoch {epoch} batch {b}: {e}") from None
-            rec = {"epoch": epoch, "batch": b, "loss": loss,
-                   "grad_norm": grad_norm,
-                   "dp": ({"C": dp.clip_norm, "sigma": dp.noise_multiplier}
-                          if dp is not None else None)}
+                raise FloatingPointError(f"epoch {epoch} batch {b}: {e}") from None
+            rec = {"epoch": epoch, "batch": b, "loss": loss, "grad_norm": grad_norm,
+                   "dp": None if dp is None else {"C": dp.clip_norm, "sigma": dp.noise_multiplier}}
             history.append(rec)
             epoch_losses.append(loss)
             if log is not None:

@@ -86,9 +86,8 @@ def rows_as_example_grads(rows):
 
 def dp_row(rows, dp, rng):
     """`dp_step` of rows_as_example_grads(rows): the (D,) clipped, noised
-    mean of the rows, read from its one (1, D) parameter."""
-    (out,) = dp_step(rows_as_example_grads(rows), dp, rng)
-    return out[0]
+    mean of the rows, the flat vector of its one (1, D) parameter."""
+    return dp_step(rows_as_example_grads(rows), dp, rng)
 
 
 class ForcedOrder:
@@ -124,7 +123,8 @@ def forward_loss(codec, store, batch, rng=None, passes=1):
 
 
 def loss_gradients(codec, store, batch, rng=None, passes=1):
-    """(loss, grads-by-path) with the mean-over-batch convention."""
+    """(loss, grads-by-path) with the mean-over-batch convention. The
+    arrays are copies, so a later backward pass leaves them alone."""
     store.zero_grads()
     with Tape() as tape:
         per_pass = pass_losses(codec, store, batch, rng=rng, passes=passes)
@@ -133,7 +133,7 @@ def loss_gradients(codec, store, batch, rng=None, passes=1):
             total = ad.add(total, extra)
         loss = ad.mul_const(ad.mean_all(total), 1.0 / passes)
     tape.backward(loss)
-    return float(loss.data), store.gradients()
+    return float(loss.data), store.views(store.gradients().copy())
 
 
 class LeafSpy:

@@ -1,6 +1,7 @@
 """Model bundles and the command line, exercised end to end in-process."""
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -300,6 +301,57 @@ def test_malformed_bundle_meta_is_named(tmp_path, capsys, edit, message):
         assert main([*argv, "--model", str(broken)]) == 1
         printed = capsys.readouterr().err
         assert printed.startswith(f"error: load: {broken}: ") and message in printed
+
+
+def _npy(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+AGE_W = np.load(io.BytesIO(zipfile.ZipFile(V1_BUNDLE).read("params/0.npy")))
+
+
+@pytest.mark.parametrize("entry, edit, message", [
+    (_npy(np.where(np.arange(80).reshape(10, 8) == 17, np.nan, AGE_W)), None,
+     "parameter user/age/W: non-finite value"),
+    (_npy(np.where(np.arange(80).reshape(10, 8) == 3, -np.inf, AGE_W)), None,
+     "parameter user/age/W: non-finite value"),
+    (_npy(np.zeros((10, 8), dtype=np.int64)), None,
+     "parameter user/age/W: expected float64 (10, 8), got int64 (10, 8)"),
+    (_npy(AGE_W + 1j), None,
+     "parameter user/age/W: expected float64 (10, 8), got complex128 (10, 8)"),
+    (_npy(AGE_W.astype(np.float32)), None,
+     "parameter user/age/W: expected float64 (10, 8), got float32 (10, 8)"),
+    (_npy(AGE_W[:9]), None,
+     "parameter user/age/W: expected float64 (10, 8), got float64 (9, 8)"),
+    (None, lambda m: {**m, "params": {p: f for p, f in m["params"].items()
+                                      if p != "user/age/W"}},
+     "missing ['user/age/W'], unexpected []"),
+    (None, lambda m: {**m, "params": {**m["params"], "user/extra/W": "params/0.npy"}},
+     "missing [], unexpected ['user/extra/W']"),
+], ids=["nan", "inf", "int64", "complex128", "float32", "short", "missing", "extra"])
+def test_bad_parameter_entry_is_named(tmp_path, capsys, entry, edit, message):
+    # a parameter entry that is not a finite float64 array of the compiled
+    # shape, or a parameter path the compiled model lacks or needs, is
+    # refused with the bundle named, by load_model and by the CLI
+    broken = tmp_path / "broken.ngm"
+    with zipfile.ZipFile(V1_BUNDLE) as zin, zipfile.ZipFile(broken, "w") as zout:
+        for item in zin.infolist():
+            payload = zin.read(item)
+            if item.filename == "params/0.npy" and entry is not None:
+                payload = entry
+            if item.filename == "meta.json" and edit is not None:
+                payload = json.dumps(edit(json.loads(payload))).encode("utf-8")
+            zout.writestr(item, payload)
+    with pytest.raises(ArtifactError, match=re.escape(message)) as err:
+        load_model(broken)
+    assert str(err.value).startswith(f"{broken}: ")
+    for argv in (["inspect"], ["sample", "--count", "2", "--out", str(tmp_path / "s.jsonl")]):
+        assert main([*argv, "--model", str(broken)]) == 1
+        printed = capsys.readouterr().err
+        assert printed.startswith(f"error: load: {broken}: ") and message in printed
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 @pytest.mark.parametrize("option", ["full_block", "trainable_c0", "positional_lists"])
@@ -717,6 +769,15 @@ def test_cli_eval_refuses_malformed_rules(tmp_path, capsys, rules, message):
                  "--subsets", "1", "--rules", str(rules_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: eval: {message}")
+
+
+def test_cli_parser_is_built_once_and_parses_afresh():
+    from nestgen.cli import build_parser
+    assert build_parser() is build_parser()
+    sample = build_parser().parse_args(["sample", "--model", "m", "--count", "3", "--out", "o"])
+    inspect = build_parser().parse_args(["inspect", "--model", "n"])
+    assert vars(inspect) == {"command": "inspect", "model": "n"}
+    assert sample.model == "m" and sample.count == 3 and sample.seed == 0
 
 
 def test_cli_log_env_controls_verbosity(flat_setup, capsys, caplog, monkeypatch):

@@ -88,6 +88,22 @@ def test_csv_row_arity_errors(tmp_path):
         ingest(empty, schema)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n0,x\n\n1,y\n\n\n2\n", "row 3 has fewer values than the header"),
+    ("a,b\n\n0,x\n\n1,y,z\n", "row 2 has more values than the header"),
+], ids=["short", "long"])
+def test_csv_rows_after_blank_lines_are_counted_without_them(tmp_path, text, message):
+    path = write(tmp_path, "t.csv", text)
+    with pytest.raises(DataError) as got:
+        read_records(path)
+    assert str(got.value) == f"{path}: {message}"
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = write(tmp_path, "t.csv", "a,b\n\n0,x\n\n\n1,\n")
+    assert read_records(path) == [{"a": "0", "b": "x"}, {"a": "1", "b": ""}]
+
+
 def test_csv_needs_flat_schema(tmp_path):
     path = write(tmp_path, "t.csv", "age\n3\n")
     with pytest.raises(DataError, match="flat"):

@@ -140,10 +140,10 @@ def test_dp_step_noiseless_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_dp_step_returns_one_array_per_parameter():
-    # two parameters, each read once per example: the result keeps grads'
-    # parameter order and shapes, and the noise is one stream drawn
-    # parameter by parameter
+def test_dp_step_returns_one_flat_vector():
+    # two parameters, each read once per example: the result lays them out
+    # in grads' order, as the store's flat vector does, and the noise is one
+    # draw over the whole vector
     rng = np.random.default_rng(5)
     B, C, sigma = 6, 0.5, 1.3
     params = [ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((1, 5)))]
@@ -153,21 +153,20 @@ def test_dp_step_returns_one_array_per_parameter():
     quiet = dp_step(ex, DpConfig(clip_norm=C, noise_multiplier=0.0), np.random.default_rng(9))
     noisy = dp_step(ex, DpConfig(clip_norm=C, noise_multiplier=sigma),
                     np.random.default_rng(9))
-    assert [g.shape for g in quiet] == [g.shape for g in noisy] == [(3, 4), (1, 5)]
+    assert quiet.shape == noisy.shape == (17,)
     whole = np.random.default_rng(9).normal(0.0, sigma * C / B, size=17)
-    assert np.array_equal(noisy[0], quiet[0] + whole[:12].reshape(3, 4))
-    assert np.array_equal(noisy[1], quiet[1] + whole[12:].reshape(1, 5))
+    assert np.array_equal(noisy, quiet + whole)
 
 
 # -- fit ---------------------------------------------------------------------------
 
 def test_fit_on_certain_data_does_not_drift():
     codec, store = compiled(ONE_CAT)
-    before = {k: v.copy() for k, v in store.state_dict().items()}
+    before = store.views(store.flat.copy())
     data = StructBatch({"a": LeafBatch(np.zeros(16, dtype=np.int64))})
     history = fit(codec, store, data, TrainConfig(epochs=3, batch_size=8, lr=0.1))
     assert all(rec["loss"] == 0.0 for rec in history)
-    after = store.state_dict()
+    after = store.views(store.flat.copy())
     assert before.keys() == after.keys()
     for k in before:
         assert np.array_equal(before[k], after[k]), k
@@ -197,7 +196,7 @@ def test_fit_is_reproducible():
         codec, store = compiled(PAIR, seed=4)
         hist = fit(codec, store, data,
                    TrainConfig(epochs=4, batch_size=4, lr=0.01, seed=9))
-        runs.append((hist, store.state_dict()))
+        runs.append((hist, store.views(store.flat.copy())))
     assert runs[0][0] == runs[1][0]
     for k in runs[0][1]:
         assert np.array_equal(runs[0][1][k], runs[1][1][k])
@@ -243,13 +242,13 @@ def test_shuffle_passes_run_on_shuffled_schema():
 
 def test_dp_fit_records_parameters_and_updates():
     codec, store = compiled(PAIR, seed=4)
-    before = {k: v.copy() for k, v in store.state_dict().items()}
+    before = store.views(store.flat.copy())
     data = pair_batch({(0, 0): 6, (0, 1): 2, (1, 0): 2, (1, 1): 6})
     dp = DpConfig(clip_norm=1.0, noise_multiplier=0.1)
     history = fit(codec, store, data,
                   TrainConfig(epochs=1, batch_size=8, lr=0.01), dp=dp)
     assert all(rec["dp"] == {"C": 1.0, "sigma": 0.1} for rec in history)
-    changed = any(not np.array_equal(before[k], store.state_dict()[k])
+    changed = any(not np.array_equal(before[k], store.views(store.flat.copy())[k])
                   for k in before)
     assert changed
 
@@ -263,7 +262,7 @@ def test_dp_noiseless_full_clip_matches_plain_mean():
         codec, store = compiled(PAIR, seed=4)
         hist = fit(codec, store, data,
                    TrainConfig(epochs=2, batch_size=16, lr=0.01), dp=dp)
-        trajectories.append(([r["loss"] for r in hist], store.state_dict()))
+        trajectories.append(([r["loss"] for r in hist], store.views(store.flat.copy())))
     assert trajectories[0][0] == trajectories[1][0]
     for k in trajectories[0][1]:
         np.testing.assert_allclose(trajectories[0][1][k],

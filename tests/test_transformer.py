@@ -322,7 +322,7 @@ def _training(codec, store, batch):
     emb, _ = codec.encode(batch, rng=rng())
     loss, grads = train_step(codec, store, batch, rng=rng(), passes=2)
     losses, ex = per_example_gradients(codec, store, batch, rng=rng(), passes=2)
-    return [emb.data, np.array([loss]), *(grads[p] for p in store.paths()), losses,
+    return [emb.data, np.array([loss]), *store.views(grads.copy()).values(), losses,
             example_matrix(ex)]
 
 
