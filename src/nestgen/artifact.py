@@ -17,6 +17,7 @@ import json
 import os
 import secrets
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -40,10 +41,6 @@ def _npy_bytes(arr) -> bytes:
     buf = io.BytesIO()
     np.lib.format.write_array(buf, np.ascontiguousarray(arr), version=(1, 0))
     return buf.getvalue()
-
-
-def _read_npy(data: bytes) -> np.ndarray:
-    return np.lib.format.read_array(io.BytesIO(data))
 
 
 @contextlib.contextmanager
@@ -130,9 +127,9 @@ def load_model(path):
         tables = {}
         for p in specs:
             spec, where = _field(path, specs, p, dict, "meta.json tables"), f"meta.json table {p!r}"
-            q = _read_npy(_entry(zf, path, _field(path, spec, "file", str, where)))
+            q = _read_npy(zf, path, _field(path, spec, "file", str, where))
             tables[p] = QuantileTable(q, integer=_field(path, spec, "integer", bool, where))
-        state = {p: _read_npy(_entry(zf, path, _field(path, params, p, str, "meta.json params")))
+        state = {p: _read_npy(zf, path, _field(path, params, p, str, "meta.json params"))
                  for p in params}
         codec, store = compile_schema(schema, width=width, blocks=blocks, heads=heads,
                                       seed=seed, tables=tables)
@@ -165,6 +162,17 @@ def _entry(zf, path, name) -> bytes:
         return zf.read(name)
     except KeyError:
         raise ArtifactError(f"{path}: missing {name}") from None
+    except (zipfile.BadZipFile, zlib.error) as e:
+        raise ArtifactError(f"{path}: {name} is damaged ({e})") from None
+
+
+def _read_npy(zf, path, name) -> np.ndarray:
+    """Entry `name` of the open bundle at `path`, a plain .npy array."""
+    data = _entry(zf, path, name)
+    try:
+        return np.lib.format.read_array(io.BytesIO(data))
+    except ValueError as e:
+        raise ArtifactError(f"{path}: {name} is not a plain .npy array ({e})") from None
 
 
 def content_hash(*paths) -> str:

@@ -72,6 +72,12 @@ def take_prefix(tree, rows, p: int):
     return _map(lambda a: a[rows, :p].reshape((-1,) + a.shape[2:]), tree)
 
 
+def take_positions(tree, idx):
+    """Position idx[b, i] of row b at (b, i) on every array of a list's
+    values subtree: (B, P, ...) -> (B, P, ...)."""
+    return _map(lambda a: a[np.arange(a.shape[0])[:, None], idx], tree)
+
+
 def take(tree, idx):
     """Select rows along the batch axis (fancy indexing, so idx may reorder
     or repeat)."""

@@ -7,13 +7,13 @@ negative log likelihood is the training loss. `sample` draws each child from
 its decoder conditioning and feeds the draw back through the encoder, one
 position at a time. These are every codec's three duties, composites
 included. A leaf's scorer is its one `loss_terms(cond, codes)` op; a
-composite's closes over its digests, its shuffle order and its children's
-scorers. Orders come only from the `rng` given to `encode`, so each decoding
-pass (`pass_losses`) encodes the batch again to draw its own. A shuffled
-list's decoder slot 1+i conditions element perm[b, i], and its scorer
-gathers each element's slot back (see `composites`). Composite codecs own
-child codecs and wire them together with causal attention; the root codec
-is scored from a fixed initial conditioning vector, and its embedding is
+composite's closes over its digests and its children's scorers. Orders come
+only from the `rng` given to `encode`, so each decoding pass (`pass_losses`)
+encodes the batch again to draw its own. A shuffled composite draws its
+order before its children encode, so a shuffled pass is a plain pass over
+the reordered observation (see `composites`). Composite codecs own child
+codecs and wire them together with causal attention; the root codec is
+scored from a fixed initial conditioning vector, and its embedding is
 unused.
 """
 

@@ -5,41 +5,38 @@ causal attention stack turns the embedding sequence into running digests, and
 a second stack turns (conditioning, digests) into one conditioning vector per
 child, against which the child's scorer scores it in the same walk (a list
 scores its length first). `encode` returns the scorer as a closure over what
-it computed, its digests, its order and its children's scorers, down to the
-leaves', which close over their codes, so scoring never sees the
-observation. A composite has the three duties of every codec: encode, score
-and sample. Optionally the
-order children enter the digests is shuffled per pass, which trains the
-model to be usable under any autoregressive factorisation of the node.
-Orders come only from the `rng` given to `encode`, and each decoding pass
-encodes the batch again: a struct takes `rng.permutation(n)` after its
-children's draws, a list sorts `rng.random((B, max_len))` keys over each
-row's valid prefix after its value codec's draws.
+it computed, its digests and its children's scorers, down to the leaves',
+which close over their codes, so scoring never sees the observation. A composite has the three duties of every codec: encode, score
+and sample. Optionally the order children enter the digests is shuffled per
+pass, which trains the model to be usable under any autoregressive
+factorisation of the node. Orders come only from the `rng` given to
+`encode`, and each decoding pass encodes the batch again. A composite draws
+its order before its children encode: a struct takes `rng.permutation(n)`,
+a list sorts `rng.random((B, max_len))` keys over each row's valid prefix.
+It then encodes its children in that order, so a shuffled pass is a plain
+pass over the reordered observation, bitwise, gradients included.
 
 Indexing convention used throughout (0-based): for a struct with n fields in
 order perm the encoder reads the embedding of field perm[k] at position k and
 the decoder reads (conditioning, digest 0, ..., digest n-2), so decoder
-output slot k conditions field perm[k]. For a list, encoder position 0 is the
-length embedding and position 1+i is element perm[b, i] (element i when the
-list is not shuffled); decoder output slot 0 conditions the length and slot
-1+i conditions element perm[b, i]. The scorer gathers each element's slot
-back (`np.argsort(perm)`), so the value codec's scorer runs in element order
-(the group's values as encoded), and the per-element losses are summed in
-slot order. Padded positions are masked
-out of attention and contribute exactly zero loss and gradient; a
-permutation keeps them in place. Every slot read is one `ad.index`: a slot
-number drops the position axis, a slice keeps it (an empty one is a
-zero-length sequence), and `_per_row` reads one position per row.
+output slot k conditions field perm[k]. A shuffled list reorders each row's
+values once (`take_positions`), keeping padded slots in place; encoder
+position 0 is the length embedding and position 1+i the i-th value of the
+reordered row, and decoder output slot 0 conditions the length and slot 1+i
+that value. Padded positions are masked out of attention and contribute
+exactly zero loss and gradient. Every slot read is one `ad.index`: a slot
+number drops the position axis, and a slice keeps it (an empty one is a
+zero-length sequence).
 
 Because padding is invisible and no op mixes the rows of different
-examples, a list trains its batch in length groups (`length_groups`): each
-group's rows are cut to the group's longest list P, so the value codec runs
-on (rows*P) flattened positions, not (B*max_len), and both stacks run at P.
-The groups' outputs are put back in batch order with `ad.index`. On the DP
-path each group sets its rows' example map (`autodiff.example_rows`). A
-shuffled list draws its (B, max_len) keys once per pass and cuts them per
-group, so its orders do not depend on the grouping; shuffled nodes inside
-the value codec draw once per group, before the list's own keys.
+examples, a list trains its batch in length groups (`length_groups`), and
+each group is a plain padded list over its rows, cut to the group's longest
+list P: the value codec runs on (rows*P) flattened positions, not
+(B*max_len), and both stacks run at P. With two groups their outputs are
+put back in batch order with `ad.index`. On the DP path each group sets its
+rows' example map (`autodiff.example_rows`). A shuffled list draws its keys
+over the whole batch, so its orders do not depend on the grouping; shuffled
+nodes inside the value codec draw once per group, after the list's keys.
 
 Sampling walks the same order one slot at a time with cached attention
 (`AttentionStack.step`): a decoder step on the conditioning gives slot 0;
@@ -61,7 +58,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..batches import (LeafBatch, ListBatch, StructBatch, arrays, put_rows, split_leading,
-                       take_prefix)
+                       take_positions, take_prefix)
 from ..transformer import AttentionStack, KVCache, TransformerConfig
 from .base import Codec
 from .primitives import CategoricalCodec
@@ -96,11 +93,6 @@ def _prefix_mask(lengths, P):
     return np.arange(P)[None, :] < lengths[:, None]
 
 
-def _per_row(a, idx):
-    """Position idx[b, i] of row b of a; no row of idx repeats a position."""
-    return ad.index(a, (np.arange(idx.shape[0])[:, None], idx), unique=True)
-
-
 def length_groups(lengths):
     """Split batch rows by list length into at most two groups, each cut to
     P, its longest list (at least 1). The rows sorted by length are cut once,
@@ -122,8 +114,6 @@ def length_groups(lengths):
 
 def _in_batch_order(parts, inverse):
     """Concatenate per-group rows and put them back in batch order."""
-    if inverse is None:
-        return parts[0]
     return ad.index(ad.concat(parts, axis=0), inverse, unique=True)
 
 
@@ -152,18 +142,14 @@ class StructCodec(Codec):
         missing = [n for n in self.names if n not in x.fields]
         if missing:
             raise ValueError(f"{self.path}: batch is missing fields {missing}")
-        embs, scores = zip(*(child.encode(x.fields[name], rng=rng)
-                             for name, child in zip(self.names, self._children)))
-        perm = self._draw_perm(rng)
-        digests = self.enc(ad.stack_columns([embs[k] for k in perm]))
+        embs, scores = zip(*(self._children[k].encode(x.fields[self.names[k]], rng=rng)
+                             for k in self._draw_perm(rng)))
+        digests = self.enc(ad.stack_columns(embs))
 
         def score(cond):
             c_col = ad.reshape(cond, (cond.data.shape[0], 1, self.width))
             h = self.dec(ad.concat([c_col, ad.index(digests, np.s_[:, :-1])], axis=1))
-            # scored and summed in decoder slot order so a shuffled pass is bitwise
-            # equal to a plain codec whose children were reordered the same way
-            return reduce(ad.add, (scores[k](ad.index(h, np.s_[:, slot]))
-                                   for slot, k in enumerate(perm)))
+            return reduce(ad.add, (s(ad.index(h, np.s_[:, k])) for k, s in enumerate(scores)))
         return ad.index(digests, np.s_[:, -1]), score
 
     def sample(self, cond, rng):
@@ -178,9 +164,9 @@ class StructCodec(Codec):
 
 class ListCodec(Codec):
     """Variable-length list: a categorical codec over lengths 0..max_len plus
-    one value codec shared by all positions. Training splits the batch into
-    at most two length groups (`length_groups`); each group runs the value
-    codec on its (rows*P) flattened positions and both stacks at its own P."""
+    one value codec shared by all positions. Training reorders a shuffled
+    list's values, then splits the batch into at most two length groups
+    (`length_groups`), each a plain padded list over its rows at its own P."""
 
     def __init__(self, path: str, value_codec: Codec, max_len: int,
                  tcfg: TransformerConfig, store, rng, shuffled: bool = False):
@@ -217,60 +203,50 @@ class ListCodec(Codec):
             if a.shape[:2] != (B, self.max_len):
                 raise ValueError(f"{self.path}: values have leading shape {a.shape[:2]}, "
                                  f"expected ({B}, {self.max_len})")
-        encoded = []
-        for rows, P in length_groups(lengths):
-            with ad.example_rows(rows):
-                e_len, len_score = self.len_codec.encode(LeafBatch(lengths[rows]))
-            with ad.example_rows(rows, P):
-                ev, val_score = self.value_codec.encode(take_prefix(x.values, rows, P), rng=rng)
-            encoded.append((rows, P, e_len, ad.reshape(ev, (rows.size, P, self.width)),
-                            len_score, val_score))
-        # the order's keys cover the whole (B, max_len) batch and are cut per
-        # group, so they do not depend on the grouping
+        # the order's keys cover the whole (B, max_len) batch, so they do not
+        # depend on the grouping
         perm = self._draw_perm(rng, _prefix_mask(lengths, self.max_len))
-        groups, embs = [], []
-        for rows, P, e_len, val_embs, len_score, val_score in encoded:
-            n, m = rows.size, lengths[rows]
-            g_perm = None if perm is None else perm[rows, :P]
-            ordered = val_embs if g_perm is None else _per_row(val_embs, g_perm)
-            seq = ad.concat([ad.reshape(e_len, (n, 1, self.width)), ordered], axis=1)
-            valid = np.concatenate([np.ones((n, 1), dtype=bool), _prefix_mask(m, P)], axis=1)
-            with ad.example_rows(rows):
-                digests = self.enc(seq, valid=valid)
-            embs.append(ad.index(digests, (np.arange(n), m), unique=True))
-            groups.append((rows, P, valid, digests, g_perm, len_score, val_score))
-        inverse = None if len(groups) == 1 else np.argsort(
-            np.concatenate([rows for rows, *_ in groups]))
+        values = x.values if perm is None else take_positions(x.values, perm)
+        groups = length_groups(lengths)
+        parts = [self._encode_group(lengths, values, rows, P, rng) for rows, P in groups]
+        if len(parts) == 1:
+            return parts[0]
+        embs, scores = zip(*parts)
+        inverse = np.argsort(np.concatenate([rows for rows, _ in groups]))
+
+        def score(cond):
+            return _in_batch_order([s(ad.index(cond, rows, unique=True))
+                                    for s, (rows, _) in zip(scores, groups)], inverse)
+        return _in_batch_order(embs, inverse), score
+
+    def _encode_group(self, lengths, values, rows, P, rng):
+        """A plain padded list over batch rows `rows`, each cut to P: returns
+        (embedding, score) of those rows."""
+        n, m = rows.size, lengths[rows]
+        with ad.example_rows(rows):
+            e_len, len_score = self.len_codec.encode(LeafBatch(m))
+        with ad.example_rows(rows, P):
+            ev, val_score = self.value_codec.encode(take_prefix(values, rows, P), rng=rng)
+        seq = ad.concat([ad.reshape(e_len, (n, 1, self.width)),
+                         ad.reshape(ev, (n, P, self.width))], axis=1)
+        valid = np.concatenate([np.ones((n, 1), dtype=bool), _prefix_mask(m, P)], axis=1)
+        with ad.example_rows(rows):
+            digests = self.enc(seq, valid=valid)
 
         def score(cond):
             # length loss plus the sum over valid element positions, unnormalised:
             # a longer list is a larger observation and weighs accordingly
-            terms = []
-            for rows, P, valid, digests, g_perm, len_score, val_score in groups:
-                n = rows.size
-                c = cond if inverse is None else ad.index(cond, rows, unique=True)
-                dec_in = ad.concat([ad.reshape(c, (n, 1, self.width)),
-                                    ad.index(digests, np.s_[:, :P])], axis=1)
-                with ad.example_rows(rows):
-                    # the encoder's mask; position 1 stays a key for an empty list
-                    h = self.dec(dec_in, valid=valid | (np.arange(P + 1) <= 1))
-                    len_loss = len_score(ad.index(h, np.s_[:, 0]))
-                if g_perm is None:
-                    slots = ad.index(h, np.s_[:, 1:])
-                else:
-                    # element j was fed in the slot i with perm[b, i] == j
-                    slots = _per_row(h, 1 + np.argsort(g_perm, axis=1))
-                with ad.example_rows(rows, P):
-                    v = val_score(ad.reshape(slots, (n * P, self.width)))
-                v = ad.reshape(v, (n, P))
-                if g_perm is not None:
-                    # summed in slot order, so a shuffled pass is bitwise equal to a
-                    # plain pass on the reordered observation
-                    v = _per_row(v, g_perm)
-                v = ad.mul_const(v, valid[:, 1:].astype(np.float64))
-                terms.append(ad.add(len_loss, ad.sum_axis(v, 1)))
-            return _in_batch_order(terms, inverse)
-        return _in_batch_order(embs, inverse), score
+            dec_in = ad.concat([ad.reshape(cond, (n, 1, self.width)),
+                                ad.index(digests, np.s_[:, :P])], axis=1)
+            with ad.example_rows(rows):
+                # the encoder's mask; position 1 stays a key for an empty list
+                h = self.dec(dec_in, valid=valid | (np.arange(P + 1) <= 1))
+                len_loss = len_score(ad.index(h, np.s_[:, 0]))
+            with ad.example_rows(rows, P):
+                v = val_score(ad.reshape(ad.index(h, np.s_[:, 1:]), (n * P, self.width)))
+            v = ad.mul_const(ad.reshape(v, (n, P)), valid[:, 1:].astype(np.float64))
+            return ad.add(len_loss, ad.sum_axis(v, 1))
+        return ad.index(digests, (np.arange(n), m), unique=True), score
 
     def sample(self, cond, rng):
         B = cond.shape[0]

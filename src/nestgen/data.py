@@ -151,14 +151,11 @@ def read_records(path, fmt=None) -> list:
 class Columns:
     """Checked records by column, keyed by walk_paths path: each leaf's values
     (numerics as one float64 array) and each list's lengths, its offsets.
-    `rows` holds the input index of each record."""
+    `rids[path]` holds the input record of each value, and `rows` the input
+    index of each record."""
 
-    def __init__(self, bufs, rows):
-        self.bufs, self.rows = bufs, rows
-
-    def lists_over(self, path):
-        """Paths of the lists that enclose `path`, outermost first."""
-        return [p for p in self.bufs if path.startswith(p + "/")]
+    def __init__(self, bufs, rids, rows):
+        self.bufs, self.rids, self.rows = bufs, rids, rows
 
     def __len__(self):
         return len(self.rows)
@@ -326,13 +323,10 @@ def build_batch(columns, transform) -> object:
                 codes[path] = transform.code_column(path, node, values), 0
             except _BadValue as e:
                 i, message = e.args
-                for p in reversed(columns.lists_over(path)):
-                    i = int(np.searchsorted(np.cumsum(columns.bufs[p]), i,
-                                            side="right"))
-                bad.append((i, k, message))
+                bad.append((int(columns.rids[path][i]), k, message))
     if bad:
         row, _, message = min(bad)
-        raise DataError(f"record {columns.rows[row]}: {message}")
+        raise DataError(f"record {row}: {message}")
     b = len(columns)
     schema = transform.schema
     return _batch_tree(schema, schema.name, codes, np.arange(b), (b,))
@@ -367,6 +361,7 @@ def check_records(records, schema):
         for path, buf in bufs.items():
             kept = keep[rids[path]]
             bufs[path] = buf[kept] if isinstance(buf, np.ndarray) else list(compress(buf, kept))
+            rids[path] = rids[path][kept]
     if report.rejected:
         log.warning("rejected %d of %d records (%d with nulls, %d with "
                     "overlong lists)", report.rejected, len(records),
@@ -376,7 +371,7 @@ def check_records(records, schema):
             f"all {len(records)} records rejected "
             f"({report.rejected_null} with nulls, "
             f"{report.rejected_overlong} with overlong lists)")
-    return Columns(bufs, np.flatnonzero(keep).tolist()), report
+    return Columns(bufs, rids, np.flatnonzero(keep).tolist()), report
 
 
 def ingest_records(records, schema, transform=None):

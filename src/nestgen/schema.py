@@ -5,8 +5,9 @@ fields), ``array`` (variable-length list, requires ``max_len``), ``enum``
 (categorical, via ``symbols`` or ``cardinality``), and the numeric primitives
 ``float``/``double`` and ``int``/``long`` (quantile-binned, ``bins``
 overrides the default of 100). A ``shuffled: true`` attribute on a record or
-array trains that node under random orderings. Field entries may give the
-type inline as a string and attach the extension attributes next to it::
+array trains that node under random orderings. A field entry, like the root,
+gives its type as a string or a type object, with the extension attributes
+beside it or inside the object (where both hold one, they must agree)::
 
     {"type": "record", "name": "user", "fields": [
         {"name": "age", "type": "int", "bins": 20},
@@ -109,8 +110,9 @@ def _parse_node(spec, where, name_override=None):
         # {"type": {"type": "enum", ...}, extra attrs} nesting, avro style
         merged = dict(tag)
         for a in _ATTRS:
-            if a in spec and a not in merged:
-                merged[a] = spec[a]
+            if a in spec and merged.setdefault(a, spec[a]) != spec[a]:
+                raise SchemaError(f"{where}: {a} is {spec[a]!r} beside the type object "
+                                  f"but {merged[a]!r} inside it")
         return _parse_node(merged, where, name_override or spec.get("name"))
     if not isinstance(tag, str):
         raise SchemaError(f"{where}: missing type tag")
@@ -133,13 +135,7 @@ def _parse_node(spec, where, name_override=None):
             if fname in seen:
                 raise SchemaError(f"record {name}: duplicate field name {fname!r}")
             seen.add(fname)
-            fspec = f["type"]
-            if isinstance(fspec, str):
-                fspec = {"type": fspec}
-                for a in _ATTRS:
-                    if a in f:
-                        fspec[a] = f[a]
-            children.append(_parse_node(fspec, f"field {fname}", name_override=fname))
+            children.append(_parse_node(f, f"field {fname}", name_override=fname))
         return Record(name, children, shuffled=_shuffled(spec, f"record {name}"))
 
     if tag == "array":

@@ -7,7 +7,7 @@ import pytest
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape
 from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
-from nestgen.codecs.base import pass_losses
+from nestgen.codecs.base import pass_losses, per_example_gradients, train_step
 from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec
 from nestgen.trainer import dp_step
@@ -94,17 +94,21 @@ class ForcedOrder:
     """Stands in for the shuffle rng to force an order on shuffled nodes:
     `permutation(n)` returns sigma (a struct's field order) and
     `random((B, P))` returns keys whose per-row argsort is perm, a (B, P)
-    array of permutations that keep padded slots in place (a list's order)."""
+    array of permutations that keep padded slots in place (a list's order).
+    With perm None and a generator `draws`, `random` draws from it."""
 
-    def __init__(self, sigma=None, perm=None):
+    def __init__(self, sigma=None, perm=None, draws=None):
         self.sigma = sigma
         self.perm = perm
+        self.draws = draws
 
     def permutation(self, n):
         assert len(self.sigma) == n
         return np.asarray(self.sigma, dtype=np.int64)
 
     def random(self, shape):
+        if self.perm is None:
+            return self.draws.random(shape)
         perm = np.asarray(self.perm, dtype=np.int64)
         assert perm.shape == shape
         keys = np.empty(shape)
@@ -134,6 +138,34 @@ def loss_gradients(codec, store, batch, rng=None, passes=1):
         loss = ad.mul_const(ad.mean_all(total), 1.0 / passes)
     tape.backward(loss)
     return float(loss.data), store.views(store.gradients().copy())
+
+
+class RecordingRng:
+    """Stands in for the shuffle rng: draws from a seeded generator and
+    records each call as ("permutation", n) or ("random", shape)."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.calls = []
+
+    def permutation(self, n):
+        self.calls.append(("permutation", n))
+        return self.gen.permutation(n)
+
+    def random(self, shape):
+        self.calls.append(("random", tuple(shape)))
+        return self.gen.random(shape)
+
+
+def training_signal(codec, store, batch, rng=lambda: None):
+    """One pass over batch under a fresh rng() each time: its per-example
+    losses, `train_step`'s gradient, and the per-example squared gradient
+    norms and clipped sums of `per_example_gradients`."""
+    losses = pass_losses(codec, store, batch, rng=rng())[0].data
+    grads = train_step(codec, store, batch, rng=rng())[1].copy()
+    _, ex = per_example_gradients(codec, store, batch, rng=rng())
+    c = np.linspace(0.5, 1.5, losses.shape[0])
+    return losses, grads, ex.sq_norms(), ex.clipped_sums(c).copy()
 
 
 class LeafSpy:

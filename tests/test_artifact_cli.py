@@ -354,6 +354,47 @@ def test_bad_parameter_entry_is_named(tmp_path, capsys, entry, edit, message):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+def _flip_byte(bundle, out, name):
+    """A copy of `bundle` with the first stored byte of entry `name` flipped."""
+    raw = bytearray(Path(bundle).read_bytes())
+    with zipfile.ZipFile(bundle) as zf:
+        info = zf.getinfo(name)
+    # the local header is 30 bytes, then the name and the extra field
+    start = info.header_offset + 30 + len(info.filename.encode()) + len(info.extra)
+    raw[start] ^= 0xFF
+    out.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("entry, payload, compression, message", [
+    ("params/0.npy", None, zipfile.ZIP_STORED, "params/0.npy is damaged (Bad CRC-32"),
+    ("meta.json", None, zipfile.ZIP_STORED, "meta.json is damaged (Bad CRC-32"),
+    ("params/0.npy", None, zipfile.ZIP_DEFLATED,
+     "params/0.npy is damaged (Error -3 while decompressing data"),
+    ("params/0.npy", b"not an array", zipfile.ZIP_STORED,
+     "params/0.npy is not a plain .npy array"),
+    ("params/0.npy", _npy(np.array([{"W": 1}], dtype=object)), zipfile.ZIP_STORED,
+     "params/0.npy is not a plain .npy array (Object arrays cannot be loaded"),
+], ids=["flipped-byte", "flipped-meta", "flipped-deflated", "not-npy", "pickled"])
+def test_damaged_bundle_entry_is_named(tmp_path, capsys, entry, payload, compression,
+                                       message):
+    broken, copy = tmp_path / "broken.ngm", tmp_path / "copy.ngm"
+    with zipfile.ZipFile(V1_BUNDLE) as zin, zipfile.ZipFile(copy, "w", compression) as zout:
+        for item in zin.infolist():
+            zout.writestr(item.filename, payload if payload and item.filename == entry
+                          else zin.read(item))
+    if payload is None:
+        _flip_byte(copy, broken, entry)
+    else:
+        copy.rename(broken)
+    with pytest.raises(ArtifactError) as err:
+        load_model(broken)
+    assert str(err.value).startswith(f"{broken}: {message}")
+    for argv in (["inspect"], ["sample", "--count", "2", "--out", str(tmp_path / "s.jsonl")]):
+        assert main([*argv, "--model", str(broken)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: load: {broken}: {message}")
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 @pytest.mark.parametrize("option", ["full_block", "trainable_c0", "positional_lists"])
 def test_bundle_with_removed_option_is_refused(tmp_path, option):
     off = tmp_path / "off.ngm"

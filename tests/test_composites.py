@@ -13,9 +13,9 @@ from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
-from conftest import (ForcedOrder, LeafSpy, attach_tables, digest_spy, forward_loss,
-                      group_grads, loss_gradients, random_batch, random_schema_doc,
-                      value_embedding_spy)
+from conftest import (ForcedOrder, LeafSpy, RecordingRng, attach_tables, digest_spy,
+                      forward_loss, group_grads, loss_gradients, random_batch,
+                      random_schema_doc, training_signal, value_embedding_spy)
 
 
 def bare_store(width=8):
@@ -212,6 +212,15 @@ def reordered_clone(codec, sigma):
     return clone
 
 
+LISTS_IN_STRUCT = {"type": "record", "name": "s", "shuffled": True, "fields": [
+    {"name": "a", "type": "enum", "cardinality": 3},
+    {"name": "b", "type": "array", "max_len": 3, "shuffled": True,
+     "items": {"type": "enum", "name": "i", "cardinality": 4}},
+    {"name": "c", "type": "enum", "cardinality": 2},
+    {"name": "d", "type": "array", "max_len": 4, "shuffled": True,
+     "items": {"type": "enum", "name": "i", "cardinality": 5}}]}
+
+
 def test_fixed_sigma_equals_reordered_codec():
     # criterion: a shuffled pass with fixed sigma must be bitwise equal to a
     # plain codec whose children were reordered by sigma
@@ -223,6 +232,22 @@ def test_fixed_sigma_equals_reordered_codec():
         shuffled = pass_losses(codec, store, x, rng=ForcedOrder(sigma=sigma))[0]
         plain = pass_losses(reordered_clone(codec, sigma), store, x)[0]
         assert np.array_equal(shuffled.data, plain.data)
+        for a, b in zip(training_signal(codec, store, x, lambda: ForcedOrder(sigma=sigma)),
+                        training_signal(reordered_clone(codec, sigma), store, x)):
+            assert np.array_equal(a, b)
+    # shuffled lists in two fields draw their orders in sigma order, as the
+    # reordered codec's fields do, so gradients match bitwise too
+    codec, store = compile_schema(parse_schema(LISTS_IN_STRUCT), width=8, blocks=1,
+                                  heads=2, seed=12)
+    for seed in range(10):
+        x = random_batch(codec, 6, np.random.default_rng(seed))
+        sigma = tuple(int(i) for i in rng.permutation(4))
+        shuffled = training_signal(codec, store, x, lambda: ForcedOrder(
+            sigma=sigma, draws=np.random.default_rng(seed)))
+        plain = training_signal(reordered_clone(codec, sigma), store, x,
+                                lambda: np.random.default_rng(seed))
+        for a, b in zip(shuffled, plain):
+            assert np.array_equal(a, b)
 
 
 def test_shuffle_pairing_with_zero_attention():
@@ -503,7 +528,9 @@ def record_set(max_len, seed):
     kids = [CategoricalCodec("l/item/e", 3, 8, store, rng),
             NumericalCodec("l/item/n", 5, 8, store, rng)]
     item = StructCodec("l/item", ["e", "n"], kids, tcfg, store, rng)
-    return ListCodec("l", item, max_len, tcfg, store, rng, shuffled=True), store
+    codec = ListCodec("l", item, max_len, tcfg, store, rng, shuffled=True)
+    store.pack()
+    return codec, store
 
 
 def reordered_values(tree, perm):
@@ -537,6 +564,38 @@ def test_set_perm_equals_reordered_observation():
         reordered = ListBatch(x.lengths, reordered_values(x.values, perm))
         plain = pass_losses(codec, store, reordered)[0]
         assert np.array_equal(shuffled.data, plain.data)
+        # a shuffled pass is a plain pass over the reordered observation, so
+        # its gradients and per-example clipping statistics match bitwise
+        for a, b in zip(training_signal(codec, store, x, lambda: ForcedOrder(perm=perm)),
+                        training_signal(codec, store, reordered)):
+            assert np.array_equal(a, b)
+
+
+def test_composites_draw_their_order_before_their_children():
+    # a shuffled list draws its keys before its value codec's draws (once per
+    # length group), and a shuffled struct its permutation before its
+    # children's, which then encode, and draw, in that order
+    lengths = np.array([0, 1, 1, 1, 1, 1, 1, 5])
+    doc = {"type": "array", "name": "l", "max_len": 5, "shuffled": True,
+           "items": {"type": "record", "name": "r", "shuffled": True, "fields": [
+               {"name": "a", "type": "enum", "cardinality": 2},
+               {"name": "b", "type": "enum", "cardinality": 3}]}}
+    codec, _ = compile_schema(parse_schema(doc), width=8, blocks=1, heads=2)
+    x = random_batch(codec, 8, np.random.default_rng(0))
+    x.lengths[:] = lengths
+    assert len(length_groups(lengths)) == 2
+    rng = RecordingRng(1)
+    codec.encode(x, rng=rng)
+    assert rng.calls == [("random", (8, 5)), ("permutation", 2), ("permutation", 2)]
+    codec, _ = compile_schema(parse_schema(LISTS_IN_STRUCT), width=8, blocks=1, heads=2)
+    x = random_batch(codec, 4, np.random.default_rng(2))
+    for seed in range(8):
+        rng = RecordingRng(seed)
+        codec.encode(x, rng=rng)
+        sigma = np.random.default_rng(seed).permutation(4)
+        max_len = {1: 3, 3: 4}
+        assert rng.calls == [("permutation", 4)] + [("random", (4, max_len[k]))
+                                                    for k in sigma if k in max_len]
 
 
 def test_set_empty_rows_unaffected_by_shuffle():

@@ -261,6 +261,15 @@ def test_coding_errors_name_the_input_row():
     with pytest.raises(DataError, match="record 2: unknown category 'odd' "
                                         "in column user/reviews/review/rating"):
         ingest_records(records, schema, transform=tf)
+    # inside a list of lists, after a rejected record (an overlong inner list)
+    doc = {"type": "record", "name": "r", "fields": [
+        {"name": "g", "type": "array", "max_len": 3, "items": {
+            "type": "array", "name": "h", "max_len": 2,
+            "items": {"type": "enum", "name": "e", "symbols": ["a", "b"]}}}]}
+    records = [{"g": [["a"], []]}, {"g": [["a", "a", "a"]]}, {"g": [[], ["a", "b"]]},
+               {"g": [["b"], [], ["a", "c"]]}, {"g": [["c"]]}]
+    with pytest.raises(DataError, match="record 3: unknown category 'c' in column r/g/h/e"):
+        ingest_records(records, parse_schema(doc))
 
 
 # -- batch building -------------------------------------------------------------

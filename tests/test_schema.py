@@ -150,6 +150,33 @@ def test_shuffled_must_be_a_boolean(tag, value):
     assert parse_schema({**doc, "shuffled": False}).shuffled is False
 
 
+def test_attributes_beside_a_type_object_are_kept():
+    # a field entry is parsed as its own node spec, as the root is
+    tx = {"name": "tx", "type": {"type": "array", "max_len": 3, "items": "int"},
+          "shuffled": True}
+    c = {"name": "c", "type": {"type": "enum"}, "cardinality": 3}
+    record = parse_schema({"type": "record", "name": "r", "fields": [tx, c]})
+    assert record.fields[0].shuffled is True and record.fields[0].max_len == 3
+    assert record.fields[1] == Enum("c", None, 3)
+    assert parse_schema({**tx, "name": "root"}).shuffled is True
+    assert parse_schema({**c, "name": "root"}).cardinality == 3
+    # the same value given on both sides is no conflict
+    same = {"name": "c", "type": {"type": "enum", "cardinality": 3}, "cardinality": 3}
+    assert parse_schema(same).cardinality == 3
+
+
+@pytest.mark.parametrize("inner,outer,attr", [
+    ({"type": "enum", "cardinality": 4}, {"cardinality": 3}, "cardinality"),
+    ({"type": "array", "max_len": 3, "items": "int", "shuffled": False}, {"shuffled": True},
+     "shuffled")])
+def test_attribute_beside_and_inside_a_type_object_must_agree(inner, outer, attr):
+    field = {"name": "f", "type": inner, **outer}
+    with pytest.raises(SchemaError, match=f"^field f: {attr} is .* beside the type object"):
+        parse_schema({"type": "record", "name": "r", "fields": [field]})
+    with pytest.raises(SchemaError, match=f"^root: {attr} is .* beside the type object"):
+        parse_schema(field)
+
+
 def test_serialize_parse_fixed_point(rng):
     docs = [USER_DOC, REVIEWS_DOC] + [random_schema_doc(rng) for _ in range(20)]
     for doc in docs:
