@@ -19,23 +19,26 @@ pass over the reordered observation, bitwise, gradients included.
 Indexing convention used throughout (0-based): for a struct with n fields in
 order perm the encoder reads the embedding of field perm[k] at position k and
 the decoder reads (conditioning, digest 0, ..., digest n-2), so decoder
-output slot k conditions field perm[k]. A shuffled list reorders each row's
-values once (`take_positions`), keeping padded slots in place; encoder
-position 0 is the length embedding and position 1+i the i-th value of the
-reordered row, and decoder output slot 0 conditions the length and slot 1+i
-that value. Padded positions are masked out of attention and contribute
-exactly zero loss and gradient. Every slot read is one `ad.index`: a slot
-number drops the position axis, and a slice keeps it (an empty one is a
-zero-length sequence).
+output slot k conditions field perm[k]. A list batch holds its rows'
+elements end to end (see `batches`); the list codec is the one place that
+pads. It lays each row's elements out in a grid of P slots with one `take`,
+reading element starts[b] + perm[b, i] at a valid slot (perm is the identity
+unless the list is shuffled) and an appended `value_codec.zero_batch(1)` row
+at a padded slot. Encoder position 0 is the length embedding and position
+1+i the i-th value of the reordered row, and decoder output slot 0
+conditions the length and slot 1+i that value. Padded positions are masked
+out of attention and contribute exactly zero loss and gradient. Every slot
+read is one `ad.index`: a slot number drops the position axis, and a slice
+keeps it (an empty one is a zero-length sequence).
 
 Because padding is invisible and no op mixes the rows of different
 examples, a list trains its batch in length groups (`length_groups`), and
-each group is a plain padded list over its rows, cut to the group's longest
-list P: the value codec runs on (rows*P) flattened positions, not
-(B*max_len), and both stacks run at P. With two groups their outputs are
-put back in batch order with `ad.index`. On the DP path each group sets its
-rows' example map (`autodiff.example_rows`). A shuffled list draws its keys
-over the whole batch, so its orders do not depend on the grouping; shuffled
+each group is a plain padded grid over its rows, cut to the group's longest
+list P: the value codec runs on (rows*P) grid slots, not (B*max_len), and
+both stacks run at P. With two groups their outputs are put back in batch
+order with `ad.index`. On the DP path each group sets its rows' example map
+(`autodiff.example_rows`). A shuffled list draws its keys over the whole
+(B, max_len) grid, so its orders do not depend on the grouping; shuffled
 nodes inside the value codec draw once per group, after the list's keys.
 
 Sampling walks the same order one slot at a time with cached attention
@@ -44,9 +47,9 @@ then each slot samples its child, an encoder step on the child's embedding
 gives the next digest, and a decoder step on that digest conditions the next
 slot. Shuffled nodes sample in identity order. A list samples the lengths
 first; element step i then runs only the rows whose length exceeds i, and a
-row's embedding is the digest at its own length. Sampled elements are
-written into `value_codec.zero_batch(B*max_len)`, so padded slots are
-exactly that batch's zeros.
+row's embedding is the digest at its own length. The steps' draws are put
+in row order with one `take`, so a sampled list holds its elements end to
+end like any other.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..batches import (LeafBatch, ListBatch, StructBatch, arrays, put_rows, split_leading,
-                       take_positions, take_prefix)
+from ..batches import LeafBatch, ListBatch, StructBatch, concat_trees, n_rows, take
 from ..transformer import AttentionStack, KVCache, TransformerConfig
 from .base import Codec
 from .primitives import CategoricalCodec
@@ -91,6 +93,17 @@ class _Decoding:
 def _prefix_mask(lengths, P):
     """(n, P) True where a slot holds an element."""
     return np.arange(P)[None, :] < lengths[:, None]
+
+
+def _level_nodes(codec, tree):
+    """(codec, batch) of each leaf and list in `tree`, through structs but
+    not into a list's elements."""
+    if isinstance(codec, StructCodec):
+        for name, child in zip(codec.names, codec.children()):
+            if name in tree.fields:  # a missing field is the struct's error
+                yield from _level_nodes(child, tree.fields[name])
+    else:
+        yield codec, tree
 
 
 def length_groups(lengths):
@@ -164,9 +177,9 @@ class StructCodec(Codec):
 
 class ListCodec(Codec):
     """Variable-length list: a categorical codec over lengths 0..max_len plus
-    one value codec shared by all positions. Training reorders a shuffled
-    list's values, then splits the batch into at most two length groups
-    (`length_groups`), each a plain padded list over its rows at its own P."""
+    one value codec shared by all positions. Training splits the batch into
+    at most two length groups (`length_groups`), each a padded grid over its
+    rows at its own P, with a shuffled list's elements read in its order."""
 
     def __init__(self, path: str, value_codec: Codec, max_len: int,
                  tcfg: TransformerConfig, store, rng, shuffled: bool = False):
@@ -185,6 +198,18 @@ class ListCodec(Codec):
     def children(self):
         return [self.len_codec, self.value_codec]
 
+    def _check_counts(self, x):
+        """Every leaf's codes and every list's lengths at the element level,
+        through structs, have lengths.sum() rows, and so, against its own
+        lengths, has each nested list's element level."""
+        count = int(np.sum(x.lengths))
+        for child, sub in _level_nodes(self.value_codec, x.values):
+            if n_rows(sub) != count:
+                raise ValueError(f"{self.path}: {child.path} has {n_rows(sub)} elements, "
+                                 f"the lengths sum to {count}")
+            if isinstance(child, ListCodec):
+                child._check_counts(sub)
+
     def _draw_perm(self, rng, mask):
         """Per-row permutation of the valid prefix; padded slots stay put.
         Returns None when no shuffling applies."""
@@ -196,19 +221,18 @@ class ListCodec(Codec):
 
     def encode(self, x: ListBatch, rng=None):
         lengths = np.asarray(x.lengths, dtype=np.int64)
-        B = lengths.shape[0]
         if lengths.min(initial=0) < 0 or lengths.max(initial=0) > self.max_len:
             raise ValueError(f"{self.path}: length out of range 0..{self.max_len}")
-        for a in arrays(x.values):
-            if a.shape[:2] != (B, self.max_len):
-                raise ValueError(f"{self.path}: values have leading shape {a.shape[:2]}, "
-                                 f"expected ({B}, {self.max_len})")
-        # the order's keys cover the whole (B, max_len) batch, so they do not
+        self._check_counts(x)
+        # the order's keys cover the whole (B, max_len) grid, so they do not
         # depend on the grouping
         perm = self._draw_perm(rng, _prefix_mask(lengths, self.max_len))
-        values = x.values if perm is None else take_positions(x.values, perm)
+        # every padded grid slot reads the appended zero element, the last row
+        values = concat_trees([x.values, self.value_codec.zero_batch(1)])
+        starts = np.cumsum(lengths) - lengths
         groups = length_groups(lengths)
-        parts = [self._encode_group(lengths, values, rows, P, rng) for rows, P in groups]
+        parts = [self._encode_group(lengths, starts, perm, values, rows, P, rng)
+                 for rows, P in groups]
         if len(parts) == 1:
             return parts[0]
         embs, scores = zip(*parts)
@@ -219,17 +243,20 @@ class ListCodec(Codec):
                                     for s, (rows, _) in zip(scores, groups)], inverse)
         return _in_batch_order(embs, inverse), score
 
-    def _encode_group(self, lengths, values, rows, P, rng):
-        """A plain padded list over batch rows `rows`, each cut to P: returns
+    def _encode_group(self, lengths, starts, perm, values, rows, P, rng):
+        """A plain padded grid over batch rows `rows`, each cut to P: returns
         (embedding, score) of those rows."""
         n, m = rows.size, lengths[rows]
+        mask = _prefix_mask(m, P)
+        pos = np.arange(P) if perm is None else perm[rows, :P]
+        grid = np.where(mask, starts[rows, None] + pos, n_rows(values) - 1)
         with ad.example_rows(rows):
             e_len, len_score = self.len_codec.encode(LeafBatch(m))
         with ad.example_rows(rows, P):
-            ev, val_score = self.value_codec.encode(take_prefix(values, rows, P), rng=rng)
+            ev, val_score = self.value_codec.encode(take(values, grid.ravel()), rng=rng)
         seq = ad.concat([ad.reshape(e_len, (n, 1, self.width)),
                          ad.reshape(ev, (n, P, self.width))], axis=1)
-        valid = np.concatenate([np.ones((n, 1), dtype=bool), _prefix_mask(m, P)], axis=1)
+        valid = np.concatenate([np.ones((n, 1), dtype=bool), mask], axis=1)
         with ad.example_rows(rows):
             digests = self.enc(seq, valid=valid)
 
@@ -244,29 +271,33 @@ class ListCodec(Codec):
                 len_loss = len_score(ad.index(h, np.s_[:, 0]))
             with ad.example_rows(rows, P):
                 v = val_score(ad.reshape(ad.index(h, np.s_[:, 1:]), (n * P, self.width)))
-            v = ad.mul_const(ad.reshape(v, (n, P)), valid[:, 1:].astype(np.float64))
+            v = ad.mul_const(ad.reshape(v, (n, P)), mask.astype(np.float64))
             return ad.add(len_loss, ad.sum_axis(v, 1))
         return ad.index(digests, (np.arange(n), m), unique=True), score
 
     def sample(self, cond, rng):
         B = cond.shape[0]
-        P = self.max_len
         dec = _Decoding(self, cond)
         m = dec.draw(self.len_codec, rng).codes
         emb = dec.digest.data.copy()
-        values = self.value_codec.zero_batch(B * P)
+        starts = np.cumsum(m) - m
         rows = np.arange(B)
+        draws, dests = [], []
         for i in range(int(m.max(initial=0))):
             live = np.flatnonzero(m[rows] > i)
             if live.size < rows.size:
                 rows = rows[live]
                 dec.take(live)
-            values = put_rows(values, rows * P + i, dec.draw(self.value_codec, rng))
-            # a row's last write is at its own length, the digest it keeps
+            draws.append(dec.draw(self.value_codec, rng))
+            dests.append(starts[rows] + i)
+            # a row's last draw is at its own length, the digest it keeps
             emb[rows] = dec.digest.data
-        return ListBatch(m, split_leading(values, B, P)), Tensor(emb)
+        if not draws:
+            return ListBatch(m, self.value_codec.zero_batch(0)), Tensor(emb)
+        dest = np.concatenate(dests)
+        order = np.empty_like(dest)
+        order[dest] = np.arange(dest.size)
+        return ListBatch(m, take(concat_trees(draws), order)), Tensor(emb)
 
     def zero_batch(self, n):
-        return ListBatch(np.zeros(n, dtype=np.int64),
-                         split_leading(self.value_codec.zero_batch(n * self.max_len),
-                                       n, self.max_len))
+        return ListBatch(np.zeros(n, dtype=np.int64), self.value_codec.zero_batch(0))

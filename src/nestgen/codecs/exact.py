@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from ..batches import LeafBatch, ListBatch, StructBatch, put_rows, split_leading
+from ..batches import LeafBatch, ListBatch, StructBatch
 from .base import Codec, pass_losses
 from .composites import ListCodec, StructCodec
 from .primitives import CategoricalCodec
@@ -44,9 +44,8 @@ def enumerate_outcomes(codec: Codec, limit: int = 100000) -> list:
 
 
 def batch_from_values(codec: Codec, values: list):
-    """Pack python value trees into one BatchTree. A list's elements are
-    packed together and written at their slots of the value codec's
-    `zero_batch`, which pads the rest."""
+    """Pack python value trees into one BatchTree. A list is its lengths
+    plus its elements end to end."""
     if isinstance(codec, CategoricalCodec):
         return LeafBatch(np.asarray(values, dtype=np.int64))
     if isinstance(codec, StructCodec):
@@ -54,12 +53,8 @@ def batch_from_values(codec: Codec, values: list):
             name: batch_from_values(child, [v[name] for v in values])
             for name, child in zip(codec.names, codec._children)})
     if isinstance(codec, ListCodec):
-        B, P = len(values), codec.max_len
-        lengths = np.asarray([len(v) for v in values], dtype=np.int64)
-        slots = np.flatnonzero(np.arange(P) < lengths[:, None])
-        elems = batch_from_values(codec.value_codec, [e for v in values for e in v])
-        padded = put_rows(codec.value_codec.zero_batch(B * P), slots, elems)
-        return ListBatch(lengths, split_leading(padded, B, P))
+        return ListBatch(np.asarray([len(v) for v in values], dtype=np.int64),
+                         batch_from_values(codec.value_codec, [e for v in values for e in v]))
     raise TypeError(f"unsupported codec: {type(codec).__name__}")
 
 

@@ -1,17 +1,18 @@
 """Dataset ingestion and emission.
 
 Ingestion turns CSV (flat schemas) or JSON-lines (any schema) files into the
-batch-major tensors the codecs train on: every leaf becomes one integer code
-array whose leading axis is the row axis, with one extra position axis per
-enclosing list. Emission is the inverse: code trees back to records, records
-back to files.
+batch the codecs train on, which is the coded columns: every leaf becomes one
+integer code array over its values, and every list one lengths array over
+its rows, its elements end to end below it (see `batches`). Nothing is
+padded. Emission is the inverse: code trees back to records, a list's
+elements cut by its offsets, and records back to files.
 
 Raw records are checked and flattened one schema node at a time (`_walk`),
 all values at a node together, into a flat buffer per schema path
 (`Columns`): a record's fields by one itemgetter map each, a list's lengths
 (its offsets, as in Arrow's list layout and Dremel's striped columns) by one
 len map, a numeric column by one float conversion. Quantile tables, enum
-vocabularies, padded batches and the metric tables are all built from those
+vocabularies, batches and the metric tables are all built from those
 buffers, each column coded in bulk.
 
 Row handling: a row containing a null, or a list longer than its declared
@@ -33,7 +34,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .batches import LeafBatch, ListBatch, StructBatch, merge_leading, take
+from .batches import LeafBatch, ListBatch, StructBatch
 from .codecs.primitives import DEFAULT_BINS, QuantileTable
 from .schema import Array, Enum, Number, Record, leaf_columns, resolve, walk_paths
 
@@ -89,11 +90,6 @@ class Transform:
                                    f"{path} (cardinality {node.cardinality})")
             codes[i] = code
         return codes
-
-    def value_for(self, path, code):
-        if path in self.vocabs:
-            return self.vocabs[path][code]
-        return int(code)
 
 
 def detect_format(path) -> str:
@@ -284,52 +280,42 @@ def fit_transform(columns, schema) -> Transform:
     return Transform(resolve(schema, cards), vocabs, tables)
 
 
-def _batch_tree(node, path, codes, slots, shape):
-    """Batch tree of one schema node. codes[path]: the (values, padding) of a
-    leaf or list; slots: the flat index of each value in the padded `shape`.
-    Item j of the list value at slot s goes to slot s * max_len + j."""
+def _batch_tree(node, path, codes):
+    """Batch tree of one schema node from codes[path], the coded column of
+    each leaf and the lengths of each list."""
     if isinstance(node, Record):
-        return StructBatch({f.name: _batch_tree(f, f"{path}/{f.name}", codes,
-                                                slots, shape)
+        return StructBatch({f.name: _batch_tree(f, f"{path}/{f.name}", codes)
                             for f in node.fields})
-    values, pad = codes[path]
-    padded = np.full(math.prod(shape), pad, dtype=np.int64)
-    padded[slots] = values
-    padded = padded.reshape(shape)
-    if not isinstance(node, Array):
-        return LeafBatch(padded)
-    starts = np.cumsum(values) - values
-    items = np.repeat(slots * node.max_len - starts, values) + np.arange(values.sum())
-    return ListBatch(padded, _batch_tree(node.items, f"{path}/{node.items.name}",
-                                         codes, items, shape + (node.max_len,)))
+    if isinstance(node, Array):
+        return ListBatch(codes[path], _batch_tree(node.items, f"{path}/{node.items.name}",
+                                                  codes))
+    return LeafBatch(codes[path])
 
 
 def build_batch(columns, transform) -> object:
-    """Checked columns -> BatchTree of integer codes: each column coded once,
-    padded slots hold code 0 (enums) or the bin of 0.0 (numerics). A value
-    without a code raises for the first record that holds one."""
+    """Checked columns -> BatchTree of integer codes, each column coded once.
+    A value without a code raises for the first record that holds one."""
     codes, bad = {}, []
     for k, (path, node) in enumerate(walk_paths(transform.schema)):
         values = columns.bufs.get(path)
         if isinstance(node, Array):
-            codes[path] = np.asarray(values, dtype=np.int64), 0
+            codes[path] = np.asarray(values, dtype=np.int64)
         elif isinstance(node, Number):
             table = transform.tables.get(path)
             if table is None:
                 raise DataError(f"numeric column {path}: no quantile table")
-            codes[path] = table.bin_values(values), table.bin_values(0.0)
+            codes[path] = table.bin_values(values)
         elif isinstance(node, Enum):
             try:
-                codes[path] = transform.code_column(path, node, values), 0
+                codes[path] = transform.code_column(path, node, values)
             except _BadValue as e:
                 i, message = e.args
                 bad.append((int(columns.rids[path][i]), k, message))
     if bad:
         row, _, message = min(bad)
         raise DataError(f"record {row}: {message}")
-    b = len(columns)
     schema = transform.schema
-    return _batch_tree(schema, schema.name, codes, np.arange(b), (b,))
+    return _batch_tree(schema, schema.name, codes)
 
 
 @dataclass
@@ -408,7 +394,9 @@ def records_from_batch(tree, transform) -> list:
 
 def _decode(tree, node, path, tf):
     if isinstance(node, Enum):
-        return [tf.value_for(path, int(c)) for c in tree.codes]
+        codes = np.asarray(tree.codes).tolist()
+        vocab = tf.vocabs.get(path)
+        return codes if vocab is None else list(map(vocab.__getitem__, codes))
     if isinstance(node, Number):
         vals = np.asarray(tree.codes)
         if not np.issubdtype(vals.dtype, np.floating):
@@ -416,21 +404,16 @@ def _decode(tree, node, path, tf):
             if table is None:
                 raise DataError(f"numeric column {path}: no quantile table")
             vals = table.representative(vals)
-        return [int(v) if node.integer else float(v) for v in vals]
+        return list(map(int, vals.tolist())) if node.integer else vals.tolist()
     if isinstance(node, Record):
-        cols = {f.name: _decode(tree.fields[f.name], f, f"{path}/{f.name}", tf)
-                for f in node.fields}
-        n = len(next(iter(cols.values())))
-        return [{k: v[i] for k, v in cols.items()} for i in range(n)]
+        names = [f.name for f in node.fields]
+        cols = [_decode(tree.fields[f.name], f, f"{path}/{f.name}", tf) for f in node.fields]
+        return [dict(zip(names, row)) for row in zip(*cols)]
     if isinstance(node, Array):
-        # only the valid slots b*max_len + j, j < lengths[b], are decoded:
-        # padding never reaches a leaf
-        lengths = np.asarray(tree.lengths, dtype=np.int64)
-        valid = np.arange(node.max_len)[None, :] < lengths[:, None]
-        flat = _decode(take(merge_leading(tree.values), np.flatnonzero(valid)),
-                       node.items, f"{path}/{node.items.name}", tf)
+        lengths = np.asarray(tree.lengths, dtype=np.int64).tolist()
+        flat = _decode(tree.values, node.items, f"{path}/{node.items.name}", tf)
         ends = np.cumsum(lengths).tolist()
-        return [flat[e - m:e] for e, m in zip(ends, lengths.tolist())]
+        return [flat[e - m:e] for e, m in zip(ends, lengths)]
     raise TypeError(type(node).__name__)
 
 
@@ -451,9 +434,9 @@ def write_records(records, schema, path, fmt) -> None:
             for rec in records:
                 w.writerow([_csv_cell(rec[n]) for n in names])
     elif fmt == "jsonl":
+        encode = json.JSONEncoder(ensure_ascii=False).encode
         with atomic_write(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            fh.write("".join(encode(rec) + "\n" for rec in records))
     else:
         raise DataError(f"unknown format {fmt!r} (expected csv or jsonl)")
 

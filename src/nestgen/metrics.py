@@ -84,12 +84,13 @@ def code_tables(real_table: dict, synth_table: dict, kinds: dict,
         raise MetricsError("real and synthetic tables have different columns")
     coded = {}
     for name, real in real_table.items():
-        both = [*real, *synth_table[name]]
         if kinds[name] == "numeric":
-            q = QuantileTable.fit(real, (bins or {}).get(name, DEFAULT_BINS))
+            both = np.concatenate([np.asarray(real, dtype=np.float64),
+                                   np.asarray(synth_table[name], dtype=np.float64)])
+            q = QuantileTable.fit(both[:len(real)], (bins or {}).get(name, DEFAULT_BINS))
             coded[name] = q.bin_values(both), q.n_bins
         else:
-            coded[name] = _cat_codes(both)
+            coded[name] = _cat_codes([*real, *synth_table[name]])
     return coded
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape
-from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
+from nestgen.batches import LeafBatch, ListBatch, StructBatch
 from nestgen.codecs.base import pass_losses, per_example_gradients, train_step
 from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec
@@ -206,23 +206,6 @@ class LeafSpy:
         return score(cond)
 
 
-def value_embedding_spy(lst):
-    """Wraps the `encode` of the value codec of the list codec `lst` and
-    returns the list each embedding it returns is appended to: one
-    (rows*P, d) tensor per length group, in group order. Padding tests read
-    the gradients of these tensors."""
-    embs = []
-    encode = lst.value_codec.encode
-
-    def spied(x, rng=None):
-        e, score = encode(x, rng=rng)
-        embs.append(e)
-        return e, score
-
-    lst.value_codec.encode = spied
-    return embs
-
-
 def digest_spy(codec):
     """Wraps the encoder stack of the composite `codec` and returns the list
     each (B, L, d) digest tensor it computes is appended to: one per struct
@@ -238,51 +221,90 @@ def digest_spy(codec):
     return digests
 
 
-def group_grads(lengths, embs):
-    """(mask, (rows, P, d) gradient of its value embeddings) per length
-    group of a list batch with these lengths, from a `value_embedding_spy`
-    list; mask is (rows, P), True where a slot holds an element."""
-    lengths = np.asarray(lengths)
-    groups = length_groups(lengths)
-    assert len(embs) == len(groups)
-    return [(np.arange(P)[None, :] < lengths[rows][:, None], e.grad.reshape(rows.size, P, -1))
-            for (rows, P), e in zip(groups, embs)]
+def padded_grids(codec, garbage=None):
+    """Wraps every list codec under `codec` and the `encode` of its value
+    codec, and returns the list each grid a length group hands its value
+    codec is recorded in, as (list path, mask, embedding): mask is (rows*P,),
+    True where a grid slot holds an element, and embedding is the
+    (rows*P, d) tensor the value codec returned, whose `grad` a backward
+    pass fills. With a generator `garbage`, the leaf codes of every padded
+    slot are first overwritten with random codes (a nested list there keeps
+    length 0), which stresses the masking invariants."""
+    grids = []
+    for lst in codec.walk():
+        if isinstance(lst, ListCodec):
+            _spy_grids(lst, grids, garbage)
+    return grids
 
 
-def random_batch(codec, n, rng, garbage_padding=True):
-    """Random observations shaped for the codec. Padded list slots hold
-    random garbage by default, which stresses the masking invariants."""
+def _spy_grids(lst, grids, garbage):
+    masks = []  # the masks of the groups of the current encode, in order
+    encode, value_encode = lst.encode, lst.value_codec.encode
+
+    def list_spied(x, rng=None):
+        lengths = np.asarray(x.lengths)
+        masks[:] = [(np.arange(P) < lengths[rows][:, None]).ravel()
+                    for rows, P in length_groups(lengths)]
+        return encode(x, rng=rng)
+
+    def value_spied(x, rng=None):
+        mask = masks.pop(0)
+        if garbage is not None:
+            x = _overwrite(lst.value_codec, x, ~mask, garbage)
+        e, score = value_encode(x, rng=rng)
+        grids.append((lst.path, mask, e))
+        return e, score
+
+    lst.encode, lst.value_codec.encode = list_spied, value_spied
+
+
+def _overwrite(codec, tree, rows, rng):
+    """The batch with random codes in the given rows of every leaf at its
+    level, through structs; a list's lengths and elements are kept."""
+    if isinstance(codec, CategoricalCodec):
+        codes = tree.codes.copy()
+        codes[rows] = rng.integers(0, codec.cardinality, size=int(rows.sum()))
+        return LeafBatch(codes)
+    if isinstance(codec, StructCodec):
+        return StructBatch({name: _overwrite(c, tree.fields[name], rows, rng)
+                            for name, c in zip(codec.names, codec.children())})
+    return tree
+
+
+def random_batch(codec, n, rng, pick=None):
+    """n random observations for the codec, laid out as ingest lays them
+    out: a list holds its lengths and its elements end to end.
+    pick(list_codec, n) gives a list's lengths; uniform on 0..max_len by
+    default."""
     if isinstance(codec, CategoricalCodec):
         return LeafBatch(rng.integers(0, codec.cardinality, size=n))
     if isinstance(codec, StructCodec):
-        return StructBatch({name: random_batch(c, n, rng, garbage_padding)
+        return StructBatch({name: random_batch(c, n, rng, pick)
                             for name, c in zip(codec.names, codec.children())})
     if isinstance(codec, ListCodec):
-        lengths = rng.integers(0, codec.max_len + 1, size=n)
-        flat = random_batch(codec.value_codec, n * codec.max_len, rng,
-                            garbage_padding)
-        if not garbage_padding:
-            mask = (np.arange(codec.max_len)[None, :]
-                    < lengths[:, None]).ravel()
-            flat = _zero_where(flat, ~mask, codec.value_codec)
-        return ListBatch(lengths.astype(np.int64),
-                         split_leading(flat, n, codec.max_len))
+        lengths = (rng.integers(0, codec.max_len + 1, size=n) if pick is None
+                   else pick(codec, n)).astype(np.int64)
+        return ListBatch(lengths, random_batch(codec.value_codec, int(lengths.sum()),
+                                               rng, pick))
     raise TypeError(type(codec).__name__)
 
 
-def _zero_where(tree, mask, codec):
-    if isinstance(tree, LeafBatch):
-        codes = tree.codes.copy()
-        codes[mask] = 0
-        return LeafBatch(codes)
+def assert_offsets(tree):
+    """Every list node holds its rows' elements end to end: each leaf's
+    codes and each list's lengths at its element level, through structs,
+    are one row per element, lengths.sum() of them, with no capacity axis."""
+    def level(t):
+        if isinstance(t, StructBatch):
+            return [a for sub in t.fields.values() for a in level(sub)]
+        return [t.codes if isinstance(t, LeafBatch) else t.lengths]
+
     if isinstance(tree, StructBatch):
-        return StructBatch({k: _zero_where(v, mask, c) for (k, v), c in
-                            zip(tree.fields.items(), codec.children())})
-    if isinstance(tree, ListBatch):
-        lengths = tree.lengths.copy()
-        lengths[mask] = 0
-        return ListBatch(lengths, tree.values)
-    raise TypeError(type(tree).__name__)
+        for sub in tree.fields.values():
+            assert_offsets(sub)
+    elif isinstance(tree, ListBatch):
+        count = int(tree.lengths.sum())
+        assert all(a.shape == (count,) for a in level(tree.values))
+        assert_offsets(tree.values)
 
 
 def random_schema_doc(rng, max_depth=2, shuffle_ok=True):

@@ -18,8 +18,7 @@ import pytest
 
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape
-from nestgen.batches import (LeafBatch, ListBatch, StructBatch, n_rows,
-                             split_leading)
+from nestgen.batches import LeafBatch, ListBatch, StructBatch, n_rows
 from nestgen.cli import main as cli_main
 from nestgen.codecs.base import pass_losses, root_conditioning, sample_rows, train_step
 from nestgen.codecs.composites import ListCodec, StructCodec
@@ -33,9 +32,8 @@ from nestgen.schema import compile_schema, parse_schema
 from nestgen.trainer import DpConfig, TrainConfig, fit
 from nestgen.transformer import TransformerConfig
 
-from conftest import (ForcedOrder, LeafSpy, dp_row, forward_loss, group_grads,
-                      loss_gradients, random_batch, random_schema_doc,
-                      value_embedding_spy)
+from conftest import (ForcedOrder, LeafSpy, dp_row, forward_loss, loss_gradients,
+                      padded_grids, random_batch, random_schema_doc)
 
 
 def verdict(num, ok, detail):
@@ -195,16 +193,17 @@ def markov_lists(rng, n, max_len=8):
     cum = CHAIN_T.cumsum(axis=1)
     for i in range(1, max_len):
         values[:, i] = (u[:, i:i + 1] > cum[values[:, i - 1]]).sum(axis=1)
-    pad = np.arange(max_len)[None, :] >= lengths[:, None]
-    values[pad] = 0
-    return ListBatch(lengths.astype(np.int64), LeafBatch(values))
+    valid = np.arange(max_len)[None, :] < lengths[:, None]
+    return ListBatch(lengths.astype(np.int64), LeafBatch(values[valid]))
 
 
 def bigram_conditionals(lengths, values):
-    pos = np.arange(values.shape[1] - 1)
-    live = pos[None, :] < (lengths[:, None] - 1)
+    """Transition frequencies of the consecutive element pairs of each
+    list, from the lists' lengths and their elements end to end."""
+    row = np.repeat(np.arange(lengths.size), lengths)
+    live = row[:-1] == row[1:]
     counts = np.zeros((3, 3))
-    np.add.at(counts, (values[:, :-1][live], values[:, 1:][live]), 1.0)
+    np.add.at(counts, (values[:-1][live], values[1:][live]), 1.0)
     return counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
 
 
@@ -303,10 +302,8 @@ def test_05_causality_suite():
         # list invariant: the length distribution of any list node cannot
         # move when that list's element values are replaced (lengths kept)
         for lst, sub in struct_reachable_lists(codec, batch):
-            B = sub.lengths.shape[0]
-            fresh = random_batch(lst.value_codec, B * lst.max_len, rng)
-            pert_list = ListBatch(sub.lengths.copy(),
-                                  split_leading(fresh, B, lst.max_len))
+            fresh = random_batch(lst.value_codec, int(sub.lengths.sum()), rng)
+            pert_list = ListBatch(sub.lengths.copy(), fresh)
             pert = replace_in_tree(codec, batch, lst.path, pert_list)
             rep1 = decoded_logits(spy, store, pert)
             len_path = lst.len_codec.path
@@ -320,13 +317,12 @@ def test_05_causality_suite():
         lst, lstore = _standalone_list(card, max_len, seed=case)
         lspy = LeafSpy(lst)
         m = max_len
-        base = LeafBatch(rng.integers(0, card, size=(1, m)))
+        base = LeafBatch(rng.integers(0, card, size=m))
         x0 = ListBatch(np.array([m]), base)
         r0 = decoded_logits(lspy, lstore, x0)["l/item"]
         i = int(rng.integers(1, m))
         pert_vals = base.codes.copy()
-        pert_vals[0, i:] = (pert_vals[0, i:] + 1 +
-                            rng.integers(0, card - 1)) % card
+        pert_vals[i:] = (pert_vals[i:] + 1 + rng.integers(0, card - 1)) % card
         r1 = decoded_logits(lspy, lstore, ListBatch(np.array([m]),
                                                    LeafBatch(pert_vals)))["l/item"]
         assert np.array_equal(r0[:i + 1], r1[:i + 1]), f"case {case}: element"
@@ -346,59 +342,70 @@ def _standalone_list(card, max_len, seed, shuffled=False):
 
 # -- 6: padded positions carry no loss and no gradient ---------------------------------
 
-def _has_list(codec):
-    if isinstance(codec, ListCodec):
-        return True
-    if isinstance(codec, StructCodec):
-        return any(_has_list(c) for c in codec.children())
-    return False
+def _list_depth(codec):
+    """The most lists nested in one another under codec."""
+    inner = max((_list_depth(c) for c in codec.children()
+                 if not isinstance(codec, ListCodec) or c is codec.value_codec), default=0)
+    return inner + isinstance(codec, ListCodec)
+
+
+def _padding_checks(grids):
+    """Padded slots of every recorded grid, after asserting that each got
+    exactly zero embedding gradient."""
+    checks = 0
+    for path, mask, emb in grids:
+        grad = np.zeros_like(emb.data) if emb.grad is None else emb.grad
+        assert np.all(grad[~mask] == 0.0), f"{path}: a padded slot got gradient"
+        checks += int((~mask).sum())
+    return checks
 
 
 def test_06_masking_zero_contribution():
+    # depth-3 schemas are drawn until one nests a list in a list, which
+    # depth-2 schemas never do
     rng = np.random.default_rng(66)
-    cases = 0
-    for case in range(20):
+    cases = pad_checks = nested = 0
+    for case, (depth, lists) in enumerate([(2, 1)] * 20 + [(3, 2)] * 10):
         while True:
-            doc = random_schema_doc(rng, max_depth=2)
+            doc = random_schema_doc(rng, max_depth=depth)
             codec, store = compile_schema(parse_schema(doc), width=8,
                                           blocks=1, heads=2, seed=case)
-            if _has_list(codec):
+            if _list_depth(codec) >= lists:
                 break
-        draw = int(rng.integers(1 << 30))
-        garbage = random_batch(codec, 4, np.random.default_rng(draw))
-        clean = random_batch(codec, 4, np.random.default_rng(draw),
-                             garbage_padding=False)
-        loss_g, grads_g = loss_gradients(codec, store, garbage)
-        loss_c, grads_c = loss_gradients(codec, store, clean)
+        batch = random_batch(codec, 4, rng)
+        loss_c, grads_c = loss_gradients(codec, store, batch)
+        # the same batch, with random codes written into every padded slot
+        # of every grid a list codec builds
+        grids = padded_grids(codec, garbage=np.random.default_rng(case))
+        loss_g, grads_g = loss_gradients(codec, store, batch)
         assert loss_g == loss_c, f"case {case}: padding moved the loss"
         for path in grads_c:
             assert np.array_equal(grads_c[path], grads_g[path]), \
                 f"case {case}: padding moved the gradient of {path}"
+        pad_checks += _padding_checks(grids)
+        nested += lists > 1
         cases += 1
 
-    # and the gradient flowing into padded element embeddings is exactly zero
-    pad_checks = 0
+    # and on a standalone list, with each length group's padded positions
+    # up to its own longest list
     for case in range(5):
         card, max_len = int(rng.integers(2, 6)), int(rng.integers(3, 7))
         codec, store = _standalone_list(card, max_len, seed=100 + case)
         lengths = rng.integers(0, max_len + 1, size=6)
-        values = rng.integers(0, card, size=(6, max_len))
-        x = ListBatch(lengths.astype(np.int64), LeafBatch(values))
+        x = ListBatch(lengths.astype(np.int64),
+                      LeafBatch(rng.integers(0, card, size=int(lengths.sum()))))
+        grids = padded_grids(codec, garbage=rng)
         store.zero_grads()
-        embs = value_embedding_spy(codec)
         with Tape() as tape:
             _, score = codec.encode(x)
             loss = ad.mean_all(score(root_conditioning(store, 6)))
         tape.backward(loss)
-        # every length group's padded positions, up to its own longest list
-        for mask, grad in group_grads(x.lengths, embs):
-            pad = ~mask
-            assert np.all(grad[pad] == 0.0)
-            pad_checks += int(pad.sum())
-    assert pad_checks > 0
-    verdict(6, True, f"{cases} schemas with bitwise-identical loss/gradients "
-                     f"under garbage padding; {pad_checks} padded positions "
-                     "with exactly zero embedding gradient")
+        pad_checks += _padding_checks(grids)
+    assert pad_checks > 0 and nested == 10
+    verdict(6, True, f"{cases} schemas ({nested} with nested lists) with "
+                     "bitwise-identical loss/gradients under garbage padding; "
+                     f"{pad_checks} padded positions with exactly zero "
+                     "embedding gradient")
 
 
 # -- 7: shuffled pass equals reordered plain pass --------------------------------------
@@ -444,10 +451,11 @@ def test_07_shuffle_soundness():
             m = int(lengths[b])
             perm[b, :m] = rng.permutation(m)
             reordered[b, :m] = values[b, perm[b, :m]]
-        x = ListBatch(lengths, LeafBatch(values))
+        valid = np.arange(max_len)[None, :] < lengths[:, None]
+        x = ListBatch(lengths, LeafBatch(values[valid]))
         shuffled = pass_losses(codec, store, x, rng=ForcedOrder(perm=perm))[0]
         plain = pass_losses(codec, store,
-                            ListBatch(lengths, LeafBatch(reordered)))[0]
+                            ListBatch(lengths, LeafBatch(reordered[valid])))[0]
         assert np.array_equal(shuffled.data, plain.data), f"list case {case}"
     verdict(7, True, "50 random permutation cases, shuffled pass bitwise "
                      "equal to the reordered plain pass")

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from nestgen.autodiff import Tape
-from nestgen.batches import LeafBatch, arrays, n_rows, take, take_prefix
+from nestgen.batches import LeafBatch, n_rows, take
 from nestgen.codecs import base
 from nestgen.codecs.composites import ListCodec, StructCodec
 from nestgen.codecs.base import (pass_losses, per_example_gradients,
                                  root_conditioning, sample_rows, train_step)
-from nestgen.codecs.exact import enumerate_outcomes, joint_table
+from nestgen.codecs.exact import batch_from_values, enumerate_outcomes, joint_table
 from nestgen.optim import Adam
 from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 
-from conftest import ForcedOrder, example_blocks, forward_loss
+from conftest import ForcedOrder, assert_offsets, example_blocks, forward_loss
 
 
 def compiled(doc, width=8, blocks=1, heads=2, seed=0):
@@ -82,7 +82,6 @@ def test_enumeration_sums_to_one_before_and_after_training():
         # a few optimizer steps must not break normalization
         opt = Adam(lr=0.01)
         outcomes = enumerate_outcomes(codec)
-        from nestgen.codecs.exact import batch_from_values
         batch = batch_from_values(codec, [outcomes[i] for i in
                                           rng.integers(0, len(outcomes), 32)])
         for _ in range(5):
@@ -92,23 +91,16 @@ def test_enumeration_sums_to_one_before_and_after_training():
         assert abs(probs.sum() - 1.0) < 1e-9
 
 
-def assert_padded(codec, values, tree):
-    """tree packs `values` as codes, and each list's slots past its length
-    hold exactly the value codec's `zero_batch` rows, at every depth."""
+def assert_packed(codec, values, tree):
+    """tree packs `values` as int64 codes, each list as its lengths plus
+    its elements end to end, at every depth."""
     if isinstance(codec, StructCodec):
         for name, child in zip(codec.names, codec.children()):
-            assert_padded(child, [v[name] for v in values], tree.fields[name])
+            assert_packed(child, [v[name] for v in values], tree.fields[name])
     elif isinstance(codec, ListCodec):
-        P = codec.max_len
         assert tree.lengths.dtype == np.int64
         assert tree.lengths.tolist() == [len(v) for v in values]
-        for b, v in enumerate(values):
-            slots = take_prefix(tree.values, [b], P)
-            assert_padded(codec.value_codec, v, take(slots, np.arange(len(v))))
-            pad = take(slots, np.arange(len(v), P))
-            zeros = codec.value_codec.zero_batch(P - len(v))
-            for got, want in zip(arrays(pad), arrays(zeros), strict=True):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_packed(codec.value_codec, [e for v in values for e in v], tree.values)
     else:
         assert tree.codes.dtype == np.int64 and tree.codes.tolist() == list(values)
 
@@ -132,12 +124,17 @@ LIST_OF_LISTS = {"type": "record", "name": "r", "fields": [
                                   {"place": 2, "price": 0}]}]),
     (LIST_OF_LISTS, [{"l": [[1], [0, 1, 1]]}, {"l": [[]]}, {"l": []}]),
     (LIST_OF_LISTS, [{"l": []}, {"l": []}]),
-], ids=["struct_with_numeric", "list_of_lists", "all_empty"])
-def test_batch_from_values_pads_as_zero_batch(doc, values):
-    from nestgen.codecs.exact import batch_from_values
+    (NESTED, None),
+    (LIST_OF_LISTS, None),
+], ids=["struct_with_numeric", "list_of_lists", "all_empty", "enumerated_nested",
+        "enumerated_list_of_lists"])
+def test_batch_from_values_packs_elements_end_to_end(doc, values):
+    # values None: every outcome the codec enumerates
     codec, store = compiled(doc)
+    values = enumerate_outcomes(codec) if values is None else values
     batch = batch_from_values(codec, values)
-    assert_padded(codec, values, batch)
+    assert_packed(codec, values, batch)
+    assert_offsets(batch)
     assert np.isfinite(forward_loss(codec, store, batch))
 
 
@@ -204,7 +201,7 @@ def test_sample_rows_count_zero_is_empty_zero_batch():
     tree = sample_rows(codec, store, 0, np.random.default_rng(3))
     assert n_rows(tree) == 0
     assert tree.fields["a"].codes.shape == (0,)
-    assert tree.fields["l"].values.codes.shape == (0, 2)
+    assert tree.fields["l"].values.codes.shape == (0,)
 
 
 def test_sample_rows_negative_count_is_refused():

@@ -5,7 +5,7 @@ import pytest
 
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
-from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
+from nestgen.batches import LeafBatch, ListBatch, StructBatch, n_rows
 from nestgen.codecs.base import pass_losses, root_conditioning, sample_rows, train_step
 from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.codecs.primitives import CategoricalCodec, NumericalCodec, QuantileTable
@@ -13,9 +13,9 @@ from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
 from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
-from conftest import (ForcedOrder, LeafSpy, RecordingRng, attach_tables, digest_spy,
-                      forward_loss, group_grads, loss_gradients, random_batch,
-                      random_schema_doc, training_signal, value_embedding_spy)
+from conftest import (ForcedOrder, LeafSpy, RecordingRng, assert_offsets, attach_tables,
+                      digest_spy, forward_loss, loss_gradients, padded_grids, random_batch,
+                      random_schema_doc, training_signal)
 
 
 def bare_store(width=8):
@@ -54,11 +54,24 @@ def struct_batch(codes):
                         for i, c in enumerate(codes)})
 
 
-def list_batch(lengths, values, max_len):
-    arr = np.zeros((len(lengths), max_len), dtype=np.int64)
-    for b, row in enumerate(values):
-        arr[b, :len(row)] = row
-    return ListBatch(np.asarray(lengths, dtype=np.int64), LeafBatch(arr))
+def list_batch(rows):
+    """A batch of lists of categorical codes, one list per row."""
+    return ListBatch(np.array([len(r) for r in rows], dtype=np.int64),
+                     LeafBatch(np.array([v for r in rows for v in r], dtype=np.int64)))
+
+
+def from_grid(lengths, grid, perm=None):
+    """A list batch from (B, P) code grids, one leaf's or a dict of a
+    struct's fields: each row's valid slots, read in perm order if given."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+
+    def elements(codes):
+        if perm is not None:
+            codes = np.take_along_axis(codes, perm, axis=1)
+        return LeafBatch(codes[np.arange(codes.shape[1]) < lengths[:, None]])
+    values = (elements(grid) if isinstance(grid, np.ndarray)
+              else StructBatch({k: elements(v) for k, v in grid.items()}))
+    return ListBatch(lengths, values)
 
 
 def zero_attention(store):
@@ -358,20 +371,19 @@ def test_scorer_repeats_bitwise_and_encode_scores_nothing():
 
 def test_list_rejects_bad_lengths():
     codec, _ = cat_list(3, max_len=2)
-    padded = LeafBatch(np.zeros((1, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="range"):
-        codec.encode(ListBatch(np.array([3]), padded))
+        codec.encode(list_batch([[0, 0, 0]]))
     with pytest.raises(ValueError, match="range"):
-        codec.encode(ListBatch(np.array([-1]), padded))
+        codec.encode(ListBatch(np.array([-1]), LeafBatch(np.zeros(0, dtype=np.int64))))
 
 
 def test_list_rejects_values_of_another_capacity():
-    # the values' capacity axis must be max_len: a group reads row b's first
-    # P positions, so any other capacity would pair lengths with wrong values
+    # values padded to a capacity axis, as batches were once laid out, are
+    # refused: a list's values hold one row per element
     codec, _ = cat_list(3, max_len=2, path="tags")
-    with pytest.raises(ValueError, match="tags"):
+    with pytest.raises(ValueError, match="^tags: tags/item has 2 elements, the lengths sum to 3$"):
         codec.encode(ListBatch(np.array([1, 2]), LeafBatch(np.zeros((2, 3), dtype=np.int64))))
-    with pytest.raises(ValueError, match="tags"):
+    with pytest.raises(ValueError, match="^tags: tags/item has 4 elements, the lengths sum to 3$"):
         codec.encode(ListBatch(np.array([1, 2]), LeafBatch(np.zeros((4,), dtype=np.int64))))
     codec, _ = compile_schema(parse_schema({"type": "record", "name": "r", "fields": [
         {"name": "ll", "type": {"type": "array", "name": "ll", "max_len": 2, "items": {
@@ -380,8 +392,44 @@ def test_list_rejects_values_of_another_capacity():
         width=8, blocks=1, heads=2)
     inner = ListBatch(np.zeros((1, 2), dtype=np.int64),
                       LeafBatch(np.zeros((1, 3, 3), dtype=np.int64)))  # outer capacity 3
-    with pytest.raises(ValueError, match="^r/ll: values have leading shape \\(1, 3\\)"):
+    with pytest.raises(ValueError, match="^r/ll/in: r/ll/in/v has 1 elements, "
+                                         "the lengths sum to 0$"):
         codec.encode(StructBatch({"ll": ListBatch(np.array([1]), inner)}))
+
+
+ELEMENT_COUNTS = {"type": "record", "name": "r", "fields": [
+    {"name": "l", "type": {"type": "array", "name": "l", "max_len": 3, "items": {
+        "type": "record", "name": "e", "fields": [
+            {"name": "a", "type": "enum", "cardinality": 2},
+            {"name": "b", "type": "enum", "cardinality": 2},
+            {"name": "in", "type": {"type": "array", "name": "in", "max_len": 2,
+                                    "items": {"type": "enum", "name": "v",
+                                              "cardinality": 2}}}]}}}]}
+
+
+def test_list_rejects_a_wrong_element_count():
+    # every leaf and list-length array at a list's element level, through
+    # structs, holds lengths.sum() rows, and a nested list's elements are
+    # counted against its own lengths; the error names the list and both counts
+    codec, _ = compile_schema(parse_schema(ELEMENT_COUNTS), width=8, blocks=1, heads=2)
+    [lst] = [c for c in codec.walk() if c.path.endswith("/l")]
+    inner = lst.value_codec.children()[2]
+
+    def batch(a, b, lists, v):
+        zeros = lambda n: np.zeros(n, dtype=np.int64)  # noqa: E731
+        return StructBatch({"l": ListBatch(np.array([1, 2]), StructBatch({
+            "a": LeafBatch(zeros(a)), "b": LeafBatch(zeros(b)),
+            "in": ListBatch(np.ones(lists, dtype=np.int64), LeafBatch(zeros(v)))}))})
+
+    codec.encode(batch(3, 3, 3, 3))
+    for counts, bad, n, path, want in [((2, 3, 3, 3), "a", 2, lst.path, 3),  # too short
+                                       ((3, 4, 3, 3), "b", 4, lst.path, 3),  # too long
+                                       ((3, 3, 4, 4), "in", 4, lst.path, 3),
+                                       ((3, 3, 3, 2), "v", 2, inner.path, 3)]:
+        child = next(c for c in codec.walk() if c.path.endswith("/" + bad))
+        with pytest.raises(ValueError, match=f"^{path}: {child.path} has {n} elements, "
+                                             f"the lengths sum to {want}$"):
+            codec.encode(batch(*counts))
 
 
 def only_group(x, digests):
@@ -395,7 +443,7 @@ def only_group(x, digests):
 
 def test_empty_list_embedding_is_length_digest():
     codec, store = cat_list(3, max_len=4)
-    x = list_batch([0, 0], [[], []], 4)
+    x = list_batch([[], []])
     digests = digest_spy(codec)
     emb, score = codec.encode(x)
     P, group_digests = only_group(x, digests)
@@ -409,7 +457,7 @@ def test_empty_list_embedding_is_length_digest():
 
 def test_full_list_round_trips():
     codec, store = cat_list(3, max_len=3)
-    x = list_batch([3], [[2, 0, 1]], 3)
+    x = list_batch([[2, 0, 1]])
     digests = digest_spy(codec)
     emb, _ = codec.encode(x)
     P, group_digests = only_group(x, digests)
@@ -422,8 +470,8 @@ def test_length_distribution_sees_no_values():
     codec, store = cat_list(4, max_len=3, seed=14)
     cond = root_conditioning(store, 2)
     spy = LeafSpy(codec)
-    x_a = list_batch([2, 3], [[0, 1], [2, 3, 1]], 3)
-    x_b = list_batch([2, 3], [[3, 2], [0, 0, 0]], 3)
+    x_a = list_batch([[0, 1], [2, 3, 1]])
+    x_b = list_batch([[3, 2], [0, 0, 0]])
     _, score_a = codec.encode(x_a)
     _, score_b = codec.encode(x_b)
     spy.score(cond, score_a)
@@ -439,7 +487,7 @@ def test_element_distributions_are_causal():
     cond = root_conditioning(store, 1)
     spy = LeafSpy(codec)
     base = [1, 4, 2, 3]
-    x0 = list_batch([4], [base], 4)
+    x0 = list_batch([base])
     _, score0 = codec.encode(x0)
     spy.score(cond, score0)
     rep0 = spy.logits["l/item"]
@@ -447,7 +495,7 @@ def test_element_distributions_are_causal():
         pert = list(base)
         for j in range(i, 4):
             pert[j] = (pert[j] + 2) % 5
-        x = list_batch([4], [pert], 4)
+        x = list_batch([pert])
         _, score = codec.encode(x)
         spy.score(cond, score)
         rep = spy.logits["l/item"]
@@ -461,8 +509,8 @@ def test_element_distribution_depends_on_length():
     codec, store = cat_list(4, max_len=3, seed=16)
     cond = root_conditioning(store, 1)
     spy = LeafSpy(codec)
-    x2 = list_batch([2], [[1, 3]], 3)
-    x3 = list_batch([3], [[1, 3, 0]], 3)
+    x2 = list_batch([[1, 3]])
+    x3 = list_batch([[1, 3, 0]])
     _, score2 = codec.encode(x2)
     _, score3 = codec.encode(x3)
     spy.score(cond, score2)
@@ -473,18 +521,13 @@ def test_element_distribution_depends_on_length():
 
 
 def test_padding_is_invisible_and_gradient_free():
-    # garbage in padded slots must not move the loss or receive gradient
+    # garbage in the padded slots of the grid must not move the loss or
+    # receive gradient
     codec, store = cat_list(6, max_len=4, seed=17)
-    lengths = [2, 0, 4, 1]
-    rows = [[5, 3], [], [1, 2, 3, 4], [0]]
-    clean = list_batch(lengths, rows, 4)
-    dirty = list_batch(lengths, rows, 4)
-    pad = np.arange(4)[None, :] >= np.asarray(lengths)[:, None]
-    rng = np.random.default_rng(18)
-    dirty.values.codes[pad] = rng.integers(0, 6, size=int(pad.sum()))
-
-    loss_c, grads_c = loss_gradients(codec, store, clean)
-    loss_d, grads_d = loss_gradients(codec, store, dirty)
+    x = list_batch([[5, 3], [], [1, 2, 3, 4], [0]])
+    loss_c, grads_c = loss_gradients(codec, store, x)
+    grids = padded_grids(codec, garbage=np.random.default_rng(18))
+    loss_d, grads_d = loss_gradients(codec, store, x)
     assert loss_c == loss_d
     for path in grads_c:
         assert np.array_equal(grads_c[path], grads_d[path]), path
@@ -492,18 +535,13 @@ def test_padding_is_invisible_and_gradient_free():
     # gradient w.r.t. the embeddings fed at padded positions is exactly zero
     # in every length group; lengths (0, 1) and (2, 4) run in groups of 1 and
     # 4 positions, so each group has padding
-    store.zero_grads()
-    embs = value_embedding_spy(codec)
-    with Tape() as tape:
-        emb, score = codec.encode(dirty)
-        loss = ad.mean_all(score(root_conditioning(store, 4)))
-    tape.backward(loss)
-    assert [(rows.tolist(), P) for rows, P in length_groups(dirty.lengths)] == \
+    assert [(rows.tolist(), P) for rows, P in length_groups(x.lengths)] == \
         [([1, 3], 1), ([0, 2], 4)]
-    grads = group_grads(dirty.lengths, embs)
-    for mask, grad in grads:
-        assert np.all(grad[~mask] == 0.0)
-    assert np.any(np.concatenate([grad[mask] for mask, grad in grads]) != 0.0)
+    assert [mask.tolist() for _, mask, _ in grids] == \
+        [[False, True], [True, True, False, False, True, True, True, True]]
+    for _, mask, emb in grids:
+        assert np.all(emb.grad[~mask] == 0.0)
+    assert np.any(np.concatenate([emb.grad[mask] for _, mask, emb in grids]) != 0.0)
 
 
 # -- set codec (shuffled list) -------------------------------------------------
@@ -514,7 +552,7 @@ def identity_perm(b, p):
 
 def test_set_identity_perm_equals_plain_list():
     codec, store = cat_list(4, max_len=3, shuffled=True, seed=20)
-    x = list_batch([2, 3], [[1, 3], [0, 2, 1]], 3)
+    x = list_batch([[1, 3], [0, 2, 1]])
     plain = forward_loss(codec, store, x)
     forced = forward_loss(codec, store, x, rng=ForcedOrder(perm=identity_perm(2, 3)))
     assert plain == forced
@@ -533,35 +571,28 @@ def record_set(max_len, seed):
     return codec, store
 
 
-def reordered_values(tree, perm):
-    """out[b, i] = tree[b, perm[b, i]] on every leaf of a list's values."""
-    if isinstance(tree, LeafBatch):
-        return LeafBatch(np.take_along_axis(tree.codes, perm, axis=1))
-    return StructBatch({k: reordered_values(v, perm) for k, v in tree.fields.items()})
-
-
 def test_set_perm_equals_reordered_observation():
     # shuffled loss with perm == plain loss on the perm-reordered rows
     codec, store = cat_list(5, max_len=4, shuffled=True, seed=21)
-    x = list_batch([3, 4], [[4, 0, 2], [1, 3, 0, 2]], 4)
+    grid = np.array([[4, 0, 2, 0], [1, 3, 0, 2]])
     perm = np.array([[2, 0, 1, 3],   # valid prefix permuted, pad stays put
                      [3, 1, 0, 2]], dtype=np.int64)
-    cases = [(codec, store, x, perm)]
+    cases = [(codec, store, [3, 4], grid, perm)]
     # a list of records, whose elements decode against their own contexts
     codec, store = record_set(max_len=5, seed=27)
     rng = np.random.default_rng(28)
     B, P = 6, 5
     for _ in range(20):
         lengths = rng.integers(0, P + 1, B)
-        x = ListBatch(lengths, StructBatch({"e": LeafBatch(rng.integers(0, 3, (B, P))),
-                                            "n": LeafBatch(rng.integers(0, 5, (B, P)))}))
+        grid = {"e": rng.integers(0, 3, (B, P)), "n": rng.integers(0, 5, (B, P))}
         perm = np.tile(np.arange(P), (B, 1))
         for b, m in enumerate(lengths):
             perm[b, :m] = rng.permutation(m)
-        cases.append((codec, store, x, perm))
-    for codec, store, x, perm in cases:
+        cases.append((codec, store, lengths, grid, perm))
+    for codec, store, lengths, grid, perm in cases:
+        x = from_grid(lengths, grid)
         shuffled = pass_losses(codec, store, x, rng=ForcedOrder(perm=perm))[0]
-        reordered = ListBatch(x.lengths, reordered_values(x.values, perm))
+        reordered = from_grid(lengths, grid, perm)
         plain = pass_losses(codec, store, reordered)[0]
         assert np.array_equal(shuffled.data, plain.data)
         # a shuffled pass is a plain pass over the reordered observation, so
@@ -581,8 +612,7 @@ def test_composites_draw_their_order_before_their_children():
                {"name": "a", "type": "enum", "cardinality": 2},
                {"name": "b", "type": "enum", "cardinality": 3}]}}
     codec, _ = compile_schema(parse_schema(doc), width=8, blocks=1, heads=2)
-    x = random_batch(codec, 8, np.random.default_rng(0))
-    x.lengths[:] = lengths
+    x = random_batch(codec, 8, np.random.default_rng(0), pick=lambda c, n: lengths)
     assert len(length_groups(lengths)) == 2
     rng = RecordingRng(1)
     codec.encode(x, rng=rng)
@@ -600,7 +630,7 @@ def test_composites_draw_their_order_before_their_children():
 
 def test_set_empty_rows_unaffected_by_shuffle():
     codec, store = cat_list(3, max_len=3, shuffled=True, seed=22)
-    x = list_batch([0, 0], [[], []], 3)
+    x = list_batch([[], []])
     plain = pass_losses(codec, store, x)[0]
     drawn = pass_losses(codec, store, x, rng=np.random.default_rng(23))[0]
     assert np.array_equal(plain.data, drawn.data)
@@ -626,8 +656,7 @@ def test_sampled_zero_lengths_give_empty_lists():
     # zero uniforms always pick the smallest CDF bucket, length 0 included
     tree, emb = codec.sample(root_conditioning(store, 8), ZeroDraws())
     assert np.array_equal(tree.lengths, np.zeros(8, dtype=np.int64))
-    assert tree.values.codes.shape == (8, 4)
-    assert np.array_equal(tree.values.codes, np.zeros((8, 4), dtype=np.int64))
+    assert tree.values.codes.shape == (0,)
     assert emb.data.shape == (8, 8)
 
 
@@ -639,14 +668,12 @@ def test_sample_respects_max_len_and_seed():
     assert np.array_equal(a.lengths, b.lengths)
     assert np.array_equal(a.values.codes, b.values.codes)
     assert a.lengths.min() >= 0 and a.lengths.max() <= 4
-    # padded tail positions hold exactly zero
-    pad = np.arange(4)[None, :] >= a.lengths[:, None]
-    assert pad.any() and np.all(a.values.codes[pad] == 0)
+    assert_offsets(a)
 
 
-def test_nested_sample_padding_equals_zero_batch():
-    # list of a struct with a numeric leaf: every padded slot holds exactly
-    # what zero_batch puts there, while real slots carry sampled real values
+def test_sampled_lists_hold_their_elements_end_to_end():
+    # list of a struct with a numeric leaf: each list node's values are its
+    # rows' elements end to end, and the numeric ones are sampled real values
     store = bare_store()
     rng = np.random.default_rng(32)
     tcfg = TransformerConfig(width=8, blocks=1, heads=2)
@@ -656,13 +683,15 @@ def test_nested_sample_padding_equals_zero_batch():
     item = StructCodec("l/item", ["c", "n"], kids, tcfg, store, rng)
     codec = ListCodec("l", item, 5, tcfg, store, rng)
     tree, _ = codec.sample(root_conditioning(store, 300), np.random.default_rng(33))
-    pad = np.arange(5)[None, :] >= tree.lengths[:, None]
-    assert pad.any() and (~pad).any()
-    zero = codec.zero_batch(300).values
-    for name in ("c", "n"):
-        assert np.array_equal(tree.values.fields[name].codes[pad],
-                              zero.fields[name].codes[pad])
-    assert np.all(tree.values.fields["n"].codes[~pad] >= 0.5)
+    assert_offsets(tree)
+    assert 0 < n_rows(tree.values) < 300 * 5
+    assert np.all(tree.values.fields["n"].codes >= 0.5)
+    # and so at every depth of random schemas with lists in lists
+    for case, (doc, _) in enumerate(SAMPLER_CASES):
+        codec, store = compile_schema(parse_schema(doc), width=8, blocks=1, heads=2,
+                                      seed=case)
+        attach_tables(codec, np.random.default_rng(case))
+        assert_offsets(sample_rows(codec, store, 40, np.random.default_rng(case)))
 
 
 def test_training_pins_constant_length():
@@ -671,7 +700,7 @@ def test_training_pins_constant_length():
     # the root length distribution could never leave uniform
     codec, store = cat_list(2, max_len=3, seed=29)
     store.c0 = np.random.default_rng(31).normal(size=8)
-    x = list_batch([2] * 32, [[0, 1]] * 32, 3)
+    x = list_batch([[0, 1]] * 32)
     from nestgen.optim import Adam
     opt = Adam(lr=0.05)
     for _ in range(150):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_batch, random_schema_doc
 from nestgen import metrics
-from nestgen.batches import LeafBatch, ListBatch, StructBatch, split_leading
+from nestgen.batches import LeafBatch, ListBatch, StructBatch, concat_trees, take
 from nestgen.codecs.base import sample_rows
 from nestgen.codecs.primitives import DEFAULT_BINS, QuantileTable
 from nestgen.data import (DataError, IngestReport, Transform,
@@ -282,8 +282,7 @@ def test_empty_list_is_fully_masked():
     tree, _, _ = ingest_records([user(30, "F", [])], schema, transform=tf)
     reviews = tree.fields["reviews"]
     assert np.array_equal(reviews.lengths, [0])
-    assert reviews.values.fields["rating"].codes.shape == (1, 128)
-    assert np.all(reviews.values.fields["rating"].codes == 0)
+    assert reviews.values.fields["rating"].codes.shape == (0,)
 
 
 def test_lengths_and_mask_sums():
@@ -724,29 +723,22 @@ def ref_encode_tree(tree, node, path, tf, where):
 
 
 def ref_assemble(raw, codes, node, path, tf):
+    """The batch of the raw values and codes of one schema node, a list's
+    elements end to end below its lengths."""
     if isinstance(node, Enum):
-        return LeafBatch(np.array([0 if c is None else c for c in codes],
-                                  dtype=np.int64))
+        return LeafBatch(np.array(codes, dtype=np.int64))
     if isinstance(node, Number):
-        vals = np.array([0.0 if v is None else v for v in raw], dtype=np.float64)
+        vals = np.array(raw, dtype=np.float64)
         return LeafBatch(tf.tables[path].bin_values(vals).astype(np.int64))
     if isinstance(node, Record):
         return StructBatch({
-            f.name: ref_assemble([None if r is None else r[f.name] for r in raw],
-                                 [None if c is None else c[f.name] for c in codes],
+            f.name: ref_assemble([r[f.name] for r in raw], [c[f.name] for c in codes],
                                  f, f"{path}/{f.name}", tf)
             for f in node.fields})
-    b, p = len(raw), node.max_len
-    lengths = np.array([len(r) if r is not None else 0 for r in raw], dtype=np.int64)
-    flat_raw, flat_codes = [], []
-    for row_raw, row_codes in zip(raw, codes):
-        items_r, items_c = row_raw or [], row_codes or []
-        pad = p - len(items_r)
-        flat_raw.extend(items_r + [None] * pad)
-        flat_codes.extend(items_c + [None] * pad)
-    child = ref_assemble(flat_raw, flat_codes, node.items,
-                         f"{path}/{node.items.name}", tf)
-    return ListBatch(lengths, split_leading(child, b, p))
+    lengths = np.array([len(r) for r in raw], dtype=np.int64)
+    child = ref_assemble([v for r in raw for v in r], [c for r in codes for c in r],
+                         node.items, f"{path}/{node.items.name}", tf)
+    return ListBatch(lengths, child)
 
 
 def ref_build_batch(checked, tf):
@@ -857,7 +849,7 @@ def random_records(seed, n=40):
         p: QuantileTable.fit(rng.integers(0, 50, 100).astype(float), node.bins,
                              integer=True)
         for p, node in walk_paths(schema) if isinstance(node, Number)})
-    records = records_from_batch(random_batch(codec, n, rng, False), tf)
+    records = records_from_batch(random_batch(codec, n, rng), tf)
     return schema, records
 
 
@@ -938,6 +930,33 @@ def test_ingest_matches_reference_walkers(seed):
     tree, _, _ = ingest_records(records[::-1], schema, transform=tf)
     assert_same_batch(tree, ref_build_batch(ref_check_records(records[::-1],
                                                               schema)[0], tf))
+
+
+def nests_lists(schema):
+    """True when some list of the schema holds another list."""
+    lists = [p for p, n in walk_paths(schema) if isinstance(n, Array)]
+    return any(q.startswith(p + "/") for p in lists for q in lists)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_take_and_concat_of_nested_lists_keep_records(seed):
+    # depth-3 schemas are drawn until one nests a list in a list
+    while True:
+        schema, records = random_records(seed)
+        if nests_lists(schema):
+            break
+        seed += 100
+    tree, tf, _ = ingest_records(records, schema)
+    decoded = records_from_batch(tree, tf)
+    idx = np.random.default_rng(seed).integers(0, len(records), 2 * len(records))
+    assert len(set(idx.tolist())) < idx.size  # some rows repeat
+    assert typed(records_from_batch(take(tree, idx), tf)) == typed([decoded[i] for i in idx])
+    assert records_from_batch(take(tree, idx[:0]), tf) == []
+    # the batches of two halves of the records concatenate to the whole's
+    half = len(records) // 2
+    parts = [ingest_records(part, schema, transform=tf)[0]
+             for part in (records[:half], records[half:])]
+    assert_same_batch(concat_trees(parts), tree)
 
 
 def fault_sites(holder, key, node, out):

@@ -1,10 +1,10 @@
 """Length-grouped list training against the padded scoring it replaced.
 
 `PaddedListCodec` keeps the old `ListCodec` training path as the reference:
-every row runs at max_len, the value codec on all (B*max_len) flattened
-positions. Grouping only drops positions that are masked out and reorders
-sums, so losses and gradients must agree to rounding, on both the plain and
-the per-example (DP) path."""
+every row runs at max_len, the value codec on a full (B, max_len) grid that
+the test lays out itself. Grouping only drops positions that are masked out
+and reorders sums, so losses and gradients must agree to rounding, on both
+the plain and the per-example (DP) path."""
 
 from contextlib import contextmanager
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nestgen import autodiff as ad
-from nestgen.batches import LeafBatch, ListBatch, StructBatch, merge_leading
+from nestgen.batches import LeafBatch, StructBatch, concat_trees, n_rows, take
 from nestgen.codecs.base import per_example_gradients, train_step
 from nestgen.codecs.composites import ListCodec, length_groups
 from nestgen.schema import compile_schema, parse_schema
@@ -30,7 +30,11 @@ class PaddedListCodec(ListCodec):
         B, P = lengths.shape[0], self.max_len
         mask = np.arange(P)[None, :] < lengths[:, None]
         e_len, len_score = self.len_codec.encode(LeafBatch(lengths))
-        ev_flat, val_score = self.value_codec.encode(merge_leading(x.values), rng=rng)
+        # slot (b, i) holds row b's element i, or a zero element past its length
+        values = concat_trees([x.values, self.value_codec.zero_batch(1)])
+        starts = np.cumsum(lengths) - lengths
+        grid = np.where(mask, starts[:, None] + np.arange(P), n_rows(values) - 1)
+        ev_flat, val_score = self.value_codec.encode(take(values, grid.ravel()), rng=rng)
         val_embs = ad.reshape(ev_flat, (B, P, self.width))
         perm = self._draw_perm(rng, mask)
         ordered = val_embs if perm is None else ad.index(val_embs, (np.arange(B)[:, None], perm))
@@ -104,24 +108,13 @@ def compiled(doc, seed=0):
     return compile_schema(parse_schema(doc), width=8, blocks=2, heads=2, seed=seed)
 
 
-def set_lengths(tree, codec, pick):
-    """The batch with every list's lengths replaced by pick(codec, shape)."""
-    if isinstance(tree, LeafBatch):
-        return tree
-    if isinstance(tree, StructBatch):
-        return StructBatch({k: set_lengths(v, c, pick) for (k, v), c in
-                            zip(tree.fields.items(), codec.children())})
-    return ListBatch(pick(codec, tree.lengths.shape),
-                     set_lengths(tree.values, codec.value_codec, pick))
-
-
 def batches(codec, B, rng):
     """Random lengths, then all-empty, all-full and single-length lists."""
-    x = random_batch(codec, B, rng)
-    return {"random": x,
-            "empty": set_lengths(x, codec, lambda c, s: np.zeros(s, dtype=np.int64)),
-            "full": set_lengths(x, codec, lambda c, s: np.full(s, c.max_len)),
-            "single": set_lengths(x, codec, lambda c, s: np.full(s, (c.max_len + 1) // 2))}
+    picks = {"random": None,
+             "empty": lambda c, n: np.zeros(n, dtype=np.int64),
+             "full": lambda c, n: np.full(n, c.max_len),
+             "single": lambda c, n: np.full(n, (c.max_len + 1) // 2)}
+    return {kind: random_batch(codec, B, rng, pick) for kind, pick in picks.items()}
 
 
 def assert_same_training(codec, store, x, passes, seed):
@@ -144,12 +137,13 @@ def assert_same_training(codec, store, x, passes, seed):
 
 
 def split_lists(codec, x):
-    """How many list nodes split some batch they saw into two groups."""
+    """How many list nodes split their lists into two length groups: a list
+    over its batch rows, a nested one over its enclosing list's elements."""
     if isinstance(x, LeafBatch):
         return 0
     if isinstance(x, StructBatch):
         return sum(split_lists(c, v) for c, v in zip(codec.children(), x.fields.values()))
-    inner = split_lists(codec.value_codec, merge_leading(x.values))
+    inner = split_lists(codec.value_codec, x.values)
     return inner + (len(length_groups(np.asarray(x.lengths))) > 1)
 
 

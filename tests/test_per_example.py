@@ -8,7 +8,7 @@ import pytest
 
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
-from nestgen.batches import ListBatch, StructBatch, n_rows, take
+from nestgen.batches import n_rows, take
 from nestgen.codecs.base import per_example_gradients, train_step
 from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.codecs.primitives import CategoricalCodec
@@ -92,26 +92,21 @@ class RowDraws:
         return Replay()
 
 
-def _with_lengths(batch, lengths):
-    """The batch with the root's list `l` given these lengths."""
-    return StructBatch({**batch.fields, "l": ListBatch(lengths, batch.fields["l"].values)})
-
-
-def _two_groups(batch):
+def _two_groups(codec, n):
     """Half the lists empty and half full: two length groups."""
-    B = n_rows(batch)
-    batch = _with_lengths(batch, np.where(np.arange(B) < B // 2, 0, 3))
-    assert len(length_groups(batch.fields["l"].lengths)) == 2
-    return batch
+    lengths = np.where(np.arange(n) < n // 2, 0, codec.max_len)
+    assert len(length_groups(lengths)) == 2
+    return lengths
 
 
-def _full(batch):
+def _full(codec, n):
     """Every list full, so each pass's order moves most of them."""
-    return _with_lengths(batch, np.full(n_rows(batch), 3))
+    return np.full(n, codec.max_len)
 
 
-# (schema, batch size, batch edit, passes); shuffled nodes keep their
-# identity order except in the two-pass case
+# (schema, batch size, the lists' lengths as `random_batch` picks them,
+# passes); shuffled nodes keep their identity order except in the two-pass
+# case
 IDENTITY_CASES = (
     [pytest.param(random_schema_doc(np.random.default_rng(60 + i), max_depth=3), 6, None, 1,
                   id=f"random{i}") for i in range(6)]
@@ -123,14 +118,12 @@ IDENTITY_CASES = (
        pytest.param(STRUCT_LIST_STRUCT, 1, None, 1, id="one-example")])
 
 
-@pytest.mark.parametrize("doc,B,edit,passes", IDENTITY_CASES)
-def test_rows_match_train_step_per_example(doc, B, edit, passes):
+@pytest.mark.parametrize("doc,B,pick,passes", IDENTITY_CASES)
+def test_rows_match_train_step_per_example(doc, B, pick, passes):
     """Each example's gradient, built from the recorded reads, and the
     squared norms and clipped sums taken from the reads directly."""
     codec, store = compiled(doc, seed=61)
-    batch = random_batch(codec, B, np.random.default_rng(62))
-    if edit is not None:
-        batch = edit(batch)
+    batch = random_batch(codec, B, np.random.default_rng(62), pick)
     rng = rng_of = None
     if passes > 1:
         rng = RowDraws(B)

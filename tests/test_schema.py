@@ -277,7 +277,7 @@ def test_review_schema_samples_conform():
     for name, card in (("release_date", 94), ("movie", 4500), ("date", 7),
                        ("rating", 5)):
         codes = reviews.values.fields[name].codes
-        assert codes.shape == (3, 128)
+        assert codes.shape == (reviews.lengths.sum(),)
         assert codes.min() >= 0 and codes.max() < card
 
 

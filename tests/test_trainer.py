@@ -46,7 +46,7 @@ def pair_batch(counts):
 
 def shuffled_batch(rng, n):
     lengths = rng.integers(0, 3, size=n)
-    values = rng.integers(0, 2, size=(n, 2))
+    values = rng.integers(0, 2, size=int(lengths.sum()))
     return StructBatch({"l": ListBatch(lengths, LeafBatch(values))})
 
 
