@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 # Nested records: each user carries a variable-length list of transactions.
 #
-# The list codec factorizes a row as p(length) * prod_i p(item_i | earlier),
-# with padded positions masked out of both the loss and the gradients, so a
-# batch can mix empty and full lists freely. This demo trains on users whose
+# The list codec factorizes a row as p(length) * prod_i p(item_i | earlier).
+# Padding comes after each row's items and attention is causal, so no item
+# attends it, and a loss mask zeroes its terms: it adds exactly zero to the
+# loss and the gradients, so a batch can mix empty and full lists freely. This demo trains on users whose
 # transaction places depend on their segment, then verifies the sampled data
 # has the same length profile and the same segment-to-place coupling.
 

@@ -394,11 +394,13 @@ def index(a, key, unique=False):
     return _record(out, backward)
 
 
-def attention(x, wq, wk, wv, wo, blocked, heads, past=None):
-    """x (B, L, d) plus the wo projection of its `heads`-head attention, with
-    q, k and v from one x @ [wq|wk|wv] product, scores scaled by
-    1/sqrt(d / heads) and zero weight where `blocked` is True. past: constant
-    (B, heads, t, dh) keys and values of t earlier positions. Returns the
+def attention(x, wq, wk, wv, wo, heads, past=None):
+    """x (B, L, d) plus the wo projection of its `heads`-head causal
+    attention, with q, k and v from one x @ [wq|wk|wv] product and scores
+    scaled by 1/sqrt(d / heads). past: constant (B, heads, t, dh) keys and
+    values of t earlier positions. New position i attends keys 0..t+i only.
+    That causal mask is the only one: a list's padding comes after its
+    elements, so no position whose output is used attends it. Returns the
     output and all keys and values; the backward reuses the softmax."""
     B, L, d = x.data.shape
     dh = d // heads
@@ -411,8 +413,9 @@ def attention(x, wq, wk, wv, wo, blocked, heads, past=None):
         k, v = np.concatenate([past[0], k], axis=2), np.concatenate([past[1], v], axis=2)
     p = q @ np.swapaxes(k, -1, -2)
     p *= c
-    if blocked is not None:
-        p = np.where(blocked, MASK_FILL, p)
+    if L > 1:
+        t = k.shape[2] - L
+        p = np.where(np.triu(np.ones((L, t + L), dtype=bool), t + 1), MASK_FILL, p)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

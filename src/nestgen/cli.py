@@ -103,7 +103,7 @@ def _load_schema(path):
     except OSError as e:
         raise CliError("parse", f"cannot read schema: {e}")
     except SchemaError as e:
-        raise CliError("parse", str(e))
+        raise CliError("parse", f"{path}: {e}")
 
 
 def cmd_fit(args) -> int:
@@ -229,7 +229,7 @@ def cmd_eval(args) -> int:
         except OSError as e:
             raise CliError("eval", f"cannot read rules: {e}")
         except json.JSONDecodeError as e:
-            raise CliError("eval", f"rules file is not valid JSON: {e}")
+            raise CliError("eval", f"{args.rules}: rules file is not valid JSON: {e}")
     try:
         report = metrics.evaluate(data.read_records(args.real),
                                   data.read_records(args.synth), schema, k=args.k,
@@ -237,7 +237,8 @@ def cmd_eval(args) -> int:
     except OSError as e:
         raise CliError("eval", f"cannot read dataset: {e}")
     except (metrics.MetricsError, data.DataError) as e:
-        raise CliError("eval", str(e))
+        where = f"{(args.real, args.synth)[e.dataset]}: " if hasattr(e, "dataset") else ""
+        raise CliError("eval", f"{where}{e}")
     sys.stdout.write(report.to_text())
     if args.out:
         try:

@@ -26,10 +26,12 @@ reading element starts[b] + perm[b, i] at a valid slot (perm is the identity
 unless the list is shuffled) and an appended `value_codec.zero_batch(1)` row
 at a padded slot. Encoder position 0 is the length embedding and position
 1+i the i-th value of the reordered row, and decoder output slot 0
-conditions the length and slot 1+i that value. Padded positions are masked
-out of attention and contribute exactly zero loss and gradient. Every slot
-read is one `ad.index`: a slot number drops the position axis, and a slice
-keeps it (an empty one is a zero-length sequence).
+conditions the length and slot 1+i that value. A row of length m uses
+positions <= m only and its padding comes after them, so causal attention
+keeps padding out of every output used, and the loss mask gives the padded
+slots exactly zero loss and gradient. Every slot read is one `ad.index`: a
+slot number drops the position axis, and a slice keeps it (an empty one is
+a zero-length sequence).
 
 Because padding is invisible and no op mixes the rows of different
 examples, a list trains its batch in length groups (`length_groups`), and
@@ -90,11 +92,6 @@ class _Decoding:
         self.digest = ad.index(self.digest, rows)
 
 
-def _prefix_mask(lengths, P):
-    """(n, P) True where a slot holds an element."""
-    return np.arange(P)[None, :] < lengths[:, None]
-
-
 def _level_nodes(codec, tree):
     """(codec, batch) of each leaf and list in `tree`, through structs but
     not into a list's elements."""
@@ -110,8 +107,8 @@ def length_groups(lengths):
     """Split batch rows by list length into at most two groups, each cut to
     P, its longest list (at least 1). The rows sorted by length are cut once,
     where the attention positions, the sum of rows*(P+1) over the groups,
-    are fewest; if no cut has fewer than one group, one group holds every
-    row. Returns [(rows ascending, P)], shorter lists first."""
+    are fewest; if no cut gives fewer positions than one group, one group
+    holds every row. Returns [(rows ascending, P)], shorter lists first."""
     B = lengths.shape[0]
     top = max(int(lengths.max(initial=0)), 1)
     s = np.maximum(np.sort(lengths), 1)
@@ -210,12 +207,12 @@ class ListCodec(Codec):
             if isinstance(child, ListCodec):
                 child._check_counts(sub)
 
-    def _draw_perm(self, rng, mask):
-        """Per-row permutation of the valid prefix; padded slots stay put.
-        Returns None when no shuffling applies."""
+    def _draw_perm(self, rng, lengths):
+        """Per-row (B, max_len) permutation of the valid prefix; padded slots
+        stay put. Returns None when no shuffling applies."""
         if self.shuffled and rng is not None:
-            B, P = mask.shape
-            keys = np.where(mask, rng.random((B, P)), 1.0 + np.arange(P)[None, :])
+            B, P = lengths.shape[0], self.max_len
+            keys = np.where(np.arange(P) < lengths[:, None], rng.random((B, P)), 1.0 + np.arange(P))
             return np.argsort(keys, axis=1).astype(np.int64)
         return None
 
@@ -226,7 +223,7 @@ class ListCodec(Codec):
         self._check_counts(x)
         # the order's keys cover the whole (B, max_len) grid, so they do not
         # depend on the grouping
-        perm = self._draw_perm(rng, _prefix_mask(lengths, self.max_len))
+        perm = self._draw_perm(rng, lengths)
         # every padded grid slot reads the appended zero element, the last row
         values = concat_trees([x.values, self.value_codec.zero_batch(1)])
         starts = np.cumsum(lengths) - lengths
@@ -247,7 +244,7 @@ class ListCodec(Codec):
         """A plain padded grid over batch rows `rows`, each cut to P: returns
         (embedding, score) of those rows."""
         n, m = rows.size, lengths[rows]
-        mask = _prefix_mask(m, P)
+        mask = np.arange(P) < m[:, None]  # True where a slot holds an element
         pos = np.arange(P) if perm is None else perm[rows, :P]
         grid = np.where(mask, starts[rows, None] + pos, n_rows(values) - 1)
         with ad.example_rows(rows):
@@ -256,9 +253,8 @@ class ListCodec(Codec):
             ev, val_score = self.value_codec.encode(take(values, grid.ravel()), rng=rng)
         seq = ad.concat([ad.reshape(e_len, (n, 1, self.width)),
                          ad.reshape(ev, (n, P, self.width))], axis=1)
-        valid = np.concatenate([np.ones((n, 1), dtype=bool), mask], axis=1)
         with ad.example_rows(rows):
-            digests = self.enc(seq, valid=valid)
+            digests = self.enc(seq)
 
         def score(cond):
             # length loss plus the sum over valid element positions, unnormalised:
@@ -266,8 +262,7 @@ class ListCodec(Codec):
             dec_in = ad.concat([ad.reshape(cond, (n, 1, self.width)),
                                 ad.index(digests, np.s_[:, :P])], axis=1)
             with ad.example_rows(rows):
-                # the encoder's mask; position 1 stays a key for an empty list
-                h = self.dec(dec_in, valid=valid | (np.arange(P + 1) <= 1))
+                h = self.dec(dec_in)
                 len_loss = len_score(ad.index(h, np.s_[:, 0]))
             with ad.example_rows(rows, P):
                 v = val_score(ad.reshape(ad.index(h, np.s_[:, 1:]), (n * P, self.width)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codecs.primitives import DEFAULT_BINS, QuantileTable
-from .data import flatten_records
+from .data import DataError, flatten_records
 from .schema import Enum, Number, leaf_columns
 
 log = logging.getLogger("nestgen.metrics")
@@ -414,14 +414,21 @@ def _kinds_and_bins(schema):
 
 def evaluate(real_records, synth_records, schema, k: int = 4,
              n_subsets: int = 50, seed: int = 0, rules=None) -> MetricsReport:
-    """Full fidelity report between two record sets under one schema."""
+    """Full fidelity report between two record sets under one schema. A
+    DataError from flattening a set names it in `dataset`: 0 real, 1 synthetic."""
     if k < 1:
         raise MetricsError(f"marginal order k must be >= 1, got {k}")
     if n_subsets < 1:
         raise MetricsError(f"n_subsets must be >= 1, got {n_subsets}")
     kinds, bins = _kinds_and_bins(schema)
-    real = flatten_records(real_records, schema)
-    synth = flatten_records(synth_records, schema)
+    flat = []
+    for records in (real_records, synth_records):
+        try:
+            flat.append(flatten_records(records, schema))
+        except DataError as e:
+            e.dataset = len(flat)
+            raise
+    real, synth = flat
     rows = {"real": len(real_records), "synth": len(synth_records),
             "real_items": real["item_count"], "synth_items": synth["item_count"]}
 

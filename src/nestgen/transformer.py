@@ -14,9 +14,11 @@ arrays. The cached step is exact because attention is causal, so a
 position's output depends only on its prefix. `KVCache.take` drops batch
 rows that need no further steps.
 
-Masked score entries are filled with the most negative finite float before
-the softmax, so exp() underflows to exactly 0.0 and their gradient is exactly
-0.0: causality and padding are bitwise guarantees, not approximations.
+Causality is the only mask, applied in `ad.attention`: masked scores are
+filled with the most negative finite float before the softmax, so exp()
+underflows to exactly 0.0 and their gradient is exactly 0.0. A list's
+padding comes after its elements, so causality keeps it out of every output
+the list uses, and the list's loss mask zeroes the padded slots' terms.
 """
 
 from __future__ import annotations
@@ -58,28 +60,18 @@ class AttentionStack:
         self.blocks = [{n: store.allocate(f"{prefix}/b{i}/{n}", (d, d), rng)
                         for n in ("wq", "wk", "wv", "wo")} for i in range(cfg.blocks)]
 
-    def __call__(self, x: Tensor, valid: np.ndarray | None = None) -> Tensor:
-        """Run the stack on x of shape (B, L, d).
-
-        valid: optional (B, L) boolean; False columns can never be attended.
-        Rows are causal regardless: position k sees positions <= k only.
-        """
+    def __call__(self, x: Tensor) -> Tensor:
+        """Run the stack on x of shape (B, L, d). Position k sees positions
+        <= k only."""
         if x.data.ndim != 3 or x.data.shape[2] != self.cfg.width:
             raise ValueError(
                 f"input of shape {x.data.shape} does not match model width {self.cfg.width}")
-        L = x.data.shape[1]
-        if L == 0:
+        if x.data.shape[1] == 0:
             raise ValueError("attention needs at least one position")
-        causal = np.tril(np.ones((L, L), dtype=bool))
-        if valid is None:
-            blocked = ~causal[None, None, :, :]
-        else:
-            allowed = causal[None, :, :] & valid[:, None, :].astype(bool)
-            blocked = ~allowed[:, None, :, :]
         for blk in self.blocks:
             # keep no reference to this block's keys and values: outside a
             # tape they are freed before the next block allocates its own
-            x = self._block(blk, x, blocked)[0]
+            x = self._block(blk, x)[0]
         return x
 
     def step(self, x_new: Tensor, cache: KVCache) -> Tensor:
@@ -88,20 +80,20 @@ class AttentionStack:
         x_new (B, d) is the input at that position; cache holds the keys and
         values of every earlier position and gains this one's. Every earlier
         position is attended, so this equals the last row of __call__ on the
-        whole prefix with no valid mask.
+        whole prefix.
         """
         B, d = x_new.data.shape
         x = ad.reshape(x_new, (B, 1, d))
         kv = []
         for i, blk in enumerate(self.blocks):
-            x, kv_i = self._block(blk, x, None, cache.kv[i] if cache.kv else None)
+            x, kv_i = self._block(blk, x, cache.kv[i] if cache.kv else None)
             kv.append(kv_i)
         cache.kv = kv
         return ad.reshape(x, (B, d))
 
-    def _block(self, blk, x: Tensor, blocked, past=None):
+    def _block(self, blk, x: Tensor, past=None):
         """One block on x (B, L, d): `ad.attention` with this block's weights."""
-        return ad.attention(x, **blk, blocked=blocked, heads=self.cfg.heads, past=past)
+        return ad.attention(x, **blk, heads=self.cfg.heads, past=past)
 
 
 class KVCache:

@@ -1,8 +1,11 @@
 """Reference code that only the tests use.
 
-The general `matmul` and the masked `softmax` are the tape ops the 17-op
-reference attention block in test_transformer.py is built from. The package
-fuses both into `autodiff.attention` and `autodiff.categorical_nll`; their
+`attention_block` is one attention block as 17 tape ops, built from the
+general `matmul` and the masked `softmax`, with whatever mask its caller
+builds: test_transformer.py checks the fused `autodiff.attention` against it
+under the causal mask, and test_grouped_lists.py trains its padded list path
+through it with each row's padding masked explicitly. The package fuses
+these ops into `autodiff.attention` and `autodiff.categorical_nll`; their
 finite-difference checks are in test_autodiff.py.
 
 `Adam` and `dp_step` are the per-parameter optimizer step and DP step, one
@@ -54,6 +57,41 @@ def softmax(a, blocked=None):
         a.accumulate(ga if blocked is None else np.where(blocked, 0.0, ga))
 
     return ad._record(out, backward)
+
+
+def _transpose(a, axes):
+    """Axis permutation as a tape op, for the reference block's head split
+    and merge (the package has no transpose op)."""
+    out = Tensor(a.data.transpose(axes))
+    inv = tuple(np.argsort(axes))
+    return ad._record(out, lambda g: a.accumulate(g.transpose(inv)))
+
+
+def _heads(t, H, dh):
+    B, L, d = t.data.shape
+    return _transpose(ad.reshape(t, (B, L, H, dh)), (0, 2, 1, 3))
+
+
+def attention_block(blk, x, heads, blocked, past=None):
+    """One block with the weights `blk` on x (B, L, d) as 17 tape ops: three
+    projections, the head splits, scaled scores masked where `blocked`
+    (which broadcasts into their (B, heads, L, t+L) shape) is True, softmax,
+    the weighted sum, the head merge, the output projection and the
+    residual. past: constant (B, heads, t, dh) keys and values. Returns the
+    output and all keys and values, as `autodiff.attention` does."""
+    B, L, d = x.data.shape
+    dh = d // heads
+    q = _heads(matmul(x, blk["wq"]), heads, dh)
+    k = _heads(matmul(x, blk["wk"]), heads, dh)
+    v = _heads(matmul(x, blk["wv"]), heads, dh)
+    if past is not None:
+        k = ad.concat([past[0], k], axis=2)
+        v = ad.concat([past[1], v], axis=2)
+    scores = ad.mul_const(matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh))
+    w = softmax(scores, blocked)
+    ctx = ad.reshape(_transpose(matmul(w, v), (0, 2, 1, 3)), (B, L, d))
+    y = matmul(ctx, blk["wo"])
+    return ad.add(y, x), (k.data, v.data)
 
 
 class Adam:

@@ -812,6 +812,52 @@ def test_cli_eval_refuses_malformed_rules(tmp_path, capsys, rules, message):
     assert err.startswith(f"error: eval: {message}")
 
 
+FLAT_ROWS = [{"color": "red", "size": "s", "weight": 1.5},
+             {"color": "blue", "size": "l", "weight": 2.5},
+             {"color": "red", "size": "l", "weight": 0.5}]
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ({"color": "blue", "size": "s", "weight": "zz"},
+     "record 1: field weight: not a number: 'zz'"),
+    ({"color": None, "size": "s", "weight": 1.0},
+     "record 1 does not conform to the schema (null value)"),
+], ids=["not-a-number", "null"])
+def test_cli_eval_names_the_dataset_holding_a_bad_record(tmp_path, capsys, bad_row,
+                                                         message):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(FLAT_DOC), encoding="utf-8")
+    good = write_jsonl(tmp_path / "good.jsonl", FLAT_ROWS)
+    bad = write_jsonl(tmp_path / "bad.jsonl", [FLAT_ROWS[0], bad_row])
+    for pair in ([good, bad], [bad, good]):
+        assert main(["eval", *pair, "--schema", str(schema), "--k", "1",
+                     "--subsets", "1"]) == 1
+        assert capsys.readouterr().err == f"error: eval: {bad}: {message}\n"
+
+
+def test_cli_eval_names_a_truncated_rules_file(tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(FLAT_DOC), encoding="utf-8")
+    rows = write_jsonl(tmp_path / "rows.jsonl", FLAT_ROWS)
+    rules = tmp_path / "rules.json"
+    rules.write_text('[{"rule": ', encoding="utf-8")
+    assert main(["eval", rows, rows, "--schema", str(schema), "--rules", str(rules)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eval: {rules}: rules file is not valid JSON: ")
+
+
+def test_cli_fit_and_eval_name_a_schema_without_fields(tmp_path, capsys):
+    schema = tmp_path / "empty.json"
+    schema.write_text(json.dumps({"type": "record", "name": "u", "fields": []}),
+                      encoding="utf-8")
+    rows = write_jsonl(tmp_path / "rows.jsonl", FLAT_ROWS)
+    want = f"error: parse: {schema}: record u: needs a non-empty fields list\n"
+    assert main(fit_args(str(schema), rows, str(tmp_path / "m.ngm"))) == 1
+    assert capsys.readouterr().err == want
+    assert main(["eval", rows, rows, "--schema", str(schema)]) == 1
+    assert capsys.readouterr().err == want
+
+
 def test_cli_parser_is_built_once_and_parses_afresh():
     from nestgen.cli import build_parser
     assert build_parser() is build_parser()

@@ -2,9 +2,11 @@
 
 `PaddedListCodec` keeps the old `ListCodec` training path as the reference:
 every row runs at max_len, the value codec on a full (B, max_len) grid that
-the test lays out itself. Grouping only drops positions that are masked out
-and reorders sums, so losses and gradients must agree to rounding, on both
-the plain and the per-example (DP) path."""
+the test lays out itself, and both stacks mask each row's padded keys
+explicitly, through the tests' reference attention block. The package's
+codec masks nothing but causally and runs each length group at its own
+length, so losses and gradients must agree to rounding, on both the plain
+and the per-example (DP) path."""
 
 from contextlib import contextmanager
 
@@ -18,8 +20,19 @@ from nestgen.codecs.composites import ListCodec, length_groups
 from nestgen.schema import compile_schema, parse_schema
 
 from conftest import example_matrix, random_batch, random_schema_doc
+from reference_ops import attention_block
 
 TOL = 1e-12
+
+
+def masked_stack(stack, x, valid):
+    """`stack` on x (B, L, d) through the reference block, where position k
+    attends key j only if j <= k and valid[b, j]."""
+    L = x.data.shape[1]
+    allowed = np.tril(np.ones((L, L), dtype=bool))[None] & valid[:, None, :]
+    for blk in stack.blocks:
+        x = attention_block(blk, x, stack.cfg.heads, ~allowed[:, None])[0]
+    return x
 
 
 class PaddedListCodec(ListCodec):
@@ -36,11 +49,11 @@ class PaddedListCodec(ListCodec):
         grid = np.where(mask, starts[:, None] + np.arange(P), n_rows(values) - 1)
         ev_flat, val_score = self.value_codec.encode(take(values, grid.ravel()), rng=rng)
         val_embs = ad.reshape(ev_flat, (B, P, self.width))
-        perm = self._draw_perm(rng, mask)
+        perm = self._draw_perm(rng, lengths)
         ordered = val_embs if perm is None else ad.index(val_embs, (np.arange(B)[:, None], perm))
         seq = ad.concat([ad.reshape(e_len, (B, 1, self.width)), ordered], axis=1)
         valid = np.concatenate([np.ones((B, 1), dtype=bool), mask], axis=1)
-        digests = self.enc(seq, valid=valid)
+        digests = masked_stack(self.enc, seq, valid)
         emb = ad.index(digests, (np.arange(B), lengths))
 
         def score(cond):
@@ -49,7 +62,8 @@ class PaddedListCodec(ListCodec):
             dec_in = ad.concat([c_col, ad.index(digests, np.s_[:, :P])], axis=1)
             pos = np.arange(P + 1)[None, :]
             valid = (pos <= lengths[:, None]) | (pos <= 1)
-            h = self.dec(dec_in, valid=valid)
+            # position 1 stays a key for an empty list
+            h = masked_stack(self.dec, dec_in, valid)
             len_loss = len_score(ad.index(h, np.s_[:, 0]))
             slots = ad.index(h, np.s_[:, 1:])
             if perm is not None:

@@ -171,9 +171,9 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
     counts = {}
     encodes = {}   # id(codec) -> one entry per encode call
 
-    def counted(self, x, valid=None):
+    def counted(self, x):
         counts[id(self)] = counts.get(id(self), 0) + 1
-        return call(self, x, valid)
+        return call(self, x)
 
     def spied(encode):
         def wrapper(self, x, rng=None):

@@ -1,4 +1,4 @@
-"""Attention stack: causality, residual passthrough, masking, gradients."""
+"""Attention stack: causality, residual passthrough, gradients."""
 
 import dataclasses
 
@@ -15,7 +15,7 @@ from nestgen.transformer import AttentionStack, TransformerConfig
 
 from conftest import (check_op_gradients, example_matrix, fd_gradient, random_batch,
                       random_schema_doc)
-from reference_ops import matmul, softmax
+from reference_ops import attention_block
 from test_grouped_lists import SHUFFLED, split_lists
 
 
@@ -94,18 +94,19 @@ def test_causal_mask_is_bitwise(rng):
 
 
 def test_invalid_columns_never_attended(rng):
-    # Garbage at masked positions must not leak into any valid position,
-    # bitwise, even across multiple blocks.
+    # Each row's positions after its own prefix length, where a list keeps
+    # its padding, never reach the prefix outputs, bitwise, through two
+    # blocks: causality alone keeps them out.
     stack, _ = make_stack(width=8, blocks=2, heads=2, seed=11)
-    B, L = 2, 4
-    valid = np.array([[True, True, False, True],
-                      [True, False, True, True]])
+    lengths = np.array([1, 3, 4, 2])
+    B, L = lengths.size, 4
+    prefix = np.arange(L)[None, :] < lengths[:, None]
     x = rng.standard_normal((B, L, 8))
-    base = stack(Tensor(x), valid=valid).data.copy()
+    base = stack(Tensor(x)).data.copy()
     pert = x.copy()
-    pert[~valid] = 1e6
-    out = stack(Tensor(pert), valid=valid).data
-    assert np.array_equal(out[valid], base[valid])
+    pert[~prefix] = 1e6
+    out = stack(Tensor(pert)).data
+    assert np.array_equal(out[prefix], base[prefix])
 
 
 def test_forward_is_deterministic(rng):
@@ -171,71 +172,46 @@ def test_input_gradient_matches_finite_differences(rng):
 
 
 def test_masked_positions_get_zero_gradient(rng):
-    # Loss over valid positions only: inputs at masked slots get exactly
-    # zero gradient because their attention weight is exactly 0.0.
+    # A loss over each row's prefix only, as a list's loss mask keeps: the
+    # inputs after the prefix get exactly zero gradient through two blocks,
+    # because no prefix position attends them.
     stack, store = make_stack(width=8, blocks=2, heads=2, seed=25)
-    B, L = 2, 4
-    valid = np.array([[True, True, False, False],
-                      [True, False, True, False]])
+    lengths = np.array([2, 1, 4, 3])
+    B, L = lengths.size, 4
+    prefix = np.arange(L)[None, :] < lengths[:, None]
     xt = Tensor(rng.standard_normal((B, L, 8)))
     store.zero_grads()
     with Tape() as tape:
-        out = stack(xt, valid=valid)
-        keep = ad.mul_const(out, valid[:, :, None].astype(float))
+        out = stack(xt)
+        keep = ad.mul_const(out, prefix[:, :, None].astype(float))
         loss = ad.sum_all(keep)
     tape.backward(loss)
-    assert np.all(xt.grad[~valid] == 0.0)
-    assert np.any(xt.grad[valid] != 0.0)
+    assert np.all(xt.grad[~prefix] == 0.0)
+    assert np.all(np.any(xt.grad[prefix] != 0.0, axis=-1))
 
 
 # -- the fused block against the 17-op block it replaced ----------------------
 
-def _transpose(a, axes):
-    """Axis permutation as a tape op, for the reference block's head split
-    and merge (the package has no transpose op; `reference_ops` has the
-    block's other ops)."""
-    out = Tensor(a.data.transpose(axes))
-    inv = tuple(np.argsort(axes))
-    return ad._record(out, lambda g: a.accumulate(g.transpose(inv)))
+def causal_blocked(L, t=0):
+    """(L, t+L) True where new position i may not attend key j: j > t + i."""
+    return np.arange(t + L)[None, :] > t + np.arange(L)[:, None]
 
 
-def _heads(t, H, dh):
-    B, L, d = t.data.shape
-    return _transpose(ad.reshape(t, (B, L, H, dh)), (0, 2, 1, 3))
-
-
-def reference_block(self, blk, x, blocked, past=None):
-    """`AttentionStack._block` as 17 tape ops: three projections, the head
-    splits, scaled masked scores, softmax, the weighted sum, the head merge,
-    the output projection and the residual."""
-    B, L, d = x.data.shape
-    H = self.cfg.heads
-    dh = d // H
-    q = _heads(matmul(x, blk["wq"]), H, dh)
-    k = _heads(matmul(x, blk["wk"]), H, dh)
-    v = _heads(matmul(x, blk["wv"]), H, dh)
-    if past is not None:
-        k = ad.concat([past[0], k], axis=2)
-        v = ad.concat([past[1], v], axis=2)
-    scores = ad.mul_const(matmul(q, k, transpose_b=True), 1.0 / np.sqrt(dh))
-    w = softmax(scores, blocked)
-    ctx = ad.reshape(_transpose(matmul(w, v), (0, 2, 1, 3)), (B, L, d))
-    y = matmul(ctx, blk["wo"])
-    return ad.add(y, x), (k.data, v.data)
+def reference_block(self, blk, x, past=None):
+    """`AttentionStack._block` as the 17-op reference block, under a causal
+    mask built here rather than by the op."""
+    t = 0 if past is None else past[0].shape[2]
+    return attention_block(blk, x, self.cfg.heads, causal_blocked(x.data.shape[1], t), past)
 
 
 TOL = 1e-12
 
-
-def _blockings(rng, B, L):
-    causal = np.tril(np.ones((L, L), dtype=bool))
-    valid = rng.random((B, L)) < 0.6
-    valid[:, 0] = True
-    return {"none": None, "causal": ~causal[None, None],
-            "valid": ~(causal[None] & valid[:, None, :])[:, None]}
+# ids name the mask the op applies: one new position attends every key, so
+# no score is filled; four are causal, offset by the cached positions
+MASKS = [pytest.param(1, id="none"), pytest.param(4, id="causal")]
 
 
-def _block_run(block, stack, store, x, blocked, past, w, per_example):
+def _block_run(block, stack, store, x, past, w, per_example):
     """(output, keys, values, x gradient, weight gradients) of one block under
     the loss sum(output * w), on a plain or a per-example tape."""
     blk = stack.blocks[0]
@@ -244,7 +220,7 @@ def _block_run(block, stack, store, x, blocked, past, w, per_example):
     store.zero_grads()
     ex = ad.ExampleGrads(x.shape[0], params) if per_example else None
     with Tape(per_example=ex) as tape:
-        out, (k, v) = block(stack, blk, xt, blocked, past)
+        out, (k, v) = block(stack, blk, xt, past)
         loss = ad.sum_all(ad.mul_const(out, w))
     tape.backward(loss)
     grads = example_matrix(ex) if per_example else np.concatenate([p.grad.ravel() for p in params])
@@ -252,44 +228,40 @@ def _block_run(block, stack, store, x, blocked, past, w, per_example):
 
 
 @pytest.mark.parametrize("past_len", [0, 3])
-@pytest.mark.parametrize("blocking", ["none", "causal", "valid"])
+@pytest.mark.parametrize("L", MASKS)
 @pytest.mark.parametrize("per_example", [False, True])
-def test_fused_block_matches_reference(rng, past_len, blocking, per_example):
+def test_fused_block_matches_reference(rng, past_len, L, per_example):
     stack, store = make_stack(width=8, blocks=1, heads=2, seed=31)
-    B, L = 5, 4
+    B = 5
     x = rng.standard_normal((B, L, 8))
-    blocked = _blockings(rng, B, L)[blocking]
     past = None
     if past_len:
         past = tuple(rng.standard_normal((B, 2, past_len, 4)) for _ in range(2))
-        if blocked is not None:
-            blocked = np.concatenate(
-                [np.zeros(blocked.shape[:3] + (past_len,), dtype=bool), blocked], axis=3)
     w = rng.standard_normal((B, L, 8))
-    got = _block_run(AttentionStack._block, stack, store, x, blocked, past, w, per_example)
-    want = _block_run(reference_block, stack, store, x, blocked, past, w, per_example)
+    got = _block_run(AttentionStack._block, stack, store, x, past, w, per_example)
+    want = _block_run(reference_block, stack, store, x, past, w, per_example)
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=TOL, atol=TOL)
 
 
-@pytest.mark.parametrize("blocking", ["none", "valid"])
-def test_fused_op_gradients_match_finite_differences(rng, blocking):
-    B, L, d, H = 2, 3, 8, 2
+@pytest.mark.parametrize("L", MASKS)
+def test_fused_op_gradients_match_finite_differences(rng, L):
+    B, d, H = 2, 8, 2
     x = Tensor(rng.standard_normal((B, L, d)))
     ws = [Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
-    blocked = _blockings(rng, B, L)[blocking]
-    check_op_gradients(lambda: ad.attention(x, *ws, blocked, H)[0], [x, *ws], rng)
+    check_op_gradients(lambda: ad.attention(x, *ws, H)[0], [x, *ws], rng)
 
 
 def test_fused_op_gradients_with_past(rng):
-    # the cached keys and values are constants: only x and the weights move
+    # the cached keys and values are constants: only x and the weights move;
+    # the two new positions are causal after the three cached ones
     B, L, d, H, t = 2, 2, 8, 2, 3
     x = Tensor(rng.standard_normal((B, L, d)))
     ws = [Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
     past = tuple(rng.standard_normal((B, H, t, d // H)) for _ in range(2))
-    out, (k, v) = ad.attention(x, *ws, None, H, past)
+    out, (k, v) = ad.attention(x, *ws, H, past)
     assert np.array_equal(k[:, :, :t], past[0]) and np.array_equal(v[:, :, :t], past[1])
-    check_op_gradients(lambda: ad.attention(x, *ws, None, H, past)[0], [x, *ws], rng)
+    check_op_gradients(lambda: ad.attention(x, *ws, H, past)[0], [x, *ws], rng)
 
 
 def test_fused_block_is_one_tape_op(rng):
