@@ -20,16 +20,16 @@ Only the three ops that read a parameter, `attention`, `categorical_nll`
 and `gather_rows`, need a per-example rule, and they share one,
 `_weight_rule`: on such a tape it leaves `.grad` alone and records the read
 in the `ExampleGrads` instead, its input rows a, output gradient rows g (an
-index for `gather_rows`) and the example owning each run of rows. Example i's
+index for `gather_rows`) and the example owning each row. Example i's
 gradient of a (k, n) weight is then the sum of a_t^T g_t over its rows t in
 every read, so its squared norm is the sum over t, s of (a_t . a_s)(g_t . g_s)
 (the Gram form, used where it costs less than the dense gradient) and a
 clipped sum over examples is one (c . a)^T g product per read; no
-(B, n_params) array is built. Which example each leading row belongs to is
-the `ExampleGrads.rows` map, a `RowMap` that is the identity at the root; a
-codec that runs some rows of its batch as a block (a list's length group)
-sets the block's map with `example_rows` while its ops run, and each rule
-captures the map at forward time.
+(B, n_params) array is built. `ExampleGrads.rows` holds the example of each
+leading row of the ops running now, None at the root; a codec that runs
+other rows (a list's elements, a length group) sets them with
+`example_rows` while its ops run, and each rule captures them at forward
+time.
 """
 
 from __future__ import annotations
@@ -125,36 +125,16 @@ def _record(out, backward):
     return out
 
 
-class RowMap:
-    """Which example each leading row of an op's tensors belongs to: row r
-    belongs to example ids[r // per], or to example r when ids is None (the
-    root). `unique` records that no two ids are equal, so a fancy-index add
-    is enough; it is tracked while maps compose, never checked."""
-
-    __slots__ = ("ids", "per", "unique")
-
-    def __init__(self, ids=None, per=1, unique=True):
-        self.ids = ids
-        self.per = per
-        self.unique = unique
-
-    def within(self, rows, per) -> RowMap:
-        """The map of a block whose row r is row rows[r // per] of the rows
-        this map describes. rows must not repeat."""
-        outer = np.asarray(rows, dtype=np.int64) // self.per
-        return RowMap(outer if self.ids is None else self.ids[outer], per,
-                      self.unique and self.per == 1)
-
-
 class Read(NamedTuple):
-    """One op's read of a parameter on a per-example tape. Run j of the
-    op's rows belongs to example owners[j] and adds a[j]^T g[j] to its
-    gradient: a is (runs, r, k) and g (runs, r, n) for a (k, n) parameter.
-    For a row lookup a is the (runs, r) integer index, standing for its
-    one-hot (runs, r, k) rows. unique: no example owns two runs."""
+    """One op's read of a parameter on a per-example tape. Row t of the op
+    belongs to example owners[t], at slots[t] of its run of adjacent rows
+    (none longer than span), and adds a[t]^T g[t] to its gradient: a is
+    (rows, r, k) and g (rows, r, n) for a (k, n) parameter, or a is the
+    (rows, r) integer index of a row lookup, standing for its one-hot rows."""
 
     owners: np.ndarray
-    unique: bool
+    slots: np.ndarray
+    span: int
     a: np.ndarray
     g: np.ndarray
 
@@ -162,78 +142,84 @@ class Read(NamedTuple):
 class ExampleGrads:
     """Per-example gradients of the given 2-D parameters for a batch of
     `examples` examples, kept as the reads that make them up (`reads`, by
-    parameter) instead of summed per example. `rows` maps the leading rows
-    of the ops running now to their examples (see `example_rows`).
-    `sq_norms` gives each example's squared gradient norm and
-    `clipped_sums` the flat gradient sum with example i's scaled by c[i]; no
-    (examples, n_params) array is ever built. Backward closures hold this
-    object, not the tape, so a tape never references itself and is freed as
-    soon as it goes out of scope."""
+    parameter) instead of summed per example. `rows` is the
+    (owners, slots, span) layout of the leading rows of the ops running now
+    (see `example_rows`), None at the root. `sq_norms` gives each example's
+    squared gradient norm and `clipped_sums` the flat gradient sum with
+    example i's scaled by c[i]; no (examples, n_params) array is ever built.
+    Backward closures hold this object, not the tape, so a tape never
+    references itself and is freed as soon as it goes out of scope."""
 
     def __init__(self, examples: int, params):
         self.examples = examples
         self.params = list(params)
-        self.rows = RowMap()
+        self.rows = None
+        self._root = np.arange(examples), np.zeros(examples, dtype=np.int64), 1  # rows None
         self.reads = {p: [] for p in self.params}
 
-    def add(self, param: Tensor, a: np.ndarray, g: np.ndarray, rows: RowMap):
-        """Record a read of param: a (..., k) and g (..., n), or an integer
-        index a for a row lookup, whose leading rows `rows` groups into one
-        run per owning example."""
+    def add(self, param: Tensor, a: np.ndarray, g: np.ndarray, rows=None):
+        """Record a read of param: a (rows, ..., k) and g (rows, ..., n), or
+        an integer index a for a row lookup, whose leading rows have the
+        layout `rows` (see `example_rows`), one row per example if None."""
         reads = self.reads.get(param)
         if reads is None:
             raise RuntimeError("a per-example gradient rule was applied to a "
                                "weight that is not a parameter")
-        owners = np.arange(self.examples) if rows.ids is None else rows.ids
-        runs = owners.size
-        a = a.reshape(runs, -1) if a.dtype.kind in "iu" else a.reshape(runs, -1, a.shape[-1])
-        reads.append(Read(owners, rows.unique, a, g.reshape(runs, -1, g.shape[-1])))
+        owners, slots, span = rows or self._root
+        N = owners.size
+        if N:  # an op on no rows (the elements of empty lists) reads nothing
+            a = a.reshape(N, -1) if a.dtype.kind in "iu" else a.reshape(N, -1, a.shape[-1])
+            reads.append(Read(owners, slots, span, a, g.reshape(N, -1, g.shape[-1])))
 
     def uses_gram(self, param: Tensor) -> bool:
-        """Whether param's norms take the Gram form: each read gives each
-        example at most one run, and the R rows an example gets over all
-        reads make R (k + n) < k n. Per example the Gram form's two products
-        then cost R^2 (k + n) against the dense form's R k n, and its (R, k)
-        and (R, n) rows are smaller than the (k, n) gradient."""
-        reads = self.reads[param]
+        """Whether param's norms take the Gram form: the R rows an example
+        gets over all reads (span * r each) make R (k + n) < k n. Per example
+        the Gram form's two products then cost R^2 (k + n) against the dense
+        form's R k n, and its (R, k) and (R, n) rows are smaller than the
+        (k, n) gradient."""
         k, n = param.data.shape
-        R = sum(read.a.shape[1] for read in reads)
-        return all(read.unique for read in reads) and R * (k + n) < k * n
+        R = sum(read.span * read.a.shape[1] for read in self.reads[param])
+        return R * (k + n) < k * n
 
     def gram_sq_norms(self, param: Tensor) -> np.ndarray:
         """(examples,) squared norms of param's gradients, sum over t, s of
-        (a_t . a_s)(g_t . g_s) across every row an example reads. Each read's
-        runs are scattered into (examples, r, *), with zero rows for the
-        examples it skips and one-hot rows for a lookup, and the reads are
-        concatenated along the rows."""
+        (a_t . a_s)(g_t . g_s) across every row an example reads. Each read
+        fills (examples, span * r, *) rows, row t at its slot of example
+        owners[t] (one-hot for a lookup) and zeros elsewhere."""
         k, n = param.data.shape
         reads = self.reads[param]
-        R = sum(read.a.shape[1] for read in reads)
+        R = sum(read.span * read.a.shape[1] for read in reads)
         A, G = np.zeros((self.examples, R, k)), np.zeros((self.examples, R, n))
         pos = 0
-        for owners, _, a, g in reads:
+        for owners, slots, span, a, g in reads:
             r = a.shape[1]
+            At = A[:, pos:pos + span * r].reshape(self.examples, span, r, k)
             if a.ndim == 2:
-                A[owners[:, None], pos + np.arange(r), a] = 1.0
+                At[owners[:, None], slots[:, None], np.arange(r), a] = 1.0
             else:
-                A[owners, pos:pos + r] = a
-            G[owners, pos:pos + r] = g
-            pos += r
+                At[owners, slots] = a
+            G[:, pos:pos + span * r].reshape(self.examples, span, r, n)[owners, slots] = g
+            pos += span * r
         gram = A @ np.swapaxes(A, 1, 2)
         gram *= G @ np.swapaxes(G, 1, 2)
         return gram.sum(axis=(1, 2))
 
     def dense(self, param: Tensor) -> np.ndarray:
-        """(examples, *param.shape): each example's gradient of param."""
+        """(examples, *param.shape): each example's gradient of param. A
+        read whose examples own several rows is spread into zero-padded
+        (examples, span * r, *) blocks for its product."""
         out = np.zeros((self.examples,) + param.data.shape)
-        for owners, unique, a, g in self.reads[param]:
+        for owners, slots, span, a, g in self.reads[param]:
             if a.ndim == 2:
                 np.add.at(out, (np.repeat(owners, a.shape[1]), a.reshape(-1)),
                           g.reshape(-1, g.shape[-1]))
-            elif unique:
-                out[owners] += np.swapaxes(a, 1, 2) @ g
-            else:
-                np.add.at(out, owners, np.swapaxes(a, 1, 2) @ g)
+                continue
+            if span > 1:
+                blocks = [np.zeros((self.examples, span) + x.shape[1:]) for x in (a, g)]
+                blocks[0][owners, slots], blocks[1][owners, slots] = a, g
+                a, g = (b.reshape(self.examples, -1, b.shape[-1]) for b in blocks)
+                owners = slice(None)
+            out[owners] += np.swapaxes(a, 1, 2) @ g
         return out
 
     def sq_norms(self) -> np.ndarray:
@@ -254,14 +240,15 @@ class ExampleGrads:
     def clipped_sums(self, c: np.ndarray) -> np.ndarray:
         """The gradient summed over the examples, example i's scaled by c[i],
         as one vector of the parameters in order: one (c . a)^T g product
-        per read into its parameter's slice, or a scatter of c . g for a row
-        lookup."""
+        per read into its parameter's slice, with each row scaled by its
+        owner's c, or a scatter of c . g for a row lookup."""
         sizes = [p.data.size for p in self.params]
         out = np.zeros(sum(sizes))
         for p, total in zip(self.params, np.split(out, np.cumsum(sizes)[:-1])):
             total = total.reshape(p.data.shape)
-            for owners, _, a, g in self.reads[p]:
-                cr = c[owners, None, None]
+            for read in self.reads[p]:
+                a, g = read.a, read.g
+                cr = c[read.owners, None, None]
                 if a.ndim == 2:
                     np.add.at(total, a.reshape(-1), (cr * g).reshape(-1, g.shape[-1]))
                 else:
@@ -276,17 +263,22 @@ def _per_example():
 
 
 @contextlib.contextmanager
-def example_rows(rows, per=1):
-    """Run a block of ops whose leading row r is row rows[r // per] of the
-    enclosing rows. On a per-example tape the block's ops attribute their
-    parameter gradients through the composed map; elsewhere this does
-    nothing."""
+def example_rows(rows):
+    """Run a block of ops whose leading row t is row rows[t] of the
+    enclosing rows: non-decreasing, and repeated for a list's elements, so
+    each example's rows stay adjacent. On a per-example tape the block's
+    layout is computed here, once: each row's example outer[rows], its slot
+    in its example's run and the longest run. Elsewhere this does nothing."""
     ex = _per_example()
     if ex is None:
         yield
         return
     outer = ex.rows
-    ex.rows = outer.within(rows, per)
+    owners = np.asarray(rows, dtype=np.int64)
+    if outer is not None:
+        owners = outer[0][owners]
+    slots = np.arange(owners.size) - np.searchsorted(owners, owners)
+    ex.rows = owners, slots, int(slots.max(initial=0)) + 1
     try:
         yield
     finally:
@@ -312,10 +304,9 @@ def add(a, b):
 
 def mul_const(a, c) -> Tensor:
     """Elementwise product with a constant scalar or array (no gradient
-    into c), e.g. a loss grid (B, P) times its validity mask, or a loss
-    times 1/passes. c must broadcast into a's shape, never widen it, so the
-    gradient is g * c, and a zero in c kills the gradient at that position
-    exactly."""
+    into c), e.g. a loss times 1/passes. c must broadcast into a's shape,
+    never widen it, so the gradient is g * c, and a zero in c kills the
+    gradient at that position exactly."""
     c = np.asarray(c, dtype=np.float64)
     if np.broadcast_shapes(a.data.shape, c.shape) != a.data.shape:
         raise ValueError(f"mul_const constant {c.shape} widens {a.data.shape}")
@@ -330,14 +321,14 @@ def mul_const(a, c) -> Tensor:
 def _weight_rule():
     """The rule of a 2-D weight w read by an op being recorded: add(w, a, g)
     sends a^T g, for a (..., k) and g (..., n), into w's `.grad`, or on a
-    per-example tape records the read with the row map captured now. An
+    per-example tape records the read with the row layout captured now. An
     integer a is a row lookup, standing for its one-hot (..., k) rows."""
     ex = _per_example()
-    row_map = None if ex is None else ex.rows
+    rows = None if ex is None else ex.rows
 
     def add(w, a, g):
         if ex is not None:
-            ex.add(w, a, g, row_map)
+            ex.add(w, a, g, rows)
         elif a.dtype.kind in "iu":
             gw = np.zeros(w.data.shape)
             np.add.at(gw, a.reshape(-1), g.reshape(-1, g.shape[-1]))
@@ -377,7 +368,9 @@ def index(a, key, unique=False):
     gather per row. A basic key (slices and integers only) cannot repeat an
     entry, so its backward assigns g into zeros; an array key may, so its
     backward sums repeated entries with np.add.at, unless `unique` says it
-    reads no entry twice (a permutation, a subset of rows)."""
+    reads no entry twice (a permutation, a subset of rows) or repeats only
+    a constant row, whose gradient is then dropped (a list's padded slots
+    all read one zero row)."""
     out = Tensor(a.data[key])
     shape = a.data.shape
     parts = key if isinstance(key, tuple) else (key,)

@@ -6,7 +6,8 @@ a second stack turns (conditioning, digests) into one conditioning vector per
 child, against which the child's scorer scores it in the same walk (a list
 scores its length first). `encode` returns the scorer as a closure over what
 it computed, its digests and its children's scorers, down to the leaves',
-which close over their codes, so scoring never sees the observation. A composite has the three duties of every codec: encode, score
+which close over their codes, so scoring never sees the observation. A
+composite has the three duties of every codec: encode, score
 and sample. Optionally the order children enter the digests is shuffled per
 pass, which trains the model to be usable under any autoregressive
 factorisation of the node. Orders come only from the `rng` given to
@@ -20,28 +21,25 @@ Indexing convention used throughout (0-based): for a struct with n fields in
 order perm the encoder reads the embedding of field perm[k] at position k and
 the decoder reads (conditioning, digest 0, ..., digest n-2), so decoder
 output slot k conditions field perm[k]. A list batch holds its rows'
-elements end to end (see `batches`); the list codec is the one place that
-pads. It lays each row's elements out in a grid of P slots with one `take`,
-reading element starts[b] + perm[b, i] at a valid slot (perm is the identity
-unless the list is shuffled) and an appended `value_codec.zero_batch(1)` row
-at a padded slot. Encoder position 0 is the length embedding and position
-1+i the i-th value of the reordered row, and decoder output slot 0
-conditions the length and slot 1+i that value. A row of length m uses
-positions <= m only and its padding comes after them, so causal attention
-keeps padding out of every output used, and the loss mask gives the padded
-slots exactly zero loss and gradient. Every slot read is one `ad.index`: a
-slot number drops the position axis, and a slice keeps it (an empty one is
-a zero-length sequence).
+elements end to end (see `batches`), and a list's value codec encodes and
+scores exactly those elements, once per pass, as rows of their list's
+example (`autodiff.example_rows`); a shuffled list first reorders each
+row's elements with one `take`. Only the stacks see padding: encoder
+position 0 is the length embedding and position 1+i the row's i-th value
+or, past its length, a zero row, and decoder output slot 0 conditions the
+length and slot 1+i that value. A row of length m uses positions <= m only
+and its padding comes after them, so causal attention keeps padding out of
+every output used, and only the element slots' outputs reach the value
+scorer, in element order. Every slot read is one `ad.index`: a slot number
+drops the position axis, a slice keeps it (an empty one is a zero-length
+sequence), and an array gathers rows.
 
 Because padding is invisible and no op mixes the rows of different
-examples, a list trains its batch in length groups (`length_groups`), and
-each group is a plain padded grid over its rows, cut to the group's longest
-list P: the value codec runs on (rows*P) grid slots, not (B*max_len), and
-both stacks run at P. With two groups their outputs are put back in batch
-order with `ad.index`. On the DP path each group sets its rows' example map
-(`autodiff.example_rows`). A shuffled list draws its keys over the whole
-(B, max_len) grid, so its orders do not depend on the grouping; shuffled
-nodes inside the value codec draw once per group, after the list's keys.
+examples, a list runs its stacks in length groups (`length_groups`), each
+over its rows at its longest list P, not max_len, and puts their outputs
+back in batch order. A shuffled list draws its keys over the whole
+(B, max_len) grid before its value codec draws, so they do not depend on
+the grouping.
 
 Sampling walks the same order one slot at a time with cached attention
 (`AttentionStack.step`): a decoder step on the conditioning gives slot 0;
@@ -122,11 +120,6 @@ def length_groups(lengths):
     return [(np.flatnonzero(short), cut), (np.flatnonzero(~short), top)]
 
 
-def _in_batch_order(parts, inverse):
-    """Concatenate per-group rows and put them back in batch order."""
-    return ad.index(ad.concat(parts, axis=0), inverse, unique=True)
-
-
 class StructCodec(Codec):
     def __init__(self, path: str, names, children, tcfg: TransformerConfig,
                  store, rng, shuffled: bool = False):
@@ -174,9 +167,8 @@ class StructCodec(Codec):
 
 class ListCodec(Codec):
     """Variable-length list: a categorical codec over lengths 0..max_len plus
-    one value codec shared by all positions. Training splits the batch into
-    at most two length groups (`length_groups`), each a padded grid over its
-    rows at its own P, with a shuffled list's elements read in its order."""
+    one value codec, shared by all positions, that trains on exactly the
+    elements; the stacks run on at most two padded `length_groups`."""
 
     def __init__(self, path: str, value_codec: Codec, max_len: int,
                  tcfg: TransformerConfig, store, rng, shuffled: bool = False):
@@ -221,54 +213,61 @@ class ListCodec(Codec):
         if lengths.min(initial=0) < 0 or lengths.max(initial=0) > self.max_len:
             raise ValueError(f"{self.path}: length out of range 0..{self.max_len}")
         self._check_counts(x)
-        # the order's keys cover the whole (B, max_len) grid, so they do not
-        # depend on the grouping
+        B, starts = lengths.shape[0], np.cumsum(lengths) - lengths
+        elements = np.repeat(np.arange(B), lengths)  # each element's row
+        values, total = x.values, elements.size
         perm = self._draw_perm(rng, lengths)
-        # every padded grid slot reads the appended zero element, the last row
-        values = concat_trees([x.values, self.value_codec.zero_batch(1)])
-        starts = np.cumsum(lengths) - lengths
-        groups = length_groups(lengths)
-        parts = [self._encode_group(lengths, starts, perm, values, rows, P, rng)
-                 for rows, P in groups]
-        if len(parts) == 1:
-            return parts[0]
-        embs, scores = zip(*parts)
-        inverse = np.argsort(np.concatenate([rows for rows, _ in groups]))
+        if perm is not None:  # the reordered row b's element i is starts[b] + perm[b, i]
+            values = take(values, (starts[:, None] + perm)[np.arange(self.max_len) <
+                                                           lengths[:, None]])
+        with ad.example_rows(elements):
+            ev, val_score = self.value_codec.encode(values, rng=rng)
+        # each group's grid of element numbers, total at a padded slot; its
+        # encoder input is one read of [length embeddings; elements; a zero row
+        # for every padded slot], and `unique` drops that constant row's gradient
+        table = ad.concat([self.len_codec.encode(LeafBatch(lengths))[0], ev,
+                           np.zeros((1, self.width))], axis=0)
+        groups = [(rows, np.where(np.arange(P) < lengths[rows, None],
+                                  starts[rows, None] + np.arange(P), total))
+                  for rows, P in length_groups(lengths)]
+        parts = [self._encode_group(lengths[rows], ad.index(table, np.c_[rows, B + grid],
+                                                            unique=True), rows)
+                 for rows, grid in groups]
+        inverse = np.argsort(np.concatenate([rows for rows, _ in groups]))  # to batch order
+        # each element's place among the groups' element slots end to end
+        slot = np.argsort(np.concatenate([grid[grid < total] for _, grid in groups]))
 
         def score(cond):
-            return _in_batch_order([s(ad.index(cond, rows, unique=True))
-                                    for s, (rows, _) in zip(scores, groups)], inverse)
-        return _in_batch_order(embs, inverse), score
+            # length loss plus the sum over the row's elements, unnormalised:
+            # a longer list is a larger observation and weighs accordingly
+            decoded = [decode(ad.index(cond, rows, unique=True))
+                       for (rows, _), (_, decode) in zip(groups, parts)]
+            with ad.example_rows(elements):
+                v = val_score(ad.index(ad.concat([h for _, h in decoded], axis=0), slot,
+                                       unique=True))
+            terms = ad.concat([v, np.zeros(1)], axis=0)
+            losses = [ad.add(loss, ad.sum_axis(ad.index(terms, grid, unique=True), 1))
+                      for (loss, _), (_, grid) in zip(decoded, groups)]
+            return ad.index(ad.concat(losses, axis=0), inverse, unique=True)
+        return ad.index(ad.concat([e for e, _ in parts], axis=0), inverse, unique=True), score
 
-    def _encode_group(self, lengths, starts, perm, values, rows, P, rng):
-        """A plain padded grid over batch rows `rows`, each cut to P: returns
-        (embedding, score) of those rows."""
-        n, m = rows.size, lengths[rows]
-        mask = np.arange(P) < m[:, None]  # True where a slot holds an element
-        pos = np.arange(P) if perm is None else perm[rows, :P]
-        grid = np.where(mask, starts[rows, None] + pos, n_rows(values) - 1)
-        with ad.example_rows(rows):
-            e_len, len_score = self.len_codec.encode(LeafBatch(m))
-        with ad.example_rows(rows, P):
-            ev, val_score = self.value_codec.encode(take(values, grid.ravel()), rng=rng)
-        seq = ad.concat([ad.reshape(e_len, (n, 1, self.width)),
-                         ad.reshape(ev, (n, P, self.width))], axis=1)
+    def _encode_group(self, m, seq, rows):
+        """Both stacks over batch rows `rows` of lengths m, whose encoder
+        input is seq (n, P + 1, d): returns (embedding, decode), decode(cond)
+        giving (length loss, the element slots' outputs)."""
+        n, P = m.size, seq.shape[1] - 1
+        r, c = np.nonzero(np.arange(P) < m[:, None])  # each element's row and slot
         with ad.example_rows(rows):
             digests = self.enc(seq)
 
-        def score(cond):
-            # length loss plus the sum over valid element positions, unnormalised:
-            # a longer list is a larger observation and weighs accordingly
+        def decode(cond):
             dec_in = ad.concat([ad.reshape(cond, (n, 1, self.width)),
                                 ad.index(digests, np.s_[:, :P])], axis=1)
             with ad.example_rows(rows):
                 h = self.dec(dec_in)
-                len_loss = len_score(ad.index(h, np.s_[:, 0]))
-            with ad.example_rows(rows, P):
-                v = val_score(ad.reshape(ad.index(h, np.s_[:, 1:]), (n * P, self.width)))
-            v = ad.mul_const(ad.reshape(v, (n, P)), mask.astype(np.float64))
-            return ad.add(len_loss, ad.sum_axis(v, 1))
-        return ad.index(digests, (np.arange(n), m), unique=True), score
+                len_loss = self.len_codec.loss_terms(ad.index(h, np.s_[:, 0]), m)
+            return len_loss, ad.index(h, (r, c + 1), unique=True)
+        return ad.index(digests, (np.arange(n), m), unique=True), decode
 
     def sample(self, cond, rng):
         B = cond.shape[0]

@@ -162,9 +162,14 @@ _TYPES = {Record: {dict}, Array: {list}, Number: {str, int, float},
           Enum: {str, int, float, bool}}
 
 
-def _problem(node, value):
+def _kind(value):  # the JSON type of an enum value
+    return {str: "string", bool: "boolean"}.get(type(value), "number")
+
+
+def _problem(node, value, kind=None):
     """Why `value` cannot stand at `node`: "null" for None or an empty string
-    (which drops its record), else an error message; None if it can."""
+    (which drops its record), else an error message; None if it can. Given
+    `kind`, an enum value must also be finite and of that JSON type."""
     if value is None or value == "":
         return "null"
     name, got = node.name, type(value).__name__
@@ -173,7 +178,13 @@ def _problem(node, value):
     if isinstance(node, Array):
         return None if isinstance(value, list) else f"expected a list for {name}, got {got}"
     if isinstance(node, Enum):
-        return f"field {name}: expected a category, got {got}" if isinstance(value, (dict, list)) else None
+        if isinstance(value, (dict, list)):
+            return f"field {name}: expected a category, got {got}"
+        if kind not in (None, _kind(value)):
+            return f"field {name}: {_kind(value)} {value!r} in a column of {kind}s"
+        if kind and isinstance(value, float) and not math.isfinite(value):
+            return f"field {name}: not a finite category: {value!r}"
+        return None
     if isinstance(value, (bool, dict, list)):
         return f"field {name}: expected a number"
     try:
@@ -206,8 +217,13 @@ def _walk(records, schema):
                 plain = bool(np.isfinite(x).all())
             except (ValueError, OverflowError):
                 plain = False
+        kind = None  # a column of symbols, not codes, keeps its first value's JSON type
+        if isinstance(node, Enum) and (node.symbols or not node.cardinality):
+            kind = next((_kind(v) for v in values if _problem(node, v) is None), None)
+            plain = plain and (scan <= {str} or scan <= {bool} or scan <= {int, float}
+                               and all(map(math.isfinite, values)))
         if not plain:
-            problems = [_problem(node, v) for v in values]
+            problems = [_problem(node, v, kind) for v in values]
             ok = np.fromiter((p is None for p in problems), bool, len(values))
             for i in np.flatnonzero(~ok):
                 flag(i, "null" if problems[i] == "null" else "error", problems[i])
@@ -263,9 +279,8 @@ def fit_transform(columns, schema) -> Transform:
             if node.symbols is not None:
                 vocabs[path] = list(node.symbols)
             elif node.cardinality is None:
-                # keyed by string; reversed, so the first value seen wins
-                values = columns.bufs[path][::-1]
-                seen = dict(zip(map(str, values), values))
+                # keyed by string, one per value: a column has one JSON type
+                seen = dict(zip(map(str, columns.bufs[path]), columns.bufs[path]))
                 if not seen:
                     raise DataError(f"enum {path}: no values observed; "
                                     "declare symbols or cardinality")
@@ -474,6 +489,18 @@ def join_tables(parent_records, child_records, key, list_field,
     return out
 
 
+def list_chain(schema) -> list:
+    """The schema's list paths, outermost first, if they nest in one chain."""
+    lists = [p for p, n in walk_paths(schema) if isinstance(n, Array)]
+    for outer, inner in zip(lists, lists[1:]):
+        if not inner.startswith(outer + "/"):  # not one chain: name two siblings
+            outer = next(p for p in lists if not inner.startswith(p + "/"))
+            raise DataError("item-level metrics support one list field per "
+                            f"record; found {outer.rsplit('/', 1)[1]}, "
+                            f"{inner.rsplit('/', 1)[1]}")
+    return lists
+
+
 def flatten_records(records, schema) -> dict:
     """Records -> column tables for the metrics, named by
     `schema.leaf_columns`. Lists must nest in one chain (no sibling lists):
@@ -483,13 +510,7 @@ def flatten_records(records, schema) -> dict:
     Returns {"record": record-level columns, "item": item-level columns or
     None for flat schemas, "item_count": rows in the item table}.
     """
-    lists = [p for p, n in walk_paths(schema) if isinstance(n, Array)]
-    for outer, inner in zip(lists, lists[1:]):
-        if not inner.startswith(outer + "/"):  # not one chain: name two siblings
-            outer = next(p for p in lists if not inner.startswith(p + "/"))
-            raise DataError("item-level metrics support one list field per "
-                            f"record; found {outer.rsplit('/', 1)[1]}, "
-                            f"{inner.rsplit('/', 1)[1]}")
+    lists = list_chain(schema)
     bufs, _, first = _walk(records, schema)
     if first:
         r, (kind, message) = min(first.items())

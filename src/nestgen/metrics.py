@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codecs.primitives import DEFAULT_BINS, QuantileTable
-from .data import DataError, flatten_records
+from .data import DataError, flatten_records, list_chain
 from .schema import Enum, Number, leaf_columns
 
 log = logging.getLogger("nestgen.metrics")
@@ -113,21 +113,6 @@ def jensen_shannon(real, synth, name: str = "column", *,
 def _kl(p, m):
     nz = p > 0
     return float(np.sum(p[nz] * np.log(p[nz] / m[nz])))
-
-
-def theils_u(x, y) -> float | None:
-    """Uncertainty coefficient U(x|y): the fraction of x's entropy explained
-    by knowing y. Asymmetric. None when x is constant (undefined)."""
-    u = association_matrix({"x": x, "y": y}, dict.fromkeys("xy", "categorical"))[0, 1]
-    return None if np.isnan(u) else float(u)
-
-
-def correlation_ratio(categories, values) -> float | None:
-    """eta: sqrt of the between-group share of variance. None when the
-    numeric column is constant (undefined)."""
-    eta = association_matrix({"c": categories, "v": values},
-                             {"c": "categorical", "v": "numeric"})[0, 1]
-    return None if np.isnan(eta) else float(eta)
 
 
 def association_matrix(table: dict, kinds: dict, *,
@@ -415,11 +400,13 @@ def _kinds_and_bins(schema):
 def evaluate(real_records, synth_records, schema, k: int = 4,
              n_subsets: int = 50, seed: int = 0, rules=None) -> MetricsReport:
     """Full fidelity report between two record sets under one schema. A
-    DataError from flattening a set names it in `dataset`: 0 real, 1 synthetic."""
+    DataError from flattening a set names it in `dataset`: 0 real, 1 synthetic;
+    one from the schema's list chain names neither."""
     if k < 1:
         raise MetricsError(f"marginal order k must be >= 1, got {k}")
     if n_subsets < 1:
         raise MetricsError(f"n_subsets must be >= 1, got {n_subsets}")
+    list_chain(schema)
     kinds, bins = _kinds_and_bins(schema)
     flat = []
     for records in (real_records, synth_records):

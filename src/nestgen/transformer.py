@@ -18,7 +18,7 @@ Causality is the only mask, applied in `ad.attention`: masked scores are
 filled with the most negative finite float before the softmax, so exp()
 underflows to exactly 0.0 and their gradient is exactly 0.0. A list's
 padding comes after its elements, so causality keeps it out of every output
-the list uses, and the list's loss mask zeroes the padded slots' terms.
+the list uses, and the list scores only its elements.
 """
 
 from __future__ import annotations

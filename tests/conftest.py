@@ -80,7 +80,7 @@ def rows_as_example_grads(rows):
     parameter read once per example, with a = 1 and g = rows[i]."""
     B, D = rows.shape
     grads = ad.ExampleGrads(B, [ad.Tensor(np.zeros((1, D)))])
-    grads.add(grads.params[0], np.ones((B, 1)), rows, ad.RowMap())
+    grads.add(grads.params[0], np.ones((B, 1)), rows)
     return grads
 
 
@@ -222,14 +222,14 @@ def digest_spy(codec):
 
 
 def padded_grids(codec, garbage=None):
-    """Wraps every list codec under `codec` and the `encode` of its value
-    codec, and returns the list each grid a length group hands its value
-    codec is recorded in, as (list path, mask, embedding): mask is (rows*P,),
-    True where a grid slot holds an element, and embedding is the
-    (rows*P, d) tensor the value codec returned, whose `grad` a backward
-    pass fills. With a generator `garbage`, the leaf codes of every padded
-    slot are first overwritten with random codes (a nested list there keeps
-    length 0), which stresses the masking invariants."""
+    """Wraps every list codec under `codec` and its encoder stack, and
+    returns the list each grid of element embeddings a length group feeds
+    its encoder is recorded in, as (list path, mask, grid): mask is
+    (rows*P,), True where a grid slot holds an element, and grid is the
+    (rows*P, d) tensor of the slots' embeddings, whose `grad` a backward
+    pass fills. With a generator `garbage`, random values are first added
+    at every padded slot (each holds the zero row), which stresses the
+    masking invariants."""
     grids = []
     for lst in codec.walk():
         if isinstance(lst, ListCodec):
@@ -239,7 +239,7 @@ def padded_grids(codec, garbage=None):
 
 def _spy_grids(lst, grids, garbage):
     masks = []  # the masks of the groups of the current encode, in order
-    encode, value_encode = lst.encode, lst.value_codec.encode
+    encode, stack = lst.encode, lst.enc
 
     def list_spied(x, rng=None):
         lengths = np.asarray(x.lengths)
@@ -247,28 +247,18 @@ def _spy_grids(lst, grids, garbage):
                     for rows, P in length_groups(lengths)]
         return encode(x, rng=rng)
 
-    def value_spied(x, rng=None):
+    def enc_spied(x):
         mask = masks.pop(0)
+        n, L, d = x.data.shape
+        grid = ad.reshape(ad.index(x, np.s_[:, 1:]), (n * (L - 1), d))
+        grids.append((lst.path, mask, grid))
         if garbage is not None:
-            x = _overwrite(lst.value_codec, x, ~mask, garbage)
-        e, score = value_encode(x, rng=rng)
-        grids.append((lst.path, mask, e))
-        return e, score
+            noise = np.where(mask[:, None], 0.0, garbage.normal(size=grid.data.shape))
+            grid = ad.add(grid, noise)
+        return stack(ad.concat([ad.index(x, np.s_[:, :1]),
+                                ad.reshape(grid, (n, L - 1, d))], axis=1))
 
-    lst.encode, lst.value_codec.encode = list_spied, value_spied
-
-
-def _overwrite(codec, tree, rows, rng):
-    """The batch with random codes in the given rows of every leaf at its
-    level, through structs; a list's lengths and elements are kept."""
-    if isinstance(codec, CategoricalCodec):
-        codes = tree.codes.copy()
-        codes[rows] = rng.integers(0, codec.cardinality, size=int(rows.sum()))
-        return LeafBatch(codes)
-    if isinstance(codec, StructCodec):
-        return StructBatch({name: _overwrite(c, tree.fields[name], rows, rng)
-                            for name, c in zip(codec.names, codec.children())})
-    return tree
+    lst.encode, lst.enc = list_spied, enc_spied
 
 
 def random_batch(codec, n, rng, pick=None):

@@ -122,8 +122,9 @@ def clipped_sums(grads, c):
     out = []
     for p in grads.params:
         total = np.zeros(p.data.shape)
-        for owners, _, a, g in grads.reads[p]:
-            cr = c[owners, None, None]
+        for read in grads.reads[p]:
+            a, g = read.a, read.g
+            cr = c[read.owners, None, None]
             if a.ndim == 2:
                 np.add.at(total, a.reshape(-1), (cr * g).reshape(-1, g.shape[-1]))
             else:

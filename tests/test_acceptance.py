@@ -374,8 +374,8 @@ def test_06_masking_zero_contribution():
                 break
         batch = random_batch(codec, 4, rng)
         loss_c, grads_c = loss_gradients(codec, store, batch)
-        # the same batch, with random codes written into every padded slot
-        # of every grid a list codec builds
+        # the same batch, with random values added at every padded slot of
+        # every grid of element embeddings a list codec feeds its encoder
         grids = padded_grids(codec, garbage=np.random.default_rng(case))
         loss_g, grads_g = loss_gradients(codec, store, batch)
         assert loss_g == loss_c, f"case {case}: padding moved the loss"

@@ -822,7 +822,11 @@ FLAT_ROWS = [{"color": "red", "size": "s", "weight": 1.5},
      "record 1: field weight: not a number: 'zz'"),
     ({"color": None, "size": "s", "weight": 1.0},
      "record 1 does not conform to the schema (null value)"),
-], ids=["not-a-number", "null"])
+    ({"color": 3, "size": "s", "weight": 1.0},
+     "record 1: field color: number 3 in a column of strings"),
+    ({"color": "red", "size": True, "weight": 1.0},
+     "record 1: field size: boolean True in a column of strings"),
+], ids=["not-a-number", "null", "enum-number", "enum-boolean"])
 def test_cli_eval_names_the_dataset_holding_a_bad_record(tmp_path, capsys, bad_row,
                                                          message):
     schema = tmp_path / "schema.json"
@@ -833,6 +837,33 @@ def test_cli_eval_names_the_dataset_holding_a_bad_record(tmp_path, capsys, bad_r
         assert main(["eval", *pair, "--schema", str(schema), "--k", "1",
                      "--subsets", "1"]) == 1
         assert capsys.readouterr().err == f"error: eval: {bad}: {message}\n"
+
+
+def test_cli_eval_names_a_non_finite_category(tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(FLAT_DOC), encoding="utf-8")
+    rows = [{**row, "color": k} for k, row in enumerate(FLAT_ROWS)]
+    good = write_jsonl(tmp_path / "good.jsonl", rows)
+    for name in ("nan", "inf", "-inf"):  # JSON NaN, Infinity, -Infinity
+        bad = write_jsonl(tmp_path / "bad.jsonl", [rows[0], {**rows[1], "color": float(name)}])
+        for pair in ([good, bad], [bad, good]):
+            assert main(["eval", *pair, "--schema", str(schema), "--k", "1"]) == 1
+            assert capsys.readouterr().err == (f"error: eval: {bad}: record 1: field color: "
+                                               f"not a finite category: {name}\n")
+
+
+def test_cli_eval_names_no_file_for_sibling_lists(tmp_path, capsys):
+    # the schema is at fault, not either dataset
+    item = {"type": "enum", "name": "v"}
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"type": "record", "name": "r", "fields": [
+        {"name": "l1", "type": "array", "max_len": 2, "items": item},
+        {"name": "l2", "type": "array", "max_len": 2, "items": item}]}), encoding="utf-8")
+    real = write_jsonl(tmp_path / "real.jsonl", [{"l1": ["a"], "l2": ["b"]}])
+    synth = write_jsonl(tmp_path / "synth.jsonl", [{"l1": [], "l2": ["b"]}])
+    assert main(["eval", real, synth, "--schema", str(schema)]) == 1
+    assert capsys.readouterr().err == ("error: eval: item-level metrics support one "
+                                       "list field per record; found l1, l2\n")
 
 
 def test_cli_eval_names_a_truncated_rules_file(tmp_path, capsys):

@@ -356,8 +356,9 @@ def test_scorer_repeats_bitwise_and_encode_scores_nothing():
             losses = score(cond)
             loss = ad.sum_all(losses)
         tape.backward(loss)
-        # a once; ~len, b and c once per length group of the list
-        assert op_names(tape).count("categorical_nll") == 1 + 3 * len(groups)
+        # a once; ~len once per length group of the list; b and c once, on
+        # the list's elements
+        assert op_names(tape).count("categorical_nll") == 1 + len(groups) + 2
         runs.append((losses.data, cond.grad, store.views(store.gradients().copy())))
     (l1, c1, g1), (l2, c2, g2) = runs
     assert np.array_equal(l1, l2) and np.array_equal(c1, c2)
@@ -604,8 +605,9 @@ def test_set_perm_equals_reordered_observation():
 
 def test_composites_draw_their_order_before_their_children():
     # a shuffled list draws its keys before its value codec's draws (once per
-    # length group), and a shuffled struct its permutation before its
-    # children's, which then encode, and draw, in that order
+    # pass, over all elements, whatever the length groups), and a shuffled
+    # struct its permutation before its children's, which then encode, and
+    # draw, in that order
     lengths = np.array([0, 1, 1, 1, 1, 1, 1, 5])
     doc = {"type": "array", "name": "l", "max_len": 5, "shuffled": True,
            "items": {"type": "record", "name": "r", "shuffled": True, "fields": [
@@ -616,7 +618,7 @@ def test_composites_draw_their_order_before_their_children():
     assert len(length_groups(lengths)) == 2
     rng = RecordingRng(1)
     codec.encode(x, rng=rng)
-    assert rng.calls == [("random", (8, 5)), ("permutation", 2), ("permutation", 2)]
+    assert rng.calls == [("random", (8, 5)), ("permutation", 2)]
     codec, _ = compile_schema(parse_schema(LISTS_IN_STRUCT), width=8, blocks=1, heads=2)
     x = random_batch(codec, 4, np.random.default_rng(2))
     for seed in range(8):

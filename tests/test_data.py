@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -324,10 +325,36 @@ def test_ingest_is_deterministic(tmp_path):
 
 def test_vocabulary_preserves_original_values():
     doc = {"type": "record", "name": "r", "fields": [{"name": "a", "type": "enum"}]}
-    tree, tf, _ = ingest_records([{"a": 10}, {"a": 2}, {"a": "2"}], parse_schema(doc))
-    # sorted by string key: "10" < "2"; first-seen original values kept
-    assert tf.vocabs["r/a"] == [10, 2]
+    tree, tf, _ = ingest_records([{"a": 10}, {"a": 2}, {"a": 2}], parse_schema(doc))
+    # sorted by string key: "10" < "2"; the original values kept
+    assert typed(tf.vocabs["r/a"]) == typed([10, 2])
     assert np.array_equal(tree.fields["a"].codes, [0, 1, 1])
+
+
+@pytest.mark.parametrize("values,message", [
+    ([3, "3", True, "True"], "record 1: field e: string '3' in a column of numbers"),
+    (["3", "x", True], "record 2: field e: boolean True in a column of strings"),
+    ([True, False, 1], "record 2: field e: number 1 in a column of booleans"),
+    ([1.5, float("nan")], "record 1: field e: not a finite category: nan"),
+    ([1.5, float("inf")], "record 1: field e: not a finite category: inf"),
+    ([1.5, 2, -float("inf")], "record 2: field e: not a finite category: -inf"),
+], ids=["number-string", "string-boolean", "boolean-number", "nan", "inf", "-inf"])
+def test_enum_column_keeps_one_json_type(values, message):
+    # an inferred vocabulary is keyed by str, so "3" and 3 would share a code
+    # and come back as whichever was seen first; an item column is checked
+    # the same way, and the record holding the item is named
+    flat = {"type": "record", "name": "r", "fields": [{"name": "e", "type": "enum"}]}
+    listed = {"type": "record", "name": "r", "fields": [
+        {"name": "l", "type": "array", "max_len": 2, "items": {"type": "enum", "name": "e"}}]}
+    for doc, records in ((flat, [{"e": v} for v in values]),
+                         (listed, [{"l": [v]} for v in values])):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            ingest_records(records, parse_schema(doc))
+    # one JSON type per column round-trips with its type
+    for column in ([3, 1.5, 3], ["3", "True", "3"], [True, False]):
+        records = [{"e": v} for v in column]
+        tree, tf, _ = ingest_records(records, parse_schema(flat))
+        assert typed(records_from_batch(tree, tf)) == typed(records)
 
 
 def test_transform_reuse_and_unknown_category():
@@ -1160,11 +1187,12 @@ def test_plan_rejections_leave_no_trace():
 def test_mixed_type_enum_vocabulary_matches_reference():
     schema = parse_schema({"type": "record", "name": "r", "fields": [
         {"name": "m", "type": "enum"}, {"name": "s", "type": "enum"}]})
+    # integers and floats are one JSON type, numbers
     records = [{"m": m, "s": s} for m, s in
-               [(1, "y"), ("1", "x"), (1.0, "y"), ("b", "z"), (2, "x")]]
+               [(1, "y"), (2.5, "x"), (1.0, "y"), (3, "z"), (2, "x")]]
     checked, _ = check_records(records, schema)
     ref_checked, _ = ref_check_records(records, schema)
     tf, ref_tf = fit_transform(checked, schema), ref_fit_transform(ref_checked, schema)
     assert typed(tf.vocabs) == typed(ref_tf.vocabs)
-    assert typed(tf.vocabs["r/m"]) == typed([1, 1.0, 2, "b"])
+    assert typed(tf.vocabs["r/m"]) == typed([1, 1.0, 2, 2.5, 3])
     assert_same_batch(build_batch(checked, tf), ref_build_batch(ref_checked, ref_tf))

@@ -4,9 +4,10 @@
 every row runs at max_len, the value codec on a full (B, max_len) grid that
 the test lays out itself, and both stacks mask each row's padded keys
 explicitly, through the tests' reference attention block. The package's
-codec masks nothing but causally and runs each length group at its own
-length, so losses and gradients must agree to rounding, on both the plain
-and the per-example (DP) path."""
+codec masks nothing but causally, runs each length group at its own length
+and its value codec on exactly the elements, once per pass, so losses and
+gradients must agree to rounding, on both the plain and the per-example
+(DP) path."""
 
 from contextlib import contextmanager
 
@@ -183,6 +184,49 @@ def test_random_schemas_match_padded(case):
             break
         case += 100
     assert_same_training(codec, store, random_batch(codec, 7, rng), 1, seed=case)
+
+
+def value_encode_spy(codec):
+    """Wraps every list codec under `codec` and its value codec's `encode`:
+    returns {list path: [[elements, value rows, ...] per list encode]}, the
+    list's lengths.sum() followed by the rows of each value encode it made."""
+    calls = {}
+    for lst in [c for c in codec.walk() if isinstance(c, ListCodec)]:
+        log = calls.setdefault(lst.path, [])
+
+        def list_spied(x, rng=None, encode=lst.encode, log=log):
+            log.append([int(np.sum(x.lengths))])
+            return encode(x, rng=rng)
+
+        def value_spied(x, rng=None, encode=lst.value_codec.encode, log=log):
+            log[-1].append(n_rows(x))
+            return encode(x, rng=rng)
+        lst.encode, lst.value_codec.encode = list_spied, value_spied
+    return calls
+
+
+DEPTH_1 = {"type": "record", "name": "r", "fields": [
+    enum("a"), {"name": "l", "type": array("l", enum("v", 4), 6)}]}
+DEPTH_3 = {"type": "record", "name": "r", "fields": [
+    {"name": "l", "type": array("l", array("m", array("n", enum("v"), 3), 3), 4)}]}
+
+
+@pytest.mark.parametrize("name", ["depth-1", "list-of-lists", "depth-3", "list-of-structs",
+                                  "shuffled"])
+def test_value_codec_encodes_exactly_the_elements_once_per_pass(name):
+    doc = {"depth-1": DEPTH_1, "depth-3": DEPTH_3, **DOCS}[name]
+    passes = 2 if name == "shuffled" else 1
+    codec, store = compiled(doc, seed=7)
+    x = random_batch(codec, 12, np.random.default_rng(8))
+    assert split_lists(codec, x) > 0  # some list runs two length groups
+    calls = value_encode_spy(codec)
+    train_step(codec, store, x, rng=np.random.default_rng(9), passes=passes)
+    per_example_gradients(codec, store, x, rng=np.random.default_rng(9), passes=passes)
+    for field, child in zip(codec.names, codec.children()):
+        if isinstance(child, ListCodec):  # encoded once per pass of each step
+            assert calls[child.path] == [[int(x.fields[field].lengths.sum())] * 2] * 2 * passes
+    for path, log in calls.items():
+        assert log and all(entry == [entry[0]] * 2 for entry in log), path
 
 
 def test_length_groups_take_the_cheapest_cut():

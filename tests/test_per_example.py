@@ -191,7 +191,8 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
     def expected_counts():
         """Each stack runs once per batch it sees, and the root is encoded
         once per pass. A struct sees one batch per encode call; a list sees
-        one per length group, and its value codec is encoded once per group."""
+        one per length group, and its value codec is encoded once per list
+        encode."""
         runs = {}
 
         def visit(c, calls):
@@ -208,11 +209,11 @@ def test_batch_runs_through_each_stack_once_per_pass(monkeypatch, doc, passes):
                     rows = np.concatenate([r for r, _ in groups])
                     assert np.array_equal(np.sort(rows), np.arange(B)), c.path
                     for r, P in groups:
-                        assert P == max(int(x.lengths[r].max()), 1), c.path
+                        assert P == max(int(x.lengths[r].max(initial=0)), 1), c.path
                     batches += len(groups)
             runs[id(c)] = batches
             for child in c.children():
-                visit(child, batches if isinstance(c, ListCodec) else calls)
+                visit(child, calls)
 
         visit(codec, passes)
         return {id(s): runs[id(c)] for c in composites for s in (c.enc, c.dec)}, runs
@@ -325,21 +326,20 @@ def test_gram_and_dense_norms_agree_on_every_parameter():
                 continue
             forms.add(ex.uses_gram(p))
             dense = ex.dense(p).reshape(9, -1)
-            if all(read.unique for read in ex.reads[p]):
-                np.testing.assert_allclose(ex.gram_sq_norms(p), (dense * dense).sum(axis=1),
-                                           rtol=1e-12, atol=1e-12, err_msg=path)
+            np.testing.assert_allclose(ex.gram_sq_norms(p), (dense * dense).sum(axis=1),
+                                       rtol=1e-12, atol=1e-12, err_msg=path)
     # the cases reach both forms of the norm
     assert forms == {True, False}
 
 
 def test_gram_norms_of_a_read_that_skips_examples():
-    # one read whose rows belong to examples 2 and 0 only: example 1 has no
-    # gradient, and the read's runs are not in example order
+    # one read whose rows belong to examples 0 and 2 only, two rows each:
+    # example 1 has no gradient
     rng = np.random.default_rng(6)
     w = Tensor(rng.standard_normal((5, 4)))
     ex = ad.ExampleGrads(3, [w])
     with Tape(per_example=ex) as tape:
-        with ad.example_rows(np.array([2, 0]), per=2):
+        with ad.example_rows(np.array([0, 0, 2, 2])):
             loss = ad.sum_all(ad.categorical_nll(Tensor(rng.standard_normal((4, 4))), w,
                                                  rng.integers(0, 5, size=4)))
     tape.backward(loss)
@@ -350,6 +350,55 @@ def test_gram_norms_of_a_read_that_skips_examples():
                                rtol=1e-12, atol=0)
 
 
+def assert_norms_agree(ex, p, name):
+    """Both norm forms of parameter p, and its dense gradients against the
+    reads summed one row at a time (`example_blocks`), agree."""
+    dense = ex.dense(p)
+    ref = example_blocks(ex)[ex.params.index(p)]
+    np.testing.assert_allclose(dense, ref, rtol=0, atol=1e-12, err_msg=name)
+    flat = dense.reshape(ex.examples, -1)
+    np.testing.assert_allclose(ex.gram_sq_norms(p), (flat * flat).sum(axis=1),
+                               rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_gram_norms_of_reads_whose_examples_own_several_rows():
+    # examples 0, 1 and 2 own 3, 1 and 2 adjacent rows of a block, two
+    # positions each, and a block nested in it repeats some of its rows again
+    rng = np.random.default_rng(9)
+    w, table = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((7, 4)))
+    ex = ad.ExampleGrads(3, [w, table])
+    with Tape(per_example=ex) as tape:
+        with ad.example_rows(np.array([0, 0, 0, 1, 2, 2])):
+            h = ad.add(Tensor(rng.standard_normal((6, 2, 4))),
+                       ad.gather_rows(table, rng.integers(0, 7, size=(6, 2))))
+            loss = ad.sum_all(ad.categorical_nll(ad.reshape(h, (12, 4)), w,
+                                                 rng.integers(0, 5, size=12)))
+            with ad.example_rows(np.array([0, 0, 2, 3, 3, 3, 3, 5])):
+                looked_up = ad.gather_rows(table, rng.integers(0, 7, size=8))
+                loss = ad.add(loss, ad.sum_all(ad.categorical_nll(looked_up, w,
+                                                                  rng.integers(0, 5, size=8))))
+    tape.backward(loss)
+    # reads are recorded in backward order: the nested block's first
+    assert [read.span for read in ex.reads[w]] == [read.span for read in ex.reads[table]] == [4, 3]
+    for p in (w, table):
+        assert_norms_agree(ex, p, "")
+
+
+def test_a_list_of_lists_takes_the_gram_form():
+    # an inner list's rows are its enclosing list's elements, so an example
+    # owns several rows of each of its length groups
+    codec, store = compile_schema(parse_schema(LIST_OF_LISTS), width=32, blocks=1, heads=2,
+                                  seed=11)
+    batch = random_batch(codec, 6, np.random.default_rng(12),
+                         pick=lambda c, n: np.full(n, c.max_len))
+    _, ex = per_example_gradients(codec, store, batch)
+    several = [path for path, p in store.items() if any(r.span > 1 for r in ex.reads[p])]
+    assert "r/ll/in/~enc/b0/wq" in several
+    assert any(ex.uses_gram(store[path]) for path in several)
+    for path, p in store.items():
+        assert_norms_agree(ex, p, path)
+
+
 def test_cancelling_reads_give_a_zero_norm_not_nan():
     # each example reads w twice with contributions that cancel exactly, so
     # the Gram form's terms of both signs round to totals just below zero
@@ -358,8 +407,8 @@ def test_cancelling_reads_give_a_zero_norm_not_nan():
     w = Tensor(np.zeros((8, 8)))
     ex = ad.ExampleGrads(B, [w])
     a, g = rng.standard_normal((B, 8)), rng.standard_normal((B, 8))
-    ex.add(w, a, g, ad.RowMap())
-    ex.add(w, -0.3 * a, g / 0.3, ad.RowMap())
+    ex.add(w, a, g)
+    ex.add(w, -0.3 * a, g / 0.3)
     assert ex.uses_gram(w)
     assert np.any(ex.gram_sq_norms(w) < 0)
     assert np.all(ex.sq_norms() >= 0)

@@ -148,8 +148,8 @@ def test_dp_step_returns_one_flat_vector():
     B, C, sigma = 6, 0.5, 1.3
     params = [ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros((1, 5)))]
     ex = ad.ExampleGrads(B, params)
-    ex.add(params[0], rng.normal(size=(B, 3)), rng.normal(size=(B, 4)), ad.RowMap())
-    ex.add(params[1], np.ones((B, 1)), rng.normal(size=(B, 5)), ad.RowMap())
+    ex.add(params[0], rng.normal(size=(B, 3)), rng.normal(size=(B, 4)))
+    ex.add(params[1], np.ones((B, 1)), rng.normal(size=(B, 5)))
     quiet = dp_step(ex, DpConfig(clip_norm=C, noise_multiplier=0.0), np.random.default_rng(9))
     noisy = dp_step(ex, DpConfig(clip_norm=C, noise_multiplier=sigma),
                     np.random.default_rng(9))
