@@ -6,7 +6,7 @@ conditioning rows and scores x in the same walk, and its per-example
 negative log likelihood is the training loss. `sample` draws each child from
 its decoder conditioning and feeds the draw back through the encoder, one
 position at a time. These are every codec's three duties, composites
-included. A leaf's scorer is its one `loss_terms(cond, codes)` op; a
+included. A leaf's scorer is its one `categorical_nll` op over its codes; a
 composite's closes over its digests and its children's scorers. Orders come
 only from the `rng` given to `encode`, so each decoding pass (`pass_losses`)
 encodes the batch again to draw its own. A shuffled composite draws its
@@ -62,10 +62,6 @@ class Codec:
 
     def has_shuffle(self) -> bool:
         return any(getattr(c, "shuffled", False) for c in self.walk())
-
-    def zero_batch(self, n: int):
-        """An all-zeros observation batch of this codec's input shape."""
-        raise NotImplementedError
 
 
 def root_conditioning(store: ParamStore, n: int) -> Tensor:
@@ -132,17 +128,10 @@ def per_example_gradients(codec: Codec, store: ParamStore, batch, rng=None,
 
 
 def sample_rows(codec: Codec, store: ParamStore, count: int, rng):
-    """Draw `count` observations from the root codec in SAMPLE_CHUNK chunks."""
+    """Draw `count` observations from the root codec in SAMPLE_CHUNK chunks;
+    count 0 is one chunk of zero rows."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return codec.zero_batch(0)
-    parts = []
-    left = count
-    while left > 0:
-        n = min(left, SAMPLE_CHUNK)
-        cond = root_conditioning(store, n)
-        tree, _ = codec.sample(cond, rng)
-        parts.append(tree)
-        left -= n
+    parts = [codec.sample(root_conditioning(store, min(SAMPLE_CHUNK, count - start)), rng)[0]
+             for start in range(0, max(count, 1), SAMPLE_CHUNK)]
     return parts[0] if len(parts) == 1 else concat_trees(parts)

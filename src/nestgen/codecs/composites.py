@@ -160,10 +160,6 @@ class StructCodec(Codec):
         out = {name: dec.draw(child, rng) for name, child in zip(self.names, self._children)}
         return StructBatch(out), dec.digest
 
-    def zero_batch(self, n):
-        return StructBatch({name: c.zero_batch(n)
-                            for name, c in zip(self.names, self._children)})
-
 
 class ListCodec(Codec):
     """Variable-length list: a categorical codec over lengths 0..max_len plus
@@ -222,11 +218,11 @@ class ListCodec(Codec):
                                                            lengths[:, None]])
         with ad.example_rows(elements):
             ev, val_score = self.value_codec.encode(values, rng=rng)
+        len_emb, len_score = self.len_codec.encode(LeafBatch(lengths))
         # each group's grid of element numbers, total at a padded slot; its
         # encoder input is one read of [length embeddings; elements; a zero row
         # for every padded slot], and `unique` drops that constant row's gradient
-        table = ad.concat([self.len_codec.encode(LeafBatch(lengths))[0], ev,
-                           np.zeros((1, self.width))], axis=0)
+        table = ad.concat([len_emb, ev, np.zeros((1, self.width))], axis=0)
         groups = [(rows, np.where(np.arange(P) < lengths[rows, None],
                                   starts[rows, None] + np.arange(P), total))
                   for rows, P in length_groups(lengths)]
@@ -237,24 +233,28 @@ class ListCodec(Codec):
         # each element's place among the groups' element slots end to end
         slot = np.argsort(np.concatenate([grid[grid < total] for _, grid in groups]))
 
+        def in_batch_order(group_rows):
+            return ad.index(ad.concat(group_rows, axis=0), inverse, unique=True)
+
         def score(cond):
             # length loss plus the sum over the row's elements, unnormalised:
             # a longer list is a larger observation and weighs accordingly
             decoded = [decode(ad.index(cond, rows, unique=True))
                        for (rows, _), (_, decode) in zip(groups, parts)]
+            length = len_score(in_batch_order([h0 for h0, _ in decoded]))
             with ad.example_rows(elements):
                 v = val_score(ad.index(ad.concat([h for _, h in decoded], axis=0), slot,
                                        unique=True))
             terms = ad.concat([v, np.zeros(1)], axis=0)
-            losses = [ad.add(loss, ad.sum_axis(ad.index(terms, grid, unique=True), 1))
-                      for (loss, _), (_, grid) in zip(decoded, groups)]
-            return ad.index(ad.concat(losses, axis=0), inverse, unique=True)
-        return ad.index(ad.concat([e for e, _ in parts], axis=0), inverse, unique=True), score
+            sums = [ad.sum_axis(ad.index(terms, grid, unique=True), 1) for _, grid in groups]
+            return ad.add(length, in_batch_order(sums))
+        return in_batch_order([e for e, _ in parts]), score
 
     def _encode_group(self, m, seq, rows):
         """Both stacks over batch rows `rows` of lengths m, whose encoder
         input is seq (n, P + 1, d): returns (embedding, decode), decode(cond)
-        giving (length loss, the element slots' outputs)."""
+        giving the decoder's slot-0 outputs, which condition the lengths, and
+        its element slots' outputs."""
         n, P = m.size, seq.shape[1] - 1
         r, c = np.nonzero(np.arange(P) < m[:, None])  # each element's row and slot
         with ad.example_rows(rows):
@@ -265,8 +265,8 @@ class ListCodec(Codec):
                                 ad.index(digests, np.s_[:, :P])], axis=1)
             with ad.example_rows(rows):
                 h = self.dec(dec_in)
-                len_loss = self.len_codec.loss_terms(ad.index(h, np.s_[:, 0]), m)
-            return len_loss, ad.index(h, (r, c + 1), unique=True)
+            # slot 0 is read as a copy: a view would keep all of h alive
+            return ad.index(h, (np.arange(n), 0), unique=True), ad.index(h, (r, c + 1), unique=True)
         return ad.index(digests, (np.arange(n), m), unique=True), decode
 
     def sample(self, cond, rng):
@@ -286,12 +286,10 @@ class ListCodec(Codec):
             dests.append(starts[rows] + i)
             # a row's last draw is at its own length, the digest it keeps
             emb[rows] = dec.digest.data
-        if not draws:
-            return ListBatch(m, self.value_codec.zero_batch(0)), Tensor(emb)
+        if not draws:  # no element anywhere: the value codec samples zero rows
+            values, _ = self.value_codec.sample(np.zeros((0, self.width)), rng)
+            return ListBatch(m, values), Tensor(emb)
         dest = np.concatenate(dests)
         order = np.empty_like(dest)
         order[dest] = np.arange(dest.size)
         return ListBatch(m, take(concat_trees(draws), order)), Tensor(emb)
-
-    def zero_batch(self, n):
-        return ListBatch(np.zeros(n, dtype=np.int64), self.value_codec.zero_batch(0))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import autodiff as ad
-from ..autodiff import Tensor
 from ..batches import LeafBatch
 from .base import Codec
 
@@ -14,11 +13,10 @@ DEFAULT_BINS = 100
 
 class CategoricalCodec(Codec):
     """One embedding matrix W does double duty: encoding picks row k, and
-    the logits cond @ W^T (no separate output head) are what `loss_terms`
-    scores, in one `categorical_nll` op that takes cond and W, and what
-    `sample` draws from off the tape, inverting the softmax CDF with a
-    single uniform draw. The scorer `encode` returns calls
-    `self.loss_terms(cond, codes)`."""
+    the logits cond @ W^T (no separate output head) are what the scorer
+    `encode` returns scores, in one `categorical_nll` op that takes cond and
+    W, and what `sample` draws from off the tape, inverting the softmax CDF
+    with a single uniform draw."""
 
     def __init__(self, path: str, cardinality: int, width: int, store, rng):
         if cardinality < 1:
@@ -32,10 +30,7 @@ class CategoricalCodec(Codec):
         codes = np.asarray(x.codes)
         if codes.min(initial=0) < 0 or codes.max(initial=0) >= self.cardinality:
             raise ValueError(f"{self.path}: code out of range 0..{self.cardinality - 1}")
-        return ad.gather_rows(self.w, codes), lambda cond: self.loss_terms(cond, codes)
-
-    def loss_terms(self, cond: Tensor, codes) -> Tensor:
-        return ad.categorical_nll(cond, self.w, codes)
+        return ad.gather_rows(self.w, codes), lambda cond: ad.categorical_nll(cond, self.w, codes)
 
     def sample(self, cond, rng):
         z = ad.as_tensor(cond).data @ self.w.data.T
@@ -45,9 +40,6 @@ class CategoricalCodec(Codec):
         u = rng.random(cdf.shape[0])
         codes = np.minimum((u[:, None] > cdf).sum(axis=1), self.cardinality - 1)
         return LeafBatch(codes.astype(np.int64)), ad.gather_rows(self.w, codes)
-
-    def zero_batch(self, n):
-        return LeafBatch(np.zeros(n, dtype=np.int64))
 
 
 class QuantileTable:

@@ -19,11 +19,14 @@ beside it or inside the object (where both hold one, they must agree)::
 
 An enum may omit both ``symbols`` and ``cardinality``, in which case the
 vocabulary must be inferred from a dataset before the schema can compile.
+Declared ``symbols`` are strings, finite numbers or booleans, all of one
+JSON type, and sampled records hold them as declared.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -42,7 +45,7 @@ class SchemaError(ValueError):
 @dataclass
 class Enum:
     name: str
-    symbols: list[str] | None = None
+    symbols: list | None = None  # declared JSON values; coding keys them by str
     cardinality: int | None = None
 
 
@@ -76,6 +79,18 @@ _ATTRS = ("cardinality", "symbols", "max_len", "bins", "shuffled", "items")
 def _is_int(v) -> bool:
     """A JSON integer; `true` and `false` are not, though bool subclasses int."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _symbol_kind(v):
+    """The JSON type of a declared enum symbol: a string, a finite number or
+    a boolean; None for any other value."""
+    if isinstance(v, str):
+        return "string"
+    if isinstance(v, bool):
+        return "boolean"
+    if isinstance(v, int) or isinstance(v, float) and math.isfinite(v):
+        return "number"
+    return None
 
 
 def _shuffled(spec, where) -> bool:
@@ -167,7 +182,10 @@ def _parse_node(spec, where, name_override=None):
                     or len(set(map(str, symbols))) != len(symbols)):
                 raise SchemaError(f"enum {name}: symbols must be a non-empty "
                                   "list without duplicates")
-            symbols = [str(s) for s in symbols]
+            kinds = set(map(_symbol_kind, symbols))
+            if None in kinds or len(kinds) > 1:
+                raise SchemaError(f"enum {name}: symbols must be strings, finite numbers or "
+                                  f"booleans, all of one JSON type; got {symbols!r}")
             if cardinality is not None and cardinality != len(symbols):
                 raise SchemaError(f"enum {name}: cardinality {cardinality} "
                                   f"contradicts {len(symbols)} symbols")

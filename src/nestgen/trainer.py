@@ -7,9 +7,9 @@ parameter read, and `dp_step` takes each example's gradient norm from those
 reads, clips every example's whole gradient to the bound with one scaled
 product per read, and adds Gaussian noise to the clipped mean, all without
 a (batch, n_params) matrix. Privacy accounting (epsilon/delta) is
-deliberately not computed here; the run log keeps every quantity an
-external accountant needs (clip norm, noise multiplier, batch size, dataset
-size, step count).
+deliberately not computed here: the run log holds one record per step, each
+with the clip norm and noise multiplier (`dp`), and the bundle manifest the
+batch size and dataset size (`config.batch_size`, `records`).
 """
 
 from __future__ import annotations

@@ -169,12 +169,13 @@ def training_signal(codec, store, batch, rng=lambda: None):
 
 
 class LeafSpy:
-    """Wraps the `loss_terms` of each leaf codec instance under `codec` and
-    records, per leaf path, the logits cond.data @ W.data.T that the leaf
-    scored and the per-example term it returned. A leaf's scorer calls
-    `loss_terms`, so the spy sees every leaf score. Causality and masking
-    tests compare these logits: each call checks, bitwise, that the term is
-    the negative log softmax of them at the codes, so they are the
+    """Wraps the `encode` of each leaf codec instance under `codec`, and the
+    scorer it returns, and records, per leaf path, the logits
+    cond.data @ W.data.T that the leaf scored and the per-example term it
+    returned. Every leaf score is a call of such a scorer, so the spy sees
+    all of them that come from encodes after it is built. Causality and
+    masking tests compare these logits: each call checks, bitwise, that the
+    term is the negative log softmax of them at the codes, so they are the
     distribution the leaf was decoded to. `score` runs one scoring pass of
     the whole tree, after which `logits` and `terms` are new dicts holding
     only that pass's records."""
@@ -184,20 +185,25 @@ class LeafSpy:
         self.logits, self.terms = {}, {}
         for leaf in codec.walk():
             if isinstance(leaf, CategoricalCodec):
-                leaf.loss_terms = self._wrap(leaf, leaf.loss_terms)
+                leaf.encode = self._wrap(leaf, leaf.encode)
 
-    def _wrap(self, leaf, loss_terms):
-        def spied(cond, codes):
-            term = loss_terms(cond, codes)
-            logits = cond.data @ leaf.w.data.T
-            z = logits - logits.max(axis=-1, keepdims=True)
-            lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-            ref = -(z - lse)[np.arange(codes.shape[0]), codes]
-            assert np.array_equal(term.data, ref), leaf.path
-            self.logits[leaf.path] = logits
-            self.terms[leaf.path] = term
-            return term
-        return spied
+    def _wrap(self, leaf, encode):
+        def spied_encode(x, rng=None):
+            emb, score = encode(x, rng=rng)
+            codes = np.asarray(x.codes)
+
+            def spied(cond):
+                term = score(cond)
+                logits = cond.data @ leaf.w.data.T
+                z = logits - logits.max(axis=-1, keepdims=True)
+                lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+                ref = -(z - lse)[np.arange(codes.shape[0]), codes]
+                assert np.array_equal(term.data, ref), leaf.path
+                self.logits[leaf.path] = logits
+                self.terms[leaf.path] = term
+                return term
+            return emb, spied
+        return spied_encode
 
     def score(self, cond, score):
         """score(cond) for a scorer `codec.encode` returned, recording a

@@ -549,6 +549,34 @@ def test_cli_sample_count_zero_and_seeds(flat_setup, capsys):
     capsys.readouterr()
 
 
+def test_cli_declared_symbols_keep_their_json_values(tmp_path, capsys):
+    doc = {"type": "record", "name": "r", "fields": [
+        {"name": "e", "type": "enum", "symbols": [1, 2, 3]},
+        {"name": "b", "type": "enum", "symbols": [True, False]},
+        {"name": "w", "type": "float", "bins": 3}]}
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc), encoding="utf-8")
+    rng = np.random.default_rng(0)
+    dataset = write_jsonl(tmp_path / "train.jsonl",
+                          [{"e": int(rng.integers(1, 4)), "b": bool(rng.integers(2)),
+                            "w": float(rng.uniform())} for _ in range(40)])
+    model = str(tmp_path / "model.ngm")
+    assert main(fit_args(str(schema), dataset, model)) == 0
+    _, _, tf, _, _ = load_model(model)
+    e, b, _ = tf.schema.fields
+    for symbols, want in ((e.symbols, [1, 2, 3]), (b.symbols, [True, False]),
+                          (tf.vocabs["r/e"], [1, 2, 3]), (tf.vocabs["r/b"], [True, False])):
+        assert symbols == want and list(map(type, symbols)) == list(map(type, want))
+    synth = str(tmp_path / "synth.jsonl")
+    assert main(["sample", "--model", model, "--count", "30",
+                 "--out", synth, "--seed", "1"]) == 0
+    rows = [json.loads(line) for line in open(synth, encoding="utf-8")]
+    assert len(rows) == 30
+    assert {type(r["e"]) for r in rows} == {int} and {r["e"] for r in rows} <= {1, 2, 3}
+    assert {type(r["b"]) for r in rows} == {bool}
+    capsys.readouterr()
+
+
 def test_cli_fit_is_deterministic(flat_setup, capsys):
     schema, dataset, model, tmp_path = flat_setup
     other = str(tmp_path / "model2.ngm")

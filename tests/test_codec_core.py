@@ -196,12 +196,17 @@ def test_sample_rows_chunks_and_reproduces(monkeypatch):
     assert a.fields["l"].lengths.max() <= 2
 
 
-def test_sample_rows_count_zero_is_empty_zero_batch():
+def test_sample_rows_count_zero_is_a_sample_of_zero_rows():
     codec, store = compiled(NESTED, seed=10)
     tree = sample_rows(codec, store, 0, np.random.default_rng(3))
+    ref, _ = codec.sample(root_conditioning(store, 0), np.random.default_rng(3))
     assert n_rows(tree) == 0
     assert tree.fields["a"].codes.shape == (0,)
     assert tree.fields["l"].values.codes.shape == (0,)
+    for got, want in [(tree.fields["a"].codes, ref.fields["a"].codes),
+                      (tree.fields["l"].lengths, ref.fields["l"].lengths),
+                      (tree.fields["l"].values.codes, ref.fields["l"].values.codes)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_sample_rows_negative_count_is_refused():

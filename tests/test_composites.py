@@ -106,12 +106,12 @@ def test_single_field_struct():
     codec, store = flat_struct([3])
     x = struct_batch([[0, 2, 1]])
     digests = digest_spy(codec)
+    spy = LeafSpy(codec)
     emb, score = codec.encode(x)
     # the embedding is the one and only digest
     assert digests[0].data.shape == (3, 1, 8)
     assert np.array_equal(emb.data, digests[0].data[:, 0, :])
     # and the struct loss is exactly the child loss
-    spy = LeafSpy(codec)
     total = spy.score(root_conditioning(store, 3), score)
     assert np.array_equal(total.data, spy.terms["s/f0"].data)
 
@@ -271,8 +271,8 @@ def test_shuffle_pairing_with_zero_attention():
     zero_attention(store)
     x = struct_batch([[1], [2], [0]])
     sigma = (2, 0, 1)
-    _, score = codec.encode(x, rng=ForcedOrder(sigma=sigma))
     spy = LeafSpy(codec)
+    _, score = codec.encode(x, rng=ForcedOrder(sigma=sigma))
     spy.score(root_conditioning(store, 1), score)
     w = [codec.children()[k].w.data for k in range(3)]
     embs = [w[0][1], w[1][2], w[2][0]]  # observed embeddings per field
@@ -356,9 +356,9 @@ def test_scorer_repeats_bitwise_and_encode_scores_nothing():
             losses = score(cond)
             loss = ad.sum_all(losses)
         tape.backward(loss)
-        # a once; ~len once per length group of the list; b and c once, on
-        # the list's elements
-        assert op_names(tape).count("categorical_nll") == 1 + len(groups) + 2
+        # a once; ~len once, on all rows of both length groups; b and c
+        # once, on the list's elements
+        assert op_names(tape).count("categorical_nll") == 1 + 1 + 2
         runs.append((losses.data, cond.grad, store.views(store.gradients().copy())))
     (l1, c1, g1), (l2, c2, g2) = runs
     assert np.array_equal(l1, l2) and np.array_equal(c1, c2)
@@ -366,6 +366,27 @@ def test_scorer_repeats_bitwise_and_encode_scores_nothing():
     for path in g1:
         assert np.array_equal(g1[path], g2[path]), path
     assert np.any(c1 != 0.0)
+
+
+def test_each_leaf_path_is_scored_once_per_pass(monkeypatch):
+    # a list in two length groups still scores its lengths with one call,
+    # on all its rows, as each leaf scores its codes
+    codec, store = compile_schema(parse_schema(SCORED), width=8, blocks=2, heads=2, seed=3)
+    x = random_batch(codec, 8, np.random.default_rng(30))
+    assert len(length_groups(x.fields["l"].lengths)) == 2
+    leaves = {id(c.w): c.path for c in codec.walk() if isinstance(c, CategoricalCodec)}
+    scored = []
+    nll = ad.categorical_nll
+
+    def spied(cond, w, codes):
+        scored.append((leaves[id(w)], len(codes)))
+        return nll(cond, w, codes)
+
+    monkeypatch.setattr(ad, "categorical_nll", spied)
+    pass_losses(codec, store, x, rng=np.random.default_rng(31), passes=2)
+    elements = int(x.fields["l"].lengths.sum())
+    rows = {"r/a": 8, "r/l/~len": 8, "r/l/e/b": elements, "r/l/e/c": elements}
+    assert sorted(scored) == sorted(list(rows.items()) * 2)
 
 
 # -- list --------------------------------------------------------------------
@@ -446,12 +467,12 @@ def test_empty_list_embedding_is_length_digest():
     codec, store = cat_list(3, max_len=4)
     x = list_batch([[], []])
     digests = digest_spy(codec)
+    spy = LeafSpy(codec)
     emb, score = codec.encode(x)
     P, group_digests = only_group(x, digests)
     assert P == 1  # cut to one position, not max_len
     assert np.array_equal(emb.data, group_digests.data[:, 0, :])
     # loss reduces to the length term alone
-    spy = LeafSpy(codec)
     total = spy.score(root_conditioning(store, 2), score)
     assert np.array_equal(total.data, spy.terms["l/~len"].data)
 

@@ -357,6 +357,23 @@ def test_enum_column_keeps_one_json_type(values, message):
         assert typed(records_from_batch(tree, tf)) == typed(records)
 
 
+def test_declared_symbols_come_back_with_their_json_type():
+    # coded by str, so "3" in CSV data codes as the declared 3
+    doc = {"type": "record", "name": "r", "fields": [
+        {"name": "e", "type": "enum", "symbols": [1, 2, 3]},
+        {"name": "b", "type": "enum", "symbols": [True, False]},
+        {"name": "l", "type": "array", "max_len": 2,
+         "items": {"type": "enum", "name": "f", "symbols": [0.5, 2]}}]}
+    records = [{"e": 3, "b": True, "l": [2, 0.5]}, {"e": 1, "b": False, "l": []}]
+    tree, tf, _ = ingest_records(records, parse_schema(doc))
+    assert typed(tf.vocabs) == typed({"r/e": [1, 2, 3], "r/b": [True, False],
+                                      "r/l/f": [0.5, 2]})
+    assert typed(records_from_batch(tree, tf)) == typed(records)
+    strings = [{"e": "2", "b": "True", "l": ["0.5"]}]
+    tree, _, _ = ingest_records(strings, parse_schema(doc), transform=tf)
+    assert typed(records_from_batch(tree, tf)) == typed([{"e": 2, "b": True, "l": [0.5]}])
+
+
 def test_transform_reuse_and_unknown_category():
     schema = parse_schema(FLAT_DOC)
     _, tf, _ = ingest_records([{"a": "0", "b": "x"}, {"a": "1", "b": "y"}], schema)
@@ -437,7 +454,9 @@ def test_empty_sampled_lists_draw_no_uniforms():
         {"name": "l", "type": "array", "max_len": 4,
          "items": {"type": "long", "name": "v"}}]}
     _, tf, _ = ingest_records([{"l": [1, 2]}, {"l": [5]}], parse_schema(doc))
-    codec, store = compile_schema(tf.schema, width=8, blocks=1, heads=2, seed=0)
+    # the items sample zero rows, which a numeric leaf needs its table for
+    codec, store = compile_schema(tf.schema, width=8, blocks=1, heads=2, seed=0,
+                                  tables=tf.tables)
     # zero output projections make every attention step the identity, so the
     # length head reads c0; point its length-0 row along c0
     for path in store.paths():
@@ -447,9 +466,38 @@ def test_empty_sampled_lists_draw_no_uniforms():
     w_len = store["r/l/~len/W"].data
     w_len[:] = 0.0
     w_len[0] = 1e3 * c0 / (c0 @ c0)
-    tree = sample_rows(codec, store, 1000, np.random.default_rng(0))
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    tree = sample_rows(codec, store, 1000, rng)
+    ref.random(1000)  # the lengths' uniforms, and none for the elements
+    assert rng.bit_generator.state == ref.bit_generator.state
     assert not tree.fields["l"].lengths.any()
+    # the items are a sample of zero rows: values, like any sampled numeric
+    assert tree.fields["l"].values.codes.dtype == np.float64
     assert records_from_batch(tree, tf) == [{"l": []}] * 1000
+
+
+def test_a_sample_of_zero_rows_holds_values_and_draws_nothing():
+    doc = {"type": "record", "name": "r", "fields": [
+        {"name": "x", "type": "long"},
+        {"name": "l", "type": "array", "max_len": 3, "items": {
+            "type": "record", "name": "t", "fields": [
+                {"name": "v", "type": "double"}, {"name": "w", "type": "enum"},
+                {"name": "in", "type": "array", "max_len": 2,
+                 "items": {"type": "long", "name": "u"}}]}}]}
+    records = [{"x": 1, "l": [{"v": 0.5, "w": "a", "in": [3]}]},
+               {"x": 4, "l": [{"v": 1.5, "w": "b", "in": [5, 6]}]}]
+    _, tf, _ = ingest_records(records, parse_schema(doc))
+    codec, store = compile_schema(tf.schema, width=8, blocks=1, heads=2, seed=0,
+                                  tables=tf.tables)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    tree = sample_rows(codec, store, 0, rng)
+    assert rng.bit_generator.state == state
+    items = tree.fields["l"].values
+    numeric = [tree.fields["x"], items.fields["v"], items.fields["in"].values]
+    assert [leaf.codes.dtype for leaf in numeric] == [np.float64] * 3
+    assert items.fields["w"].codes.shape == (0,)
+    assert records_from_batch(tree, tf) == []
 
 
 def test_write_csv_header_only_and_float_repr(tmp_path):

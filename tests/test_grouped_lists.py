@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from nestgen import autodiff as ad
-from nestgen.batches import LeafBatch, StructBatch, concat_trees, n_rows, take
+from nestgen.batches import LeafBatch, ListBatch, StructBatch, concat_trees, n_rows, take
 from nestgen.codecs.base import per_example_gradients, train_step
-from nestgen.codecs.composites import ListCodec, length_groups
+from nestgen.codecs.composites import ListCodec, StructCodec, length_groups
 from nestgen.schema import compile_schema, parse_schema
 
 from conftest import example_matrix, random_batch, random_schema_doc
@@ -36,6 +36,16 @@ def masked_stack(stack, x, valid):
     return x
 
 
+def zeros(codec, n):
+    """An observation batch of n all-zero rows of codec's input shape: code
+    0 at each leaf, length 0 at each list."""
+    if isinstance(codec, StructCodec):
+        return StructBatch({name: zeros(c, n) for name, c in zip(codec.names, codec.children())})
+    if isinstance(codec, ListCodec):
+        return ListBatch(np.zeros(n, dtype=np.int64), zeros(codec.value_codec, 0))
+    return LeafBatch(np.zeros(n, dtype=np.int64))
+
+
 class PaddedListCodec(ListCodec):
     """The padded list training path: one group of every row at max_len."""
 
@@ -45,7 +55,7 @@ class PaddedListCodec(ListCodec):
         mask = np.arange(P)[None, :] < lengths[:, None]
         e_len, len_score = self.len_codec.encode(LeafBatch(lengths))
         # slot (b, i) holds row b's element i, or a zero element past its length
-        values = concat_trees([x.values, self.value_codec.zero_batch(1)])
+        values = concat_trees([x.values, zeros(self.value_codec, 1)])
         starts = np.cumsum(lengths) - lengths
         grid = np.where(mask, starts[:, None] + np.arange(P), n_rows(values) - 1)
         ev_flat, val_score = self.value_codec.encode(take(values, grid.ravel()), rng=rng)

@@ -17,8 +17,14 @@ def make_cat(n, d, seed=0, path="f"):
     return codec, store
 
 
+def scores(codec, cond, codes):
+    """The per-example terms of the scorer `encode` returns for codes, given
+    conditioning rows cond (B, d)."""
+    return codec.encode(LeafBatch(np.asarray(codes)))[1](cond)
+
+
 def scored_logits(codec, cond):
-    """The logits `loss_terms` scores for conditioning rows cond (B, d)."""
+    """The logits the scorer scores for conditioning rows cond (B, d)."""
     spy = LeafSpy(codec)
     _, score = codec.encode(LeafBatch(np.zeros(len(cond), dtype=np.int64)))
     spy.score(Tensor(cond), score)
@@ -96,33 +102,32 @@ def test_decoded_softmax_normalizes(rng):
     p = e / e.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
     # and the scores of all categories are the log of that distribution
-    scores = [codec.loss_terms(cond, np.full(10, k)).data
-              for k in range(7)]
-    np.testing.assert_allclose(np.exp(-np.array(scores)).sum(axis=0), 1.0, atol=1e-12)
+    terms = [scores(codec, cond, np.full(10, k)).data for k in range(7)]
+    np.testing.assert_allclose(np.exp(-np.array(terms)).sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_loss_single_category_is_zero():
     codec, _ = make_cat(1, 4)
     cond = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
-    loss = codec.loss_terms(cond, np.zeros(5, dtype=np.int64))
+    loss = scores(codec, cond, np.zeros(5, dtype=np.int64))
     assert np.array_equal(loss.data, np.zeros(5))
 
 
 def test_loss_uniform_logits_is_ln2():
     codec, _ = make_cat(2, 4)
     cond = identity_logits(codec, np.zeros((2, 2)))
-    loss = codec.loss_terms(cond, np.array([0, 1]))
+    loss = scores(codec, cond, np.array([0, 1]))
     np.testing.assert_allclose(loss.data, np.log(2.0), rtol=1e-15)
 
 
 def test_loss_stable_under_large_logits():
     codec, _ = make_cat(2, 4)
     cond = identity_logits(codec, np.array([[1000.0, 0.0]]))
-    loss = codec.loss_terms(cond, np.array([0]))
+    loss = scores(codec, cond, np.array([0]))
     assert np.isfinite(loss.data[0])
     assert 0.0 <= loss.data[0] < 1e-6
     # the improbable category keeps a finite, huge loss
-    loss1 = codec.loss_terms(cond, np.array([1]))
+    loss1 = scores(codec, cond, np.array([1]))
     assert np.isfinite(loss1.data[0])
     assert loss1.data[0] == pytest.approx(1000.0, rel=1e-9)
 
@@ -131,7 +136,7 @@ def test_loss_nonnegative_and_matches_formula(rng):
     codec, _ = make_cat(6, 8, seed=4)
     logits = rng.standard_normal((32, 6)) * 3.0
     codes = rng.integers(0, 6, size=32)
-    loss = codec.loss_terms(identity_logits(codec, logits), codes)
+    loss = scores(codec, identity_logits(codec, logits), codes)
     assert np.all(loss.data >= 0.0)
     z = logits - logits.max(axis=1, keepdims=True)
     manual = -(z[np.arange(32), codes] - np.log(np.exp(z).sum(axis=1)))

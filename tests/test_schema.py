@@ -63,6 +63,30 @@ def test_parse_minimal_enum():
     assert isinstance(s, Enum) and s.cardinality == 1
 
 
+def test_declared_symbols_keep_their_json_values():
+    doc = {"type": "record", "name": "r", "fields": [
+        {"name": "e", "type": "enum", "symbols": [1, 2.5, 3]},
+        {"name": "b", "type": "enum", "symbols": [True, False]},
+        {"name": "s", "type": "enum", "symbols": ["1", "x"]}]}
+    e, b, s = parse_schema(json.dumps(doc)).fields
+    assert e.symbols == [1, 2.5, 3] and list(map(type, e.symbols)) == [int, float, int]
+    assert b.symbols == [True, False] and list(map(type, b.symbols)) == [bool, bool]
+    assert s.symbols == ["1", "x"] and (e.cardinality, b.cardinality) == (3, 2)
+    assert parse_schema(serialize_schema(parse_schema(doc))) == parse_schema(doc)
+
+
+@pytest.mark.parametrize("symbols", [
+    '[1, null]', '["a", ["b"]]', '[{"a": 1}]', '[1, NaN]', '[Infinity]', '[1, "2"]',
+    '[true, 0]', '["yes", false]',
+], ids=["null", "list", "object", "nan", "infinity", "number-string", "boolean-number",
+        "string-boolean"])
+def test_declared_symbols_are_json_scalars_of_one_type(symbols):
+    doc = '{"type": "enum", "name": "e", "symbols": %s}' % symbols
+    with pytest.raises(SchemaError, match=r"^enum e: symbols must be strings, finite numbers "
+                                          r"or booleans, all of one JSON type; got \["):
+        parse_schema(doc)
+
+
 def test_parse_enum_without_size_is_inferred_later():
     s = parse_schema({"type": "enum", "name": "x"})
     assert s.cardinality is None and s.symbols is None
