@@ -390,20 +390,24 @@ def index(a, key, unique=False):
 def attention(x, wq, wk, wv, wo, heads, past=None):
     """x (B, L, d) plus the wo projection of its `heads`-head causal
     attention, with q, k and v from one x @ [wq|wk|wv] product and scores
-    scaled by 1/sqrt(d / heads). past: constant (B, heads, t, dh) keys and
-    values of t earlier positions. New position i attends keys 0..t+i only.
-    That causal mask is the only one: a list's padding comes after its
-    elements, so no position whose output is used attends it. Returns the
-    output and all keys and values; the backward reuses the softmax."""
+    scaled by 1/sqrt(d / heads). past: a sampling cache's (keys, values),
+    two position-major (t + L, B, d) arrays whose first t slots hold t
+    earlier positions, constants here. The op writes x's keys and values
+    into the last L slots in place and attends all t + L through strided
+    (B, heads, t + L, dh) views, so no key or value is copied. New position
+    i attends keys 0..t+i only. That causal mask is the only one: a list's
+    padding comes after its elements, so no position whose output is used
+    attends it. Returns the output; the backward reuses the softmax."""
     B, L, d = x.data.shape
     dh = d // heads
     c = np.asarray(1.0 / np.sqrt(dh))
     w_in = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     # the four weight products run on (B*L, d) rows: one 2-D GEMM each
     x2 = x.data.reshape(B * L, d)
-    q, k, v = (x2 @ w_in).reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    qkv = (x2 @ w_in).reshape(B, L, 3, heads, dh)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
     if past is not None:
-        k, v = np.concatenate([past[0], k], axis=2), np.concatenate([past[1], v], axis=2)
+        k, v = (_cache_write(buf, qkv[:, :, j]) for j, buf in zip((1, 2), past))
     p = q @ np.swapaxes(k, -1, -2)
     p *= c
     if L > 1:
@@ -438,7 +442,16 @@ def attention(x, wq, wk, wv, wo, heads, past=None):
             add_weight(w, x2, gqkv[:, i * d:(i + 1) * d])
         x.accumulate((g + gqkv @ w_in.T).reshape(B, L, d))
 
-    return _record(out, backward), (k, v)
+    return _record(out, backward)
+
+
+def _cache_write(buf, new):
+    """Write new (B, L, heads, dh) keys or values into the last L slots of
+    the (t + L, B, d) cache buffer `buf`; returns all t + L as a
+    (B, heads, t + L, dh) view of it."""
+    B, L, heads, dh = new.shape
+    buf[-L:] = new.reshape(B, L, heads * dh).swapaxes(0, 1)
+    return buf.reshape(buf.shape[0], B, heads, dh).transpose(1, 2, 0, 3)
 
 
 def categorical_nll(cond, w, codes):

@@ -45,11 +45,16 @@ Sampling walks the same order one slot at a time with cached attention
 (`AttentionStack.step`): a decoder step on the conditioning gives slot 0;
 then each slot samples its child, an encoder step on the child's embedding
 gives the next digest, and a decoder step on that digest conditions the next
-slot. Shuffled nodes sample in identity order. A list samples the lengths
-first; element step i then runs only the rows whose length exceeds i, and a
-row's embedding is the digest at its own length. The steps' draws are put
-in row order with one `take`, so a sampled list holds its elements end to
-end like any other.
+slot. Each stack's `KVCache` has one slot per step, n for a struct of n
+fields and max_len + 1 for a list, and each step writes its keys and values
+once, into its own slot. A cache's room starts at one slot and doubles when
+it fills, so each slot is copied about once, and a list's caches follow the
+lengths drawn, not max_len. Shuffled nodes sample in identity order. A list
+samples the lengths first; element step i then runs only the rows whose
+length exceeds i, so when rows finish, the caches keep only the others,
+copying just their filled slots. A row's embedding is the digest at its own
+length. The steps' draws are put in row order with one `take`, so a sampled
+list holds its elements end to end like any other.
 """
 
 from __future__ import annotations
@@ -68,12 +73,13 @@ from .primitives import CategoricalCodec
 
 class _Decoding:
     """Sampling state of one composite node: the K/V caches of its encoder
-    and decoder stacks, and the latest encoder digest (the node's
-    conditioning before the first draw), which is the decoder's next input."""
+    and decoder stacks, `slots` positions each, and the latest encoder
+    digest (the node's conditioning before the first draw), which is the
+    decoder's next input."""
 
-    def __init__(self, codec, cond):
+    def __init__(self, codec, cond, slots):
         self.enc, self.dec = codec.enc, codec.dec
-        self.enc_kv, self.dec_kv = KVCache(), KVCache()
+        self.enc_kv, self.dec_kv = KVCache(slots), KVCache(slots)
         self.digest = ad.as_tensor(cond)
 
     def draw(self, child, rng):
@@ -156,7 +162,7 @@ class StructCodec(Codec):
         return ad.index(digests, np.s_[:, -1]), score
 
     def sample(self, cond, rng):
-        dec = _Decoding(self, cond)
+        dec = _Decoding(self, cond, len(self._children))
         out = {name: dec.draw(child, rng) for name, child in zip(self.names, self._children)}
         return StructBatch(out), dec.digest
 
@@ -271,7 +277,7 @@ class ListCodec(Codec):
 
     def sample(self, cond, rng):
         B = cond.shape[0]
-        dec = _Decoding(self, cond)
+        dec = _Decoding(self, cond, self.max_len + 1)
         m = dec.draw(self.len_codec, rng).codes
         emb = dec.digest.data.copy()
         starts = np.cumsum(m) - m

@@ -60,19 +60,26 @@ class Transform:
     tables: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._index = {p: {str(s): i for i, s in enumerate(v)}
-                       for p, v in self.vocabs.items()}
+        # per vocabulary path, the key a value is coded by and the code of
+        # each key: declared numbers match by value (1, 1.0 and "1.0" are
+        # one symbol), every other vocabulary by str
+        nodes = dict(walk_paths(self.schema))
+        self._index = {}
+        for p, v in self.vocabs.items():
+            symbols = getattr(nodes.get(p), "symbols", None)
+            key = _as_number if symbols and _kind(symbols[0]) == "number" else str
+            self._index[p] = key, {key(s): i for i, s in enumerate(v)}
 
     def code_column(self, path, node, values):
         """Enum column values -> int64 codes. Raises _BadValue at the first
         value that has no code."""
-        idx = self._index.get(path)
-        if idx is not None:
+        if path in self._index:
+            key, idx = self._index[path]
             try:
-                return np.fromiter(map(idx.__getitem__, map(str, values)),
+                return np.fromiter(map(idx.__getitem__, map(key, values)),
                                    np.int64, len(values))
             except KeyError:
-                i = next(i for i, v in enumerate(values) if str(v) not in idx)
+                i = next(i for i, v in enumerate(values) if key(v) not in idx)
                 raise _BadValue(i, f"unknown category {values[i]!r} in column "
                                    f"{path}") from None
         codes = np.empty(len(values), dtype=np.int64)
@@ -164,6 +171,21 @@ _TYPES = {Record: {dict}, Array: {list}, Number: {str, int, float},
 
 def _kind(value):  # the JSON type of an enum value
     return {str: "string", bool: "boolean"}.get(type(value), "number")
+
+
+def _as_number(value):
+    """The number a value stands for, to match declared number symbols by:
+    an int or a float as it is, a string (a CSV cell, say) read as an int or
+    else a float; None for a boolean, which JSON does not count as a number,
+    and for other text."""
+    if isinstance(value, str):
+        for parse in (int, float):
+            try:
+                return parse(value)
+            except ValueError:
+                pass
+        return None
+    return None if isinstance(value, bool) else value
 
 
 def _problem(node, value, kind=None):

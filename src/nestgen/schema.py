@@ -20,7 +20,8 @@ beside it or inside the object (where both hold one, they must agree)::
 An enum may omit both ``symbols`` and ``cardinality``, in which case the
 vocabulary must be inferred from a dataset before the schema can compile.
 Declared ``symbols`` are strings, finite numbers or booleans, all of one
-JSON type, and sampled records hold them as declared.
+JSON type, and sampled records hold them as declared. Declared numbers
+match data by value, so no two may be equal: 1 and 1.0 are one symbol.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class SchemaError(ValueError):
 @dataclass
 class Enum:
     name: str
-    symbols: list | None = None  # declared JSON values; coding keys them by str
+    symbols: list | None = None  # declared JSON values; numbers code by value, others by str
     cardinality: int | None = None
 
 
@@ -178,14 +179,16 @@ def _parse_node(spec, where, name_override=None):
         if cardinality is not None and (not _is_int(cardinality) or cardinality < 1):
             raise SchemaError(f"enum {name}: cardinality must be an integer >= 1")
         if symbols is not None:
-            if (not isinstance(symbols, list) or not symbols
-                    or len(set(map(str, symbols))) != len(symbols)):
+            if not isinstance(symbols, list) or not symbols:
                 raise SchemaError(f"enum {name}: symbols must be a non-empty "
                                   "list without duplicates")
             kinds = set(map(_symbol_kind, symbols))
             if None in kinds or len(kinds) > 1:
                 raise SchemaError(f"enum {name}: symbols must be strings, finite numbers or "
                                   f"booleans, all of one JSON type; got {symbols!r}")
+            if len(set(symbols)) != len(symbols):  # by value: 1 and 1.0 are one number
+                raise SchemaError(f"enum {name}: symbols must be a non-empty "
+                                  "list without duplicates")
             if cardinality is not None and cardinality != len(symbols):
                 raise SchemaError(f"enum {name}: cardinality {cardinality} "
                                   f"contradicts {len(symbols)} symbols")

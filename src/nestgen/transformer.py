@@ -7,12 +7,19 @@ natural-language tokens, and position information already arrives through the
 residual stream (position k's output always contains its own input embedding).
 
 Training runs `__call__` over whole sequences. Sampling grows a sequence one
-position at a time with `step`, which keeps every block's keys and values in
-a `KVCache` and computes only the new position. Both run the same `_block`,
-one `ad.attention` op. Sampling runs off the tape, so the cache holds plain
-arrays. The cached step is exact because attention is causal, so a
-position's output depends only on its prefix. `KVCache.take` drops batch
-rows that need no further steps.
+position at a time with `step`, which computes only the new position against
+the keys and values a `KVCache` holds for the earlier ones. Both run the
+same `_block`, one `ad.attention` op. The cache knows its node's slot count
+up front and holds one position-major array, of which each block's keys and
+each block's values are a (room, B, d) view: a step writes its keys and
+values into the next slot once, in place, and attends the filled slots
+through strided views, with no concatenation. The room starts at one slot
+and doubles when it fills, so each slot moves about once, and a list's
+cache follows the lengths drawn, not the list's max_len.
+Sampling runs off the tape, so the cache holds plain arrays. The cached
+step is exact because attention is causal, so a position's output depends
+only on its prefix. `KVCache.take` drops batch rows that need no further
+steps, copying only the filled slots of the rows it keeps.
 
 Causality is the only mask, applied in `ad.attention`: masked scores are
 filled with the most negative finite float before the softmax, so exp()
@@ -69,9 +76,7 @@ class AttentionStack:
         if x.data.shape[1] == 0:
             raise ValueError("attention needs at least one position")
         for blk in self.blocks:
-            # keep no reference to this block's keys and values: outside a
-            # tape they are freed before the next block allocates its own
-            x = self._block(blk, x)[0]
+            x = self._block(blk, x)
         return x
 
     def step(self, x_new: Tensor, cache: KVCache) -> Tensor:
@@ -84,11 +89,8 @@ class AttentionStack:
         """
         B, d = x_new.data.shape
         x = ad.reshape(x_new, (B, 1, d))
-        kv = []
-        for i, blk in enumerate(self.blocks):
-            x, kv_i = self._block(blk, x, cache.kv[i] if cache.kv else None)
-            kv.append(kv_i)
-        cache.kv = kv
+        for blk, past in zip(self.blocks, cache.advance(len(self.blocks), B, d)):
+            x = self._block(blk, x, past)
         return ad.reshape(x, (B, d))
 
     def _block(self, blk, x: Tensor, past=None):
@@ -97,13 +99,52 @@ class AttentionStack:
 
 
 class KVCache:
-    """Keys and values of the positions an AttentionStack has stepped over:
-    one (keys, values) pair of (B, H, t, dh) arrays per block, empty before
-    the first step."""
+    """Keys and values of the positions an AttentionStack has stepped over,
+    for a sequence of at most `slots` positions, in one position-major
+    (room, 2 * blocks, B, d) array: slot s holds block 0's keys and values,
+    then block 1's, and so on, of position s. Its first `filled` slots are
+    written. The first step allocates room for one slot; a step that finds
+    the room full moves the filled slots into twice the room, never more
+    than `slots`. So the cache holds at most about twice what it has
+    stepped: a list, whose lengths are drawn at its first step, holds room
+    for the lengths drawn, not for its max_len."""
 
-    def __init__(self, kv=None):
-        self.kv = kv if kv is not None else []
+    def __init__(self, slots: int):
+        self.slots, self.filled, self.buf = slots, 0, None
+
+    def advance(self, blocks: int, B: int, d: int):
+        """Claim the next slot for a step of B rows: per block, (keys, values)
+        views of shape (filled + 1, B, d) whose last slot the step writes."""
+        if self.filled == self.slots:
+            raise ValueError(f"KV cache is full: all {self.slots} slots are filled")
+        if self.buf is None:
+            self.buf = np.empty((1, 2 * blocks, B, d))
+        elif self.filled == len(self.buf):
+            buf = np.empty((self._next_room(),) + self.buf.shape[1:])
+            buf[:self.filled] = self.buf
+            self.buf = buf
+        self.filled += 1
+        kv = self.buf[:self.filled]
+        return [(kv[:, 2 * i], kv[:, 2 * i + 1]) for i in range(blocks)]
 
     def take(self, rows) -> "KVCache":
-        """The cache restricted to (or reordered by) the given batch rows."""
-        return KVCache([(k[rows], v[rows]) for k, v in self.kv])
+        """The cache restricted to (or reordered by) the given batch rows,
+        each in 0..B-1: one np.take copies the filled slots of those rows
+        into a new tight (room, 2 * blocks, len(rows), d) array, with the
+        room the next step needs. A row outside 0..B-1 is clamped into it,
+        not refused: numpy's checked mode copies `out` through a buffer, at
+        twice the cost, and every caller passes `np.flatnonzero` output or
+        a permutation."""
+        new = KVCache(self.slots)
+        new.filled = t = self.filled
+        if self.buf is not None:
+            _, K, _, d = self.buf.shape
+            new.buf = np.empty((self._next_room(), K, len(rows), d))
+            np.take(self.buf[:t], rows, axis=2, out=new.buf[:t], mode="clip")
+        return new
+
+    def _next_room(self):
+        """Room for one more step: the room there is, or twice it once the
+        filled slots fill it, never more than `slots`."""
+        room = len(self.buf)
+        return room if self.filled < room else min(2 * room, self.slots)

@@ -8,6 +8,11 @@ through it with each row's padding masked explicitly. The package fuses
 these ops into `autodiff.attention` and `autodiff.categorical_nll`; their
 finite-difference checks are in test_autodiff.py.
 
+`ConcatKVCache` and `concat_step` are the sampling cache that
+`transformer.KVCache` replaced, which concatenated every step's keys and
+values onto all earlier ones: test_transformer.py steps both through the
+same schedule and checks that their outputs are bitwise equal.
+
 `Adam` and `dp_step` are the per-parameter optimizer step and DP step, one
 tensor at a time with the noise drawn parameter by parameter: the flat
 `optim.Adam` and `trainer.dp_step` must match them bitwise.
@@ -92,6 +97,64 @@ def attention_block(blk, x, heads, blocked, past=None):
     ctx = ad.reshape(_transpose(matmul(w, v), (0, 2, 1, 3)), (B, L, d))
     y = matmul(ctx, blk["wo"])
     return ad.add(y, x), (k.data, v.data)
+
+
+def head_major(buf, heads):
+    """Position-major (t, B, d) cache slots as (B, heads, t, dh) keys or
+    values, the layout `attention_block` takes and returns."""
+    t, B, d = buf.shape
+    return buf.reshape(t, B, heads, d // heads).transpose(1, 2, 0, 3)
+
+
+def position_major(a):
+    """(B, heads, L, dh) keys or values as (L, B, d) cache slots."""
+    B, H, L, dh = a.shape
+    return a.transpose(2, 0, 1, 3).reshape(L, B, H * dh)
+
+
+class ConcatKVCache:
+    """The sampling cache that `transformer.KVCache` replaced: per block,
+    (B, heads, t, dh) keys and values onto which every step concatenates
+    its own, and which `take` indexes by row."""
+
+    def __init__(self, kv=None):
+        self.kv = kv if kv is not None else []
+
+    def take(self, rows):
+        return ConcatKVCache([(k[rows], v[rows]) for k, v in self.kv])
+
+
+def concat_step(stack, x_new, cache):
+    """`AttentionStack.step` on a ConcatKVCache, with each block's forward
+    computed as the fused op computed it before its cache buffers: the
+    (B, d) output array at the next position."""
+    B, d = x_new.shape
+    x, kv = x_new.reshape(B, 1, d), []
+    for i, blk in enumerate(stack.blocks):
+        x, kv_i = _concat_block(blk, x, stack.cfg.heads, cache.kv[i] if cache.kv else None)
+        kv.append(kv_i)
+    cache.kv = kv
+    return x.reshape(B, d)
+
+
+def _concat_block(blk, x, heads, past):
+    """One block's forward on one new position x (B, 1, d) after the
+    (B, heads, t, dh) keys and values `past`: (output, all keys and values)."""
+    B, _, d = x.shape
+    dh = d // heads
+    w_in = np.concatenate([blk["wq"].data, blk["wk"].data, blk["wv"].data], axis=1)
+    x2 = x.reshape(B, d)
+    q, k, v = (x2 @ w_in).reshape(B, 1, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    if past is not None:
+        k, v = np.concatenate([past[0], k], axis=2), np.concatenate([past[1], v], axis=2)
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= np.asarray(1.0 / np.sqrt(dh))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = np.empty((B, 1, heads, dh))
+    np.matmul(p, v, out=ctx.transpose(0, 2, 1, 3))
+    return (ctx.reshape(B, d) @ blk["wo"].data + x2).reshape(B, 1, d), (k, v)
 
 
 class Adam:

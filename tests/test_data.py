@@ -374,6 +374,40 @@ def test_declared_symbols_come_back_with_their_json_type():
     assert typed(records_from_batch(tree, tf)) == typed([{"e": 2, "b": True, "l": [0.5]}])
 
 
+NUMBER_SYMBOLS = {"type": "record", "name": "r", "fields": [
+    {"name": "e", "type": "enum", "symbols": [1, 2, 3]},
+    {"name": "f", "type": "enum", "symbols": [1.5, 2]}]}
+
+
+def test_declared_number_symbols_match_json_values_by_value():
+    schema = parse_schema(NUMBER_SYMBOLS)
+    records = [{"e": 1, "f": 2}, {"e": 1.0, "f": 2.0}, {"e": 3.0, "f": 1.5}]
+    tree, tf, _ = ingest_records(records, schema)
+    assert np.array_equal(tree.fields["e"].codes, [0, 0, 2])
+    assert np.array_equal(tree.fields["f"].codes, [1, 1, 0])
+    assert typed(records_from_batch(tree, tf)[1]) == typed({"e": 1, "f": 2})
+    # a JSON boolean is no number, though Python's True == 1
+    with pytest.raises(DataError, match="record 0: unknown category True in column r/e"):
+        ingest_records([{"e": True, "f": 2}], schema, transform=tf)
+    with pytest.raises(DataError, match="record 1: unknown category 2.5 in column r/f"):
+        ingest_records([{"e": 2, "f": 2}, {"e": 2, "f": 2.5}], schema, transform=tf)
+
+
+def test_declared_number_symbols_match_csv_cells_by_value(tmp_path):
+    schema = parse_schema(NUMBER_SYMBOLS)
+    path = write(tmp_path, "t.csv", "e,f\n1,2\n1.0,2.0\n3.0,1.50\n1e0,2\n")
+    tree, tf, _ = ingest(path, schema)
+    assert np.array_equal(tree.fields["e"].codes, [0, 0, 2, 0])
+    assert np.array_equal(tree.fields["f"].codes, [1, 1, 0, 1])
+    out = str(tmp_path / "out.csv")
+    write_records(records_from_batch(tree, tf), schema, out, "csv")
+    assert open(out).read() == "e,f\n1,2\n1,2\n3,1.5\n1,2\n"
+    for cell in ("True", "one", "nan", "4.0"):
+        bad = write(tmp_path, "bad.csv", f"e,f\n1,2\n{cell},2\n")
+        with pytest.raises(DataError, match=f"record 1: unknown category '{cell}' in column r/e"):
+            ingest(bad, schema, transform=tf)
+
+
 def test_transform_reuse_and_unknown_category():
     schema = parse_schema(FLAT_DOC)
     _, tf, _ = ingest_records([{"a": "0", "b": "x"}, {"a": "1", "b": "y"}], schema)

@@ -128,6 +128,8 @@ def test_parse_errors():
         parse_schema({"type": "enum", "name": "x", "cardinality": 0})
     with pytest.raises(SchemaError, match="duplicates"):
         parse_schema({"type": "enum", "name": "x", "symbols": ["a", "a"]})
+    with pytest.raises(SchemaError, match="duplicates"):  # numbers match by value
+        parse_schema({"type": "enum", "name": "x", "symbols": [1, 2, 1.0]})
     with pytest.raises(SchemaError, match="contradicts"):
         parse_schema({"type": "enum", "name": "x", "symbols": ["a", "b"],
                       "cardinality": 3})

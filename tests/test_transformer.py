@@ -7,15 +7,17 @@ import pytest
 
 from nestgen import autodiff as ad
 from nestgen.autodiff import Tape, Tensor
+from nestgen.batches import LeafBatch
 from nestgen.codecs.base import per_example_gradients, train_step
 from nestgen.codecs.composites import ListCodec
 from nestgen.params import ParamStore
 from nestgen.schema import compile_schema, parse_schema
-from nestgen.transformer import AttentionStack, TransformerConfig
+from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
 from conftest import (check_op_gradients, example_matrix, fd_gradient, random_batch,
                       random_schema_doc)
-from reference_ops import attention_block
+from reference_ops import (ConcatKVCache, attention_block, concat_step, head_major,
+                           position_major)
 from test_grouped_lists import SHUFFLED, split_lists
 
 
@@ -199,9 +201,17 @@ def causal_blocked(L, t=0):
 
 def reference_block(self, blk, x, past=None):
     """`AttentionStack._block` as the 17-op reference block, under a causal
-    mask built here rather than by the op."""
-    t = 0 if past is None else past[0].shape[2]
-    return attention_block(blk, x, self.cfg.heads, causal_blocked(x.data.shape[1], t), past)
+    mask built here rather than by the op. Like the op, it writes x's keys
+    and values into the last L slots of the position-major buffers `past`."""
+    B, L, d = x.data.shape
+    H = self.cfg.heads
+    t = 0 if past is None else past[0].shape[0] - L
+    earlier = None if past is None else tuple(head_major(buf[:t], H) for buf in past)
+    out, (k, v) = attention_block(blk, x, H, causal_blocked(L, t), earlier)
+    if past is not None:
+        for buf, new in zip(past, (k, v)):
+            buf[t:] = position_major(new[:, :, t:])
+    return out
 
 
 TOL = 1e-12
@@ -211,35 +221,44 @@ TOL = 1e-12
 MASKS = [pytest.param(1, id="none"), pytest.param(4, id="causal")]
 
 
+def cache_buffers(rng, t, B, L, d):
+    """(keys, values) position-major buffers of t random earlier positions
+    and L slots for the new ones."""
+    return tuple(np.concatenate([rng.standard_normal((t, B, d)), np.full((L, B, d), np.nan)])
+                 for _ in range(2))
+
+
 def _block_run(block, stack, store, x, past, w, per_example):
-    """(output, keys, values, x gradient, weight gradients) of one block under
-    the loss sum(output * w), on a plain or a per-example tape."""
+    """(output, x gradient, weight gradients) of one block under the loss
+    sum(output * w), on a plain or a per-example tape, then the keys and
+    values it left in copies of the buffers `past`, if any."""
     blk = stack.blocks[0]
     params = [blk[n] for n in ("wq", "wk", "wv", "wo")]
     xt = Tensor(x.copy())
+    past = None if past is None else tuple(buf.copy() for buf in past)
     store.zero_grads()
     ex = ad.ExampleGrads(x.shape[0], params) if per_example else None
     with Tape(per_example=ex) as tape:
-        out, (k, v) = block(stack, blk, xt, past)
+        out = block(stack, blk, xt, past)
         loss = ad.sum_all(ad.mul_const(out, w))
     tape.backward(loss)
     grads = example_matrix(ex) if per_example else np.concatenate([p.grad.ravel() for p in params])
-    return out.data, k, v, xt.grad, grads
+    return [out.data, xt.grad, grads, *(past or ())]
 
 
 @pytest.mark.parametrize("past_len", [0, 3])
 @pytest.mark.parametrize("L", MASKS)
 @pytest.mark.parametrize("per_example", [False, True])
 def test_fused_block_matches_reference(rng, past_len, L, per_example):
+    # past_len 0 is training's path, without a cache
     stack, store = make_stack(width=8, blocks=1, heads=2, seed=31)
     B = 5
     x = rng.standard_normal((B, L, 8))
-    past = None
-    if past_len:
-        past = tuple(rng.standard_normal((B, 2, past_len, 4)) for _ in range(2))
+    past = cache_buffers(rng, past_len, B, L, 8) if past_len else None
     w = rng.standard_normal((B, L, 8))
     got = _block_run(AttentionStack._block, stack, store, x, past, w, per_example)
     want = _block_run(reference_block, stack, store, x, past, w, per_example)
+    assert len(got) == len(want) == (5 if past_len else 3)
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=TOL, atol=TOL)
 
@@ -249,19 +268,144 @@ def test_fused_op_gradients_match_finite_differences(rng, L):
     B, d, H = 2, 8, 2
     x = Tensor(rng.standard_normal((B, L, d)))
     ws = [Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
-    check_op_gradients(lambda: ad.attention(x, *ws, H)[0], [x, *ws], rng)
+    check_op_gradients(lambda: ad.attention(x, *ws, H), [x, *ws], rng)
 
 
 def test_fused_op_gradients_with_past(rng):
     # the cached keys and values are constants: only x and the weights move;
-    # the two new positions are causal after the three cached ones
+    # the two new positions are causal after the three cached ones, and the
+    # op writes their keys and values into the buffers' last two slots
     B, L, d, H, t = 2, 2, 8, 2, 3
     x = Tensor(rng.standard_normal((B, L, d)))
     ws = [Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
-    past = tuple(rng.standard_normal((B, H, t, d // H)) for _ in range(2))
-    out, (k, v) = ad.attention(x, *ws, H, past)
-    assert np.array_equal(k[:, :, :t], past[0]) and np.array_equal(v[:, :, :t], past[1])
-    check_op_gradients(lambda: ad.attention(x, *ws, H, past)[0], [x, *ws], rng)
+    past = cache_buffers(rng, t, B, L, d)
+    earlier = [buf[:t].copy() for buf in past]
+    ad.attention(x, *ws, H, past)
+    for buf, before, w in zip(past, earlier, ws[1:3]):
+        assert np.array_equal(buf[:t], before)
+        np.testing.assert_allclose(buf[t:], (x.data @ w.data).swapaxes(0, 1), rtol=TOL, atol=TOL)
+    check_op_gradients(lambda: ad.attention(x, *ws, H, past), [x, *ws], rng)
+
+
+# -- the slot cache against the concatenating cache it replaced --------------
+
+def _struct_schedule(rng, slots, B):
+    """Steps (None) and takes (row arrays) for a struct-like node of `slots`
+    slots and B rows: it reorders the rows, drops half, then keeps none."""
+    return ([None] * 4 + [rng.permutation(B)] + [None] * 3
+            + [np.sort(rng.choice(B, B // 2, replace=False))] + [None] * 3
+            + [np.array([], dtype=np.int64)] + [None] * (slots - 10))
+
+
+def _list_schedule(rng, slots, B):
+    """Steps and takes for a list-like node: after the length step, each
+    element step first drops the rows whose lengths are reached, as
+    `ListCodec.sample` does; the fourth also reorders the rows, and a last
+    step runs on zero rows."""
+    m = np.minimum(rng.geometric(1 / 7, B) - 1, slots - 2)
+    schedule, rows = [None], np.arange(B)
+    for i in range(int(m.max())):
+        live = np.flatnonzero(m[rows] > i)
+        if i == 3:
+            live = live[rng.permutation(live.size)]
+        if live.size < rows.size or i == 3:
+            rows = rows[live]
+            schedule.append(live)
+        schedule.append(None)
+    return schedule + [np.array([], dtype=np.int64), None]
+
+
+# a flat_wide-like root struct and a long_sets-like list, both with two blocks
+CACHE_SHAPES = [pytest.param(64, 8, 300, 16, _struct_schedule, id="flat_wide-struct"),
+                pytest.param(32, 4, 160, 33, _list_schedule, id="long_sets-list")]
+
+
+@pytest.mark.parametrize("width,heads,B,slots,schedule", CACHE_SHAPES)
+def test_slot_cache_matches_concatenating_cache_bitwise(rng, width, heads, B, slots, schedule):
+    stack, _ = make_stack(width=width, blocks=2, heads=heads, seed=51)
+    schedule = schedule(rng, slots, B)
+    assert sum(op is None for op in schedule) <= slots
+    assert any(op is not None and op.size == 0 for op in schedule)
+    cache, ref, n = KVCache(slots), ConcatKVCache(), B
+    for op in schedule:
+        if op is None:
+            x = rng.standard_normal((n, width))
+            got = stack.step(Tensor(x), cache).data
+            assert np.array_equal(got, concat_step(stack, x, ref))
+        else:
+            cache, ref, n = cache.take(op), ref.take(op), op.size
+        # slot s holds block 0's keys and values, then block 1's
+        for j, want in enumerate(a for kv in ref.kv for a in kv):
+            assert np.array_equal(head_major(cache.buf[:cache.filled, j], heads), want)
+    assert n == 0 and cache.filled > 0
+
+
+def test_cache_refuses_a_step_past_its_slots(rng):
+    stack, _ = make_stack(width=8, blocks=2, heads=2)
+    cache = KVCache(2)
+    for _ in range(2):
+        stack.step(Tensor(rng.standard_normal((3, 8))), cache)
+    with pytest.raises(ValueError, match="all 2 slots"):
+        stack.step(Tensor(rng.standard_normal((3, 8))), cache)
+    assert cache.filled == 2
+
+
+def test_cache_room_doubles_up_to_its_slots(rng):
+    stack, _ = make_stack(width=8, blocks=2, heads=2, seed=54)
+    x = rng.standard_normal((3, 6, 8))
+    cache, rooms = KVCache(6), []
+    for k in range(6):
+        a = stack.step(Tensor(x[:, k]), cache).data
+        rooms.append(cache.buf.shape[0])
+        if k == 1:  # a take of a full cache takes into twice the room
+            cache = cache.take(np.arange(3))
+            assert cache.buf.shape[0] == 4
+    assert rooms == [1, 2, 4, 4, 6, 6]
+    assert np.array_equal(a, stack(Tensor(x)).data[:, -1])
+
+
+def test_list_sampling_cache_follows_the_lengths_drawn(rng, monkeypatch):
+    # lengths at most 2 under max_len 1000: no cache may hold room for
+    # max_len + 1 slots, which at width 8, 2 blocks and 64 rows would be
+    # 16 MB each
+    doc = {"name": "r", "type": "record", "fields": [
+        {"name": "tags", "type": "array", "max_len": 1000,
+         "items": {"name": "t", "type": "enum", "cardinality": 3}}]}
+    codec, store = compile_schema(parse_schema(doc), width=8, blocks=2, heads=2)
+    lists = next(c for c in codec.walk() if isinstance(c, ListCodec))
+    monkeypatch.setattr(lists.len_codec, "sample", lambda cond, rng: (
+        LeafBatch(c := rng.integers(0, 3, cond.shape[0])), ad.gather_rows(lists.len_codec.w, c)))
+    rooms, advance = [], KVCache.advance
+
+    def spy(cache, *args):
+        views = advance(cache, *args)
+        rooms.append(cache.buf.shape[0])
+        return views
+    monkeypatch.setattr(KVCache, "advance", spy)
+    sampled, _ = codec.sample(rng.standard_normal((64, 8)), rng)
+    assert sampled.fields["tags"].lengths.max() == 2
+    assert max(rooms) == 4
+
+
+def test_cache_take_before_the_first_step(rng):
+    # a take of an empty cache keeps it empty: the first step then sizes it
+    stack, _ = make_stack(width=8, blocks=2, heads=2, seed=52)
+    x = rng.standard_normal((2, 3, 8))
+    taken, fresh = KVCache(3).take(np.array([4, 1])), KVCache(3)
+    for k in range(3):
+        a = stack.step(Tensor(x[:, k]), taken).data
+        assert np.array_equal(a, stack.step(Tensor(x[:, k]), fresh).data)
+    assert np.array_equal(a, stack(Tensor(x)).data[:, -1])
+
+
+def test_cache_steps_and_takes_zero_rows(rng):
+    stack, _ = make_stack(width=8, blocks=2, heads=2, seed=53)
+    cache = KVCache(4)
+    for _ in range(2):
+        assert stack.step(Tensor(np.zeros((0, 8))), cache).data.shape == (0, 8)
+    cache = cache.take(np.array([], dtype=np.int64))
+    assert stack.step(Tensor(np.zeros((0, 8))), cache).data.shape == (0, 8)
+    assert cache.filled == 3
 
 
 def test_fused_block_is_one_tape_op(rng):
