@@ -36,14 +36,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 from typing import NamedTuple
 
 import numpy as np
-
-# Most negative finite float64. Used as the pre-softmax fill for masked
-# attention scores: exp(MASK_FILL - rowmax) underflows to exactly 0.0, so
-# masked positions get bitwise-zero attention weight and bitwise-zero gradient.
-MASK_FILL = -np.finfo(np.float64).max
 
 # Each thread (and asyncio task) sees its own active tape, so a tape open in
 # one thread never records the ops another thread runs.
@@ -51,27 +47,50 @@ _ACTIVE_TAPE = contextvars.ContextVar("nestgen_active_tape", default=None)
 
 
 class Tensor:
-    """A float64 array plus a gradient slot."""
+    """A float64 array plus a gradient slot. `_own` is the gradient array
+    this tensor allocated itself, the only one `add_at` writes in place."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "_own")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
+        self.grad = self._own = None
 
     @property
     def shape(self):
         return self.data.shape
 
     def accumulate(self, g):
-        # gradients are only ever replaced, never written in place, so g is
-        # kept without a copy. A non-contiguous g is still copied to C order:
-        # numpy sums a strided array in a different order, and later
-        # reductions over it would round differently.
+        # g is kept without a copy, so the gradient may be borrowed: the same
+        # array as another tensor's (`add` hands one g to both operands), and
+        # only `add_at` writes a gradient in place, after copying a borrowed
+        # one. A sum is a new array, so the tensor owns it. A non-contiguous
+        # g is still copied to C order: numpy sums a strided array in a
+        # different order, and later reductions over it would round
+        # differently.
         if self.grad is None:
             self.grad = np.asarray(g, order="C")
         else:
-            self.grad = self.grad + g
+            self.grad = self._own = self.grad + g
+
+    def add_at(self, key, g, assign):
+        """Add g into the gradient's entries at key, in place. An assigning
+        key reads no entry twice (or only a constant one; see `index`) and
+        adds with `+=`; any other key sums its repeated entries with
+        np.add.at. The first write allocates zeros and assigns an assigning
+        key's g, so a -0.0 in g is kept; a borrowed gradient is copied once
+        before its first in-place write."""
+        if self.grad is None:
+            self.grad = self._own = np.zeros(self.data.shape)
+            if assign:
+                self.grad[key] = g
+                return
+        elif self.grad is not self._own:
+            self.grad = self._own = self.grad.copy()
+        if assign:
+            self.grad[key] += g
+        else:
+            np.add.at(self.grad, key, g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -365,24 +384,20 @@ def concat(parts, axis):
 def index(a, key, unique=False):
     """a.data[key] for any numpy key: slices and integers (an integer drops
     its axis), integer arrays to take or reorder rows, a tuple of arrays to
-    gather per row. A basic key (slices and integers only) cannot repeat an
-    entry, so its backward assigns g into zeros; an array key may, so its
-    backward sums repeated entries with np.add.at, unless `unique` says it
-    reads no entry twice (a permutation, a subset of rows) or repeats only
-    a constant row, whose gradient is then dropped (a list's padded slots
-    all read one zero row)."""
+    gather per row. The backward adds g into a's own gradient at key, in
+    place (`Tensor.add_at`), so n slot reads of one tensor move n slots, not
+    n copies of the whole. A basic key (slices and integers only) cannot
+    repeat an entry, so it adds with `+=`; an array key may, so it sums
+    repeated entries with np.add.at, unless `unique` says it reads no entry
+    twice (a permutation, a subset of rows) or repeats only a constant row,
+    whose gradient is then dropped (a list's padded slots all read one zero
+    row)."""
     out = Tensor(a.data[key])
-    shape = a.data.shape
     parts = key if isinstance(key, tuple) else (key,)
     assign = unique or all(isinstance(k, (slice, int, np.integer)) for k in parts)
 
     def backward(g):
-        ga = np.zeros(shape)
-        if assign:
-            ga[key] = g
-        else:
-            np.add.at(ga, key, g)
-        a.accumulate(ga)
+        a.add_at(key, g, assign)
 
     return _record(out, backward)
 
@@ -397,7 +412,11 @@ def attention(x, wq, wk, wv, wo, heads, past=None):
     (B, heads, t + L, dh) views, so no key or value is copied. New position
     i attends keys 0..t+i only. That causal mask is the only one: a list's
     padding comes after its elements, so no position whose output is used
-    attends it. Returns the output; the backward reuses the softmax."""
+    attends it. No score is filled: each row's max is taken over its
+    visible keys only, the scores less that max are clamped at 0 (a masked
+    score may lie above it), and after exp each masked weight is multiplied
+    by 0.0, so it is exactly 0.0 and its gradient too. Returns the output;
+    the backward reuses the softmax."""
     B, L, d = x.data.shape
     dh = d // heads
     c = np.asarray(1.0 / np.sqrt(dh))
@@ -410,17 +429,21 @@ def attention(x, wq, wk, wv, wo, heads, past=None):
         k, v = (_cache_write(buf, qkv[:, :, j]) for j, buf in zip((1, 2), past))
     p = q @ np.swapaxes(k, -1, -2)
     p *= c
+    t = k.shape[2] - L
+    p -= _visible_max(p, t)[..., None]
     if L > 1:
-        t = k.shape[2] - L
-        p = np.where(np.triu(np.ones((L, t + L), dtype=bool), t + 1), MASK_FILL, p)
-    p -= p.max(axis=-1, keepdims=True)
+        np.minimum(p, 0.0, out=p)
     np.exp(p, out=p)
+    if L > 1:
+        p *= _causal_keep(L, t + L)
     p /= p.sum(axis=-1, keepdims=True)
     # products write straight into head-merged (B, L, d) layouts, no copy
     ctx = np.empty((B, L, heads, dh))
     np.matmul(p, v, out=ctx.transpose(0, 2, 1, 3))
     ctx = ctx.reshape(B * L, d)
-    out = Tensor((ctx @ wo.data + x2).reshape(B, L, d))
+    y = ctx @ wo.data
+    y += x2
+    out = Tensor(y.reshape(B, L, d))
     add_weight = _weight_rule()
 
     def backward(g):
@@ -440,9 +463,37 @@ def attention(x, wq, wk, wv, wo, heads, past=None):
         gqkv = gqkv.reshape(B * L, 3 * d)
         for i, w in enumerate((wq, wk, wv)):
             add_weight(w, x2, gqkv[:, i * d:(i + 1) * d])
-        x.accumulate((g + gqkv @ w_in.T).reshape(B, L, d))
+        gx = gqkv @ w_in.T
+        gx += g
+        x.accumulate(gx.reshape(B, L, d))
 
     return _record(out, backward)
+
+
+def _visible_max(p, t):
+    """(..., L) max of each row of the scores p (..., L, t + L) over the keys
+    it may attend, key j for row i when j <= t + i. A max is exact in any
+    order, and numpy's reduce over a short last axis pays a large cost per
+    row, so neither form below runs one: a single row (a cached step) sees
+    every key and is reduced across a key-major copy, whose cost hardly
+    grows with the keys, and L causal rows take one np.maximum per key
+    column over the rows that see it."""
+    if p.shape[-2] == 1:
+        return np.moveaxis(p, -1, 0).copy().max(axis=0)
+    m = p[..., 0].copy()
+    for j in range(1, p.shape[-1]):
+        i0 = max(0, j - t)
+        np.maximum(m[..., i0:], p[..., i0:, j], out=m[..., i0:])
+    return m
+
+
+@functools.lru_cache(maxsize=256)
+def _causal_keep(L, T):
+    """(L, T) 1.0 where new position i may attend key j (j <= T - L + i),
+    0.0 elsewhere; built once per shape and shared, so read-only."""
+    keep = np.tril(np.ones((L, T)), T - L)
+    keep.flags.writeable = False
+    return keep
 
 
 def _cache_write(buf, new):

@@ -400,8 +400,9 @@ def _kinds_and_bins(schema):
 def evaluate(real_records, synth_records, schema, k: int = 4,
              n_subsets: int = 50, seed: int = 0, rules=None) -> MetricsReport:
     """Full fidelity report between two record sets under one schema. A
-    DataError from flattening a set names it in `dataset`: 0 real, 1 synthetic;
-    one from the schema's list chain names neither."""
+    DataError from flattening a set, and a MetricsError for a set with no
+    rows at a level, name it in `dataset`: 0 real, 1 synthetic; an error
+    from the schema's list chain names neither."""
     if k < 1:
         raise MetricsError(f"marginal order k must be >= 1, got {k}")
     if n_subsets < 1:
@@ -424,9 +425,11 @@ def evaluate(real_records, synth_records, schema, k: int = 4,
         r_tab, s_tab = real[origin], synth[origin]
         if r_tab is None:
             continue
-        for side, key in (("real", "real"), ("synthetic", "synth")):
+        for dataset, (side, key) in enumerate((("real", "real"), ("synthetic", "synth"))):
             if not rows[key if origin == "record" else f"{key}_items"]:
-                raise MetricsError(f"the {side} dataset has no {origin} rows")
+                err = MetricsError(f"the {side} dataset has no {origin} rows")
+                err.dataset = dataset
+                raise err
         coded[origin] = code_tables(r_tab, s_tab, kinds, bins)
         for name in sorted(r_tab):
             if origin == "item" and name in real["record"]:

@@ -21,9 +21,10 @@ step is exact because attention is causal, so a position's output depends
 only on its prefix. `KVCache.take` drops batch rows that need no further
 steps, copying only the filled slots of the rows it keeps.
 
-Causality is the only mask, applied in `ad.attention`: masked scores are
-filled with the most negative finite float before the softmax, so exp()
-underflows to exactly 0.0 and their gradient is exactly 0.0. A list's
+Causality is the only mask, applied in `ad.attention` without filling any
+score: each row's max is taken over the keys it may attend, and after exp()
+each masked weight is multiplied by a cached (L, T) 0/1 mask, so it is
+exactly 0.0 and so is its gradient. A list's
 padding comes after its elements, so causality keeps it out of every output
 the list uses, and the list scores only its elements.
 """

@@ -13,6 +13,15 @@ finite-difference checks are in test_autodiff.py.
 values onto all earlier ones: test_transformer.py steps both through the
 same schedule and checks that their outputs are bitwise equal.
 
+`filled_attention` is `autodiff.attention` as it computed its softmax
+before: masked scores filled with MASK_FILL, the row max a reduce over the
+whole last axis, exp over every score. test_transformer.py checks that the
+op's output, gradients and per-example reads equal its bitwise.
+
+`index_into_zeros` is `autodiff.index` as it was before its backward
+added into the parent's gradient in place: each backward scatters g into a
+zeros array of the parent's whole shape and adds that.
+
 `Adam` and `dp_step` are the per-parameter optimizer step and DP step, one
 tensor at a time with the noise drawn parameter by parameter: the flat
 `optim.Adam` and `trainer.dp_step` must match them bitwise.
@@ -21,8 +30,13 @@ tensor at a time with the noise drawn parameter by parameter: the flat
 import numpy as np
 
 from nestgen import autodiff as ad
-from nestgen.autodiff import MASK_FILL, Tensor
+from nestgen.autodiff import Tensor
 from nestgen.optim import BETA1, BETA2, EPS
+
+# Most negative finite float64, the pre-softmax fill for masked scores:
+# exp(MASK_FILL - rowmax) underflows to exactly 0.0, so masked positions get
+# bitwise-zero weight and bitwise-zero gradient.
+MASK_FILL = -np.finfo(np.float64).max
 
 
 def matmul(a, b, transpose_b=False):
@@ -155,6 +169,73 @@ def _concat_block(blk, x, heads, past):
     ctx = np.empty((B, 1, heads, dh))
     np.matmul(p, v, out=ctx.transpose(0, 2, 1, 3))
     return (ctx.reshape(B, d) @ blk["wo"].data + x2).reshape(B, 1, d), (k, v)
+
+
+def filled_attention(x, wq, wk, wv, wo, heads, past=None):
+    """`autodiff.attention` with its softmax as first written: the masked
+    scores filled with MASK_FILL, then max(axis=-1), exp and the row sum
+    over all t + L keys; the same tape op and backward otherwise."""
+    B, L, d = x.data.shape
+    dh = d // heads
+    c = np.asarray(1.0 / np.sqrt(dh))
+    w_in = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    x2 = x.data.reshape(B * L, d)
+    qkv = (x2 @ w_in).reshape(B, L, 3, heads, dh)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+    if past is not None:
+        k, v = (ad._cache_write(buf, qkv[:, :, j]) for j, buf in zip((1, 2), past))
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= c
+    if L > 1:
+        t = k.shape[2] - L
+        p = np.where(np.triu(np.ones((L, t + L), dtype=bool), t + 1), MASK_FILL, p)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = np.empty((B, L, heads, dh))
+    np.matmul(p, v, out=ctx.transpose(0, 2, 1, 3))
+    ctx = ctx.reshape(B * L, d)
+    out = Tensor((ctx @ wo.data + x2).reshape(B, L, d))
+    add_weight = ad._weight_rule()
+
+    def backward(g):
+        g = g.reshape(B * L, d)
+        add_weight(wo, ctx, g)
+        gctx = (g @ wo.data.T).reshape(B, L, heads, dh).transpose(0, 2, 1, 3)
+        gs = gctx @ np.swapaxes(v, -1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        gqkv = np.empty((B, L, 3, heads, dh))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(gs, k, out=gq)
+        np.matmul(np.swapaxes(gs, -1, -2)[:, :, -L:], q, out=gk)
+        np.matmul(np.swapaxes(p, -1, -2)[:, :, -L:], gctx, out=gv)
+        gqkv = gqkv.reshape(B * L, 3 * d)
+        for i, w in enumerate((wq, wk, wv)):
+            add_weight(w, x2, gqkv[:, i * d:(i + 1) * d])
+        x.accumulate((g + gqkv @ w_in.T).reshape(B, L, d))
+
+    return ad._record(out, backward)
+
+
+def index_into_zeros(a, key, unique=False):
+    """`autodiff.index`, with the backward a zeros array of a's shape that
+    takes g at key (assigned, or summed with np.add.at where the key may
+    repeat) and is then added into a's gradient."""
+    out = Tensor(a.data[key])
+    parts = key if isinstance(key, tuple) else (key,)
+    assign = unique or all(isinstance(k, (slice, int, np.integer)) for k in parts)
+
+    def backward(g):
+        ga = np.zeros(a.data.shape)
+        if assign:
+            ga[key] = g
+        else:
+            np.add.at(ga, key, g)
+        a.accumulate(ga)
+
+    return ad._record(out, backward)
 
 
 class Adam:

@@ -810,7 +810,19 @@ def test_cli_eval_names_an_empty_real_dataset(tmp_path, capsys):
         assert main(["eval", real, synth, "--schema", str(schema_path),
                      "--k", "2", "--subsets", "2"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: eval: the real dataset has no {level} rows")
+        assert err.startswith(f"error: eval: {real}: the real dataset has no {level} rows")
+
+
+def test_cli_eval_names_a_synthetic_dataset_whose_lists_are_all_empty(tmp_path, capsys):
+    schema_path = tmp_path / "user.json"
+    schema_path.write_text(json.dumps(NESTED_DOC), encoding="utf-8")
+    rows = nested_rows(np.random.default_rng(4), 20)
+    real = write_jsonl(tmp_path / "real.jsonl", rows)
+    synth = write_jsonl(tmp_path / "synth.jsonl", [dict(r, tx=[]) for r in rows])
+    assert main(["eval", real, synth, "--schema", str(schema_path),
+                 "--k", "2", "--subsets", "2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: eval: {synth}: the synthetic dataset has no item rows")
 
 
 ENUM_LIST_DOC = {"type": "record", "name": "r", "fields": [

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from nestgen import autodiff as ad
-from nestgen.autodiff import MASK_FILL, Tape, Tensor
+from nestgen.autodiff import Tape, Tensor
 
 from conftest import check_op_gradients, fd_gradient
-from reference_ops import matmul, softmax
+from reference_ops import MASK_FILL, index_into_zeros, matmul, softmax
 
 
 def t(rng, *shape):
@@ -147,6 +147,60 @@ def test_index_unique_keys_assign_like_add_at(rng):
             loss = ad.sum_all(ad.mul_const(ad.index(a, key, unique=True), g))
         tape.backward(loss)
         assert a.grad.tobytes() == want.tobytes(), name
+
+
+def test_index_copies_a_borrowed_gradient_before_writing_it(rng):
+    # add hands one gradient array to both operands; the slot read of u,
+    # whose backward runs after add's, must not write into v's gradient
+    u, v = t(rng, 3, 4), t(rng, 3, 4)
+    w1, w2 = rng.standard_normal((3, 4)), rng.standard_normal(4)
+    with Tape() as tape:
+        r = ad.index(u, np.s_[1])
+        s = ad.add(u, v)
+        loss = ad.add(ad.sum_all(ad.mul_const(s, w1)), ad.sum_all(ad.mul_const(r, w2)))
+    tape.backward(loss)
+    assert v.grad.tobytes() == w1.tobytes()
+    want = w1.copy()
+    want[1] += w2
+    assert u.grad.tobytes() == want.tobytes()
+
+
+def test_index_sums_a_repeating_key_into_an_existing_gradient(rng):
+    # row 2 gets 1 from the slice read, then 3 times 2 from the repeating key
+    a = t(rng, 4, 2)
+    with Tape() as tape:
+        rep = ad.index(a, np.array([2, 0, 2, 2]))
+        loss = ad.add(ad.sum_all(ad.mul_const(rep, 2.0)), ad.sum_all(ad.index(a, np.s_[1:3])))
+    tape.backward(loss)
+    np.testing.assert_array_equal(a.grad[:, 0], [2.0, 1.0, 7.0, 0.0])
+
+
+@pytest.mark.parametrize("per_example", [False, True])
+def test_slot_reads_add_in_place_like_zeros_then_add(rng, per_example):
+    # a struct's scorer: 16 slot reads of one (64, 16, 64) decoder output,
+    # each scored by its own leaf table
+    B, n, d = 64, 16, 64
+    x = rng.standard_normal((B, n, d))
+    weights = [rng.standard_normal((d, d)) * 0.2 for _ in range(4)]
+    tables = [rng.standard_normal((5, d)) * 0.2 for _ in range(n)]
+    codes = rng.integers(0, 5, size=(n, B))
+
+    def run(index):
+        xt = Tensor(x)
+        params = [Tensor(w) for w in weights + tables]
+        ex = ad.ExampleGrads(B, params) if per_example else None
+        with Tape(per_example=ex) as tape:
+            h = ad.attention(xt, *params[:4], 8)
+            losses = [ad.categorical_nll(index(h, np.s_[:, k]), params[4 + k], codes[k])
+                      for k in range(n)]
+            loss = ad.sum_all(ad.concat(losses, axis=0))
+        tape.backward(loss)
+        grads = ([f for p in params for read in ex.reads[p] for f in read] if per_example
+                 else [p.grad for p in params])
+        return [xt.grad, *grads]
+
+    for a, b in zip(run(ad.index), run(index_into_zeros), strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_categorical_nll(rng):

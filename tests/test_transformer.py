@@ -16,8 +16,8 @@ from nestgen.transformer import AttentionStack, KVCache, TransformerConfig
 
 from conftest import (check_op_gradients, example_matrix, fd_gradient, random_batch,
                       random_schema_doc)
-from reference_ops import (ConcatKVCache, attention_block, concat_step, head_major,
-                           position_major)
+from reference_ops import (ConcatKVCache, attention_block, concat_step, filled_attention,
+                           head_major, position_major)
 from test_grouped_lists import SHUFFLED, split_lists
 
 
@@ -285,6 +285,71 @@ def test_fused_op_gradients_with_past(rng):
         assert np.array_equal(buf[:t], before)
         np.testing.assert_allclose(buf[t:], (x.data @ w.data).swapaxes(0, 1), rtol=TOL, atol=TOL)
     check_op_gradients(lambda: ad.attention(x, *ws, H, past), [x, *ws], rng)
+
+
+# -- the op's softmax against the filled softmax it replaced -----------------
+
+def _hard_rows(rng, t, L, B, d):
+    """x (B, L, d) and the four weights, wk equal to wq so that each score
+    q_i . k_i is positive: row 0 is random; every position of row 1 is the
+    same, so all its scores are equal; positions 0 and 1 of row 2 are equal
+    and large, so query 1 has a tied max; row 3's last position is 1000
+    times its first, so with L > 1 query 0's masked score there lies far
+    above its visible max. Cached keys and values are random."""
+    x = rng.standard_normal((B, L, d))
+    x[1] = x[1, :1]
+    if L > 1:
+        x[2, :2] = 3.0 * x[2, 0]
+        x[3, -1] = 1e3 * x[3, 0]
+    wq = rng.standard_normal((d, d))
+    ws = [wq, wq.copy(), rng.standard_normal((d, d)), rng.standard_normal((d, d))]
+    return x, ws, cache_buffers(rng, t, B, L, d) if t else None
+
+
+def _op_run(op, x, ws, heads, past, w, per_example):
+    """Every array one attention op leaves under the loss sum(output * w):
+    its output, x's gradient, then the weights' gradients, or on a
+    per-example tape every field of every read, then the cache buffers."""
+    xt, wts = Tensor(x.copy()), [Tensor(a) for a in ws]
+    past = None if past is None else tuple(buf.copy() for buf in past)
+    ex = ad.ExampleGrads(x.shape[0], wts) if per_example else None
+    with Tape(per_example=ex) as tape:
+        loss = ad.sum_all(ad.mul_const(op(xt, *wts, heads, past), w))
+    tape.backward(loss)
+    grads = ([f for p in wts for read in ex.reads[p] for f in read] if per_example
+             else [p.grad for p in wts])
+    return [tape._ops[0][0].data, xt.grad, *grads, *(past or ())]
+
+
+# (t, L): training, cached steps and causal steps with a past
+SOFTMAX_CASES = ([pytest.param(0, L, id=f"train-L{L}") for L in (2, 4, 9, 16, 33)]
+                 + [pytest.param(t, 1, id=f"step-t{t}") for t in (1, 8)]
+                 + [pytest.param(3, L, id=f"past-L{L}") for L in (2, 5)])
+
+
+@pytest.mark.parametrize("t,L", SOFTMAX_CASES)
+@pytest.mark.parametrize("per_example", [False, True])
+def test_attention_matches_the_filled_softmax_bitwise(rng, t, L, per_example):
+    B, d, heads = 4, 8, 2
+    x, ws, past = _hard_rows(rng, t, L, B, d)
+    if L > 1:  # the rows hold what they are built to hold
+        q = (x @ ws[0]).reshape(B, L, heads, d // heads)
+        s = np.einsum("blhe,bmhe->bhlm", q, q) / np.sqrt(d // heads)
+        assert np.all(s[1] == s[1, :, :1, :1])
+        assert np.all(s[2, :, 1, 0] == s[2, :, 1, 1]) and np.all(s[2, :, 1, 0] == s[2, :, 1, :2].max(-1))
+        visible = s[3, :, 0, 0]
+        if t:
+            cached = past[0][:t, 3].reshape(t, heads, d // heads)
+            visible = np.maximum(visible, np.einsum("he,the->ht", q[3, 0], cached).max(-1)
+                                 / np.sqrt(d // heads))
+        assert np.all(s[3, :, 0, -1] - visible > 709.0)
+    w = rng.standard_normal((B, L, d))
+    got = _op_run(ad.attention, x, ws, heads, past, w, per_example)
+    want = _op_run(filled_attention, x, ws, heads, past, w, per_example)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 # -- the slot cache against the concatenating cache it replaced --------------
