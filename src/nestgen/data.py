@@ -66,8 +66,7 @@ class Transform:
         nodes = dict(walk_paths(self.schema))
         self._index = {}
         for p, v in self.vocabs.items():
-            symbols = getattr(nodes.get(p), "symbols", None)
-            key = _as_number if symbols and _kind(symbols[0]) == "number" else str
+            key = symbol_key(getattr(nodes.get(p), "symbols", None))
             self._index[p] = key, {key(s): i for i, s in enumerate(v)}
 
     def code_column(self, path, node, values):
@@ -186,6 +185,20 @@ def _as_number(value):
                 pass
         return None
     return None if isinstance(value, bool) else value
+
+
+def _number_key(value):
+    """A value's key among declared number symbols: the number it stands for
+    (_as_number), or its str when it reads as no number or as NaN, which
+    equals no key, not even another NaN."""
+    number = _as_number(value)
+    return str(value) if number is None or number != number else number
+
+
+def symbol_key(symbols):
+    """The key an enum's values match by: _number_key when its declared
+    symbols are numbers, so 1, 1.0 and "1.0" are one symbol, else str."""
+    return _number_key if symbols and _kind(symbols[0]) == "number" else str
 
 
 def _problem(node, value, kind=None):

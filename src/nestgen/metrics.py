@@ -11,9 +11,10 @@ keep one row per record, and when the schema has a list field every item
 contributes a row that repeats its parent's scalar values.
 
 Each column of a real/synthetic pair is coded once (code_tables), and the
-metrics count codes with np.bincount and np.unique. A k-way marginal counts
-only the joint cells that either side observes, so it works at any column
-cardinality.
+metrics count codes with np.bincount. A joint count (a k-way marginal, a
+categorical pair's Theil's U) goes through count_cells, which bincounts a
+grid of at most DENSE_CELLS_PER_ROW cells per row and sorts a larger one, so
+it works at any column cardinality with memory linear in the rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codecs.primitives import DEFAULT_BINS, QuantileTable
-from .data import DataError, flatten_records, list_chain
+from .data import DataError, flatten_records, list_chain, symbol_key
 from .schema import Enum, Number, leaf_columns
 
 log = logging.getLogger("nestgen.metrics")
@@ -67,19 +68,31 @@ def wasserstein_1d(real, synth, normalized: bool = False,
     return float(np.sum(np.abs(cdf_r - cdf_s) * widths))
 
 
-def _cat_codes(values) -> tuple[np.ndarray, int]:
-    """(codes, n): each value's rank among the n sorted distinct string keys."""
-    keys = list(map(str, values))
-    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+def _cat_codes(values, key=str) -> tuple[np.ndarray, int]:
+    """(codes, n): each value's rank among the n sorted distinct keys,
+    numbers by value before strings."""
+    keys = list(map(key, values))
+    ordered = sorted(set(keys), key=lambda k: (isinstance(k, str), k))
+    rank = {k: r for r, k in enumerate(ordered)}
     return np.fromiter(map(rank.__getitem__, keys), np.int64, len(keys)), len(rank)
 
 
+def _rows(real_table: dict, synth_table: dict) -> int:
+    """The real table's row count; raises when either side has none."""
+    n = [len(next(iter(table.values()), ())) for table in (real_table, synth_table)]
+    for side, rows in zip(("real", "synthetic"), n):
+        if not rows:
+            raise MetricsError(f"the {side} table has no rows")
+    return n[0]
+
+
 def code_tables(real_table: dict, synth_table: dict, kinds: dict,
-                bins: dict | None = None) -> dict:
+                bins: dict | None = None, keys: dict | None = None) -> dict:
     """Column name -> (codes, n) of a real/synthetic table pair, real rows
     first: a categorical value's index among the n sorted keys of both
-    sides, a numeric value's bin among n quantiles of the real rows
-    (`bins[name]`, DEFAULT_BINS). The metrics below take it as `coded=`."""
+    sides (`keys[name]`, str, makes each value's key), a numeric value's
+    bin among n quantiles of the real rows (`bins[name]`, DEFAULT_BINS).
+    The metrics below take it as `coded=`."""
     if sorted(synth_table) != sorted(real_table):
         raise MetricsError("real and synthetic tables have different columns")
     coded = {}
@@ -90,7 +103,8 @@ def code_tables(real_table: dict, synth_table: dict, kinds: dict,
             q = QuantileTable.fit(both[:len(real)], (bins or {}).get(name, DEFAULT_BINS))
             coded[name] = q.bin_values(both), q.n_bins
         else:
-            coded[name] = _cat_codes([*real, *synth_table[name]])
+            coded[name] = _cat_codes([*real, *synth_table[name]],
+                                     (keys or {}).get(name, str))
     return coded
 
 
@@ -115,6 +129,30 @@ def _kl(p, m):
     return float(np.sum(p[nz] * np.log(p[nz] / m[nz])))
 
 
+# A joint grid of at most this many cells per row is counted densely: one
+# bincount over every cell of the grid. Measured against np.unique on random
+# codes (numpy 2.4, one thread), the dense count takes 0.54x the sort's time
+# at 4 cells per row over 900 rows and 0.92-0.97x over 10,500-30,000 rows,
+# and 0.89-1.6x at 8 cells per row.
+DENSE_CELLS_PER_ROW = 4
+
+
+def count_cells(cells: np.ndarray, size: int):
+    """(observed, inverse, counts) of integer codes in [0, size), exactly as
+    np.unique(cells, return_inverse=True, return_counts=True) returns them:
+    the observed codes in ascending order, each row's index among them, and
+    each observed code's count. A grid of at most DENSE_CELLS_PER_ROW cells
+    per row is counted with np.bincount; a larger one is sorted. Either way
+    memory stays linear in the rows."""
+    if size > DENSE_CELLS_PER_ROW * cells.size:
+        return np.unique(cells, return_inverse=True, return_counts=True)
+    counts = np.bincount(cells, minlength=size)
+    observed = np.flatnonzero(counts)
+    index = np.zeros(size, dtype=np.intp)
+    index[observed] = np.arange(observed.size)
+    return observed, index[cells], counts[observed]
+
+
 def association_matrix(table: dict, kinds: dict, *,
                        coded: dict | None = None) -> np.ndarray:
     """Pairwise association matrix over the table's columns (order: sorted
@@ -125,7 +163,8 @@ def association_matrix(table: dict, kinds: dict, *,
 
     Built in bulk: one corrcoef over the numeric columns, one grouped sum
     per categorical column against all of them, and one joint count per
-    categorical pair for Theil's U in both orientations."""
+    categorical pair (count_cells over the pair's grid) for Theil's U in
+    both orientations."""
     coded = coded or code_tables(table, dict.fromkeys(table, ()), kinds)
     names = sorted(table)
     num = np.flatnonzero([kinds[name] == "numeric" for name in names])
@@ -155,8 +194,8 @@ def association_matrix(table: dict, kinds: dict, *,
         for j in cat[k + 1:]:
             # one joint count per pair serves both orientations: H(a|b) =
             # -sum p(a, b) log p(a | b), over the observed (a, b) cells
-            (g, _), (y, ny) = coded[names[i]], coded[names[j]]
-            cells, joint = np.unique(g * ny + y, return_counts=True)
+            (g, n), (y, ny) = coded[names[i]], coded[names[j]]
+            cells, _, joint = count_cells(g * ny + y, n * ny)
             for a, b, given in ((i, j, counts[j][cells % ny]), (j, i, counts[i][cells // ny])):
                 if h[a] > 0:
                     mat[a, b] = (h[a] + float(np.sum(joint / g.size * np.log(joint / given)))) / h[a]
@@ -169,10 +208,10 @@ def correlation_diff(real_table: dict, synth_table: dict, kinds: dict, *,
     """Frobenius norm of the difference between the two association
     matrices. A pair undefined in either dataset (constant column)
     contributes 0, with a warning naming the columns. `coded`: the pair's
-    code_tables."""
+    code_tables. A side with no rows is an error."""
+    n_real = _rows(real_table, synth_table)
     coded = coded or code_tables(real_table, synth_table, kinds)
     names = sorted(real_table)
-    n_real = len(next(iter(real_table.values()), ()))
     a = association_matrix(real_table, kinds, coded={
         name: (codes[:n_real], n) for name, (codes, n) in coded.items()})
     b = association_matrix(synth_table, kinds, coded={
@@ -194,14 +233,21 @@ def marginal_score(real_table: dict, synth_table: dict, kinds: dict,
     """Mean total-variation distance over random k-column joint marginals,
     remapped to a 0..1000 score (1000 = identical marginals). Numeric
     columns are quantile-binned first, using the real column as reference.
-    `coded`: the pair's code_tables. Only cells either side observes are
-    counted (others add exactly 0), so any column cardinality works."""
+    `coded`: the pair's code_tables. Each subset's cells are counted by
+    count_cells over the mixed-radix grid, and only cells either side
+    observes enter the distance (others add exactly 0), so any column
+    cardinality works. k and n_subsets must be >= 1, and both sides must
+    have rows."""
+    if k < 1:
+        raise MetricsError(f"marginal order k must be >= 1, got {k}")
+    if n_subsets < 1:
+        raise MetricsError(f"n_subsets must be >= 1, got {n_subsets}")
+    n_real = _rows(real_table, synth_table)
     coded = coded or code_tables(real_table, synth_table, kinds, bins)
     names = sorted(real_table)
     if len(names) < k:
         raise MetricsError(f"need at least {k} columns for {k}-way marginals, "
                            f"have {len(names)}")
-    n_real = len(real_table[names[0]])
     rng = np.random.default_rng(seed)
     tvds = []
     for _ in range(n_subsets):
@@ -212,7 +258,7 @@ def marginal_score(real_table: dict, synth_table: dict, kinds: dict,
                 cells = np.unique(cells, return_inverse=True)[1]
                 size = int(cells.max()) + 1
             cells, size = cells * n + codes, size * n
-        observed, cells = np.unique(cells, return_inverse=True)
+        observed, cells, _ = count_cells(cells, size)
         pr, ps = (np.bincount(side, minlength=observed.size) / side.size
                   for side in (cells[:n_real], cells[n_real:]))
         tvds.append(0.5 * float(np.abs(pr - ps).sum()))
@@ -387,14 +433,18 @@ class MetricsReport:
 
 
 def _kinds_and_bins(schema):
-    kinds, bins = {}, {}
+    """(kinds, bins, keys): each leaf column's kind, each numeric column's
+    bin count, and the key each categorical column's values match by, as
+    ingest matches them (data.symbol_key)."""
+    kinds, bins, keys = {}, {}, {}
     for name, node in leaf_columns(schema):
         if isinstance(node, Number):
             kinds[name] = "numeric"
             bins[name] = node.bins or DEFAULT_BINS
         elif isinstance(node, Enum):
             kinds[name] = "categorical"
-    return kinds, bins
+            keys[name] = symbol_key(node.symbols)
+    return kinds, bins, keys
 
 
 def evaluate(real_records, synth_records, schema, k: int = 4,
@@ -403,12 +453,8 @@ def evaluate(real_records, synth_records, schema, k: int = 4,
     DataError from flattening a set, and a MetricsError for a set with no
     rows at a level, name it in `dataset`: 0 real, 1 synthetic; an error
     from the schema's list chain names neither."""
-    if k < 1:
-        raise MetricsError(f"marginal order k must be >= 1, got {k}")
-    if n_subsets < 1:
-        raise MetricsError(f"n_subsets must be >= 1, got {n_subsets}")
     list_chain(schema)
-    kinds, bins = _kinds_and_bins(schema)
+    kinds, bins, keys = _kinds_and_bins(schema)
     flat = []
     for records in (real_records, synth_records):
         try:
@@ -430,7 +476,7 @@ def evaluate(real_records, synth_records, schema, k: int = 4,
                 err = MetricsError(f"the {side} dataset has no {origin} rows")
                 err.dataset = dataset
                 raise err
-        coded[origin] = code_tables(r_tab, s_tab, kinds, bins)
+        coded[origin] = code_tables(r_tab, s_tab, kinds, bins, keys)
         for name in sorted(r_tab):
             if origin == "item" and name in real["record"]:
                 continue

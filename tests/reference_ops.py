@@ -22,6 +22,11 @@ op's output, gradients and per-example reads equal its bitwise.
 added into the parent's gradient in place: each backward scatters g into a
 zeros array of the parent's whole shape and adds that.
 
+`unique_cells` is `metrics.count_cells` as joint cells were counted
+before: one np.unique sort of the codes, whatever the grid's size.
+test_metrics.py checks that the metrics give bitwise the same values with
+it as with the dense count.
+
 `Adam` and `dp_step` are the per-parameter optimizer step and DP step, one
 tensor at a time with the noise drawn parameter by parameter: the flat
 `optim.Adam` and `trainer.dp_step` must match them bitwise.
@@ -236,6 +241,11 @@ def index_into_zeros(a, key, unique=False):
         a.accumulate(ga)
 
     return ad._record(out, backward)
+
+
+def unique_cells(cells, size):
+    """(observed, inverse, counts) of integer codes in [0, size) by one sort."""
+    return np.unique(cells, return_inverse=True, return_counts=True)
 
 
 class Adam:

@@ -1,18 +1,21 @@
 """Distance metrics, association matrices, marginal score, consistency rules."""
 
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
+from reference_ops import unique_cells
 from scipy.spatial.distance import jensenshannon
 from scipy.stats import wasserstein_distance
 
+from nestgen import metrics
 from nestgen.codecs.primitives import DEFAULT_BINS, QuantileTable
-from nestgen.data import DataError, flatten_records
-from nestgen.metrics import (MetricsError, association_matrix,
+from nestgen.data import DataError, flatten_records, read_records, symbol_key
+from nestgen.metrics import (DENSE_CELLS_PER_ROW, MetricsError, association_matrix,
                              code_tables, consistency_check, correlation_diff,
-                             evaluate, jensen_shannon, marginal_score,
+                             count_cells, evaluate, jensen_shannon, marginal_score,
                              wasserstein_1d)
 from nestgen.schema import parse_schema
 
@@ -27,6 +30,120 @@ def test_categorical_codes_rank_the_sorted_string_keys():
                              return_inverse=True)
     assert n == support.size == 11
     assert codes.dtype == ref.dtype and np.array_equal(codes, ref)
+
+
+def test_number_keys_rank_numbers_by_value_before_strings():
+    # a column declared with number symbols: 1, 1.0 and "1.0" are one key,
+    # a value that reads as no number (True, "x") or as NaN keeps its str key
+    coded = code_tables({"n": [1, "1.0", "x", True, 10, "nan"]},
+                        {"n": [1.0, "True", "2", "nan"]},
+                        {"n": "categorical"}, keys={"n": symbol_key([1])})
+    codes, n = coded["n"]
+    assert n == 6 and codes.tolist() == [0, 0, 5, 3, 2, 4, 0, 3, 1, 4]
+
+
+NUMBER_SYMBOLS_DOC = {"type": "record", "name": "r", "fields": [
+    {"name": "n", "type": "enum", "symbols": [1, 2, 3]},
+    {"name": "s", "type": "enum", "symbols": ["1", "2"]}]}
+
+
+def number_symbol_draws():
+    return [int(v) for v in np.random.default_rng(0).integers(1, 4, size=200)]
+
+
+def test_evaluate_codes_declared_number_symbols_by_value():
+    # real values read as 1.0 and sampled ones as 1 are one category
+    schema = parse_schema(NUMBER_SYMBOLS_DOC)
+    draws = number_symbol_draws()
+    real = [{"n": float(v), "s": str(v % 2 + 1)} for v in draws]
+    synth = [{"n": v, "s": str(v % 2 + 1)} for v in draws]
+    report = evaluate(real, synth, schema, k=2, n_subsets=3)
+    assert report.columns["n"]["jensen_divergence"] == 0.0
+    assert report.marginal["score"] == 1000.0
+    # string symbols still key by str: "1.0" is not "1"
+    report = evaluate(real, [dict(r, s=r["s"] + ".0") for r in synth], schema,
+                      k=2, n_subsets=3)
+    assert report.columns["s"]["jensen_divergence"] == pytest.approx(math.log(2))
+
+
+def test_evaluate_codes_csv_cells_of_number_symbols_by_value(tmp_path):
+    # a CSV cell "2.0" and a JSON 2 are one category
+    schema = parse_schema(NUMBER_SYMBOLS_DOC)
+    draws = number_symbol_draws()
+    real = tmp_path / "real.csv"
+    real.write_text("n,s\n" + "".join(f"{v}.0,{v % 2 + 1}\n" for v in draws))
+    synth = tmp_path / "synth.jsonl"
+    synth.write_text("".join(json.dumps({"n": v, "s": str(v % 2 + 1)}) + "\n"
+                             for v in draws))
+    report = evaluate(read_records(str(real)), read_records(str(synth)), schema,
+                      k=2, n_subsets=3)
+    assert report.columns["n"]["jensen_divergence"] == 0.0
+    assert report.marginal["score"] == 1000.0
+
+
+# -- joint cell counts ------------------------------------------------------------
+
+def count_cases():
+    rng = np.random.default_rng(2)
+    rows, c = 50, DENSE_CELLS_PER_ROW
+    cases = {"empty, empty grid": (np.zeros(0, np.int64), 0, True),
+             "empty": (np.zeros(0, np.int64), 3, False),
+             "one cell, dense": (np.full(rows, 7), 8, True),
+             "one cell, sorted": (np.full(rows, 7), c * rows + 1, False),
+             "a grid of 2 ** 62": (rng.integers(0, 2 ** 62, size=rows), 2 ** 62, False)}
+    # grids just below, at and just above C x rows, each code at size - 1 too
+    for size, dense in ((c * rows - 1, True), (c * rows, True), (c * rows + 1, False)):
+        cells = rng.integers(0, size, size=rows)
+        cells[::7] = size - 1
+        cases[f"size {size}"] = cells, size, dense
+    return cases
+
+
+@pytest.mark.parametrize("name", list(count_cases()))
+def test_count_cells_returns_what_np_unique_returns(name, monkeypatch):
+    cells, size, dense = count_cases()[name]
+    want = np.unique(cells, return_inverse=True, return_counts=True)
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(1) or unique(*a, **kw))
+    got = count_cells(cells, size)
+    assert len(sorts) == (0 if dense else 1)
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_joint_counts_equal_the_sort_bitwise(seed, k, monkeypatch):
+    # the same values, bit for bit, as counting every grid by one sort; the
+    # k = 3 and 4 subsets and the pairs of 40 rows over 30 symbols are
+    # sorted, the other grids counted densely
+    real, synth, kinds = mixed_tables(seed)
+    parts = [{name: values[:rows] for name, values in table.items()
+              if columns is None or name in columns}
+             for table in (real, synth) for columns, rows in TABLE_SHAPES]
+    rng = np.random.default_rng(seed)
+    parts.append({"s": [f"v{j}" for j in rng.integers(0, 30, size=40)],
+                  "i": [int(j) for j in rng.integers(0, 30, size=40)],
+                  "x": list(rng.normal(size=40))})
+
+    def values():
+        return (marginal_score(real, synth, kinds, k=k, n_subsets=20, seed=seed,
+                               bins={"x": 6, "y": 4})["score"],
+                correlation_diff(real, synth, kinds),
+                [association_matrix(part, kinds) for part in parts])
+
+    dense = []
+    monkeypatch.setattr(metrics, "count_cells", lambda cells, size: dense.append(
+        size <= DENSE_CELLS_PER_ROW * cells.size) or count_cells(cells, size))
+    got = values()
+    assert set(dense) == {True, False}
+    monkeypatch.setattr(metrics, "count_cells", unique_cells)
+    want = values()
+    assert got[0] == want[0] and got[1] == want[1]
+    for a, b in zip(got[2], want[2]):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 # -- wasserstein ----------------------------------------------------------------
@@ -290,6 +407,34 @@ def test_marginal_score_seed_and_errors():
         marginal_score(table, other, kinds, k=7)
     with pytest.raises(MetricsError, match="different columns"):
         marginal_score(table, {"zz": [0]}, kinds)
+
+
+@pytest.mark.parametrize("arguments, message", [
+    ({"k": 0}, "marginal order k must be >= 1, got 0"),
+    ({"k": -1}, "marginal order k must be >= 1, got -1"),
+    ({"n_subsets": 0}, "n_subsets must be >= 1, got 0")])
+def test_marginal_score_rejects_a_bad_order_or_subset_count(arguments, message):
+    table = {"a": ["x", "y"] * 5, "b": [1.0, 2.0] * 5}
+    kinds = {"a": "categorical", "b": "numeric"}
+    with pytest.raises(MetricsError, match=message):
+        marginal_score(table, table, kinds, **arguments)
+    # evaluate reaches the same check
+    records = [{"a": a, "b": b} for a, b in zip(table["a"], table["b"])]
+    schema = parse_schema({"type": "record", "name": "r", "fields": [
+        {"name": "a", "type": "enum"}, {"name": "b", "type": "float"}]})
+    with pytest.raises(MetricsError, match=message):
+        evaluate(records, records, schema, **arguments)
+
+
+@pytest.mark.parametrize("empty, side", [(0, "real"), (1, "synthetic")])
+@pytest.mark.parametrize("metric", [marginal_score, correlation_diff])
+def test_a_table_without_rows_is_an_error(metric, empty, side):
+    table = {"a": ["x", "y", "y"], "b": [1.0, 2.0, 0.5]}
+    kinds = {"a": "categorical", "b": "numeric"}
+    tables = [table, table]
+    tables[empty] = {"a": [], "b": []}
+    with pytest.raises(MetricsError, match=f"the {side} table has no rows"):
+        metric(*tables, kinds)
 
 
 # -- consistency rules --------------------------------------------------------------
